@@ -24,12 +24,12 @@
 //! * [`lub`] / [`lub_sigma`] — least upper bounds of support sets
 //!   (Lemmas 5.1 and 5.2), the engine of the paper's incremental search
 //!   algorithm,
-//! * [`LubEngine`] — the pooled lub engine: one interned column bitset
-//!   per `(rel, attr)` built exactly once, with Lemma 5.1's covering
-//!   test and Lemma 5.2's minimal-box enumeration running word-parallel
-//!   in [`ValueId`](whynot_relation::ValueId) space, plus its frozen
-//!   `Send + Sync` [`LubView`] (the [`LubProvider`] trait abstracts
-//!   over both) for the parallel search shards,
+//! * [`LubEngine`] — the pooled lub engine: each `(rel, attr)` column
+//!   interned exactly once, with lubs *grown* one constant at a time
+//!   ([`LubState`]; Lemma 5.1's covered flags and Lemma 5.2's minimal
+//!   boxes in [`ValueId`](whynot_relation::ValueId) space), plus its
+//!   frozen `Send + Sync` [`LubView`] (the [`LubProvider`] trait
+//!   abstracts over both) for the parallel search shards,
 //! * [`kernels`] — the shared unrolled 256-bit-chunk bitset kernels
 //!   every engine crate's hot word loop runs on, and [`IdBits`] —
 //!   two-level (sorted-array / dense-word) id sets selected per column
@@ -57,7 +57,7 @@ mod table;
 pub use concept::{LsAtom, LsConcept};
 pub use extension::{Extension, ValueSet, ValueSetIter};
 pub use lub::{lub, lub_extension, lub_sigma, selection_free_atom_count, try_lub, try_lub_sigma};
-pub use lub_engine::{LubEngine, LubProvider, LubView};
+pub use lub_engine::{LubEngine, LubKind, LubProvider, LubState, LubView};
 pub use minimize::{irredundant, simplify, simplify_selections};
 pub use parse::{parse_concept, parse_value, ParseError};
 pub use selection::{SelConstraint, Selection};

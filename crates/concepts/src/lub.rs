@@ -278,11 +278,8 @@ fn enumerate_boxes(
 }
 
 /// Keeps only inclusion-minimal boxes (dropping duplicates), sorted.
-/// Generic over the endpoint type so the legacy path (owned [`Value`]s)
-/// and the pooled engine ([`whynot_relation::ValueId`]s, whose order is
-/// value order) share one dominance implementation.
-pub(crate) fn retain_minimal<B: Ord>(boxes: Vec<Vec<(B, B)>>) -> Vec<Vec<(B, B)>> {
-    let mut minimal: Vec<Vec<(B, B)>> = Vec::new();
+fn retain_minimal(boxes: Vec<BoundingBox>) -> Vec<BoundingBox> {
+    let mut minimal: Vec<BoundingBox> = Vec::new();
     'outer: for b in boxes {
         let mut i = 0;
         while i < minimal.len() {
@@ -303,7 +300,7 @@ pub(crate) fn retain_minimal<B: Ord>(boxes: Vec<Vec<(B, B)>>) -> Vec<Vec<(B, B)>
 }
 
 /// Whether `inner ⊆ outer` per dimension.
-fn box_contains<B: Ord>(outer: &[(B, B)], inner: &[(B, B)]) -> bool {
+fn box_contains(outer: &[(Value, Value)], inner: &[(Value, Value)]) -> bool {
     outer.len() == inner.len()
         && outer
             .iter()

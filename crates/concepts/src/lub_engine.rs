@@ -1,36 +1,43 @@
-//! The pooled lub engine: `lub` / `lubσ` over interned bitset columns.
+//! The pooled lub engine: `lub` / `lubσ` over interned columns, grown one
+//! constant at a time.
 //!
 //! The free functions in [`crate::lub`] re-derive everything from the
-//! instance on every call — Algorithm 2's growth loop calls them once per
-//! probed constant, so each probe used to re-materialize every `(rel,
-//! attr)` column as an owned `BTreeSet<Value>`. A [`LubEngine`] pins one
-//! `(schema, instance)` pair and a shared
-//! [`ConstPool`](whynot_relation::ConstPool), then builds each column
-//! representation **exactly once**, however many lubs it computes:
+//! instance on every call. A [`LubEngine`] pins one `(schema, instance)`
+//! pair and a shared [`ConstPool`](whynot_relation::ConstPool) and interns
+//! each `(rel, attr)` column **exactly once**: an occurrence bitset, the
+//! column's id bounds, and an `id → rows` witness index. Lubs are then
+//! computed by *growth*: a [`LubState`] for `lub(S)` becomes the state for
+//! `lub(S ∪ {v})` without looking at the rest of `S` again.
 //!
-//! * **Lemma 5.1** (selection-free lub): the covering-atom test
-//!   `X ⊆ π_A(R^I)` becomes a word-parallel bitset inclusion between the
-//!   interned support set and the per-column occurrence bitset — no tree
-//!   walks, no value comparisons.
-//! * **Lemma 5.2** (lub with selections): the minimal-box enumeration
-//!   runs in [`ValueId`](whynot_relation::ValueId) space over interned
-//!   tuple rows. Ids ascend with values, so id comparisons *are* value
-//!   comparisons, box bounds are copies of two `u32`s instead of clones
-//!   of two [`Value`]s, and the per-restriction coverage check (`X` still
-//!   fully witnessed) is a bitset inclusion. Only the surviving minimal
-//!   boxes resolve ids back to owned values, once, when the concept atom
-//!   is built.
+//! * **Lemma 5.1** (selection-free lub): the covering atoms of `S ∪ {v}`
+//!   are the covering atoms of `S` whose column contains `v` — one bit
+//!   probe per surviving column.
+//! * **Lemma 5.2** (lub with selections): per `(rel, attr)`, the minimal
+//!   boxes of `S ∪ {v}` are the minimal ones among `bbox(B₀ ∪ w)`, where
+//!   `B₀` ranges over the minimal boxes of `S` and `w` over the rows with
+//!   `w[attr] = v`; if `S` has no box, neither has `S ∪ {v}`. A singleton
+//!   `{x}` starts from one point box per witness row of `x`. One step
+//!   costs `|boxes(S)| × |witnesses(v)|` box stretches plus the dominance
+//!   filter over them. Boxes live in
+//!   [`ValueId`](whynot_relation::ValueId) space (id order is value
+//!   order) and resolve to owned values only when the state's concept is
+//!   assembled.
+//!
+//! A from-scratch `lub(X)` / `lubσ(X)` is the fold of these steps over
+//! `X`, so a growth loop (Algorithm 2, CHECK-MGE, the contrast searches)
+//! pays one step per probe instead of a full recomputation.
 //!
 //! Support elements outside the pool (e.g. a why-not question probing a
-//! fresh constant) are handled exactly: no column can contain them, so no
-//! covering atom or box exists and the lub degenerates to the nominal /
-//! `⊤` — the same answer the legacy path gives.
+//! fresh constant) are handled exactly: no column contains them and no
+//! row witnesses them, so a step by one clears every covering atom and
+//! box — the lub degenerates to the nominal / `⊤`, the same answer the
+//! legacy path gives.
 //!
 //! # Examples
 //!
 //! ```
 //! use std::collections::BTreeSet;
-//! use whynot_concepts::{lub, lub_sigma, LubEngine};
+//! use whynot_concepts::{lub, lub_sigma, LubEngine, LubKind, LubProvider};
 //! use whynot_relation::{Instance, SchemaBuilder, Value};
 //!
 //! let mut b = SchemaBuilder::new();
@@ -48,38 +55,47 @@
 //! // Observationally equivalent to the legacy free functions…
 //! assert_eq!(engine.lub(&x), lub(&schema, &inst, &x));
 //! assert_eq!(engine.lub_sigma(&x), lub_sigma(&schema, &inst, &x));
-//! // …but the columns were interned once, not once per call:
+//! // …and growable one constant at a time:
+//! let berlin = engine.start(LubKind::WithSelections, &Value::str("Berlin"));
+//! let grown = engine.grow(&berlin, &Value::str("Rome"));
+//! assert_eq!(grown.concept(), &lub_sigma(&schema, &inst, &x));
+//! // The columns were interned once, not once per call:
 //! let before = engine.column_builds();
 //! let _ = engine.lub_sigma(&x);
 //! assert_eq!(engine.column_builds(), before);
 //! ```
 
 use crate::concept::{LsAtom, LsConcept};
-use crate::extension::ValueSet;
-use crate::kernels;
-use crate::lub::retain_minimal;
 use crate::selection::Selection;
 use crate::sparse::IdBits;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use whynot_relation::{
-    Attr, ConstPool, Instance, PoolMap, RelId, Schema, ScratchArena, Value, ValueId,
-};
+use whynot_relation::{Attr, ConstPool, Instance, PoolMap, RelId, Schema, Value, ValueId};
 
-/// A bounding box in id space: one closed `(lo, hi)` interval per
-/// attribute, id order being value order.
-type IdBox = Vec<(ValueId, ValueId)>;
+/// Which `lub` operator drives a search (i.e. which `LS` fragment the
+/// resulting concepts live in).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum LubKind {
+    /// Selection-free `LS` (Lemma 5.1, PTIME).
+    SelectionFree,
+    /// Full `LS` with selections (Lemma 5.2).
+    WithSelections,
+}
+
+/// One closed interval of a box in id space (id order is value order).
+/// A box over an `n`-ary relation is `n` consecutive intervals.
+type Interval = (ValueId, ValueId);
 
 /// One relation's interned column data, built at most once per engine.
 struct RelColumns {
     /// The relation's tuples with every constant replaced by its pool id.
     rows: Vec<Vec<ValueId>>,
-    /// Per schema attribute: occurrence bitset and id bounds.
+    /// Per schema attribute: occurrence bitset, id bounds, witnesses.
     cols: Vec<ColumnBits>,
 }
 
-/// The interned occurrence set of one `(rel, attr)` column. The
+/// The interned data of one `(rel, attr)` column. The occurrence
 /// container (sorted id array vs dense words) is selected per column by
 /// density — see [`crate::sparse`].
 struct ColumnBits {
@@ -87,62 +103,73 @@ struct ColumnBits {
     bits: IdBits,
     /// `(min, max)` occurring ids; `None` for an empty column.
     bounds: Option<(ValueId, ValueId)>,
+    /// `(id, row index)` for every row, sorted, so the witness rows of
+    /// one id form a contiguous run.
+    witnesses: Vec<(ValueId, u32)>,
 }
 
-/// An interned support set `X`, backed by a [`ValueSet`] over the engine
-/// pool (out-of-pool elements land in its overflow set).
-struct Support {
-    set: ValueSet,
-}
-
-impl Support {
-    /// Bits of the pooled support elements.
-    #[inline]
-    fn words(&self) -> &[u64] {
-        self.set.words()
-    }
-
-    /// Whether *every* element of `X` is pooled. When false, no column
-    /// (⊆ `adom(I)` ⊆ pool) can cover `X`, so the lub has no projection
-    /// atoms at all.
-    #[inline]
-    fn all_pooled(&self) -> bool {
-        self.set.extra().is_empty()
-    }
-
-    #[inline]
-    fn contains(&self, id: ValueId) -> bool {
-        has_bit(self.set.words(), id)
+impl ColumnBits {
+    /// The rows whose coordinate in this column is `id`.
+    fn witness_rows(&self, id: ValueId) -> &[(ValueId, u32)] {
+        let start = self.witnesses.partition_point(|&(x, _)| x < id);
+        let len = self.witnesses[start..].partition_point(|&(x, _)| x == id);
+        &self.witnesses[start..start + len]
     }
 }
 
-/// Word-parallel inclusion `sub ⊆ sup` over equally sized word slices
-/// (the scratch buffers here are plain slices, not [`ValueSet`]s) —
-/// the shared unrolled kernel.
-#[inline]
-fn words_subset(sub: &[u64], sup: &[u64]) -> bool {
-    kernels::subset(sub, sup)
+/// The growth state of one lub: the support set `S`, its concept
+/// `lub(S)` (or `lubσ(S)`), and per `(rel, attr)` column what a growth
+/// step needs — a covered flag (Lemma 5.1) or the column's minimal boxes
+/// in id space (Lemma 5.2).
+///
+/// Opaque: obtained from [`LubProvider::start`], [`LubProvider::grow`]
+/// or [`LubProvider::state_of`], and only meaningful to the provider
+/// that built it. States are transient — they index the provider's pool
+/// generation and are not meant to outlive an instance mutation.
+#[derive(Clone, Debug)]
+pub struct LubState {
+    kind: LubKind,
+    support: BTreeSet<Value>,
+    concept: LsConcept,
+    growth: Growth,
 }
 
-#[inline]
-fn set_bit(words: &mut [u64], id: ValueId) {
-    words[id.index() / 64] |= 1 << (id.index() % 64);
+/// Per-column growth data, in schema column order (relations by
+/// `RelId`, then attributes).
+#[derive(Clone, Debug)]
+enum Growth {
+    /// Built by a provider's default bodies (no column access): every
+    /// step recomputes from the support.
+    Recompute,
+    /// Lemma 5.1: whether each column still contains the whole support.
+    Covered(Vec<bool>),
+    /// Lemma 5.2: each column's minimal boxes, `arity` intervals per box
+    /// (empty when the support has no box in that column).
+    Boxes(Vec<Vec<Interval>>),
 }
 
-#[inline]
-fn has_bit(words: &[u64], id: ValueId) -> bool {
-    words[id.index() / 64] & (1 << (id.index() % 64)) != 0
+impl LubState {
+    /// The lub of the support: `lub_I(S)` or `lubσ_I(S)`.
+    pub fn concept(&self) -> &LsConcept {
+        &self.concept
+    }
+
+    /// Consumes the state, keeping only its concept.
+    pub fn into_concept(self) -> LsConcept {
+        self.concept
+    }
 }
 
 /// The pooled lub engine: `lub_I` / `lubσ_I` over one pinned
 /// `(schema, instance)` pair, with each `(rel, attr)` column interned
 /// into the shared pool exactly once.
 ///
-/// Lemma 5.1's covering-atom test is a word-parallel bitset inclusion
-/// against the interned columns; Lemma 5.2's minimal-box enumeration
-/// runs in [`ValueId`] space (id order is value order). Observationally
-/// equivalent to the legacy free functions [`lub`](crate::lub) /
-/// [`lub_sigma`](crate::lub_sigma).
+/// Lubs are computed by growth: the [`LubProvider`] methods start a
+/// [`LubState`] at a singleton and grow it one constant at a time
+/// (Lemma 5.1's covered flags, Lemma 5.2's minimal boxes stretched to
+/// the new constant's witness rows), and a from-scratch lub is the fold
+/// of those steps. Observationally equivalent to the legacy free functions
+/// [`lub`](crate::lub) / [`lub_sigma`](crate::lub_sigma).
 ///
 /// # Examples
 ///
@@ -175,10 +202,11 @@ pub struct LubEngine<'a> {
     inst: Instance,
     pool: Arc<ConstPool>,
     rels: RefCell<BTreeMap<RelId, Arc<RelColumns>>>,
+    /// Every relation's columns as one view, assembled on the first lub
+    /// (a growth step reads every column) and dropped by
+    /// [`LubEngine::apply_delta`].
+    view: RefCell<Option<LubView>>,
     column_builds: Cell<usize>,
-    /// Recycles the lubσ coverage scratch across calls (one engine
-    /// serves every probe of a growth loop).
-    scratch: ScratchArena,
 }
 
 impl<'a> LubEngine<'a> {
@@ -201,8 +229,8 @@ impl<'a> LubEngine<'a> {
             inst: inst.clone(),
             pool,
             rels: RefCell::new(BTreeMap::new()),
+            view: RefCell::new(None),
             column_builds: Cell::new(0),
-            scratch: ScratchArena::new(),
         }
     }
 
@@ -244,78 +272,12 @@ impl<'a> LubEngine<'a> {
 
     /// Non-panicking [`LubEngine::lub`]: `None` iff `x` is empty.
     pub fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        if x.is_empty() {
-            return None;
-        }
-        let mut atoms = nominal_start(x);
-        let support = intern_support(&self.pool, x);
-        if support.all_pooled() {
-            for rel in self.schema.rel_ids() {
-                push_covering_atoms(rel, &self.rel_columns(rel), &support, &mut atoms);
-            }
-        }
-        Some(LsConcept::from_atoms(atoms))
+        self.view().try_lub(x)
     }
 
     /// Non-panicking [`LubEngine::lub_sigma`]: `None` iff `x` is empty.
     pub fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        if x.is_empty() {
-            return None;
-        }
-        let mut atoms = nominal_start(x);
-        let support = intern_support(&self.pool, x);
-        if support.all_pooled() {
-            let mut scratch = self.scratch.take(self.pool.word_len());
-            for rel in self.schema.rel_ids() {
-                push_box_atoms(
-                    &self.pool,
-                    rel,
-                    &self.rel_columns(rel),
-                    &support,
-                    &mut scratch,
-                    &mut atoms,
-                );
-            }
-            self.scratch.recycle(scratch);
-        }
-        Some(LsConcept::from_atoms(atoms))
-    }
-
-    /// The Lemma 5.1 covering atoms contributed by **one** relation, or
-    /// an empty list when some support element is outside the pool (no
-    /// column can cover it).
-    ///
-    /// Both lub variants assemble their answers relation by relation, so
-    /// a cached lub can be *repaired* after a delta: keep the atoms of
-    /// untouched relations, recompute only the changed relations' atoms
-    /// with this method, and re-collect.
-    pub fn covering_atoms(&self, rel: RelId, x: &BTreeSet<Value>) -> Vec<LsAtom> {
-        let mut atoms = Vec::new();
-        let support = intern_support(&self.pool, x);
-        if support.all_pooled() {
-            push_covering_atoms(rel, &self.rel_columns(rel), &support, &mut atoms);
-        }
-        atoms
-    }
-
-    /// The Lemma 5.2 box atoms contributed by **one** relation; the
-    /// `lubσ` counterpart of [`LubEngine::covering_atoms`].
-    pub fn box_atoms(&self, rel: RelId, x: &BTreeSet<Value>) -> Vec<LsAtom> {
-        let mut atoms = Vec::new();
-        let support = intern_support(&self.pool, x);
-        if support.all_pooled() {
-            let mut scratch = self.scratch.take(self.pool.word_len());
-            push_box_atoms(
-                &self.pool,
-                rel,
-                &self.rel_columns(rel),
-                &support,
-                &mut scratch,
-                &mut atoms,
-            );
-            self.scratch.recycle(scratch);
-        }
-        atoms
+        self.view().try_lub_sigma(x)
     }
 
     /// Freezes the engine into a read-only [`LubView`] safe to share
@@ -324,14 +286,24 @@ impl<'a> LubEngine<'a> {
     /// would — at most once per `(rel, attr)`), and the view carries
     /// only `Arc`s of the finished data.
     pub fn freeze(&self) -> LubView {
-        LubView {
+        self.view()
+    }
+
+    /// The view over every relation's columns, assembled on first use.
+    fn view(&self) -> LubView {
+        if let Some(view) = self.view.borrow().as_ref() {
+            return view.clone();
+        }
+        let view = LubView {
             pool: Arc::clone(&self.pool),
             rels: self
                 .schema
                 .rel_ids()
                 .map(|rel| (rel, self.rel_columns(rel)))
                 .collect(),
-        }
+        };
+        *self.view.borrow_mut() = Some(view.clone());
+        view
     }
 
     /// The interned column data of one relation, built on first use.
@@ -363,8 +335,7 @@ impl<'a> LubEngine<'a> {
                     .collect()
             })
             .collect();
-        let cols = columns_from_rows(&rows, self.schema.arity(rel), &self.pool);
-        RelColumns { rows, cols }
+        RelColumns::from_rows(rows, self.schema.arity(rel), &self.pool)
     }
 
     /// Retargets the engine at a post-delta snapshot, keeping every
@@ -388,8 +359,8 @@ impl<'a> LubEngine<'a> {
     ) -> (usize, usize) {
         let mut retained = 0usize;
         let mut invalidated = 0usize;
-        let mut rels = self.rels.borrow_mut();
-        let old: Vec<(RelId, Arc<RelColumns>)> = std::mem::take(&mut *rels).into_iter().collect();
+        let rels = self.rels.get_mut();
+        let old: Vec<(RelId, Arc<RelColumns>)> = std::mem::take(rels).into_iter().collect();
         for (rel, rc) in old {
             if changed.contains(&rel) {
                 invalidated += rc.cols.len();
@@ -402,7 +373,7 @@ impl<'a> LubEngine<'a> {
             };
             rels.insert(rel, kept);
         }
-        drop(rels);
+        *self.view.get_mut() = None;
         self.inst = new_inst.clone();
         if let Some((pool, _)) = repool {
             self.pool = Arc::clone(pool);
@@ -411,39 +382,42 @@ impl<'a> LubEngine<'a> {
     }
 }
 
-/// Builds the per-attribute occurrence bitsets and id bounds of a
-/// relation's interned rows (shared by first-time builds and
-/// cross-generation remaps).
-fn columns_from_rows(rows: &[Vec<ValueId>], arity: usize, pool: &ConstPool) -> Vec<ColumnBits> {
-    let word_len = pool.word_len();
-    let mut words: Vec<Vec<u64>> = (0..arity).map(|_| vec![0u64; word_len]).collect();
-    let mut bounds: Vec<Option<(ValueId, ValueId)>> = vec![None; arity];
-    for row in rows {
-        for j in 0..arity {
-            let Some(&id) = row.get(j) else { continue };
-            set_bit(&mut words[j], id);
-            bounds[j] = Some(match bounds[j] {
-                None => (id, id),
-                Some((mn, mx)) => (mn.min(id), mx.max(id)),
-            });
-        }
+impl RelColumns {
+    /// Builds the per-attribute occurrence bitsets, id bounds and
+    /// witness indexes of a relation's interned rows (shared by
+    /// first-time builds and cross-generation remaps).
+    fn from_rows(rows: Vec<Vec<ValueId>>, arity: usize, pool: &ConstPool) -> RelColumns {
+        let cols = (0..arity)
+            .map(|j| {
+                let mut words = vec![0u64; pool.word_len()];
+                let mut witnesses: Vec<(ValueId, u32)> = Vec::with_capacity(rows.len());
+                for (i, row) in rows.iter().enumerate() {
+                    let Some(&id) = row.get(j) else { continue };
+                    words[id.index() / 64] |= 1 << (id.index() % 64);
+                    witnesses.push((id, i as u32));
+                }
+                witnesses.sort_unstable();
+                let bounds = witnesses
+                    .first()
+                    .zip(witnesses.last())
+                    .map(|(lo, hi)| (lo.0, hi.0));
+                // Each column picks its container (sparse array vs dense
+                // words) by density, once, here.
+                ColumnBits {
+                    bits: IdBits::from_words(words, pool.len()),
+                    bounds,
+                    witnesses,
+                }
+            })
+            .collect();
+        RelColumns { rows, cols }
     }
-    // Each column picks its container (sparse array vs dense words)
-    // by density, once, here.
-    words
-        .into_iter()
-        .zip(bounds)
-        .map(|(w, bounds)| ColumnBits {
-            bits: IdBits::from_words(w, pool.len()),
-            bounds,
-        })
-        .collect()
 }
 
 /// Translates a retained relation's columns into the next pool
 /// generation. The map is total on old ids (generations only grow) and
 /// monotone (id order is value order in both pools), so rows translate
-/// id-by-id and the bitsets are rebuilt from the translated rows without
+/// id-by-id and the columns are rebuilt from the translated rows without
 /// touching a single [`Value`].
 fn remap_columns(rc: &RelColumns, map: &PoolMap, pool: &ConstPool) -> RelColumns {
     let rows: Vec<Vec<ValueId>> = rc
@@ -460,16 +434,14 @@ fn remap_columns(rc: &RelColumns, map: &PoolMap, pool: &ConstPool) -> RelColumns
                 .collect()
         })
         .collect();
-    let arity = rc.cols.len();
-    let cols = columns_from_rows(&rows, arity, pool);
-    RelColumns { rows, cols }
+    RelColumns::from_rows(rows, rc.cols.len(), pool)
 }
 
 /// A read-only snapshot of a [`LubEngine`]'s interned columns, safe to
 /// share across worker threads (`Send + Sync`): the parallel search
 /// shards freeze the engine once, fan the growth probes out, and every
-/// worker computes lubs against the same column bitsets — built at most
-/// once per `(rel, attr)` for the engine *and* all its views together.
+/// worker grows lubs against the same columns — built at most once per
+/// `(rel, attr)` for the engine *and* all its views together.
 ///
 /// Obtained from [`LubEngine::freeze`]; observationally equivalent to
 /// the engine it was frozen from (proven by tests).
@@ -496,7 +468,7 @@ fn remap_columns(rc: &RelColumns, map: &PoolMap, pool: &ConstPool) -> RelColumns
 pub struct LubView {
     pool: Arc<ConstPool>,
     /// Every schema relation's interned columns, in `RelId` order.
-    rels: Vec<(RelId, Arc<RelColumns>)>,
+    rels: Arc<[(RelId, Arc<RelColumns>)]>,
 }
 
 impl LubView {
@@ -529,39 +501,137 @@ impl LubView {
 
     /// Non-panicking [`LubView::lub`]: `None` iff `x` is empty.
     pub fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        if x.is_empty() {
-            return None;
-        }
-        let mut atoms = nominal_start(x);
-        let support = intern_support(&self.pool, x);
-        if support.all_pooled() {
-            for (rel, rc) in &self.rels {
-                push_covering_atoms(*rel, rc, &support, &mut atoms);
-            }
-        }
-        Some(LsConcept::from_atoms(atoms))
+        self.fold(LubKind::SelectionFree, x)
+            .map(LubState::into_concept)
     }
 
     /// Non-panicking [`LubView::lub_sigma`]: `None` iff `x` is empty.
     pub fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        if x.is_empty() {
-            return None;
+        self.fold(LubKind::WithSelections, x)
+            .map(LubState::into_concept)
+    }
+
+    /// Every `(rel, columns, attr)` in schema column order — the order
+    /// of a [`LubState`]'s per-column growth data.
+    fn columns(&self) -> impl Iterator<Item = (RelId, &RelColumns, Attr)> + '_ {
+        self.rels
+            .iter()
+            .flat_map(|(rel, rc)| (0..rc.cols.len()).map(move |attr| (*rel, &**rc, attr)))
+    }
+
+    /// The growth data of the singleton `{x}`: the columns containing
+    /// `x`, or one point box per witness row of `x`.
+    fn seed(&self, kind: LubKind, x: &Value) -> Growth {
+        let id = self.pool.id_of(x);
+        match kind {
+            LubKind::SelectionFree => Growth::Covered(
+                self.columns()
+                    .map(|(_, rc, attr)| id.is_some_and(|id| rc.cols[attr].bits.contains(id.0)))
+                    .collect(),
+            ),
+            LubKind::WithSelections => Growth::Boxes(
+                self.columns()
+                    .map(|(_, rc, attr)| match id {
+                        None => Vec::new(),
+                        Some(id) => rc.cols[attr]
+                            .witness_rows(id)
+                            .iter()
+                            .flat_map(|&(_, r)| rc.rows[r as usize].iter().map(|&c| (c, c)))
+                            .collect(),
+                    })
+                    .collect(),
+            ),
         }
-        let mut atoms = nominal_start(x);
-        let support = intern_support(&self.pool, x);
-        if support.all_pooled() {
-            let mut scratch = vec![0u64; self.pool.word_len()];
-            for (rel, rc) in &self.rels {
-                push_box_atoms(&self.pool, *rel, rc, &support, &mut scratch, &mut atoms);
+    }
+
+    /// One growth step `S → S ∪ {v}` (Lemmas 5.1 and 5.2; see the module
+    /// docs). `Recompute` data carries nothing to step from; callers
+    /// refold those supports instead.
+    fn step(&self, growth: &Growth, v: &Value) -> Growth {
+        let id = self.pool.id_of(v);
+        match growth {
+            Growth::Recompute => Growth::Recompute,
+            Growth::Covered(flags) => Growth::Covered(
+                self.columns()
+                    .zip(flags)
+                    .map(|((_, rc, attr), &covered)| {
+                        covered && id.is_some_and(|id| rc.cols[attr].bits.contains(id.0))
+                    })
+                    .collect(),
+            ),
+            Growth::Boxes(boxes) => Growth::Boxes(
+                self.columns()
+                    .zip(boxes)
+                    .map(|((_, rc, attr), boxes)| match id {
+                        None => Vec::new(),
+                        Some(id) => stretch_boxes(rc, attr, boxes, id),
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The growth data of `x` by folding [`LubView::step`] over it.
+    fn fold_growth(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<Growth> {
+        let mut values = x.iter();
+        let mut growth = self.seed(kind, values.next()?);
+        for v in values {
+            growth = self.step(&growth, v);
+        }
+        Some(growth)
+    }
+
+    /// The full state of `x`: the fold, then one concept assembly.
+    fn fold(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
+        let growth = self.fold_growth(kind, x)?;
+        Some(self.assemble(kind, x.clone(), growth))
+    }
+
+    /// Resolves growth data into the state's concept: the nominal of a
+    /// singleton support, then per column its covering atom or one
+    /// `π_attr(σ_box(R))` per minimal box.
+    fn assemble(&self, kind: LubKind, support: BTreeSet<Value>, growth: Growth) -> LubState {
+        let mut atoms: Vec<LsAtom> = Vec::new();
+        if let (Some(x), 1) = (support.first(), support.len()) {
+            atoms.push(LsAtom::Nominal(x.clone()));
+        }
+        match &growth {
+            Growth::Recompute => {}
+            Growth::Covered(flags) => {
+                for ((rel, _, attr), _) in
+                    self.columns().zip(flags).filter(|(_, covered)| **covered)
+                {
+                    atoms.push(LsAtom::proj(rel, attr));
+                }
+            }
+            Growth::Boxes(boxes) => {
+                for ((rel, rc, attr), boxes) in self.columns().zip(boxes) {
+                    for bx in boxes.chunks_exact(rc.cols.len()) {
+                        atoms.push(box_atom(&self.pool, rel, rc, attr, bx));
+                    }
+                }
             }
         }
-        Some(LsConcept::from_atoms(atoms))
+        LubState {
+            kind,
+            support,
+            concept: LsConcept::from_atoms(atoms),
+            growth,
+        }
     }
 }
 
 /// The common interface of [`LubEngine`] and [`LubView`]: the search
 /// algorithms are generic over it, so one code path serves the lazily
 /// caching single-threaded engine and its frozen multi-thread view.
+///
+/// Only the three from-scratch methods are required. The growth methods
+/// ([`start`](LubProvider::start), [`grow`](LubProvider::grow),
+/// [`state_of`](LubProvider::state_of)) default to recomputing through
+/// [`try_lub`](LubProvider::try_lub) /
+/// [`try_lub_sigma`](LubProvider::try_lub_sigma) on the grown support;
+/// the pooled providers override them with the Lemma 5.1/5.2 growth
+/// steps.
 pub trait LubProvider {
     /// The shared pool lub extensions and column bitsets index.
     fn pool(&self) -> &Arc<ConstPool>;
@@ -569,17 +639,42 @@ pub trait LubProvider {
     fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept>;
     /// Non-panicking `lubσ_I(X)` (Lemma 5.2): `None` iff `x` is empty.
     fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept>;
-}
 
-impl LubProvider for LubEngine<'_> {
-    fn pool(&self) -> &Arc<ConstPool> {
-        LubEngine::pool(self)
+    /// The state of `lub(X)` under `kind`; `None` iff `x` is empty.
+    fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
+        let concept = match kind {
+            LubKind::SelectionFree => self.try_lub(x),
+            LubKind::WithSelections => self.try_lub_sigma(x),
+        }?;
+        Some(LubState {
+            kind,
+            support: x.clone(),
+            concept,
+            growth: Growth::Recompute,
+        })
     }
-    fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        LubEngine::try_lub(self, x)
+
+    /// The state of the singleton support `{x}` — where every growth
+    /// loop starts.
+    fn start(&self, kind: LubKind, x: &Value) -> LubState {
+        let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
+        self.state_of(kind, &support)
+            // lint: allow(no-panic-in-lib) — `state_of` is `None` only for
+            // an empty support, and this one holds `x`.
+            .expect("singleton supports are non-empty")
     }
-    fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        LubEngine::try_lub_sigma(self, x)
+
+    /// The state of `lub(S ∪ {v})` grown from the state of `lub(S)`. A
+    /// `v` already in `S` returns the state unchanged.
+    fn grow(&self, state: &LubState, v: &Value) -> LubState {
+        if state.support.contains(v) {
+            return state.clone();
+        }
+        let mut support = state.support.clone();
+        support.insert(v.clone());
+        self.state_of(state.kind, &support)
+            // lint: allow(no-panic-in-lib) — the grown support holds `v`.
+            .expect("grown supports are non-empty")
     }
 }
 
@@ -593,97 +688,104 @@ impl LubProvider for LubView {
     fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
         LubView::try_lub_sigma(self, x)
     }
-}
-
-/// The nominal atom of a singleton support (both lub variants start
-/// from it).
-fn nominal_start(x: &BTreeSet<Value>) -> Vec<LsAtom> {
-    if x.len() == 1 {
-        // lint: allow(no-panic-in-lib) — the len() == 1 guard proves the
-        // iterator yields exactly one element.
-        vec![LsAtom::Nominal(x.iter().next().expect("non-empty").clone())]
-    } else {
-        Vec::new()
+    fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
+        self.fold(kind, x)
+    }
+    fn start(&self, kind: LubKind, x: &Value) -> LubState {
+        let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
+        self.assemble(kind, support, self.seed(kind, x))
+    }
+    fn grow(&self, state: &LubState, v: &Value) -> LubState {
+        if state.support.contains(v) {
+            return state.clone();
+        }
+        let mut support = state.support.clone();
+        support.insert(v.clone());
+        let growth = match &state.growth {
+            // Built by the recomputing default bodies: no column data to
+            // step from, so fold the grown support instead.
+            Growth::Recompute => self.fold_growth(state.kind, &support),
+            growth => Some(self.step(growth, v)),
+        };
+        self.assemble(state.kind, support, growth.unwrap_or(Growth::Recompute))
     }
 }
 
-/// Interns a support set into pool bits, through the same [`ValueSet`]
-/// machinery the extension engine uses.
-fn intern_support(pool: &Arc<ConstPool>, x: &BTreeSet<Value>) -> Support {
-    Support {
-        set: ValueSet::collect_refs_in(Arc::clone(pool), x.iter()),
+impl LubProvider for LubEngine<'_> {
+    fn pool(&self) -> &Arc<ConstPool> {
+        LubEngine::pool(self)
+    }
+    fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
+        LubEngine::try_lub(self, x)
+    }
+    fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
+        LubEngine::try_lub_sigma(self, x)
+    }
+    fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
+        self.view().state_of(kind, x)
+    }
+    fn start(&self, kind: LubKind, x: &Value) -> LubState {
+        self.view().start(kind, x)
+    }
+    fn grow(&self, state: &LubState, v: &Value) -> LubState {
+        self.view().grow(state, v)
     }
 }
 
-/// Lemma 5.1 over one relation: pushes `π_attr(R)` for every column
-/// whose occurrence bitset covers the support (word-parallel inclusion).
-fn push_covering_atoms(rel: RelId, rc: &RelColumns, support: &Support, atoms: &mut Vec<LsAtom>) {
-    for (attr, col) in rc.cols.iter().enumerate() {
-        if col.bits.superset_of_words(support.words()) {
-            atoms.push(LsAtom::proj(rel, attr));
+/// Lemma 5.2's growth step in one column: stretches every minimal box of
+/// `S` to every witness row of `v` and keeps the minimal results. Empty
+/// stays empty (no box of `S` → no box of `S ∪ {v}`), and so does a `v`
+/// without witness rows.
+fn stretch_boxes(rc: &RelColumns, attr: Attr, boxes: &[Interval], v: ValueId) -> Vec<Interval> {
+    let arity = rc.cols.len();
+    let witnesses = rc.cols[attr].witness_rows(v);
+    if boxes.is_empty() || witnesses.is_empty() {
+        return Vec::new();
+    }
+    let mut stretched: Vec<Interval> = Vec::with_capacity(boxes.len() * witnesses.len());
+    for bx in boxes.chunks_exact(arity) {
+        for &(_, r) in witnesses {
+            let row = &rc.rows[r as usize];
+            stretched.extend(
+                bx.iter()
+                    .zip(row)
+                    .map(|(&(lo, hi), &c)| (lo.min(c), hi.max(c))),
+            );
         }
     }
+    keep_minimal(&stretched, arity)
 }
 
-/// Lemma 5.2 over one relation: pushes `π_attr(σ_box(R))` for every
-/// minimal covering box of every attribute.
-fn push_box_atoms(
-    pool: &ConstPool,
-    rel: RelId,
-    rc: &RelColumns,
-    support: &Support,
-    scratch: &mut [u64],
-    atoms: &mut Vec<LsAtom>,
-) {
-    for attr in 0..rc.cols.len() {
-        for bx in minimal_boxes(rc, attr, support, scratch) {
-            atoms.push(box_atom(pool, rel, rc, attr, &bx));
+/// The inclusion-minimal boxes among `boxes` (`arity` intervals each),
+/// deduplicated and in ascending order.
+fn keep_minimal(boxes: &[Interval], arity: usize) -> Vec<Interval> {
+    let mut sorted: Vec<&[Interval]> = boxes.chunks_exact(arity).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut out: Vec<Interval> = Vec::with_capacity(boxes.len());
+    for bx in &sorted {
+        if !sorted
+            .iter()
+            .any(|other| other != bx && box_within(other, bx))
+        {
+            out.extend_from_slice(bx);
         }
     }
+    out
 }
 
-/// Lemma 5.2's minimal-box enumeration in id space (cf. the legacy
-/// `minimal_boxes` over owned trees in [`crate::lub`]).
-fn minimal_boxes(
-    rc: &RelColumns,
-    attr: Attr,
-    support: &Support,
-    scratch: &mut [u64],
-) -> Vec<IdBox> {
-    // Witness rows: those whose `attr` coordinate lies in X.
-    let witnesses: Vec<&[ValueId]> = rc
-        .rows
+/// Whether `inner ⊆ outer` in every dimension.
+fn box_within(inner: &[Interval], outer: &[Interval]) -> bool {
+    inner
         .iter()
-        .filter(|r| r.get(attr).is_some_and(|&id| support.contains(id)))
-        .map(|r| r.as_slice())
-        .collect();
-    if witnesses.is_empty() {
-        return Vec::new();
-    }
-    let arity = witnesses[0].len();
-    let all: Vec<usize> = (0..witnesses.len()).collect();
-    if !covers_support(&witnesses, &all, attr, support, scratch) {
-        return Vec::new();
-    }
-    let mut out: Vec<IdBox> = Vec::new();
-    enumerate_boxes(
-        &witnesses,
-        support,
-        attr,
-        arity,
-        0,
-        all,
-        &mut Vec::new(),
-        &mut out,
-        scratch,
-    );
-    retain_minimal(out)
+        .zip(outer)
+        .all(|(&(ilo, ihi), &(olo, ohi))| olo <= ilo && ihi <= ohi)
 }
 
 /// Resolves an id box into the atom `π_attr(σ_box(R))`, dropping the
 /// constraints whose interval spans the whole column (precomputed
-/// per-relation bounds, compared as ids).
-fn box_atom(pool: &ConstPool, rel: RelId, rc: &RelColumns, attr: Attr, bx: &IdBox) -> LsAtom {
+/// per-column bounds, compared as ids).
+fn box_atom(pool: &ConstPool, rel: RelId, rc: &RelColumns, attr: Attr, bx: &[Interval]) -> LsAtom {
     let mut bounds: Vec<(Attr, Value, Value)> = Vec::new();
     for (j, &(lo, hi)) in bx.iter().enumerate() {
         let spans_column = rc
@@ -696,77 +798,6 @@ fn box_atom(pool: &ConstPool, rel: RelId, rc: &RelColumns, attr: Attr, bx: &IdBo
         }
     }
     LsAtom::proj_sel(rel, attr, Selection::from_box(bounds))
-}
-
-/// Whether the surviving witnesses still cover every element of `X`:
-/// their `attr` coordinates, as a bitset, must include the support bits.
-fn covers_support(
-    witnesses: &[&[ValueId]],
-    surviving: &[usize],
-    attr: Attr,
-    support: &Support,
-    scratch: &mut [u64],
-) -> bool {
-    scratch.fill(0);
-    for &i in surviving {
-        set_bit(scratch, witnesses[i][attr]);
-    }
-    words_subset(support.words(), scratch)
-}
-
-/// Recursive enumeration of dimension-tight boxes, mirroring the legacy
-/// enumeration but with id comparisons and bitset coverage checks. The
-/// running bound stack is pushed/popped in place (one clone per
-/// *emitted* box, not one per visited node).
-#[allow(clippy::too_many_arguments)]
-fn enumerate_boxes(
-    witnesses: &[&[ValueId]],
-    support: &Support,
-    attr: Attr,
-    arity: usize,
-    dim: usize,
-    surviving: Vec<usize>,
-    bounds: &mut IdBox,
-    out: &mut Vec<IdBox>,
-    scratch: &mut [u64],
-) {
-    if dim == arity {
-        out.push(bounds.clone());
-        return;
-    }
-    // The candidate endpoints: the surviving witnesses' coordinates in
-    // this dimension, deduplicated ascending (id order = value order).
-    let mut values: Vec<ValueId> = surviving.iter().map(|&i| witnesses[i][dim]).collect();
-    values.sort_unstable();
-    values.dedup();
-    for (li, &lo) in values.iter().enumerate() {
-        for &hi in &values[li..] {
-            let next: Vec<usize> = surviving
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let v = witnesses[i][dim];
-                    lo <= v && v <= hi
-                })
-                .collect();
-            if !covers_support(witnesses, &next, attr, support, scratch) {
-                continue;
-            }
-            bounds.push((lo, hi));
-            enumerate_boxes(
-                witnesses,
-                support,
-                attr,
-                arity,
-                dim + 1,
-                next,
-                bounds,
-                out,
-                scratch,
-            );
-            bounds.pop();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -977,26 +1008,81 @@ mod tests {
         assert_eq!(engine.column_builds(), 8);
     }
 
-    #[test]
-    fn per_relation_atoms_reassemble_the_full_lub() {
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        for x in supports() {
-            if x.is_empty() {
-                continue;
+    /// A provider with only the three required methods: every growth
+    /// step goes through the recomputing default bodies.
+    struct Recomputing<'e>(&'e LubEngine<'e>);
+
+    impl LubProvider for Recomputing<'_> {
+        fn pool(&self) -> &Arc<ConstPool> {
+            self.0.pool()
+        }
+        fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
+            self.0.try_lub(x)
+        }
+        fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
+            self.0.try_lub_sigma(x)
+        }
+    }
+
+    /// Folds growth over `x` in its own order and checks every prefix
+    /// against the legacy free functions.
+    fn assert_growth_matches_legacy<P: LubProvider>(
+        p: &P,
+        schema: &Schema,
+        inst: &Instance,
+        x: &[Value],
+    ) {
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            let legacy = |s: &BTreeSet<Value>| match kind {
+                LubKind::SelectionFree => lub(schema, inst, s),
+                LubKind::WithSelections => lub_sigma(schema, inst, s),
+            };
+            let mut state = p.start(kind, &x[0]);
+            let mut prefix: BTreeSet<Value> = [x[0].clone()].into_iter().collect();
+            assert_eq!(state.concept(), &legacy(&prefix), "{kind:?} {prefix:?}");
+            for v in &x[1..] {
+                state = p.grow(&state, v);
+                prefix.insert(v.clone());
+                assert_eq!(state.concept(), &legacy(&prefix), "{kind:?} {prefix:?}");
             }
-            let mut atoms = nominal_start(&x);
-            let mut atoms_sigma = nominal_start(&x);
-            for rel in schema.rel_ids() {
-                atoms.extend(engine.covering_atoms(rel, &x));
-                atoms_sigma.extend(engine.box_atoms(rel, &x));
-            }
-            assert_eq!(Some(LsConcept::from_atoms(atoms)), engine.try_lub(&x));
             assert_eq!(
-                Some(LsConcept::from_atoms(atoms_sigma)),
-                engine.try_lub_sigma(&x)
+                p.state_of(kind, &prefix).map(LubState::into_concept),
+                Some(legacy(&prefix))
             );
         }
+    }
+
+    #[test]
+    fn growth_matches_legacy_on_every_prefix() {
+        let (schema, inst) = paper_fixture();
+        let engine = LubEngine::new(&schema, &inst);
+        let view = engine.freeze();
+        let orders: Vec<Vec<Value>> = vec![
+            vec![s("Berlin"), s("Rome"), s("Amsterdam"), s("Tokyo")],
+            vec![s("Santa Cruz"), s("New York"), s("San Francisco")],
+            // Growing by a member of the support, and by unpooled and
+            // non-occurring constants.
+            vec![s("Kyoto"), s("Kyoto"), s("Tokyo"), s("nowhere"), s("Rome")],
+            vec![s("nowhere"), s("Berlin")],
+            vec![Value::int(779_808), Value::int(3_502_000), s("Berlin")],
+        ];
+        for x in &orders {
+            assert_growth_matches_legacy(&engine, &schema, &inst, x);
+            assert_growth_matches_legacy(&view, &schema, &inst, x);
+            assert_growth_matches_legacy(&Recomputing(&engine), &schema, &inst, x);
+        }
+    }
+
+    #[test]
+    fn foreign_states_are_refolded() {
+        // A state built by the recomputing default bodies carries no
+        // column data; the pooled provider refolds it and still agrees.
+        let (schema, inst) = paper_fixture();
+        let engine = LubEngine::new(&schema, &inst);
+        let foreign = Recomputing(&engine).start(LubKind::WithSelections, &s("Berlin"));
+        let grown = engine.grow(&foreign, &s("Rome"));
+        let x: BTreeSet<Value> = [s("Berlin"), s("Rome")].into_iter().collect();
+        assert_eq!(grown.concept(), &lub_sigma(&schema, &inst, &x));
     }
 
     #[test]

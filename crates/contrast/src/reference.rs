@@ -14,7 +14,7 @@
 //! must keep their instances small (the differential tests do).
 
 use std::collections::BTreeSet;
-use whynot_concepts::{Extension, LsConcept, LubEngine};
+use whynot_concepts::{lub, lub_sigma, Extension, LsConcept};
 use whynot_core::{exts_form_explanation_q, Explanation, LubKind, QuestionRef};
 use whynot_relation::{ConstPool, Instance, Schema, Tuple, Ucq, Value};
 
@@ -25,12 +25,13 @@ pub const MAX_SUBSET_BITS: usize = 16;
 /// explanation product of [`foil_aligned_mges`].
 pub const MAX_PRODUCT: usize = 1 << 20;
 
-/// The lub of one support set under the chosen kind; `None` only for an
-/// empty support, which no caller constructs.
-fn lub_by_kind(engine: &LubEngine<'_>, kind: LubKind, x: &BTreeSet<Value>) -> Option<LsConcept> {
+/// The lub of one non-empty support set under the chosen kind, through
+/// the legacy free functions — independent of the pooled engine's
+/// growth code the fast paths run on.
+fn lub_by_kind(schema: &Schema, inst: &Instance, kind: LubKind, x: &BTreeSet<Value>) -> LsConcept {
     match kind {
-        LubKind::SelectionFree => engine.try_lub(x),
-        LubKind::WithSelections => engine.try_lub_sigma(x),
+        LubKind::SelectionFree => lub(schema, inst, x),
+        LubKind::WithSelections => lub_sigma(schema, inst, x),
     }
 }
 
@@ -47,7 +48,8 @@ fn ext_subset(a: &Extension, b: &Extension) -> bool {
 /// order. `None` when more than [`MAX_SUBSET_BITS`] free values would
 /// have to be enumerated.
 pub fn subset_lubs(
-    engine: &LubEngine<'_>,
+    schema: &Schema,
+    inst: &Instance,
     kind: LubKind,
     k_vals: &[Value],
     seed: &[Value],
@@ -68,9 +70,7 @@ pub fn subset_lubs(
                 support.insert((*v).clone());
             }
         }
-        if let Some(c) = lub_by_kind(engine, kind, &support) {
-            out.insert(c);
-        }
+        out.insert(lub_by_kind(schema, inst, kind, &support));
     }
     Some(out.into_iter().collect())
 }
@@ -93,8 +93,7 @@ pub fn max_separators(
     foil_i: &Value,
 ) -> Option<Vec<LsConcept>> {
     let pool = inst.const_pool_with([missing_i.clone()]);
-    let engine = LubEngine::with_pool(schema, inst, std::sync::Arc::clone(&pool));
-    let lubs = subset_lubs(&engine, kind, k_vals, std::slice::from_ref(foil_i))?;
+    let lubs = subset_lubs(schema, inst, kind, k_vals, std::slice::from_ref(foil_i))?;
     let separators: Vec<(LsConcept, Extension)> = lubs
         .into_iter()
         .filter_map(|c| {
@@ -144,7 +143,6 @@ pub fn foil_aligned_mges(
     let mut residual = ans;
     residual.remove(foil);
     let pool = inst.const_pool_with(missing.iter().cloned());
-    let engine = LubEngine::with_pool(schema, inst, std::sync::Arc::clone(&pool));
     let mut k: BTreeSet<Value> = inst.active_domain().into_iter().collect();
     k.extend(missing.iter().cloned());
     let k_vals: Vec<Value> = k.into_iter().collect();
@@ -153,7 +151,7 @@ pub fn foil_aligned_mges(
     let mut candidates: Vec<Vec<(LsConcept, Extension)>> = Vec::with_capacity(missing.len());
     let mut product = 1usize;
     for (a, b) in missing.iter().zip(foil) {
-        let lubs = subset_lubs(&engine, kind, &k_vals, &[a.clone(), b.clone()])?;
+        let lubs = subset_lubs(schema, inst, kind, &k_vals, &[a.clone(), b.clone()])?;
         let with_exts: Vec<(LsConcept, Extension)> = lubs
             .into_iter()
             .map(|c| {

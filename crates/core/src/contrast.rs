@@ -50,14 +50,13 @@
 //! crate adds the brute-force reference, the standalone parallel batch,
 //! and the OBDA variant.
 
-use crate::incremental::{engine_lub, LubKind};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
 use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef};
 use crate::EvalContext;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubProvider};
+use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
 use whynot_relation::{ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// A contrastive why-not question: why is `missing` not among the
@@ -120,16 +119,16 @@ pub(crate) fn restriction_values(
 /// excludes `missing_i`. Returns `None` iff already the seed lub
 /// captures `missing_i` (then every grown lub does too — supports only
 /// grow, lubs only generalize).
-pub(crate) fn difference_core(
+pub(crate) fn difference_core<P: LubProvider + ?Sized>(
     k_vals: &[Value],
     missing_i: &Value,
     foil_i: &Value,
-    lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+    lubs: &P,
+    kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<LsConcept> {
-    let mut support: BTreeSet<Value> = [foil_i.clone()].into_iter().collect();
-    let mut concept = lub_of(&support);
-    let mut ext = ext_of(&concept);
+    let mut state = lubs.start(kind, foil_i);
+    let mut ext = ext_of(state.concept());
     if ext.contains(missing_i) {
         return None;
     }
@@ -139,111 +138,123 @@ pub(crate) fn difference_core(
             // absorbing an in-extension value cannot change the lub.
             continue;
         }
-        let mut grown = support.clone();
-        grown.insert(v.clone());
-        let candidate = lub_of(&grown);
-        let candidate_ext = ext_of(&candidate);
+        let candidate = lubs.grow(&state, v);
+        let candidate_ext = ext_of(candidate.concept());
         if !candidate_ext.contains(missing_i) {
-            support = grown;
-            concept = candidate;
+            state = candidate;
             ext = candidate_ext;
         }
     }
-    Some(concept)
+    Some(state.into_concept())
 }
+
+/// One ranked growth candidate of the foil-aligned search: the constant
+/// `b`, the state of `lub(S ∪ {b})` grown from the support `S` at
+/// ranking time, and that lub's extension.
+type Ranked = (Value, LubState, Extension);
 
 /// Ranks the growth candidates for one position of the foil-aligned
 /// search, set-cover style: constants whose absorption buys the widest
 /// extension first (⊤ counts as widest), ties broken by ascending value.
-/// The ranking probes each candidate's lub once — through the memoizing
-/// closures the probe is shared with the sweep that follows.
-fn rank_candidates(
+/// Each candidate's state is grown and its extension evaluated exactly
+/// once, here, and handed to the sweep with it.
+fn rank_candidates<P: LubProvider + ?Sized>(
     k_vals: &[Value],
-    support: &BTreeSet<Value>,
+    state: &LubState,
     ext: &Extension,
-    lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+    lubs: &P,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-) -> Vec<Value> {
-    let mut scored: Vec<(usize, Value)> = Vec::new();
+) -> Vec<Ranked> {
+    let mut scored: Vec<Ranked> = Vec::new();
     for b in k_vals {
         if ext.contains(b) {
             continue;
         }
-        let mut grown = support.clone();
-        grown.insert(b.clone());
-        let candidate = lub_of(&grown);
-        let coverage = ext_of(&candidate).len().unwrap_or(usize::MAX);
-        scored.push((coverage, b.clone()));
+        let candidate = lubs.grow(state, b);
+        let candidate_ext = ext_of(candidate.concept());
+        scored.push((b.clone(), candidate, candidate_ext));
     }
-    scored.sort_by(|(ca, va), (cb, vb)| cb.cmp(ca).then_with(|| va.cmp(vb)));
-    scored.into_iter().map(|(_, v)| v).collect()
+    let coverage = |e: &Extension| e.len().unwrap_or(usize::MAX);
+    scored.sort_by(|(va, _, ea), (vb, _, eb)| {
+        coverage(eb).cmp(&coverage(ea)).then_with(|| va.cmp(vb))
+    });
+    scored
 }
 
 /// The foil-aligned MGE: Algorithm 2's growth loop over the residual
 /// question (`Ans \ {foil}`), seeded at `{missing_j, foil_j}` per
 /// position so the foil stays admitted throughout, with the set-cover
-/// candidate order of [`rank_candidates`]. Returns `None` iff the seed
-/// lubs are not an explanation — they are the least foil-aligned
-/// candidate, so nothing more general can be one either.
-pub(crate) fn foil_mge_core(
+/// candidate order of [`rank_candidates`]. The sweep takes each ranked
+/// state as is while position `j`'s support is still the one it was
+/// ranked against, and regrows from the current state only after an
+/// absorption changed that support. Returns `None` iff the seed lubs are
+/// not an explanation — they are the least foil-aligned candidate, so
+/// nothing more general can be one either.
+pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
     k_vals: &[Value],
     q: QuestionRef<'_>,
     foil: &Tuple,
-    lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+    lubs: &P,
+    kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<Explanation<LsConcept>> {
     let m = q.arity();
-    let mut support: Vec<BTreeSet<Value>> = q
+    let mut states: Vec<LubState> = q
         .tuple
         .iter()
         .zip(foil)
-        .map(|(a, b)| [a.clone(), b.clone()].into_iter().collect())
+        .map(|(a, b)| lubs.grow(&lubs.start(kind, a), b))
         .collect();
-    let mut concepts: Vec<LsConcept> = support.iter().map(&mut *lub_of).collect();
-    let mut exts: Vec<Extension> = concepts.iter().map(&mut *ext_of).collect();
+    let mut exts: Vec<Extension> = states.iter().map(|s| ext_of(s.concept())).collect();
     if !exts_form_explanation_q(&exts, q) {
         return None;
     }
     for j in 0..m {
-        for b in rank_candidates(k_vals, &support[j], &exts[j], lub_of, ext_of) {
+        let mut absorbed = false;
+        for (b, ranked, ranked_ext) in rank_candidates(k_vals, &states[j], &exts[j], lubs, ext_of) {
             if exts[j].contains(&b) {
                 continue; // covered by an earlier absorption this sweep
             }
-            let mut grown = support[j].clone();
-            grown.insert(b.clone());
-            let candidate = lub_of(&grown);
-            let candidate_ext = ext_of(&candidate);
+            let (candidate, candidate_ext) = if absorbed {
+                let grown = lubs.grow(&states[j], &b);
+                let grown_ext = ext_of(grown.concept());
+                (grown, grown_ext)
+            } else {
+                (ranked, ranked_ext)
+            };
             let saved = std::mem::replace(&mut exts[j], candidate_ext);
             if exts_form_explanation_q(&exts, q) {
-                concepts[j] = candidate;
-                support[j] = grown;
+                states[j] = candidate;
+                absorbed = true;
             } else {
                 exts[j] = saved;
             }
         }
     }
-    Some(Explanation::new(concepts))
+    Some(Explanation::new(
+        states.into_iter().map(LubState::into_concept),
+    ))
 }
 
 /// Both halves of the lub-derived contrastive answer over a residual
-/// question view (`q.ans` must already exclude the foil) and
-/// caller-supplied lub / extension providers — the seam the session's
-/// memoizing closures and the parallel batch's frozen-view closures both
-/// plug into.
-pub(crate) fn contrast_core(
+/// question view (`q.ans` must already exclude the foil), a lub provider
+/// and a caller-supplied extension function — the seam the session's
+/// engine and the parallel batches' frozen views both plug into.
+pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
     k_vals: &[Value],
     q: QuestionRef<'_>,
     foil: &Tuple,
-    lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+    lubs: &P,
+    kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> ContrastAnswer {
     let difference = q
         .tuple
         .iter()
         .zip(foil)
-        .map(|(a, b)| difference_core(k_vals, a, b, lub_of, ext_of))
+        .map(|(a, b)| difference_core(k_vals, a, b, lubs, kind, ext_of))
         .collect();
-    let foil_mge = foil_mge_core(k_vals, q, foil, lub_of, ext_of);
+    let foil_mge = foil_mge_core(k_vals, q, foil, lubs, kind, ext_of);
     ContrastAnswer {
         difference,
         foil_mge,
@@ -324,7 +335,8 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
         &k_vals,
         view,
         &question.foil,
-        &mut |x| engine_lub(provider, kind, x),
+        provider,
+        kind,
         &mut |c| c.extension_in(instance, pool),
     ))
 }

@@ -24,11 +24,10 @@
 //!   deduplication happens in that same order — so the output is
 //!   bit-for-bit the sequential enumeration's (proven by tests).
 
-use crate::incremental::{engine_lub, LubKind};
 use crate::whynot::{exts_form_explanation, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubProvider};
+use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
 use whynot_parallel::Executor;
 use whynot_relation::Value;
 
@@ -63,36 +62,21 @@ fn grow_with_order(
     // One interned pool per growth run (see `incremental_search_kind`),
     // shared with the lub engine's column sets.
     let pool = engine.pool();
-    let mut support: Vec<BTreeSet<Value>> = wn
-        .tuple
+    let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();
+    let mut exts: Vec<Extension> = states
         .iter()
-        .map(|a| [a.clone()].into_iter().collect())
-        .collect();
-    let mut concepts: Vec<LsConcept> = support
-        .iter()
-        .map(|x| engine_lub(engine, kind, x))
-        .collect();
-    let mut exts: Vec<Extension> = concepts
-        .iter()
-        .map(|c| c.extension_in(&wn.instance, pool))
+        .map(|s| s.concept().extension_in(&wn.instance, pool))
         .collect();
 
-    let try_grow = |j: usize,
-                    b: &Value,
-                    support: &mut Vec<BTreeSet<Value>>,
-                    concepts: &mut Vec<LsConcept>,
-                    exts: &mut Vec<Extension>| {
+    let try_grow = |j: usize, b: &Value, states: &mut Vec<LubState>, exts: &mut Vec<Extension>| {
         if exts[j].contains(b) {
             return;
         }
-        let mut grown = support[j].clone();
-        grown.insert(b.clone());
-        let candidate = engine_lub(engine, kind, &grown);
-        let candidate_ext = candidate.extension_in(&wn.instance, pool);
+        let candidate = engine.grow(&states[j], b);
+        let candidate_ext = candidate.concept().extension_in(&wn.instance, pool);
         let saved = std::mem::replace(&mut exts[j], candidate_ext);
         if exts_form_explanation(exts, wn) {
-            concepts[j] = candidate;
-            support[j] = grown;
+            states[j] = candidate;
         } else {
             exts[j] = saved;
         }
@@ -101,17 +85,17 @@ fn grow_with_order(
     if balanced {
         for b in adom {
             for &j in positions {
-                try_grow(j, b, &mut support, &mut concepts, &mut exts);
+                try_grow(j, b, &mut states, &mut exts);
             }
         }
     } else {
         for &j in positions {
             for b in adom {
-                try_grow(j, b, &mut support, &mut concepts, &mut exts);
+                try_grow(j, b, &mut states, &mut exts);
             }
         }
     }
-    Explanation::new(concepts)
+    Explanation::new(states.into_iter().map(LubState::into_concept))
 }
 
 /// Enumerates distinct most-general explanations w.r.t. `OI` by rerunning

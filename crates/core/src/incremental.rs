@@ -13,46 +13,19 @@
 //! [`check_mge_instance`] is the CHECK-MGE W.R.T. `OI` procedure
 //! (Proposition 5.2), built from the same growth probes.
 //!
-//! All growth probes run through a pooled
+//! Every position carries a [`LubState`] from a pooled
 //! [`LubEngine`](whynot_concepts::LubEngine) sharing the search's
-//! `ConstPool`: the `(rel, attr)` column sets behind Lemmas 5.1/5.2 are
-//! interned once per run, not re-materialized per probed constant.
+//! `ConstPool`, and each probe *grows* that state by one constant
+//! (Lemmas 5.1/5.2): a probe costs one growth step — O(1) lubs — rather
+//! than a lub recomputed from the whole support, and the `(rel, attr)`
+//! columns behind the steps are interned once per run.
 
 use crate::derived::InstanceOntology;
 use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubProvider};
+use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
 use whynot_relation::Value;
-
-/// Which `lub` operator drives the search (i.e. which `LS` fragment the
-/// resulting explanation lives in).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum LubKind {
-    /// Selection-free `LS` (Lemma 5.1, PTIME).
-    SelectionFree,
-    /// Full `LS` with selections (Lemma 5.2).
-    WithSelections,
-}
-
-/// One growth probe through a pooled lub provider (the lazily caching
-/// [`LubEngine`] or its frozen [`LubView`](whynot_concepts::LubView)):
-/// the provider owns the interned column sets, so repeated probes never
-/// re-materialize columns.
-pub(crate) fn engine_lub<P: LubProvider + ?Sized>(
-    engine: &P,
-    kind: LubKind,
-    x: &BTreeSet<Value>,
-) -> LsConcept {
-    match kind {
-        LubKind::SelectionFree => engine.try_lub(x),
-        LubKind::WithSelections => engine.try_lub_sigma(x),
-    }
-    // lint: allow(no-panic-in-lib) — Algorithm 2 grows supports from
-    // singletons, and the session validates its inputs in `bind`, so every
-    // probe reaching this internal helper is non-empty.
-    .expect("lub of an empty support set is undefined")
-}
 
 /// Algorithm 2 (INCREMENTAL SEARCH): a most-general explanation for the
 /// why-not instance w.r.t. `OI` in selection-free `LS` (Theorem 5.3).
@@ -82,35 +55,29 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(schema, inst, Arc::clone(&pool));
     let adom: Vec<Value> = inst.active_domain().into_iter().collect();
-    incremental_search_core(
-        &adom,
-        wn.question(),
-        &mut |x| engine_lub(&engine, kind, x),
-        &mut |c| c.extension_in(inst, &pool),
-    )
+    incremental_search_core(&adom, wn.question(), &engine, kind, &mut |c| {
+        c.extension_in(inst, &pool)
+    })
 }
 
-/// Algorithm 2's growth loop over a borrowed question and caller-supplied
-/// lub / extension providers. The one-shot path passes plain closures; a
-/// [`WhyNotSession`](crate::WhyNotSession) passes memoizing ones, so
-/// repeated support sets and concepts across a question batch are
-/// computed once.
-pub(crate) fn incremental_search_core(
+/// Algorithm 2's growth loop over a borrowed question, a lub provider
+/// and a caller-supplied extension function. Each position carries the
+/// [`LubState`] of its support, and each probe grows it by one constant.
+/// The one-shot path passes a plain extension closure; a
+/// [`WhyNotSession`](crate::WhyNotSession) passes a memoizing one, so
+/// repeated concepts across a question batch are evaluated once.
+pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     adom: &[Value],
     q: QuestionRef<'_>,
-    lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+    lubs: &P,
+    kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Explanation<LsConcept> {
     let m = q.arity();
-    // Line 2: support sets start at the singletons {aj}.
-    let mut support: Vec<BTreeSet<Value>> = q
-        .tuple
-        .iter()
-        .map(|a| [a.clone()].into_iter().collect())
-        .collect();
-    // Line 3: first candidate explanation — the lubs of the singletons.
-    let mut concepts: Vec<LsConcept> = support.iter().map(&mut *lub_of).collect();
-    let mut exts: Vec<Extension> = concepts.iter().map(&mut *ext_of).collect();
+    // Lines 2–3: support sets start at the singletons {aj}; the first
+    // candidate explanation is their lubs.
+    let mut states: Vec<LubState> = q.tuple.iter().map(|a| lubs.start(kind, a)).collect();
+    let mut exts: Vec<Extension> = states.iter().map(|s| ext_of(s.concept())).collect();
     debug_assert!(
         exts_form_explanation_q(&exts, q),
         "the nominal-based start must be an explanation"
@@ -124,21 +91,18 @@ pub(crate) fn incremental_search_core(
                 continue; // line 5's set difference, re-evaluated live
             }
             // Lines 6–8: the more general candidate at position j.
-            let mut grown = support[j].clone();
-            grown.insert(b.clone());
-            let candidate = lub_of(&grown);
-            let candidate_ext = ext_of(&candidate);
+            let candidate = lubs.grow(&states[j], b);
+            let candidate_ext = ext_of(candidate.concept());
             // Line 9: keep it only if the tuple stays an explanation.
             let saved = std::mem::replace(&mut exts[j], candidate_ext);
             if exts_form_explanation_q(&exts, q) {
-                concepts[j] = candidate;
-                support[j] = grown;
+                states[j] = candidate;
             } else {
                 exts[j] = saved;
             }
         }
     }
-    Explanation::new(concepts)
+    Explanation::new(states.into_iter().map(LubState::into_concept))
 }
 
 /// CHECK-MGE W.R.T. `OI` (Definition 5.7, Proposition 5.2): whether `e`
@@ -161,24 +125,22 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
     // Candidate growth constants: adom plus the missing tuple (Prop 5.1's
     // constant restriction K).
     let k_consts = wn.restriction_constants();
-    check_mge_instance_core(
-        &k_consts,
-        wn.question(),
-        e,
-        &mut |x| engine_lub(&engine, kind, x),
-        &mut |c| c.extension_in(inst, &pool),
-    )
+    check_mge_instance_core(&k_consts, wn.question(), e, &engine, kind, &mut |c| {
+        c.extension_in(inst, &pool)
+    })
 }
 
 /// The generalization-probe loop of CHECK-MGE W.R.T. `OI`, over a borrowed
-/// question and caller-supplied lub / extension providers. Assumes the
-/// caller has already verified that `e` *is* an explanation (the probes
-/// only decide maximality).
-pub(crate) fn check_mge_instance_core(
+/// question, a lub provider and a caller-supplied extension function.
+/// Assumes the caller has already verified that `e` *is* an explanation
+/// (the probes only decide maximality). Each position's state is the
+/// fold over `ext(Cj)`, and every probe grows it by one constant.
+pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     k_consts: &BTreeSet<Value>,
     q: QuestionRef<'_>,
     e: &Explanation<LsConcept>,
-    lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+    lubs: &P,
+    kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> bool {
     let mut exts: Vec<Extension> = e.concepts.iter().map(&mut *ext_of).collect();
@@ -187,14 +149,16 @@ pub(crate) fn check_mge_instance_core(
         let Some(current) = exts[j].as_finite().map(|s| s.to_btree_set()) else {
             continue;
         };
+        // Defined: an explanation's extension holds its tuple's constant.
+        let Some(state) = lubs.state_of(kind, &current) else {
+            continue;
+        };
         for b in k_consts {
             if current.contains(b) {
                 continue;
             }
-            let mut grown = current.clone();
-            grown.insert(b.clone());
-            let candidate = lub_of(&grown);
-            let candidate_ext = ext_of(&candidate);
+            let candidate = lubs.grow(&state, b);
+            let candidate_ext = ext_of(candidate.concept());
             // Strictly more general by construction: ⊇ current ∪ {b}.
             let saved = std::mem::replace(&mut exts[j], candidate_ext);
             let still = exts_form_explanation_q(&exts, q);

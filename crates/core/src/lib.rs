@@ -95,7 +95,7 @@ pub use exhaustive::{
 pub use explicit::{ConceptName, ExplicitOntology, ExplicitOntologyBuilder};
 pub use incremental::{
     check_mge_instance, incremental_search, incremental_search_kind,
-    incremental_search_with_selections, LubKind,
+    incremental_search_with_selections,
 };
 pub use obda_query::obda_why_not;
 pub use ontology::{consistent_with, ConceptSignature, FiniteOntology, Ontology};
@@ -113,3 +113,5 @@ pub use whynot::{
     exts_form_explanation_q, is_explanation, less_general, strictly_less_general, Explanation,
     QuestionRef, WhyNotInstance,
 };
+/// Which lub operator drives a search; defined next to the lub engine.
+pub use whynot_concepts::LubKind;

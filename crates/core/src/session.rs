@@ -15,8 +15,7 @@
 //! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once |
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
 //! | answer probes + conflict bitsets | `(query, position[, concept])` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
-//! | `lub` / `lubσ` results | `(`[`LubKind`]`, support set)` | Algorithm 2's growth probes and MGE checks w.r.t. `OI` |
-//! | the pooled [`LubEngine`] columns | `(rel, attr)` (built once) | every lub-cache miss — fresh support sets probe interned column bitsets, never re-materialized columns |
+//! | the pooled [`LubEngine`] columns | `(rel, attr)` (built once) | Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
 //! | `LS`-concept extensions | the concept | Algorithm 2's per-step explanation checks |
 //!
 //! Validation happens at the service boundary: a malformed question
@@ -72,7 +71,7 @@ use crate::contrast::{
     contrast_core, restriction_values, validate_contrast, ContrastAnswer, ContrastQuestion,
 };
 use crate::exhaustive;
-use crate::incremental::{check_mge_instance_core, engine_lub, incremental_search_core, LubKind};
+use crate::incremental::{check_mge_instance_core, incremental_search_core};
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
 use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef};
@@ -86,9 +85,11 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
-use whynot_concepts::{kernels, Extension, ExtensionTable, LsConcept, LubEngine, Probe};
+use whynot_concepts::{
+    kernels, Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider, Probe,
+};
 use whynot_parallel::Executor;
-use whynot_relation::{ConstPool, Delta, Instance, RelError, RelId, Schema, Tuple, Ucq, Value};
+use whynot_relation::{ConstPool, Delta, Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// One question of a batched stream: the query `q` and the missing tuple
 /// `a`. The schema, instance, and answer set all live in the
@@ -164,30 +165,6 @@ impl From<RelError> for SessionError {
     }
 }
 
-/// One memoized `lub` / `lubσ` result, validated lazily against the
-/// session's delta journal: `epoch` is the journal length at the last
-/// validation, and `pooled` records whether the support was fully pooled
-/// then (an unpooled support has a nominal-only, instance-independent
-/// lub that no delta can invalidate). [`WhyNotSession::apply_delta`]
-/// never touches these entries — [`WhyNotSession::cached_lub`] repairs a
-/// stale entry on its next access, so the many supports a question
-/// stream never revisits cost nothing per delta.
-#[derive(Clone)]
-struct LubEntry {
-    concept: LsConcept,
-    pooled: bool,
-    epoch: usize,
-    /// LRU recency stamp (see [`CacheBudget`]); assigned at insert,
-    /// refreshed on hits only while the lub budget is finite, so the
-    /// unlimited default never pays `Arc::make_mut` on the hit path.
-    stamp: u64,
-}
-
-/// The session's memoized `lub` / `lubσ` results for one [`LubKind`].
-/// Behind an `Arc` so a parallel batch snapshots the whole map in O(1);
-/// see the field docs on [`WhyNotSession::lubs`].
-type LubCache = Arc<BTreeMap<BTreeSet<Value>, LubEntry>>;
-
 /// A question validated and bound against the session's instance: the
 /// answer set is resolved (possibly from cache) and the tuple is known to
 /// be missing. `Send + Sync` (the answer set is behind an `Arc`), so a
@@ -247,7 +224,9 @@ pub struct SessionStats {
     /// Algorithm 1 (question-independent: keyed by the query's answers,
     /// not the missing tuple).
     pub cached_conflicts: usize,
-    /// Distinct `(kind, support)` pairs whose lubs are cached.
+    /// Always 0: lubs are grown per probe from per-position states,
+    /// never memoized. Kept because the wire `stats` line and the wire
+    /// benchmark report it.
     pub cached_lubs: usize,
     /// Distinct `LS` concepts whose extensions are cached (Algorithm 2's
     /// candidates, including rejected growth probes).
@@ -328,19 +307,14 @@ pub struct DeltaStats {
     /// Conflict bitsets that survived (they are value-semantic — safe
     /// across generation bumps).
     pub conflicts_retained: usize,
-    /// Cached lubs scheduled for recomputation from scratch (their
-    /// support gained pooled constants in the new generation, which can
-    /// grow the lub beyond its nominal atoms). The recompute itself runs
-    /// lazily, on the entry's next access.
+    /// Always 0, like `lubs_repaired` and `lubs_retained`: there is no
+    /// lub memo for a delta to invalidate (lubs are grown per probe
+    /// from the engine's columns, which are counted in
+    /// `lub_columns_*`). The fields stay for API compatibility.
     pub lubs_recomputed: usize,
-    /// Cached lubs scheduled for atom-level repair: unchanged relations'
-    /// atoms kept, changed relations' contributions re-derived against
-    /// the engine's fresh columns. The repair itself runs lazily, on the
-    /// entry's next access — supports a question stream never revisits
-    /// cost nothing.
+    /// Always 0; see `lubs_recomputed`.
     pub lubs_repaired: usize,
-    /// Cached lubs untouched (support not fully pooled — the result is
-    /// nominal-only and instance-independent).
+    /// Always 0; see `lubs_recomputed`.
     pub lubs_retained: usize,
     /// `LS`-concept extensions dropped (the concept reads a changed
     /// relation).
@@ -370,8 +344,6 @@ impl DeltaStats {
             + self.candidates_dropped
             + self.probes_dropped
             + self.conflicts_dropped
-            + self.lubs_recomputed
-            + self.lubs_repaired
             + self.ls_extensions_dropped
             + self.lub_columns_dropped
             + self.contrast_dropped
@@ -386,7 +358,6 @@ impl DeltaStats {
             + self.candidates_retained
             + self.probes_retained
             + self.conflicts_retained
-            + self.lubs_retained
             + self.ls_extensions_retained
             + self.lub_columns_retained
     }
@@ -404,9 +375,6 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Questions this worker answered in the batch.
     pub questions: usize,
-    /// Lubs this worker computed against the frozen column view
-    /// (Algorithm 2 batches only; 0 for exhaustive batches).
-    pub lubs_computed: usize,
 }
 
 /// Per-cache entry budgets for a session's memo caches — the knob a
@@ -432,7 +400,8 @@ pub struct CacheBudget {
     pub probes: usize,
     /// Max Algorithm 1 conflict bitsets.
     pub conflicts: usize,
-    /// Max memoized lubs, per [`LubKind`].
+    /// Unused: lubs are grown per probe, never memoized. Kept so budgets
+    /// written against the full cache list still compile.
     pub lubs: usize,
     /// Max memoized `LS`-concept extensions.
     pub ls_extensions: usize,
@@ -482,7 +451,7 @@ pub struct EvictionStats {
     pub probes: usize,
     /// Conflict bitsets evicted (including cascade purges).
     pub conflicts: usize,
-    /// Lub entries evicted.
+    /// Always 0: there is no lub memo to evict from.
     pub lubs: usize,
     /// `LS`-concept extensions evicted.
     pub ls_extensions: usize,
@@ -497,7 +466,6 @@ impl EvictionStats {
             + self.candidates
             + self.probes
             + self.conflicts
-            + self.lubs
             + self.ls_extensions
             + self.contrast
     }
@@ -553,22 +521,10 @@ pub struct WhyNotSession<'a, O: Ontology> {
     // lint: allow(deterministic-iteration) — pointer-keyed conflict cache;
     // keyed lookups only, never iterated into results.
     conflicts: RefCell<HashMap<(usize, usize, usize), Stamped<ConflictBits>>>,
-    /// The pooled lub engine behind the lub cache: one interned column
-    /// set per `(rel, attr)` for the whole session, built on the first
-    /// lub miss.
+    /// The pooled lub engine every growth probe runs through: one
+    /// interned column set per `(rel, attr)` for the whole session,
+    /// built on the first lub.
     lub_engine: OnceCell<LubEngine<'a>>,
-    /// `lub` / `lubσ` results keyed by support set, one map per
-    /// [`LubKind`] (so cache hits probe by reference, without cloning the
-    /// support set — Algorithm 2's growth loop is lub-dominated). The
-    /// maps live behind `Arc` so a parallel batch snapshots them in O(1)
-    /// (a pointer clone); sequential inserts go through `Arc::make_mut`,
-    /// which mutates in place while no snapshot is alive.
-    lubs: [RefCell<LubCache>; 2],
-    /// The effective change set of every accepted delta, in order: the
-    /// journal lazy lub repair replays. An entry with `epoch == len` is
-    /// current; a stale one re-derives exactly the relations in
-    /// `lub_log[epoch..]` on its next access.
-    lub_log: RefCell<Vec<BTreeSet<RelId>>>,
     /// `LS`-concept extensions (Algorithm 2's candidates) keyed by
     /// concept, interned into the session pool (`Arc` for the same O(1)
     /// batch-snapshot reason).
@@ -667,11 +623,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             // lint: allow(deterministic-iteration) — as above.
             conflicts: RefCell::new(HashMap::new()),
             lub_engine: OnceCell::new(),
-            lubs: [
-                RefCell::new(Arc::new(BTreeMap::new())),
-                RefCell::new(Arc::new(BTreeMap::new())),
-            ],
-            lub_log: RefCell::new(Vec::new()),
             ls_exts: RefCell::new(Arc::new(BTreeMap::new())),
             ls_lru: RefCell::new(BTreeMap::new()),
             // lint: allow(deterministic-iteration) — as above.
@@ -825,21 +776,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 self.count_evicted(|e| e.conflicts += 1);
             }
         }
-        for slot in &self.lubs {
-            let mut slot = slot.borrow_mut();
-            let cache = Arc::make_mut(&mut *slot);
-            while cache.len() > budget.lubs {
-                let Some(key) = cache
-                    .iter()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                cache.remove(&key);
-                self.count_evicted(|e| e.lubs += 1);
-            }
-        }
         {
             let mut cache = self.contrast.borrow_mut();
             while cache.len() > budget.contrast {
@@ -891,14 +827,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         self.worker_stats.borrow().clone()
     }
 
-    /// Batch accounting: one more batch, its question count, which
-    /// worker handled each question, and (for lub-driven batches) how
-    /// many lubs each worker computed.
-    fn record_batch(&self, workers: usize, question_workers: &[usize], worker_lubs: &[usize]) {
+    /// Batch accounting: one more batch, its question count, and which
+    /// worker handled each question.
+    fn record_batch(&self, workers: usize, question_workers: &[usize]) {
         let mut stats: Vec<WorkerStats> = (0..workers)
             .map(|worker| WorkerStats {
                 worker,
-                lubs_computed: worker_lubs.get(worker).copied().unwrap_or(0),
                 ..WorkerStats::default()
             })
             .collect();
@@ -954,7 +888,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             cached_queries: self.answers.borrow().len(),
             cached_candidates: self.candidates.borrow().len(),
             cached_conflicts: self.conflicts.borrow().len(),
-            cached_lubs: self.lubs.iter().map(|m| m.borrow().len()).sum(),
+            cached_lubs: 0,
             cached_ls_extensions: self.ls_exts.borrow().len(),
             cached_contrasts: self.contrast.borrow().len(),
             cache_evictions: self.evicted.get().total(),
@@ -971,16 +905,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// Applies a tuple-level [`Delta`] to the pinned instance **in
     /// place**, invalidating only the cache entries the changed relations
     /// can actually affect. Everything else — unrelated extensions,
-    /// answer sets, conflict bitsets, lub results, interned columns, the
-    /// scratch arena — survives, so a long-lived session absorbs
+    /// answer sets, conflict bitsets, interned columns, the scratch
+    /// arena — survives, so a long-lived session absorbs
     /// mutations without restarting from cold caches.
     ///
     /// Invalidation is keyed on the delta's *effective* change set (a
     /// mutation that cancels out touches nothing) intersected with each
     /// cache entry's relation footprint: the ontology's
     /// [`signature`](Ontology::signature) for concept extensions, the
-    /// query's atoms for answer sets, the `LS` concept's atoms for lubs
-    /// and their extensions. Constants never seen before trigger a
+    /// query's atoms for answer sets, the `LS` concept's atoms for
+    /// their extensions. Constants never seen before trigger a
     /// [`ConstPool`] generation bump; retained interned caches are then
     /// bridged with one bit-remap each, never re-evaluated.
     ///
@@ -1139,8 +1073,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         stats.conflicts_retained = conflicts.len();
 
         // 8. The lub engine: changed relations' columns drop, retained
-        // ones are id-remapped across a bump. (If lubs were cached the
-        // engine necessarily exists — misses build it.)
+        // ones are id-remapped across a bump. Nothing else holds lubs:
+        // growth states never outlive a call.
         if let Some(engine) = self.lub_engine.get_mut() {
             let repool = map.as_ref().map(|m| (&pool, m));
             let (cols_retained, cols_dropped) =
@@ -1149,35 +1083,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             stats.lub_columns_dropped = cols_dropped;
         }
 
-        // 9. Cached lubs: repaired *lazily*, not discarded. A lub is the
-        // nominal of its support plus per-relation contributions; the
-        // contributions of unchanged relations stay exact, but a changed
-        // relation can both lose and *gain* atoms, so every pooled entry
-        // needs its changed relations re-derived. Doing that here would
-        // be O(cache) engine work per delta — and the cache accumulates
-        // every support a question stream ever probed, most of which are
-        // never probed again. Instead the change set is appended to the
-        // delta journal and a stale entry is repaired on its next access
-        // (see `cached_lub`); this loop only classifies, for the stats:
-        // pooled entries are scheduled for repair, unpooled ones have
-        // nominal-only (instance-independent) lubs and stay valid as
-        // they are — unless this delta's generation bump just pooled
-        // their support, which forces a recompute (the lub can grow
-        // relation atoms it never had).
-        self.lub_log.get_mut().push(changed.clone());
-        for cache_cell in self.lubs.iter_mut() {
-            for (support, entry) in cache_cell.get_mut().iter() {
-                if entry.pooled {
-                    stats.lubs_repaired += 1;
-                } else if map.is_some() && support.iter().all(|v| pool.id_of(v).is_some()) {
-                    stats.lubs_recomputed += 1;
-                } else {
-                    stats.lubs_retained += 1;
-                }
-            }
-        }
-
-        // 10. LS-concept extensions: an extension reads exactly its
+        // 9. LS-concept extensions: an extension reads exactly its
         // concept's relations (nominals read none).
         let ls_cache = Arc::make_mut(self.ls_exts.get_mut());
         let old_ls = std::mem::take(ls_cache);
@@ -1199,7 +1105,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             .get_mut()
             .retain(|c, _| ls_cache.contains_key(c));
 
-        // 11. Contrastive answers: the cached separators and foil-aligned
+        // 10. Contrastive answers: the cached separators and foil-aligned
         // MGEs are certified *maximal* against the full lub column set —
         // a change to any relation can mint a new covering atom that
         // admits a strictly more general result, so there is no sound
@@ -1252,166 +1158,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         ans
     }
 
-    /// `lub_I(X)` / `lubσ_I(X)` over the pinned instance, memoized by
-    /// `(kind, support)`. The documented service-boundary behaviour for
-    /// malformed requests: an empty support set returns
-    /// [`SessionError::EmptySupport`] instead of panicking.
+    /// `lub_I(X)` / `lubσ_I(X)` over the pinned instance, computed by the
+    /// session's pooled engine (columns interned once per session). The
+    /// documented service-boundary behaviour for malformed requests: an
+    /// empty support set returns [`SessionError::EmptySupport`] instead
+    /// of panicking.
     pub fn lub(&self, kind: LubKind, support: &BTreeSet<Value>) -> Result<LsConcept, SessionError> {
-        if support.is_empty() {
-            return Err(SessionError::EmptySupport);
-        }
-        Ok(self.cached_lub(kind, support))
-    }
-
-    /// The memoized lub for a support set known to be non-empty. Hits
-    /// probe the per-kind map by reference; only a miss clones the
-    /// support set (as the inserted key) and runs the pooled
-    /// [`LubEngine`], whose column sets are interned once per session. A
-    /// hit left stale by [`apply_delta`](WhyNotSession::apply_delta) is
-    /// revalidated here against the delta journal first — see
-    /// [`revalidate_lub`](WhyNotSession::revalidate_lub).
-    fn cached_lub(&self, kind: LubKind, support: &BTreeSet<Value>) -> LsConcept {
-        let epoch = self.lub_log.borrow().len();
-        let slot = &self.lubs[kind_slot(kind)];
-        let (hit, stale) = match slot.borrow().get(support) {
-            Some(entry) if entry.epoch == epoch => (Some(entry.concept.clone()), false),
-            Some(_) => (None, true),
-            None => (None, false),
-        };
-        if let Some(concept) = hit {
-            // Refresh recency only under a finite budget: the unlimited
-            // default keeps the historical zero-cost hit path.
-            if self.budget.lubs != usize::MAX {
-                if let Some(entry) = Arc::make_mut(&mut *slot.borrow_mut()).get_mut(support) {
-                    entry.stamp = self.clock_tick();
-                }
-            }
-            return concept;
-        }
-        if stale {
-            return self.revalidate_lub(kind, support, epoch);
-        }
-        let engine = self.lub_engine();
-        let computed = match kind {
-            LubKind::SelectionFree => engine.try_lub(support),
-            LubKind::WithSelections => engine.try_lub_sigma(support),
-        }
-        // lint: allow(no-panic-in-lib) — `bind` rejects empty supports with
-        // `SessionError::EmptySupport` before any lub is cached or computed.
-        .expect("support checked non-empty");
-        if self.budget.lubs == 0 {
-            return computed;
-        }
-        let pooled = self.support_pooled(support);
-        let mut slot_ref = slot.borrow_mut();
-        let cache = Arc::make_mut(&mut *slot_ref);
-        while cache.len() >= self.budget.lubs {
-            let Some(key) = cache
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            cache.remove(&key);
-            self.count_evicted(|e| e.lubs += 1);
-        }
-        cache.insert(
-            support.clone(),
-            LubEntry {
-                concept: computed.clone(),
-                pooled,
-                epoch,
-                stamp: self.clock_tick(),
-            },
-        );
-        computed
-    }
-
-    /// Whether every constant of `support` is interned in the session
-    /// pool. An unpooled support cannot occur in any relation, so its
-    /// lub is the bare nominal — instance-independent until a generation
-    /// bump pools it.
-    fn support_pooled(&self, support: &BTreeSet<Value>) -> bool {
-        let pool = self.pool();
-        support.iter().all(|v| pool.id_of(v).is_some())
-    }
-
-    /// Brings one stale lub cache entry up to `epoch` (the current delta
-    /// journal length): a still-unpooled support keeps its nominal-only
-    /// concept as is; a support that was pooled at its last validation
-    /// keeps the atoms of untouched relations and re-derives exactly the
-    /// relations the journal names since then; a support the journal
-    /// window *newly* pooled is recomputed from scratch (its lub can
-    /// grow relation atoms it never had).
-    fn revalidate_lub(&self, kind: LubKind, support: &BTreeSet<Value>, epoch: usize) -> LsConcept {
-        let pooled_now = self.support_pooled(support);
-        let engine = self.lub_engine();
-        let pending: BTreeSet<RelId> = {
-            let log = self.lub_log.borrow();
-            let entry_epoch = self.lubs[kind_slot(kind)]
-                .borrow()
-                .get(support)
-                // lint: allow(no-panic-in-lib) — only `cached_lub` calls
-                // this, and only after finding `support` present and stale.
-                .expect("revalidate_lub only runs on a stale hit")
-                .epoch;
-            log[entry_epoch..]
-                .iter()
-                .flat_map(|s| s.iter().copied())
-                .collect()
-        };
-        let mut slot = self.lubs[kind_slot(kind)].borrow_mut();
-        let entry = Arc::make_mut(&mut *slot)
-            .get_mut(support)
-            // lint: allow(no-panic-in-lib) — same precondition as above; the
-            // entry cannot vanish between the two borrows of this method.
-            .expect("revalidate_lub only runs on a stale hit");
-        if !pooled_now {
-            // Still nominal-only: nothing the deltas did can reach it.
-        } else if entry.pooled {
-            let mut atoms: Vec<_> = entry
-                .concept
-                .parts()
-                .filter(|a| a.rel().is_none_or(|r| !pending.contains(&r)))
-                .cloned()
-                .collect();
-            for &rel in &pending {
-                atoms.extend(match kind {
-                    LubKind::SelectionFree => engine.covering_atoms(rel, support),
-                    LubKind::WithSelections => engine.box_atoms(rel, support),
-                });
-            }
-            entry.concept = LsConcept::from_atoms(atoms);
-        } else {
-            entry.concept = match kind {
-                LubKind::SelectionFree => engine.try_lub(support),
-                LubKind::WithSelections => engine.try_lub_sigma(support),
-            }
-            // lint: allow(no-panic-in-lib) — every cached support passed the
-            // non-emptiness validation in `bind` when it was first computed.
-            .expect("cached supports are non-empty");
-        }
-        entry.pooled = pooled_now;
-        entry.epoch = epoch;
-        entry.stamp = self.clock_tick();
-        entry.concept.clone()
-    }
-
-    /// Revalidates every stale lub of `kind` in one sweep — the batch
-    /// paths call this before snapshotting the cache for their workers,
-    /// who read it immutably and could not repair entries themselves.
-    fn flush_stale_lubs(&self, kind: LubKind) {
-        let epoch = self.lub_log.borrow().len();
-        let stale: Vec<BTreeSet<Value>> = self.lubs[kind_slot(kind)]
-            .borrow()
-            .iter()
-            .filter(|(_, e)| e.epoch != epoch)
-            .map(|(s, _)| s.clone())
-            .collect();
-        for support in &stale {
-            self.revalidate_lub(kind, support, epoch);
-        }
+        self.lub_engine()
+            .state_of(kind, support)
+            .map(|state| state.into_concept())
+            .ok_or(SessionError::EmptySupport)
     }
 
     /// The extension of an `LS` concept over the pinned instance,
@@ -1472,7 +1228,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     }
 
     /// Algorithm 2 (INCREMENTAL SEARCH) w.r.t. the instance-derived
-    /// ontology `OI`, with session-cached lubs and extensions.
+    /// ontology `OI`: growth probes through the session's lub engine,
+    /// extensions through the session cache.
     pub fn incremental(
         &self,
         q: &WhyNotQuestion,
@@ -1482,7 +1239,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         Ok(incremental_search_core(
             self.adom(),
             bound.view(),
-            &mut |x| self.cached_lub(kind, x),
+            self.lub_engine(),
+            kind,
             &mut |c| self.ls_extension(c),
         ))
     }
@@ -1510,7 +1268,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             &k_consts,
             view,
             e,
-            &mut |x| self.cached_lub(kind, x),
+            self.lub_engine(),
+            kind,
             &mut |c| self.ls_extension(c),
         ))
     }
@@ -1526,11 +1285,11 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     ///    interning happens here, at most once per session, whatever the
     ///    thread count.
     /// 3. **Fan out**: each worker runs Algorithm 2's growth loop against
-    ///    the frozen view with worker-local lub/extension memos; results
+    ///    the frozen view with a worker-local extension memo; results
     ///    land by question index.
     /// 4. **Merge** (sequential): the worker-local memos fold back into
-    ///    the session's lub and `LS`-extension caches, so later
-    ///    sequential questions still hit warm caches.
+    ///    the session's `LS`-extension cache, so later sequential
+    ///    questions still hit warm extensions.
     ///
     /// Per-question results — explanations *and* errors — are identical
     /// to calling [`incremental`](WhyNotSession::incremental) on each
@@ -1554,9 +1313,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     ) -> Vec<Result<Explanation<LsConcept>, SessionError>> {
         // Phase 1+2 (sequential): bind, then freeze the shared state the
         // workers read — adom, the lub column view, instance, pool, and
-        // an O(1) snapshot (`Arc` pointer clone) of the caches warmed by
-        // earlier questions, so a warm session keeps its reuse advantage
-        // inside the batch.
+        // an O(1) snapshot (`Arc` pointer clone) of the extensions warmed
+        // by earlier questions, so a warm session keeps its reuse
+        // advantage inside the batch.
         let bound: Vec<Result<BoundQuestion, SessionError>> =
             questions.iter().map(|q| self.bind(q)).collect();
         if bound.iter().all(Result::is_err) {
@@ -1565,7 +1324,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             // the sequential path would not have interned columns either.
             // The rejected questions are tallied on worker 0, matching a
             // fan-out whose only work was reporting errors.
-            self.record_batch(exec.threads(), &vec![0; bound.len()], &[]);
+            self.record_batch(exec.threads(), &vec![0; bound.len()]);
             return bound
                 .into_iter()
                 .map(|b| match b {
@@ -1580,24 +1339,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let view = self.lub_engine().freeze();
         let inst = self.instance();
         let pool = Arc::clone(self.pool());
-        // Lazy delta repair cannot run inside the fan-out (workers share
-        // the snapshot immutably), so bring every stale entry current
-        // first; the snapshot then contains only valid concepts.
-        self.flush_stale_lubs(kind);
-        let epoch = self.lub_log.borrow().len();
-        let warm_lubs = Arc::clone(&self.lubs[kind_slot(kind)].borrow());
-        let warm_exts = Arc::clone(&self.ls_exts.borrow());
-
-        type Memos = (
-            BTreeMap<BTreeSet<Value>, LsConcept>,
-            BTreeMap<LsConcept, Extension>,
-        );
-        // Worker-local memos: one slot per worker, shared across all of
-        // that worker's questions (the mutex is uncontended — each
-        // worker only ever locks its own slot).
-        let slots: Vec<std::sync::Mutex<Memos>> = (0..exec.threads())
-            .map(|_| std::sync::Mutex::new(Memos::default()))
-            .collect();
+        let warm = Arc::clone(&self.ls_exts.borrow());
+        let slots = worker_memos(exec);
 
         // Phase 3: pure fan-out. Only `Send + Sync` state is captured.
         let outcomes: Vec<(usize, Result<Explanation<LsConcept>, SessionError>)> = exec
@@ -1608,85 +1351,50 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                     // if a sibling worker panicked, and the executor re-raises
                     // that panic after join; this expect can never be the
                     // first failure the caller sees.
-                    let mut memos = slots[worker].lock().expect("uncontended worker slot");
-                    let (lubs, exts) = &mut *memos;
-                    let e = incremental_search_core(
-                        adom,
-                        b.view(),
-                        &mut |x| match warm_lubs.get(x).map(|e| &e.concept).or_else(|| lubs.get(x))
-                        {
-                            Some(hit) => hit.clone(),
-                            None => {
-                                let c = engine_lub(&view, kind, x);
-                                lubs.insert(x.clone(), c.clone());
-                                c
-                            }
-                        },
-                        &mut |c| match warm_exts.get(c).or_else(|| exts.get(c)) {
-                            Some(hit) => hit.clone(),
-                            None => {
-                                let ext = c.extension_in(inst, &pool);
-                                exts.insert(c.clone(), ext.clone());
-                                ext
-                            }
-                        },
-                    );
+                    let mut local = slots[worker].lock().expect("uncontended worker slot");
+                    let e = incremental_search_core(adom, b.view(), &view, kind, &mut |c| {
+                        worker_extension(&warm, &mut local, c, inst, &pool)
+                    });
                     (worker, Ok(e))
                 }
             });
 
         // Phase 4 (sequential): merge the worker memos into the session
-        // caches (first write wins; all values are equal by purity) and
-        // tally per-worker counters. The snapshots drop first so
-        // `Arc::make_mut` mutates the live caches in place instead of
-        // copying them.
-        drop(warm_lubs);
-        drop(warm_exts);
-        let mut per_worker_lubs: Vec<usize> = Vec::with_capacity(slots.len());
-        {
-            let mut lub_slot = self.lubs[kind_slot(kind)].borrow_mut();
+        // cache and tally per-worker counters. The snapshot drops first
+        // so `Arc::make_mut` mutates the live cache in place instead of
+        // copying it.
+        drop(warm);
+        self.merge_worker_extensions(slots);
+        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
+        self.record_batch(exec.threads(), &question_workers);
+        outcomes.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// Folds the worker-local extension memos of a batch into the
+    /// session cache (first write wins; all values are equal by purity),
+    /// then trims it back under a finite budget, LRU-first.
+    fn merge_worker_extensions(&self, slots: Vec<WorkerMemo>) {
+        if self.budget.ls_extensions > 0 {
+            let ls_finite = self.budget.ls_extensions != usize::MAX;
             let mut ext_slot = self.ls_exts.borrow_mut();
-            let lub_cache = Arc::make_mut(&mut *lub_slot);
             let ext_cache = Arc::make_mut(&mut *ext_slot);
             for slot in slots {
                 // lint: allow(no-panic-in-lib) — scoped workers joined before
                 // this line; a poisoned slot implies a worker panic that the
                 // executor already propagated.
-                let (lubs, exts) = slot.into_inner().expect("workers joined");
-                per_worker_lubs.push(lubs.len());
-                if self.budget.lubs > 0 {
-                    for (k, v) in lubs {
-                        if let std::collections::btree_map::Entry::Vacant(slot) = lub_cache.entry(k)
-                        {
-                            let pooled = slot.key().iter().all(|val| pool.id_of(val).is_some());
-                            slot.insert(LubEntry {
-                                concept: v,
-                                pooled,
-                                epoch,
-                                stamp: self.clock_tick(),
-                            });
-                        }
+                let exts = slot.into_inner().expect("workers joined");
+                for (k, v) in exts {
+                    if ls_finite {
+                        self.ls_lru
+                            .borrow_mut()
+                            .entry(k.clone())
+                            .or_insert_with(|| self.clock_tick());
                     }
-                }
-                if self.budget.ls_extensions > 0 {
-                    let ls_finite = self.budget.ls_extensions != usize::MAX;
-                    for (k, v) in exts {
-                        if ls_finite {
-                            self.ls_lru
-                                .borrow_mut()
-                                .entry(k.clone())
-                                .or_insert_with(|| self.clock_tick());
-                        }
-                        ext_cache.entry(k).or_insert(v);
-                    }
+                    ext_cache.entry(k).or_insert(v);
                 }
             }
         }
-        // The merge can overshoot a finite budget; trim LRU-first.
         self.trim_to_budget();
-        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers, &per_worker_lubs);
-        outcomes.into_iter().map(|(_, result)| result).collect()
     }
 
     /// The contrast cache key of a question under one [`LubKind`].
@@ -1730,12 +1438,13 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     }
 
     /// The contrastive answer — per-position difference separators plus
-    /// the foil-aligned MGE (see [`ContrastAnswer`]) — through the
-    /// session's lub and extension caches, memoized by
-    /// `(query, missing, foil, kind)`. A cache hit skips binding
-    /// entirely (the entry can only exist while the instance is
-    /// unchanged — every effective delta drops the cache), so hits do
-    /// not count toward [`questions_answered`](Self::questions_answered).
+    /// the foil-aligned MGE (see [`ContrastAnswer`]) — with growth probes
+    /// through the session's lub engine and extensions through the
+    /// session cache, memoized by `(query, missing, foil, kind)`. A cache
+    /// hit skips binding entirely (the entry can only exist while the
+    /// instance is unchanged — every effective delta drops the cache), so
+    /// hits do not count toward
+    /// [`questions_answered`](Self::questions_answered).
     pub fn contrast(
         &self,
         q: &ContrastQuestion,
@@ -1752,7 +1461,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             &k_vals,
             bound.view(),
             &bound.foil,
-            &mut |x| self.cached_lub(kind, x),
+            self.lub_engine(),
+            kind,
             &mut |c| self.ls_extension(c),
         ));
         self.store_contrast(key, &answer);
@@ -1772,12 +1482,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// [`contrast_batch`](WhyNotSession::contrast_batch) on an explicit
     /// executor — the same freeze-then-fan-out shape as
     /// [`incremental_batch_with`](WhyNotSession::incremental_batch_with):
-    /// bind + cache-probe sequentially, freeze the lub column view and
-    /// O(1) snapshots of the warm caches, fan the two contrast cores out
-    /// with worker-local memos, then merge the memos and the computed
-    /// answers back. Per-question results are identical to calling
-    /// [`contrast`](WhyNotSession::contrast) on each question in order,
-    /// at every thread count.
+    /// bind + cache-probe sequentially, freeze the lub column view and an
+    /// O(1) snapshot of the warm extensions, fan the two contrast cores
+    /// out with worker-local extension memos, then merge the memos and
+    /// the computed answers back. Per-question results are identical to
+    /// calling [`contrast`](WhyNotSession::contrast) on each question in
+    /// order, at every thread count.
     pub fn contrast_batch_with(
         &self,
         exec: &Executor,
@@ -1809,7 +1519,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         if !prepared.iter().any(|p| matches!(p, Prep::Run(_))) {
             // Nothing to compute (hits and rejections only): don't freeze
             // the lub engine — the sequential path would not have either.
-            self.record_batch(exec.threads(), &vec![0; prepared.len()], &[]);
+            self.record_batch(exec.threads(), &vec![0; prepared.len()]);
             return prepared
                 .into_iter()
                 .map(|p| match p {
@@ -1825,18 +1535,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let view = self.lub_engine().freeze();
         let inst = self.instance();
         let pool = Arc::clone(self.pool());
-        self.flush_stale_lubs(kind);
-        let epoch = self.lub_log.borrow().len();
-        let warm_lubs = Arc::clone(&self.lubs[kind_slot(kind)].borrow());
-        let warm_exts = Arc::clone(&self.ls_exts.borrow());
-
-        type Memos = (
-            BTreeMap<BTreeSet<Value>, LsConcept>,
-            BTreeMap<LsConcept, Extension>,
-        );
-        let slots: Vec<std::sync::Mutex<Memos>> = (0..exec.threads())
-            .map(|_| std::sync::Mutex::new(Memos::default()))
-            .collect();
+        let warm = Arc::clone(&self.ls_exts.borrow());
+        let slots = worker_memos(exec);
 
         // Phase 3: pure fan-out over `Send + Sync` state only.
         let outcomes: Vec<(usize, Result<Arc<ContrastAnswer>, SessionError>)> = exec
@@ -1847,80 +1547,20 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                     // if a sibling worker panicked, and the executor re-raises
                     // that panic after join; this expect can never be the
                     // first failure the caller sees.
-                    let mut memos = slots[worker].lock().expect("uncontended worker slot");
-                    let (lubs, exts) = &mut *memos;
+                    let mut local = slots[worker].lock().expect("uncontended worker slot");
                     let k_vals = restriction_values(adom.iter().cloned(), &b.missing);
-                    let answer = contrast_core(
-                        &k_vals,
-                        b.view(),
-                        &b.foil,
-                        &mut |x| match warm_lubs.get(x).map(|e| &e.concept).or_else(|| lubs.get(x))
-                        {
-                            Some(hit) => hit.clone(),
-                            None => {
-                                let c = engine_lub(&view, kind, x);
-                                lubs.insert(x.clone(), c.clone());
-                                c
-                            }
-                        },
-                        &mut |c| match warm_exts.get(c).or_else(|| exts.get(c)) {
-                            Some(hit) => hit.clone(),
-                            None => {
-                                let ext = c.extension_in(inst, &pool);
-                                exts.insert(c.clone(), ext.clone());
-                                ext
-                            }
-                        },
-                    );
+                    let answer = contrast_core(&k_vals, b.view(), &b.foil, &view, kind, &mut |c| {
+                        worker_extension(&warm, &mut local, c, inst, &pool)
+                    });
                     (worker, Ok(Arc::new(answer)))
                 }
             });
 
         // Phase 4 (sequential): merge worker memos into the session
-        // caches (first write wins; equal by purity), then the computed
-        // contrastive answers themselves, in question order.
-        drop(warm_lubs);
-        drop(warm_exts);
-        let mut per_worker_lubs: Vec<usize> = Vec::with_capacity(slots.len());
-        {
-            let mut lub_slot = self.lubs[kind_slot(kind)].borrow_mut();
-            let mut ext_slot = self.ls_exts.borrow_mut();
-            let lub_cache = Arc::make_mut(&mut *lub_slot);
-            let ext_cache = Arc::make_mut(&mut *ext_slot);
-            for slot in slots {
-                // lint: allow(no-panic-in-lib) — scoped workers joined before
-                // this line; a poisoned slot implies a worker panic that the
-                // executor already propagated.
-                let (lubs, exts) = slot.into_inner().expect("workers joined");
-                per_worker_lubs.push(lubs.len());
-                if self.budget.lubs > 0 {
-                    for (k, v) in lubs {
-                        if let std::collections::btree_map::Entry::Vacant(slot) = lub_cache.entry(k)
-                        {
-                            let pooled = slot.key().iter().all(|val| pool.id_of(val).is_some());
-                            slot.insert(LubEntry {
-                                concept: v,
-                                pooled,
-                                epoch,
-                                stamp: self.clock_tick(),
-                            });
-                        }
-                    }
-                }
-                if self.budget.ls_extensions > 0 {
-                    let ls_finite = self.budget.ls_extensions != usize::MAX;
-                    for (k, v) in exts {
-                        if ls_finite {
-                            self.ls_lru
-                                .borrow_mut()
-                                .entry(k.clone())
-                                .or_insert_with(|| self.clock_tick());
-                        }
-                        ext_cache.entry(k).or_insert(v);
-                    }
-                }
-            }
-        }
+        // cache, then the computed contrastive answers themselves, in
+        // question order.
+        drop(warm);
+        self.merge_worker_extensions(slots);
         for (i, (p, (_, result))) in prepared.iter().zip(&outcomes).enumerate() {
             if let (Prep::Run(_), Ok(answer)) = (p, result) {
                 let key = Self::contrast_key(&questions[i], kind);
@@ -1929,12 +1569,37 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 }
             }
         }
-        // The merge can overshoot a finite budget; trim LRU-first.
-        self.trim_to_budget();
         let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers, &per_worker_lubs);
+        self.record_batch(exec.threads(), &question_workers);
         outcomes.into_iter().map(|(_, result)| result).collect()
     }
+}
+
+/// A worker's batch-local `LS`-extension memo (one per worker; the mutex
+/// is uncontended — each worker only ever locks its own slot).
+type WorkerMemo = std::sync::Mutex<BTreeMap<LsConcept, Extension>>;
+
+/// One empty memo slot per executor worker.
+fn worker_memos(exec: &Executor) -> Vec<WorkerMemo> {
+    (0..exec.threads()).map(|_| WorkerMemo::default()).collect()
+}
+
+/// A batch worker's extension lookup: the session's warm snapshot first,
+/// then the worker-local memo, evaluating (and memoizing locally) on a
+/// miss.
+fn worker_extension(
+    warm: &BTreeMap<LsConcept, Extension>,
+    local: &mut BTreeMap<LsConcept, Extension>,
+    c: &LsConcept,
+    inst: &Instance,
+    pool: &Arc<ConstPool>,
+) -> Extension {
+    if let Some(hit) = warm.get(c).or_else(|| local.get(c)) {
+        return hit.clone();
+    }
+    let ext = c.extension_in(inst, pool);
+    local.insert(c.clone(), ext.clone());
+    ext
 }
 
 impl<O: FiniteOntology> WhyNotSession<'_, O> {
@@ -2314,7 +1979,7 @@ where
             });
 
         let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers, &[]);
+        self.record_batch(exec.threads(), &question_workers);
         outcomes.into_iter().map(|(_, result)| result).collect()
     }
 }
@@ -2513,7 +2178,7 @@ mod tests {
         // whole batch of growth probes shares the interned columns.
         let stats = session.stats();
         assert_eq!(stats.lub_column_builds, 2);
-        assert!(stats.cached_lubs > 2, "the batch did exercise the lubs");
+        assert_eq!(stats.cached_lubs, 0, "lubs are grown, never memoized");
     }
 
     #[test]
@@ -2649,17 +2314,10 @@ mod tests {
                 assert_eq!(stats.lub_column_builds, 2);
                 // The merged worker memos leave the same caches a
                 // sequential run would have built.
-                assert_eq!(stats.cached_lubs, reference.stats().cached_lubs);
                 assert_eq!(
                     stats.cached_ls_extensions,
                     reference.stats().cached_ls_extensions
                 );
-                let lubs_total: usize = session
-                    .last_batch_workers()
-                    .iter()
-                    .map(|w| w.lubs_computed)
-                    .sum();
-                assert!(lubs_total > 0, "the batch did compute lubs");
             }
         }
     }
@@ -2692,8 +2350,8 @@ mod tests {
 
     #[test]
     fn repeat_incremental_batches_hit_the_warm_caches() {
-        // The second identical batch must be served from the caches the
-        // first batch merged back — workers compute zero fresh lubs.
+        // The second identical batch is served from the extensions the
+        // first batch merged back: same answers, no new cache entries.
         let (o, schema, inst, tc) = fixture();
         let session = WhyNotSession::new(&o, &schema, &inst);
         let questions = vec![
@@ -2702,20 +2360,11 @@ mod tests {
         ];
         let exec = Executor::with_threads(2);
         let first = session.incremental_batch_with(&exec, &questions, LubKind::SelectionFree);
-        let computed_first: usize = session
-            .last_batch_workers()
-            .iter()
-            .map(|w| w.lubs_computed)
-            .sum();
-        assert!(computed_first > 0);
+        let warmed = session.stats().cached_ls_extensions;
+        assert!(warmed > 0);
         let again = session.incremental_batch_with(&exec, &questions, LubKind::SelectionFree);
         assert_eq!(first, again);
-        let computed_again: usize = session
-            .last_batch_workers()
-            .iter()
-            .map(|w| w.lubs_computed)
-            .sum();
-        assert_eq!(computed_again, 0, "warm caches were ignored");
+        assert_eq!(session.stats().cached_ls_extensions, warmed);
     }
 
     #[test]
@@ -2930,30 +2579,32 @@ mod tests {
     }
 
     #[test]
-    fn delta_repairs_cached_lubs_instead_of_dropping_them() {
+    fn delta_regrows_lubs_from_fresh_columns() {
         let (o, schema, inst, tc) = fixture();
         let mut session = WhyNotSession::new(&o, &schema, &inst);
         let q = WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]);
         for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
             let _ = session.incremental(&q, kind).unwrap();
         }
-        let warmed = session.stats().cached_lubs;
-        assert!(warmed > 0);
+        assert_eq!(session.stats().cached_lubs, 0);
 
         let mut delta = Delta::new();
         delta.insert(tc, vec![s("Kyoto"), s("Tokyo")]);
         let stats = session.apply_delta(&delta).unwrap();
-        // Every pooled cached lub was repaired in place (the one changed
-        // relation's atoms recomputed, nominals kept); none recomputed
-        // from scratch, none dropped.
-        assert_eq!(stats.lubs_repaired + stats.lubs_retained, warmed);
-        assert_eq!(stats.lubs_recomputed, 0);
-        assert!(stats.lubs_repaired > 0);
-        assert_eq!(session.stats().cached_lubs, warmed);
-        // Engine columns for the single relation were dropped, none kept.
+        // No lub memo to repair: only the engine's columns for the one
+        // changed relation were dropped.
+        assert_eq!(
+            (
+                stats.lubs_repaired,
+                stats.lubs_recomputed,
+                stats.lubs_retained
+            ),
+            (0, 0, 0)
+        );
         assert_eq!(stats.lub_columns_retained, 0);
+        assert_eq!(stats.lub_columns_dropped, 2);
 
-        // Each repaired entry equals what a cold engine computes.
+        // Every lub grown afterwards equals what a cold engine computes.
         let now = session.instance().clone();
         let fresh = WhyNotSession::new(&o, &schema, &now);
         for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
@@ -3072,11 +2723,11 @@ mod tests {
         assert!(stats.cached_queries <= 2);
         assert!(stats.cached_candidates <= 2);
         assert!(stats.cached_conflicts <= 2);
-        assert!(stats.cached_lubs <= 4, "2 per kind");
+        assert_eq!(stats.cached_lubs, 0, "lubs are never memoized");
         assert!(stats.cached_ls_extensions <= 2);
         let ev = capped.evictions();
         assert!(ev.candidates > 0, "5 distinct constants through budget 2");
-        assert!(ev.lubs > 0);
+        assert_eq!(ev.lubs, 0);
         assert_eq!(stats.cache_evictions, ev.total());
         assert!(stats.cache_evictions > 0);
         // The unlimited reference evicted nothing.
@@ -3149,7 +2800,6 @@ mod tests {
         assert!(trimmed.cached_queries <= 1);
         assert!(trimmed.cached_candidates <= 1);
         assert!(trimmed.cached_conflicts <= 1);
-        assert!(trimmed.cached_lubs <= 2);
         assert!(trimmed.cached_ls_extensions <= 1);
         assert!(session.evictions().total() > 0);
         // Still answers correctly after the trim.

@@ -2,12 +2,14 @@
 //! irredundant and minimized explanations, cardinality-based preference,
 //! and strong explanations.
 
-use crate::incremental::{engine_lub, incremental_search_kind, LubKind};
+use crate::incremental::incremental_search_kind;
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{simplify, Extension, ExtensionTable, LsAtom, LsConcept, LubEngine};
+use whynot_concepts::{
+    simplify, Extension, ExtensionTable, LsAtom, LsConcept, LubEngine, LubKind, LubProvider,
+};
 use whynot_relation::{Cq, Term, Ucq, Value, Var};
 use whynot_subsumption::{satisfiable_under, ChaseLimits, Satisfiability};
 
@@ -73,11 +75,10 @@ pub fn minimize_concept(
     // exactly the lub's conjuncts (computed through the pooled engine
     // over the same shared pool) — plus the original atoms.
     let mut atom_pool: Vec<LsAtom> = Vec::new();
-    if !target_set.is_empty() {
-        let support: BTreeSet<_> = target_set.iter().cloned().collect();
-        let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
-        let canonical = engine_lub(&engine, kind, &support);
-        atom_pool.extend(canonical.parts().cloned());
+    let support: BTreeSet<_> = target_set.iter().cloned().collect();
+    let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
+    if let Some(canonical) = engine.state_of(kind, &support) {
+        atom_pool.extend(canonical.concept().parts().cloned());
     }
     for atom in concept.parts() {
         if !atom_pool.contains(atom) {

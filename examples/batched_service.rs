@@ -84,8 +84,8 @@ fn main() -> Result<(), SessionError> {
         stats.cached_candidates
     );
     println!(
-        "  cached lubs:               {} (keyed by kind + support)",
-        stats.cached_lubs
+        "  interned lub columns:      {} (lubs are grown, not memoized)",
+        stats.lub_column_builds
     );
     Ok(())
 }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use whynot::concepts::{lub, lub_sigma, simplify, LsConcept, Selection};
+use whynot::concepts::{lub, lub_sigma, simplify, LsConcept, LubEngine, LubProvider, Selection};
 use whynot::core::{
     check_mge_instance, exhaustive_search, exts_form_explanation, incremental_search,
     incremental_search_kind, incremental_search_with_selections, ExplicitOntology, LubKind,
@@ -320,6 +320,87 @@ proptest! {
                 prop_assert!(!smaller.equivalent_in(&lean, &inst));
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lub growth (Lemmas 5.1/5.2 one constant at a time) ≡ legacy lubs
+// ---------------------------------------------------------------------
+
+/// Folds lub growth over `order` on `p` for both lub kinds and checks,
+/// after every prefix, that the grown state equals the legacy free
+/// function on the prefix's support. `order` may repeat constants, so
+/// some steps grow by a member of the support.
+fn assert_growth_matches_legacy<P: LubProvider>(
+    p: &P,
+    schema: &Schema,
+    inst: &Instance,
+    order: &[Value],
+) {
+    for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+        let mut state = p.start(kind, &order[0]);
+        let mut prefix: BTreeSet<Value> = BTreeSet::new();
+        for (i, v) in order.iter().enumerate() {
+            if i > 0 {
+                state = p.grow(&state, v);
+            }
+            prefix.insert(v.clone());
+            let legacy = match kind {
+                LubKind::SelectionFree => lub(schema, inst, &prefix),
+                LubKind::WithSelections => lub_sigma(schema, inst, &prefix),
+            };
+            assert_eq!(state.concept(), &legacy, "{kind:?} grown to {prefix:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn lub_growth_matches_legacy_on_every_prefix(
+        r_rows in proptest::collection::vec((0i64..12, 0i64..12, 0i64..12), 0..12),
+        t_rows in proptest::collection::vec((0i64..12, 0i64..12), 0..8),
+        empty_t in any::<bool>(),
+        order in proptest::collection::vec(-2i64..16, 1..7),
+    ) {
+        // Constants 0..12 may occur in the instance; 12..14 are pooled
+        // but occur in no column; -2..0 and 14..16 are not pooled at
+        // all. `empty_t` leaves the relation T without a single row.
+        let (schema, r, t) = fixed_schema();
+        let mut inst = Instance::new();
+        for (a, b, c) in r_rows {
+            inst.insert(r, vec![Value::int(a), Value::int(b), Value::int(c)]);
+        }
+        if !empty_t {
+            for (u, v) in t_rows {
+                inst.insert(t, vec![Value::int(u), Value::int(v)]);
+            }
+        }
+        let pool = inst.const_pool_with([Value::int(12), Value::int(13)]);
+        let engine = LubEngine::with_pool(&schema, &inst, pool);
+        let view = engine.freeze();
+        let order: Vec<Value> = order.into_iter().map(Value::int).collect();
+        assert_growth_matches_legacy(&engine, &schema, &inst, &order);
+        assert_growth_matches_legacy(&view, &schema, &inst, &order);
+    }
+
+    #[test]
+    fn lub_growth_matches_legacy_on_city_workloads(
+        seed in 0u64..32,
+        picks in proptest::collection::vec(0usize..26, 1..6),
+    ) {
+        // The city generator of the pooled-engine test above; picks 24
+        // and 25 name cities outside the 24-city network.
+        let net = whynot::scenarios::generators::city_network(24, 4, seed);
+        let wn = &net.why_not;
+        let engine = LubEngine::new(&wn.schema, &wn.instance);
+        let view = engine.freeze();
+        let order: Vec<Value> = picks
+            .iter()
+            .map(|&c| Value::str(whynot::scenarios::generators::city_name(c)))
+            .collect();
+        assert_growth_matches_legacy(&engine, &wn.schema, &wn.instance, &order);
+        assert_growth_matches_legacy(&view, &wn.schema, &wn.instance, &order);
     }
 }
 
