@@ -1,28 +1,25 @@
-//! Contrastive why-not: the one-shot path vs the session cache vs the
-//! batched fan-outs, plus the OBDA certain-answer pipeline.
+//! Contrastive why-not: the one-shot path vs the session cache, plus the
+//! OBDA certain-answer pipeline.
 //!
-//! Three measurements, all over `scenarios::contrast` workloads:
+//! Two measurements, all over `scenarios::contrast` workloads:
 //!
 //! 1. **One-shot vs session** — `contrast_instance` per question against
 //!    a fresh `WhyNotSession` answering the same stream (shared lub and
 //!    extension caches across questions).
-//! 2. **Batch fan-out** — `WhyNotSession::contrast_batch_with` and the
-//!    standalone `par::contrast_batch_with` at 1/2/4/8 worker threads.
-//! 3. **OBDA** — `obda_contrast` per pair (PerfectRef rewriting included)
-//!    against the batched contrast over the pre-rewritten UCQ.
+//! 2. **OBDA** — `obda_contrast` per pair (PerfectRef rewriting included)
+//!    against `contrast_instance` per pair over the pre-rewritten UCQ.
 //!
 //! Answer parity is asserted before anything is timed: every path must
-//! reproduce the one-shot answers bit for bit at every thread count.
+//! reproduce the one-shot answers bit for bit.
 //!
 //! Run with `cargo bench -p whynot-bench --bench contrast`. Results land
-//! in `BENCH_contrast.json` at the workspace root; `single_core` is true
-//! when the machine reports one hardware thread, in which case speedup
-//! columns are parity-only evidence (and `bench-check` skips them).
+//! in `BENCH_contrast.json` at the workspace root.
 
 use whynot_bench::median_ns;
 use whynot_contrast::obda::obda_contrast;
-use whynot_contrast::{contrast_instance, par, ContrastAnswer, ContrastQuestion};
-use whynot_core::{Executor, LubKind, WhyNotSession};
+use whynot_contrast::{contrast_instance, ContrastAnswer, ContrastQuestion};
+use whynot_core::{LubKind, WhyNotSession};
+use whynot_relation::{Instance, Schema};
 use whynot_scenarios::contrast::{
     city_contrast_workload, obda_contrast_workload, retail_contrast_workload, ContrastWorkload,
 };
@@ -39,12 +36,21 @@ fn weight(answers: &[ContrastAnswer]) -> usize {
         .sum()
 }
 
-/// The one-shot reference: `contrast_instance` per question.
-fn one_shot(w: &ContrastWorkload) -> Vec<ContrastAnswer> {
-    w.questions
+/// `contrast_instance` per question.
+fn one_shot_all(
+    schema: &Schema,
+    instance: &Instance,
+    questions: &[ContrastQuestion],
+) -> Vec<ContrastAnswer> {
+    questions
         .iter()
-        .map(|q| contrast_instance(&w.schema, &w.instance, q, KIND).expect("valid workload"))
+        .map(|q| contrast_instance(schema, instance, q, KIND).expect("valid workload"))
         .collect()
+}
+
+/// The one-shot reference over a workload.
+fn one_shot(w: &ContrastWorkload) -> Vec<ContrastAnswer> {
+    one_shot_all(&w.schema, &w.instance, &w.questions)
 }
 
 /// A fresh session answering the stream sequentially.
@@ -56,57 +62,24 @@ fn session_stream(w: &ContrastWorkload) -> Vec<ContrastAnswer> {
         .collect()
 }
 
-/// A fresh session fanning the stream out over `exec`.
-fn session_batch(w: &ContrastWorkload, exec: &Executor) -> Vec<ContrastAnswer> {
-    let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
-    session
-        .contrast_batch_with(exec, &w.questions, KIND)
-        .into_iter()
-        .map(|r| (*r.expect("valid workload")).clone())
-        .collect()
-}
-
 fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, usize::from);
     let single_core = hardware == 1;
-    let thread_counts = [1usize, 2, 4, 8];
     let runs = 5;
     let mut rows: Vec<String> = Vec::new();
-    let mut speedup_at_4 = 0.0f64;
 
     // ------------------------------------------------------------------
-    // 1 + 2. One-shot vs session vs fan-outs, per scenario family.
+    // 1. One-shot vs session, per scenario family.
     // ------------------------------------------------------------------
     for (name, w) in [
         ("city", city_contrast_workload(48, 4, 32, 42)),
         ("retail", retail_contrast_workload(24, 12, 4, 3, 32, 42)),
     ] {
-        println!(
-            "contrast {name}: {} questions (hardware threads: {hardware})",
-            w.questions.len()
-        );
+        println!("contrast {name}: {} questions", w.questions.len());
 
-        // Parity first, at every thread count and for both batch entry
-        // points, before a single timing runs.
+        // Parity first, before a single timing runs.
         let reference = one_shot(&w);
         assert_eq!(session_stream(&w), reference, "{name}: session diverged");
-        for &t in &thread_counts {
-            let exec = Executor::with_threads(t);
-            assert_eq!(
-                session_batch(&w, &exec),
-                reference,
-                "{name}: session batch parity broke at {t} threads"
-            );
-            let standalone: Vec<ContrastAnswer> =
-                par::contrast_batch_with(&exec, &w.schema, &w.instance, &w.questions, KIND)
-                    .into_iter()
-                    .map(|r| r.expect("valid workload"))
-                    .collect();
-            assert_eq!(
-                standalone, reference,
-                "{name}: one-shot batch parity broke at {t} threads"
-            );
-        }
 
         let t_one = median_ns(
             || {
@@ -126,40 +99,15 @@ fn main() {
              \"session_ns\": {t_session:.0}}}",
             w.questions.len()
         ));
-        println!("{:>8} {:>14} {:>9}", "threads", "batch (ms)", "speedup");
         println!(
-            "{:>8} {:>14.3} {:>8.2}x (session, one-shot {:.3} ms)",
-            "seq",
-            t_session / 1e6,
-            1.0,
-            t_one / 1e6
+            "one-shot {:.3} ms, session {:.3} ms\n",
+            t_one / 1e6,
+            t_session / 1e6
         );
-        for &t in &thread_counts {
-            let exec = Executor::with_threads(t);
-            let t_batch = median_ns(
-                || {
-                    std::hint::black_box(weight(&session_batch(&w, &exec)));
-                },
-                runs,
-            );
-            let speedup = t_session / t_batch;
-            if name == "city" && t == 4 {
-                speedup_at_4 = speedup;
-            }
-            println!("{t:>8} {:>14.3} {speedup:>8.2}x", t_batch / 1e6);
-            rows.push(format!(
-                "  {{\"bench\": \"contrast_batch\", \"workload\": \"{name}\", \
-                 \"questions\": {}, \"threads\": {t}, \
-                 \"sequential_ns\": {t_session:.0}, \"batch_ns\": {t_batch:.0}, \
-                 \"speedup\": {speedup:.2}}}",
-                w.questions.len()
-            ));
-        }
-        println!();
     }
 
     // ------------------------------------------------------------------
-    // 3. OBDA: per-pair pipeline vs batched over the pre-rewritten UCQ.
+    // 2. OBDA: per-pair pipeline vs one-shot over the pre-rewritten UCQ.
     // ------------------------------------------------------------------
     let obda = obda_contrast_workload(30, 12, 42);
     println!(
@@ -167,8 +115,8 @@ fn main() {
         obda.pairs.len()
     );
 
-    // Parity: the per-pair pipeline and the pre-rewritten batch agree at
-    // every thread count.
+    // Parity: the per-pair pipeline and the pre-rewritten one-shots
+    // agree.
     let obda_reference: Vec<ContrastAnswer> = obda
         .pairs
         .iter()
@@ -193,18 +141,11 @@ fn main() {
             ContrastQuestion::new(obda.rewritten.clone(), missing.clone(), foil.clone())
         })
         .collect();
-    for &t in &thread_counts {
-        let exec = Executor::with_threads(t);
-        let batched: Vec<ContrastAnswer> =
-            par::contrast_batch_with(&exec, &obda.schema, &obda.instance, &obda_questions, KIND)
-                .into_iter()
-                .map(|r| r.expect("valid workload"))
-                .collect();
-        assert_eq!(
-            batched, obda_reference,
-            "obda batch parity broke at {t} threads"
-        );
-    }
+    assert_eq!(
+        one_shot_all(&obda.schema, &obda.instance, &obda_questions),
+        obda_reference,
+        "obda: pre-rewritten one-shots diverged from the pipeline"
+    );
 
     let t_pipeline = median_ns(
         || {
@@ -230,25 +171,15 @@ fn main() {
         },
         runs,
     );
-    let exec = Executor::with_threads(4.min(hardware.max(1)));
     let t_batched = median_ns(
         || {
-            let answers: Vec<ContrastAnswer> = par::contrast_batch_with(
-                &exec,
-                &obda.schema,
-                &obda.instance,
-                &obda_questions,
-                KIND,
-            )
-            .into_iter()
-            .map(|r| r.expect("valid workload"))
-            .collect();
+            let answers = one_shot_all(&obda.schema, &obda.instance, &obda_questions);
             std::hint::black_box(weight(&answers));
         },
         runs,
     );
     println!(
-        "per-pair pipeline {:.3} ms, pre-rewritten batch {:.3} ms",
+        "per-pair pipeline {:.3} ms, pre-rewritten one-shots {:.3} ms",
         t_pipeline / 1e6,
         t_batched / 1e6
     );
@@ -263,11 +194,9 @@ fn main() {
         "{{\n\"bench\": \"contrast\",\n\"unit\": \"ns median of {runs}\",\n\
          \"available_parallelism\": {hardware},\n\"single_core\": {single_core},\n\
          \"results\": [\n{}\n],\n\
-         \"city_batch_speedup_at_4_threads\": {speedup_at_4:.2},\n\
-         \"note\": \"parity (one-shot == session == both batch entry points, \
-         at 1/2/4/8 threads, plus the OBDA pipeline == the batch over its \
-         rewriting) is asserted before any timing; speedups are bounded by \
-         available_parallelism\"\n}}\n",
+         \"note\": \"parity (one-shot == session, plus the OBDA pipeline == \
+         the one-shots over its rewriting) is asserted before any timing; \
+         batched_ns answers the pre-rewritten pairs one at a time\"\n}}\n",
         rows.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_contrast.json");

@@ -1,7 +1,7 @@
 //! `whynot-server` sustained throughput: N tenants × interleaved
 //! ask/mutate streams driven through the wire protocol — line parsing,
-//! admission control, fair-share scheduling, batch answering, response
-//! serialization — vs the same streams answered by direct
+//! admission control, fair-share scheduling, sequential answering,
+//! response serialization — vs the same streams answered by direct
 //! `WhyNotSession` calls with none of the serving layer in the way.
 //!
 //! Parity is asserted before anything is timed: every queued wire
@@ -26,7 +26,8 @@ use whynot_server::{definition_text, explanation_to_json, ServerConfig, ServerCo
 
 /// How often the driver drains the queues: one `run` per this many
 /// interleaved rounds. Small enough that the default queue depth (64)
-/// can never overflow, large enough that `run` sees real batches.
+/// can never overflow, large enough that every `run` drains several
+/// fair-share rounds.
 const DRAIN_EVERY: usize = 8;
 
 /// Renders the wire `ask`/`enqueue` rule text for a workload question.

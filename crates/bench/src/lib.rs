@@ -26,7 +26,7 @@ pub fn quick() -> Criterion {
 /// Median wall-clock nanoseconds of `runs` invocations of `f`, after one
 /// unmeasured warm-up call. The single timing helper shared by the
 /// hand-rolled JSON-emitting bench targets (`engine`, `session`, `lub`,
-/// `parallel`), so the methodology cannot drift between them.
+/// `contrast`, …), so the methodology cannot drift between them.
 pub fn median_ns(mut f: impl FnMut(), runs: usize) -> f64 {
     f(); // warm-up
     let mut samples: Vec<f64> = (0..runs)

@@ -10,10 +10,10 @@
 //! * paths ending in `_ns` regress when `current > baseline × tol`
 //!   (things that should stay fast got slower),
 //! * paths whose last segment contains `speedup` regress when
-//!   `current < baseline ÷ tol` (parallel wins that should persist
-//!   shrank) — skipped entirely when either side reports
-//!   `"single_core": true`, since a 1-core container proves parity but
-//!   cannot reproduce wall-clock speedups,
+//!   `current < baseline ÷ tol` (wins that should persist shrank) —
+//!   skipped entirely when either side reports `"single_core": true`,
+//!   since a 1-core container proves parity but cannot reproduce
+//!   wall-clock speedups,
 //! * every other path (counts, labels, notes) is ignored, as are paths
 //!   present on only one side (new benches are not regressions).
 //!

@@ -27,9 +27,8 @@
 //! * [`LubEngine`] — the pooled lub engine: each `(rel, attr)` column
 //!   interned exactly once, with lubs *grown* one constant at a time
 //!   ([`LubState`]; Lemma 5.1's covered flags and Lemma 5.2's minimal
-//!   boxes in [`ValueId`](whynot_relation::ValueId) space), plus its
-//!   frozen `Send + Sync` [`LubView`] (the [`LubProvider`] trait
-//!   abstracts over both) for the parallel search shards,
+//!   boxes in [`ValueId`](whynot_relation::ValueId) space); the search
+//!   algorithms are generic over the [`LubProvider`] trait it implements,
 //! * [`kernels`] — the shared unrolled 256-bit-chunk bitset kernels
 //!   every engine crate's hot word loop runs on, and [`IdBits`] —
 //!   two-level (sorted-array / dense-word) id sets selected per column
@@ -57,7 +56,7 @@ mod table;
 pub use concept::{LsAtom, LsConcept};
 pub use extension::{Extension, ValueSet, ValueSetIter};
 pub use lub::{lub, lub_extension, lub_sigma, selection_free_atom_count, try_lub, try_lub_sigma};
-pub use lub_engine::{LubEngine, LubKind, LubProvider, LubState, LubView};
+pub use lub_engine::{LubEngine, LubKind, LubProvider, LubState};
 pub use minimize::{irredundant, simplify, simplify_selections};
 pub use parse::{parse_concept, parse_value, ParseError};
 pub use selection::{SelConstraint, Selection};

@@ -272,21 +272,16 @@ impl<'a> LubEngine<'a> {
 
     /// Non-panicking [`LubEngine::lub`]: `None` iff `x` is empty.
     pub fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.view().try_lub(x)
+        self.view()
+            .fold(LubKind::SelectionFree, x)
+            .map(LubState::into_concept)
     }
 
     /// Non-panicking [`LubEngine::lub_sigma`]: `None` iff `x` is empty.
     pub fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.view().try_lub_sigma(x)
-    }
-
-    /// Freezes the engine into a read-only [`LubView`] safe to share
-    /// across worker threads: every relation's columns are interned now
-    /// (counted against [`LubEngine::column_builds`] exactly as lazy use
-    /// would — at most once per `(rel, attr)`), and the view carries
-    /// only `Arc`s of the finished data.
-    pub fn freeze(&self) -> LubView {
         self.view()
+            .fold(LubKind::WithSelections, x)
+            .map(LubState::into_concept)
     }
 
     /// The view over every relation's columns, assembled on first use.
@@ -437,80 +432,17 @@ fn remap_columns(rc: &RelColumns, map: &PoolMap, pool: &ConstPool) -> RelColumns
     RelColumns::from_rows(rows, rc.cols.len(), pool)
 }
 
-/// A read-only snapshot of a [`LubEngine`]'s interned columns, safe to
-/// share across worker threads (`Send + Sync`): the parallel search
-/// shards freeze the engine once, fan the growth probes out, and every
-/// worker grows lubs against the same columns — built at most once per
-/// `(rel, attr)` for the engine *and* all its views together.
-///
-/// Obtained from [`LubEngine::freeze`]; observationally equivalent to
-/// the engine it was frozen from (proven by tests).
-///
-/// # Examples
-///
-/// ```
-/// use std::collections::BTreeSet;
-/// use whynot_concepts::LubEngine;
-/// use whynot_relation::{Instance, SchemaBuilder, Value};
-///
-/// let mut b = SchemaBuilder::new();
-/// let tc = b.relation("TC", ["from", "to"]);
-/// let schema = b.finish().unwrap();
-/// let mut inst = Instance::new();
-/// inst.insert(tc, vec![Value::str("Amsterdam"), Value::str("Berlin")]);
-///
-/// let engine = LubEngine::new(&schema, &inst);
-/// let view = engine.freeze(); // Send + Sync
-/// let x: BTreeSet<Value> = [Value::str("Amsterdam")].into_iter().collect();
-/// assert_eq!(view.lub(&x), engine.lub(&x));
-/// ```
+/// Every relation's interned columns as one value, assembled by
+/// [`LubEngine`] on its first lub: the growth steps read all of them, and
+/// the engine delegates every lub to them.
 #[derive(Clone)]
-pub struct LubView {
+struct LubView {
     pool: Arc<ConstPool>,
     /// Every schema relation's interned columns, in `RelId` order.
     rels: Arc<[(RelId, Arc<RelColumns>)]>,
 }
 
 impl LubView {
-    /// The shared pool the columns are interned into.
-    pub fn pool(&self) -> &Arc<ConstPool> {
-        &self.pool
-    }
-
-    /// `lub_I(X)` (Lemma 5.1); see [`LubEngine::lub`].
-    ///
-    /// # Panics
-    /// Panics if `x` is empty; see [`LubView::try_lub`].
-    pub fn lub(&self, x: &BTreeSet<Value>) -> LsConcept {
-        self.try_lub(x)
-            // lint: allow(no-panic-in-lib) — documented panicking wrapper;
-            // `try_lub` is the checked twin boundaries call.
-            .expect("lub of an empty support set is undefined")
-    }
-
-    /// `lubσ_I(X)` (Lemma 5.2); see [`LubEngine::lub_sigma`].
-    ///
-    /// # Panics
-    /// Panics if `x` is empty; see [`LubView::try_lub_sigma`].
-    pub fn lub_sigma(&self, x: &BTreeSet<Value>) -> LsConcept {
-        self.try_lub_sigma(x)
-            // lint: allow(no-panic-in-lib) — documented panicking wrapper;
-            // `try_lub_sigma` is the checked twin boundaries call.
-            .expect("lub of an empty support set is undefined")
-    }
-
-    /// Non-panicking [`LubView::lub`]: `None` iff `x` is empty.
-    pub fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.fold(LubKind::SelectionFree, x)
-            .map(LubState::into_concept)
-    }
-
-    /// Non-panicking [`LubView::lub_sigma`]: `None` iff `x` is empty.
-    pub fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.fold(LubKind::WithSelections, x)
-            .map(LubState::into_concept)
-    }
-
     /// Every `(rel, columns, attr)` in schema column order — the order
     /// of a [`LubState`]'s per-column growth data.
     fn columns(&self) -> impl Iterator<Item = (RelId, &RelColumns, Attr)> + '_ {
@@ -619,18 +551,40 @@ impl LubView {
             growth,
         }
     }
+
+    /// The state of the singleton support `{x}`.
+    fn start(&self, kind: LubKind, x: &Value) -> LubState {
+        let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
+        self.assemble(kind, support, self.seed(kind, x))
+    }
+
+    /// The state of `S ∪ {v}` stepped from the state of `S`.
+    fn grow(&self, state: &LubState, v: &Value) -> LubState {
+        if state.support.contains(v) {
+            return state.clone();
+        }
+        let mut support = state.support.clone();
+        support.insert(v.clone());
+        let growth = match &state.growth {
+            // Built by the recomputing default bodies: no column data to
+            // step from, so fold the grown support instead.
+            Growth::Recompute => self.fold_growth(state.kind, &support),
+            growth => Some(self.step(growth, v)),
+        };
+        self.assemble(state.kind, support, growth.unwrap_or(Growth::Recompute))
+    }
 }
 
-/// The common interface of [`LubEngine`] and [`LubView`]: the search
-/// algorithms are generic over it, so one code path serves the lazily
-/// caching single-threaded engine and its frozen multi-thread view.
+/// The lub interface the search algorithms are generic over: the pooled
+/// [`LubEngine`] implements it with growth steps, and wrappers (a timing
+/// shim, a test double) can implement just the from-scratch methods.
 ///
 /// Only the three from-scratch methods are required. The growth methods
 /// ([`start`](LubProvider::start), [`grow`](LubProvider::grow),
 /// [`state_of`](LubProvider::state_of)) default to recomputing through
 /// [`try_lub`](LubProvider::try_lub) /
 /// [`try_lub_sigma`](LubProvider::try_lub_sigma) on the grown support;
-/// the pooled providers override them with the Lemma 5.1/5.2 growth
+/// the pooled engine overrides them with the Lemma 5.1/5.2 growth
 /// steps.
 pub trait LubProvider {
     /// The shared pool lub extensions and column bitsets index.
@@ -678,39 +632,6 @@ pub trait LubProvider {
     }
 }
 
-impl LubProvider for LubView {
-    fn pool(&self) -> &Arc<ConstPool> {
-        LubView::pool(self)
-    }
-    fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        LubView::try_lub(self, x)
-    }
-    fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        LubView::try_lub_sigma(self, x)
-    }
-    fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
-        self.fold(kind, x)
-    }
-    fn start(&self, kind: LubKind, x: &Value) -> LubState {
-        let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
-        self.assemble(kind, support, self.seed(kind, x))
-    }
-    fn grow(&self, state: &LubState, v: &Value) -> LubState {
-        if state.support.contains(v) {
-            return state.clone();
-        }
-        let mut support = state.support.clone();
-        support.insert(v.clone());
-        let growth = match &state.growth {
-            // Built by the recomputing default bodies: no column data to
-            // step from, so fold the grown support instead.
-            Growth::Recompute => self.fold_growth(state.kind, &support),
-            growth => Some(self.step(growth, v)),
-        };
-        self.assemble(state.kind, support, growth.unwrap_or(Growth::Recompute))
-    }
-}
-
 impl LubProvider for LubEngine<'_> {
     fn pool(&self) -> &Arc<ConstPool> {
         LubEngine::pool(self)
@@ -722,7 +643,7 @@ impl LubProvider for LubEngine<'_> {
         LubEngine::try_lub_sigma(self, x)
     }
     fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
-        self.view().state_of(kind, x)
+        self.view().fold(kind, x)
     }
     fn start(&self, kind: LubKind, x: &Value) -> LubState {
         self.view().start(kind, x)
@@ -916,39 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_view_matches_the_engine_on_every_support() {
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        let view = engine.freeze();
-        for x in supports() {
-            assert_eq!(view.try_lub(&x), engine.try_lub(&x), "lub disagrees: {x:?}");
-            assert_eq!(
-                view.try_lub_sigma(&x),
-                engine.try_lub_sigma(&x),
-                "lubσ disagrees: {x:?}"
-            );
-        }
-        assert_eq!(view.try_lub(&BTreeSet::new()), None);
-        assert_eq!(view.try_lub_sigma(&BTreeSet::new()), None);
-    }
-
-    #[test]
-    fn freeze_counts_each_column_once_and_shares_with_later_lubs() {
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        let _view = engine.freeze();
-        // Freezing interned every column: 4 (Cities) + 2 (TC).
-        assert_eq!(engine.column_builds(), 6);
-        // Neither later engine lubs nor a second freeze rebuild anything.
-        for x in supports() {
-            let _ = engine.try_lub(&x);
-            let _ = engine.try_lub_sigma(&x);
-        }
-        let _again = engine.freeze();
-        assert_eq!(engine.column_builds(), 6);
-    }
-
-    #[test]
     fn apply_delta_retains_unchanged_relation_columns() {
         let (schema, inst) = paper_fixture();
         let mut engine = LubEngine::new(&schema, &inst);
@@ -1056,7 +944,6 @@ mod tests {
     fn growth_matches_legacy_on_every_prefix() {
         let (schema, inst) = paper_fixture();
         let engine = LubEngine::new(&schema, &inst);
-        let view = engine.freeze();
         let orders: Vec<Vec<Value>> = vec![
             vec![s("Berlin"), s("Rome"), s("Amsterdam"), s("Tokyo")],
             vec![s("Santa Cruz"), s("New York"), s("San Francisco")],
@@ -1068,7 +955,6 @@ mod tests {
         ];
         for x in &orders {
             assert_growth_matches_legacy(&engine, &schema, &inst, x);
-            assert_growth_matches_legacy(&view, &schema, &inst, x);
             assert_growth_matches_legacy(&Recomputing(&engine), &schema, &inst, x);
         }
     }
@@ -1083,28 +969,5 @@ mod tests {
         let grown = engine.grow(&foreign, &s("Rome"));
         let x: BTreeSet<Value> = [s("Berlin"), s("Rome")].into_iter().collect();
         assert_eq!(grown.concept(), &lub_sigma(&schema, &inst, &x));
-    }
-
-    #[test]
-    fn views_are_send_sync_and_usable_across_threads() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<LubView>();
-
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        let view = engine.freeze();
-        let xs = supports();
-        let sequential: Vec<_> = xs.iter().map(|x| view.try_lub_sigma(x)).collect();
-        let threaded: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = xs
-                .iter()
-                .map(|x| {
-                    let view = &view;
-                    s.spawn(move || view.try_lub_sigma(x))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(sequential, threaded);
     }
 }

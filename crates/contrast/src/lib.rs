@@ -15,21 +15,18 @@
 //! |--------|-----------|--------------|
 //! | re-exports ([`ContrastQuestion`], [`contrast_instance`], …) | difference separators + foil-aligned MGEs via Algorithm 2's lub growth | §5.2 (Theorem 5.3, Prop 5.2) |
 //! | [`mod@reference`] | brute-force subset-lub enumeration the fast paths are differentially pinned against | Definition 3.2/3.3 applied literally over `K = adom(I) ∪ ā` (Prop 5.1) |
-//! | [`par`] | standalone parallel batch over one frozen lub column view | §5.2's restriction to `K` makes per-question work independent |
 //! | [`obda`] | contrast over ontology-level queries under certain-answer semantics | §4.2 (Definition 4.4) + the concluding OBDA future-work scenario |
 //!
-//! The session front-end — `(query, a, b)`-keyed caching, delta
-//! invalidation, batched fan-out over the session executor — lives in
-//! `whynot_core::session` (`WhyNotSession::contrast`,
-//! `::contrast_batch`, `::contrast_ontology_difference`); this crate
-//! adds everything that does *not* need a pinned session: the reference
-//! enumerations, the one-shot parallel batch, and the OBDA pipeline.
+//! The session front-end — `(query, a, b)`-keyed caching and delta
+//! invalidation — lives in `whynot_core::session`
+//! (`WhyNotSession::contrast`, `::contrast_ontology_difference`); this
+//! crate adds everything that does *not* need a pinned session: the
+//! reference enumerations and the OBDA pipeline.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod obda;
-pub mod par;
 pub mod reference;
 
 pub use whynot_core::{

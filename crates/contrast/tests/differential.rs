@@ -1,13 +1,11 @@
 //! Differential tests: the greedy contrast paths against the
 //! brute-force reference enumerations of `whynot_contrast::reference`,
-//! plus the parallel batch against the sequential one-shot.
+//! plus the session path against the one-shot.
 
 use std::collections::BTreeSet;
 use whynot_contrast::reference;
 use whynot_contrast::{contrast_instance, ContrastQuestion};
-use whynot_core::{
-    check_mge_instance, is_explanation, Executor, InstanceOntology, LubKind, WhyNotInstance,
-};
+use whynot_core::{check_mge_instance, is_explanation, InstanceOntology, LubKind, WhyNotInstance};
 use whynot_relation::{Atom, Cq, Instance, RelId, Schema, SchemaBuilder, Term, Ucq, Value, Var};
 
 fn s(x: &str) -> Value {
@@ -184,37 +182,6 @@ fn foil_mge_matches_brute_force_reference() {
                 }),
                 "greedy MGE not among the reference most-general set: {question:?}"
             );
-        }
-    }
-}
-
-#[test]
-fn parallel_batch_matches_sequential_one_shot() {
-    let (schema, inst, q, ..) = small_fixture();
-    let mut questions = contrast_pairs(&q, &inst);
-    // Salt in an invalid pair: errors must hold their slot.
-    questions.push(ContrastQuestion::new(
-        q.clone(),
-        vec![s("Ams"), s("SC")],
-        vec![s("Ams"), s("SC")],
-    ));
-    for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-        let sequential: Vec<_> = questions
-            .iter()
-            .map(|qq| contrast_instance(&schema, &inst, qq, kind))
-            .collect();
-        for threads in [1, 2, 4] {
-            let exec = Executor::with_threads(threads);
-            let batched =
-                whynot_contrast::par::contrast_batch_with(&exec, &schema, &inst, &questions, kind);
-            assert_eq!(batched.len(), sequential.len());
-            for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-                match (b, s) {
-                    (Ok(b), Ok(s)) => assert_eq!(b, s, "threads={threads}, question {i}"),
-                    (Err(b), Err(s)) => assert_eq!(b, s, "threads={threads}, question {i}"),
-                    _ => panic!("Ok/Err mismatch at threads={threads}, question {i}"),
-                }
-            }
         }
     }
 }

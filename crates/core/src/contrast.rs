@@ -45,10 +45,9 @@
 //!    (see `WhyNotSession::contrast_ontology_difference`); the free
 //!    function here is the plain reference used to pin it.
 //!
-//! The session front-end (caching keyed by `(query, a, b)`, batched
-//! fan-out) lives in [`session`](crate::session); the `whynot-contrast`
-//! crate adds the brute-force reference, the standalone parallel batch,
-//! and the OBDA variant.
+//! The session front-end (caching keyed by `(query, a, b)`) lives in
+//! [`session`](crate::session); the `whynot-contrast` crate adds the
+//! brute-force reference and the OBDA variant.
 
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
@@ -239,7 +238,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
 /// Both halves of the lub-derived contrastive answer over a residual
 /// question view (`q.ans` must already exclude the foil), a lub provider
 /// and a caller-supplied extension function — the seam the session's
-/// engine and the parallel batches' frozen views both plug into.
+/// engine and the one-shot provider both plug into.
 pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
     k_vals: &[Value],
     q: QuestionRef<'_>,
@@ -293,8 +292,7 @@ pub(crate) fn validate_contrast(
 }
 
 /// One-shot contrastive answer over a bare `(schema, instance)` pair —
-/// the reference the session and batch paths are differentially pinned
-/// against. Builds a fresh pooled [`LubEngine`] (columns interned once
+/// the reference the session path is differentially pinned against. Builds a fresh pooled [`LubEngine`] (columns interned once
 /// for the whole search) and runs both cores.
 pub fn contrast_instance(
     schema: &Schema,
@@ -307,14 +305,12 @@ pub fn contrast_instance(
     contrast_with(&engine, schema, instance, &pool, question, kind)
 }
 
-/// [`contrast_instance`] over a caller-built lub provider — a live
-/// [`LubEngine`] or a frozen [`LubView`](whynot_concepts::LubView) — and
-/// its constant pool. This is the seam the `whynot-contrast` crate's
-/// standalone parallel batch fans out over: one frozen column view, many
-/// questions, results identical to the per-question engine by lub purity
-/// (the pool only affects interning, never extensions). The pool must
-/// intern the instance's constants; the question's own constants may or
-/// may not be pooled.
+/// [`contrast_instance`] over a caller-built lub provider — a
+/// [`LubEngine`] or a wrapper around one, such as a timing shim — and its
+/// constant pool. Results are identical to [`contrast_instance`] by lub
+/// purity (the pool only affects interning, never extensions). The pool
+/// must intern the instance's constants; the question's own constants
+/// may or may not be pooled.
 pub fn contrast_with<P: LubProvider + ?Sized>(
     provider: &P,
     schema: &Schema,

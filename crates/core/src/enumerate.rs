@@ -15,20 +15,11 @@
 //!   search under permuted growth orders (seeded, deterministic) and
 //!   deduplicates by extension tuple, so every returned explanation is a
 //!   checked MGE, but completeness of the enumeration is not guaranteed.
-//!
-//! * [`enumerate_mges_instance_parallel`] — the same enumeration with
-//!   the permuted reruns fanned out across an
-//!   [`Executor`](whynot_parallel::Executor)'s workers. All reruns share
-//!   one frozen [`LubView`](whynot_concepts::LubView) (columns interned
-//!   once, read-only across threads), results land in rerun order, and
-//!   deduplication happens in that same order — so the output is
-//!   bit-for-bit the sequential enumeration's (proven by tests).
 
 use crate::whynot::{exts_form_explanation, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_parallel::Executor;
 use whynot_relation::Value;
 
 /// Algorithm 2 with round-robin growth: positions absorb constants in an
@@ -101,9 +92,9 @@ fn grow_with_order(
 /// Enumerates distinct most-general explanations w.r.t. `OI` by rerunning
 /// the growth engine under `tries` different deterministic constant
 /// orders (both balanced and position-major), deduplicating by the tuple
-/// of extensions. Every element of the result is a genuine MGE; the list
-/// is not guaranteed exhaustive (the paper leaves complete enumeration
-/// open).
+/// of extensions (first occurrence wins). Every element of the result is
+/// a genuine MGE; the list is not guaranteed exhaustive (the paper leaves
+/// complete enumeration open).
 pub fn enumerate_mges_instance(
     wn: &WhyNotInstance,
     kind: LubKind,
@@ -113,115 +104,58 @@ pub fn enumerate_mges_instance(
     // One lub engine for the whole enumeration: every rerun under a
     // permuted growth order probes the same interned column sets.
     let engine = LubEngine::with_pool(&wn.schema, &wn.instance, Arc::clone(&pool));
-    let schedule = growth_schedule(wn, tries);
-    let runs: Vec<Explanation<LsConcept>> = schedule
-        .iter()
-        .map(|g| grow_with_order(wn, kind, &engine, &g.order, &g.positions, g.balanced))
-        .collect();
-    dedup_runs(wn, &pool, runs)
-}
-
-/// [`enumerate_mges_instance`] with the permuted reruns fanned out across
-/// the executor's workers. Every rerun probes one frozen
-/// [`LubView`](whynot_concepts::LubView) — the `(rel, attr)` column sets
-/// are interned exactly once for the whole enumeration, then shared
-/// read-only — and the output is **identical** to the sequential
-/// enumeration at every thread count: reruns land by schedule index and
-/// deduplication runs in schedule order.
-pub fn enumerate_mges_instance_parallel(
-    wn: &WhyNotInstance,
-    kind: LubKind,
-    tries: usize,
-    exec: &Executor,
-) -> Vec<Explanation<LsConcept>> {
-    let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
-    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, Arc::clone(&pool));
-    // Freeze-then-fan-out: columns are interned here, once, on this
-    // thread; workers only read.
-    let view = engine.freeze();
-    let schedule = growth_schedule(wn, tries);
-    let runs = exec.par_map(&schedule, |g| {
-        grow_with_order(wn, kind, &view, &g.order, &g.positions, g.balanced)
-    });
-    dedup_runs(wn, &pool, runs)
-}
-
-/// One rerun's growth order: the domain permutation (shared — each
-/// permutation is materialized once per try, not once per entry), the
-/// position visit order, and the interleaving flag.
-struct GrowthOrder {
-    order: Arc<Vec<Value>>,
-    positions: Vec<usize>,
-    balanced: bool,
-}
-
-/// The deterministic rerun schedule shared by the sequential and parallel
-/// enumerations (same combinations, same order).
-fn growth_schedule(wn: &WhyNotInstance, tries: usize) -> Vec<GrowthOrder> {
     let base: Vec<Value> = wn.instance.active_domain().into_iter().collect();
-    let mut schedule = Vec::new();
+    let mut seen: BTreeSet<Vec<Extension>> = BTreeSet::new();
+    let mut out: Vec<Explanation<LsConcept>> = Vec::new();
     for t in 0..tries.max(1) {
-        // Deterministic rotation + stride permutation of the domain.
-        let mut order = base.clone();
-        if !order.is_empty() {
-            let n = order.len();
-            let stride = 1 + t % n.max(1);
-            let mut permuted = Vec::with_capacity(n);
-            let mut idx = t % n;
-            for _ in 0..n {
-                permuted.push(order[idx].clone());
-                idx = (idx + stride) % n;
-            }
-            // The stride walk may revisit; fall back to rotation when the
-            // stride is not coprime with n.
-            let unique: BTreeSet<&Value> = permuted.iter().collect();
-            if unique.len() == n {
-                order = permuted;
-            } else {
-                order.rotate_left(t % n);
-            }
-        }
+        let order = permuted_domain(&base, t);
         // Rotate the position-visit order too: which position gets to
-        // absorb constants first determines which maximal tuple the greedy
-        // converges to.
-        let order = Arc::new(order);
+        // absorb constants first determines which maximal tuple the
+        // greedy converges to.
         let m = wn.arity().max(1);
         for rot in 0..m {
             let positions: Vec<usize> = (0..wn.arity()).map(|j| (j + rot) % m).collect();
             for balanced in [true, false] {
-                schedule.push(GrowthOrder {
-                    order: Arc::clone(&order),
-                    positions: positions.clone(),
-                    balanced,
-                });
+                let e = grow_with_order(wn, kind, &engine, &order, &positions, balanced);
+                let key: Vec<Extension> = e
+                    .concepts
+                    .iter()
+                    .map(|c| c.extension_in(&wn.instance, &pool))
+                    .collect();
+                if seen.insert(key) {
+                    out.push(e);
+                }
             }
-        }
-    }
-    schedule
-}
-
-/// Deduplicates reruns by extension tuple **in rerun order** (first
-/// occurrence wins, exactly as the sequential loop always did), then
-/// sorts the survivors.
-fn dedup_runs(
-    wn: &WhyNotInstance,
-    pool: &Arc<whynot_relation::ConstPool>,
-    runs: Vec<Explanation<LsConcept>>,
-) -> Vec<Explanation<LsConcept>> {
-    let mut seen: BTreeSet<Vec<Extension>> = BTreeSet::new();
-    let mut out: Vec<Explanation<LsConcept>> = Vec::new();
-    for e in runs {
-        let key: Vec<Extension> = e
-            .concepts
-            .iter()
-            .map(|c| c.extension_in(&wn.instance, pool))
-            .collect();
-        if seen.insert(key) {
-            out.push(e);
         }
     }
     out.sort();
     out
+}
+
+/// The `t`-th deterministic permutation of the domain: a rotation +
+/// stride walk, falling back to a plain rotation when the stride is not
+/// coprime with the domain size.
+fn permuted_domain(base: &[Value], t: usize) -> Vec<Value> {
+    let mut order = base.to_vec();
+    if order.is_empty() {
+        return order;
+    }
+    let n = order.len();
+    let stride = 1 + t % n;
+    let mut permuted = Vec::with_capacity(n);
+    let mut idx = t % n;
+    for _ in 0..n {
+        permuted.push(order[idx].clone());
+        idx = (idx + stride) % n;
+    }
+    // The stride walk may revisit; fall back to rotation then.
+    let unique: BTreeSet<&Value> = permuted.iter().collect();
+    if unique.len() == n {
+        permuted
+    } else {
+        order.rotate_left(t % n);
+        order
+    }
 }
 
 #[cfg(test)]
@@ -307,21 +241,5 @@ mod tests {
         let wn = paper_like_wn();
         let one = enumerate_mges_instance(&wn, LubKind::SelectionFree, 1);
         assert!(!one.is_empty());
-    }
-
-    #[test]
-    fn parallel_enumeration_is_bit_for_bit_sequential() {
-        let wn = paper_like_wn();
-        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-            let sequential = enumerate_mges_instance(&wn, kind, 6);
-            for threads in [1, 2, 4, 8] {
-                let exec = Executor::with_threads(threads);
-                assert_eq!(
-                    enumerate_mges_instance_parallel(&wn, kind, 6, &exec),
-                    sequential,
-                    "{kind:?} diverged at {threads} threads"
-                );
-            }
-        }
     }
 }

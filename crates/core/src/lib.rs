@@ -38,21 +38,13 @@
 //!   [`minimize_concept`] / [`minimized_explanation`],
 //!   [`card_maximal_exact`] / [`card_maximal_greedy`], and
 //!   [`is_strong_explanation`];
-//! * the **batched service layer** — [`WhyNotSession`] pins one
+//! * the **session layer** — [`WhyNotSession`] pins one
 //!   `(ontology, instance)` pair and answers a stream of
-//!   [`WhyNotQuestion`]s, sharing the extension cache, answer sets,
-//!   candidate lists and lub results across the whole batch (see the
-//!   [`session`] module docs for the cache inventory);
-//! * **parallel search shards** over the scoped-thread [`Executor`]
-//!   (re-exported from `whynot-parallel`): [`exhaustive_search_parallel`]
-//!   fans Algorithm 1's candidate/conflict-bit construction and its
-//!   first product level out across workers,
-//!   [`enumerate_mges_instance_parallel`] runs the MGE enumeration's
-//!   permuted reruns concurrently over one frozen lub-column view, and
-//!   [`WhyNotSession::answer_batch`] /
-//!   [`WhyNotSession::incremental_batch`] answer whole question slices
-//!   concurrently — all bit-for-bit equal to their sequential
-//!   counterparts at every thread count (the `WHYNOT_THREADS` knob).
+//!   [`WhyNotQuestion`]s one at a time, sharing the extension cache,
+//!   answer sets, candidate lists and conflict bitsets across the whole
+//!   stream (see the [`session`] module docs for the cache inventory).
+//!   Every algorithm runs sequentially: each question is polynomial for
+//!   bounded arity, and none of them spawns a thread.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -78,19 +70,15 @@ pub use contrast::{
 };
 pub use session::{
     CacheBudget, DeltaStats, EvictionStats, SessionError, SessionStats, WhyNotQuestion,
-    WhyNotSession, WorkerStats,
+    WhyNotSession,
 };
-pub use whynot_parallel::{Executor, ExecutorBuilder, THREADS_ENV};
 
 pub use derived::{
     min_fragment_concepts, InstanceOntology, MaterializedOntology, ObdaOntology, SchemaOntology,
 };
-pub use enumerate::{
-    enumerate_mges_instance, enumerate_mges_instance_parallel, incremental_search_balanced,
-};
+pub use enumerate::{enumerate_mges_instance, incremental_search_balanced};
 pub use exhaustive::{
-    check_mge, exhaustive_search, exhaustive_search_parallel, explanation_exists, find_explanation,
-    retain_most_general,
+    check_mge, exhaustive_search, explanation_exists, find_explanation, retain_most_general,
 };
 pub use explicit::{ConceptName, ExplicitOntology, ExplicitOntologyBuilder};
 pub use incremental::{

@@ -1,5 +1,5 @@
-//! The batched why-not service layer: one pinned `(ontology, instance)`
-//! pair, many questions.
+//! The why-not session layer: one pinned `(ontology, instance)` pair,
+//! many questions, answered one at a time.
 //!
 //! The paper frames why-not explanation as a single `(q, I, a)` question,
 //! but a deployed explanation service fields *streams* of questions
@@ -88,7 +88,6 @@ use std::sync::Arc;
 use whynot_concepts::{
     kernels, Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider, Probe,
 };
-use whynot_parallel::Executor;
 use whynot_relation::{ConstPool, Delta, Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// One question of a batched stream: the query `q` and the missing tuple
@@ -167,8 +166,7 @@ impl From<RelError> for SessionError {
 
 /// A question validated and bound against the session's instance: the
 /// answer set is resolved (possibly from cache) and the tuple is known to
-/// be missing. `Send + Sync` (the answer set is behind an `Arc`), so a
-/// batch of bound questions can fan out across workers.
+/// be missing.
 struct BoundQuestion {
     ans: Arc<BTreeSet<Tuple>>,
     tuple: Tuple,
@@ -186,13 +184,13 @@ impl BoundQuestion {
 /// A contrastive question validated and bound: the full answer set is
 /// resolved (from cache when possible), the foil's membership verified,
 /// and the residual set `Ans \ {foil}` materialized for the foil-aligned
-/// search. `Send + Sync`, so a contrast batch can fan out.
+/// search.
 struct BoundContrast {
     /// The full answer set — the ontology-difference path indexes the
     /// foil's conflict bit against it.
     ans: Arc<BTreeSet<Tuple>>,
     /// `Ans \ {foil}`: the answers the foil-aligned MGE must avoid.
-    residual: Arc<BTreeSet<Tuple>>,
+    residual: BTreeSet<Tuple>,
     missing: Tuple,
     foil: Tuple,
 }
@@ -238,11 +236,11 @@ pub struct SessionStats {
     /// bounded by the schema's total attribute count for the session's
     /// whole lifetime, however many questions were answered.
     pub lub_column_builds: usize,
-    /// Parallel batches run ([`WhyNotSession::answer_batch`] /
-    /// [`WhyNotSession::incremental_batch`] calls).
+    /// Always 0: the session answers one question at a time and has no
+    /// batch entry point. Kept because the wire `stats` line and the wire
+    /// benchmark report it.
     pub batches: usize,
-    /// Questions that went through a parallel batch fan-out (included in
-    /// `questions` too — batches bind through the same validation path).
+    /// Always 0; see `batches`.
     pub batch_questions: usize,
     /// [`apply_delta`](WhyNotSession::apply_delta) calls accepted
     /// (including no-ops).
@@ -363,20 +361,6 @@ impl DeltaStats {
     }
 }
 
-/// Per-worker counters of the most recent parallel batch (see
-/// [`WhyNotSession::last_batch_workers`]): together with
-/// [`SessionStats`], these pin the session invariants under parallelism —
-/// however the questions spread over workers, `evaluations` stays bounded
-/// by the concept count and `lub_column_builds` by the schema's attribute
-/// count, because both happen in the sequential freeze phase.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct WorkerStats {
-    /// The worker id (in `0..threads`).
-    pub worker: usize,
-    /// Questions this worker answered in the batch.
-    pub questions: usize,
-}
-
 /// Per-cache entry budgets for a session's memo caches — the knob a
 /// long-running service (see `whynot-server`) turns to bound memory.
 ///
@@ -471,8 +455,6 @@ impl EvictionStats {
     }
 }
 
-/// A batched why-not service over one pinned `(ontology, instance)` pair.
-///
 /// An interned conflict bitset and its popcount, shared out of the
 /// session's conflict cache.
 type ConflictBits = Arc<(Vec<u64>, usize)>;
@@ -480,6 +462,8 @@ type ConflictBits = Arc<(Vec<u64>, usize)>;
 /// A cache entry carrying its LRU recency stamp.
 type Stamped<T> = (T, Cell<u64>);
 
+/// A why-not service over one pinned `(ontology, instance)` pair.
+///
 /// See the [module docs](self) for the cache inventory and an example.
 /// Methods that run Algorithm 1 / CHECK-MGE / the `>card` searches
 /// require [`FiniteOntology`]; Algorithm 2 and its MGE check (which work
@@ -494,8 +478,7 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// ontologies only), built on first use.
     finite: OnceCell<(Vec<O::Concept>, ExtensionTable)>,
     /// Candidate concept indices keyed by position constant (`Arc` so a
-    /// batch can snapshot the lists and fan them out across workers),
-    /// each entry carrying its LRU recency stamp.
+    /// hit is a pointer clone), each entry carrying its LRU recency stamp.
     candidates: RefCell<BTreeMap<Value, Stamped<Arc<Vec<usize>>>>>,
     /// Answer sets keyed by query, each entry carrying its LRU stamp.
     // lint: allow(deterministic-iteration) — probed by query; the answers
@@ -526,14 +509,9 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// built on the first lub.
     lub_engine: OnceCell<LubEngine<'a>>,
     /// `LS`-concept extensions (Algorithm 2's candidates) keyed by
-    /// concept, interned into the session pool (`Arc` for the same O(1)
-    /// batch-snapshot reason).
-    ls_exts: RefCell<Arc<BTreeMap<LsConcept, Extension>>>,
-    /// Recency stamps for [`ls_exts`](Self::ls_exts), maintained only
-    /// while that budget is finite (the extension values are snapshotted
-    /// by parallel batches, so the stamps live beside the cache rather
-    /// than inside it — the unlimited default pays nothing).
-    ls_lru: RefCell<BTreeMap<LsConcept, u64>>,
+    /// concept, interned into the session pool, each entry carrying its
+    /// LRU recency stamp.
+    ls_exts: RefCell<BTreeMap<LsConcept, Stamped<Extension>>>,
     /// Contrastive answers keyed by `(query, missing, foil, kind slot)`,
     /// each entry carrying its LRU stamp. Dropped wholesale by any
     /// effective delta (see [`DeltaStats::contrast_dropped`]): the
@@ -558,14 +536,6 @@ pub struct WhyNotSession<'a, O: Ontology> {
     deltas: Cell<usize>,
     delta_invalidated: Cell<usize>,
     delta_retained: Cell<usize>,
-    /// The executor parallel batches (and the exhaustive conflict-bit
-    /// shard) run on; `None` means each batch call builds a default one
-    /// from `WHYNOT_THREADS` / the machine parallelism.
-    executor: Option<Executor>,
-    batches: Cell<usize>,
-    batch_questions: Cell<usize>,
-    /// Per-worker counters of the most recent batch.
-    worker_stats: RefCell<Vec<WorkerStats>>,
 }
 
 fn kind_slot(kind: LubKind) -> usize {
@@ -623,8 +593,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             // lint: allow(deterministic-iteration) — as above.
             conflicts: RefCell::new(HashMap::new()),
             lub_engine: OnceCell::new(),
-            ls_exts: RefCell::new(Arc::new(BTreeMap::new())),
-            ls_lru: RefCell::new(BTreeMap::new()),
+            ls_exts: RefCell::new(BTreeMap::new()),
             // lint: allow(deterministic-iteration) — as above.
             contrast: RefCell::new(HashMap::new()),
             budget: CacheBudget::unlimited(),
@@ -634,21 +603,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             deltas: Cell::new(0),
             delta_invalidated: Cell::new(0),
             delta_retained: Cell::new(0),
-            executor: None,
-            batches: Cell::new(0),
-            batch_questions: Cell::new(0),
-            worker_stats: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Pins an executor for this session's parallel paths: every
-    /// [`answer_batch`](WhyNotSession::answer_batch) /
-    /// [`incremental_batch`](WhyNotSession::incremental_batch) call uses
-    /// it instead of building one from `WHYNOT_THREADS`, and single-
-    /// question exhaustive searches shard their conflict-bit construction
-    /// across its workers.
-    pub fn set_executor(&mut self, exec: Executor) {
-        self.executor = Some(exec);
     }
 
     /// Sets the per-cache entry budgets and trims every cache down to
@@ -658,16 +613,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// a cache without affecting answers.
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
         self.budget = budget;
-        if budget.ls_extensions == usize::MAX {
-            self.ls_lru.get_mut().clear();
-        } else {
-            // Seed recency for entries cached before the budget existed:
-            // ascending stamps in the cache's own (deterministic) order.
-            let keys: Vec<LsConcept> = self.ls_exts.get_mut().keys().cloned().collect();
-            let seeded: BTreeMap<LsConcept, u64> =
-                keys.into_iter().map(|c| (c, self.clock_tick())).collect();
-            *self.ls_lru.get_mut() = seeded;
-        }
         self.trim_to_budget();
     }
 
@@ -698,7 +643,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// Whether a bound question's answer set is still in the answers
     /// cache. The probe and conflict caches key on the answer `Arc`'s
     /// address, which is only meaningful while that `Arc` is resident —
-    /// a non-resident set (budget 0, or evicted mid-batch) could collide
+    /// a non-resident set (budget 0, or evicted) could collide
     /// with a recycled allocation, so its entries are neither read nor
     /// written. Unlimited budgets keep the append-only invariant and
     /// skip the scan.
@@ -761,6 +706,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             }
         }
         {
+            let mut cache = self.ls_exts.borrow_mut();
+            while cache.len() > budget.ls_extensions {
+                let Some(key) = lru_key_btree(&cache) else {
+                    break;
+                };
+                cache.remove(&key);
+                self.count_evicted(|e| e.ls_extensions += 1);
+            }
+        }
+        {
             let mut cache = self.probes.borrow_mut();
             while cache.len() > budget.probes {
                 let Some(key) = lru_key(&cache) else { break };
@@ -784,65 +739,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 self.count_evicted(|e| e.contrast += 1);
             }
         }
-        self.trim_ls_extensions();
-    }
-
-    /// Trims the `LS`-extension cache to its budget, LRU-first by the
-    /// side recency map (entries the map does not know count as oldest,
-    /// in the cache's own deterministic order).
-    fn trim_ls_extensions(&self) {
-        let budget = self.budget.ls_extensions;
-        let mut slot = self.ls_exts.borrow_mut();
-        let cache = Arc::make_mut(&mut *slot);
-        let mut lru = self.ls_lru.borrow_mut();
-        while cache.len() > budget {
-            let Some(key) = cache
-                .iter()
-                .min_by_key(|(c, _)| lru.get(*c).copied().unwrap_or(0))
-                .map(|(c, _)| c.clone())
-            else {
-                break;
-            };
-            cache.remove(&key);
-            lru.remove(&key);
-            self.count_evicted(|e| e.ls_extensions += 1);
-        }
-    }
-
-    /// The pinned executor, if [`set_executor`](WhyNotSession::set_executor)
-    /// was called.
-    pub fn executor(&self) -> Option<Executor> {
-        self.executor
-    }
-
-    /// The executor a batch call will actually run on.
-    fn batch_executor(&self) -> Executor {
-        self.executor.unwrap_or_default()
-    }
-
-    /// Per-worker counters of the most recent parallel batch (empty until
-    /// the first batch). Worker attribution is scheduling-dependent; the
-    /// *sum* over workers is not.
-    pub fn last_batch_workers(&self) -> Vec<WorkerStats> {
-        self.worker_stats.borrow().clone()
-    }
-
-    /// Batch accounting: one more batch, its question count, and which
-    /// worker handled each question.
-    fn record_batch(&self, workers: usize, question_workers: &[usize]) {
-        let mut stats: Vec<WorkerStats> = (0..workers)
-            .map(|worker| WorkerStats {
-                worker,
-                ..WorkerStats::default()
-            })
-            .collect();
-        for &worker in question_workers {
-            stats[worker].questions += 1;
-        }
-        self.batches.set(self.batches.get() + 1);
-        self.batch_questions
-            .set(self.batch_questions.get() + question_workers.len());
-        *self.worker_stats.borrow_mut() = stats;
     }
 
     /// The pinned ontology.
@@ -893,8 +789,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             cached_contrasts: self.contrast.borrow().len(),
             cache_evictions: self.evicted.get().total(),
             lub_column_builds: self.lub_engine.get().map_or(0, LubEngine::column_builds),
-            batches: self.batches.get(),
-            batch_questions: self.batch_questions.get(),
+            batches: 0,
+            batch_questions: 0,
             deltas: self.deltas.get(),
             delta_invalidated: self.delta_invalidated.get(),
             delta_retained: self.delta_retained.get(),
@@ -1085,9 +981,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
         // 9. LS-concept extensions: an extension reads exactly its
         // concept's relations (nominals read none).
-        let ls_cache = Arc::make_mut(self.ls_exts.get_mut());
+        let ls_cache = self.ls_exts.get_mut();
         let old_ls = std::mem::take(ls_cache);
-        for (c, ext) in old_ls {
+        for (c, (ext, stamp)) in old_ls {
             if c.rels().iter().any(|r| changed.contains(r)) {
                 stats.ls_extensions_dropped += 1;
                 continue;
@@ -1097,13 +993,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 None => ext,
                 Some(m) => ext.reinterned_via(&pool, m),
             };
-            ls_cache.insert(c, ext);
+            ls_cache.insert(c, (ext, stamp));
         }
-        // Recency stamps follow their entries (only maintained while the
-        // budget is finite).
-        self.ls_lru
-            .get_mut()
-            .retain(|c, _| ls_cache.contains_key(c));
 
         // 10. Contrastive answers: the cached separators and foil-aligned
         // MGEs are certified *maximal* against the full lub column set —
@@ -1135,9 +1026,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     }
 
     /// The answers `q(I)`, evaluated once per distinct query. Returned
-    /// behind an `Arc` (not an `Rc`): answer sets are part of the state a
-    /// parallel batch shares read-only across workers, and `Arc` keeps
-    /// the public signature thread-safe.
+    /// behind an `Arc` (not an `Rc`): a hit is a pointer clone, and the
+    /// caller may hand the set to other threads.
     pub fn answers(&self, query: &Ucq) -> Arc<BTreeSet<Tuple>> {
         if let Some((hit, stamp)) = self.answers.borrow().get(query) {
             stamp.set(self.clock_tick());
@@ -1173,26 +1063,23 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// The extension of an `LS` concept over the pinned instance,
     /// memoized and interned into the session pool.
     fn ls_extension(&self, c: &LsConcept) -> Extension {
-        let finite = self.budget.ls_extensions != usize::MAX;
-        if let Some(hit) = self.ls_exts.borrow().get(c) {
-            if finite {
-                self.ls_lru
-                    .borrow_mut()
-                    .insert(c.clone(), self.clock_tick());
-            }
+        if let Some((hit, stamp)) = self.ls_exts.borrow().get(c) {
+            stamp.set(self.clock_tick());
             return hit.clone();
         }
         let ext = c.extension_in(self.instance(), self.pool());
         if self.budget.ls_extensions == 0 {
             return ext;
         }
-        Arc::make_mut(&mut *self.ls_exts.borrow_mut()).insert(c.clone(), ext.clone());
-        if finite {
-            self.ls_lru
-                .borrow_mut()
-                .insert(c.clone(), self.clock_tick());
-            self.trim_ls_extensions();
+        let mut cache = self.ls_exts.borrow_mut();
+        while cache.len() >= self.budget.ls_extensions {
+            let Some(key) = lru_key_btree(&cache) else {
+                break;
+            };
+            cache.remove(&key);
+            self.count_evicted(|e| e.ls_extensions += 1);
         }
+        cache.insert(c.clone(), (ext.clone(), Cell::new(self.clock_tick())));
         ext
     }
 
@@ -1274,129 +1161,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         ))
     }
 
-    /// [`incremental`](WhyNotSession::incremental) over a whole question
-    /// slice, fanned out across the session executor's workers
-    /// (freeze-then-fan-out):
-    ///
-    /// 1. **Bind** (sequential): every question is validated and its
-    ///    answer set resolved through the shared query cache.
-    /// 2. **Freeze** (sequential): the pooled [`LubEngine`] is forced and
-    ///    frozen into a read-only column view — all `(rel, attr)` column
-    ///    interning happens here, at most once per session, whatever the
-    ///    thread count.
-    /// 3. **Fan out**: each worker runs Algorithm 2's growth loop against
-    ///    the frozen view with a worker-local extension memo; results
-    ///    land by question index.
-    /// 4. **Merge** (sequential): the worker-local memos fold back into
-    ///    the session's `LS`-extension cache, so later sequential
-    ///    questions still hit warm extensions.
-    ///
-    /// Per-question results — explanations *and* errors — are identical
-    /// to calling [`incremental`](WhyNotSession::incremental) on each
-    /// question in order, at every thread count (lubs and extensions are
-    /// pure in the pinned instance; memoization only changes speed).
-    pub fn incremental_batch(
-        &self,
-        questions: &[WhyNotQuestion],
-        kind: LubKind,
-    ) -> Vec<Result<Explanation<LsConcept>, SessionError>> {
-        self.incremental_batch_with(&self.batch_executor(), questions, kind)
-    }
-
-    /// [`incremental_batch`](WhyNotSession::incremental_batch) on an
-    /// explicit executor.
-    pub fn incremental_batch_with(
-        &self,
-        exec: &Executor,
-        questions: &[WhyNotQuestion],
-        kind: LubKind,
-    ) -> Vec<Result<Explanation<LsConcept>, SessionError>> {
-        // Phase 1+2 (sequential): bind, then freeze the shared state the
-        // workers read — adom, the lub column view, instance, pool, and
-        // an O(1) snapshot (`Arc` pointer clone) of the extensions warmed
-        // by earlier questions, so a warm session keeps its reuse
-        // advantage inside the batch.
-        let bound: Vec<Result<BoundQuestion, SessionError>> =
-            questions.iter().map(|q| self.bind(q)).collect();
-        if bound.iter().all(Result::is_err) {
-            // Nothing will run Algorithm 2 (empty batch, or every
-            // question failed validation): don't freeze the lub engine —
-            // the sequential path would not have interned columns either.
-            // The rejected questions are tallied on worker 0, matching a
-            // fan-out whose only work was reporting errors.
-            self.record_batch(exec.threads(), &vec![0; bound.len()]);
-            return bound
-                .into_iter()
-                .map(|b| match b {
-                    Err(e) => Err(e),
-                    // lint: allow(no-panic-in-lib) — guarded by the
-                    // `bound.iter().all(Result::is_err)` check above.
-                    Ok(_) => unreachable!("all bindings failed"),
-                })
-                .collect();
-        }
-        let adom = self.adom();
-        let view = self.lub_engine().freeze();
-        let inst = self.instance();
-        let pool = Arc::clone(self.pool());
-        let warm = Arc::clone(&self.ls_exts.borrow());
-        let slots = worker_memos(exec);
-
-        // Phase 3: pure fan-out. Only `Send + Sync` state is captured.
-        let outcomes: Vec<(usize, Result<Explanation<LsConcept>, SessionError>)> = exec
-            .par_map_with_worker(questions.len(), |worker, i| match &bound[i] {
-                Err(e) => (worker, Err(e.clone())),
-                Ok(b) => {
-                    // lint: allow(no-panic-in-lib) — a slot is poisoned only
-                    // if a sibling worker panicked, and the executor re-raises
-                    // that panic after join; this expect can never be the
-                    // first failure the caller sees.
-                    let mut local = slots[worker].lock().expect("uncontended worker slot");
-                    let e = incremental_search_core(adom, b.view(), &view, kind, &mut |c| {
-                        worker_extension(&warm, &mut local, c, inst, &pool)
-                    });
-                    (worker, Ok(e))
-                }
-            });
-
-        // Phase 4 (sequential): merge the worker memos into the session
-        // cache and tally per-worker counters. The snapshot drops first
-        // so `Arc::make_mut` mutates the live cache in place instead of
-        // copying it.
-        drop(warm);
-        self.merge_worker_extensions(slots);
-        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers);
-        outcomes.into_iter().map(|(_, result)| result).collect()
-    }
-
-    /// Folds the worker-local extension memos of a batch into the
-    /// session cache (first write wins; all values are equal by purity),
-    /// then trims it back under a finite budget, LRU-first.
-    fn merge_worker_extensions(&self, slots: Vec<WorkerMemo>) {
-        if self.budget.ls_extensions > 0 {
-            let ls_finite = self.budget.ls_extensions != usize::MAX;
-            let mut ext_slot = self.ls_exts.borrow_mut();
-            let ext_cache = Arc::make_mut(&mut *ext_slot);
-            for slot in slots {
-                // lint: allow(no-panic-in-lib) — scoped workers joined before
-                // this line; a poisoned slot implies a worker panic that the
-                // executor already propagated.
-                let exts = slot.into_inner().expect("workers joined");
-                for (k, v) in exts {
-                    if ls_finite {
-                        self.ls_lru
-                            .borrow_mut()
-                            .entry(k.clone())
-                            .or_insert_with(|| self.clock_tick());
-                    }
-                    ext_cache.entry(k).or_insert(v);
-                }
-            }
-        }
-        self.trim_to_budget();
-    }
-
     /// The contrast cache key of a question under one [`LubKind`].
     fn contrast_key(q: &ContrastQuestion, kind: LubKind) -> (Ucq, Tuple, Tuple, usize) {
         (
@@ -1412,7 +1176,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     fn bind_contrast(&self, q: &ContrastQuestion) -> Result<BoundContrast, SessionError> {
         q.query.validate(self.schema)?;
         let ans = self.answers(&q.query);
-        let residual = Arc::new(validate_contrast(&q.query, &q.missing, &q.foil, &ans)?);
+        let residual = validate_contrast(&q.query, &q.missing, &q.foil, &ans)?;
         self.questions.set(self.questions.get() + 1);
         Ok(BoundContrast {
             ans,
@@ -1468,138 +1232,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         self.store_contrast(key, &answer);
         Ok(answer)
     }
-
-    /// [`contrast`](WhyNotSession::contrast) over a whole question
-    /// slice, fanned out across the session executor's workers.
-    pub fn contrast_batch(
-        &self,
-        questions: &[ContrastQuestion],
-        kind: LubKind,
-    ) -> Vec<Result<Arc<ContrastAnswer>, SessionError>> {
-        self.contrast_batch_with(&self.batch_executor(), questions, kind)
-    }
-
-    /// [`contrast_batch`](WhyNotSession::contrast_batch) on an explicit
-    /// executor — the same freeze-then-fan-out shape as
-    /// [`incremental_batch_with`](WhyNotSession::incremental_batch_with):
-    /// bind + cache-probe sequentially, freeze the lub column view and an
-    /// O(1) snapshot of the warm extensions, fan the two contrast cores
-    /// out with worker-local extension memos, then merge the memos and
-    /// the computed answers back. Per-question results are identical to
-    /// calling [`contrast`](WhyNotSession::contrast) on each question in
-    /// order, at every thread count.
-    pub fn contrast_batch_with(
-        &self,
-        exec: &Executor,
-        questions: &[ContrastQuestion],
-        kind: LubKind,
-    ) -> Vec<Result<Arc<ContrastAnswer>, SessionError>> {
-        enum Prep {
-            /// Already resolved sequentially: a cache hit or a binding
-            /// error.
-            Done(Result<Arc<ContrastAnswer>, SessionError>),
-            /// Bound and waiting for the fan-out.
-            Run(BoundContrast),
-        }
-        // Phase 1 (sequential): probe the contrast cache, bind misses.
-        let prepared: Vec<Prep> = questions
-            .iter()
-            .map(|q| {
-                let key = Self::contrast_key(q, kind);
-                if let Some((hit, stamp)) = self.contrast.borrow().get(&key) {
-                    stamp.set(self.clock_tick());
-                    return Prep::Done(Ok(Arc::clone(hit)));
-                }
-                match self.bind_contrast(q) {
-                    Err(e) => Prep::Done(Err(e)),
-                    Ok(b) => Prep::Run(b),
-                }
-            })
-            .collect();
-        if !prepared.iter().any(|p| matches!(p, Prep::Run(_))) {
-            // Nothing to compute (hits and rejections only): don't freeze
-            // the lub engine — the sequential path would not have either.
-            self.record_batch(exec.threads(), &vec![0; prepared.len()]);
-            return prepared
-                .into_iter()
-                .map(|p| match p {
-                    Prep::Done(r) => r,
-                    // lint: allow(no-panic-in-lib) — guarded by the
-                    // `any(Prep::Run)` check above.
-                    Prep::Run(_) => unreachable!("no runnable questions"),
-                })
-                .collect();
-        }
-        // Phase 2 (sequential): freeze the shared read-only state.
-        let adom = self.adom();
-        let view = self.lub_engine().freeze();
-        let inst = self.instance();
-        let pool = Arc::clone(self.pool());
-        let warm = Arc::clone(&self.ls_exts.borrow());
-        let slots = worker_memos(exec);
-
-        // Phase 3: pure fan-out over `Send + Sync` state only.
-        let outcomes: Vec<(usize, Result<Arc<ContrastAnswer>, SessionError>)> = exec
-            .par_map_with_worker(prepared.len(), |worker, i| match &prepared[i] {
-                Prep::Done(r) => (worker, r.clone()),
-                Prep::Run(b) => {
-                    // lint: allow(no-panic-in-lib) — a slot is poisoned only
-                    // if a sibling worker panicked, and the executor re-raises
-                    // that panic after join; this expect can never be the
-                    // first failure the caller sees.
-                    let mut local = slots[worker].lock().expect("uncontended worker slot");
-                    let k_vals = restriction_values(adom.iter().cloned(), &b.missing);
-                    let answer = contrast_core(&k_vals, b.view(), &b.foil, &view, kind, &mut |c| {
-                        worker_extension(&warm, &mut local, c, inst, &pool)
-                    });
-                    (worker, Ok(Arc::new(answer)))
-                }
-            });
-
-        // Phase 4 (sequential): merge worker memos into the session
-        // cache, then the computed contrastive answers themselves, in
-        // question order.
-        drop(warm);
-        self.merge_worker_extensions(slots);
-        for (i, (p, (_, result))) in prepared.iter().zip(&outcomes).enumerate() {
-            if let (Prep::Run(_), Ok(answer)) = (p, result) {
-                let key = Self::contrast_key(&questions[i], kind);
-                if !self.contrast.borrow().contains_key(&key) {
-                    self.store_contrast(key, answer);
-                }
-            }
-        }
-        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers);
-        outcomes.into_iter().map(|(_, result)| result).collect()
-    }
-}
-
-/// A worker's batch-local `LS`-extension memo (one per worker; the mutex
-/// is uncontended — each worker only ever locks its own slot).
-type WorkerMemo = std::sync::Mutex<BTreeMap<LsConcept, Extension>>;
-
-/// One empty memo slot per executor worker.
-fn worker_memos(exec: &Executor) -> Vec<WorkerMemo> {
-    (0..exec.threads()).map(|_| WorkerMemo::default()).collect()
-}
-
-/// A batch worker's extension lookup: the session's warm snapshot first,
-/// then the worker-local memo, evaluating (and memoizing locally) on a
-/// miss.
-fn worker_extension(
-    warm: &BTreeMap<LsConcept, Extension>,
-    local: &mut BTreeMap<LsConcept, Extension>,
-    c: &LsConcept,
-    inst: &Instance,
-    pool: &Arc<ConstPool>,
-) -> Extension {
-    if let Some(hit) = warm.get(c).or_else(|| local.get(c)) {
-        return hit.clone();
-    }
-    let ext = c.extension_in(inst, pool);
-    local.insert(c.clone(), ext.clone());
-    ext
 }
 
 impl<O: FiniteOntology> WhyNotSession<'_, O> {
@@ -1717,10 +1349,10 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     /// at all — each position costs its cache lookups plus one arena
     /// word-copy per candidate. Candidates come out ordered ascending by
     /// conflict popcount, exactly like
-    /// [`exhaustive::build_candidates_with`] (whose sort key `(count,
+    /// the one-shot build in [`exhaustive`] (whose sort key `(count,
     /// list position)` this reproduces — `indices_for` lists are
     /// ascending), so session answers stay bit-for-bit equal to the
-    /// one-shot and batch paths.
+    /// one-shot path.
     fn cached_candidates_for(
         &self,
         bound: &BoundQuestion,
@@ -1732,7 +1364,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         for (i, a_i) in bound.tuple.iter().enumerate() {
             let idxs = self.indices_for(a_i);
             if idxs.is_empty() {
-                exhaustive::recycle_candidates(Some(arena), out);
+                exhaustive::recycle_candidates(arena, out);
                 return None;
             }
             let mut entries: Vec<(usize, ConflictBits)> = idxs
@@ -1767,7 +1399,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Vec<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let arena = Some(self.ctx.scratch());
+        let arena = self.ctx.scratch();
         let Some(candidates) = self.cached_candidates_for(&bound) else {
             return Ok(Vec::new());
         };
@@ -1782,7 +1414,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let arena = Some(self.ctx.scratch());
+        let arena = self.ctx.scratch();
         let Some(candidates) = self.cached_candidates_for(&bound) else {
             return Ok(None);
         };
@@ -1882,105 +1514,6 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
             out.push(crate::contrast::retain_ext_maximal(separators));
         }
         Ok(out)
-    }
-}
-
-impl<O> WhyNotSession<'_, O>
-where
-    O: FiniteOntology + Sync,
-    O::Concept: Send + Sync,
-{
-    /// Algorithm 1 over a whole question slice, fanned out across the
-    /// session executor's workers — the batched service's parallel entry
-    /// point (freeze-then-fan-out):
-    ///
-    /// 1. **Bind** (sequential): every question is validated and its
-    ///    answer set resolved through the shared query cache.
-    /// 2. **Freeze** (sequential): the concept list, the one-pass
-    ///    extension table, and every needed per-constant candidate index
-    ///    list are forced into the session caches — *all* ontology
-    ///    `ext(c, I)` evaluations happen here, so the ≤-one-eval-per-
-    ///    concept session invariant holds at every thread count.
-    /// 3. **Fan out**: one task per question; workers read the shared
-    ///    table and the `Arc`ed index lists, run the candidate
-    ///    construction, the product search, and most-general filtering.
-    ///    Results land by question index.
-    ///
-    /// Per-question results — explanations, their order, *and* errors —
-    /// are identical to calling [`exhaustive`](WhyNotSession::exhaustive)
-    /// on each question in order, at every thread count.
-    pub fn answer_batch(
-        &self,
-        questions: &[WhyNotQuestion],
-    ) -> Vec<Result<Vec<Explanation<O::Concept>>, SessionError>> {
-        self.answer_batch_with(&self.batch_executor(), questions)
-    }
-
-    /// [`answer_batch`](WhyNotSession::answer_batch) on an explicit
-    /// executor.
-    pub fn answer_batch_with(
-        &self,
-        exec: &Executor,
-        questions: &[WhyNotQuestion],
-    ) -> Vec<Result<Vec<Explanation<O::Concept>>, SessionError>> {
-        // Phase 1 (sequential): bind every question through the shared
-        // caches.
-        let bound: Vec<Result<BoundQuestion, SessionError>> =
-            questions.iter().map(|q| self.bind(q)).collect();
-        // Phase 2 (sequential): freeze the shared read-only state — the
-        // concept list + extension table (every `ext` evaluation happens
-        // here) and the per-constant candidate index lists.
-        let (all, table) = self.finite_index();
-        let lists: Vec<Option<Vec<Arc<Vec<usize>>>>> = bound
-            .iter()
-            .map(|b| match b {
-                Ok(b) => Some(b.tuple.iter().map(|a| self.indices_for(a)).collect()),
-                Err(_) => None,
-            })
-            .collect();
-        let ontology = self.ontology();
-
-        // Phase 3: pure fan-out over `Send + Sync` state only (the
-        // session itself — `RefCell`s and all — is *not* captured).
-        type Outcome<C> = (usize, Result<Vec<Explanation<C>>, SessionError>);
-        let outcomes: Vec<Outcome<O::Concept>> =
-            exec.par_map_with_worker(questions.len(), |worker, i| {
-                let result = match &bound[i] {
-                    Err(e) => Err(e.clone()),
-                    Ok(b) => {
-                        // lint: allow(no-panic-in-lib) — `lists[i]` is Some
-                        // exactly when `bound[i]` is Ok; this arm matched Ok.
-                        let lists_i = lists[i].as_ref().expect("bound questions have lists");
-                        let view = b.view();
-                        // Candidate lists come from the frozen snapshot:
-                        // positions are consumed in order, one per call.
-                        let mut position = 0usize;
-                        // Workers run in parallel and must not share the
-                        // session's single-threaded arena — they allocate
-                        // locally (`None`).
-                        let found = match exhaustive::build_candidates_with(
-                            all,
-                            table,
-                            |_| {
-                                let idxs = Arc::clone(&lists_i[position]);
-                                position += 1;
-                                idxs
-                            },
-                            view,
-                            None,
-                        ) {
-                            None => Vec::new(),
-                            Some(candidates) => exhaustive::run_exhaustive(&candidates, view, None),
-                        };
-                        Ok(exhaustive::retain_most_general(ontology, found))
-                    }
-                };
-                (worker, result)
-            });
-
-        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers);
-        outcomes.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -2249,143 +1782,6 @@ mod tests {
         let fresh =
             WhyNotInstance::new(schema.clone(), inst.clone(), ghost.query, ghost.tuple).unwrap();
         assert_eq!(e, incremental_search_kind(&fresh, LubKind::SelectionFree));
-    }
-
-    #[test]
-    fn answer_batch_matches_sequential_at_every_thread_count() {
-        let (o, schema, inst, tc) = fixture();
-        let questions = vec![
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]),
-            WhyNotQuestion::new(two_hop(tc), [s("Rome"), s("Tokyo")]),
-            WhyNotQuestion::new(one_hop(tc), [s("Amsterdam"), s("New York")]),
-            WhyNotQuestion::new(one_hop(tc), [s("Kyoto"), s("Amsterdam")]),
-            // A malformed question mid-batch: the error must land at its
-            // index without perturbing its neighbours.
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam")]),
-            WhyNotQuestion::new(two_hop(tc), [s("Gotham"), s("Berlin")]),
-        ];
-        // The sequential reference, question by question.
-        let reference = WhyNotSession::new(&o, &schema, &inst);
-        let expected: Vec<_> = questions.iter().map(|q| reference.exhaustive(q)).collect();
-        for threads in [1, 2, 4, 8] {
-            let session = WhyNotSession::new(&o, &schema, &inst);
-            let exec = Executor::with_threads(threads);
-            let got = session.answer_batch_with(&exec, &questions);
-            assert_eq!(got, expected, "batch diverged at {threads} threads");
-            // The eval-once invariant holds under parallelism: all
-            // evaluations happened in the sequential freeze phase.
-            assert_eq!(session.evaluations(), 6);
-            let stats = session.stats();
-            assert_eq!(stats.batches, 1);
-            assert_eq!(stats.batch_questions, questions.len());
-            let workers = session.last_batch_workers();
-            assert_eq!(workers.len(), threads);
-            assert_eq!(
-                workers.iter().map(|w| w.questions).sum::<usize>(),
-                questions.len()
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_batch_matches_sequential_at_every_thread_count() {
-        let (o, schema, inst, tc) = fixture();
-        let questions = vec![
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]),
-            WhyNotQuestion::new(two_hop(tc), [s("Rome"), s("Tokyo")]),
-            WhyNotQuestion::new(two_hop(tc), [s("Kyoto"), s("Amsterdam")]),
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("Rome")]), // is an answer
-            WhyNotQuestion::new(one_hop(tc), [s("Santa Cruz"), s("Berlin")]),
-        ];
-        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-            let reference = WhyNotSession::new(&o, &schema, &inst);
-            let expected: Vec<_> = questions
-                .iter()
-                .map(|q| reference.incremental(q, kind))
-                .collect();
-            for threads in [1, 2, 4] {
-                let session = WhyNotSession::new(&o, &schema, &inst);
-                let exec = Executor::with_threads(threads);
-                let got = session.incremental_batch_with(&exec, &questions, kind);
-                assert_eq!(got, expected, "{kind:?} diverged at {threads} threads");
-                // Column interning happened in the freeze phase, once per
-                // (rel, attr) — the thread count cannot inflate it.
-                let stats = session.stats();
-                assert_eq!(stats.lub_column_builds, 2);
-                // The merged worker memos leave the same caches a
-                // sequential run would have built.
-                assert_eq!(
-                    stats.cached_ls_extensions,
-                    reference.stats().cached_ls_extensions
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn error_only_batches_do_not_freeze_the_lub_engine() {
-        // An empty batch, or one where every question fails validation,
-        // must not intern any lub columns — matching the sequential
-        // path, which never reaches Algorithm 2 for such questions.
-        let (o, schema, inst, tc) = fixture();
-        let session = WhyNotSession::new(&o, &schema, &inst);
-        let exec = Executor::with_threads(2);
-        assert!(session
-            .incremental_batch_with(&exec, &[], LubKind::SelectionFree)
-            .is_empty());
-        let bad = vec![
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam")]), // arity
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("Rome")]), // is answer
-        ];
-        let results = session.incremental_batch_with(&exec, &bad, LubKind::SelectionFree);
-        assert!(results.iter().all(Result::is_err));
-        assert_eq!(session.stats().lub_column_builds, 0);
-        assert_eq!(session.stats().batches, 2);
-        // One real question then interns columns as usual.
-        let good = WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]);
-        let mixed = session.incremental_batch_with(&exec, &[good], LubKind::SelectionFree);
-        assert!(mixed[0].is_ok());
-        assert_eq!(session.stats().lub_column_builds, 2);
-    }
-
-    #[test]
-    fn repeat_incremental_batches_hit_the_warm_caches() {
-        // The second identical batch is served from the extensions the
-        // first batch merged back: same answers, no new cache entries.
-        let (o, schema, inst, tc) = fixture();
-        let session = WhyNotSession::new(&o, &schema, &inst);
-        let questions = vec![
-            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]),
-            WhyNotQuestion::new(two_hop(tc), [s("Rome"), s("Tokyo")]),
-        ];
-        let exec = Executor::with_threads(2);
-        let first = session.incremental_batch_with(&exec, &questions, LubKind::SelectionFree);
-        let warmed = session.stats().cached_ls_extensions;
-        assert!(warmed > 0);
-        let again = session.incremental_batch_with(&exec, &questions, LubKind::SelectionFree);
-        assert_eq!(first, again);
-        assert_eq!(session.stats().cached_ls_extensions, warmed);
-    }
-
-    #[test]
-    fn batches_and_sequential_questions_interleave() {
-        // A batch must leave the session fully usable — and warmed — for
-        // later sequential questions, and vice versa.
-        let (o, schema, inst, tc) = fixture();
-        let mut session = WhyNotSession::new(&o, &schema, &inst);
-        session.set_executor(Executor::with_threads(2));
-        assert_eq!(session.executor(), Some(Executor::with_threads(2)));
-        let q1 = WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]);
-        let q2 = WhyNotQuestion::new(two_hop(tc), [s("Rome"), s("Tokyo")]);
-        let solo = session.exhaustive(&q1).unwrap();
-        let batch = session.answer_batch(&[q1.clone(), q2.clone()]);
-        assert_eq!(batch[0].as_ref().unwrap(), &solo);
-        let after = session.exhaustive(&q2).unwrap();
-        assert_eq!(batch[1].as_ref().unwrap(), &after);
-        // Still one distinct query, still ≤ 1 eval per concept.
-        assert_eq!(session.evaluations(), 6);
-        assert_eq!(session.stats().cached_queries, 1);
-        assert_eq!(session.stats().batches, 1);
     }
 
     /// A minimal finite ontology with honest per-relation signatures:
@@ -2844,65 +2240,6 @@ mod tests {
             session.contrast(&bad, LubKind::SelectionFree),
             Err(SessionError::FoilNotAnswer(_))
         ));
-    }
-
-    /// A contrast batch is bit-identical to asking sequentially, at
-    /// every thread count, with errors held in place.
-    #[test]
-    fn contrast_batch_matches_sequential() {
-        let (o, schema, inst, tc) = fixture();
-        let questions = [
-            contrast_pair(tc),
-            // An invalid entry: the foil is not an answer.
-            ContrastQuestion::new(
-                two_hop(tc),
-                [s("Amsterdam"), s("New York")],
-                [s("Tokyo"), s("Berlin")],
-            ),
-            ContrastQuestion::new(
-                two_hop(tc),
-                [s("Tokyo"), s("Santa Cruz")],
-                [s("New York"), s("Santa Cruz")],
-            ),
-            // A duplicate of the first: resolved from cache mid-batch
-            // on the sequential path, deduplicated afterwards here.
-            contrast_pair(tc),
-        ];
-        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-            let sequential = WhyNotSession::new(&o, &schema, &inst);
-            let expected: Vec<_> = questions
-                .iter()
-                .map(|q| sequential.contrast(q, kind))
-                .collect();
-            for threads in [1, 4] {
-                let session = WhyNotSession::new(&o, &schema, &inst);
-                let exec = Executor::with_threads(threads);
-                let got = session.contrast_batch_with(&exec, &questions, kind);
-                assert_eq!(got.len(), expected.len());
-                for (g, e) in got.iter().zip(&expected) {
-                    match (g, e) {
-                        (Ok(g), Ok(e)) => assert_eq!(**g, **e, "threads={threads}"),
-                        (Err(g), Err(e)) => assert_eq!(g, e),
-                        _ => panic!("Ok/Err mismatch at threads={threads}"),
-                    }
-                }
-                // Two distinct cacheable questions: the error entry is
-                // never stored and the duplicate collapses onto its key.
-                assert_eq!(session.stats().cached_contrasts, 2, "dedup on store");
-                // A rerun of the same batch is all cache hits: values
-                // unchanged, and the duplicate now shares the single
-                // stored entry.
-                let again = session.contrast_batch_with(&exec, &questions, kind);
-                for (g, a) in got.iter().zip(&again) {
-                    if let (Ok(g), Ok(a)) = (g, a) {
-                        assert_eq!(**g, **a, "rerun should agree");
-                    }
-                }
-                if let (Ok(first), Ok(last)) = (&again[0], &again[3]) {
-                    assert!(Arc::ptr_eq(first, last), "warm duplicate shares the Arc");
-                }
-            }
-        }
     }
 
     /// The bitset-backed session ontology difference ≡ the free

@@ -220,94 +220,6 @@ fn session_batch_evaluates_each_concept_at_most_once_total() {
     assert_eq!(session.stats().cached_queries, 1);
 }
 
-/// A `Sync` counting ontology (atomic-free: one `Mutex`ed map) for the
-/// parallel batch paths, which require `O: Sync`.
-struct SyncCountingOntology {
-    inner: ExplicitOntology,
-    calls: std::sync::Mutex<BTreeMap<ConceptName, usize>>,
-}
-
-impl SyncCountingOntology {
-    fn new(inner: ExplicitOntology) -> Self {
-        SyncCountingOntology {
-            inner,
-            calls: std::sync::Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn max_calls(&self) -> usize {
-        self.calls
-            .lock()
-            .unwrap()
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn total_calls(&self) -> usize {
-        self.calls.lock().unwrap().values().sum()
-    }
-}
-
-impl Ontology for SyncCountingOntology {
-    type Concept = ConceptName;
-
-    fn subsumed(&self, sub: &ConceptName, sup: &ConceptName) -> bool {
-        self.inner.subsumed(sub, sup)
-    }
-
-    fn extension(&self, c: &ConceptName, inst: &Instance) -> Extension {
-        *self.calls.lock().unwrap().entry(c.clone()).or_insert(0) += 1;
-        self.inner.extension(c, inst)
-    }
-
-    fn concept_name(&self, c: &ConceptName) -> String {
-        self.inner.concept_name(c)
-    }
-}
-
-impl FiniteOntology for SyncCountingOntology {
-    fn concepts(&self) -> Vec<ConceptName> {
-        self.inner.concepts()
-    }
-}
-
-#[test]
-fn parallel_batch_evaluates_each_concept_at_most_once_total() {
-    // The eval-once contract survives the parallel fan-out at every
-    // thread count: all `ext` evaluations happen in `answer_batch`'s
-    // sequential freeze phase, so workers never evaluate anything.
-    let (counting, wn) = fixture();
-    let o = SyncCountingOntology::new(counting.inner);
-    let schema = wn.schema.clone();
-    let inst = wn.instance.clone();
-    let questions: Vec<WhyNotQuestion> = [
-        vec![s("Amsterdam"), s("New York")],
-        vec![s("Rome"), s("Tokyo")],
-        vec![s("Kyoto"), s("Amsterdam")],
-        vec![s("Santa Cruz"), s("Berlin")],
-        vec![s("Tokyo"), s("Santa Cruz")],
-    ]
-    .into_iter()
-    .map(|t| WhyNotQuestion::new(wn.query.clone(), t))
-    .collect();
-    for threads in [1, 2, 4] {
-        let session = WhyNotSession::new(&o, &schema, &inst);
-        let exec = whynot_core::Executor::with_threads(threads);
-        let results = session.answer_batch_with(&exec, &questions);
-        assert!(results.iter().all(|r| r.is_ok()));
-        // Another batch on the same session re-evaluates nothing.
-        let again = session.answer_batch_with(&exec, &questions);
-        assert_eq!(results, again);
-        assert_eq!(session.evaluations(), o.concepts().len());
-        assert_eq!(session.stats().batches, 2);
-    }
-    // Three sessions ran: 3 × one-eval-per-concept, never more.
-    assert_eq!(o.max_calls(), 3, "a worker evaluated a concept");
-    assert_eq!(o.total_calls(), 3 * o.concepts().len());
-}
-
 #[test]
 fn eval_context_reports_its_evaluation_count() {
     let (o, wn) = fixture();

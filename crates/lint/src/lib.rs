@@ -2,8 +2,8 @@
 //! whynot engine's cross-crate invariants.
 //!
 //! Seven PRs of engine work left correctness resting on conventions no
-//! compiler checks: `Arc`-only sharing, scoped threads confined to
-//! `whynot-parallel`, pooled column accessors instead of owned rebuilds,
+//! compiler checks: `Arc`-only sharing, no threads in library code,
+//! pooled column accessors instead of owned rebuilds,
 //! deterministic iteration wherever results are produced, `SessionError`
 //! instead of panics at the session boundary, and written safety
 //! arguments on every `unsafe` block. This crate turns each convention

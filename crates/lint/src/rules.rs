@@ -19,14 +19,13 @@ const PANIC_FREE_CRATES: [&str; 6] = [
 /// The crates that produce user-visible results (answer sets,
 /// explanations, MGEs, wire responses) and therefore must iterate
 /// deterministically.
-const DETERMINISTIC_CRATES: [&str; 9] = [
+const DETERMINISTIC_CRATES: [&str; 8] = [
     "relation",
     "concepts",
     "core",
     "dllite",
     "subsumption",
     "scenarios",
-    "parallel",
     "contrast",
     "server",
 ];
@@ -34,11 +33,8 @@ const DETERMINISTIC_CRATES: [&str; 9] = [
 /// Every `WHYNOT_*` environment variable the workspace is allowed to
 /// read. Adding a knob means adding it here **and** documenting it in
 /// the README — the `env-var-registry` rule cross-checks both.
-pub const ENV_REGISTRY: [&str; 8] = [
-    "WHYNOT_THREADS",
+pub const ENV_REGISTRY: [&str; 5] = [
     "WHYNOT_SPARSE_THRESHOLD",
-    "WHYNOT_CONTRAST_PAR_THRESHOLD",
-    "WHYNOT_SERVER_THREADS",
     "WHYNOT_SERVER_QUEUE_DEPTH",
     "WHYNOT_SERVER_CACHE_BUDGET",
     "WHYNOT_SERVER_SNAPSHOT_DIR",
@@ -156,9 +152,10 @@ impl Rule for NoRc {
     }
 }
 
-/// `thread-containment`: raw `std::thread` belongs to `whynot-parallel`
-/// only; everything else goes through its `Executor` so thread counts,
-/// panic propagation, and result ordering stay centralized.
+/// `thread-containment`: no library or binary code spawns threads or
+/// queries the thread count. Every algorithm answers one question on the
+/// calling thread; only tests, benches and examples may touch
+/// `std::thread`.
 pub struct ThreadContainment;
 
 impl Rule for ThreadContainment {
@@ -166,12 +163,9 @@ impl Rule for ThreadContainment {
         "thread-containment"
     }
     fn describe(&self) -> &'static str {
-        "`std::thread` only inside `crates/parallel`; elsewhere use the `Executor`"
+        "no `std::thread` outside tests, benches and examples"
     }
     fn check(&self, file: &FileCtx, out: &mut Vec<Diagnostic>) {
-        if file.crate_name.as_deref() == Some("parallel") {
-            return;
-        }
         each_code_token(file, |prev2, prev, tok, _| {
             if is_ident(file, tok, "thread")
                 && is_punct(file, prev, ":")
@@ -180,9 +174,9 @@ impl Rule for ThreadContainment {
             {
                 out.push(Diagnostic::at(
                     self.id(),
-                    "`std::thread` outside `crates/parallel` — route work through \
-                     `whynot_parallel::Executor` so thread counts, panic propagation, \
-                     and deterministic result order stay in one place"
+                    "`std::thread` in non-test code — every answer path is sequential \
+                     (one question is polynomial for bounded arity), so results stay \
+                     deterministic and no thread count needs tuning"
                         .to_string(),
                     &file.rel_path,
                     &file.src,

@@ -2,7 +2,7 @@
 
 // std::thread::spawn in a comment is fine.
 
-/// Library code that delegates to the executor abstraction instead.
+/// Library code that runs on the calling thread.
 pub fn contained() {}
 
 #[cfg(test)]

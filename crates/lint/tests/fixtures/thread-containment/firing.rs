@@ -1,7 +1,7 @@
-//! Fixture: raw `std::thread` outside `crates/parallel` — fires
+//! Fixture: raw `std::thread` in library code — fires
 //! `thread-containment`.
 
-/// Spawns without going through the `Executor`.
+/// Spawns a thread from library code.
 pub fn rogue() {
     std::thread::spawn(|| {}).join().ok();
 }

@@ -51,9 +51,11 @@ fn thread_containment() {
 }
 
 #[test]
-fn thread_allowed_inside_parallel_crate() {
-    // The same spawning code is legal where the Executor lives.
-    assert_clean(
+fn thread_fires_under_the_former_parallel_crate_path() {
+    // No crate is exempt: the path that used to host the executor gets
+    // the same finding as any other library file.
+    assert_fires(
+        "thread-containment",
         "crates/parallel/src/fixture.rs",
         include_str!("fixtures/thread-containment/firing.rs"),
     );

@@ -8,8 +8,8 @@ use whynot_core::CacheBudget;
 /// Resolved server configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads for the shared `whynot-parallel` executor
-    /// (`WHYNOT_SERVER_THREADS`; default: the executor's own default).
+    /// Ignored: the server answers every request on the calling thread.
+    /// Kept because the wire benchmark constructs it.
     pub threads: Option<usize>,
     /// Per-tenant bounded queue depth; an `enqueue` past this is
     /// rejected with kind `queue-full`
@@ -28,10 +28,6 @@ pub struct ServerConfig {
     /// `create`/`load` past it is rejected with kind `tenant-capacity`
     /// (`WHYNOT_SERVER_MAX_TENANTS`; default 64).
     pub max_tenants: usize,
-    /// Requests a tenant may run per fair-share scheduling round
-    /// (fixed at 2: small enough that no tenant monopolizes a round,
-    /// large enough to batch).
-    pub fair_share: usize,
 }
 
 impl Default for ServerConfig {
@@ -42,7 +38,6 @@ impl Default for ServerConfig {
             cache_budget: usize::MAX,
             snapshot_dir: None,
             max_tenants: 64,
-            fair_share: 2,
         }
     }
 }
@@ -52,9 +47,6 @@ impl ServerConfig {
     /// keep their defaults).
     pub fn from_env() -> Self {
         let mut cfg = ServerConfig::default();
-        if let Some(n) = read_usize("WHYNOT_SERVER_THREADS") {
-            cfg.threads = Some(n.max(1));
-        }
         if let Some(n) = read_usize("WHYNOT_SERVER_QUEUE_DEPTH") {
             cfg.queue_depth = n.max(1);
         }

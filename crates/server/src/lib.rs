@@ -12,8 +12,7 @@
 //! * [`server::ServerCore`] — transport-agnostic dispatch, the
 //!   per-tenant bounded queues, admission control (reject-with-reason
 //!   on full queues and tenant capacity), and the fair-share scheduler
-//!   that batches drained questions through the `whynot-parallel`
-//!   executor;
+//!   that drains the queues round by round;
 //! * [`definition`] — the tenant definition grammar
 //!   (`relation`/`data`/`fd`/`ind` lines plus `concept`/`axiom`
 //!   ontology lines);

@@ -8,21 +8,19 @@
 //!
 //! Configuration comes from the `WHYNOT_SERVER_*` environment knobs
 //! (see the README's environment table), each overridable by a flag:
-//! `--threads N`, `--queue-depth N`, `--cache-budget N`,
-//! `--snapshot-dir DIR`, `--max-tenants N`.
+//! `--queue-depth N`, `--cache-budget N`, `--snapshot-dir DIR`,
+//! `--max-tenants N`.
 //!
-//! TCP clients are served sequentially by one accept loop — the
-//! workspace confines `std::thread` to `crates/parallel`, and the
-//! parallelism that matters (question batches) already fans out
-//! through the executor inside the core. One client at a time also
+//! TCP clients are served sequentially by one accept loop on the main
+//! thread — no library code spawns threads, and one client at a time
 //! keeps tenant state single-writer by construction.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 use whynot_server::{ServerConfig, ServerCore};
 
-const USAGE: &str = "usage: whynot-server [--listen ADDR] [--threads N] [--queue-depth N] \
-[--cache-budget N] [--snapshot-dir DIR] [--max-tenants N]";
+const USAGE: &str = "usage: whynot-server [--listen ADDR] [--queue-depth N] [--cache-budget N] \
+[--snapshot-dir DIR] [--max-tenants N]";
 
 struct Args {
     listen: Option<String>,
@@ -37,9 +35,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value\n{USAGE}"));
         match arg.as_str() {
             "--listen" => listen = Some(value("--listen")?),
-            "--threads" => {
-                config.threads = Some(parse_num(&value("--threads")?, "--threads")?.max(1))
-            }
             "--queue-depth" => {
                 config.queue_depth = parse_num(&value("--queue-depth")?, "--queue-depth")?.max(1)
             }

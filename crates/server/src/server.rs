@@ -1,6 +1,5 @@
 //! The server core: tenant table, command dispatch, bounded queues
-//! with admission control, and the fair-share scheduler feeding the
-//! `whynot-parallel` executor.
+//! with admission control, and the fair-share scheduler.
 //!
 //! [`ServerCore`] is transport-agnostic: [`ServerCore::handle_line`]
 //! takes one protocol line and returns the response lines (each a
@@ -22,13 +21,11 @@
 //! **Scheduling.** `enqueue` parks a validated question in the
 //! tenant's bounded queue (a full queue rejects with kind
 //! `queue-full`, counted per tenant). `run` drains every queue in
-//! fair-share rounds: tenants in name order, at most
-//! `ServerConfig::fair_share` requests per tenant per round, so a
-//! tenant with a deep backlog cannot starve the others. Within one
-//! tenant's share, questions of the same algorithm are answered as one
-//! batch through the session's executor-parallel batch entry points —
-//! results are bit-identical to sequential answering at every thread
-//! count, which is what keeps the smoke-test transcript golden.
+//! fair-share rounds: tenants in name order, at most `FAIR_SHARE` (2)
+//! requests per tenant per round, so a tenant with a deep backlog
+//! cannot starve the others. Within one tenant's share, tickets are
+//! answered one at a time in drain order through the same path as
+//! `ask`, so a drained result is byte-identical to a direct `ask`.
 //!
 //! **Contrast.** The `contrast`/`contrast-sigma` algorithms answer
 //! "why is `ā` missing while `b̄` answers?" and take a fourth
@@ -45,8 +42,8 @@ use crate::tenant::{intern_definition, TenantCore};
 use std::collections::{BTreeMap, VecDeque};
 use whynot_concepts::{parse_value, LsConcept};
 use whynot_core::{
-    ContrastAnswer, ContrastQuestion, Executor, Explanation, LubKind, Ontology, SessionStats,
-    WhyNotQuestion, WhyNotSession,
+    ContrastAnswer, ContrastQuestion, Explanation, LubKind, Ontology, SessionStats, WhyNotQuestion,
+    WhyNotSession,
 };
 use whynot_relation::json::{Json, JsonObj};
 use whynot_relation::wire::delta_from_json;
@@ -116,6 +113,10 @@ impl Algo {
     }
 }
 
+/// Requests a tenant may run per fair-share scheduling round: small
+/// enough that no tenant monopolizes a round.
+const FAIR_SHARE: usize = 2;
+
 /// A queued, already-validated request.
 struct Ticket {
     id: u64,
@@ -141,7 +142,6 @@ struct Tenant {
 /// The transport-agnostic server.
 pub struct ServerCore {
     config: ServerConfig,
-    exec: Executor,
     tenants: BTreeMap<String, Tenant>,
     durability: Option<Durability>,
     next_ticket: u64,
@@ -152,14 +152,9 @@ pub struct ServerCore {
 impl ServerCore {
     /// A server over the given configuration.
     pub fn new(config: ServerConfig) -> Self {
-        let exec = match config.threads {
-            Some(n) => Executor::with_threads(n),
-            None => Executor::new(),
-        };
         let durability = config.snapshot_dir.as_ref().map(Durability::new);
         ServerCore {
             config,
-            exec,
             tenants: BTreeMap::new(),
             durability,
             next_ticket: 0,
@@ -254,7 +249,6 @@ impl ServerCore {
         let (core, instance) = intern_definition(definition)?;
         let facts = instance.len();
         let mut session = WhyNotSession::new(core.ontology, core.schema, &instance);
-        session.set_executor(self.exec);
         session.set_cache_budget(self.config.session_budget());
         let snapshotted = match &self.durability {
             Some(d) => {
@@ -391,7 +385,6 @@ impl ServerCore {
     /// emitting one response line per ticket plus a summary line.
     fn run_queues(&mut self) -> Vec<String> {
         let mut out = Vec::new();
-        let share = self.config.fair_share.max(1);
         let names: Vec<String> = self.tenants.keys().cloned().collect();
         let mut completed = 0usize;
         let mut rounds = 0usize;
@@ -401,14 +394,14 @@ impl ServerCore {
                 let Some(tenant) = self.tenants.get_mut(name) else {
                     continue;
                 };
-                let take = share.min(tenant.queue.len());
+                let take = FAIR_SHARE.min(tenant.queue.len());
                 if take == 0 {
                     continue;
                 }
                 progressed = true;
                 let batch: Vec<Ticket> = tenant.queue.drain(..take).collect();
                 completed += batch.len();
-                for line in run_tenant_batch(name, tenant, &self.exec, batch) {
+                for line in run_tenant_batch(name, tenant, batch) {
                     out.push(line);
                 }
             }
@@ -552,7 +545,6 @@ impl ServerCore {
         // after restart shares any core the process already leaked.
         let (core, _) = intern_definition(&loaded.definition.stripped)?;
         let mut session = WhyNotSession::new(core.ontology, core.schema, &loaded.instance);
-        session.set_executor(self.exec);
         session.set_cache_budget(self.config.session_budget());
         // Replay through apply_delta: the restarted session takes the
         // same selective-invalidation path a live one did.
@@ -764,109 +756,18 @@ fn answer(
     })
 }
 
-/// Answers one tenant's drained batch, grouping same-algorithm runs
-/// through the parallel batch entry points, and emits one response
-/// line per ticket in drain order.
-fn run_tenant_batch(
-    name: &str,
-    tenant: &mut Tenant,
-    exec: &Executor,
-    batch: Vec<Ticket>,
-) -> Vec<String> {
-    let mut results: Vec<Option<Result<Payload, ServerError>>> =
-        (0..batch.len()).map(|_| None).collect();
-
-    // Group by algorithm; batched algorithms fan out on the executor.
-    for algo in [
-        Algo::Exhaustive,
-        Algo::Find,
-        Algo::Incremental,
-        Algo::IncrementalSigma,
-        Algo::CardGreedy,
-        Algo::CardExact,
-        Algo::Contrast,
-        Algo::ContrastSigma,
-    ] {
-        let idxs: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.algo == algo)
-            .map(|(i, _)| i)
-            .collect();
-        if idxs.is_empty() {
-            continue;
-        }
-        let questions: Vec<WhyNotQuestion> =
-            idxs.iter().map(|&i| batch[i].question.clone()).collect();
-        match algo {
-            Algo::Exhaustive if idxs.len() > 1 => {
-                let ontology = tenant.session.ontology();
-                for (slot, res) in idxs
-                    .iter()
-                    .zip(tenant.session.answer_batch_with(exec, &questions))
-                {
-                    results[*slot] = Some(res.map_err(ServerError::from).map(|es| {
-                        Payload::All(
-                            es.iter()
-                                .map(|e| explanation_to_json(ontology, e))
-                                .collect(),
-                        )
-                    }));
-                }
-            }
-            Algo::Incremental | Algo::IncrementalSigma if idxs.len() > 1 => {
-                let kind = if algo == Algo::Incremental {
-                    LubKind::SelectionFree
-                } else {
-                    LubKind::WithSelections
-                };
-                let schema = tenant.session.schema();
-                for (slot, res) in idxs.iter().zip(
-                    tenant
-                        .session
-                        .incremental_batch_with(exec, &questions, kind),
-                ) {
-                    results[*slot] = Some(
-                        res.map_err(ServerError::from)
-                            .map(|e| Payload::One(Some(ls_explanation_to_json(schema, &e)))),
-                    );
-                }
-            }
-            Algo::Contrast | Algo::ContrastSigma if idxs.len() > 1 => {
-                let kind = if algo == Algo::Contrast {
-                    LubKind::SelectionFree
-                } else {
-                    LubKind::WithSelections
-                };
-                let cqs: Vec<ContrastQuestion> = idxs
-                    .iter()
-                    .map(|&i| contrast_question(&batch[i].question, batch[i].foil.as_ref()))
-                    .collect();
-                let answers = tenant.session.contrast_batch_with(exec, &cqs, kind);
-                for ((slot, cq), res) in idxs.iter().zip(&cqs).zip(answers) {
-                    results[*slot] = Some(
-                        res.map_err(ServerError::from)
-                            .and_then(|a| contrast_payload(&tenant.session, cq, &a)),
-                    );
-                }
-            }
-            _ => {
-                for &i in &idxs {
-                    results[i] = Some(answer(
-                        &tenant.session,
-                        algo,
-                        &batch[i].question,
-                        batch[i].foil.as_ref(),
-                    ));
-                }
-            }
-        }
-    }
-
+/// Answers one tenant's drained share, ticket by ticket in drain order
+/// through [`answer`], and emits one response line per ticket.
+fn run_tenant_batch(name: &str, tenant: &Tenant, batch: Vec<Ticket>) -> Vec<String> {
     batch
         .iter()
-        .zip(results)
-        .map(|(ticket, result)| {
+        .map(|ticket| {
+            let result = answer(
+                &tenant.session,
+                ticket.algo,
+                &ticket.question,
+                ticket.foil.as_ref(),
+            );
             let base = || {
                 ok("result")
                     .field("ticket", ticket.id)
@@ -874,8 +775,8 @@ fn run_tenant_batch(
                     .field("algo", ticket.algo.wire_name())
             };
             match result {
-                Some(Ok(payload)) => payload.attach(base()).build().to_string(),
-                Some(Err(e)) => JsonObj::new()
+                Ok(payload) => payload.attach(base()).build().to_string(),
+                Err(e) => JsonObj::new()
                     .field("ok", false)
                     .field("command", "result")
                     .field("ticket", ticket.id)
@@ -885,12 +786,6 @@ fn run_tenant_batch(
                     .field("error", e.to_string())
                     .build()
                     .to_string(),
-                // Unreachable by construction (every index is filled by
-                // its algorithm's group above); answer defensively.
-                None => respond(
-                    Err(ServerError::Protocol("request was not scheduled".into())),
-                    "result",
-                ),
             }
         })
         .collect()
@@ -1020,39 +915,53 @@ mod tests {
         assert_eq!(summary.get("rounds"), Some(&Json::Int(2)));
     }
 
+    /// The payload fields of a response line — everything but the
+    /// command/ticket envelope.
+    fn payload(line: &str) -> Vec<(&'static str, Json)> {
+        let doc = Json::parse(line).unwrap();
+        [
+            "explanations",
+            "explanation",
+            "difference",
+            "foil_mge",
+            "ontology_difference",
+        ]
+        .into_iter()
+        .filter_map(|key| doc.get(key).map(|v| (key, v.clone())))
+        .collect()
+    }
+
     #[test]
     fn batched_run_matches_direct_ask() {
         let mut direct = boot();
         let mut queued = boot();
+        // Pairs of same-algorithm tickets, so each fair-share round
+        // drains two questions of one algorithm — the contrast pair
+        // included.
         let questions = [
             ("exhaustive", "Kyoto"),
             ("exhaustive", "Paris"),
             ("incremental", "Kyoto"),
             ("incremental", "Paris"),
+            ("contrast", "Kyoto | Amsterdam"),
+            ("contrast", "Paris | Amsterdam"),
         ];
         let mut direct_payloads = Vec::new();
-        for (algo, missing) in questions {
-            let out =
-                direct.handle_line(&format!("ask t1 {algo} | q(X) <- City(X, R) | {missing}"));
-            let doc = Json::parse(&out[0]).unwrap();
-            direct_payloads.push(
-                doc.get("explanations")
-                    .or(doc.get("explanation"))
-                    .unwrap()
-                    .clone(),
-            );
+        for (algo, args) in questions {
+            let out = direct.handle_line(&format!("ask t1 {algo} | q(X) <- City(X, R) | {args}"));
+            direct_payloads.push(payload(&out[0]));
         }
-        for (algo, missing) in questions {
-            queued.handle_line(&format!(
-                "enqueue t1 {algo} | q(X) <- City(X, R) | {missing}"
-            ));
+        for (algo, args) in questions {
+            queued.handle_line(&format!("enqueue t1 {algo} | q(X) <- City(X, R) | {args}"));
         }
         let out = queued.handle_line("run");
+        assert_eq!(out.len(), questions.len() + 1, "{out:?}");
         for (line, expected) in out.iter().zip(&direct_payloads) {
-            let doc = Json::parse(line).unwrap();
-            let got = doc.get("explanations").or(doc.get("explanation")).unwrap();
-            assert_eq!(got, expected);
+            assert!(!expected.is_empty(), "{line}");
+            assert_eq!(&payload(line), expected, "{line}");
         }
+        let summary = Json::parse(&out[questions.len()]).unwrap();
+        assert_eq!(summary.get("rounds"), Some(&Json::Int(3)));
     }
 
     #[test]
@@ -1104,44 +1013,6 @@ mod tests {
         // A missing foil segment is a protocol error.
         let out = server.handle_line("ask t1 contrast | q(X) <- City(X, R) | Kyoto");
         assert!(out[0].contains("\"kind\":\"protocol\""), "{}", out[0]);
-    }
-
-    #[test]
-    fn contrast_batches_are_bit_identical_at_every_thread_count() {
-        let script = [
-            "enqueue t1 contrast | q(X) <- City(X, R) | Kyoto | Amsterdam",
-            "enqueue t1 contrast | q(X) <- City(X, R) | Osaka | Amsterdam",
-            "enqueue t1 contrast-sigma | q(X) <- City(X, R) | Kyoto | Amsterdam",
-            "enqueue t1 contrast | q(X) <- City(X, R) | Kyoto | Paris",
-            "run",
-            "stats t1",
-        ];
-        let mut transcripts = Vec::new();
-        for threads in [1, 2, 4] {
-            let mut server = ServerCore::new(ServerConfig {
-                threads: Some(threads),
-                ..ServerConfig::default()
-            });
-            for line in DEF {
-                server.handle_line(line);
-            }
-            let mut out = Vec::new();
-            for line in script {
-                out.extend(server.handle_line(line));
-            }
-            transcripts.push(out.join("\n"));
-        }
-        assert_eq!(transcripts[0], transcripts[1], "threads 1 vs 2");
-        assert_eq!(transcripts[0], transcripts[2], "threads 1 vs 4");
-        // The batch drain answered the same payloads a direct ask does.
-        let mut direct = boot();
-        let ask = direct.handle_line("ask t1 contrast | q(X) <- City(X, R) | Kyoto | Amsterdam");
-        let ask_doc = Json::parse(&ask[0]).unwrap();
-        // Four enqueue acknowledgements precede the drained results.
-        let first_result = Json::parse(transcripts[0].lines().nth(4).unwrap()).unwrap();
-        for field in ["difference", "foil_mge", "ontology_difference"] {
-            assert_eq!(first_result.get(field), ask_doc.get(field), "{field}");
-        }
     }
 
     #[test]

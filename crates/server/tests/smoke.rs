@@ -4,10 +4,6 @@
 //! pair of files backs the CI smoke gate, so a protocol change that
 //! alters the wire output fails here first — regenerate the golden
 //! deliberately, never by accident.
-//!
-//! Batch answers are bit-identical at every thread count (the
-//! executor contract), so the transcript is stable even though the
-//! test pins `WHYNOT_SERVER_THREADS=2` for good measure.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -18,7 +14,6 @@ fn scripted_session_matches_golden_transcript() {
     let golden = include_str!("data/smoke.golden");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_whynot-server"))
-        .env("WHYNOT_SERVER_THREADS", "2")
         .env_remove("WHYNOT_SERVER_QUEUE_DEPTH")
         .env_remove("WHYNOT_SERVER_CACHE_BUDGET")
         .env_remove("WHYNOT_SERVER_SNAPSHOT_DIR")

@@ -29,13 +29,10 @@
 //!   memoizing `EvalContext` extension engine, explanations, most-general
 //!   explanations, the exhaustive and incremental search algorithms
 //!   (paper §3, §5) and the Section 6 variations.
-//! * [`parallel`] — the scoped-thread fork/join executor behind the
-//!   parallel search shards (`WHYNOT_THREADS` knob, deterministic result
-//!   order, panic propagation).
 //! * [`contrast`] — contrastive why-not explanations ("why is `a`
 //!   missing while `b` answers?"): difference separators, foil-aligned
-//!   MGEs, the brute-force reference, a standalone parallel batch, and
-//!   the OBDA variant over certain-answer semantics.
+//!   MGEs, the brute-force reference, and the OBDA variant over
+//!   certain-answer semantics.
 //! * [`scenarios`] — the paper's figures and examples as executable
 //!   scenarios, plus seeded workload generators used by the benches.
 //! * [`server`] — `whynot-server`: a multi-tenant why-not question
@@ -64,7 +61,6 @@ pub use whynot_concepts as concepts;
 pub use whynot_contrast as contrast;
 pub use whynot_core as core;
 pub use whynot_dllite as dllite;
-pub use whynot_parallel as parallel;
 pub use whynot_relation as relation;
 pub use whynot_scenarios as scenarios;
 pub use whynot_server as server;

@@ -139,31 +139,23 @@ fn degrees_of_generality_order() {
     assert!(d4 > d1);
 }
 
-/// The session's public surface is thread-safe where the parallel
-/// subsystem needs it: answer sets come back behind `Arc` (not `Rc`),
-/// shared search state is `Send + Sync`, and the executor plumbs through
-/// the umbrella re-exports.
+/// Answer types are `Send + Sync`, so a caller can hand session results
+/// to its own threads: answer sets come back behind `Arc` (not `Rc`), and
+/// extensions and the extension table are plain data.
 #[test]
-fn parallel_public_surface_is_thread_safe() {
+fn answer_types_are_thread_safe() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<whynot::parallel::Executor>();
-    assert_send_sync::<whynot::concepts::LubView>();
     assert_send_sync::<whynot::concepts::ExtensionTable>();
     assert_send_sync::<whynot::concepts::Extension>();
-    assert_send_sync::<whynot::core::WorkerStats>();
+    assert_send_sync::<whynot::core::ContrastAnswer>();
     assert_send_sync::<std::sync::Arc<std::collections::BTreeSet<whynot::relation::Tuple>>>();
 
     let sc = paper::example_3_4();
     let session =
         whynot::core::WhyNotSession::new(&sc.ontology, &sc.why_not.schema, &sc.why_not.instance);
-    // `answers` hands out an `Arc` — the compile-time witness of the
-    // Rc→Arc migration — and a batch through the umbrella-re-exported
-    // executor matches the per-question path.
+    // `answers` hands out an `Arc` — the compile-time witness that answer
+    // sets can leave the session's thread.
     let ans: std::sync::Arc<std::collections::BTreeSet<whynot::relation::Tuple>> =
         session.answers(&sc.why_not.query);
     assert!(!ans.contains(&sc.why_not.tuple));
-    let q = whynot::core::WhyNotQuestion::new(sc.why_not.query.clone(), sc.why_not.tuple.clone());
-    let exec = whynot::parallel::Executor::builder().threads(2).build();
-    let batch = session.answer_batch_with(&exec, std::slice::from_ref(&q));
-    assert_eq!(batch[0].as_ref().unwrap(), &session.exhaustive(&q).unwrap());
 }

@@ -378,10 +378,8 @@ proptest! {
         }
         let pool = inst.const_pool_with([Value::int(12), Value::int(13)]);
         let engine = LubEngine::with_pool(&schema, &inst, pool);
-        let view = engine.freeze();
         let order: Vec<Value> = order.into_iter().map(Value::int).collect();
         assert_growth_matches_legacy(&engine, &schema, &inst, &order);
-        assert_growth_matches_legacy(&view, &schema, &inst, &order);
     }
 
     #[test]
@@ -394,13 +392,11 @@ proptest! {
         let net = whynot::scenarios::generators::city_network(24, 4, seed);
         let wn = &net.why_not;
         let engine = LubEngine::new(&wn.schema, &wn.instance);
-        let view = engine.freeze();
         let order: Vec<Value> = picks
             .iter()
             .map(|&c| Value::str(whynot::scenarios::generators::city_name(c)))
             .collect();
         assert_growth_matches_legacy(&engine, &wn.schema, &wn.instance, &order);
-        assert_growth_matches_legacy(&view, &wn.schema, &wn.instance, &order);
     }
 }
 
@@ -532,57 +528,6 @@ proptest! {
                 Err(_) => prop_assert!(session.exhaustive(&wq).is_err()),
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel batches ≡ sequential per-question answers
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    #[test]
-    fn answer_batch_equals_sequential_on_city_workloads(
-        n in 8usize..28,
-        n_questions in 4usize..16,
-        seed in 0u64..1000,
-        threads in 1usize..5,
-    ) {
-        let regions = 2 + (seed as usize) % 3;
-        let n = n.max(regions * 2);
-        let w = whynot::scenarios::generators::batched_city_workload(
-            n, regions, n_questions, seed,
-        );
-        let exec = whynot::core::Executor::with_threads(threads);
-        // The sequential reference: one session, question by question.
-        let sequential = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
-        let expected_exh: Vec<_> = w.questions.iter().map(|q| sequential.exhaustive(q)).collect();
-        // The parallel batch on a fresh session must agree answer for
-        // answer — same explanations, same order, same errors.
-        let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
-        prop_assert_eq!(&session.answer_batch_with(&exec, &w.questions), &expected_exh);
-        // Invariants under parallelism: evaluations bounded by the
-        // concept count, columns by the schema's attribute count.
-        prop_assert!(session.evaluations() <= w.ontology.len());
-        prop_assert_eq!(session.evaluations(), sequential.evaluations());
-        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-            let expected_inc: Vec<_> = w
-                .questions
-                .iter()
-                .map(|q| sequential.incremental(q, kind))
-                .collect();
-            prop_assert_eq!(
-                &session.incremental_batch_with(&exec, &w.questions, kind),
-                &expected_inc
-            );
-            prop_assert!(session.stats().lub_column_builds <= 2); // TC has 2 attributes
-        }
-        // Worker accounting covers exactly the batch's questions.
-        let workers = session.last_batch_workers();
-        prop_assert_eq!(
-            workers.iter().map(|ws| ws.questions).sum::<usize>(),
-            w.questions.len()
-        );
     }
 }
 
