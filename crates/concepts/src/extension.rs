@@ -21,7 +21,7 @@ use crate::kernels;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_relation::{ConstPool, PoolMap, Value};
+use whynot_relation::{ConstPool, PoolMap, Value, ValueId};
 
 /// A finite set of constants over an interned pool: dense bits for pooled
 /// values, a `BTreeSet` overflow for the rest.
@@ -39,6 +39,17 @@ impl ValueSet {
     /// The empty set over a pool.
     pub fn empty_in(pool: Arc<ConstPool>) -> Self {
         let words = vec![0u64; pool.word_len()];
+        ValueSet {
+            pool,
+            words,
+            extra: BTreeSet::new(),
+        }
+    }
+
+    /// The set whose pooled members are the set bits of `words` (one
+    /// word per 64 pool ids), with no overflow members.
+    pub(crate) fn from_words(pool: Arc<ConstPool>, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), pool.word_len());
         ValueSet {
             pool,
             words,
@@ -150,6 +161,14 @@ impl ValueSet {
         }
     }
 
+    /// Membership of a pooled value by its id in this set's pool: one
+    /// bit probe, no hashing.
+    pub fn contains_id(&self, id: ValueId) -> bool {
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1 << (id.index() % 64)) != 0)
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         kernels::count_ones(&self.words) + self.extra.len()
@@ -248,7 +267,7 @@ impl ValueSet {
             while rest != 0 {
                 let b = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                let src = whynot_relation::ValueId((w * 64 + b) as u32);
+                let src = ValueId((w * 64 + b) as u32);
                 match map.translate(src) {
                     Some(dst) => {
                         out.words[dst.index() / 64] |= 1 << (dst.index() % 64);
@@ -286,7 +305,7 @@ impl<'a> ValueSetIter<'a> {
                 continue;
             }
             i += rest.trailing_zeros() as usize;
-            return Some((i, self.set.pool.value(whynot_relation::ValueId(i as u32))));
+            return Some((i, self.set.pool.value(ValueId(i as u32))));
         }
         None
     }

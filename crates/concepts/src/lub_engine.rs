@@ -27,6 +27,16 @@
 //! `X`, so a growth loop (Algorithm 2, CHECK-MGE, the contrast searches)
 //! pays one step per probe instead of a full recomputation.
 //!
+//! Every state the engine builds also carries the lub's **extension**,
+//! computed in the pool's id space from the same growth data: the AND of
+//! the covered columns' occurrence bits (Lemma 5.1), or the AND over
+//! boxes of the rows' ids inside each box (Lemma 5.2); a singleton is its
+//! nominal and no atom at all is `⊤`. The growth loops decide each probe
+//! from [`LubState::extension`], and the state's `LsConcept` is
+//! assembled lazily, on the first [`LubState::concept`] or
+//! [`LubState::into_concept`] call — so a rejected probe never builds a
+//! concept or resolves an id to a value.
+//!
 //! Support elements outside the pool (e.g. a why-not question probing a
 //! fresh constant) are handled exactly: no column contains them and no
 //! row witnesses them, so a step by one clears every covering atom and
@@ -66,9 +76,11 @@
 //! ```
 
 use crate::concept::{LsAtom, LsConcept};
+use crate::extension::{Extension, ValueSet};
+use crate::kernels;
 use crate::selection::Selection;
 use crate::sparse::IdBits;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use whynot_relation::{Attr, ConstPool, Instance, PoolMap, RelId, Schema, Value, ValueId};
@@ -111,16 +123,28 @@ struct ColumnBits {
 impl ColumnBits {
     /// The rows whose coordinate in this column is `id`.
     fn witness_rows(&self, id: ValueId) -> &[(ValueId, u32)] {
-        let start = self.witnesses.partition_point(|&(x, _)| x < id);
-        let len = self.witnesses[start..].partition_point(|&(x, _)| x == id);
+        self.witnesses_in(id, id)
+    }
+
+    /// The rows whose coordinate in this column lies in `[lo, hi]`.
+    fn witnesses_in(&self, lo: ValueId, hi: ValueId) -> &[(ValueId, u32)] {
+        let start = self.witnesses.partition_point(|&(x, _)| x < lo);
+        let len = self.witnesses[start..].partition_point(|&(x, _)| x <= hi);
         &self.witnesses[start..start + len]
     }
 }
 
-/// The growth state of one lub: the support set `S`, its concept
-/// `lub(S)` (or `lubσ(S)`), and per `(rel, attr)` column what a growth
-/// step needs — a covered flag (Lemma 5.1) or the column's minimal boxes
-/// in id space (Lemma 5.2).
+/// The growth state of one lub: the support set `S`, the lub `lub(S)`
+/// (or `lubσ(S)`), and per `(rel, attr)` column what a growth step needs
+/// — a covered flag (Lemma 5.1) or the column's minimal boxes in id space
+/// (Lemma 5.2).
+///
+/// A state built by the pooled engine carries the lub's extension,
+/// computed in the pool's id space from the same column data (see
+/// [`LubState::extension`]), and assembles the lub's concept only when
+/// [`concept`](LubState::concept) or
+/// [`into_concept`](LubState::into_concept) first asks for it: a growth
+/// probe that is decided by its extension never builds a concept.
 ///
 /// Opaque: obtained from [`LubProvider::start`], [`LubProvider::grow`]
 /// or [`LubProvider::state_of`], and only meaningful to the provider
@@ -130,17 +154,36 @@ impl ColumnBits {
 pub struct LubState {
     kind: LubKind,
     support: BTreeSet<Value>,
-    concept: LsConcept,
     growth: Growth,
+}
+
+/// How a state was built, and what it can be stepped from.
+#[derive(Clone, Debug)]
+enum Growth {
+    /// Built by a provider's default bodies (no column access): the
+    /// concept is computed up front, and every step recomputes from the
+    /// support.
+    Recompute(LsConcept),
+    /// Built by the pooled engine from its interned columns.
+    Pooled(Pooled),
+}
+
+/// A pooled state's column data, extension and lazily assembled concept.
+#[derive(Clone, Debug)]
+struct Pooled {
+    /// The columns the data indexes (two `Arc`s; resolves ids to values
+    /// when the concept is assembled).
+    view: LubView,
+    columns: Columns,
+    /// `[[lub(S)]]^I` over the view's pool.
+    extension: Extension,
+    concept: OnceCell<LsConcept>,
 }
 
 /// Per-column growth data, in schema column order (relations by
 /// `RelId`, then attributes).
 #[derive(Clone, Debug)]
-enum Growth {
-    /// Built by a provider's default bodies (no column access): every
-    /// step recomputes from the support.
-    Recompute,
+enum Columns {
     /// Lemma 5.1: whether each column still contains the whole support.
     Covered(Vec<bool>),
     /// Lemma 5.2: each column's minimal boxes, `arity` intervals per box
@@ -149,14 +192,38 @@ enum Growth {
 }
 
 impl LubState {
-    /// The lub of the support: `lub_I(S)` or `lubσ_I(S)`.
+    /// The lub of the support: `lub_I(S)` or `lubσ_I(S)`, assembled on
+    /// the first call.
     pub fn concept(&self) -> &LsConcept {
-        &self.concept
+        match &self.growth {
+            Growth::Recompute(concept) => concept,
+            Growth::Pooled(p) => p
+                .concept
+                .get_or_init(|| p.view.assemble(&self.support, &p.columns)),
+        }
     }
 
     /// Consumes the state, keeping only its concept.
     pub fn into_concept(self) -> LsConcept {
-        self.concept
+        match self.growth {
+            Growth::Recompute(concept) => concept,
+            Growth::Pooled(p) => match p.concept.into_inner() {
+                Some(concept) => concept,
+                None => p.view.assemble(&self.support, &p.columns),
+            },
+        }
+    }
+
+    /// The lub's extension over the provider's pool, when the state
+    /// carries one: always for states built by the pooled engine, never
+    /// for states built by the recomputing default bodies of
+    /// [`LubProvider`] (evaluate their [`concept`](LubState::concept)
+    /// instead).
+    pub fn extension(&self) -> Option<&Extension> {
+        match &self.growth {
+            Growth::Recompute(_) => None,
+            Growth::Pooled(p) => Some(&p.extension),
+        }
     }
 }
 
@@ -272,16 +339,12 @@ impl<'a> LubEngine<'a> {
 
     /// Non-panicking [`LubEngine::lub`]: `None` iff `x` is empty.
     pub fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.view()
-            .fold(LubKind::SelectionFree, x)
-            .map(LubState::into_concept)
+        self.view().fold_concept(LubKind::SelectionFree, x)
     }
 
     /// Non-panicking [`LubEngine::lub_sigma`]: `None` iff `x` is empty.
     pub fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.view()
-            .fold(LubKind::WithSelections, x)
-            .map(LubState::into_concept)
+        self.view().fold_concept(LubKind::WithSelections, x)
     }
 
     /// The view over every relation's columns, assembled on first use.
@@ -442,6 +505,15 @@ struct LubView {
     rels: Arc<[(RelId, Arc<RelColumns>)]>,
 }
 
+impl std::fmt::Debug for LubView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LubView")
+            .field("pool", &self.pool.len())
+            .field("rels", &self.rels.len())
+            .finish_non_exhaustive()
+    }
+}
+
 impl LubView {
     /// Every `(rel, columns, attr)` in schema column order — the order
     /// of a [`LubState`]'s per-column growth data.
@@ -453,15 +525,15 @@ impl LubView {
 
     /// The growth data of the singleton `{x}`: the columns containing
     /// `x`, or one point box per witness row of `x`.
-    fn seed(&self, kind: LubKind, x: &Value) -> Growth {
+    fn seed(&self, kind: LubKind, x: &Value) -> Columns {
         let id = self.pool.id_of(x);
         match kind {
-            LubKind::SelectionFree => Growth::Covered(
+            LubKind::SelectionFree => Columns::Covered(
                 self.columns()
                     .map(|(_, rc, attr)| id.is_some_and(|id| rc.cols[attr].bits.contains(id.0)))
                     .collect(),
             ),
-            LubKind::WithSelections => Growth::Boxes(
+            LubKind::WithSelections => Columns::Boxes(
                 self.columns()
                     .map(|(_, rc, attr)| match id {
                         None => Vec::new(),
@@ -477,13 +549,11 @@ impl LubView {
     }
 
     /// One growth step `S → S ∪ {v}` (Lemmas 5.1 and 5.2; see the module
-    /// docs). `Recompute` data carries nothing to step from; callers
-    /// refold those supports instead.
-    fn step(&self, growth: &Growth, v: &Value) -> Growth {
+    /// docs).
+    fn step(&self, columns: &Columns, v: &Value) -> Columns {
         let id = self.pool.id_of(v);
-        match growth {
-            Growth::Recompute => Growth::Recompute,
-            Growth::Covered(flags) => Growth::Covered(
+        match columns {
+            Columns::Covered(flags) => Columns::Covered(
                 self.columns()
                     .zip(flags)
                     .map(|((_, rc, attr), &covered)| {
@@ -491,7 +561,7 @@ impl LubView {
                     })
                     .collect(),
             ),
-            Growth::Boxes(boxes) => Growth::Boxes(
+            Columns::Boxes(boxes) => Columns::Boxes(
                 self.columns()
                     .zip(boxes)
                     .map(|((_, rc, attr), boxes)| match id {
@@ -504,39 +574,110 @@ impl LubView {
     }
 
     /// The growth data of `x` by folding [`LubView::step`] over it.
-    fn fold_growth(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<Growth> {
+    fn fold_columns(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<Columns> {
         let mut values = x.iter();
-        let mut growth = self.seed(kind, values.next()?);
+        let mut columns = self.seed(kind, values.next()?);
         for v in values {
-            growth = self.step(&growth, v);
+            columns = self.step(&columns, v);
         }
-        Some(growth)
+        Some(columns)
     }
 
-    /// The full state of `x`: the fold, then one concept assembly.
+    /// The concept of `x`: the fold, then one assembly (no extension —
+    /// the from-scratch lub entry points only want the concept).
+    fn fold_concept(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LsConcept> {
+        let columns = self.fold_columns(kind, x)?;
+        Some(self.assemble(x, &columns))
+    }
+
+    /// The full state of `x`.
     fn fold(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
-        let growth = self.fold_growth(kind, x)?;
-        Some(self.assemble(kind, x.clone(), growth))
+        let columns = self.fold_columns(kind, x)?;
+        Some(self.state(kind, x.clone(), columns))
     }
 
-    /// Resolves growth data into the state's concept: the nominal of a
+    /// Wraps growth data into a state, computing its extension now and
+    /// leaving its concept for the first read.
+    fn state(&self, kind: LubKind, support: BTreeSet<Value>, columns: Columns) -> LubState {
+        let extension = self.extension(&support, &columns);
+        LubState {
+            kind,
+            support,
+            growth: Growth::Pooled(Pooled {
+                view: self.clone(),
+                columns,
+                extension,
+                concept: OnceCell::new(),
+            }),
+        }
+    }
+
+    /// The extension of the concept [`LubView::assemble`] would build,
+    /// computed in id space: the conjunction of its atoms' extensions.
+    ///
+    /// * A singleton `{x}` keeps its nominal, and every other atom
+    ///   contains `x`, so the extension is `{x}` (an overflow member
+    ///   when `x` is unpooled).
+    /// * Lemma 5.1: the AND of the covered columns' occurrence bits.
+    /// * Lemma 5.2: the AND over boxes of
+    ///   `{row[attr] : row ∈ R, row inside the id box}` — id order is
+    ///   value order, so this is the box atom's selection.
+    /// * No atom at all is `⊤`: [`Extension::Universal`].
+    fn extension(&self, support: &BTreeSet<Value>, columns: &Columns) -> Extension {
+        if let (Some(x), 1) = (support.first(), support.len()) {
+            return Extension::finite_refs_in(Arc::clone(&self.pool), [x]);
+        }
+        let mut acc: Option<Vec<u64>> = None;
+        match columns {
+            Columns::Covered(flags) => {
+                for ((_, rc, attr), _) in self.columns().zip(flags).filter(|(_, covered)| **covered)
+                {
+                    let bits = &rc.cols[attr].bits;
+                    match &mut acc {
+                        None => acc = Some(bits.to_words()),
+                        Some(words) => bits.intersect_words(words),
+                    }
+                }
+            }
+            Columns::Boxes(boxes) => {
+                let mut scratch = vec![0u64; self.pool.word_len()];
+                for ((_, rc, attr), boxes) in self.columns().zip(boxes) {
+                    for bx in boxes.chunks_exact(rc.cols.len()) {
+                        scratch.fill(0);
+                        box_extension_into(rc, attr, bx, &mut scratch);
+                        match &mut acc {
+                            None => acc = Some(scratch.clone()),
+                            Some(words) => {
+                                kernels::and_assign(words, &scratch);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        match acc {
+            None => Extension::Universal,
+            Some(words) => Extension::Finite(ValueSet::from_words(Arc::clone(&self.pool), words)),
+        }
+    }
+
+    /// Resolves growth data into the lub's concept: the nominal of a
     /// singleton support, then per column its covering atom or one
     /// `π_attr(σ_box(R))` per minimal box.
-    fn assemble(&self, kind: LubKind, support: BTreeSet<Value>, growth: Growth) -> LubState {
+    fn assemble(&self, support: &BTreeSet<Value>, columns: &Columns) -> LsConcept {
         let mut atoms: Vec<LsAtom> = Vec::new();
         if let (Some(x), 1) = (support.first(), support.len()) {
             atoms.push(LsAtom::Nominal(x.clone()));
         }
-        match &growth {
-            Growth::Recompute => {}
-            Growth::Covered(flags) => {
+        match columns {
+            Columns::Covered(flags) => {
                 for ((rel, _, attr), _) in
                     self.columns().zip(flags).filter(|(_, covered)| **covered)
                 {
                     atoms.push(LsAtom::proj(rel, attr));
                 }
             }
-            Growth::Boxes(boxes) => {
+            Columns::Boxes(boxes) => {
                 for ((rel, rc, attr), boxes) in self.columns().zip(boxes) {
                     for bx in boxes.chunks_exact(rc.cols.len()) {
                         atoms.push(box_atom(&self.pool, rel, rc, attr, bx));
@@ -544,18 +685,14 @@ impl LubView {
                 }
             }
         }
-        LubState {
-            kind,
-            support,
-            concept: LsConcept::from_atoms(atoms),
-            growth,
-        }
+        LsConcept::from_atoms(atoms)
     }
 
     /// The state of the singleton support `{x}`.
     fn start(&self, kind: LubKind, x: &Value) -> LubState {
         let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
-        self.assemble(kind, support, self.seed(kind, x))
+        let columns = self.seed(kind, x);
+        self.state(kind, support, columns)
     }
 
     /// The state of `S ∪ {v}` stepped from the state of `S`.
@@ -563,15 +700,21 @@ impl LubView {
         if state.support.contains(v) {
             return state.clone();
         }
+        let columns = match &state.growth {
+            Growth::Pooled(p) => self.step(&p.columns, v),
+            // Built by the recomputing default bodies: no column data to
+            // step from, so fold the grown support instead (a lub does
+            // not depend on the order its support is folded in).
+            Growth::Recompute(_) => state
+                .support
+                .iter()
+                .fold(self.seed(state.kind, v), |columns, u| {
+                    self.step(&columns, u)
+                }),
+        };
         let mut support = state.support.clone();
         support.insert(v.clone());
-        let growth = match &state.growth {
-            // Built by the recomputing default bodies: no column data to
-            // step from, so fold the grown support instead.
-            Growth::Recompute => self.fold_growth(state.kind, &support),
-            growth => Some(self.step(growth, v)),
-        };
-        self.assemble(state.kind, support, growth.unwrap_or(Growth::Recompute))
+        self.state(state.kind, support, columns)
     }
 }
 
@@ -603,8 +746,7 @@ pub trait LubProvider {
         Some(LubState {
             kind,
             support: x.clone(),
-            concept,
-            growth: Growth::Recompute,
+            growth: Growth::Recompute(concept),
         })
     }
 
@@ -701,6 +843,28 @@ fn box_within(inner: &[Interval], outer: &[Interval]) -> bool {
         .iter()
         .zip(outer)
         .all(|(&(ilo, ihi), &(olo, ohi))| olo <= ilo && ihi <= ohi)
+}
+
+/// Sets in `words` the bits of `{row[attr] : row ∈ R inside bx}` — the
+/// extension of [`box_atom`]'s `π_attr(σ_box(R))`. Only the rows whose
+/// coordinate falls inside the box's narrowest dimension (one contiguous
+/// witness run, found by binary search) are tested.
+fn box_extension_into(rc: &RelColumns, attr: Attr, bx: &[Interval], words: &mut [u64]) {
+    let Some(rows) = bx
+        .iter()
+        .zip(&rc.cols)
+        .map(|(&(lo, hi), col)| col.witnesses_in(lo, hi))
+        .min_by_key(|rows| rows.len())
+    else {
+        return;
+    };
+    for &(_, r) in rows {
+        let row = &rc.rows[r as usize];
+        if row.iter().zip(bx).all(|(&c, &(lo, hi))| lo <= c && c <= hi) {
+            let id = row[attr].index();
+            words[id / 64] |= 1 << (id % 64);
+        }
+    }
 }
 
 /// Resolves an id box into the atom `π_attr(σ_box(R))`, dropping the
@@ -925,12 +1089,21 @@ mod tests {
                 LubKind::SelectionFree => lub(schema, inst, s),
                 LubKind::WithSelections => lub_sigma(schema, inst, s),
             };
+            // A carried extension is the assembled concept's extension.
+            let check_extension = |state: &LubState, prefix: &BTreeSet<Value>| {
+                if let Some(ext) = state.extension() {
+                    let expect = legacy(prefix).extension_in(inst, p.pool());
+                    assert_eq!(ext, &expect, "{kind:?} extension of {prefix:?}");
+                }
+            };
             let mut state = p.start(kind, &x[0]);
             let mut prefix: BTreeSet<Value> = [x[0].clone()].into_iter().collect();
+            check_extension(&state, &prefix);
             assert_eq!(state.concept(), &legacy(&prefix), "{kind:?} {prefix:?}");
             for v in &x[1..] {
                 state = p.grow(&state, v);
                 prefix.insert(v.clone());
+                check_extension(&state, &prefix);
                 assert_eq!(state.concept(), &legacy(&prefix), "{kind:?} {prefix:?}");
             }
             assert_eq!(
@@ -957,6 +1130,28 @@ mod tests {
             assert_growth_matches_legacy(&engine, &schema, &inst, x);
             assert_growth_matches_legacy(&Recomputing(&engine), &schema, &inst, x);
         }
+    }
+
+    #[test]
+    fn engine_states_carry_extensions_and_default_states_do_not() {
+        let (schema, inst) = paper_fixture();
+        let engine = LubEngine::new(&schema, &inst);
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            let pooled = engine.grow(&engine.start(kind, &s("Berlin")), &s("Rome"));
+            assert!(pooled.extension().is_some());
+            let foreign = Recomputing(&engine).start(kind, &s("Berlin"));
+            assert!(foreign.extension().is_none());
+            // Growing a foreign state through the engine refolds it into
+            // a pooled one.
+            assert!(engine.grow(&foreign, &s("Rome")).extension().is_some());
+        }
+        // Two constants sharing no column: the lub is ⊤.
+        let top = engine.grow(
+            &engine.start(LubKind::SelectionFree, &s("Berlin")),
+            &Value::int(59_946),
+        );
+        assert_eq!(top.extension(), Some(&Extension::Universal));
+        assert!(top.concept().is_top());
     }
 
     #[test]

@@ -245,6 +245,25 @@ impl IdBits {
         }
     }
 
+    /// In-place intersection `words &= self`, where `words` is a dense
+    /// word slice over the same universe (the lub engine ANDs covering
+    /// columns into a running extension this way).
+    pub fn intersect_words(&self, words: &mut [u64]) {
+        match &self.repr {
+            Repr::Dense(mine) => {
+                kernels::and_assign(words, mine);
+            }
+            Repr::Sparse(ids) => {
+                let mut kept = vec![0u64; words.len()];
+                for &id in ids {
+                    let (w, b) = (id as usize / 64, id as usize % 64);
+                    kept[w] |= words[w] & (1 << b);
+                }
+                words.copy_from_slice(&kept);
+            }
+        }
+    }
+
     /// Subset test `self ⊆ other` over the same universe.
     pub fn subset_of(&self, other: &IdBits) -> bool {
         debug_assert_eq!(self.universe, other.universe);

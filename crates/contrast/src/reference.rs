@@ -170,10 +170,7 @@ pub fn foil_aligned_mges(
     }
 
     // Odometer over the product, collecting valid explanations.
-    let q = QuestionRef {
-        ans: &residual,
-        tuple: missing,
-    };
+    let q = QuestionRef::new(&residual, missing);
     let mut idx = vec![0usize; candidates.len()];
     let mut valid: Vec<(Explanation<LsConcept>, Vec<Extension>)> = Vec::new();
     loop {

@@ -49,9 +49,10 @@
 //! [`session`](crate::session); the `whynot-contrast` crate adds the
 //! brute-force reference and the OBDA variant.
 
+use crate::incremental::state_extension;
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
-use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef};
 use crate::EvalContext;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -127,7 +128,7 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<LsConcept> {
     let mut state = lubs.start(kind, foil_i);
-    let mut ext = ext_of(state.concept());
+    let mut ext = state_extension(&state, &mut *ext_of);
     if ext.contains(missing_i) {
         return None;
     }
@@ -138,7 +139,7 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
             continue;
         }
         let candidate = lubs.grow(&state, v);
-        let candidate_ext = ext_of(candidate.concept());
+        let candidate_ext = state_extension(&candidate, &mut *ext_of);
         if !candidate_ext.contains(missing_i) {
             state = candidate;
             ext = candidate_ext;
@@ -170,7 +171,7 @@ fn rank_candidates<P: LubProvider + ?Sized>(
             continue;
         }
         let candidate = lubs.grow(state, b);
-        let candidate_ext = ext_of(candidate.concept());
+        let candidate_ext = state_extension(&candidate, &mut *ext_of);
         scored.push((b.clone(), candidate, candidate_ext));
     }
     let coverage = |e: &Extension| e.len().unwrap_or(usize::MAX);
@@ -204,7 +205,10 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
         .zip(foil)
         .map(|(a, b)| lubs.grow(&lubs.start(kind, a), b))
         .collect();
-    let mut exts: Vec<Extension> = states.iter().map(|s| ext_of(s.concept())).collect();
+    let mut exts: Vec<Extension> = states
+        .iter()
+        .map(|s| state_extension(s, &mut *ext_of))
+        .collect();
     if !exts_form_explanation_q(&exts, q) {
         return None;
     }
@@ -216,7 +220,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
             }
             let (candidate, candidate_ext) = if absorbed {
                 let grown = lubs.grow(&states[j], &b);
-                let grown_ext = ext_of(grown.concept());
+                let grown_ext = state_extension(&grown, &mut *ext_of);
                 (grown, grown_ext)
             } else {
                 (ranked, ranked_ext)
@@ -323,10 +327,9 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     let ans = question.query.eval(instance);
     let residual = validate_contrast(&question.query, &question.missing, &question.foil, &ans)?;
     let k_vals = restriction_values(instance.active_domain(), &question.missing);
-    let view = QuestionRef {
-        ans: &residual,
-        tuple: &question.missing,
-    };
+    let view = QuestionRef::new(&residual, &question.missing);
+    let ids = AnswerIds::new(pool, view);
+    let view = view.with_ids(&ids);
     Ok(contrast_core(
         &k_vals,
         view,

@@ -16,7 +16,8 @@
 //!   deduplicates by extension tuple, so every returned explanation is a
 //!   checked MGE, but completeness of the enumeration is not guaranteed.
 
-use crate::whynot::{exts_form_explanation, Explanation, WhyNotInstance};
+use crate::incremental::state_extension;
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
@@ -53,20 +54,19 @@ fn grow_with_order(
     // One interned pool per growth run (see `incremental_search_kind`),
     // shared with the lub engine's column sets.
     let pool = engine.pool();
+    let ids = AnswerIds::new(pool, wn.question());
+    let q = wn.question().with_ids(&ids);
+    let ext_of = |s: &LubState| state_extension(s, &mut |c| c.extension_in(&wn.instance, pool));
     let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();
-    let mut exts: Vec<Extension> = states
-        .iter()
-        .map(|s| s.concept().extension_in(&wn.instance, pool))
-        .collect();
+    let mut exts: Vec<Extension> = states.iter().map(ext_of).collect();
 
     let try_grow = |j: usize, b: &Value, states: &mut Vec<LubState>, exts: &mut Vec<Extension>| {
         if exts[j].contains(b) {
             return;
         }
         let candidate = engine.grow(&states[j], b);
-        let candidate_ext = candidate.concept().extension_in(&wn.instance, pool);
-        let saved = std::mem::replace(&mut exts[j], candidate_ext);
-        if exts_form_explanation(exts, wn) {
+        let saved = std::mem::replace(&mut exts[j], ext_of(&candidate));
+        if exts_form_explanation_q(exts, q) {
             states[j] = candidate;
         } else {
             exts[j] = saved;

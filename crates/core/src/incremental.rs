@@ -19,9 +19,16 @@
 //! (Lemmas 5.1/5.2): a probe costs one growth step — O(1) lubs — rather
 //! than a lub recomputed from the whole support, and the `(rel, attr)`
 //! columns behind the steps are interned once per run.
+//!
+//! A probe stays in id space end to end. The grown state carries its
+//! extension over the pool, the question's answers are resolved to pool
+//! ids once ([`AnswerIds`]), and the explanation check probes bits. The
+//! state's concept is assembled lazily, so only the states a search
+//! keeps build one. States from a provider's recomputing default bodies
+//! carry no extension; their concepts are evaluated instead.
 
 use crate::derived::InstanceOntology;
-use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef, WhyNotInstance};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
@@ -55,17 +62,36 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(schema, inst, Arc::clone(&pool));
     let adom: Vec<Value> = inst.active_domain().into_iter().collect();
-    incremental_search_core(&adom, wn.question(), &engine, kind, &mut |c| {
-        c.extension_in(inst, &pool)
-    })
+    let ids = AnswerIds::new(&pool, wn.question());
+    incremental_search_core(
+        &adom,
+        wn.question().with_ids(&ids),
+        &engine,
+        kind,
+        &mut |c| c.extension_in(inst, &pool),
+    )
+}
+
+/// A growth state's extension: the one a pooled state carries, or
+/// `ext_of` over its concept for a state built by the recomputing
+/// default [`LubProvider`] bodies.
+pub(crate) fn state_extension(
+    state: &LubState,
+    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+) -> Extension {
+    match state.extension() {
+        Some(ext) => ext.clone(),
+        None => ext_of(state.concept()),
+    }
 }
 
 /// Algorithm 2's growth loop over a borrowed question, a lub provider
 /// and a caller-supplied extension function. Each position carries the
-/// [`LubState`] of its support, and each probe grows it by one constant.
-/// The one-shot path passes a plain extension closure; a
-/// [`WhyNotSession`](crate::WhyNotSession) passes a memoizing one, so
-/// repeated concepts across a question batch are evaluated once.
+/// [`LubState`] of its support, and each probe grows it by one constant
+/// and is decided by the grown state's extension; `ext_of` only
+/// evaluates the concepts of states that carry none (see
+/// [`state_extension`]). A concept is assembled only for the states the
+/// search keeps.
 pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     adom: &[Value],
     q: QuestionRef<'_>,
@@ -77,7 +103,10 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     // Lines 2–3: support sets start at the singletons {aj}; the first
     // candidate explanation is their lubs.
     let mut states: Vec<LubState> = q.tuple.iter().map(|a| lubs.start(kind, a)).collect();
-    let mut exts: Vec<Extension> = states.iter().map(|s| ext_of(s.concept())).collect();
+    let mut exts: Vec<Extension> = states
+        .iter()
+        .map(|s| state_extension(s, &mut *ext_of))
+        .collect();
     debug_assert!(
         exts_form_explanation_q(&exts, q),
         "the nominal-based start must be an explanation"
@@ -92,7 +121,7 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
             }
             // Lines 6–8: the more general candidate at position j.
             let candidate = lubs.grow(&states[j], b);
-            let candidate_ext = ext_of(candidate.concept());
+            let candidate_ext = state_extension(&candidate, &mut *ext_of);
             // Line 9: keep it only if the tuple stays an explanation.
             let saved = std::mem::replace(&mut exts[j], candidate_ext);
             if exts_form_explanation_q(&exts, q) {
@@ -125,7 +154,9 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
     // Candidate growth constants: adom plus the missing tuple (Prop 5.1's
     // constant restriction K).
     let k_consts = wn.restriction_constants();
-    check_mge_instance_core(&k_consts, wn.question(), e, &engine, kind, &mut |c| {
+    let ids = AnswerIds::new(&pool, wn.question());
+    let q = wn.question().with_ids(&ids);
+    check_mge_instance_core(&k_consts, q, e, &engine, kind, &mut |c| {
         c.extension_in(inst, &pool)
     })
 }
@@ -133,8 +164,10 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
 /// The generalization-probe loop of CHECK-MGE W.R.T. `OI`, over a borrowed
 /// question, a lub provider and a caller-supplied extension function.
 /// Assumes the caller has already verified that `e` *is* an explanation
-/// (the probes only decide maximality). Each position's state is the
-/// fold over `ext(Cj)`, and every probe grows it by one constant.
+/// (the probes only decide maximality). `ext_of` evaluates `e`'s own
+/// concepts and the concepts of states that carry no extension. Each
+/// position's state is the fold over `ext(Cj)`, and every probe grows it
+/// by one constant and is decided by the grown state's extension.
 pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     k_consts: &BTreeSet<Value>,
     q: QuestionRef<'_>,
@@ -158,7 +191,7 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
                 continue;
             }
             let candidate = lubs.grow(&state, b);
-            let candidate_ext = ext_of(candidate.concept());
+            let candidate_ext = state_extension(&candidate, &mut *ext_of);
             // Strictly more general by construction: ⊇ current ∪ {b}.
             let saved = std::mem::replace(&mut exts[j], candidate_ext);
             let still = exts_form_explanation_q(&exts, q);

@@ -98,8 +98,8 @@ pub use variations::{
 };
 pub use whynot::{
     display_explanation, equivalent_explanations, explanation_extensions, exts_form_explanation,
-    exts_form_explanation_q, is_explanation, less_general, strictly_less_general, Explanation,
-    QuestionRef, WhyNotInstance,
+    exts_form_explanation_q, is_explanation, less_general, strictly_less_general, AnswerIds,
+    Explanation, QuestionRef, WhyNotInstance,
 };
 /// Which lub operator drives a search; defined next to the lub engine.
 pub use whynot_concepts::LubKind;

@@ -16,7 +16,15 @@
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
 //! | answer probes + conflict bitsets | `(query, position[, concept])` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
 //! | the pooled [`LubEngine`] columns | `(rel, attr)` (built once) | Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
-//! | `LS`-concept extensions | the concept | Algorithm 2's per-step explanation checks |
+//!
+//! The growth probes need no cache of their own. A grown state carries
+//! its lub's extension, computed in the session pool's id space from the
+//! engine's columns, and assembles its `LS` concept only when the search
+//! keeps it. The explanation check probes that extension with the
+//! question's answers resolved to pool ids once per question
+//! ([`AnswerIds`]). So no `LS` concept is built, looked up or evaluated
+//! per probe; only `check_mge_instance` evaluates the concepts it is
+//! handed, directly.
 //!
 //! Validation happens at the service boundary: a malformed question
 //! (wrong arity, unknown relation, nullary tuple, tuple already answered)
@@ -74,7 +82,7 @@ use crate::exhaustive;
 use crate::incremental::{check_mge_instance_core, incremental_search_core};
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
-use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 // lint: allow(deterministic-iteration) — session caches are probed by key;
@@ -170,14 +178,25 @@ impl From<RelError> for SessionError {
 struct BoundQuestion {
     ans: Arc<BTreeSet<Tuple>>,
     tuple: Tuple,
+    /// The answers resolved to session-pool ids, for the lub-driven
+    /// searches (see [`BoundQuestion::intern`]).
+    ids: Option<AnswerIds>,
 }
 
 impl BoundQuestion {
     fn view(&self) -> QuestionRef<'_> {
-        QuestionRef {
-            ans: &self.ans,
-            tuple: &self.tuple,
+        let view = QuestionRef::new(&self.ans, &self.tuple);
+        match &self.ids {
+            Some(ids) => view.with_ids(ids),
+            None => view,
         }
+    }
+
+    /// Resolves the answers to `pool` ids once, so every explanation
+    /// check of the question probes bits.
+    fn intern(mut self, pool: &Arc<ConstPool>) -> Self {
+        self.ids = Some(AnswerIds::new(pool, self.view()));
+        self
     }
 }
 
@@ -198,10 +217,7 @@ struct BoundContrast {
 impl BoundContrast {
     /// The residual question the lub-driven cores consume.
     fn view(&self) -> QuestionRef<'_> {
-        QuestionRef {
-            ans: &self.residual,
-            tuple: &self.missing,
-        }
+        QuestionRef::new(&self.residual, &self.missing)
     }
 }
 
@@ -226,8 +242,9 @@ pub struct SessionStats {
     /// never memoized. Kept because the wire `stats` line and the wire
     /// benchmark report it.
     pub cached_lubs: usize,
-    /// Distinct `LS` concepts whose extensions are cached (Algorithm 2's
-    /// candidates, including rejected growth probes).
+    /// Always 0: growth states carry their extensions, so no `LS`
+    /// concept extension is memoized. Kept because the wire `stats` line
+    /// and the wire benchmark report it.
     pub cached_ls_extensions: usize,
     /// Distinct `(query, missing, foil, kind)` contrastive answers
     /// cached.
@@ -314,10 +331,11 @@ pub struct DeltaStats {
     pub lubs_repaired: usize,
     /// Always 0; see `lubs_recomputed`.
     pub lubs_retained: usize,
-    /// `LS`-concept extensions dropped (the concept reads a changed
-    /// relation).
+    /// Always 0, like `ls_extensions_retained`: there is no `LS`
+    /// extension memo for a delta to invalidate (growth states carry
+    /// their extensions). The fields stay for API compatibility.
     pub ls_extensions_dropped: usize,
-    /// `LS`-concept extensions that survived.
+    /// Always 0; see `ls_extensions_dropped`.
     pub ls_extensions_retained: usize,
     /// Lub-engine column sets dropped (their relation changed).
     pub lub_columns_dropped: usize,
@@ -342,7 +360,6 @@ impl DeltaStats {
             + self.candidates_dropped
             + self.probes_dropped
             + self.conflicts_dropped
-            + self.ls_extensions_dropped
             + self.lub_columns_dropped
             + self.contrast_dropped
     }
@@ -356,7 +373,6 @@ impl DeltaStats {
             + self.candidates_retained
             + self.probes_retained
             + self.conflicts_retained
-            + self.ls_extensions_retained
             + self.lub_columns_retained
     }
 }
@@ -387,7 +403,8 @@ pub struct CacheBudget {
     /// Unused: lubs are grown per probe, never memoized. Kept so budgets
     /// written against the full cache list still compile.
     pub lubs: usize,
-    /// Max memoized `LS`-concept extensions.
+    /// Unused: growth states carry their extensions, so no `LS` concept
+    /// extension is memoized. Kept like `lubs`.
     pub ls_extensions: usize,
     /// Max cached contrastive answers (keyed `(query, missing, foil,
     /// kind)`).
@@ -437,7 +454,7 @@ pub struct EvictionStats {
     pub conflicts: usize,
     /// Always 0: there is no lub memo to evict from.
     pub lubs: usize,
-    /// `LS`-concept extensions evicted.
+    /// Always 0: there is no `LS` extension memo to evict from.
     pub ls_extensions: usize,
     /// Contrastive answers evicted.
     pub contrast: usize,
@@ -446,12 +463,7 @@ pub struct EvictionStats {
 impl EvictionStats {
     /// Total entries evicted across every cache.
     pub fn total(&self) -> usize {
-        self.answers
-            + self.candidates
-            + self.probes
-            + self.conflicts
-            + self.ls_extensions
-            + self.contrast
+        self.answers + self.candidates + self.probes + self.conflicts + self.contrast
     }
 }
 
@@ -508,10 +520,6 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// interned column set per `(rel, attr)` for the whole session,
     /// built on the first lub.
     lub_engine: OnceCell<LubEngine<'a>>,
-    /// `LS`-concept extensions (Algorithm 2's candidates) keyed by
-    /// concept, interned into the session pool, each entry carrying its
-    /// LRU recency stamp.
-    ls_exts: RefCell<BTreeMap<LsConcept, Stamped<Extension>>>,
     /// Contrastive answers keyed by `(query, missing, foil, kind slot)`,
     /// each entry carrying its LRU stamp. Dropped wholesale by any
     /// effective delta (see [`DeltaStats::contrast_dropped`]): the
@@ -593,7 +601,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             // lint: allow(deterministic-iteration) — as above.
             conflicts: RefCell::new(HashMap::new()),
             lub_engine: OnceCell::new(),
-            ls_exts: RefCell::new(BTreeMap::new()),
             // lint: allow(deterministic-iteration) — as above.
             contrast: RefCell::new(HashMap::new()),
             budget: CacheBudget::unlimited(),
@@ -706,16 +713,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             }
         }
         {
-            let mut cache = self.ls_exts.borrow_mut();
-            while cache.len() > budget.ls_extensions {
-                let Some(key) = lru_key_btree(&cache) else {
-                    break;
-                };
-                cache.remove(&key);
-                self.count_evicted(|e| e.ls_extensions += 1);
-            }
-        }
-        {
             let mut cache = self.probes.borrow_mut();
             while cache.len() > budget.probes {
                 let Some(key) = lru_key(&cache) else { break };
@@ -785,7 +782,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             cached_candidates: self.candidates.borrow().len(),
             cached_conflicts: self.conflicts.borrow().len(),
             cached_lubs: 0,
-            cached_ls_extensions: self.ls_exts.borrow().len(),
+            cached_ls_extensions: 0,
             cached_contrasts: self.contrast.borrow().len(),
             cache_evictions: self.evicted.get().total(),
             lub_column_builds: self.lub_engine.get().map_or(0, LubEngine::column_builds),
@@ -809,8 +806,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// mutation that cancels out touches nothing) intersected with each
     /// cache entry's relation footprint: the ontology's
     /// [`signature`](Ontology::signature) for concept extensions, the
-    /// query's atoms for answer sets, the `LS` concept's atoms for
-    /// their extensions. Constants never seen before trigger a
+    /// query's atoms for answer sets, changed relations for the lub
+    /// engine's columns. Constants never seen before trigger a
     /// [`ConstPool`] generation bump; retained interned caches are then
     /// bridged with one bit-remap each, never re-evaluated.
     ///
@@ -979,24 +976,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             stats.lub_columns_dropped = cols_dropped;
         }
 
-        // 9. LS-concept extensions: an extension reads exactly its
-        // concept's relations (nominals read none).
-        let ls_cache = self.ls_exts.get_mut();
-        let old_ls = std::mem::take(ls_cache);
-        for (c, (ext, stamp)) in old_ls {
-            if c.rels().iter().any(|r| changed.contains(r)) {
-                stats.ls_extensions_dropped += 1;
-                continue;
-            }
-            stats.ls_extensions_retained += 1;
-            let ext = match &map {
-                None => ext,
-                Some(m) => ext.reinterned_via(&pool, m),
-            };
-            ls_cache.insert(c, (ext, stamp));
-        }
-
-        // 10. Contrastive answers: the cached separators and foil-aligned
+        // 9. Contrastive answers: the cached separators and foil-aligned
         // MGEs are certified *maximal* against the full lub column set —
         // a change to any relation can mint a new covering atom that
         // admits a strictly more general result, so there is no sound
@@ -1060,29 +1040,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             .ok_or(SessionError::EmptySupport)
     }
 
-    /// The extension of an `LS` concept over the pinned instance,
-    /// memoized and interned into the session pool.
-    fn ls_extension(&self, c: &LsConcept) -> Extension {
-        if let Some((hit, stamp)) = self.ls_exts.borrow().get(c) {
-            stamp.set(self.clock_tick());
-            return hit.clone();
-        }
-        let ext = c.extension_in(self.instance(), self.pool());
-        if self.budget.ls_extensions == 0 {
-            return ext;
-        }
-        let mut cache = self.ls_exts.borrow_mut();
-        while cache.len() >= self.budget.ls_extensions {
-            let Some(key) = lru_key_btree(&cache) else {
-                break;
-            };
-            cache.remove(&key);
-            self.count_evicted(|e| e.ls_extensions += 1);
-        }
-        cache.insert(c.clone(), (ext.clone(), Cell::new(self.clock_tick())));
-        ext
-    }
-
     /// `adom(I)` in ascending order, computed once.
     fn adom(&self) -> &[Value] {
         self.adom
@@ -1111,40 +1068,46 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         Ok(BoundQuestion {
             ans,
             tuple: q.tuple.clone(),
+            ids: None,
         })
     }
 
     /// Algorithm 2 (INCREMENTAL SEARCH) w.r.t. the instance-derived
     /// ontology `OI`: growth probes through the session's lub engine,
-    /// extensions through the session cache.
+    /// each decided by the grown state's id-space extension.
     pub fn incremental(
         &self,
         q: &WhyNotQuestion,
         kind: LubKind,
     ) -> Result<Explanation<LsConcept>, SessionError> {
-        let bound = self.bind(q)?;
+        let bound = self.bind(q)?.intern(self.pool());
         Ok(incremental_search_core(
             self.adom(),
             bound.view(),
             self.lub_engine(),
             kind,
-            &mut |c| self.ls_extension(c),
+            &mut |c| c.extension_in(self.instance(), self.pool()),
         ))
     }
 
-    /// CHECK-MGE W.R.T. `OI` (Proposition 5.2) through the session caches.
+    /// CHECK-MGE W.R.T. `OI` (Proposition 5.2) through the session's lub
+    /// engine; `e`'s own concepts are evaluated directly.
     pub fn check_mge_instance(
         &self,
         q: &WhyNotQuestion,
         e: &Explanation<LsConcept>,
         kind: LubKind,
     ) -> Result<bool, SessionError> {
-        let bound = self.bind(q)?;
+        let bound = self.bind(q)?.intern(self.pool());
         let view = bound.view();
         if e.len() != view.arity() {
             return Ok(false);
         }
-        let exts: Vec<Extension> = e.concepts.iter().map(|c| self.ls_extension(c)).collect();
+        let exts: Vec<Extension> = e
+            .concepts
+            .iter()
+            .map(|c| c.extension_in(self.instance(), self.pool()))
+            .collect();
         if !exts_form_explanation_q(&exts, view) {
             return Ok(false);
         }
@@ -1157,7 +1120,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             e,
             self.lub_engine(),
             kind,
-            &mut |c| self.ls_extension(c),
+            &mut |c| c.extension_in(self.instance(), self.pool()),
         ))
     }
 
@@ -1203,8 +1166,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
     /// The contrastive answer — per-position difference separators plus
     /// the foil-aligned MGE (see [`ContrastAnswer`]) — with growth probes
-    /// through the session's lub engine and extensions through the
-    /// session cache, memoized by `(query, missing, foil, kind)`. A cache
+    /// through the session's lub engine, memoized by `(query, missing,
+    /// foil, kind)`. A cache
     /// hit skips binding entirely (the entry can only exist while the
     /// instance is unchanged — every effective delta drops the cache), so
     /// hits do not count toward
@@ -1221,13 +1184,14 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         }
         let bound = self.bind_contrast(q)?;
         let k_vals = restriction_values(self.adom().iter().cloned(), &bound.missing);
+        let ids = AnswerIds::new(self.pool(), bound.view());
         let answer = Arc::new(contrast_core(
             &k_vals,
-            bound.view(),
+            bound.view().with_ids(&ids),
             &bound.foil,
             self.lub_engine(),
             kind,
-            &mut |c| self.ls_extension(c),
+            &mut |c| c.extension_in(self.instance(), self.pool()),
         ));
         self.store_contrast(key, &answer);
         Ok(answer)
@@ -1498,6 +1462,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         let legacy = BoundQuestion {
             ans: Arc::clone(&bound.ans),
             tuple: bound.missing.clone(),
+            ids: None,
         };
         let (all, _) = self.finite_index();
         let mut out: Vec<Vec<O::Concept>> = Vec::with_capacity(bound.missing.len());
@@ -2120,10 +2085,14 @@ mod tests {
         assert!(stats.cached_candidates <= 2);
         assert!(stats.cached_conflicts <= 2);
         assert_eq!(stats.cached_lubs, 0, "lubs are never memoized");
-        assert!(stats.cached_ls_extensions <= 2);
+        assert_eq!(
+            stats.cached_ls_extensions, 0,
+            "growth states carry their extensions"
+        );
         let ev = capped.evictions();
         assert!(ev.candidates > 0, "5 distinct constants through budget 2");
         assert_eq!(ev.lubs, 0);
+        assert_eq!(ev.ls_extensions, 0);
         assert_eq!(stats.cache_evictions, ev.total());
         assert!(stats.cache_evictions > 0);
         // The unlimited reference evicted nothing.
@@ -2196,7 +2165,8 @@ mod tests {
         assert!(trimmed.cached_queries <= 1);
         assert!(trimmed.cached_candidates <= 1);
         assert!(trimmed.cached_conflicts <= 1);
-        assert!(trimmed.cached_ls_extensions <= 1);
+        assert_eq!(warm.cached_ls_extensions, 0);
+        assert_eq!(trimmed.cached_ls_extensions, 0);
         assert!(session.evictions().total() > 0);
         // Still answers correctly after the trim.
         let fresh = WhyNotSession::new(&o, &schema, &inst);

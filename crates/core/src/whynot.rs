@@ -3,8 +3,9 @@
 use crate::ontology::Ontology;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use whynot_concepts::Extension;
-use whynot_relation::{Instance, RelError, Schema, Tuple, Ucq, Value};
+use whynot_relation::{ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId};
 
 /// A why-not instance `(S, I, q, Ans, a)` (Definition 5.1): the answer set
 /// `Ans = q(I)` is part of the input — the paper's problems never charge
@@ -97,10 +98,7 @@ impl WhyNotInstance {
     /// schema and instance are carried separately by the evaluation
     /// context or session).
     pub fn question(&self) -> QuestionRef<'_> {
-        QuestionRef {
-            ans: &self.ans,
-            tuple: &self.tuple,
-        }
+        QuestionRef::new(&self.ans, &self.tuple)
     }
 }
 
@@ -118,12 +116,89 @@ pub struct QuestionRef<'q> {
     pub ans: &'q BTreeSet<Tuple>,
     /// The missing tuple `a ∉ Ans`.
     pub tuple: &'q Tuple,
+    /// `ans` and `tuple` resolved to the ids of one pool, when the
+    /// caller built them (see [`AnswerIds`]): the explanation check then
+    /// probes bits instead of hashing every answer constant.
+    pub ids: Option<&'q AnswerIds>,
 }
 
-impl QuestionRef<'_> {
+impl<'q> QuestionRef<'q> {
+    /// A question view over value-space answers only.
+    pub fn new(ans: &'q BTreeSet<Tuple>, tuple: &'q Tuple) -> Self {
+        QuestionRef {
+            ans,
+            tuple,
+            ids: None,
+        }
+    }
+
+    /// The same view, checked through `ids` — which must have been built
+    /// from this view's `ans` and `tuple` by [`AnswerIds::new`].
+    pub fn with_ids(self, ids: &'q AnswerIds) -> Self {
+        debug_assert_eq!(ids.tuple.len(), self.tuple.len());
+        debug_assert_eq!(ids.cells.len(), self.ans.len() * self.tuple.len());
+        QuestionRef {
+            ids: Some(ids),
+            ..self
+        }
+    }
+
     /// The arity `m` of the question.
     pub fn arity(&self) -> usize {
         self.tuple.len()
+    }
+}
+
+/// A question's answer rows and missing tuple resolved to the ids of one
+/// [`ConstPool`], once per question: `None` marks a constant the pool
+/// does not intern.
+///
+/// [`exts_form_explanation_q`] uses them for every extension over that
+/// same pool — membership becomes one bit probe per cell — and falls
+/// back to [`Extension::contains`] for extensions over other pools.
+#[derive(Clone, Debug)]
+pub struct AnswerIds {
+    pool: Arc<ConstPool>,
+    tuple: Vec<Option<ValueId>>,
+    /// Row-major: `arity` cells per answer, in the answer set's order.
+    cells: Vec<Option<ValueId>>,
+}
+
+impl AnswerIds {
+    /// Resolves `q`'s answers and missing tuple against `pool`.
+    pub fn new(pool: &Arc<ConstPool>, q: QuestionRef<'_>) -> Self {
+        AnswerIds {
+            pool: Arc::clone(pool),
+            tuple: q.tuple.iter().map(|v| pool.id_of(v)).collect(),
+            cells: q.ans.iter().flatten().map(|v| pool.id_of(v)).collect(),
+        }
+    }
+
+    /// Definition 3.2 over `exts`, probing bits wherever an extension
+    /// indexes this pool.
+    fn form_explanation(&self, exts: &[Extension], q: QuestionRef<'_>) -> bool {
+        let member = |ext: &Extension, id: Option<ValueId>, v: &Value| match ext {
+            Extension::Universal => true,
+            Extension::Finite(set) if Arc::ptr_eq(set.pool(), &self.pool) => match id {
+                Some(id) => set.contains_id(id),
+                None => set.extra().contains(v),
+            },
+            Extension::Finite(set) => set.contains(v),
+        };
+        let holds_tuple = exts
+            .iter()
+            .zip(q.tuple.iter().zip(&self.tuple))
+            .all(|(ext, (v, &id))| member(ext, id, v));
+        // Product disjointness: every answer tuple escapes on some position.
+        holds_tuple
+            && q.ans
+                .iter()
+                .zip(self.cells.chunks_exact(q.arity()))
+                .all(|(t, ids)| {
+                    exts.iter()
+                        .zip(t.iter().zip(ids))
+                        .any(|(ext, (v, &id))| !member(ext, id, v))
+                })
     }
 }
 
@@ -211,8 +286,13 @@ pub fn exts_form_explanation(exts: &[Extension], wn: &WhyNotInstance) -> bool {
 }
 
 /// [`exts_form_explanation`] against a borrowed [`QuestionRef`] (the
-/// session-layer entry point).
+/// session-layer entry point). When the view carries [`AnswerIds`],
+/// membership in extensions over their pool is a bit probe.
 pub fn exts_form_explanation_q(exts: &[Extension], q: QuestionRef<'_>) -> bool {
+    // A nullary question has no cells to chunk answer rows by.
+    if let Some(ids) = q.ids.filter(|_| q.arity() > 0) {
+        return ids.form_explanation(exts, q);
+    }
     for (ext, a_i) in exts.iter().zip(q.tuple) {
         if !ext.contains(a_i) {
             return false;

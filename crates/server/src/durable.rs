@@ -14,10 +14,12 @@
 //!   the log.
 //!
 //! Recovery ([`Durability::load`]) parses the snapshot, rebuilds the
-//! instance from its fact list, then replays WAL records in order
-//! **stopping at the first invalid record** (torn tail, checksum
-//! mismatch, out-of-order sequence) and reporting what stopped it —
-//! everything up to that point is recovered. The caller replays the
+//! instance from its fact list, then replays WAL records in order. It
+//! skips records at the head of the log that the snapshot already holds
+//! (a crash between the snapshot's rename and the WAL unlink leaves
+//! them), then **stops at the first invalid record** (torn tail,
+//! checksum mismatch, out-of-order sequence) and reports what stopped it
+//! — everything up to that point is recovered. The caller replays the
 //! returned deltas through `WhyNotSession::apply_delta`, so a restarted
 //! tenant takes the same incremental-invalidation path a live one does.
 
@@ -190,6 +192,12 @@ impl Durability {
 
     /// Reads the WAL, returning records with `seq > after` in order and
     /// the reason replay stopped, if any.
+    ///
+    /// Records at the head of the log with `seq ≤ after` are skipped: a
+    /// crash between the snapshot's rename and the WAL unlink leaves
+    /// records the snapshot already holds in front of later acknowledged
+    /// ones. Past that head, replay stops at the first torn, invalid or
+    /// out-of-order record.
     fn replay_wal(
         &self,
         tenant: &str,
@@ -210,6 +218,9 @@ impl Durability {
             }
             match delta_from_wal_line(schema, line) {
                 Ok((seq, delta)) => {
+                    if records.is_empty() && seq <= after {
+                        continue; // already in the snapshot
+                    }
                     if seq <= last_seq {
                         return (
                             records,
@@ -304,6 +315,55 @@ mod tests {
         assert_eq!(loaded.wal.len(), 2);
         let err = loaded.wal_error.unwrap();
         assert!(err.contains("stopped after seq 2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_head_records_are_skipped_not_fatal() {
+        // A crash after the snapshot rename but before the WAL unlink
+        // leaves records the snapshot already holds at the head of the
+        // log; every later acknowledged record must still replay.
+        let dir = tmpdir("stale-head");
+        let d = Durability::new(&dir);
+        let def = parse_definition(DEF).unwrap();
+        let r = def.schema.rel("R").unwrap();
+        let delta_at = |n: i64| {
+            let mut delta = Delta::new();
+            delta.insert(r, vec![Value::int(n), Value::int(n)]);
+            delta
+        };
+        for seq in 1..=3 {
+            d.append_wal("t1", &def.schema, seq, &delta_at(seq as i64))
+                .unwrap();
+        }
+        let wal = dir.join("t1.wal");
+        let stale = std::fs::read_to_string(&wal).unwrap();
+        d.write_snapshot("t1", DEF, &def.schema, &Instance::new(), 3)
+            .unwrap();
+        // Put the stale head back, then acknowledge seqs 4..=6 after it.
+        std::fs::write(&wal, stale).unwrap();
+        for seq in 4..=6 {
+            d.append_wal("t1", &def.schema, seq, &delta_at(seq as i64))
+                .unwrap();
+        }
+
+        let loaded = d.load("t1").unwrap();
+        let seqs: Vec<u64> = loaded.wal.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, vec![4, 5, 6]);
+        assert_eq!(loaded.wal[0].1, delta_at(4));
+        assert!(loaded.wal_error.is_none(), "{:?}", loaded.wal_error);
+
+        // Out of order after the head still stops replay.
+        let mut text = std::fs::read_to_string(&wal).unwrap();
+        text.push_str(&format!(
+            "{}\n",
+            delta_to_wal_line(&def.schema, 5, &delta_at(9))
+        ));
+        std::fs::write(&wal, text).unwrap();
+        let loaded = d.load("t1").unwrap();
+        assert_eq!(loaded.wal.len(), 3);
+        let err = loaded.wal_error.unwrap();
+        assert!(err.contains("stopped after seq 6"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,14 +8,18 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use whynot::concepts::{lub, lub_sigma, simplify, LsConcept, LubEngine, LubProvider, Selection};
+use std::sync::Arc;
+use whynot::concepts::{
+    lub, lub_sigma, simplify, Extension, LsConcept, LubEngine, LubProvider, Selection,
+};
 use whynot::core::{
-    check_mge_instance, exhaustive_search, exts_form_explanation, incremental_search,
-    incremental_search_kind, incremental_search_with_selections, ExplicitOntology, LubKind,
-    WhyNotInstance, WhyNotQuestion, WhyNotSession,
+    check_mge_instance, exhaustive_search, exts_form_explanation, exts_form_explanation_q,
+    incremental_search, incremental_search_kind, incremental_search_with_selections, AnswerIds,
+    ExplicitOntology, LubKind, QuestionRef, WhyNotInstance, WhyNotQuestion, WhyNotSession,
 };
 use whynot::relation::{
-    Atom, CmpOp, Cq, Instance, Interval, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq, Value, Var,
+    Atom, CmpOp, ConstPool, Cq, Instance, Interval, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq,
+    Value, Var,
 };
 use whynot::subsumption::{subsumed_under_fds, SubsumptionOutcome};
 
@@ -47,6 +51,28 @@ prop_compose! {
         }
         for (u, v) in t_rows {
             inst.insert(t, vec![Value::int(u), Value::int(v)]);
+        }
+        inst
+    }
+}
+
+prop_compose! {
+    /// A small instance over the fixed schema whose relation `T` may be
+    /// left without a single row.
+    fn instance_maybe_empty_t()(
+        r_rows in proptest::collection::vec((0i64..12, 0i64..12, 0i64..12), 0..12),
+        t_rows in proptest::collection::vec((0i64..12, 0i64..12), 0..8),
+        empty_t in any::<bool>(),
+    ) -> Instance {
+        let (_, r, t) = fixed_schema();
+        let mut inst = Instance::new();
+        for (a, b, c) in r_rows {
+            inst.insert(r, vec![Value::int(a), Value::int(b), Value::int(c)]);
+        }
+        if !empty_t {
+            for (u, v) in t_rows {
+                inst.insert(t, vec![Value::int(u), Value::int(v)]);
+            }
         }
         inst
     }
@@ -358,24 +384,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn lub_growth_matches_legacy_on_every_prefix(
-        r_rows in proptest::collection::vec((0i64..12, 0i64..12, 0i64..12), 0..12),
-        t_rows in proptest::collection::vec((0i64..12, 0i64..12), 0..8),
-        empty_t in any::<bool>(),
+        inst in instance_maybe_empty_t(),
         order in proptest::collection::vec(-2i64..16, 1..7),
     ) {
         // Constants 0..12 may occur in the instance; 12..14 are pooled
         // but occur in no column; -2..0 and 14..16 are not pooled at
-        // all. `empty_t` leaves the relation T without a single row.
-        let (schema, r, t) = fixed_schema();
-        let mut inst = Instance::new();
-        for (a, b, c) in r_rows {
-            inst.insert(r, vec![Value::int(a), Value::int(b), Value::int(c)]);
-        }
-        if !empty_t {
-            for (u, v) in t_rows {
-                inst.insert(t, vec![Value::int(u), Value::int(v)]);
-            }
-        }
+        // all. The relation T may be without a single row.
+        let (schema, ..) = fixed_schema();
         let pool = inst.const_pool_with([Value::int(12), Value::int(13)]);
         let engine = LubEngine::with_pool(&schema, &inst, pool);
         let order: Vec<Value> = order.into_iter().map(Value::int).collect();
@@ -397,6 +412,123 @@ proptest! {
             .map(|&c| Value::str(whynot::scenarios::generators::city_name(c)))
             .collect();
         assert_growth_matches_legacy(&engine, &wn.schema, &wn.instance, &order);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Id-space fast paths ≡ value-space evaluation
+// ---------------------------------------------------------------------
+
+/// Folds lub growth over `order` on the pooled engine for both lub kinds
+/// and checks, after every prefix, that the extension the state carries
+/// equals its concept's extension evaluated in value space over the
+/// engine's pool. The carried extension is read before the concept is
+/// assembled.
+fn assert_growth_extensions_match(engine: &LubEngine<'_>, inst: &Instance, order: &[Value]) {
+    for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+        let mut state = engine.start(kind, &order[0]);
+        let mut prefix: BTreeSet<Value> = BTreeSet::new();
+        for (i, v) in order.iter().enumerate() {
+            if i > 0 {
+                state = engine.grow(&state, v);
+            }
+            prefix.insert(v.clone());
+            let carried = state
+                .extension()
+                .cloned()
+                .expect("pooled states carry their extension");
+            let evaluated = state.concept().extension_in(inst, engine.pool());
+            assert_eq!(carried, evaluated, "{kind:?} grown to {prefix:?}");
+        }
+    }
+}
+
+/// One position's extension for the explanation-check differential:
+/// `⊤`, a set over the shared pool (members outside the pool land in its
+/// overflow), or a set over a private, foreign pool.
+fn extension_case(pool: &Arc<ConstPool>, shape: u8, members: BTreeSet<i64>) -> Extension {
+    let members = members.into_iter().map(Value::int);
+    match shape {
+        0 => Extension::Universal,
+        1 => Extension::finite_in(Arc::clone(pool), members),
+        _ => Extension::finite(members),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn lub_state_extensions_match_concept_extensions_on_every_prefix(
+        inst in instance_maybe_empty_t(),
+        order in proptest::collection::vec(-2i64..16, 1..7),
+    ) {
+        // Same constants as the growth ≡ legacy test: 0..12 may occur,
+        // 12..14 are pooled but absent, -2..0 and 14..16 are unpooled;
+        // `order` may repeat constants.
+        let (schema, ..) = fixed_schema();
+        let pool = inst.const_pool_with([Value::int(12), Value::int(13)]);
+        let engine = LubEngine::with_pool(&schema, &inst, pool);
+        let order: Vec<Value> = order.into_iter().map(Value::int).collect();
+        assert_growth_extensions_match(&engine, &inst, &order);
+    }
+
+    #[test]
+    fn lub_state_extensions_match_concept_extensions_on_city_workloads(
+        seed in 0u64..32,
+        picks in proptest::collection::vec(0usize..26, 1..6),
+    ) {
+        // Picks 24 and 25 name cities outside the 24-city network.
+        let net = whynot::scenarios::generators::city_network(24, 4, seed);
+        let wn = &net.why_not;
+        let engine = LubEngine::new(&wn.schema, &wn.instance);
+        let order: Vec<Value> = picks
+            .iter()
+            .map(|&c| Value::str(whynot::scenarios::generators::city_name(c)))
+            .collect();
+        assert_growth_extensions_match(&engine, &wn.instance, &order);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn interned_explanation_check_matches_value_space(
+        shapes in proptest::collection::vec(
+            (0u8..3, proptest::collection::btree_set(-2i64..16, 0..10), any::<bool>()),
+            2..3,
+        ),
+        rows in proptest::collection::btree_set((-2i64..16, -2i64..16), 0..12),
+        (a, b) in (-2i64..16, -2i64..16),
+    ) {
+        // The pool interns 0..12; answer, tuple and extension constants
+        // -2..0 and 12..16 lie outside it. `admit` puts the tuple's
+        // constant into its position's extension, so the answer rows
+        // decide the check more often.
+        let pool = Arc::new(ConstPool::from_values((0..12).map(Value::int)));
+        let tuple_ints = [a, b];
+        let exts: Vec<Extension> = shapes
+            .into_iter()
+            .zip(tuple_ints)
+            .map(|((shape, mut members, admit), t)| {
+                if admit {
+                    members.insert(t);
+                }
+                extension_case(&pool, shape, members)
+            })
+            .collect();
+        let ans: BTreeSet<Tuple> = rows
+            .into_iter()
+            .map(|(x, y)| vec![Value::int(x), Value::int(y)])
+            .collect();
+        let tuple: Tuple = tuple_ints.into_iter().map(Value::int).collect();
+        let q = QuestionRef::new(&ans, &tuple);
+        let ids = AnswerIds::new(&pool, q);
+        prop_assert_eq!(
+            exts_form_explanation_q(&exts, q.with_ids(&ids)),
+            exts_form_explanation_q(&exts, q),
+            "exts {:?}",
+            exts
+        );
     }
 }
 
