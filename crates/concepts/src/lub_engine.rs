@@ -175,8 +175,9 @@ struct Pooled {
     /// when the concept is assembled).
     view: LubView,
     columns: Columns,
-    /// `[[lub(S)]]^I` over the view's pool.
-    extension: Extension,
+    /// `[[lub(S)]]^I` over the view's pool, shared with the growth loops
+    /// that keep it beside the state.
+    extension: Arc<Extension>,
     concept: OnceCell<LsConcept>,
 }
 
@@ -218,8 +219,9 @@ impl LubState {
     /// carries one: always for states built by the pooled engine, never
     /// for states built by the recomputing default bodies of
     /// [`LubProvider`] (evaluate their [`concept`](LubState::concept)
-    /// instead).
-    pub fn extension(&self) -> Option<&Extension> {
+    /// instead). The extension is shared: cloning the `Arc` is a pointer
+    /// copy.
+    pub fn extension(&self) -> Option<&Arc<Extension>> {
         match &self.growth {
             Growth::Recompute(_) => None,
             Growth::Pooled(p) => Some(&p.extension),
@@ -599,7 +601,7 @@ impl LubView {
     /// Wraps growth data into a state, computing its extension now and
     /// leaving its concept for the first read.
     fn state(&self, kind: LubKind, support: BTreeSet<Value>, columns: Columns) -> LubState {
-        let extension = self.extension(&support, &columns);
+        let extension = Arc::new(self.extension(&support, &columns));
         LubState {
             kind,
             support,
@@ -1093,7 +1095,7 @@ mod tests {
             let check_extension = |state: &LubState, prefix: &BTreeSet<Value>| {
                 if let Some(ext) = state.extension() {
                     let expect = legacy(prefix).extension_in(inst, p.pool());
-                    assert_eq!(ext, &expect, "{kind:?} extension of {prefix:?}");
+                    assert_eq!(**ext, expect, "{kind:?} extension of {prefix:?}");
                 }
             };
             let mut state = p.start(kind, &x[0]);
@@ -1150,7 +1152,7 @@ mod tests {
             &engine.start(LubKind::SelectionFree, &s("Berlin")),
             &Value::int(59_946),
         );
-        assert_eq!(top.extension(), Some(&Extension::Universal));
+        assert_eq!(top.extension().map(|e| &**e), Some(&Extension::Universal));
         assert!(top.concept().is_top());
     }
 

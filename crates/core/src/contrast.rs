@@ -151,7 +151,7 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
 /// One ranked growth candidate of the foil-aligned search: the constant
 /// `b`, the state of `lub(S ∪ {b})` grown from the support `S` at
 /// ranking time, and that lub's extension.
-type Ranked = (Value, LubState, Extension);
+type Ranked = (Value, LubState, Arc<Extension>);
 
 /// Ranks the growth candidates for one position of the foil-aligned
 /// search, set-cover style: constants whose absorption buys the widest
@@ -205,7 +205,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
         .zip(foil)
         .map(|(a, b)| lubs.grow(&lubs.start(kind, a), b))
         .collect();
-    let mut exts: Vec<Extension> = states
+    let mut exts: Vec<Arc<Extension>> = states
         .iter()
         .map(|s| state_extension(s, &mut *ext_of))
         .collect();
@@ -327,12 +327,10 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     let ans = question.query.eval(instance);
     let residual = validate_contrast(&question.query, &question.missing, &question.foil, &ans)?;
     let k_vals = restriction_values(instance.active_domain(), &question.missing);
-    let view = QuestionRef::new(&residual, &question.missing);
-    let ids = AnswerIds::new(pool, view);
-    let view = view.with_ids(&ids);
+    let ids = AnswerIds::new(pool, QuestionRef::new(&residual, &question.missing));
     Ok(contrast_core(
         &k_vals,
-        view,
+        ids.question(),
         &question.foil,
         provider,
         kind,

@@ -55,12 +55,12 @@ fn grow_with_order(
     // shared with the lub engine's column sets.
     let pool = engine.pool();
     let ids = AnswerIds::new(pool, wn.question());
-    let q = wn.question().with_ids(&ids);
+    let q = ids.question();
     let ext_of = |s: &LubState| state_extension(s, &mut |c| c.extension_in(&wn.instance, pool));
     let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();
-    let mut exts: Vec<Extension> = states.iter().map(ext_of).collect();
+    let mut exts: Vec<Arc<Extension>> = states.iter().map(ext_of).collect();
 
-    let try_grow = |j: usize, b: &Value, states: &mut Vec<LubState>, exts: &mut Vec<Extension>| {
+    let try_grow = |j: usize, b: &Value, states: &mut [LubState], exts: &mut [Arc<Extension>]| {
         if exts[j].contains(b) {
             return;
         }

@@ -63,25 +63,21 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     let engine = LubEngine::with_pool(schema, inst, Arc::clone(&pool));
     let adom: Vec<Value> = inst.active_domain().into_iter().collect();
     let ids = AnswerIds::new(&pool, wn.question());
-    incremental_search_core(
-        &adom,
-        wn.question().with_ids(&ids),
-        &engine,
-        kind,
-        &mut |c| c.extension_in(inst, &pool),
-    )
+    incremental_search_core(&adom, ids.question(), &engine, kind, &mut |c| {
+        c.extension_in(inst, &pool)
+    })
 }
 
-/// A growth state's extension: the one a pooled state carries, or
-/// `ext_of` over its concept for a state built by the recomputing
-/// default [`LubProvider`] bodies.
+/// A growth state's extension: the one a pooled state carries (shared,
+/// not copied), or `ext_of` over its concept for a state built by the
+/// recomputing default [`LubProvider`] bodies.
 pub(crate) fn state_extension(
     state: &LubState,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-) -> Extension {
+) -> Arc<Extension> {
     match state.extension() {
-        Some(ext) => ext.clone(),
-        None => ext_of(state.concept()),
+        Some(ext) => Arc::clone(ext),
+        None => Arc::new(ext_of(state.concept())),
     }
 }
 
@@ -103,7 +99,7 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     // Lines 2–3: support sets start at the singletons {aj}; the first
     // candidate explanation is their lubs.
     let mut states: Vec<LubState> = q.tuple.iter().map(|a| lubs.start(kind, a)).collect();
-    let mut exts: Vec<Extension> = states
+    let mut exts: Vec<Arc<Extension>> = states
         .iter()
         .map(|s| state_extension(s, &mut *ext_of))
         .collect();
@@ -155,8 +151,7 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
     // constant restriction K).
     let k_consts = wn.restriction_constants();
     let ids = AnswerIds::new(&pool, wn.question());
-    let q = wn.question().with_ids(&ids);
-    check_mge_instance_core(&k_consts, q, e, &engine, kind, &mut |c| {
+    check_mge_instance_core(&k_consts, ids.question(), e, &engine, kind, &mut |c| {
         c.extension_in(inst, &pool)
     })
 }
@@ -176,7 +171,7 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> bool {
-    let mut exts: Vec<Extension> = e.concepts.iter().map(&mut *ext_of).collect();
+    let mut exts: Vec<Arc<Extension>> = e.concepts.iter().map(|c| Arc::new(ext_of(c))).collect();
     for j in 0..e.len() {
         // The universal extension (⊤) cannot be generalized.
         let Some(current) = exts[j].as_finite().map(|s| s.to_btree_set()) else {

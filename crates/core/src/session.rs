@@ -178,25 +178,11 @@ impl From<RelError> for SessionError {
 struct BoundQuestion {
     ans: Arc<BTreeSet<Tuple>>,
     tuple: Tuple,
-    /// The answers resolved to session-pool ids, for the lub-driven
-    /// searches (see [`BoundQuestion::intern`]).
-    ids: Option<AnswerIds>,
 }
 
 impl BoundQuestion {
     fn view(&self) -> QuestionRef<'_> {
-        let view = QuestionRef::new(&self.ans, &self.tuple);
-        match &self.ids {
-            Some(ids) => view.with_ids(ids),
-            None => view,
-        }
-    }
-
-    /// Resolves the answers to `pool` ids once, so every explanation
-    /// check of the question probes bits.
-    fn intern(mut self, pool: &Arc<ConstPool>) -> Self {
-        self.ids = Some(AnswerIds::new(pool, self.view()));
-        self
+        QuestionRef::new(&self.ans, &self.tuple)
     }
 }
 
@@ -322,21 +308,6 @@ pub struct DeltaStats {
     /// Conflict bitsets that survived (they are value-semantic — safe
     /// across generation bumps).
     pub conflicts_retained: usize,
-    /// Always 0, like `lubs_repaired` and `lubs_retained`: there is no
-    /// lub memo for a delta to invalidate (lubs are grown per probe
-    /// from the engine's columns, which are counted in
-    /// `lub_columns_*`). The fields stay for API compatibility.
-    pub lubs_recomputed: usize,
-    /// Always 0; see `lubs_recomputed`.
-    pub lubs_repaired: usize,
-    /// Always 0; see `lubs_recomputed`.
-    pub lubs_retained: usize,
-    /// Always 0, like `ls_extensions_retained`: there is no `LS`
-    /// extension memo for a delta to invalidate (growth states carry
-    /// their extensions). The fields stay for API compatibility.
-    pub ls_extensions_dropped: usize,
-    /// Always 0; see `ls_extensions_dropped`.
-    pub ls_extensions_retained: usize,
     /// Lub-engine column sets dropped (their relation changed).
     pub lub_columns_dropped: usize,
     /// Lub-engine column sets retained (id-remapped across a bump).
@@ -400,12 +371,6 @@ pub struct CacheBudget {
     pub probes: usize,
     /// Max Algorithm 1 conflict bitsets.
     pub conflicts: usize,
-    /// Unused: lubs are grown per probe, never memoized. Kept so budgets
-    /// written against the full cache list still compile.
-    pub lubs: usize,
-    /// Unused: growth states carry their extensions, so no `LS` concept
-    /// extension is memoized. Kept like `lubs`.
-    pub ls_extensions: usize,
     /// Max cached contrastive answers (keyed `(query, missing, foil,
     /// kind)`).
     pub contrast: usize,
@@ -424,8 +389,6 @@ impl CacheBudget {
             candidates: n,
             probes: n,
             conflicts: n,
-            lubs: n,
-            ls_extensions: n,
             contrast: n,
         }
     }
@@ -452,9 +415,11 @@ pub struct EvictionStats {
     pub probes: usize,
     /// Conflict bitsets evicted (including cascade purges).
     pub conflicts: usize,
-    /// Always 0: there is no lub memo to evict from.
+    /// Always 0: there is no lub memo to evict from. Kept because the
+    /// wire `stats` line reports it.
     pub lubs: usize,
-    /// Always 0: there is no `LS` extension memo to evict from.
+    /// Always 0: there is no `LS` extension memo to evict from. Kept like
+    /// `lubs`.
     pub ls_extensions: usize,
     /// Contrastive answers evicted.
     pub contrast: usize,
@@ -1068,7 +1033,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         Ok(BoundQuestion {
             ans,
             tuple: q.tuple.clone(),
-            ids: None,
         })
     }
 
@@ -1080,10 +1044,13 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         q: &WhyNotQuestion,
         kind: LubKind,
     ) -> Result<Explanation<LsConcept>, SessionError> {
-        let bound = self.bind(q)?.intern(self.pool());
+        let bound = self.bind(q)?;
+        // The answers resolved to pool ids once, so every explanation
+        // check of the search probes bits.
+        let ids = AnswerIds::new(self.pool(), bound.view());
         Ok(incremental_search_core(
             self.adom(),
-            bound.view(),
+            ids.question(),
             self.lub_engine(),
             kind,
             &mut |c| c.extension_in(self.instance(), self.pool()),
@@ -1098,8 +1065,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         e: &Explanation<LsConcept>,
         kind: LubKind,
     ) -> Result<bool, SessionError> {
-        let bound = self.bind(q)?.intern(self.pool());
-        let view = bound.view();
+        let bound = self.bind(q)?;
+        let ids = AnswerIds::new(self.pool(), bound.view());
+        let view = ids.question();
         if e.len() != view.arity() {
             return Ok(false);
         }
@@ -1187,7 +1155,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let ids = AnswerIds::new(self.pool(), bound.view());
         let answer = Arc::new(contrast_core(
             &k_vals,
-            bound.view().with_ids(&ids),
+            ids.question(),
             &bound.foil,
             self.lub_engine(),
             kind,
@@ -1462,7 +1430,6 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         let legacy = BoundQuestion {
             ans: Arc::clone(&bound.ans),
             tuple: bound.missing.clone(),
-            ids: None,
         };
         let (all, _) = self.finite_index();
         let mut out: Vec<Vec<O::Concept>> = Vec::with_capacity(bound.missing.len());
@@ -1954,14 +1921,6 @@ mod tests {
         let stats = session.apply_delta(&delta).unwrap();
         // No lub memo to repair: only the engine's columns for the one
         // changed relation were dropped.
-        assert_eq!(
-            (
-                stats.lubs_repaired,
-                stats.lubs_recomputed,
-                stats.lubs_retained
-            ),
-            (0, 0, 0)
-        );
         assert_eq!(stats.lub_columns_retained, 0);
         assert_eq!(stats.lub_columns_dropped, 2);
 

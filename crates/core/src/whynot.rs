@@ -1,6 +1,7 @@
 //! Why-not instances and explanations (paper Definitions 3.2, 3.3, 5.1).
 
 use crate::ontology::Ontology;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -116,10 +117,10 @@ pub struct QuestionRef<'q> {
     pub ans: &'q BTreeSet<Tuple>,
     /// The missing tuple `a ∉ Ans`.
     pub tuple: &'q Tuple,
-    /// `ans` and `tuple` resolved to the ids of one pool, when the
-    /// caller built them (see [`AnswerIds`]): the explanation check then
-    /// probes bits instead of hashing every answer constant.
-    pub ids: Option<&'q AnswerIds>,
+    /// `ans` and `tuple` resolved to the ids of one pool, set only by
+    /// [`AnswerIds::question`]: the explanation check then probes bits
+    /// instead of hashing every answer constant.
+    ids: Option<&'q AnswerIds<'q>>,
 }
 
 impl<'q> QuestionRef<'q> {
@@ -129,17 +130,6 @@ impl<'q> QuestionRef<'q> {
             ans,
             tuple,
             ids: None,
-        }
-    }
-
-    /// The same view, checked through `ids` — which must have been built
-    /// from this view's `ans` and `tuple` by [`AnswerIds::new`].
-    pub fn with_ids(self, ids: &'q AnswerIds) -> Self {
-        debug_assert_eq!(ids.tuple.len(), self.tuple.len());
-        debug_assert_eq!(ids.cells.len(), self.ans.len() * self.tuple.len());
-        QuestionRef {
-            ids: Some(ids),
-            ..self
         }
     }
 
@@ -153,31 +143,47 @@ impl<'q> QuestionRef<'q> {
 /// [`ConstPool`], once per question: `None` marks a constant the pool
 /// does not intern.
 ///
+/// The ids borrow the question they were resolved from, and
+/// [`question`](AnswerIds::question) is the only way to attach them to a
+/// view, so they always describe that view's `ans` and `tuple`.
 /// [`exts_form_explanation_q`] uses them for every extension over that
 /// same pool — membership becomes one bit probe per cell — and falls
 /// back to [`Extension::contains`] for extensions over other pools.
 #[derive(Clone, Debug)]
-pub struct AnswerIds {
+pub struct AnswerIds<'q> {
+    ans: &'q BTreeSet<Tuple>,
+    tuple: &'q Tuple,
     pool: Arc<ConstPool>,
-    tuple: Vec<Option<ValueId>>,
+    tuple_ids: Vec<Option<ValueId>>,
     /// Row-major: `arity` cells per answer, in the answer set's order.
     cells: Vec<Option<ValueId>>,
 }
 
-impl AnswerIds {
+impl<'q> AnswerIds<'q> {
     /// Resolves `q`'s answers and missing tuple against `pool`.
-    pub fn new(pool: &Arc<ConstPool>, q: QuestionRef<'_>) -> Self {
+    pub fn new(pool: &Arc<ConstPool>, q: QuestionRef<'q>) -> Self {
         AnswerIds {
+            ans: q.ans,
+            tuple: q.tuple,
             pool: Arc::clone(pool),
-            tuple: q.tuple.iter().map(|v| pool.id_of(v)).collect(),
+            tuple_ids: q.tuple.iter().map(|v| pool.id_of(v)).collect(),
             cells: q.ans.iter().flatten().map(|v| pool.id_of(v)).collect(),
+        }
+    }
+
+    /// The question these ids were resolved from, checked through them.
+    pub fn question(&self) -> QuestionRef<'_> {
+        QuestionRef {
+            ans: self.ans,
+            tuple: self.tuple,
+            ids: Some(self),
         }
     }
 
     /// Definition 3.2 over `exts`, probing bits wherever an extension
     /// indexes this pool.
-    fn form_explanation(&self, exts: &[Extension], q: QuestionRef<'_>) -> bool {
-        let member = |ext: &Extension, id: Option<ValueId>, v: &Value| match ext {
+    fn form_explanation<E: Borrow<Extension>>(&self, exts: &[E]) -> bool {
+        let member = |ext: &E, id: Option<ValueId>, v: &Value| match ext.borrow() {
             Extension::Universal => true,
             Extension::Finite(set) if Arc::ptr_eq(set.pool(), &self.pool) => match id {
                 Some(id) => set.contains_id(id),
@@ -187,13 +193,14 @@ impl AnswerIds {
         };
         let holds_tuple = exts
             .iter()
-            .zip(q.tuple.iter().zip(&self.tuple))
+            .zip(self.tuple.iter().zip(&self.tuple_ids))
             .all(|(ext, (v, &id))| member(ext, id, v));
         // Product disjointness: every answer tuple escapes on some position.
         holds_tuple
-            && q.ans
+            && self
+                .ans
                 .iter()
-                .zip(self.cells.chunks_exact(q.arity()))
+                .zip(self.cells.chunks_exact(self.tuple.len()))
                 .all(|(t, ids)| {
                     exts.iter()
                         .zip(t.iter().zip(ids))
@@ -286,22 +293,23 @@ pub fn exts_form_explanation(exts: &[Extension], wn: &WhyNotInstance) -> bool {
 }
 
 /// [`exts_form_explanation`] against a borrowed [`QuestionRef`] (the
-/// session-layer entry point). When the view carries [`AnswerIds`],
-/// membership in extensions over their pool is a bit probe.
-pub fn exts_form_explanation_q(exts: &[Extension], q: QuestionRef<'_>) -> bool {
+/// session-layer entry point), over owned or shared (`Arc`) extensions.
+/// When the view came from [`AnswerIds::question`], membership in
+/// extensions over the ids' pool is a bit probe.
+pub fn exts_form_explanation_q<E: Borrow<Extension>>(exts: &[E], q: QuestionRef<'_>) -> bool {
     // A nullary question has no cells to chunk answer rows by.
     if let Some(ids) = q.ids.filter(|_| q.arity() > 0) {
-        return ids.form_explanation(exts, q);
+        return ids.form_explanation(exts);
     }
     for (ext, a_i) in exts.iter().zip(q.tuple) {
-        if !ext.contains(a_i) {
+        if !ext.borrow().contains(a_i) {
             return false;
         }
     }
     // Product disjointness: every answer tuple escapes on some position.
     q.ans
         .iter()
-        .all(|t| t.iter().zip(exts).any(|(v, ext)| !ext.contains(v)))
+        .all(|t| t.iter().zip(exts).any(|(v, ext)| !ext.borrow().contains(v)))
 }
 
 /// Definition 3.3: `e1 ≤O e2` (componentwise subsumption).

@@ -438,7 +438,7 @@ fn assert_growth_extensions_match(engine: &LubEngine<'_>, inst: &Instance, order
                 .cloned()
                 .expect("pooled states carry their extension");
             let evaluated = state.concept().extension_in(inst, engine.pool());
-            assert_eq!(carried, evaluated, "{kind:?} grown to {prefix:?}");
+            assert_eq!(*carried, evaluated, "{kind:?} grown to {prefix:?}");
         }
     }
 }
@@ -524,7 +524,7 @@ proptest! {
         let q = QuestionRef::new(&ans, &tuple);
         let ids = AnswerIds::new(&pool, q);
         prop_assert_eq!(
-            exts_form_explanation_q(&exts, q.with_ids(&ids)),
+            exts_form_explanation_q(&exts, ids.question()),
             exts_form_explanation_q(&exts, q),
             "exts {:?}",
             exts
