@@ -6,18 +6,26 @@
 //! `op ∈ {=, <, >, ≤, ≥}` and `c ∈ Const`. Comparisons **between
 //! variables** are deliberately unsupported, exactly as in the paper.
 //!
-//! Evaluation is an index-accelerated backtracking join. Each call
-//! builds a transient [`JoinIndex`] over the relations the query
-//! touches — per attribute position, a hash map from value to the
-//! tuples carrying it — and every search node then narrows to the
-//! smallest bucket among its bound argument positions instead of
-//! scanning the whole relation. Only atoms with no bound argument (the
-//! enumeration roots) still scan, which is the output-bounded part of
-//! the join. The paper's why-not instances carry their answer set `Ans`
+//! Evaluation is a backtracking join in id space. Each call builds a
+//! transient [`JoinIndex`] over the relations the query touches (shared
+//! by a union's disjuncts): one pass interns every cell, together with
+//! the query's constants, into a dense id, and the ids are renumbered in
+//! ascending value order, so a sorted row of ids is a sorted tuple.
+//! Relations are stored as flat row-major id arrays, and per attribute
+//! position a CSR bucket array lists the rows carrying each id. Every
+//! search node narrows to the smallest bucket among the picked atom's
+//! bound arguments; only atoms with no bound argument (the enumeration
+//! roots) still scan, which is the output-bounded part of the join. The
+//! search binds the slots of a `u32` assignment and undoes them from one
+//! shared trail, so a node allocates nothing. Matches push their head ids
+//! into one flat buffer that is sorted and deduplicated at the end; each
+//! distinct answer becomes a [`Tuple`] exactly once.
+//!
+//! The paper's why-not instances carry their answer set `Ans`
 //! pre-computed, so evaluation is never on the critical path of the
-//! complexity results (Definition 5.1 discussion) — but the batched
-//! session layer evaluates each distinct query once, which puts it
-//! squarely on the wall-clock path of a question stream.
+//! complexity results (Definition 5.1 discussion) — but a live session
+//! re-evaluates `q(I)` after every delta to a relation the query reads,
+//! which puts it on the wall-clock path of a mutating question stream.
 
 use crate::error::RelError;
 use crate::instance::{Instance, Tuple};
@@ -25,85 +33,435 @@ use crate::interval::Interval;
 use crate::schema::{RelId, Schema};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
-// lint: allow(deterministic-iteration) — imported for the probe-only
-// JoinIndex below; its iteration order never reaches an answer set.
+// lint: allow(deterministic-iteration) — imported for JoinIndex's
+// interning map, which is only ever probed by value, never iterated.
 use std::collections::HashMap;
 use std::fmt;
 
-/// A transient hash join index over the relations a query touches.
+/// The assignment entry of a slot no atom has bound yet.
+const UNBOUND: u32 = u32::MAX;
+
+/// A transient id-space join index over the relations a query touches.
 ///
-/// Built once per evaluation call (and shared across the disjuncts of a
-/// [`Ucq`]): for every relation some atom mentions, the tuples in
-/// instance order plus, for each attribute position, a map from value
-/// to the positions of the tuples carrying it. Construction is one pass
-/// over the touched relations — linear, and paid back as soon as any
-/// join step would otherwise rescan a relation under a bound variable.
-/// The index borrows the instance, so it cannot outlive (or observe
+/// Built once per evaluation call and shared by a [`Ucq`]'s disjuncts.
+/// Every cell of a touched relation and every constant of the query (and
+/// of a probed answer tuple) gets a dense id; ids ascend with the
+/// values they stand for, so comparing ids compares values. The index
+/// borrows the instance and the query, so it cannot outlive (or observe
 /// mutations of) the data it summarizes.
 struct JoinIndex<'a> {
-    // lint: allow(deterministic-iteration) — keyed lookups only; the
-    // backtracking walk iterates atoms and tuple buckets, never this map.
-    rels: HashMap<RelId, RelIndex<'a>>,
+    /// The interned values in ascending order: id `i` stands for
+    /// `values[i]`.
+    values: Vec<&'a Value>,
+    /// Value → first-seen id, renumbered to its sorted id through `rank`.
+    // lint: allow(deterministic-iteration) — lookup-only: probed for the
+    // query's constants and answer values, never iterated.
+    local: HashMap<&'a Value, u32>,
+    /// First-seen id → sorted id.
+    rank: Vec<u32>,
+    /// One entry per `(relation, arity)` some atom reads, sorted by that
+    /// key.
+    rels: Vec<RelIndex>,
 }
 
-/// One relation's slice of the [`JoinIndex`].
-struct RelIndex<'a> {
-    /// The relation's tuples, in instance (sorted-set) order.
-    tuples: Vec<&'a Tuple>,
-    /// `0..tuples.len()`, lent out when no argument is bound.
-    all: Vec<u32>,
-    /// Per attribute position: value → positions of tuples carrying it.
-    // lint: allow(deterministic-iteration) — probed by value; buckets keep
-    // tuple order, and the map itself is never iterated.
-    by_attr: Vec<HashMap<&'a Value, Vec<u32>>>,
+/// The tuples of one relation with one arity, in id space.
+struct RelIndex {
+    rel: RelId,
+    arity: usize,
+    /// Number of tuples.
+    len: usize,
+    /// Row-major ids, `arity` per tuple, in instance (sorted-set) order.
+    rows: Vec<u32>,
+    /// Per attribute `p`, the CSR offsets `offsets[p·stride + id]` ..
+    /// `offsets[p·stride + id + 1]` into that attribute's block of
+    /// `positions`; `stride` is the number of ids plus one.
+    offsets: Vec<u32>,
+    stride: usize,
+    /// Per attribute `p`, a block of `len` row numbers grouped by the id
+    /// the row carries at `p`, ascending within each group.
+    positions: Vec<u32>,
 }
 
-impl<'a> JoinIndex<'a> {
-    /// Indexes every relation mentioned by `atoms`, each up to the
-    /// widest arity any atom uses it with.
-    fn build<'q>(atoms: impl Iterator<Item = &'q Atom>, inst: &'a Instance) -> Self {
-        let mut need: BTreeMap<RelId, usize> = BTreeMap::new();
-        for atom in atoms {
-            let arity = need.entry(atom.rel).or_insert(0);
-            *arity = (*arity).max(atom.args.len());
+impl RelIndex {
+    /// The row numbers whose attribute `attr` carries `id`, ascending —
+    /// empty when the id never occurs there.
+    fn bucket(&self, attr: usize, id: u32) -> &[u32] {
+        let at = attr * self.stride + id as usize;
+        let block = &self.positions[attr * self.len..(attr + 1) * self.len];
+        &block[self.offsets[at] as usize..self.offsets[at + 1] as usize]
+    }
+
+    /// Row `r`'s ids.
+    fn row(&self, r: usize) -> &[u32] {
+        &self.rows[r * self.arity..(r + 1) * self.arity]
+    }
+
+    /// Builds the per-attribute CSR buckets by counting sort over ids
+    /// `0..stride - 1`.
+    fn build_buckets(&mut self, stride: usize) {
+        self.stride = stride;
+        self.offsets = vec![0; self.arity * stride];
+        self.positions = vec![0; self.arity * self.len];
+        for p in 0..self.arity {
+            let offsets = &mut self.offsets[p * stride..(p + 1) * stride];
+            let positions = &mut self.positions[p * self.len..(p + 1) * self.len];
+            // offsets[id] := number of rows carrying an id ≤ `id` at `p`.
+            for r in 0..self.len {
+                offsets[self.rows[r * self.arity + p] as usize] += 1;
+            }
+            let mut total = 0;
+            for slot in offsets.iter_mut() {
+                total += *slot;
+                *slot = total;
+            }
+            // Filling from the last row walks each offset down to its
+            // group's start and leaves every group ascending.
+            for r in (0..self.len).rev() {
+                let at = &mut offsets[self.rows[r * self.arity + p] as usize];
+                *at -= 1;
+                positions[*at as usize] = r as u32;
+            }
         }
-        let rels = need
-            .into_iter()
-            .map(|(rel, arity)| {
-                let tuples: Vec<&Tuple> = inst.tuples(rel).collect();
-                let all: Vec<u32> = (0..tuples.len() as u32).collect();
-                // lint: allow(deterministic-iteration) — see the field doc:
-                // probe-only buckets in tuple order.
-                let mut by_attr = vec![HashMap::<&Value, Vec<u32>>::new(); arity];
-                for (i, t) in tuples.iter().enumerate() {
-                    for (p, bucket) in by_attr.iter_mut().enumerate() {
-                        if let Some(v) = t.get(p) {
-                            bucket.entry(v).or_default().push(i as u32);
-                        }
-                    }
-                }
-                (
-                    rel,
-                    RelIndex {
-                        tuples,
-                        all,
-                        by_attr,
-                    },
-                )
-            })
-            .collect();
-        JoinIndex { rels }
     }
 }
 
-impl RelIndex<'_> {
-    /// The positions of the tuples whose attribute `attr` equals
-    /// `value` — empty when the value never occurs there.
-    fn bucket(&self, attr: usize, value: &Value) -> &[u32] {
-        self.by_attr
-            .get(attr)
-            .and_then(|m| m.get(value))
-            .map_or(&[], |b| b)
+impl<'a> JoinIndex<'a> {
+    /// Indexes every `(relation, arity)` pair the atoms of `cqs` read,
+    /// interning their cells, the constants of `cqs` and the values of
+    /// `extra` (a probed answer tuple).
+    fn build(cqs: &'a [Cq], extra: &'a [Value], inst: &'a Instance) -> Self {
+        let need: BTreeSet<(RelId, usize)> = cqs
+            .iter()
+            .flat_map(|cq| &cq.atoms)
+            .map(|a| (a.rel, a.args.len()))
+            .collect();
+        // lint: allow(deterministic-iteration) — see the field doc:
+        // lookup-only.
+        let mut local = HashMap::new();
+        let mut seen: Vec<&'a Value> = Vec::new();
+        let mut intern = |v: &'a Value| -> u32 {
+            *local.entry(v).or_insert_with(|| {
+                seen.push(v);
+                seen.len() as u32 - 1
+            })
+        };
+        let mut rels: Vec<RelIndex> = need
+            .into_iter()
+            .map(|(rel, arity)| {
+                let mut rows = Vec::with_capacity(inst.cardinality(rel) * arity);
+                let mut len = 0;
+                for t in inst.tuples(rel).filter(|t| t.len() == arity) {
+                    rows.extend(t.iter().map(&mut intern));
+                    len += 1;
+                }
+                RelIndex {
+                    rel,
+                    arity,
+                    len,
+                    rows,
+                    offsets: Vec::new(),
+                    stride: 0,
+                    positions: Vec::new(),
+                }
+            })
+            .collect();
+        for cq in cqs {
+            for t in cq.head.iter().chain(cq.atoms.iter().flat_map(|a| &a.args)) {
+                if let Term::Const(c) = t {
+                    intern(c);
+                }
+            }
+        }
+        for v in extra {
+            intern(v);
+        }
+
+        // Renumber in ascending value order.
+        let mut order: Vec<u32> = (0..seen.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| seen[a as usize].cmp(seen[b as usize]));
+        let mut rank = vec![0u32; seen.len()];
+        for (sorted, &first) in order.iter().enumerate() {
+            rank[first as usize] = sorted as u32;
+        }
+        let values: Vec<&Value> = order.iter().map(|&first| seen[first as usize]).collect();
+        let stride = values.len() + 1;
+        for rel in &mut rels {
+            for id in &mut rel.rows {
+                *id = rank[*id as usize];
+            }
+            rel.build_buckets(stride);
+        }
+        JoinIndex {
+            values,
+            local,
+            rank,
+            rels,
+        }
+    }
+
+    /// The sorted id of `v`, if it was interned.
+    fn id(&self, v: &Value) -> Option<u32> {
+        self.local.get(v).map(|&first| self.rank[first as usize])
+    }
+
+    /// The answers of the disjuncts in `cqs` (all of head arity `arity`).
+    fn eval<'q>(&self, arity: usize, cqs: impl Iterator<Item = &'q Cq>) -> BTreeSet<Tuple> {
+        let mut heads: Vec<u32> = Vec::new();
+        let mut matched = false;
+        for cq in cqs {
+            let Some(plan) = Plan::lower(cq, self) else {
+                continue;
+            };
+            let mut search = Search::new(self, &plan);
+            search.run(&mut |assignment| {
+                let start = heads.len();
+                for arg in &plan.head {
+                    let id = arg.resolve(assignment);
+                    if id == UNBOUND {
+                        // A head variable no atom binds: no answer.
+                        heads.truncate(start);
+                        return true;
+                    }
+                    heads.push(id);
+                }
+                matched = true;
+                // A Boolean query needs one witness; others need all.
+                arity > 0
+            });
+            if matched && arity == 0 {
+                break;
+            }
+        }
+        if arity == 0 {
+            return if matched {
+                BTreeSet::from([Tuple::new()])
+            } else {
+                BTreeSet::new()
+            };
+        }
+        let mut rows: Vec<&[u32]> = heads.chunks_exact(arity).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        // Id order is value order, so `rows` is already in tuple order.
+        rows.into_iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&id| self.values[id as usize].clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Whether `tuple` is an answer of `cq`: the head binds its slots
+    /// from the tuple, and the body search stops at the first witness.
+    /// `tuple`'s values must have been interned by [`JoinIndex::build`].
+    fn answers(&self, cq: &Cq, tuple: &[Value]) -> bool {
+        if tuple.len() != cq.head.len() {
+            return false;
+        }
+        let Some(plan) = Plan::lower(cq, self) else {
+            return false;
+        };
+        let mut search = Search::new(self, &plan);
+        for (arg, value) in plan.head.iter().zip(tuple) {
+            let Some(id) = self.id(value) else {
+                return false;
+            };
+            let bound = match *arg {
+                Arg::Id(c) => c == id,
+                Arg::Slot(s) => search.bind(s, id),
+            };
+            if !bound {
+                return false;
+            }
+        }
+        let mut found = false;
+        search.run(&mut |_| {
+            found = true;
+            false
+        });
+        found
+    }
+}
+
+/// A lowered term: a slot of the query's dense variable order, or a
+/// constant's id.
+#[derive(Copy, Clone)]
+enum Arg {
+    Slot(usize),
+    Id(u32),
+}
+
+impl Arg {
+    /// The id the term stands for under `assignment` ([`UNBOUND`] for an
+    /// unbound slot).
+    fn resolve(self, assignment: &[u32]) -> u32 {
+        match self {
+            Arg::Slot(s) => assignment[s],
+            Arg::Id(c) => c,
+        }
+    }
+}
+
+/// A [`Cq`] lowered against one [`JoinIndex`].
+struct Plan {
+    /// Per atom: its `(relation, arity)` entry in the index, and its
+    /// lowered arguments.
+    atoms: Vec<(usize, Vec<Arg>)>,
+    head: Vec<Arg>,
+    /// Per slot, the interval its comparisons allow (if any).
+    intervals: Vec<Option<Interval>>,
+}
+
+impl Plan {
+    /// Lowers `cq`; `None` when it provably has no match (an empty
+    /// comparison interval) or reads something the index was not built
+    /// for.
+    fn lower(cq: &Cq, index: &JoinIndex<'_>) -> Option<Plan> {
+        let mut vars: BTreeMap<Var, Option<Interval>> =
+            cq.vars().into_iter().map(|v| (v, None)).collect();
+        for (v, iv) in cq.var_intervals() {
+            if iv.is_empty() {
+                return None;
+            }
+            vars.insert(v, Some(iv));
+        }
+        let slots: Vec<Var> = vars.keys().copied().collect();
+        let lower = |t: &Term| -> Option<Arg> {
+            match t {
+                Term::Var(v) => slots.binary_search(v).ok().map(Arg::Slot),
+                Term::Const(c) => index.id(c).map(Arg::Id),
+            }
+        };
+        let atoms = cq
+            .atoms
+            .iter()
+            .map(|a| {
+                let rel = index
+                    .rels
+                    .binary_search_by(|r| (r.rel, r.arity).cmp(&(a.rel, a.args.len())))
+                    .ok()?;
+                Some((rel, a.args.iter().map(lower).collect::<Option<_>>()?))
+            })
+            .collect::<Option<_>>()?;
+        let head = cq.head.iter().map(lower).collect::<Option<_>>()?;
+        Some(Plan {
+            atoms,
+            head,
+            intervals: vars.into_values().collect(),
+        })
+    }
+}
+
+/// The state of one backtracking search over a [`Plan`].
+struct Search<'s, 'a> {
+    index: &'s JoinIndex<'a>,
+    plan: &'s Plan,
+    /// Slot → bound id, or [`UNBOUND`].
+    assignment: Vec<u32>,
+    /// The slots bound so far, in binding order; backtracking pops them.
+    trail: Vec<usize>,
+    /// The atoms not yet joined.
+    remaining: Vec<usize>,
+}
+
+impl<'s, 'a> Search<'s, 'a> {
+    fn new(index: &'s JoinIndex<'a>, plan: &'s Plan) -> Self {
+        Search {
+            index,
+            plan,
+            assignment: vec![UNBOUND; plan.intervals.len()],
+            trail: Vec::with_capacity(plan.intervals.len()),
+            remaining: (0..plan.atoms.len()).collect(),
+        }
+    }
+
+    /// Binds slot `s` to `id`, or checks it against the current binding.
+    /// A fresh binding must satisfy the slot's comparisons and is pushed
+    /// on the trail.
+    fn bind(&mut self, s: usize, id: u32) -> bool {
+        let cur = self.assignment[s];
+        if cur != UNBOUND {
+            return cur == id;
+        }
+        if let Some(iv) = &self.plan.intervals[s] {
+            if !iv.contains(self.index.values[id as usize]) {
+                return false;
+            }
+        }
+        self.assignment[s] = id;
+        self.trail.push(s);
+        true
+    }
+
+    /// Unbinds every slot bound since the trail had length `mark`.
+    fn undo(&mut self, mark: usize) {
+        for s in self.trail.drain(mark..) {
+            self.assignment[s] = UNBOUND;
+        }
+    }
+
+    /// Calls `on_match` for every satisfying assignment of the body;
+    /// `on_match` returns `false` to cut the search, and so does `run`.
+    ///
+    /// Each node probes the index with every bound argument of the
+    /// picked atom and iterates the smallest bucket; unification still
+    /// checks all positions, so the bucket is a sound overapproximation,
+    /// never a filter that could drop matches.
+    fn run(&mut self, on_match: &mut dyn FnMut(&[u32]) -> bool) -> bool {
+        let (plan, index) = (self.plan, self.index);
+        let Some(pos) = self.pick_atom() else {
+            return on_match(&self.assignment);
+        };
+        let atom = self.remaining.swap_remove(pos);
+        let (rel, args) = &plan.atoms[atom];
+        let rel = &index.rels[*rel];
+        let mut bucket: Option<&[u32]> = None;
+        for (p, arg) in args.iter().enumerate() {
+            let id = arg.resolve(&self.assignment);
+            if id != UNBOUND {
+                let b = rel.bucket(p, id);
+                if bucket.is_none_or(|cur| b.len() < cur.len()) {
+                    bucket = Some(b);
+                }
+            }
+        }
+        let mut keep_going = true;
+        for k in 0..bucket.map_or(rel.len, <[u32]>::len) {
+            let row = rel.row(bucket.map_or(k, |b| b[k] as usize));
+            let mark = self.trail.len();
+            let unified = args.iter().zip(row).all(|(arg, &id)| match *arg {
+                Arg::Id(c) => c == id,
+                Arg::Slot(s) => self.bind(s, id),
+            });
+            if unified {
+                keep_going = self.run(on_match);
+            }
+            self.undo(mark);
+            if !keep_going {
+                break;
+            }
+        }
+        self.remaining.push(atom);
+        let last = self.remaining.len() - 1;
+        self.remaining.swap(pos.min(last), last);
+        keep_going
+    }
+
+    /// Most-constrained-atom heuristic: the remaining atom with the most
+    /// bound (or constant) arguments.
+    fn pick_atom(&self) -> Option<usize> {
+        self.remaining
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &atom)| {
+                self.plan.atoms[atom]
+                    .1
+                    .iter()
+                    .filter(|arg| arg.resolve(&self.assignment) != UNBOUND)
+                    .count()
+            })
+            .map(|(pos, _)| pos)
     }
 }
 
@@ -378,218 +736,15 @@ impl Cq {
 
     /// Evaluates the query over `inst`, returning the answer set `q(I)`.
     pub fn eval(&self, inst: &Instance) -> BTreeSet<Tuple> {
-        let index = JoinIndex::build(self.atoms.iter(), inst);
-        let mut out = BTreeSet::new();
-        self.eval_with(&index, &mut out);
-        out
+        let cqs = std::slice::from_ref(self);
+        JoinIndex::build(cqs, &[], inst).eval(self.arity(), cqs.iter())
     }
 
-    /// Evaluates over a pre-built index (shared across a union's
-    /// disjuncts), accumulating answers into `out`.
-    fn eval_with(&self, index: &JoinIndex<'_>, out: &mut BTreeSet<Tuple>) {
-        let intervals = self.var_intervals();
-        if intervals.values().any(|iv| iv.is_empty()) {
-            return;
-        }
-        let mut assignment: BTreeMap<Var, Value> = BTreeMap::new();
-        let mut remaining: Vec<usize> = (0..self.atoms.len()).collect();
-        self.search(index, &intervals, &mut assignment, &mut remaining, out);
-    }
-
-    /// Whether `tuple` is an answer of the query over `inst`.
+    /// Whether `tuple` is an answer of the query over `inst`. Binds the
+    /// head variables from the tuple and stops at the first body
+    /// witness instead of enumerating every answer.
     pub fn answers(&self, inst: &Instance, tuple: &[Value]) -> bool {
-        // Bind head variables from the tuple and run the body check; a full
-        // evaluation would also work but this avoids enumerating all
-        // answers.
-        if tuple.len() != self.head.len() {
-            return false;
-        }
-        let mut assignment: BTreeMap<Var, Value> = BTreeMap::new();
-        for (t, v) in self.head.iter().zip(tuple) {
-            match t {
-                Term::Const(c) => {
-                    if c != v {
-                        return false;
-                    }
-                }
-                Term::Var(x) => match assignment.get(x) {
-                    Some(prev) if prev != v => return false,
-                    _ => {
-                        assignment.insert(*x, v.clone());
-                    }
-                },
-            }
-        }
-        let intervals = self.var_intervals();
-        for (x, iv) in &intervals {
-            if let Some(val) = assignment.get(x) {
-                if !iv.contains(val) {
-                    return false;
-                }
-            }
-            if iv.is_empty() {
-                return false;
-            }
-        }
-        let mut remaining: Vec<usize> = (0..self.atoms.len()).collect();
-        let mut found = false;
-        let index = JoinIndex::build(self.atoms.iter(), inst);
-        self.search_body(
-            &index,
-            &intervals,
-            &mut assignment,
-            &mut remaining,
-            &mut |_| {
-                found = true;
-                false // stop at the first witness
-            },
-        );
-        found
-    }
-
-    fn search(
-        &self,
-        index: &JoinIndex<'_>,
-        intervals: &BTreeMap<Var, Interval>,
-        assignment: &mut BTreeMap<Var, Value>,
-        remaining: &mut Vec<usize>,
-        out: &mut BTreeSet<Tuple>,
-    ) {
-        self.search_body(index, intervals, assignment, remaining, &mut |assignment| {
-            let tuple: Option<Tuple> = self
-                .head
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Some(c.clone()),
-                    Term::Var(v) => assignment.get(v).cloned(),
-                })
-                .collect();
-            if let Some(t) = tuple {
-                out.insert(t);
-            }
-            true // keep enumerating
-        });
-    }
-
-    /// Core backtracking join. Calls `on_match` for every satisfying
-    /// assignment of the body; `on_match` returns `false` to cut the search.
-    ///
-    /// Each node probes the [`JoinIndex`] with every bound argument of
-    /// the picked atom and iterates the smallest bucket; the unifier
-    /// still checks all positions, so the bucket is a sound
-    /// overapproximation, never a filter that could drop matches.
-    fn search_body(
-        &self,
-        index: &JoinIndex<'_>,
-        intervals: &BTreeMap<Var, Interval>,
-        assignment: &mut BTreeMap<Var, Value>,
-        remaining: &mut Vec<usize>,
-        on_match: &mut dyn FnMut(&BTreeMap<Var, Value>) -> bool,
-    ) -> bool {
-        let Some(pos) = self.pick_atom(assignment, remaining) else {
-            return on_match(assignment);
-        };
-        let idx = remaining.swap_remove(pos);
-        let atom = &self.atoms[idx];
-        if let Some(rel) = index.rels.get(&atom.rel) {
-            let mut candidates: &[u32] = &rel.all;
-            for (p, term) in atom.args.iter().enumerate() {
-                let value = match term {
-                    Term::Const(c) => c,
-                    Term::Var(v) => match assignment.get(v) {
-                        Some(value) => value,
-                        None => continue,
-                    },
-                };
-                let bucket = rel.bucket(p, value);
-                if bucket.len() < candidates.len() {
-                    candidates = bucket;
-                }
-            }
-            for &ti in candidates {
-                let tuple = rel.tuples[ti as usize];
-                let mut bound_here: Vec<Var> = Vec::new();
-                if self.try_unify(atom, tuple, intervals, assignment, &mut bound_here) {
-                    let keep_going =
-                        self.search_body(index, intervals, assignment, remaining, on_match);
-                    for v in &bound_here {
-                        assignment.remove(v);
-                    }
-                    if !keep_going {
-                        remaining.push(idx);
-                        let last = remaining.len() - 1;
-                        remaining.swap(pos.min(last), last);
-                        return false;
-                    }
-                } else {
-                    for v in &bound_here {
-                        assignment.remove(v);
-                    }
-                }
-            }
-        }
-        remaining.push(idx);
-        let last = remaining.len() - 1;
-        remaining.swap(pos.min(last), last);
-        true
-    }
-
-    /// Most-constrained-atom heuristic: prefer atoms with the most bound
-    /// positions.
-    fn pick_atom(&self, assignment: &BTreeMap<Var, Value>, remaining: &[usize]) -> Option<usize> {
-        remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &idx)| {
-                self.atoms[idx]
-                    .args
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => assignment.contains_key(v),
-                    })
-                    .count()
-            })
-            .map(|(pos, _)| pos)
-    }
-
-    fn try_unify(
-        &self,
-        atom: &Atom,
-        tuple: &[Value],
-        intervals: &BTreeMap<Var, Interval>,
-        assignment: &mut BTreeMap<Var, Value>,
-        bound_here: &mut Vec<Var>,
-    ) -> bool {
-        if atom.args.len() != tuple.len() {
-            return false;
-        }
-        for (term, value) in atom.args.iter().zip(tuple) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        return false;
-                    }
-                }
-                Term::Var(x) => match assignment.get(x) {
-                    Some(prev) => {
-                        if prev != value {
-                            return false;
-                        }
-                    }
-                    None => {
-                        if let Some(iv) = intervals.get(x) {
-                            if !iv.contains(value) {
-                                return false;
-                            }
-                        }
-                        assignment.insert(*x, value.clone());
-                        bound_here.push(*x);
-                    }
-                },
-            }
-        }
-        true
+        JoinIndex::build(std::slice::from_ref(self), tuple, inst).answers(self, tuple)
     }
 
     /// Applies a substitution to every term (head, atoms) and rewrites
@@ -730,17 +885,22 @@ impl Ucq {
     /// Evaluates the union over `inst`. The join index is built once
     /// and shared by every disjunct.
     pub fn eval(&self, inst: &Instance) -> BTreeSet<Tuple> {
-        let index = JoinIndex::build(self.disjuncts.iter().flat_map(|d| d.atoms.iter()), inst);
+        let index = JoinIndex::build(&self.disjuncts, &[], inst);
+        // One answer buffer per head arity (a validated union has one).
+        let arities: BTreeSet<usize> = self.disjuncts.iter().map(Cq::arity).collect();
         let mut out = BTreeSet::new();
-        for d in &self.disjuncts {
-            d.eval_with(&index, &mut out);
+        for arity in arities {
+            let group = self.disjuncts.iter().filter(|d| d.arity() == arity);
+            out.append(&mut index.eval(arity, group));
         }
         out
     }
 
-    /// Whether `tuple` is an answer over `inst`.
+    /// Whether `tuple` is an answer over `inst`. The join index is built
+    /// once and shared by every disjunct.
     pub fn answers(&self, inst: &Instance, tuple: &[Value]) -> bool {
-        self.disjuncts.iter().any(|d| d.answers(inst, tuple))
+        let index = JoinIndex::build(&self.disjuncts, tuple, inst);
+        self.disjuncts.iter().any(|d| index.answers(d, tuple))
     }
 
     /// The relations any disjunct reads (the union's syntactic

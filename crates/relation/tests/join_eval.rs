@@ -1,15 +1,22 @@
-//! The index-accelerated backtracking join against a brute-force
-//! cross-product model.
+//! The id-space backtracking join against a brute-force cross-product
+//! model.
 //!
-//! `Cq::eval` narrows each search node to the smallest join-index
-//! bucket among its bound arguments; these properties check that the
-//! narrowing never changes the answer set by comparing against an
-//! evaluator with no search at all: enumerate every combination of one
-//! tuple per atom, keep the consistent ones, apply the comparison
-//! intervals, project the head. Queries are decoded from raw byte
-//! vectors (safe by construction: heads and comparisons only use
-//! variables that occur in atoms), spanning 1–3 atoms over a binary and
-//! a unary relation with a mix of variables and constants.
+//! `Cq::eval` interns the data into sorted ids and narrows each search
+//! node to the smallest CSR bucket among its bound arguments; these
+//! properties check that neither the interning nor the narrowing ever
+//! changes the answer set, by comparing against an evaluator with no
+//! search at all: enumerate every combination of one tuple per atom,
+//! keep the consistent ones, apply the comparison intervals, project the
+//! head. Queries are decoded from raw byte vectors (safe by
+//! construction: heads and comparisons only use variables that occur in
+//! atoms).
+//!
+//! The first property keeps to small integers over dense variables. The
+//! second widens every axis the id space could get wrong: strings with
+//! shared prefixes beside numbers, head constants, a repeated variable
+//! inside one atom, sparse variable numbers, constants absent from the
+//! instance, comparisons on strings, unions of two or three disjuncts
+//! and Boolean heads.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -168,5 +175,193 @@ proptest! {
         // index must behave like the per-disjunct ones.
         let union = Ucq::new([cq.clone(), cq]);
         prop_assert_eq!(union.eval(&inst), model);
+    }
+}
+
+/// The widened value universe: numbers and strings with shared prefixes.
+/// Codes `0..8` occur in data; `8` and `9` only ever appear as query or
+/// probe constants, so they are absent from every instance.
+fn wide_value(code: u8) -> Value {
+    match code % 10 {
+        n @ 0..=2 => Value::int(i64::from(n)),
+        3 => Value::str("a"),
+        4 => Value::str("ab"),
+        5 => Value::str("abc"),
+        6 => Value::str("b"),
+        7 => Value::str("ba"),
+        8 => Value::str("abd"),
+        _ => Value::int(7),
+    }
+}
+
+/// Sparse variable numbers: slots must not be indexed by `Var` value.
+const WIDE_VARS: [Var; 4] = [Var(0), Var(7), Var(100), Var(3)];
+
+/// Decodes a term: codes `0..4 (mod 7)` are variables, the rest are
+/// constants drawn from the whole universe (absent ones included).
+fn wide_term(code: u8) -> Term {
+    match code % 7 {
+        v @ 0..=3 => Term::Var(WIDE_VARS[v as usize]),
+        _ => Term::Const(wide_value(code / 7)),
+    }
+}
+
+/// Binary `R` and unary `S` over the data part of the universe.
+fn wide_instance(r_raw: &[(u8, u8)], s_raw: &[u8]) -> Instance {
+    let mut inst = Instance::new();
+    for &(a, b) in r_raw {
+        inst.insert(RelId(0), vec![wide_value(a % 8), wide_value(b % 8)]);
+    }
+    for &a in s_raw {
+        inst.insert(RelId(1), vec![wide_value(a % 8)]);
+    }
+    inst
+}
+
+/// Decodes one disjunct with head arity `arity`. Each atom is three
+/// bytes `(kind, a, b)`: `R(a, b)`, `S(a)`, or `R(a, a)` (a repeated
+/// term, so a variable joins with itself inside one atom). Each head
+/// position is an atom variable or a constant; with no atom variable it
+/// is always a constant.
+fn wide_disjunct(atom_raw: &[(u8, u8, u8)], head_raw: &[u8], cmp_raw: &[u8], arity: usize) -> Cq {
+    let atoms: Vec<Atom> = atom_raw
+        .iter()
+        .map(|&(kind, a, b)| match kind % 3 {
+            0 => Atom::new(RelId(0), [wide_term(a), wide_term(b)]),
+            1 => Atom::new(RelId(1), [wide_term(a)]),
+            _ => Atom::new(RelId(0), [wide_term(a), wide_term(a)]),
+        })
+        .collect();
+    let vars: Vec<Var> = {
+        let set: BTreeSet<Var> = atoms.iter().flat_map(|a| a.vars()).collect();
+        set.into_iter().collect()
+    };
+    let head: Vec<Term> = (0..arity)
+        .map(|i| {
+            let code = head_raw.get(i).copied().unwrap_or(0);
+            if code % 3 == 0 || vars.is_empty() {
+                Term::Const(wide_value(code / 3))
+            } else {
+                Term::Var(vars[code as usize / 3 % vars.len()])
+            }
+        })
+        .collect();
+    let comparisons: Vec<Comparison> = cmp_raw
+        .iter()
+        .filter(|_| !vars.is_empty())
+        .map(|&code| {
+            Comparison::new(
+                vars[code as usize % vars.len()],
+                CmpOp::ALL[code as usize / 4 % 5],
+                wide_value(code / 20),
+            )
+        })
+        .collect();
+    Cq::new(head, atoms, comparisons)
+}
+
+fn wide_atoms() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+    proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4)
+}
+
+/// The raw bytes of one disjunct: atoms, head codes, comparison codes.
+type DisjunctRaw = (Vec<(u8, u8, u8)>, Vec<u8>, Vec<u8>);
+
+fn wide_disjunct_raw() -> impl Strategy<Value = DisjunctRaw> {
+    (
+        wide_atoms(),
+        proptest::collection::vec(any::<u8>(), 2..3),
+        proptest::collection::vec(any::<u8>(), 0..3),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn wide_eval_matches_brute_force(
+        r_raw in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..14),
+        s_raw in proptest::collection::vec(any::<u8>(), 0..6),
+        disjuncts in proptest::collection::vec(wide_disjunct_raw(), 1..4),
+        arity in 0usize..3,
+        probe_raw in proptest::collection::vec(any::<u8>(), 2..3),
+    ) {
+        let inst = wide_instance(&r_raw, &s_raw);
+        let cqs: Vec<Cq> = disjuncts
+            .iter()
+            .map(|(atoms, head, cmps)| wide_disjunct(atoms, head, cmps, arity))
+            .collect();
+        let probe: Tuple = (0..arity).map(|i| wide_value(probe_raw[i])).collect();
+        let mut union_model = BTreeSet::new();
+        for cq in &cqs {
+            let model = brute_force(cq, &inst);
+            prop_assert_eq!(cq.eval(&inst), model.clone(), "disjunct {:?}", cq);
+            for t in &model {
+                prop_assert!(cq.answers(&inst, t), "{:?} misses {:?}", cq, t);
+            }
+            prop_assert_eq!(cq.answers(&inst, &probe), model.contains(&probe));
+            union_model.extend(model);
+        }
+        let ucq = Ucq::new(cqs);
+        prop_assert_eq!(ucq.eval(&inst), union_model.clone());
+        for t in &union_model {
+            prop_assert!(ucq.answers(&inst, t));
+        }
+        prop_assert_eq!(ucq.answers(&inst, &probe), union_model.contains(&probe));
+    }
+}
+
+/// Named cases for the shapes the decoder only reaches by chance.
+#[test]
+fn wide_fixed_cases_match_brute_force() {
+    let inst = wide_instance(
+        &[(3, 3), (3, 4), (4, 4), (5, 0), (0, 0), (7, 6)],
+        &[3, 4, 6],
+    );
+    let (x, y) = (Var(7), Var(100));
+    let cases = [
+        // R(x, x): only the reflexive rows.
+        Cq::new(
+            [Term::Var(x)],
+            [Atom::new(RelId(0), [Term::Var(x), Term::Var(x)])],
+            [],
+        ),
+        // A head constant absent from the data, spliced beside a variable.
+        Cq::new(
+            [Term::Const(Value::str("abd")), Term::Var(y)],
+            [Atom::new(RelId(0), [Term::Var(x), Term::Var(y)])],
+            [],
+        ),
+        // An atom constant absent from the data: no answers.
+        Cq::new(
+            [Term::Var(y)],
+            [Atom::new(
+                RelId(0),
+                [Term::Const(Value::str("abd")), Term::Var(y)],
+            )],
+            [],
+        ),
+        // A string comparison between shared prefixes.
+        Cq::new(
+            [Term::Var(x)],
+            [Atom::new(RelId(1), [Term::Var(x)])],
+            [Comparison::new(x, CmpOp::Gt, Value::str("a"))],
+        ),
+        // Boolean heads, satisfied and not.
+        Cq::new([], [Atom::new(RelId(0), [Term::Var(x), Term::Var(x)])], []),
+        Cq::new(
+            [],
+            [Atom::new(RelId(1), [Term::Const(Value::str("abc"))])],
+            [],
+        ),
+    ];
+    let expected: [usize; 6] = [3, 4, 0, 2, 1, 0];
+    for (cq, want) in cases.iter().zip(expected) {
+        let got = cq.eval(&inst);
+        assert_eq!(got, brute_force(cq, &inst), "{cq:?}");
+        assert_eq!(got.len(), want, "{cq:?}");
+        for t in &got {
+            assert!(cq.answers(&inst, t), "{cq:?} misses {t:?}");
+        }
     }
 }

@@ -19,9 +19,12 @@
 //! (a crash between the snapshot's rename and the WAL unlink leaves
 //! them), then **stops at the first invalid record** (torn tail,
 //! checksum mismatch, out-of-order sequence) and reports what stopped it
-//! — everything up to that point is recovered. The caller replays the
-//! returned deltas through `WhyNotSession::apply_delta`, so a restarted
-//! tenant takes the same incremental-invalidation path a live one does.
+//! — everything up to that point is recovered, and the log is rewritten
+//! to that valid prefix (temp file + rename) so mutations acknowledged
+//! after the restart are not appended behind the bad record. The caller
+//! replays the returned deltas through `WhyNotSession::apply_delta`, so a
+//! restarted tenant takes the same incremental-invalidation path a live
+//! one does.
 
 use crate::definition::{parse_definition, ParsedDefinition};
 use crate::error::ServerError;
@@ -51,6 +54,12 @@ pub struct LoadedTenant {
     /// Why replay stopped early, if it did (the records before it are
     /// still recovered).
     pub wal_error: Option<String>,
+}
+
+/// Why WAL replay stopped early, and the log's lines before that point.
+struct WalStop {
+    reason: String,
+    valid: String,
 }
 
 impl Durability {
@@ -180,7 +189,16 @@ impl Durability {
             instance.insert(fact.rel, fact.tuple);
         }
 
-        let (wal, wal_error) = self.replay_wal(tenant, &definition.schema, snapshot_seq);
+        let (wal, stop) = self.replay_wal(tenant, &definition.schema, snapshot_seq);
+        // Cut the invalid tail off the log: later appends would otherwise
+        // land behind it, and the next replay would drop them with it.
+        let wal_error = match stop {
+            Some(WalStop { reason, valid }) => {
+                self.truncate_wal(tenant, &valid)?;
+                Some(reason)
+            }
+            None => None,
+        };
         Ok(LoadedTenant {
             definition,
             instance,
@@ -190,8 +208,20 @@ impl Durability {
         })
     }
 
-    /// Reads the WAL, returning records with `seq > after` in order and
-    /// the reason replay stopped, if any.
+    /// Atomically replaces the tenant's WAL with `valid` (temp file +
+    /// rename), so a crash mid-rewrite leaves the old log intact.
+    fn truncate_wal(&self, tenant: &str, valid: &str) -> Result<(), ServerError> {
+        let path = self.wal_path(tenant);
+        let tmp = self.dir.join(format!("{tenant}.wal.tmp"));
+        std::fs::write(&tmp, valid)
+            .map_err(|e| ServerError::Io(format!("write {}: {e}", tmp.display())))?;
+        std::fs::rename(&tmp, &path)
+            .map_err(|e| ServerError::Io(format!("rename {}: {e}", path.display())))
+    }
+
+    /// Reads the WAL, returning records with `seq > after` in order and,
+    /// if replay stopped early, the reason plus the log's valid prefix
+    /// (every line before the record that stopped it).
     ///
     /// Records at the head of the log with `seq ≤ after` are skipped: a
     /// crash between the snapshot's rename and the WAL unlink leaves
@@ -203,7 +233,7 @@ impl Durability {
         tenant: &str,
         schema: &Schema,
         after: u64,
-    ) -> (Vec<(u64, Delta)>, Option<String>) {
+    ) -> (Vec<(u64, Delta)>, Option<WalStop>) {
         let path = self.wal_path(tenant);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
@@ -212,37 +242,35 @@ impl Durability {
         };
         let mut records = Vec::new();
         let mut last_seq = after;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match delta_from_wal_line(schema, line) {
-                Ok((seq, delta)) => {
-                    if records.is_empty() && seq <= after {
-                        continue; // already in the snapshot
+        let mut valid_len = 0;
+        for (i, raw) in text.split_inclusive('\n').enumerate() {
+            let line = raw.trim_end_matches(['\r', '\n']);
+            let stop = if line.trim().is_empty() {
+                None
+            } else {
+                match delta_from_wal_line(schema, line) {
+                    // Already in the snapshot.
+                    Ok((seq, _)) if records.is_empty() && seq <= after => None,
+                    Ok((seq, _)) if seq <= last_seq => Some(format!(
+                        "record {} has sequence {seq} ≤ {last_seq}; stopped after seq {last_seq}",
+                        i + 1
+                    )),
+                    Ok((seq, delta)) => {
+                        last_seq = seq;
+                        records.push((seq, delta));
+                        None
                     }
-                    if seq <= last_seq {
-                        return (
-                            records,
-                            Some(format!(
-                                "record {} has sequence {seq} ≤ {last_seq}; stopped after seq {last_seq}",
-                                i + 1
-                            )),
-                        );
-                    }
-                    last_seq = seq;
-                    records.push((seq, delta));
+                    Err(e) => Some(format!(
+                        "record {} is invalid ({e}); stopped after seq {last_seq}",
+                        i + 1
+                    )),
                 }
-                Err(e) => {
-                    return (
-                        records,
-                        Some(format!(
-                            "record {} is invalid ({e}); stopped after seq {last_seq}",
-                            i + 1
-                        )),
-                    );
-                }
+            };
+            if let Some(reason) = stop {
+                let valid = text[..valid_len].to_string();
+                return (records, Some(WalStop { reason, valid }));
             }
+            valid_len += raw.len();
         }
         (records, None)
     }

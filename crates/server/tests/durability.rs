@@ -6,8 +6,9 @@
 //! question of a seeded `mutation_stream` is asked through **every**
 //! exposed algorithm on both — answers *and* rejections must match
 //! exactly at every step. A second test corrupts the WAL tail and pins
-//! the recovery contract: replay stops at the last valid record and
-//! reports why. A third pins that a cache budget of zero still answers
+//! the recovery contract: replay stops at the last valid record,
+//! reports why, and cuts the log back so later writes survive the next
+//! restart. A third pins that a cache budget of zero still answers
 //! identically to an unbounded server.
 
 use std::collections::BTreeSet;
@@ -208,6 +209,31 @@ fn corrupt_wal_tail_recovers_to_last_valid_record() {
                 durable.session("t").expect("durable resident"),
                 q,
                 0,
+            );
+        }
+    }
+
+    // A write acknowledged after the recovery survives the next restart:
+    // the load cut the torn record off the log, so the new record is not
+    // appended behind it.
+    let payload = delta_to_json(&workload.schema, deltas[2]).to_string();
+    for server in [&mut durable, &mut reference] {
+        let out = server.handle_line(&format!("mutate t | {payload}"));
+        assert!(out[0].contains("\"ok\":true"), "{}", out[0]);
+    }
+    drop(durable);
+    let mut durable = ServerCore::new(durable_config(&dir));
+    let out = durable.handle_line("load t");
+    assert!(out[0].contains("\"ok\":true"), "{}", out[0]);
+    assert!(out[0].contains("\"replayed\":3"), "{}", out[0]);
+    assert!(!out[0].contains("wal_error"), "{}", out[0]);
+    for step in &workload.steps {
+        if let MutationStep::Ask(q) = step {
+            assert_parity(
+                reference.session("t").expect("reference resident"),
+                durable.session("t").expect("durable resident"),
+                q,
+                1,
             );
         }
     }
