@@ -118,6 +118,15 @@ impl ValueSet {
         }
     }
 
+    /// Inserts a pooled value by its id in this set's pool; returns
+    /// whether it was new.
+    pub fn insert_id(&mut self, id: ValueId) -> bool {
+        let (w, b) = (id.index() / 64, id.index() % 64);
+        let fresh = self.words[w] & (1 << b) == 0;
+        self.words[w] |= 1 << b;
+        fresh
+    }
+
     /// Inserts a borrowed value, cloning only when it falls outside the
     /// pool (the clone-free fast path for pooled members — column and
     /// projection evaluation feed every tuple occurrence through here).
@@ -169,6 +178,16 @@ impl ValueSet {
             .is_some_and(|w| w & (1 << (id.index() % 64)) != 0)
     }
 
+    /// Membership of `pool`'s value `id`: a bit probe when `pool` is
+    /// this set's pool, a lookup of the value otherwise.
+    pub fn contains_in(&self, pool: &Arc<ConstPool>, id: ValueId) -> bool {
+        if Arc::ptr_eq(&self.pool, pool) {
+            self.contains_id(id)
+        } else {
+            self.contains(pool.value(id))
+        }
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         kernels::count_ones(&self.words) + self.extra.len()
@@ -194,6 +213,18 @@ impl ValueSet {
                 && self.extra.iter().all(|v| other.extra.contains(v))
         } else {
             self.iter().all(|v| other.contains(v))
+        }
+    }
+
+    /// Whether the sets share no member. Word-parallel (unrolled
+    /// kernel) when the pools are shared; probes `other` with each of
+    /// `self`'s members otherwise.
+    pub fn is_disjoint(&self, other: &ValueSet) -> bool {
+        if self.same_pool(other) {
+            kernels::and_count(&self.words, &other.words) == 0
+                && self.extra.is_disjoint(&other.extra)
+        } else {
+            !self.iter().any(|v| other.contains(v))
         }
     }
 
@@ -438,6 +469,15 @@ impl Extension {
         match self {
             Extension::Universal => true,
             Extension::Finite(set) => set.contains(v),
+        }
+    }
+
+    /// Membership of `pool`'s value `id`: a bit probe when the
+    /// extension indexes `pool` (see [`ValueSet::contains_in`]).
+    pub fn contains_in(&self, pool: &Arc<ConstPool>, id: ValueId) -> bool {
+        match self {
+            Extension::Universal => true,
+            Extension::Finite(set) => set.contains_in(pool, id),
         }
     }
 

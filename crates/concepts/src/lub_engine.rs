@@ -271,8 +271,9 @@ pub struct LubEngine<'a> {
     inst: Instance,
     pool: Arc<ConstPool>,
     rels: RefCell<BTreeMap<RelId, Arc<RelColumns>>>,
-    /// Every relation's columns as one view, assembled on the first lub
-    /// (a growth step reads every column) and dropped by
+    /// Every relation's columns as one view, with `adom(I)` read off
+    /// them, assembled on the first lub or [`LubEngine::adom`] call (a
+    /// growth step reads every column) and dropped by
     /// [`LubEngine::apply_delta`].
     view: RefCell<Option<LubView>>,
     column_builds: Cell<usize>,
@@ -349,17 +350,39 @@ impl<'a> LubEngine<'a> {
         self.view().fold_concept(LubKind::WithSelections, x)
     }
 
+    /// `adom(I)` as ascending ids of the engine's pool (id order is
+    /// value order): the OR of every column's occurrence bits, built
+    /// with the column view and dropped with it by
+    /// [`LubEngine::apply_delta`]. The pool may intern more (a why-not
+    /// tuple's constants, or values an earlier generation held); those
+    /// ids occur in no column and are not listed.
+    pub fn adom(&self) -> Arc<[ValueId]> {
+        self.view().adom
+    }
+
     /// The view over every relation's columns, assembled on first use.
     fn view(&self) -> LubView {
         if let Some(view) = self.view.borrow().as_ref() {
             return view.clone();
         }
+        let rels: Arc<[(RelId, Arc<RelColumns>)]> = self
+            .schema
+            .rel_ids()
+            .map(|rel| (rel, self.rel_columns(rel)))
+            .collect();
+        let mut words = vec![0u64; self.pool.word_len()];
+        for (_, rc) in rels.iter() {
+            for col in &rc.cols {
+                col.bits.union_into(&mut words);
+            }
+        }
         let view = LubView {
             pool: Arc::clone(&self.pool),
-            rels: self
-                .schema
-                .rel_ids()
-                .map(|rel| (rel, self.rel_columns(rel)))
+            rels,
+            adom: IdBits::from_words(words, self.pool.len())
+                .ids()
+                .into_iter()
+                .map(ValueId)
                 .collect(),
         };
         *self.view.borrow_mut() = Some(view.clone());
@@ -505,6 +528,8 @@ struct LubView {
     pool: Arc<ConstPool>,
     /// Every schema relation's interned columns, in `RelId` order.
     rels: Arc<[(RelId, Arc<RelColumns>)]>,
+    /// `adom(I)`: the ids set in some column, ascending.
+    adom: Arc<[ValueId]>,
 }
 
 impl std::fmt::Debug for LubView {
@@ -1060,6 +1085,49 @@ mod tests {
         // Cities' 4 retained columns were remapped, not rebuilt; only
         // TC's 2 were re-interned (6 initial + 2).
         assert_eq!(engine.column_builds(), 8);
+    }
+
+    #[test]
+    fn adom_ids_follow_the_instance_across_deltas() {
+        use whynot_relation::GenPool;
+        let listed = |engine: &LubEngine<'_>| -> Vec<Value> {
+            let pool = engine.pool();
+            engine
+                .adom()
+                .iter()
+                .map(|&id| pool.value(id).clone())
+                .collect()
+        };
+        let adom = |i: &Instance| -> Vec<Value> { i.active_domain().into_iter().collect() };
+        let (schema, inst) = paper_fixture();
+        // A pooled constant outside every column is not listed.
+        let mut gen = GenPool::new(inst.const_pool_with([s("ghost")]));
+        let mut engine = LubEngine::with_pool(&schema, &inst, Arc::clone(gen.pool()));
+        assert_eq!(listed(&engine), adom(&inst));
+
+        // Santa Cruz's population leaves adom(I) but stays pooled.
+        let cities = RelId(0);
+        let mut next = inst.clone();
+        next.remove(
+            cities,
+            &[
+                s("Santa Cruz"),
+                Value::int(59_946),
+                s("USA"),
+                s("N.America"),
+            ],
+        );
+        engine.apply_delta(&next, &[cities].into_iter().collect(), None);
+        assert_eq!(listed(&engine), adom(&next));
+
+        // A new constant bumps the pool generation.
+        let tc = RelId(1);
+        let mut last = next.clone();
+        last.insert(tc, vec![s("Kyoto"), s("Aomori")]);
+        let map = gen.absorb([s("Aomori")]).expect("new constant");
+        let changed = [tc].into_iter().collect();
+        engine.apply_delta(&last, &changed, Some((gen.pool(), &map)));
+        assert_eq!(listed(&engine), adom(&last));
     }
 
     /// A provider with only the three required methods: every growth

@@ -264,6 +264,20 @@ impl IdBits {
         }
     }
 
+    /// In-place union `words |= self`, where `words` is a dense word
+    /// slice over the same universe (the lub engine ORs every column
+    /// into `adom(I)` this way).
+    pub fn union_into(&self, words: &mut [u64]) {
+        match &self.repr {
+            Repr::Dense(mine) => kernels::or_assign(words, mine),
+            Repr::Sparse(ids) => {
+                for &id in ids {
+                    words[id as usize / 64] |= 1 << (id as usize % 64);
+                }
+            }
+        }
+    }
+
     /// Subset test `self ⊆ other` over the same universe.
     pub fn subset_of(&self, other: &IdBits) -> bool {
         debug_assert_eq!(self.universe, other.universe);

@@ -172,6 +172,18 @@ proptest! {
     }
 
     #[test]
+    fn union_into_words_agrees_across_containers(a in id_set(), b in id_set()) {
+        let (sa, da) = both_reprs(&a, 192);
+        let (_, db) = both_reprs(&b, 192);
+        let model: Vec<u32> = a.union(&b).copied().collect();
+        for x in [&sa, &da] {
+            let mut words = db.to_words();
+            x.union_into(&mut words);
+            prop_assert_eq!(IdBits::from_words(words, 192).ids(), model.clone());
+        }
+    }
+
+    #[test]
     fn inserts_upgrade_without_losing_members(ids in id_set()) {
         // A tight knee (universe/4) so random sets actually cross it.
         let mut set = IdBits::empty_with(192, 4);

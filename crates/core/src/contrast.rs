@@ -52,7 +52,7 @@
 use crate::incremental::state_extension;
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, QuestionRef};
 use crate::EvalContext;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -156,18 +156,21 @@ type Ranked = (Value, LubState, Arc<Extension>);
 /// Ranks the growth candidates for one position of the foil-aligned
 /// search, set-cover style: constants whose absorption buys the widest
 /// extension first (⊤ counts as widest), ties broken by ascending value.
-/// Each candidate's state is grown and its extension evaluated exactly
-/// once, here, and handed to the sweep with it.
+/// Constants of the position's blocked set are left out ungrown: every
+/// lub containing one is rejected. Each candidate's state is grown and
+/// its extension evaluated exactly once, here, and handed to the sweep
+/// with it.
 fn rank_candidates<P: LubProvider + ?Sized>(
     k_vals: &[Value],
     state: &LubState,
     ext: &Extension,
+    blocked: &BlockedSet<'_>,
     lubs: &P,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Vec<Ranked> {
     let mut scored: Vec<Ranked> = Vec::new();
     for b in k_vals {
-        if ext.contains(b) {
+        if ext.contains(b) || blocked.contains(b) {
             continue;
         }
         let candidate = lubs.grow(state, b);
@@ -187,7 +190,8 @@ fn rank_candidates<P: LubProvider + ?Sized>(
 /// candidate order of [`rank_candidates`]. The sweep takes each ranked
 /// state as is while position `j`'s support is still the one it was
 /// ranked against, and regrows from the current state only after an
-/// absorption changed that support. Returns `None` iff the seed lubs are
+/// absorption changed that support. Each probe is decided against the
+/// position's [`BlockedSet`]. Returns `None` iff the seed lubs are
 /// not an explanation — they are the least foil-aligned candidate, so
 /// nothing more general can be one either.
 pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
@@ -213,8 +217,10 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
         return None;
     }
     for j in 0..m {
+        let blocked = BlockedSet::new(&exts, j, q);
         let mut absorbed = false;
-        for (b, ranked, ranked_ext) in rank_candidates(k_vals, &states[j], &exts[j], lubs, ext_of) {
+        let ranked = rank_candidates(k_vals, &states[j], &exts[j], &blocked, lubs, ext_of);
+        for (b, ranked, ranked_ext) in ranked {
             if exts[j].contains(&b) {
                 continue; // covered by an earlier absorption this sweep
             }
@@ -225,12 +231,10 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
             } else {
                 (ranked, ranked_ext)
             };
-            let saved = std::mem::replace(&mut exts[j], candidate_ext);
-            if exts_form_explanation_q(&exts, q) {
+            if blocked.admits(&exts, &candidate_ext) {
                 states[j] = candidate;
+                exts[j] = candidate_ext;
                 absorbed = true;
-            } else {
-                exts[j] = saved;
             }
         }
     }

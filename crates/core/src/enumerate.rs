@@ -17,7 +17,7 @@
 //!   checked MGE, but completeness of the enumeration is not guaranteed.
 
 use crate::incremental::state_extension;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, WhyNotInstance};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
@@ -40,7 +40,10 @@ pub fn incremental_search_balanced(wn: &WhyNotInstance, kind: LubKind) -> Explan
 /// round-robin (`balanced`) or position-major like the paper, visiting
 /// positions in the supplied order. The caller supplies the pooled lub
 /// engine so reruns under permuted orders (the MGE enumeration) share one
-/// set of interned columns.
+/// set of interned columns. Position-major growth decides each probe
+/// against the position's [`BlockedSet`]; round-robin growth changes the
+/// other positions between probes, so it runs the full Definition 3.2
+/// check.
 fn grow_with_order(
     wn: &WhyNotInstance,
     kind: LubKind,
@@ -60,29 +63,34 @@ fn grow_with_order(
     let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();
     let mut exts: Vec<Arc<Extension>> = states.iter().map(ext_of).collect();
 
-    let try_grow = |j: usize, b: &Value, states: &mut [LubState], exts: &mut [Arc<Extension>]| {
-        if exts[j].contains(b) {
-            return;
-        }
-        let candidate = engine.grow(&states[j], b);
-        let saved = std::mem::replace(&mut exts[j], ext_of(&candidate));
-        if exts_form_explanation_q(exts, q) {
-            states[j] = candidate;
-        } else {
-            exts[j] = saved;
-        }
-    };
-
     if balanced {
         for b in adom {
             for &j in positions {
-                try_grow(j, b, &mut states, &mut exts);
+                if exts[j].contains(b) {
+                    continue;
+                }
+                let candidate = engine.grow(&states[j], b);
+                let saved = std::mem::replace(&mut exts[j], ext_of(&candidate));
+                if exts_form_explanation_q(&exts, q) {
+                    states[j] = candidate;
+                } else {
+                    exts[j] = saved;
+                }
             }
         }
     } else {
         for &j in positions {
+            let blocked = BlockedSet::new(&exts, j, q);
             for b in adom {
-                try_grow(j, b, &mut states, &mut exts);
+                if exts[j].contains(b) || blocked.contains(b) {
+                    continue;
+                }
+                let candidate = engine.grow(&states[j], b);
+                let candidate_ext = ext_of(&candidate);
+                if blocked.admits(&exts, &candidate_ext) {
+                    states[j] = candidate;
+                    exts[j] = candidate_ext;
+                }
             }
         }
     }

@@ -13,7 +13,7 @@
 use crate::context::EvalContext;
 use crate::ontology::FiniteOntology;
 use crate::whynot::{
-    exts_form_explanation_q, less_general, Explanation, QuestionRef, WhyNotInstance,
+    exts_form_explanation_q, less_general, BlockedSet, Explanation, QuestionRef, WhyNotInstance,
 };
 use whynot_concepts::{kernels, Extension, ExtensionTable, Probe};
 use whynot_relation::{ScratchArena, Tuple, Value};
@@ -373,20 +373,20 @@ pub(crate) fn check_mge_with<O: FiniteOntology>(
     if e.len() != q.arity() {
         return false;
     }
-    let mut exts: Vec<Extension> = e.concepts.iter().map(|c| ctx.extension(c)).collect();
+    let exts: Vec<Extension> = e.concepts.iter().map(|c| ctx.extension(c)).collect();
     if !exts_form_explanation_q(&exts, q) {
         return false;
     }
     let ontology = ctx.ontology();
     for i in 0..e.len() {
+        // Only position i is replaced, so each replacement is decided
+        // against its blocked set.
+        let blocked = BlockedSet::new(&exts, i, q);
         for c in all {
             if !ontology.subsumed(&e.concepts[i], c) || ontology.subsumed(c, &e.concepts[i]) {
                 continue; // not strictly more general
             }
-            let saved = std::mem::replace(&mut exts[i], ctx.extension(c));
-            let still = exts_form_explanation_q(&exts, q);
-            exts[i] = saved;
-            if still {
+            if blocked.admits(&exts, &ctx.extension(c)) {
                 return false; // a strictly more general explanation exists
             }
         }

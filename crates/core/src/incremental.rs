@@ -20,19 +20,33 @@
 //! than a lub recomputed from the whole support, and the `(rel, attr)`
 //! columns behind the steps are interned once per run.
 //!
-//! A probe stays in id space end to end. The grown state carries its
-//! extension over the pool, the question's answers are resolved to pool
-//! ids once ([`AnswerIds`]), and the explanation check probes bits. The
-//! state's concept is assembled lazily, so only the states a search
-//! keeps build one. States from a provider's recomputing default bodies
-//! carry no extension; their concepts are evaluated instead.
+//! A probe stays in id space end to end. The growth constants are
+//! `adom(I)` as ascending pool ids, read off the engine's column bits
+//! ([`LubEngine::adom`](whynot_concepts::LubEngine::adom)). The grown
+//! state carries its extension over the pool, and the question's answers
+//! are resolved to pool ids once ([`AnswerIds`]). The state's concept is
+//! assembled lazily, so only the states a search keeps build one. States
+//! from a provider's recomputing default bodies carry no extension; their
+//! concepts are evaluated instead.
+//!
+//! **The blocked-set check.** While the loop grows position `j`, every
+//! other position stays fixed. So Definition 3.2 for a candidate `E` at
+//! `j` factors into one set per position (a [`BlockedSet`]):
+//! `B_j = {t[j] : t ∈ Ans, t[k] ∈ ext(C_k) for all k ≠ j}`, built once
+//! per position in `O(|Ans|·m)`. Supports grow monotonically from
+//! `{a_j}`, so `a_j ∈ E` always holds, and the candidate is accepted iff
+//! `E ∩ B_j = ∅` — one word AND over the pool instead of a rescan of
+//! `Ans`. A constant of `B_j` is skipped without a growth step: every
+//! lub containing it is rejected. CHECK-MGE replaces one position at a
+//! time, so it decides its probes the same way. Debug builds cross-check
+//! every verdict against the full [`exts_form_explanation_q`].
 
-use crate::derived::InstanceOntology;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef, WhyNotInstance};
-use std::collections::BTreeSet;
+use crate::whynot::{
+    exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, QuestionRef, WhyNotInstance,
+};
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::Value;
+use whynot_relation::{Value, ValueId};
 
 /// Algorithm 2 (INCREMENTAL SEARCH): a most-general explanation for the
 /// why-not instance w.r.t. `OI` in selection-free `LS` (Theorem 5.3).
@@ -53,17 +67,15 @@ pub fn incremental_search_with_selections(wn: &WhyNotInstance) -> Explanation<Ls
 
 /// The shared engine, parameterized by the lub operator.
 pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanation<LsConcept> {
-    let schema = &wn.schema;
     let inst = &wn.instance;
     // One interned pool for the whole search: every candidate extension
     // is a bitset over adom(I) ∪ ā, so the per-step explanation checks
     // run word-parallel — and the lub engine's column sets index the
     // same pool, interned once for every growth probe of the run.
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
-    let engine = LubEngine::with_pool(schema, inst, Arc::clone(&pool));
-    let adom: Vec<Value> = inst.active_domain().into_iter().collect();
+    let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
     let ids = AnswerIds::new(&pool, wn.question());
-    incremental_search_core(&adom, ids.question(), &engine, kind, &mut |c| {
+    incremental_search_core(&engine.adom(), ids.question(), &engine, kind, &mut |c| {
         c.extension_in(inst, &pool)
     })
 }
@@ -81,21 +93,22 @@ pub(crate) fn state_extension(
     }
 }
 
-/// Algorithm 2's growth loop over a borrowed question, a lub provider
-/// and a caller-supplied extension function. Each position carries the
+/// Algorithm 2's growth loop over `adom(I)` as ascending ids of the
+/// provider's pool, a borrowed question, a lub provider and a
+/// caller-supplied extension function. Each position carries the
 /// [`LubState`] of its support, and each probe grows it by one constant
-/// and is decided by the grown state's extension; `ext_of` only
-/// evaluates the concepts of states that carry none (see
-/// [`state_extension`]). A concept is assembled only for the states the
-/// search keeps.
+/// and is decided by the grown state's extension against the position's
+/// [`BlockedSet`]; `ext_of` only evaluates the concepts of states that
+/// carry none (see [`state_extension`]). A concept is assembled only for
+/// the states the search keeps.
 pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
-    adom: &[Value],
+    adom: &[ValueId],
     q: QuestionRef<'_>,
     lubs: &P,
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Explanation<LsConcept> {
-    let m = q.arity();
+    let pool = lubs.pool();
     // Lines 2–3: support sets start at the singletons {aj}; the first
     // candidate explanation is their lubs.
     let mut states: Vec<LubState> = q.tuple.iter().map(|a| lubs.start(kind, a)).collect();
@@ -109,21 +122,23 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     );
 
     // Lines 4–11: per position, try to absorb each uncovered active-domain
-    // constant into the support set.
-    for j in 0..m {
-        for b in adom {
-            if exts[j].contains(b) {
-                continue; // line 5's set difference, re-evaluated live
+    // constant into the support set. The other positions stay fixed
+    // while position j grows, so line 9's check is against B_j alone.
+    for j in 0..q.arity() {
+        let blocked = BlockedSet::new(&exts, j, q);
+        for &b in adom {
+            // Line 5's set difference, re-evaluated live; a blocked
+            // constant would put an answer into the product.
+            if exts[j].contains_in(pool, b) || blocked.contains_in(pool, b) {
+                continue;
             }
             // Lines 6–8: the more general candidate at position j.
-            let candidate = lubs.grow(&states[j], b);
+            let candidate = lubs.grow(&states[j], pool.value(b));
             let candidate_ext = state_extension(&candidate, &mut *ext_of);
             // Line 9: keep it only if the tuple stays an explanation.
-            let saved = std::mem::replace(&mut exts[j], candidate_ext);
-            if exts_form_explanation_q(&exts, q) {
+            if blocked.admits(&exts, &candidate_ext) {
                 states[j] = candidate;
-            } else {
-                exts[j] = saved;
+                exts[j] = candidate_ext;
             }
         }
     }
@@ -139,59 +154,86 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
 /// selection-free `LS` and (by Lemma 5.2) for bounded schema arity with
 /// selections.
 pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubKind) -> bool {
-    let oi = InstanceOntology::new(wn.schema.clone(), wn.instance.clone());
-    if !crate::whynot::is_explanation(&oi, wn, e) {
+    if e.len() != wn.arity() {
         return false;
     }
-    let schema = &wn.schema;
     let inst = &wn.instance;
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
-    let engine = LubEngine::with_pool(schema, inst, Arc::clone(&pool));
-    // Candidate growth constants: adom plus the missing tuple (Prop 5.1's
-    // constant restriction K).
-    let k_consts = wn.restriction_constants();
     let ids = AnswerIds::new(&pool, wn.question());
-    check_mge_instance_core(&k_consts, ids.question(), e, &engine, kind, &mut |c| {
-        c.extension_in(inst, &pool)
-    })
+    let exts: Vec<Extension> = e
+        .concepts
+        .iter()
+        .map(|c| c.extension_in(inst, &pool))
+        .collect();
+    if !exts_form_explanation_q(&exts, ids.question()) {
+        return false;
+    }
+    let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
+    check_mge_instance_core(
+        &engine.adom(),
+        ids.question(),
+        &exts,
+        &engine,
+        kind,
+        &mut |c| c.extension_in(inst, &pool),
+    )
 }
 
-/// The generalization-probe loop of CHECK-MGE W.R.T. `OI`, over a borrowed
-/// question, a lub provider and a caller-supplied extension function.
-/// Assumes the caller has already verified that `e` *is* an explanation
-/// (the probes only decide maximality). `ext_of` evaluates `e`'s own
-/// concepts and the concepts of states that carry no extension. Each
-/// position's state is the fold over `ext(Cj)`, and every probe grows it
-/// by one constant and is decided by the grown state's extension.
+/// The generalization-probe loop of CHECK-MGE W.R.T. `OI`, over `adom(I)`
+/// as ascending ids of the provider's pool, a borrowed question, the
+/// extensions `exts` of the checked explanation's concepts, a lub
+/// provider and a caller-supplied extension function. Assumes the caller
+/// has already verified that `exts` form an explanation (the probes only
+/// decide maximality). The probed constants are Prop 5.1's
+/// `K = adom(I) ∪ ā`. Each position's state is the fold over `ext(Cj)`,
+/// and every probe grows it by one constant and is decided by the grown
+/// state's extension against the position's [`BlockedSet`]; `ext_of`
+/// evaluates the concepts of states that carry no extension.
 pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
-    k_consts: &BTreeSet<Value>,
+    adom: &[ValueId],
     q: QuestionRef<'_>,
-    e: &Explanation<LsConcept>,
+    exts: &[Extension],
     lubs: &P,
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> bool {
-    let mut exts: Vec<Arc<Extension>> = e.concepts.iter().map(|c| Arc::new(ext_of(c))).collect();
-    for j in 0..e.len() {
+    let pool = lubs.pool();
+    // The tuple's constants outside adom(I), the rest of K.
+    let mut beyond_adom: Vec<&Value> = q
+        .tuple
+        .iter()
+        .filter(|a| {
+            pool.id_of(a)
+                .is_none_or(|id| adom.binary_search(&id).is_err())
+        })
+        .collect();
+    beyond_adom.sort_unstable();
+    beyond_adom.dedup();
+    for j in 0..exts.len() {
         // The universal extension (⊤) cannot be generalized.
-        let Some(current) = exts[j].as_finite().map(|s| s.to_btree_set()) else {
+        let Some(current) = exts[j].as_finite() else {
             continue;
         };
         // Defined: an explanation's extension holds its tuple's constant.
-        let Some(state) = lubs.state_of(kind, &current) else {
+        let Some(state) = lubs.state_of(kind, &current.to_btree_set()) else {
             continue;
         };
-        for b in k_consts {
-            if current.contains(b) {
-                continue;
-            }
+        let blocked = BlockedSet::new(exts, j, q);
+        // Strictly more general by construction: ⊇ current ∪ {b}.
+        let mut generalizes = |b: &Value| {
             let candidate = lubs.grow(&state, b);
-            let candidate_ext = state_extension(&candidate, &mut *ext_of);
-            // Strictly more general by construction: ⊇ current ∪ {b}.
-            let saved = std::mem::replace(&mut exts[j], candidate_ext);
-            let still = exts_form_explanation_q(&exts, q);
-            exts[j] = saved;
-            if still {
+            blocked.admits(exts, &state_extension(&candidate, &mut *ext_of))
+        };
+        for &b in adom {
+            if !current.contains_in(pool, b)
+                && !blocked.contains_in(pool, b)
+                && generalizes(pool.value(b))
+            {
+                return false;
+            }
+        }
+        for b in &beyond_adom {
+            if !current.contains(b) && !blocked.contains(b) && generalizes(b) {
                 return false;
             }
         }
@@ -202,6 +244,7 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derived::InstanceOntology;
     use crate::whynot::{exts_form_explanation, is_explanation};
     use whynot_concepts::LsAtom;
     use whynot_relation::{Atom, Cq, Instance, RelId, SchemaBuilder, Term, Ucq, Var};

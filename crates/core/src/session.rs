@@ -449,8 +449,6 @@ type Stamped<T> = (T, Cell<u64>);
 pub struct WhyNotSession<'a, O: Ontology> {
     schema: &'a Schema,
     ctx: EvalContext<'a, O>,
-    /// `adom(I)` in ascending value order (Algorithm 2's growth order).
-    adom: OnceCell<Vec<Value>>,
     /// The concept list and its one-pass extension table (finite
     /// ontologies only), built on first use.
     finite: OnceCell<(Vec<O::Concept>, ExtensionTable)>,
@@ -554,7 +552,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         WhyNotSession {
             schema,
             ctx: EvalContext::new(ontology, instance),
-            adom: OnceCell::new(),
             finite: OnceCell::new(),
             candidates: RefCell::new(BTreeMap::new()),
             // lint: allow(deterministic-iteration) — see the field docs:
@@ -852,10 +849,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         stats.extensions_retained = ctx_delta.extensions_retained;
         let pool = Arc::clone(self.ctx.pool());
 
-        // 2. adom(I): any effective delta can change it.
-        self.adom.take();
-
-        // 3. The finite index: re-evaluate only dirty entries, bridge the
+        // 2. The finite index: re-evaluate only dirty entries, bridge the
         // clean ones across the (possible) generation bump.
         let mut dirty: Vec<bool> = Vec::new();
         if let Some((concepts, table)) = self.finite.take() {
@@ -877,7 +871,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         }
         let any_concept_dirty = dirty.iter().any(|&d| d);
 
-        // 4. Candidate lists: membership of *any* dirty concept can
+        // 3. Candidate lists: membership of *any* dirty concept can
         // reshuffle every per-constant list.
         let candidates = self.candidates.get_mut();
         if any_concept_dirty {
@@ -887,7 +881,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             stats.candidates_retained = candidates.len();
         }
 
-        // 5. Answer sets: drop exactly the queries that read a changed
+        // 4. Answer sets: drop exactly the queries that read a changed
         // relation, remembering the dying `Arc` addresses so the
         // pointer-keyed probe and conflict caches can be purged *before*
         // a future answer set could reuse a freed address.
@@ -907,7 +901,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         stats.answers_dropped = before - answers.len();
         stats.answers_retained = answers.len();
 
-        // 6. Answer probes: invalid wholesale on a generation bump (ids
+        // 5. Answer probes: invalid wholesale on a generation bump (ids
         // were re-numbered), otherwise they die with their answer set.
         let probes = self.probes.get_mut();
         let before = probes.len();
@@ -919,7 +913,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         stats.probes_dropped = before - probes.len();
         stats.probes_retained = probes.len();
 
-        // 7. Conflict bitsets are value-semantic (answer index →
+        // 6. Conflict bitsets are value-semantic (answer index →
         // membership): they survive generation bumps, and die only with
         // their answer set or their concept.
         let conflicts = self.conflicts.get_mut();
@@ -930,9 +924,10 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         stats.conflicts_dropped = before - conflicts.len();
         stats.conflicts_retained = conflicts.len();
 
-        // 8. The lub engine: changed relations' columns drop, retained
-        // ones are id-remapped across a bump. Nothing else holds lubs:
-        // growth states never outlive a call.
+        // 7. The lub engine: changed relations' columns drop, retained
+        // ones are id-remapped across a bump, and adom(I) is re-read off the
+        // columns on the next growth loop. Nothing else holds lubs: growth
+        // states never outlive a call.
         if let Some(engine) = self.lub_engine.get_mut() {
             let repool = map.as_ref().map(|m| (&pool, m));
             let (cols_retained, cols_dropped) =
@@ -941,7 +936,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             stats.lub_columns_dropped = cols_dropped;
         }
 
-        // 9. Contrastive answers: the cached separators and foil-aligned
+        // 8. Contrastive answers: the cached separators and foil-aligned
         // MGEs are certified *maximal* against the full lub column set —
         // a change to any relation can mint a new covering atom that
         // admits a strictly more general result, so there is no sound
@@ -949,7 +944,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // deltas drop the cache wholesale (no-ops returned early above
         // and retain everything); the per-position *ontology* difference
         // is not cached here at all — it reuses the candidate and
-        // conflict caches, which are selectively retained in 4/7.
+        // conflict caches, which are selectively retained in 3/6.
         let contrast = self.contrast.get_mut();
         stats.contrast_dropped = contrast.len();
         contrast.clear();
@@ -1005,12 +1000,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             .ok_or(SessionError::EmptySupport)
     }
 
-    /// `adom(I)` in ascending order, computed once.
-    fn adom(&self) -> &[Value] {
-        self.adom
-            .get_or_init(|| self.instance().active_domain().into_iter().collect())
-    }
-
     /// Validates a question and resolves its answer set (from cache when
     /// the query has been seen before).
     fn bind(&self, q: &WhyNotQuestion) -> Result<BoundQuestion, SessionError> {
@@ -1048,10 +1037,11 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // The answers resolved to pool ids once, so every explanation
         // check of the search probes bits.
         let ids = AnswerIds::new(self.pool(), bound.view());
+        let engine = self.lub_engine();
         Ok(incremental_search_core(
-            self.adom(),
+            &engine.adom(),
             ids.question(),
-            self.lub_engine(),
+            engine,
             kind,
             &mut |c| c.extension_in(self.instance(), self.pool()),
         ))
@@ -1079,14 +1069,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         if !exts_form_explanation_q(&exts, view) {
             return Ok(false);
         }
-        // Prop 5.1's constant restriction K = adom(I) ∪ ā.
-        let mut k_consts: BTreeSet<Value> = self.adom().iter().cloned().collect();
-        k_consts.extend(bound.tuple.iter().cloned());
+        let engine = self.lub_engine();
         Ok(check_mge_instance_core(
-            &k_consts,
+            &engine.adom(),
             view,
-            e,
-            self.lub_engine(),
+            &exts,
+            engine,
             kind,
             &mut |c| c.extension_in(self.instance(), self.pool()),
         ))
@@ -1151,13 +1139,18 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             return Ok(Arc::clone(hit));
         }
         let bound = self.bind_contrast(q)?;
-        let k_vals = restriction_values(self.adom().iter().cloned(), &bound.missing);
+        let engine = self.lub_engine();
+        let adom = engine.adom();
+        let k_vals = restriction_values(
+            adom.iter().map(|&id| self.pool().value(id).clone()),
+            &bound.missing,
+        );
         let ids = AnswerIds::new(self.pool(), bound.view());
         let answer = Arc::new(contrast_core(
             &k_vals,
             ids.question(),
             &bound.foil,
-            self.lub_engine(),
+            engine,
             kind,
             &mut |c| c.extension_in(self.instance(), self.pool()),
         ));

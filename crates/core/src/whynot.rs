@@ -5,7 +5,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use whynot_concepts::Extension;
+use whynot_concepts::{Extension, ValueSet};
 use whynot_relation::{ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId};
 
 /// A why-not instance `(S, I, q, Ans, a)` (Definition 5.1): the answer set
@@ -180,32 +180,157 @@ impl<'q> AnswerIds<'q> {
         }
     }
 
-    /// Definition 3.2 over `exts`, probing bits wherever an extension
-    /// indexes this pool.
-    fn form_explanation<E: Borrow<Extension>>(&self, exts: &[E]) -> bool {
-        let member = |ext: &E, id: Option<ValueId>, v: &Value| match ext.borrow() {
+    /// Membership of `v`, resolved to `id` in this pool, in `ext`: a bit
+    /// probe wherever `ext` indexes this pool.
+    fn member(&self, ext: &Extension, id: Option<ValueId>, v: &Value) -> bool {
+        match ext {
             Extension::Universal => true,
             Extension::Finite(set) if Arc::ptr_eq(set.pool(), &self.pool) => match id {
                 Some(id) => set.contains_id(id),
                 None => set.extra().contains(v),
             },
             Extension::Finite(set) => set.contains(v),
-        };
+        }
+    }
+
+    /// The answer rows, each beside its cells' ids.
+    fn rows(&self) -> impl Iterator<Item = (&Tuple, &[Option<ValueId>])> + '_ {
+        self.ans
+            .iter()
+            .zip(self.cells.chunks_exact(self.tuple.len()))
+    }
+
+    /// Definition 3.2 over `exts`, probing bits wherever an extension
+    /// indexes this pool.
+    fn form_explanation<E: Borrow<Extension>>(&self, exts: &[E]) -> bool {
         let holds_tuple = exts
             .iter()
             .zip(self.tuple.iter().zip(&self.tuple_ids))
-            .all(|(ext, (v, &id))| member(ext, id, v));
+            .all(|(ext, (v, &id))| self.member(ext.borrow(), id, v));
         // Product disjointness: every answer tuple escapes on some position.
         holds_tuple
-            && self
-                .ans
-                .iter()
-                .zip(self.cells.chunks_exact(self.tuple.len()))
-                .all(|(t, ids)| {
-                    exts.iter()
-                        .zip(t.iter().zip(ids))
-                        .any(|(ext, (v, &id))| !member(ext, id, v))
-                })
+            && self.rows().all(|(t, ids)| {
+                exts.iter()
+                    .zip(t.iter().zip(ids))
+                    .any(|(ext, (v, &id))| !self.member(ext.borrow(), id, v))
+            })
+    }
+}
+
+/// Definition 3.2 at one position `j` while every other position stays
+/// fixed: the *blocked set*
+/// `B_j = {t[j] : t ∈ Ans, t[k] ∈ ext(C_k) for all k ≠ j}`.
+///
+/// With the other positions fixed, `(C_1,…,C_j := E,…,C_m)` is an
+/// explanation iff every `a_k` lies in its extension (`a_j` in `E`) and
+/// `E ∩ B_j = ∅`: an answer falls inside the extension product exactly
+/// when its `j`-th constant is in `E` and its other constants are in
+/// their fixed extensions. So a growth loop that only changes position
+/// `j` builds `B_j` once (`O(|Ans|·m)` membership probes) and decides
+/// each probe by one disjointness test — a word AND when the candidate
+/// extension shares the question's pool — instead of rescanning `Ans`.
+/// Because lub growth is monotone, a loop can also skip every constant
+/// of `B_j` without growing: any lub containing it is rejected.
+///
+/// The set is over the pool of the view's [`AnswerIds`], or over a
+/// private pool for a value-space view. In debug builds every verdict of
+/// [`admits`](BlockedSet::admits) is cross-checked against
+/// [`exts_form_explanation_q`] on the substituted extensions.
+#[derive(Clone, Debug)]
+pub struct BlockedSet<'q> {
+    q: QuestionRef<'q>,
+    position: usize,
+    /// Whether every position other than `position` holds its tuple
+    /// constant.
+    others_hold: bool,
+    blocked: ValueSet,
+}
+
+impl<'q> BlockedSet<'q> {
+    /// `B_j` for `j = position` over the extensions `exts`, one per
+    /// position of `q` (the one at `position` is not read); `position`
+    /// must be below `q`'s arity.
+    pub fn new<E: Borrow<Extension>>(exts: &[E], position: usize, q: QuestionRef<'q>) -> Self {
+        let m = q.arity();
+        debug_assert!(exts.len() == m && position < m, "position out of range");
+        let others = || (0..m).filter(move |&k| k != position);
+        let (others_hold, blocked) = match q.ids {
+            Some(ids) => {
+                let mut blocked = ValueSet::empty_in(Arc::clone(&ids.pool));
+                for (t, cells) in ids.rows() {
+                    if others().all(|k| ids.member(exts[k].borrow(), cells[k], &t[k])) {
+                        match cells[position] {
+                            Some(id) => blocked.insert_id(id),
+                            None => blocked.insert_ref(&t[position]),
+                        };
+                    }
+                }
+                let hold =
+                    others().all(|k| ids.member(exts[k].borrow(), ids.tuple_ids[k], &q.tuple[k]));
+                (hold, blocked)
+            }
+            None => {
+                let blocked = q
+                    .ans
+                    .iter()
+                    .filter(|t| others().all(|k| exts[k].borrow().contains(&t[k])))
+                    .map(|t| t[position].clone())
+                    .collect();
+                let hold = others().all(|k| exts[k].borrow().contains(&q.tuple[k]));
+                (hold, blocked)
+            }
+        };
+        BlockedSet {
+            q,
+            position,
+            others_hold,
+            blocked,
+        }
+    }
+
+    /// Whether `v ∈ B_j`.
+    pub fn contains(&self, v: &Value) -> bool {
+        self.blocked.contains(v)
+    }
+
+    /// Whether `pool`'s value `id` is in `B_j`: a bit probe when `pool`
+    /// is the question's pool.
+    pub fn contains_in(&self, pool: &Arc<ConstPool>, id: ValueId) -> bool {
+        self.blocked.contains_in(pool, id)
+    }
+
+    /// Whether `ext ∩ B_j = ∅` (`⊤` meets every non-empty `B_j`).
+    pub fn is_disjoint(&self, ext: &Extension) -> bool {
+        match ext {
+            Extension::Universal => self.blocked.is_empty(),
+            Extension::Finite(set) => self.blocked.is_disjoint(set),
+        }
+    }
+
+    /// Definition 3.2 for `exts` with position `j` replaced by
+    /// `candidate`, where `exts` are the extensions this set was built
+    /// from: the other positions hold their constants, `candidate` holds
+    /// `a_j`, and `candidate ∩ B_j = ∅`.
+    pub fn admits<E: Borrow<Extension>>(&self, exts: &[E], candidate: &Extension) -> bool {
+        let j = self.position;
+        let holds_own = match self.q.ids {
+            Some(ids) => ids.member(candidate, ids.tuple_ids[j], &self.q.tuple[j]),
+            None => candidate.contains(&self.q.tuple[j]),
+        };
+        let verdict = self.others_hold && holds_own && self.is_disjoint(candidate);
+        debug_assert_eq!(
+            verdict,
+            exts_form_explanation_q(
+                &exts
+                    .iter()
+                    .enumerate()
+                    .map(|(k, e)| if k == j { candidate } else { e.borrow() })
+                    .collect::<Vec<&Extension>>(),
+                self.q
+            ),
+            "blocked-set verdict at position {j} disagrees with Definition 3.2"
+        );
+        verdict
     }
 }
 

@@ -159,12 +159,14 @@ impl Instance {
     }
 
     /// The active domain `adom(I)`: every constant occurring in some fact.
+    ///
+    /// Clones each distinct constant once: the occurrences are gathered
+    /// by reference and deduplicated first.
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.relations
-            .values()
-            .flat_map(|rs| rs.iter())
-            .flat_map(|t| t.iter().cloned())
-            .collect()
+        let mut refs: Vec<&Value> = self.value_occurrences().collect();
+        refs.sort_unstable();
+        refs.dedup();
+        refs.into_iter().cloned().collect()
     }
 
     /// Every constant occurrence across all facts, by reference and with

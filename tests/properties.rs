@@ -15,7 +15,8 @@ use whynot::concepts::{
 use whynot::core::{
     check_mge_instance, exhaustive_search, exts_form_explanation, exts_form_explanation_q,
     incremental_search, incremental_search_kind, incremental_search_with_selections, AnswerIds,
-    ExplicitOntology, LubKind, QuestionRef, WhyNotInstance, WhyNotQuestion, WhyNotSession,
+    BlockedSet, Explanation, ExplicitOntology, LubKind, QuestionRef, WhyNotInstance,
+    WhyNotQuestion, WhyNotSession,
 };
 use whynot::relation::{
     Atom, CmpOp, ConstPool, Cq, Instance, Interval, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq,
@@ -532,6 +533,78 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn blocked_sets_decide_definition_3_2_per_position(
+        m in 2usize..4,
+        shapes in proptest::collection::vec(
+            (0u8..3, proptest::collection::btree_set(-2i64..16, 0..10), any::<bool>()),
+            3..4,
+        ),
+        candidates in proptest::collection::vec(
+            (0u8..3, proptest::collection::btree_set(-2i64..16, 0..10), any::<bool>()),
+            1..5,
+        ),
+        rows in proptest::collection::btree_set((-2i64..16, -2i64..16, -2i64..16), 0..16),
+        (a, b, c) in (-2i64..16, -2i64..16, -2i64..16),
+    ) {
+        // The extensions and the pool of the explanation-check
+        // differential above, at arity 2–3: answer, tuple and extension
+        // constants -2..0 and 12..16 lie outside the pool. Candidates
+        // mostly hold the tuple's constant at their position.
+        let pool = Arc::new(ConstPool::from_values((0..12).map(Value::int)));
+        let tuple_ints = [a, b, c];
+        let exts: Vec<Extension> = shapes
+            .into_iter()
+            .zip(tuple_ints)
+            .take(m)
+            .map(|((shape, mut members, admit), t)| {
+                if admit {
+                    members.insert(t);
+                }
+                extension_case(&pool, shape, members)
+            })
+            .collect();
+        let ans: BTreeSet<Tuple> = rows
+            .into_iter()
+            .map(|(x, y, z)| [x, y, z][..m].iter().map(|&n| Value::int(n)).collect())
+            .collect();
+        let tuple: Tuple = tuple_ints[..m].iter().map(|&n| Value::int(n)).collect();
+        let q = QuestionRef::new(&ans, &tuple);
+        let ids = AnswerIds::new(&pool, q);
+        for view in [q, ids.question()] {
+            for j in 0..m {
+                let blocked = BlockedSet::new(&exts, j, view);
+                let others_hold = (0..m)
+                    .filter(|&k| k != j)
+                    .all(|k| exts[k].contains(&tuple[k]));
+                for (shape, members, admit) in &candidates {
+                    let mut members = members.clone();
+                    if *admit {
+                        members.insert(tuple_ints[j]);
+                    }
+                    let candidate = extension_case(&pool, *shape, members);
+                    let mut substituted = exts.clone();
+                    substituted[j] = candidate.clone();
+                    let full = exts_form_explanation_q(&substituted, view);
+                    prop_assert_eq!(blocked.admits(&exts, &candidate), full);
+                    if others_hold && candidate.contains(&tuple[j]) {
+                        prop_assert_eq!(
+                            blocked.is_disjoint(&candidate),
+                            full,
+                            "position {} of {:?} with {:?}",
+                            j,
+                            substituted,
+                            &ans
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // ⊑S soundness against ⊑I sampling
 // ---------------------------------------------------------------------
@@ -601,6 +674,134 @@ proptest! {
         let exts: Vec<_> = e.concepts.iter().map(|c| c.extension(&wn.instance)).collect();
         prop_assert!(exts_form_explanation(&exts, &wn));
         prop_assert!(check_mge_instance(&wn, &e, LubKind::WithSelections));
+    }
+}
+
+prop_compose! {
+    /// Arity-2 why-not instances over `T`: `q(u, v) ← T(u, v)` or the
+    /// two-hop join over `T`. Each constant of the missing tuple lies in
+    /// `0..12` (the instance's constants) or outside the domain; `None`
+    /// when the tuple is an answer.
+    fn random_whynot_pair()(
+        inst in small_instance().prop_filter("need data", |i| !i.is_empty()),
+        two_hop in any::<bool>(),
+        (a, b) in (0i64..12, 0i64..12),
+        (a_out, b_out) in (any::<bool>(), any::<bool>()),
+    ) -> Option<WhyNotInstance> {
+        let (schema, _, t) = fixed_schema();
+        let (u, v, w) = (Var(0), Var(1), Var(2));
+        let atoms = if two_hop {
+            vec![
+                Atom::new(t, [Term::Var(u), Term::Var(w)]),
+                Atom::new(t, [Term::Var(w), Term::Var(v)]),
+            ]
+        } else {
+            vec![Atom::new(t, [Term::Var(u), Term::Var(v)])]
+        };
+        let q = Ucq::single(Cq::new([Term::Var(u), Term::Var(v)], atoms, []));
+        let constant = |n: i64, out: bool| Value::int(if out { 100 + n } else { n });
+        let tuple = vec![constant(a, a_out), constant(b, b_out)];
+        WhyNotInstance::new(schema, inst, q, tuple).ok()
+    }
+}
+
+/// The legacy from-scratch lub of `kind`.
+fn legacy_lub(wn: &WhyNotInstance, kind: LubKind, support: &BTreeSet<Value>) -> LsConcept {
+    match kind {
+        LubKind::SelectionFree => lub(&wn.schema, &wn.instance, support),
+        LubKind::WithSelections => lub_sigma(&wn.schema, &wn.instance, support),
+    }
+}
+
+/// Algorithm 2 as the paper writes it: supports `X_j` start at `{a_j}`;
+/// per position, every `b ∈ adom(I)` outside `ext(lub(X_j))`, ascending,
+/// joins `X_j` iff the lubs with `lub(X_j ∪ {b})` at `j` still form an
+/// explanation — the legacy lub of the whole support and the full
+/// Definition 3.2 check over `Ans` on every probe.
+fn literal_incremental(wn: &WhyNotInstance, kind: LubKind) -> Explanation<LsConcept> {
+    let mut supports: Vec<BTreeSet<Value>> = wn
+        .tuple
+        .iter()
+        .map(|a| [a.clone()].into_iter().collect())
+        .collect();
+    let mut concepts: Vec<LsConcept> = supports.iter().map(|x| legacy_lub(wn, kind, x)).collect();
+    for j in 0..wn.arity() {
+        for b in wn.instance.active_domain() {
+            if concepts[j].extension(&wn.instance).contains(&b) {
+                continue;
+            }
+            let mut grown = supports[j].clone();
+            grown.insert(b);
+            let candidate = legacy_lub(wn, kind, &grown);
+            let mut trial = concepts.clone();
+            trial[j] = candidate.clone();
+            let exts: Vec<Extension> = trial.iter().map(|c| c.extension(&wn.instance)).collect();
+            if exts_form_explanation(&exts, wn) {
+                supports[j] = grown;
+                concepts[j] = candidate;
+            }
+        }
+    }
+    Explanation::new(concepts)
+}
+
+/// CHECK-MGE w.r.t. `OI` as Proposition 5.2 states it: `e` is an
+/// explanation, and no `lub(ext(C_j) ∪ {b})` with `b ∈ adom(I) ∪ ā`
+/// outside `ext(C_j)` can replace `C_j` in one.
+fn literal_check_mge(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubKind) -> bool {
+    let exts: Vec<Extension> = e
+        .concepts
+        .iter()
+        .map(|c| c.extension(&wn.instance))
+        .collect();
+    if exts.len() != wn.arity() || !exts_form_explanation(&exts, wn) {
+        return false;
+    }
+    for j in 0..exts.len() {
+        let Some(current) = exts[j].as_finite() else {
+            continue;
+        };
+        for b in wn.restriction_constants() {
+            if current.contains(&b) {
+                continue;
+            }
+            let mut grown = current.to_btree_set();
+            grown.insert(b);
+            let mut trial = exts.clone();
+            trial[j] = legacy_lub(wn, kind, &grown).extension(&wn.instance);
+            if exts_form_explanation(&trial, wn) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn incremental_search_at_arity_two_matches_the_literal_algorithm(
+        wn in random_whynot_pair(),
+    ) {
+        prop_assume!(wn.is_some());
+        let wn = wn.expect("assumed above");
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            let e = incremental_search_kind(&wn, kind);
+            prop_assert_eq!(&e, &literal_incremental(&wn, kind), "{:?}", kind);
+            // The MGE check agrees with the literal one on the result and
+            // on the all-nominals explanation (its starting point).
+            let nominals = Explanation::new(wn.tuple.iter().cloned().map(LsConcept::nominal));
+            for candidate in [&e, &nominals] {
+                prop_assert_eq!(
+                    check_mge_instance(&wn, candidate, kind),
+                    literal_check_mge(&wn, candidate, kind),
+                    "{:?} on {:?}",
+                    kind,
+                    candidate
+                );
+            }
+            prop_assert!(check_mge_instance(&wn, &e, kind));
+        }
     }
 }
 
