@@ -4,10 +4,14 @@
 //! The free functions in [`crate::lub`] re-derive everything from the
 //! instance on every call. A [`LubEngine`] pins one `(schema, instance)`
 //! pair and a shared [`ConstPool`](whynot_relation::ConstPool) and interns
-//! each `(rel, attr)` column **exactly once**: an occurrence bitset, the
-//! column's id bounds, and an `id → rows` witness index. Lubs are then
-//! computed by *growth*: a [`LubState`] for `lub(S)` becomes the state for
-//! `lub(S ∪ {v})` without looking at the rest of `S` again.
+//! each relation **exactly once** into an
+//! [`IdImage`](whynot_relation::IdImage): its rows as pool ids plus a CSR
+//! `id → rows` witness index per attribute, which also serves query
+//! evaluation ([`LubEngine::image`]). On the first lub, each
+//! `(rel, attr)` column adds an occurrence bitset read off the image.
+//! Lubs are then computed by *growth*: a [`LubState`] for `lub(S)`
+//! becomes the state for `lub(S ∪ {v})` without looking at the rest of
+//! `S` again.
 //!
 //! * **Lemma 5.1** (selection-free lub): the covering atoms of `S ∪ {v}`
 //!   are the covering atoms of `S` whose column contains `v` — one bit
@@ -18,8 +22,7 @@
 //!   `w[attr] = v`; if `S` has no box, neither has `S ∪ {v}`. A singleton
 //!   `{x}` starts from one point box per witness row of `x`. One step
 //!   costs `|boxes(S)| × |witnesses(v)|` box stretches plus the dominance
-//!   filter over them. Boxes live in
-//!   [`ValueId`](whynot_relation::ValueId) space (id order is value
+//!   filter over them. Boxes live in pool id space (id order is value
 //!   order) and resolve to owned values only when the state's concept is
 //!   assembled.
 //!
@@ -82,8 +85,8 @@ use crate::selection::Selection;
 use crate::sparse::IdBits;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-use whynot_relation::{Attr, ConstPool, Instance, PoolMap, RelId, Schema, Value, ValueId};
+use std::sync::{Arc, OnceLock};
+use whynot_relation::{Attr, ConstPool, IdImage, Instance, PoolMap, RelId, Schema, Value, ValueId};
 
 /// Which `lub` operator drives a search (i.e. which `LS` fragment the
 /// resulting concepts live in).
@@ -95,43 +98,21 @@ pub enum LubKind {
     WithSelections,
 }
 
-/// One closed interval of a box in id space (id order is value order).
-/// A box over an `n`-ary relation is `n` consecutive intervals.
-type Interval = (ValueId, ValueId);
+/// One closed interval of a box in pool id space (id order is value
+/// order). A box over an `n`-ary relation is `n` consecutive intervals.
+type Interval = (u32, u32);
 
-/// One relation's interned column data, built at most once per engine.
+/// One relation's interned data, built at most once per engine.
 struct RelColumns {
-    /// The relation's tuples with every constant replaced by its pool id.
-    rows: Vec<Vec<ValueId>>,
-    /// Per schema attribute: occurrence bitset, id bounds, witnesses.
-    cols: Vec<ColumnBits>,
-}
-
-/// The interned data of one `(rel, attr)` column. The occurrence
-/// container (sorted id array vs dense words) is selected per column by
-/// density — see [`crate::sparse`].
-struct ColumnBits {
-    /// Occurrence set over the pool's id space.
-    bits: IdBits,
-    /// `(min, max)` occurring ids; `None` for an empty column.
-    bounds: Option<(ValueId, ValueId)>,
-    /// `(id, row index)` for every row, sorted, so the witness rows of
-    /// one id form a contiguous run.
-    witnesses: Vec<(ValueId, u32)>,
-}
-
-impl ColumnBits {
-    /// The rows whose coordinate in this column is `id`.
-    fn witness_rows(&self, id: ValueId) -> &[(ValueId, u32)] {
-        self.witnesses_in(id, id)
-    }
-
-    /// The rows whose coordinate in this column lies in `[lo, hi]`.
-    fn witnesses_in(&self, lo: ValueId, hi: ValueId) -> &[(ValueId, u32)] {
-        let start = self.witnesses.partition_point(|&(x, _)| x < lo);
-        let len = self.witnesses[start..].partition_point(|&(x, _)| x <= hi);
-        &self.witnesses[start..start + len]
-    }
+    /// The relation's rows as pool ids, with the per-attribute witness
+    /// index (`id → rows`) and column bounds; shared with query
+    /// evaluation.
+    image: Arc<IdImage>,
+    /// Per schema attribute, the occurrence set over the pool's id
+    /// space, read off the image on the first lub. The container (sorted
+    /// id array vs dense words) is selected per column by density — see
+    /// [`crate::sparse`].
+    bits: OnceLock<Vec<IdBits>>,
 }
 
 /// The growth state of one lub: the support set `S`, the lub `lub(S)`
@@ -270,6 +251,8 @@ pub struct LubEngine<'a> {
     /// without lifetime gymnastics at the session layer.
     inst: Instance,
     pool: Arc<ConstPool>,
+    /// Per relation, its id image, built on first use (by a lub or by
+    /// [`LubEngine::image`]), and its lub columns, built on the first lub.
     rels: RefCell<BTreeMap<RelId, Arc<RelColumns>>>,
     /// Every relation's columns as one view, with `adom(I)` read off
     /// them, assembled on the first lub or [`LubEngine::adom`] call (a
@@ -307,6 +290,20 @@ impl<'a> LubEngine<'a> {
     /// The shared pool the engine's columns are interned into.
     pub fn pool(&self) -> &Arc<ConstPool> {
         &self.pool
+    }
+
+    /// The id image of `rel` over the engine's pool, built on first use
+    /// (one pool probe per cell) and shared with the lub columns, so a
+    /// relation is interned once for query evaluation
+    /// ([`Ucq::eval_ids`](whynot_relation::Ucq::eval_ids)) and lubs
+    /// alike. `None` for a relation outside the schema. The image holds
+    /// the tuples of the relation's schema arity.
+    ///
+    /// # Panics
+    /// Panics if the relation holds a constant the pool does not intern
+    /// (see [`LubEngine::with_pool`]).
+    pub fn image(&self, rel: RelId) -> Option<Arc<IdImage>> {
+        ((rel.0 as usize) < self.schema.len()).then(|| Arc::clone(&self.rel_columns(rel).image))
     }
 
     /// How many `(rel, attr)` column sets have been interned so far.
@@ -368,12 +365,19 @@ impl<'a> LubEngine<'a> {
         let rels: Arc<[(RelId, Arc<RelColumns>)]> = self
             .schema
             .rel_ids()
-            .map(|rel| (rel, self.rel_columns(rel)))
+            .map(|rel| {
+                let rc = self.rel_columns(rel);
+                if rc.read_bits(&self.pool) {
+                    self.column_builds
+                        .set(self.column_builds.get() + rc.bits().len());
+                }
+                (rel, rc)
+            })
             .collect();
         let mut words = vec![0u64; self.pool.word_len()];
         for (_, rc) in rels.iter() {
-            for col in &rc.cols {
-                col.bits.union_into(&mut words);
+            for bits in rc.bits() {
+                bits.union_into(&mut words);
             }
         }
         let view = LubView {
@@ -389,49 +393,37 @@ impl<'a> LubEngine<'a> {
         view
     }
 
-    /// The interned column data of one relation, built on first use.
+    /// The interned data of one schema relation, its image built on
+    /// first use (one pool probe per cell).
     fn rel_columns(&self, rel: RelId) -> Arc<RelColumns> {
         if let Some(hit) = self.rels.borrow().get(&rel) {
             return Arc::clone(hit);
         }
-        let built = Arc::new(self.build_rel(rel));
-        self.column_builds
-            .set(self.column_builds.get() + built.cols.len());
+        let image = IdImage::build(&self.inst, rel, self.schema.arity(rel), &self.pool)
+            // lint: allow(no-panic-in-lib) — the engine pool covers the
+            // instance's active domain (the documented `with_pool`
+            // contract), so every stored value has an id.
+            .expect("LubEngine pool must cover the instance's active domain");
+        let built = Arc::new(RelColumns {
+            image: Arc::new(image),
+            bits: OnceLock::new(),
+        });
         self.rels.borrow_mut().insert(rel, Arc::clone(&built));
         built
     }
 
-    fn build_rel(&self, rel: RelId) -> RelColumns {
-        let rows: Vec<Vec<ValueId>> = self
-            .inst
-            .tuples(rel)
-            .map(|t| {
-                t.iter()
-                    .map(|v| {
-                        self.pool
-                            .id_of(v)
-                            // lint: allow(no-panic-in-lib) — the engine pool
-                            // is built from this instance's active domain, so
-                            // every stored value has an id by construction.
-                            .expect("LubEngine pool must cover the instance's active domain")
-                    })
-                    .collect()
-            })
-            .collect();
-        RelColumns::from_rows(rows, self.schema.arity(rel), &self.pool)
-    }
-
     /// Retargets the engine at a post-delta snapshot, keeping every
-    /// interned column of an unchanged relation.
+    /// interned image and column of an unchanged relation.
     ///
     /// `changed` is the effective change set from
-    /// [`Instance::apply_delta`]; those relations' columns are dropped
-    /// (rebuilt lazily, counted by [`LubEngine::column_builds`] as
-    /// usual). When the delta introduced new constants the caller passes
-    /// `repool = (next_pool, map)` from
+    /// [`Instance::apply_delta`]; those relations' images and columns are
+    /// dropped (rebuilt lazily, columns counted by
+    /// [`LubEngine::column_builds`] as usual). When the delta introduced
+    /// new constants the caller passes `repool = (next_pool, map)` from
     /// [`GenPool::absorb`](whynot_relation::GenPool::absorb): retained
-    /// columns are then *remapped* into the new id space — a pure id
-    /// translation, never a re-intern — so they still count as retained.
+    /// images and columns are then *remapped* into the new id space — a
+    /// pure id translation, never a re-intern — so columns still count as
+    /// retained.
     ///
     /// Returns `(retained, invalidated)` in column units.
     pub fn apply_delta(
@@ -443,18 +435,35 @@ impl<'a> LubEngine<'a> {
         let mut retained = 0usize;
         let mut invalidated = 0usize;
         let rels = self.rels.get_mut();
-        let old: Vec<(RelId, Arc<RelColumns>)> = std::mem::take(rels).into_iter().collect();
-        for (rel, rc) in old {
-            if changed.contains(&rel) {
-                invalidated += rc.cols.len();
-                continue;
+        rels.retain(|rel, rc| {
+            let columns = rc.bits().len();
+            if changed.contains(rel) {
+                invalidated += columns;
+                false
+            } else {
+                retained += columns;
+                true
             }
-            retained += rc.cols.len();
-            let kept = match repool {
-                None => rc,
-                Some((pool, map)) => Arc::new(remap_columns(&rc, map, pool)),
-            };
-            rels.insert(rel, kept);
+        });
+        if let Some((pool, map)) = repool {
+            for rc in rels.values_mut() {
+                let image = rc
+                    .image
+                    .remap(map)
+                    // lint: allow(no-panic-in-lib) — generations only
+                    // grow, so a PoolMap is total on every old id.
+                    .expect("generation maps are total on old ids");
+                let moved = RelColumns {
+                    image: Arc::new(image),
+                    bits: OnceLock::new(),
+                };
+                // Built columns stay built: their bits are re-read off
+                // the remapped rows.
+                if rc.bits.get().is_some() {
+                    moved.read_bits(pool);
+                }
+                *rc = Arc::new(moved);
+            }
         }
         *self.view.get_mut() = None;
         self.inst = new_inst.clone();
@@ -466,58 +475,35 @@ impl<'a> LubEngine<'a> {
 }
 
 impl RelColumns {
-    /// Builds the per-attribute occurrence bitsets, id bounds and
-    /// witness indexes of a relation's interned rows (shared by
-    /// first-time builds and cross-generation remaps).
-    fn from_rows(rows: Vec<Vec<ValueId>>, arity: usize, pool: &ConstPool) -> RelColumns {
-        let cols = (0..arity)
-            .map(|j| {
-                let mut words = vec![0u64; pool.word_len()];
-                let mut witnesses: Vec<(ValueId, u32)> = Vec::with_capacity(rows.len());
-                for (i, row) in rows.iter().enumerate() {
-                    let Some(&id) = row.get(j) else { continue };
-                    words[id.index() / 64] |= 1 << (id.index() % 64);
-                    witnesses.push((id, i as u32));
-                }
-                witnesses.sort_unstable();
-                let bounds = witnesses
-                    .first()
-                    .zip(witnesses.last())
-                    .map(|(lo, hi)| (lo.0, hi.0));
-                // Each column picks its container (sparse array vs dense
-                // words) by density, once, here.
-                ColumnBits {
-                    bits: IdBits::from_words(words, pool.len()),
-                    bounds,
-                    witnesses,
-                }
-            })
-            .collect();
-        RelColumns { rows, cols }
-    }
-}
-
-/// Translates a retained relation's columns into the next pool
-/// generation. The map is total on old ids (generations only grow) and
-/// monotone (id order is value order in both pools), so rows translate
-/// id-by-id and the columns are rebuilt from the translated rows without
-/// touching a single [`Value`].
-fn remap_columns(rc: &RelColumns, map: &PoolMap, pool: &ConstPool) -> RelColumns {
-    let rows: Vec<Vec<ValueId>> = rc
-        .rows
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&id| {
-                    map.translate(id)
-                        // lint: allow(no-panic-in-lib) — generations only
-                        // grow, so a PoolMap is total on every old id.
-                        .expect("generation maps are total on old ids")
+    /// Reads the per-attribute occurrence bitsets off the image, over
+    /// `pool`, unless they are already read; returns whether this call
+    /// read them.
+    fn read_bits(&self, pool: &ConstPool) -> bool {
+        let mut read = false;
+        self.bits.get_or_init(|| {
+            read = true;
+            (0..self.image.arity())
+                .map(|j| {
+                    let mut words = vec![0u64; pool.word_len()];
+                    for r in 0..self.image.len() {
+                        let id = self.image.row(r)[j] as usize;
+                        words[id / 64] |= 1 << (id % 64);
+                    }
+                    // Each column picks its container (sparse array vs
+                    // dense words) by density, once, here.
+                    IdBits::from_words(words, pool.len())
                 })
                 .collect()
-        })
-        .collect();
-    RelColumns::from_rows(rows, rc.cols.len(), pool)
+        });
+        read
+    }
+
+    /// The per-attribute occurrence bits; empty until
+    /// [`RelColumns::read_bits`] (the view reads every relation's before
+    /// it is used).
+    fn bits(&self) -> &[IdBits] {
+        self.bits.get().map_or(&[], Vec::as_slice)
+    }
 }
 
 /// Every relation's interned columns as one value, assembled by
@@ -547,7 +533,7 @@ impl LubView {
     fn columns(&self) -> impl Iterator<Item = (RelId, &RelColumns, Attr)> + '_ {
         self.rels
             .iter()
-            .flat_map(|(rel, rc)| (0..rc.cols.len()).map(move |attr| (*rel, &**rc, attr)))
+            .flat_map(|(rel, rc)| (0..rc.bits().len()).map(move |attr| (*rel, &**rc, attr)))
     }
 
     /// The growth data of the singleton `{x}`: the columns containing
@@ -557,17 +543,18 @@ impl LubView {
         match kind {
             LubKind::SelectionFree => Columns::Covered(
                 self.columns()
-                    .map(|(_, rc, attr)| id.is_some_and(|id| rc.cols[attr].bits.contains(id.0)))
+                    .map(|(_, rc, attr)| id.is_some_and(|id| rc.bits()[attr].contains(id.0)))
                     .collect(),
             ),
             LubKind::WithSelections => Columns::Boxes(
                 self.columns()
                     .map(|(_, rc, attr)| match id {
                         None => Vec::new(),
-                        Some(id) => rc.cols[attr]
-                            .witness_rows(id)
+                        Some(id) => rc
+                            .image
+                            .bucket(attr, id.0)
                             .iter()
-                            .flat_map(|&(_, r)| rc.rows[r as usize].iter().map(|&c| (c, c)))
+                            .flat_map(|&r| rc.image.row(r as usize).iter().map(|&c| (c, c)))
                             .collect(),
                     })
                     .collect(),
@@ -584,7 +571,7 @@ impl LubView {
                 self.columns()
                     .zip(flags)
                     .map(|((_, rc, attr), &covered)| {
-                        covered && id.is_some_and(|id| rc.cols[attr].bits.contains(id.0))
+                        covered && id.is_some_and(|id| rc.bits()[attr].contains(id.0))
                     })
                     .collect(),
             ),
@@ -593,7 +580,7 @@ impl LubView {
                     .zip(boxes)
                     .map(|((_, rc, attr), boxes)| match id {
                         None => Vec::new(),
-                        Some(id) => stretch_boxes(rc, attr, boxes, id),
+                        Some(id) => stretch_boxes(rc, attr, boxes, id.0),
                     })
                     .collect(),
             ),
@@ -659,7 +646,7 @@ impl LubView {
             Columns::Covered(flags) => {
                 for ((_, rc, attr), _) in self.columns().zip(flags).filter(|(_, covered)| **covered)
                 {
-                    let bits = &rc.cols[attr].bits;
+                    let bits = &rc.bits()[attr];
                     match &mut acc {
                         None => acc = Some(bits.to_words()),
                         Some(words) => bits.intersect_words(words),
@@ -669,7 +656,7 @@ impl LubView {
             Columns::Boxes(boxes) => {
                 let mut scratch = vec![0u64; self.pool.word_len()];
                 for ((_, rc, attr), boxes) in self.columns().zip(boxes) {
-                    for bx in boxes.chunks_exact(rc.cols.len()) {
+                    for bx in boxes.chunks_exact(rc.bits().len()) {
                         scratch.fill(0);
                         box_extension_into(rc, attr, bx, &mut scratch);
                         match &mut acc {
@@ -706,7 +693,7 @@ impl LubView {
             }
             Columns::Boxes(boxes) => {
                 for ((rel, rc, attr), boxes) in self.columns().zip(boxes) {
-                    for bx in boxes.chunks_exact(rc.cols.len()) {
+                    for bx in boxes.chunks_exact(rc.bits().len()) {
                         atoms.push(box_atom(&self.pool, rel, rc, attr, bx));
                     }
                 }
@@ -826,16 +813,16 @@ impl LubProvider for LubEngine<'_> {
 /// `S` to every witness row of `v` and keeps the minimal results. Empty
 /// stays empty (no box of `S` → no box of `S ∪ {v}`), and so does a `v`
 /// without witness rows.
-fn stretch_boxes(rc: &RelColumns, attr: Attr, boxes: &[Interval], v: ValueId) -> Vec<Interval> {
-    let arity = rc.cols.len();
-    let witnesses = rc.cols[attr].witness_rows(v);
+fn stretch_boxes(rc: &RelColumns, attr: Attr, boxes: &[Interval], v: u32) -> Vec<Interval> {
+    let arity = rc.bits().len();
+    let witnesses = rc.image.bucket(attr, v);
     if boxes.is_empty() || witnesses.is_empty() {
         return Vec::new();
     }
     let mut stretched: Vec<Interval> = Vec::with_capacity(boxes.len() * witnesses.len());
     for bx in boxes.chunks_exact(arity) {
-        for &(_, r) in witnesses {
-            let row = &rc.rows[r as usize];
+        for &r in witnesses {
+            let row = rc.image.row(r as usize);
             stretched.extend(
                 bx.iter()
                     .zip(row)
@@ -875,38 +862,37 @@ fn box_within(inner: &[Interval], outer: &[Interval]) -> bool {
 /// Sets in `words` the bits of `{row[attr] : row ∈ R inside bx}` — the
 /// extension of [`box_atom`]'s `π_attr(σ_box(R))`. Only the rows whose
 /// coordinate falls inside the box's narrowest dimension (one contiguous
-/// witness run, found by binary search) are tested.
+/// run of that attribute's witness index) are tested.
 fn box_extension_into(rc: &RelColumns, attr: Attr, bx: &[Interval], words: &mut [u64]) {
     let Some(rows) = bx
         .iter()
-        .zip(&rc.cols)
-        .map(|(&(lo, hi), col)| col.witnesses_in(lo, hi))
+        .enumerate()
+        .map(|(j, &(lo, hi))| rc.image.rows_in(j, lo, hi))
         .min_by_key(|rows| rows.len())
     else {
         return;
     };
-    for &(_, r) in rows {
-        let row = &rc.rows[r as usize];
+    for &r in rows {
+        let row = rc.image.row(r as usize);
         if row.iter().zip(bx).all(|(&c, &(lo, hi))| lo <= c && c <= hi) {
-            let id = row[attr].index();
+            let id = row[attr] as usize;
             words[id / 64] |= 1 << (id % 64);
         }
     }
 }
 
 /// Resolves an id box into the atom `π_attr(σ_box(R))`, dropping the
-/// constraints whose interval spans the whole column (precomputed
-/// per-column bounds, compared as ids).
+/// constraints whose interval spans the whole column (the image's column
+/// bounds, compared as ids).
 fn box_atom(pool: &ConstPool, rel: RelId, rc: &RelColumns, attr: Attr, bx: &[Interval]) -> LsAtom {
     let mut bounds: Vec<(Attr, Value, Value)> = Vec::new();
     for (j, &(lo, hi)) in bx.iter().enumerate() {
-        let spans_column = rc
-            .cols
-            .get(j)
-            .and_then(|c| c.bounds)
-            .is_some_and(|(min, max)| min == lo && max == hi);
-        if !spans_column {
-            bounds.push((j, pool.value(lo).clone(), pool.value(hi).clone()));
+        if rc.image.bounds(j) != Some((lo, hi)) {
+            bounds.push((
+                j,
+                pool.value(ValueId(lo)).clone(),
+                pool.value(ValueId(hi)).clone(),
+            ));
         }
     }
     LsAtom::proj_sel(rel, attr, Selection::from_box(bounds))
@@ -1128,6 +1114,37 @@ mod tests {
         let changed = [tc].into_iter().collect();
         engine.apply_delta(&last, &changed, Some((gen.pool(), &map)));
         assert_eq!(listed(&engine), adom(&last));
+    }
+
+    #[test]
+    fn images_are_shared_by_evaluation_and_lubs_across_deltas() {
+        use whynot_relation::GenPool;
+        let (schema, inst) = paper_fixture();
+        let (cities, tc) = (RelId(0), RelId(1));
+        let mut gen = GenPool::new(inst.const_pool());
+        let mut engine = LubEngine::with_pool(&schema, &inst, Arc::clone(gen.pool()));
+        assert!(engine.image(RelId(9)).is_none(), "outside the schema");
+        // An image alone interns no lub column.
+        let tc_image = engine.image(tc).unwrap();
+        assert_eq!(tc_image.len(), 6);
+        assert_eq!(engine.column_builds(), 0);
+        let _ = engine.lub(&[s("Berlin"), s("Rome")].into_iter().collect());
+        assert!(Arc::ptr_eq(&engine.image(tc).unwrap(), &tc_image));
+
+        // A delta to Cities keeps TC's image; a bump remaps it.
+        let mut next = inst.clone();
+        next.insert(
+            cities,
+            vec![s("Aomori"), Value::int(1), s("Japan"), s("Asia")],
+        );
+        let map = gen
+            .absorb([s("Aomori"), Value::int(1)])
+            .expect("new constants");
+        engine.apply_delta(&next, &[cities].into(), Some((gen.pool(), &map)));
+        let moved = engine.image(tc).unwrap();
+        let fresh = IdImage::build(&next, tc, 2, gen.pool()).unwrap();
+        assert!((0..6).all(|r| moved.row(r) == fresh.row(r)));
+        assert_eq!(engine.image(cities).unwrap().len(), 9);
     }
 
     /// A provider with only the three required methods: every growth

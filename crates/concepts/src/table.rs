@@ -136,6 +136,13 @@ impl ExtensionTable {
         }
     }
 
+    /// The probe of a value already resolved against this table's pool
+    /// (`None`: the value is outside it), such as a cell of answer rows
+    /// over the same pool.
+    pub fn probe_id(&self, id: Option<ValueId>) -> Probe {
+        Probe { id }
+    }
+
     /// Membership of a pre-interned probe in entry `index`.
     pub fn entry_contains(&self, index: usize, probe: &Probe, v: &Value) -> bool {
         match (&self.exts[index], probe.id) {

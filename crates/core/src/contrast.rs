@@ -57,7 +57,7 @@ use crate::EvalContext;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::{ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value};
+use whynot_relation::{AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// A contrastive why-not question: why is `missing` not among the
 /// answers of `query` while `foil` is?
@@ -244,7 +244,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
 }
 
 /// Both halves of the lub-derived contrastive answer over a residual
-/// question view (`q.ans` must already exclude the foil), a lub provider
+/// question view (its answers must already exclude the foil), a lub provider
 /// and a caller-supplied extension function — the seam the session's
 /// engine and the one-shot provider both plug into.
 pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
@@ -269,14 +269,15 @@ pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
 }
 
 /// Validates a contrastive question against a schema, query answers, and
-/// arities; returns the residual answer set `Ans \ {foil}`. Shared by
-/// the one-shot path here and the session's binder.
+/// arities; returns the foil's row in `ans`, which the residual question
+/// `Ans \ {foil}` skips. Shared by the one-shot path here and the
+/// session's binder.
 pub(crate) fn validate_contrast(
     query: &Ucq,
     missing: &Tuple,
     foil: &Tuple,
-    ans: &BTreeSet<Tuple>,
-) -> Result<BTreeSet<Tuple>, SessionError> {
+    ans: &AnswerRows,
+) -> Result<usize, SessionError> {
     if missing.is_empty() {
         return Err(SessionError::Nullary);
     }
@@ -291,12 +292,8 @@ pub(crate) fn validate_contrast(
     if ans.contains(missing) {
         return Err(SessionError::TupleIsAnswer(missing.clone()));
     }
-    if !ans.contains(foil) {
-        return Err(SessionError::FoilNotAnswer(foil.clone()));
-    }
-    let mut residual = ans.clone();
-    residual.remove(foil);
-    Ok(residual)
+    ans.position(foil)
+        .ok_or_else(|| SessionError::FoilNotAnswer(foil.clone()))
 }
 
 /// One-shot contrastive answer over a bare `(schema, instance)` pair —
@@ -329,9 +326,10 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
 ) -> Result<ContrastAnswer, SessionError> {
     question.query.validate(schema)?;
     let ans = question.query.eval(instance);
-    let residual = validate_contrast(&question.query, &question.missing, &question.foil, &ans)?;
+    let rows = AnswerRows::from_tuples(Arc::clone(pool), question.query.arity(), &ans);
+    let foil = validate_contrast(&question.query, &question.missing, &question.foil, &rows)?;
     let k_vals = restriction_values(instance.active_domain(), &question.missing);
-    let ids = AnswerIds::new(pool, QuestionRef::new(&residual, &question.missing));
+    let ids = AnswerIds::over(&rows, Some(foil), &question.missing);
     Ok(contrast_core(
         &k_vals,
         ids.question(),

@@ -57,7 +57,7 @@ fn grow_with_order(
     // One interned pool per growth run (see `incremental_search_kind`),
     // shared with the lub engine's column sets.
     let pool = engine.pool();
-    let ids = AnswerIds::new(pool, wn.question());
+    let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
     let q = ids.question();
     let ext_of = |s: &LubState| state_extension(s, &mut |c| c.extension_in(&wn.instance, pool));
     let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();

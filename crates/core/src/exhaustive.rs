@@ -131,7 +131,7 @@ pub(crate) fn run_exhaustive<C: Clone>(
     if q.arity() == 0 {
         return Vec::new();
     }
-    let words = q.ans.len().div_ceil(64);
+    let words = q.answer_count().div_ceil(64);
     let mut found: Vec<Explanation<C>> = Vec::new();
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
     // One preallocated mask frame per depth — the walk itself never
@@ -258,7 +258,7 @@ pub(crate) fn run_find_one<C: Clone>(
     if q.arity() == 0 {
         return None;
     }
-    let words = q.ans.len().div_ceil(64);
+    let words = q.answer_count().div_ceil(64);
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
     let mut root = arena.take(words);
     root.fill(u64::MAX);

@@ -74,7 +74,7 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     // same pool, interned once for every growth probe of the run.
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
-    let ids = AnswerIds::new(&pool, wn.question());
+    let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
     incremental_search_core(&engine.adom(), ids.question(), &engine, kind, &mut |c| {
         c.extension_in(inst, &pool)
     })
@@ -159,7 +159,7 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
     }
     let inst = &wn.instance;
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
-    let ids = AnswerIds::new(&pool, wn.question());
+    let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
     let exts: Vec<Extension> = e
         .concepts
         .iter()

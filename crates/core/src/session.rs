@@ -12,17 +12,21 @@
 //! |---|---|---|
 //! | concept extensions | concept (via [`EvalContext`]) | every algorithm; ≤ 1 `ext(c, I)` eval per concept **per session**, not per question |
 //! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, `>card` lists, word-parallel membership |
-//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once |
+//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each stamped with a serial |
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
-//! | answer probes + conflict bitsets | `(query, position[, concept])` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
-//! | the pooled [`LubEngine`] columns | `(rel, attr)` (built once) | Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
+//! | conflict bitsets | `(answer serial, position, concept)` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
+//! | the pooled [`LubEngine`]: one id image per relation, plus lub columns | `rel` / `(rel, attr)` (built once) | query evaluation over the images, and Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
+//!
+//! Questions are answered in the session pool's id space: answer sets are
+//! evaluated over the engine's id images ([`Ucq::eval_ids`]) without
+//! building a tuple, and a question borrows the cached rows
+//! ([`AnswerIds`]) — a contrast residual `Ans \ {foil}` skips one row.
 //!
 //! The growth probes need no cache of their own. A grown state carries
 //! its lub's extension, computed in the session pool's id space from the
 //! engine's columns, and assembles its `LS` concept only when the search
 //! keeps it. The explanation check probes that extension with the
-//! question's answers resolved to pool ids once per question
-//! ([`AnswerIds`]). So no `LS` concept is built, looked up or evaluated
+//! answer rows' ids. So no `LS` concept is built, looked up or evaluated
 //! per probe; only `check_mge_instance` evaluates the concepts it is
 //! handed, directly.
 //!
@@ -82,21 +86,20 @@ use crate::exhaustive;
 use crate::incremental::{check_mge_instance_core, incremental_search_core};
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 // lint: allow(deterministic-iteration) — session caches are probed by key;
 // the one iteration (delta invalidation) mutates caches, never results.
 use std::collections::HashMap;
-// lint: allow(deterministic-iteration) — scratch set for dead cache keys
-// during delta invalidation; membership tests only.
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use whynot_concepts::{
-    kernels, Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider, Probe,
+    kernels, Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider,
 };
-use whynot_relation::{ConstPool, Delta, Instance, RelError, Schema, Tuple, Ucq, Value};
+use whynot_relation::{
+    AnswerRows, ConstPool, Delta, Instance, RelError, Schema, Tuple, Ucq, Value,
+};
 
 /// One question of a batched stream: the query `q` and the missing tuple
 /// `a`. The schema, instance, and answer set all live in the
@@ -176,34 +179,38 @@ impl From<RelError> for SessionError {
 /// answer set is resolved (possibly from cache) and the tuple is known to
 /// be missing.
 struct BoundQuestion {
-    ans: Arc<BTreeSet<Tuple>>,
+    ans: Arc<AnswerRows>,
+    /// The answer cache's serial for `ans`; `None` when the set is not
+    /// cached (budget 0), so nothing keyed by it is cached either.
+    serial: Option<u64>,
     tuple: Tuple,
 }
 
 impl BoundQuestion {
-    fn view(&self) -> QuestionRef<'_> {
-        QuestionRef::new(&self.ans, &self.tuple)
+    /// The question's view of the answer rows (borrowed, not re-interned).
+    fn ids(&self) -> AnswerIds<'_> {
+        AnswerIds::over(&self.ans, None, &self.tuple)
     }
 }
 
 /// A contrastive question validated and bound: the full answer set is
-/// resolved (from cache when possible), the foil's membership verified,
-/// and the residual set `Ans \ {foil}` materialized for the foil-aligned
-/// search.
+/// resolved (from cache when possible) and the foil's row located.
 struct BoundContrast {
     /// The full answer set — the ontology-difference path indexes the
     /// foil's conflict bit against it.
-    ans: Arc<BTreeSet<Tuple>>,
-    /// `Ans \ {foil}`: the answers the foil-aligned MGE must avoid.
-    residual: BTreeSet<Tuple>,
+    ans: Arc<AnswerRows>,
+    serial: Option<u64>,
+    /// The foil's row in `ans`.
+    foil_row: usize,
     missing: Tuple,
     foil: Tuple,
 }
 
 impl BoundContrast {
-    /// The residual question the lub-driven cores consume.
-    fn view(&self) -> QuestionRef<'_> {
-        QuestionRef::new(&self.residual, &self.missing)
+    /// The residual question `Ans \ {foil}` the lub-driven cores consume:
+    /// the same rows with the foil's skipped.
+    fn residual(&self) -> AnswerIds<'_> {
+        AnswerIds::over(&self.ans, Some(self.foil_row), &self.missing)
     }
 }
 
@@ -298,11 +305,6 @@ pub struct DeltaStats {
     pub candidates_dropped: usize,
     /// Per-constant candidate lists that survived.
     pub candidates_retained: usize,
-    /// Interned answer probes dropped (their answer set died, or a
-    /// generation bump re-numbered every id).
-    pub probes_dropped: usize,
-    /// Interned answer probes that survived.
-    pub probes_retained: usize,
     /// Conflict bitsets dropped (answer set died or concept dirty).
     pub conflicts_dropped: usize,
     /// Conflict bitsets that survived (they are value-semantic — safe
@@ -329,7 +331,6 @@ impl DeltaStats {
             + self.table_reevaluated
             + self.answers_dropped
             + self.candidates_dropped
-            + self.probes_dropped
             + self.conflicts_dropped
             + self.lub_columns_dropped
             + self.contrast_dropped
@@ -342,7 +343,6 @@ impl DeltaStats {
             + self.table_retained
             + self.answers_retained
             + self.candidates_retained
-            + self.probes_retained
             + self.conflicts_retained
             + self.lub_columns_retained
     }
@@ -361,14 +361,11 @@ impl DeltaStats {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheBudget {
     /// Max cached answer sets (`cached_queries` in [`SessionStats`]).
-    /// Evicting one cascades: the probe and conflict entries keyed by
-    /// its pointer are purged with it, so a recycled allocation can
-    /// never resurrect a dead entry.
+    /// Evicting one cascades: the conflict entries keyed by its serial
+    /// are purged with it.
     pub answers: usize,
     /// Max per-constant candidate index lists.
     pub candidates: usize,
-    /// Max interned answer-probe vectors.
-    pub probes: usize,
     /// Max Algorithm 1 conflict bitsets.
     pub conflicts: usize,
     /// Max cached contrastive answers (keyed `(query, missing, foil,
@@ -387,7 +384,6 @@ impl CacheBudget {
         CacheBudget {
             answers: n,
             candidates: n,
-            probes: n,
             conflicts: n,
             contrast: n,
         }
@@ -410,8 +406,9 @@ pub struct EvictionStats {
     pub answers: usize,
     /// Candidate index lists evicted.
     pub candidates: usize,
-    /// Probe vectors evicted (including cascade purges when their
-    /// answer set was evicted).
+    /// Always 0: answer probes are the cached answer rows' own ids, so
+    /// there is no probe cache to evict from. Kept because the wire
+    /// `stats` line reports it.
     pub probes: usize,
     /// Conflict bitsets evicted (including cascade purges).
     pub conflicts: usize,
@@ -428,7 +425,7 @@ pub struct EvictionStats {
 impl EvictionStats {
     /// Total entries evicted across every cache.
     pub fn total(&self) -> usize {
-        self.answers + self.candidates + self.probes + self.conflicts + self.contrast
+        self.answers + self.candidates + self.conflicts + self.contrast
     }
 }
 
@@ -438,6 +435,10 @@ type ConflictBits = Arc<(Vec<u64>, usize)>;
 
 /// A cache entry carrying its LRU recency stamp.
 type Stamped<T> = (T, Cell<u64>);
+
+/// A cached answer set and the serial the cache stamped on it at insert
+/// (unique for the session's lifetime: a clock tick).
+type SerialAnswers = (Arc<AnswerRows>, u64);
 
 /// A why-not service over one pinned `(ontology, instance)` pair.
 ///
@@ -455,33 +456,26 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// Candidate concept indices keyed by position constant (`Arc` so a
     /// hit is a pointer clone), each entry carrying its LRU recency stamp.
     candidates: RefCell<BTreeMap<Value, Stamped<Arc<Vec<usize>>>>>,
-    /// Answer sets keyed by query, each entry carrying its LRU stamp.
+    /// Answer sets as sorted pool-id rows, keyed by query, each entry
+    /// carrying its serial and its LRU stamp.
     // lint: allow(deterministic-iteration) — probed by query; the answers
-    // themselves live in the ordered `BTreeSet` values.
-    answers: RefCell<HashMap<Ucq, Stamped<Arc<BTreeSet<Tuple>>>>>,
-    /// Interned answer probes keyed by `(answer set, position)`: the
-    /// `pool.id_of` binary searches for one position's answer column are
-    /// paid once per query, not once per question. The answer set is
-    /// identified by the pointer of its `Arc` in [`answers`] — stable
-    /// and unique while it stays cached; evicting an answer set purges
-    /// its probe entries (see [`CacheBudget::answers`]), and with the
-    /// default unlimited budget the cache is append-only as before.
-    #[allow(clippy::type_complexity)]
-    // lint: allow(deterministic-iteration) — pointer-keyed probe cache;
-    // keyed lookups only, never iterated into results.
-    probes: RefCell<HashMap<(usize, usize), Stamped<Arc<Vec<Probe>>>>>,
+    // themselves are ordered rows.
+    answers: RefCell<HashMap<Ucq, Stamped<SerialAnswers>>>,
     /// Algorithm 1 conflict bitsets (with their popcounts) keyed by
-    /// `(answer set, position, concept index)`. A candidate's conflict
+    /// `(answer serial, position, concept index)`. A candidate's conflict
     /// bits depend on the query's answers and the concept — *not* on
     /// the missing tuple — so questions sharing a query reuse them
     /// wholesale; the per-question work drops to a cache probe and a
-    /// word copy per surviving candidate.
-    // lint: allow(deterministic-iteration) — pointer-keyed conflict cache;
+    /// word copy per surviving candidate. Serials are never reused, and
+    /// entries die with their answer set (evicted or dropped by a
+    /// delta).
+    // lint: allow(deterministic-iteration) — serial-keyed conflict cache;
     // keyed lookups only, never iterated into results.
-    conflicts: RefCell<HashMap<(usize, usize, usize), Stamped<ConflictBits>>>,
-    /// The pooled lub engine every growth probe runs through: one
-    /// interned column set per `(rel, attr)` for the whole session,
-    /// built on the first lub.
+    conflicts: RefCell<HashMap<(u64, usize, usize), Stamped<ConflictBits>>>,
+    /// The pooled lub engine: one id image per relation, which answer
+    /// sets are evaluated over, and the lub columns read off the images
+    /// that every growth probe runs through — each interned once for the
+    /// whole session (until a delta changes the relation).
     lub_engine: OnceCell<LubEngine<'a>>,
     /// Contrastive answers keyed by `(query, missing, foil, kind slot)`,
     /// each entry carrying its LRU stamp. Dropped wholesale by any
@@ -559,8 +553,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             // into results.
             answers: RefCell::new(HashMap::new()),
             // lint: allow(deterministic-iteration) — as above.
-            probes: RefCell::new(HashMap::new()),
-            // lint: allow(deterministic-iteration) — as above.
             conflicts: RefCell::new(HashMap::new()),
             lub_engine: OnceCell::new(),
             // lint: allow(deterministic-iteration) — as above.
@@ -609,48 +601,23 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         self.evicted.set(e);
     }
 
-    /// Whether a bound question's answer set is still in the answers
-    /// cache. The probe and conflict caches key on the answer `Arc`'s
-    /// address, which is only meaningful while that `Arc` is resident —
-    /// a non-resident set (budget 0, or evicted) could collide
-    /// with a recycled allocation, so its entries are neither read nor
-    /// written. Unlimited budgets keep the append-only invariant and
-    /// skip the scan.
-    fn ans_resident(&self, ans: &Arc<BTreeSet<Tuple>>) -> bool {
-        if self.budget.answers == usize::MAX {
-            return true;
-        }
-        self.answers
-            .borrow()
-            .values()
-            .any(|(cached, _)| Arc::ptr_eq(cached, ans))
-    }
-
-    /// Evicts the LRU answer set and cascades: probe and conflict
-    /// entries keyed by its pointer are purged with it, so a later
-    /// allocation reusing the address can never hit stale state.
+    /// Evicts the LRU answer set and cascades: conflict entries keyed by
+    /// its serial are purged with it.
     // lint: allow(deterministic-iteration) — the victim comes from
     // `lru_key` (unique stamps); the cascade purge is key-filtered.
-    fn evict_one_answer(&self, cache: &mut HashMap<Ucq, (Arc<BTreeSet<Tuple>>, Cell<u64>)>) {
+    fn evict_one_answer(&self, cache: &mut HashMap<Ucq, Stamped<SerialAnswers>>) {
         let Some(key) = lru_key(cache) else { return };
-        let Some((ans, _)) = cache.remove(&key) else {
+        let Some(((_, serial), _)) = cache.remove(&key) else {
             return;
         };
-        let ptr = Arc::as_ptr(&ans) as usize;
-        let mut probes = self.probes.borrow_mut();
-        let probes_before = probes.len();
-        probes.retain(|(p, _), _| *p != ptr);
-        let probes_purged = probes_before - probes.len();
-        drop(probes);
         let mut conflicts = self.conflicts.borrow_mut();
-        let conflicts_before = conflicts.len();
-        conflicts.retain(|(p, _, _), _| *p != ptr);
-        let conflicts_purged = conflicts_before - conflicts.len();
+        let before = conflicts.len();
+        conflicts.retain(|(s, _, _), _| *s != serial);
+        let purged = before - conflicts.len();
         drop(conflicts);
         self.count_evicted(|e| {
             e.answers += 1;
-            e.probes += probes_purged;
-            e.conflicts += conflicts_purged;
+            e.conflicts += purged;
         });
     }
 
@@ -672,14 +639,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 };
                 cache.remove(&key);
                 self.count_evicted(|e| e.candidates += 1);
-            }
-        }
-        {
-            let mut cache = self.probes.borrow_mut();
-            while cache.len() > budget.probes {
-                let Some(key) = lru_key(&cache) else { break };
-                cache.remove(&key);
-                self.count_evicted(|e| e.probes += 1);
             }
         }
         {
@@ -882,52 +841,42 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         }
 
         // 4. Answer sets: drop exactly the queries that read a changed
-        // relation, remembering the dying `Arc` addresses so the
-        // pointer-keyed probe and conflict caches can be purged *before*
-        // a future answer set could reuse a freed address.
+        // relation; a generation bump remaps the survivors' ids (the map
+        // keeps value order, so their rows keep theirs, and so do their
+        // serials).
         let answers = self.answers.get_mut();
         let before = answers.len();
-        // lint: allow(deterministic-iteration) — membership-only scratch;
-        // retained entries keep the cache's own order.
-        let mut dead_ptrs = HashSet::<usize>::new();
-        answers.retain(|q, (ans, _)| {
-            if q.rels().iter().any(|r| changed.contains(r)) {
-                dead_ptrs.insert(Arc::as_ptr(ans) as usize);
-                false
-            } else {
-                true
+        answers.retain(|q, _| !q.rels().iter().any(|r| changed.contains(r)));
+        if let Some(map) = &map {
+            for ((rows, _), _) in answers.values_mut() {
+                *rows = Arc::new(
+                    rows.remap(&pool, map)
+                        // lint: allow(no-panic-in-lib) — generations only
+                        // grow, so a PoolMap is total on every old id.
+                        .expect("generation maps are total on old ids"),
+                );
             }
-        });
+        }
         stats.answers_dropped = before - answers.len();
         stats.answers_retained = answers.len();
 
-        // 5. Answer probes: invalid wholesale on a generation bump (ids
-        // were re-numbered), otherwise they die with their answer set.
-        let probes = self.probes.get_mut();
-        let before = probes.len();
-        if map.is_some() {
-            probes.clear();
-        } else {
-            probes.retain(|(ptr, _), _| !dead_ptrs.contains(ptr));
-        }
-        stats.probes_dropped = before - probes.len();
-        stats.probes_retained = probes.len();
-
-        // 6. Conflict bitsets are value-semantic (answer index →
+        // 5. Conflict bitsets are value-semantic (answer index →
         // membership): they survive generation bumps, and die only with
         // their answer set or their concept.
+        let mut live: Vec<u64> = answers.values().map(|((_, serial), _)| *serial).collect();
+        live.sort_unstable();
         let conflicts = self.conflicts.get_mut();
         let before = conflicts.len();
-        conflicts.retain(|(ptr, _, k), _| {
-            !dead_ptrs.contains(ptr) && !dirty.get(*k).copied().unwrap_or(true)
+        conflicts.retain(|(serial, _, k), _| {
+            live.binary_search(serial).is_ok() && !dirty.get(*k).copied().unwrap_or(true)
         });
         stats.conflicts_dropped = before - conflicts.len();
         stats.conflicts_retained = conflicts.len();
 
-        // 7. The lub engine: changed relations' columns drop, retained
-        // ones are id-remapped across a bump, and adom(I) is re-read off the
-        // columns on the next growth loop. Nothing else holds lubs: growth
-        // states never outlive a call.
+        // 6. The lub engine: changed relations' images and columns drop,
+        // retained ones are id-remapped across a bump, and adom(I) is
+        // re-read off the columns on the next growth loop. Nothing else
+        // holds lubs: growth states never outlive a call.
         if let Some(engine) = self.lub_engine.get_mut() {
             let repool = map.as_ref().map(|m| (&pool, m));
             let (cols_retained, cols_dropped) =
@@ -936,7 +885,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             stats.lub_columns_dropped = cols_dropped;
         }
 
-        // 8. Contrastive answers: the cached separators and foil-aligned
+        // 7. Contrastive answers: the cached separators and foil-aligned
         // MGEs are certified *maximal* against the full lub column set —
         // a change to any relation can mint a new covering atom that
         // admits a strictly more general result, so there is no sound
@@ -944,7 +893,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // deltas drop the cache wholesale (no-ops returned early above
         // and retain everything); the per-position *ontology* difference
         // is not cached here at all — it reuses the candidate and
-        // conflict caches, which are selectively retained in 3/6.
+        // conflict caches, which are selectively retained in 3/5.
         let contrast = self.contrast.get_mut();
         stats.contrast_dropped = contrast.len();
         contrast.clear();
@@ -965,27 +914,44 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         })
     }
 
-    /// The answers `q(I)`, evaluated once per distinct query. Returned
-    /// behind an `Arc` (not an `Rc`): a hit is a pointer clone, and the
-    /// caller may hand the set to other threads.
-    pub fn answers(&self, query: &Ucq) -> Arc<BTreeSet<Tuple>> {
-        if let Some((hit, stamp)) = self.answers.borrow().get(query) {
+    /// The answers `q(I)` as sorted rows of session-pool ids (in `q(I)`'s
+    /// tuple order; see [`AnswerRows::tuple`]), evaluated once per
+    /// distinct query over the lub engine's id images, from the disjuncts
+    /// of the query's [arity](Ucq::arity). Behind an `Arc` (not an `Rc`):
+    /// a hit is a pointer clone, and the rows may go to other threads.
+    pub fn answers(&self, query: &Ucq) -> Arc<AnswerRows> {
+        self.answers_entry(query).0
+    }
+
+    /// [`answers`](Self::answers) with the cache's serial for the set
+    /// (`None` when the answers cache is disabled).
+    fn answers_entry(&self, query: &Ucq) -> (Arc<AnswerRows>, Option<u64>) {
+        if let Some(((hit, serial), stamp)) = self.answers.borrow().get(query) {
             stamp.set(self.clock_tick());
-            return Arc::clone(hit);
+            return (Arc::clone(hit), Some(*serial));
         }
-        let ans = Arc::new(query.eval(self.instance()));
+        let engine = self.lub_engine();
+        let ans = Arc::new(query.eval_ids(engine.pool(), |rel| engine.image(rel)));
+        debug_assert!(
+            ans.tuples().eq(query
+                .eval(self.instance())
+                .into_iter()
+                .filter(|t| t.len() == ans.arity())),
+            "id-space answers disagree with Ucq::eval"
+        );
         if self.budget.answers == 0 {
-            return ans;
+            return (ans, None);
         }
         let mut cache = self.answers.borrow_mut();
         while cache.len() >= self.budget.answers {
             self.evict_one_answer(&mut cache);
         }
+        let serial = self.clock_tick();
         cache.insert(
             query.clone(),
-            (Arc::clone(&ans), Cell::new(self.clock_tick())),
+            ((Arc::clone(&ans), serial), Cell::new(serial)),
         );
-        ans
+        (ans, Some(serial))
     }
 
     /// `lub_I(X)` / `lubσ_I(X)` over the pinned instance, computed by the
@@ -1014,13 +980,14 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 q.query.arity()
             ))));
         }
-        let ans = self.answers(&q.query);
+        let (ans, serial) = self.answers_entry(&q.query);
         if ans.contains(&q.tuple) {
             return Err(SessionError::TupleIsAnswer(q.tuple.clone()));
         }
         self.questions.set(self.questions.get() + 1);
         Ok(BoundQuestion {
             ans,
+            serial,
             tuple: q.tuple.clone(),
         })
     }
@@ -1034,9 +1001,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         kind: LubKind,
     ) -> Result<Explanation<LsConcept>, SessionError> {
         let bound = self.bind(q)?;
-        // The answers resolved to pool ids once, so every explanation
-        // check of the search probes bits.
-        let ids = AnswerIds::new(self.pool(), bound.view());
+        // The answers are pool ids already, so every explanation check of
+        // the search probes bits.
+        let ids = bound.ids();
         let engine = self.lub_engine();
         Ok(incremental_search_core(
             &engine.adom(),
@@ -1056,7 +1023,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         kind: LubKind,
     ) -> Result<bool, SessionError> {
         let bound = self.bind(q)?;
-        let ids = AnswerIds::new(self.pool(), bound.view());
+        let ids = bound.ids();
         let view = ids.question();
         if e.len() != view.arity() {
             return Ok(false);
@@ -1090,16 +1057,17 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         )
     }
 
-    /// Validates a contrastive question and resolves both its answer set
-    /// (cached per query) and the residual set `Ans \ {foil}`.
+    /// Validates a contrastive question and resolves its answer set
+    /// (cached per query) and the foil's row in it.
     fn bind_contrast(&self, q: &ContrastQuestion) -> Result<BoundContrast, SessionError> {
         q.query.validate(self.schema)?;
-        let ans = self.answers(&q.query);
-        let residual = validate_contrast(&q.query, &q.missing, &q.foil, &ans)?;
+        let (ans, serial) = self.answers_entry(&q.query);
+        let foil_row = validate_contrast(&q.query, &q.missing, &q.foil, &ans)?;
         self.questions.set(self.questions.get() + 1);
         Ok(BoundContrast {
             ans,
-            residual,
+            serial,
+            foil_row,
             missing: q.missing.clone(),
             foil: q.foil.clone(),
         })
@@ -1145,7 +1113,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             adom.iter().map(|&id| self.pool().value(id).clone()),
             &bound.missing,
         );
-        let ids = AnswerIds::new(self.pool(), bound.view());
+        let ids = bound.residual();
         let answer = Arc::new(contrast_core(
             &k_vals,
             ids.question(),
@@ -1197,65 +1165,38 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         idxs
     }
 
-    /// The pre-interned probes for position `i` of a bound question's
-    /// answer column, cached per `(answer set, position)` (see the
-    /// `probes` field docs).
-    fn probes_for(&self, bound: &BoundQuestion, i: usize) -> Arc<Vec<Probe>> {
-        let key = (Arc::as_ptr(&bound.ans) as usize, i);
-        // A non-resident answer set never touches the pointer-keyed
-        // cache — its address is not a stable identity (see
-        // `ans_resident`).
-        let resident = self.ans_resident(&bound.ans);
-        if resident {
-            if let Some((hit, stamp)) = self.probes.borrow().get(&key) {
-                stamp.set(self.clock_tick());
-                return Arc::clone(hit);
-            }
-        }
-        let (_, table) = self.finite_index();
-        let probes: Arc<Vec<Probe>> =
-            Arc::new(bound.ans.iter().map(|t| table.probe(&t[i])).collect());
-        if resident && self.budget.probes > 0 {
-            let mut cache = self.probes.borrow_mut();
-            while cache.len() >= self.budget.probes {
-                let Some(victim) = lru_key(&cache) else { break };
-                cache.remove(&victim);
-                self.count_evicted(|e| e.probes += 1);
-            }
-            cache.insert(key, (Arc::clone(&probes), Cell::new(self.clock_tick())));
-        }
-        probes
-    }
-
     /// Concept `k`'s Algorithm 1 conflict bitset (and its popcount) at
-    /// position `i`, cached per `(answer set, position, concept)` (see
+    /// position `i`, cached per `(answer serial, position, concept)` (see
     /// the `conflicts` field docs): bit `j` is set iff answer `j`'s
-    /// value at position `i` lies in the concept's extension.
+    /// value at position `i` lies in the concept's extension. The answer
+    /// column's ids are the table probes, since both index the session
+    /// pool.
     fn conflict_bits_for(
         &self,
         bound: &BoundQuestion,
         i: usize,
         k: usize,
     ) -> Arc<(Vec<u64>, usize)> {
-        let key = (Arc::as_ptr(&bound.ans) as usize, i, k);
-        let resident = self.ans_resident(&bound.ans);
-        if resident {
-            if let Some((hit, stamp)) = self.conflicts.borrow().get(&key) {
+        let key = bound.serial.map(|serial| (serial, i, k));
+        if let Some(key) = &key {
+            if let Some((hit, stamp)) = self.conflicts.borrow().get(key) {
                 stamp.set(self.clock_tick());
                 return Arc::clone(hit);
             }
         }
         let (_, table) = self.finite_index();
-        let probes = self.probes_for(bound, i);
-        let mut bits = vec![0u64; bound.ans.len().div_ceil(64)];
-        for (j, (t, probe)) in bound.ans.iter().zip(probes.iter()).enumerate() {
-            if table.entry_contains(k, probe, &t[i]) {
+        let rows = &bound.ans;
+        debug_assert!(Arc::ptr_eq(table.pool(), rows.pool()), "one session pool");
+        let mut bits = vec![0u64; rows.len().div_ceil(64)];
+        for (j, row) in rows.rows().enumerate() {
+            let probe = table.probe_id(rows.pooled(row[i]));
+            if table.entry_contains(k, &probe, rows.value(row[i])) {
                 bits[j / 64] |= 1 << (j % 64);
             }
         }
         let count = kernels::count_ones(&bits);
         let entry = Arc::new((bits, count));
-        if resident && self.budget.conflicts > 0 {
+        if let Some(key) = key.filter(|_| self.budget.conflicts > 0) {
             let mut cache = self.conflicts.borrow_mut();
             while cache.len() >= self.budget.conflicts {
                 let Some(victim) = lru_key(&cache) else { break };
@@ -1269,8 +1210,8 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
 
     /// Algorithm 1's per-position candidates for a bound question,
     /// assembled from the session caches: candidate index lists (per
-    /// constant), probes (per query and position), and conflict bitsets
-    /// (per query, position, and concept). Steady state does no probing
+    /// constant) and conflict bitsets (per answer set, position, and
+    /// concept). Steady state does no probing
     /// at all — each position costs its cache lookups plus one arena
     /// word-copy per candidate. Candidates come out ordered ascending by
     /// conflict popcount, exactly like
@@ -1328,7 +1269,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         let Some(candidates) = self.cached_candidates_for(&bound) else {
             return Ok(Vec::new());
         };
-        let found = exhaustive::run_exhaustive(&candidates, bound.view(), arena);
+        let found = exhaustive::run_exhaustive(&candidates, bound.ids().question(), arena);
         exhaustive::recycle_candidates(arena, candidates);
         Ok(exhaustive::retain_most_general(self.ontology(), found))
     }
@@ -1343,7 +1284,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         let Some(candidates) = self.cached_candidates_for(&bound) else {
             return Ok(None);
         };
-        let found = exhaustive::run_find_one(&candidates, bound.view(), arena);
+        let found = exhaustive::run_find_one(&candidates, bound.ids().question(), arena);
         exhaustive::recycle_candidates(arena, candidates);
         Ok(found)
     }
@@ -1364,7 +1305,12 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         // Building the index up front caches every concept's extension —
         // the replacement loop then never evaluates anything fresh.
         let (all, _) = self.finite_index();
-        Ok(exhaustive::check_mge_with(&self.ctx, all, bound.view(), e))
+        Ok(exhaustive::check_mge_with(
+            &self.ctx,
+            all,
+            bound.ids().question(),
+            e,
+        ))
     }
 
     /// An exact `>card`-maximal explanation (Proposition 6.4's exponential
@@ -1374,13 +1320,14 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
+        let ids = bound.ids();
         let (all, table) = self.finite_index();
         let Some(lists) =
-            variations::candidate_lists_with(all, table, |a| self.indices_for(a), bound.view())
+            variations::candidate_lists_with(all, table, |a| self.indices_for(a), ids.question())
         else {
             return Ok(None);
         };
-        Ok(variations::run_card_maximal_exact(&lists, bound.view()))
+        Ok(variations::run_card_maximal_exact(&lists, ids.question()))
     }
 
     /// The greedy `>card` heuristic through the session caches.
@@ -1389,13 +1336,14 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
+        let ids = bound.ids();
         let (all, table) = self.finite_index();
         let Some(lists) =
-            variations::candidate_lists_with(all, table, |a| self.indices_for(a), bound.view())
+            variations::candidate_lists_with(all, table, |a| self.indices_for(a), ids.question())
         else {
             return Ok(None);
         };
-        Ok(variations::run_card_maximal_greedy(&lists, bound.view()))
+        Ok(variations::run_card_maximal_greedy(&lists, ids.question()))
     }
 
     /// Per-position subsumption-maximal *named* separators: for each
@@ -1413,15 +1361,12 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &ContrastQuestion,
     ) -> Result<Vec<Vec<O::Concept>>, SessionError> {
         let bound = self.bind_contrast(q)?;
-        let Some(foil_idx) = bound.ans.iter().position(|t| t == &bound.foil) else {
-            // Unreachable after `bind_contrast`, but stay panic-free.
-            return Err(SessionError::FoilNotAnswer(bound.foil.clone()));
-        };
-        // Conflict bitsets are keyed by the *legacy* bound question: they
-        // describe membership against the full answer set, whose order
-        // determines which bit is the foil's.
+        let foil_idx = bound.foil_row;
+        // Conflict bitsets describe membership against the full answer
+        // set, whose order determines which bit is the foil's.
         let legacy = BoundQuestion {
             ans: Arc::clone(&bound.ans),
+            serial: bound.serial,
             tuple: bound.missing.clone(),
         };
         let (all, _) = self.finite_index();
@@ -1709,6 +1654,43 @@ mod tests {
         assert_eq!(e, incremental_search_kind(&fresh, LubKind::SelectionFree));
     }
 
+    /// A contrast question's residual view is the cached answer rows
+    /// minus exactly the foil, after every step of a mutation stream
+    /// whose ghost constants bump the pool generation. (The answers
+    /// themselves and every algorithm are pinned against fresh sessions
+    /// at several cache budgets by the `delta_differential` suite.)
+    #[test]
+    fn contrast_residual_skips_exactly_the_foil() {
+        use whynot_scenarios::generators::{city_query_shapes, mutation_stream, MutationStep};
+        let w = mutation_stream(18, 3, 36, 1);
+        let tc = w.schema.rel_ids().next().unwrap();
+        let o = ColumnOntology { rels: vec![tc] };
+        let mut session = WhyNotSession::new(&o, &w.schema, &w.instance);
+        for step in &w.steps {
+            if let MutationStep::Mutate(delta) = step {
+                session.apply_delta(delta).unwrap();
+            }
+            for q in city_query_shapes(tc) {
+                let ans: Vec<Tuple> = q.eval(session.instance()).into_iter().collect();
+                for foil in ans.iter().step_by(3) {
+                    let missing = vec![s("Nowhere"); q.arity()];
+                    let cq = ContrastQuestion::new(q.clone(), missing, foil.clone());
+                    let bound = session.bind_contrast(&cq).unwrap();
+                    let residual = bound.residual();
+                    let left: Vec<&Tuple> = ans.iter().filter(|t| *t != foil).collect();
+                    assert_eq!(residual.len(), left.len());
+                    for (row, t) in residual.rows().zip(left) {
+                        assert!(row.iter().zip(t).all(|(&id, v)| bound.ans.value(id) == v));
+                    }
+                }
+            }
+        }
+        assert!(
+            session.stats().pool_generation > 0,
+            "ghosts bumped the pool"
+        );
+    }
+
     /// A minimal finite ontology with honest per-relation signatures:
     /// one concept per relation, whose extension is that relation's
     /// first column. Lets the delta tests pin *which* caches a mutation
@@ -1809,9 +1791,8 @@ mod tests {
             (1, 1)
         );
         assert_eq!((stats.table_reevaluated, stats.table_retained), (1, 1));
-        // Exactly the R query's answers (and probes) died.
+        // Exactly the R query's answers died.
         assert_eq!((stats.answers_dropped, stats.answers_retained), (1, 1));
-        assert_eq!((stats.probes_dropped, stats.probes_retained), (1, 1));
         // Conflict bitsets keyed by the dead answer set or the dirty
         // concept died; the (S answers, S concept) one survived.
         assert_eq!(stats.conflicts_retained, 1);
@@ -1868,6 +1849,15 @@ mod tests {
         let q_s = WhyNotQuestion::new(s_query(s_rel), [s("c")]);
         let _ = session.exhaustive(&q_r).unwrap();
         let _ = session.exhaustive(&q_s).unwrap();
+        // An S query whose head constant is outside the pool: its answer
+        // rows carry an overflow id until a delta interns the constant.
+        let tagged = Ucq::single(Cq::new(
+            [Term::Var(Var(0)), Term::Const(s("fresh"))],
+            [Atom::new(s_rel, [Term::Var(Var(1)), Term::Var(Var(0))])],
+            [],
+        ));
+        let tagged_rows = session.answers(&tagged);
+        assert!(tagged_rows.pooled(tagged_rows.row(0)[1]).is_none());
 
         // A brand-new constant lands in R: the pool grows a generation.
         let mut delta = Delta::new();
@@ -1879,9 +1869,17 @@ mod tests {
         // The S extension was bridged, not re-evaluated …
         assert_eq!(stats.extensions_retained, 1);
         assert_eq!(stats.table_reevaluated, 1);
-        // … but probes hold raw pool ids, so a bump drops them all.
-        assert_eq!(stats.probes_retained, 0);
-        assert_eq!(stats.probes_dropped, 2);
+        // … the S answer rows were remapped into the new generation, not
+        // re-evaluated, and the tagged rows' overflow constant became a
+        // pool id …
+        assert_eq!((stats.answers_dropped, stats.answers_retained), (1, 2));
+        assert!(Arc::ptr_eq(
+            session.answers(&q_s.query).pool(),
+            session.pool()
+        ));
+        let tagged_rows = session.answers(&tagged);
+        assert!(tagged_rows.pooled(tagged_rows.row(0)[1]).is_some());
+        assert_eq!(tagged_rows.to_set(), tagged.eval(session.instance()));
         // Conflict bits are value-semantic: the S entry survived the bump.
         assert_eq!(stats.conflicts_retained, 1);
         assert!(session.pool().contains(&s("fresh")));
@@ -2088,7 +2086,7 @@ mod tests {
     }
 
     /// `set_cache_budget` trims a warm session immediately, and the
-    /// cascade purges pointer-keyed entries with their answer set.
+    /// cascade purges serial-keyed entries with their answer set.
     #[test]
     fn set_budget_trims_warm_session() {
         let (o, schema, inst, tc) = fixture();

@@ -1,12 +1,14 @@
 //! Why-not instances and explanations (paper Definitions 3.2, 3.3, 5.1).
 
 use crate::ontology::Ontology;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use whynot_concepts::{Extension, ValueSet};
-use whynot_relation::{ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId};
+use whynot_relation::{
+    AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId,
+};
 
 /// A why-not instance `(S, I, q, Ans, a)` (Definition 5.1): the answer set
 /// `Ans = q(I)` is part of the input — the paper's problems never charge
@@ -111,25 +113,30 @@ impl WhyNotInstance {
 /// else they need is here. Splitting this view out is what lets a
 /// [`WhyNotSession`](crate::WhyNotSession) pin `(ontology, instance)`
 /// once and stream many questions through the same caches.
+///
+/// The answers are either a value-space set ([`QuestionRef::new`]) or
+/// id rows over a pool ([`AnswerIds::question`]); the explanation check
+/// probes bits in the latter case.
 #[derive(Clone, Copy, Debug)]
 pub struct QuestionRef<'q> {
-    /// The precomputed answers `Ans = q(I)`.
-    pub ans: &'q BTreeSet<Tuple>,
     /// The missing tuple `a ∉ Ans`.
     pub tuple: &'q Tuple,
-    /// `ans` and `tuple` resolved to the ids of one pool, set only by
-    /// [`AnswerIds::question`]: the explanation check then probes bits
-    /// instead of hashing every answer constant.
-    ids: Option<&'q AnswerIds<'q>>,
+    answers: Answers<'q>,
+}
+
+/// Where a [`QuestionRef`]'s answers live.
+#[derive(Clone, Copy, Debug)]
+enum Answers<'q> {
+    Values(&'q BTreeSet<Tuple>),
+    Ids(&'q AnswerIds<'q>),
 }
 
 impl<'q> QuestionRef<'q> {
     /// A question view over value-space answers only.
     pub fn new(ans: &'q BTreeSet<Tuple>, tuple: &'q Tuple) -> Self {
         QuestionRef {
-            ans,
             tuple,
-            ids: None,
+            answers: Answers::Values(ans),
         }
     }
 
@@ -137,67 +144,115 @@ impl<'q> QuestionRef<'q> {
     pub fn arity(&self) -> usize {
         self.tuple.len()
     }
+
+    /// The number of answers `|Ans|`.
+    pub fn answer_count(&self) -> usize {
+        match self.answers {
+            Answers::Values(ans) => ans.len(),
+            Answers::Ids(ids) => ids.len(),
+        }
+    }
 }
 
-/// A question's answer rows and missing tuple resolved to the ids of one
-/// [`ConstPool`], once per question: `None` marks a constant the pool
-/// does not intern.
+/// A question's answers and missing tuple as ids of one [`ConstPool`]:
+/// the answers are the sorted id rows of an [`AnswerRows`] (borrowed from
+/// a cache, or resolved once for a one-shot question), optionally minus
+/// one skipped row, and the tuple is resolved once (`None` marks a
+/// constant the pool does not intern).
 ///
-/// The ids borrow the question they were resolved from, and
-/// [`question`](AnswerIds::question) is the only way to attach them to a
-/// view, so they always describe that view's `ans` and `tuple`.
+/// [`question`](AnswerIds::question) is the only way to attach the ids to
+/// a view, so they always describe that view's answers and tuple.
 /// [`exts_form_explanation_q`] uses them for every extension over that
 /// same pool — membership becomes one bit probe per cell — and falls
 /// back to [`Extension::contains`] for extensions over other pools.
 #[derive(Clone, Debug)]
 pub struct AnswerIds<'q> {
-    ans: &'q BTreeSet<Tuple>,
+    rows: Cow<'q, AnswerRows>,
+    /// The row the view leaves out (a contrast question's foil).
+    skip: Option<usize>,
     tuple: &'q Tuple,
-    pool: Arc<ConstPool>,
     tuple_ids: Vec<Option<ValueId>>,
-    /// Row-major: `arity` cells per answer, in the answer set's order.
-    cells: Vec<Option<ValueId>>,
 }
 
 impl<'q> AnswerIds<'q> {
-    /// Resolves `q`'s answers and missing tuple against `pool`.
-    pub fn new(pool: &Arc<ConstPool>, q: QuestionRef<'q>) -> Self {
+    /// Resolves a one-shot question's value-space answers and missing
+    /// tuple against `pool`: the answers are interned once into owned
+    /// rows.
+    pub fn new(pool: &Arc<ConstPool>, ans: &BTreeSet<Tuple>, tuple: &'q Tuple) -> Self {
+        let rows = AnswerRows::from_tuples(Arc::clone(pool), tuple.len(), ans);
+        AnswerIds::with_rows(Cow::Owned(rows), None, tuple)
+    }
+
+    /// A view over answer rows that are already in id space (a session's
+    /// cached answers), leaving out row `skip` when given — the contrast
+    /// residual `Ans \ {foil}`. Resolves only the tuple.
+    pub fn over(rows: &'q AnswerRows, skip: Option<usize>, tuple: &'q Tuple) -> Self {
+        AnswerIds::with_rows(Cow::Borrowed(rows), skip, tuple)
+    }
+
+    fn with_rows(rows: Cow<'q, AnswerRows>, skip: Option<usize>, tuple: &'q Tuple) -> Self {
+        let tuple_ids = tuple.iter().map(|v| rows.pool().id_of(v)).collect();
         AnswerIds {
-            ans: q.ans,
-            tuple: q.tuple,
-            pool: Arc::clone(pool),
-            tuple_ids: q.tuple.iter().map(|v| pool.id_of(v)).collect(),
-            cells: q.ans.iter().flatten().map(|v| pool.id_of(v)).collect(),
+            rows,
+            skip,
+            tuple,
+            tuple_ids,
         }
     }
 
-    /// The question these ids were resolved from, checked through them.
+    /// The question these ids describe, checked through them.
     pub fn question(&self) -> QuestionRef<'_> {
         QuestionRef {
-            ans: self.ans,
             tuple: self.tuple,
-            ids: Some(self),
+            answers: Answers::Ids(self),
         }
     }
 
-    /// Membership of `v`, resolved to `id` in this pool, in `ext`: a bit
-    /// probe wherever `ext` indexes this pool.
-    fn member(&self, ext: &Extension, id: Option<ValueId>, v: &Value) -> bool {
+    /// The pool the ids index.
+    fn pool(&self) -> &Arc<ConstPool> {
+        self.rows.pool()
+    }
+
+    /// The number of answers in the view.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len() - usize::from(self.skip.is_some())
+    }
+
+    /// The answer rows in the view, in order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.rows.len())
+            .filter(move |&r| Some(r) != self.skip)
+            .map(move |r| self.rows.row(r))
+    }
+
+    /// Membership of the value with answer id `id` in `ext`: a bit probe
+    /// wherever `ext` indexes this pool.
+    fn member(&self, ext: &Extension, id: u32) -> bool {
         match ext {
             Extension::Universal => true,
-            Extension::Finite(set) if Arc::ptr_eq(set.pool(), &self.pool) => match id {
-                Some(id) => set.contains_id(id),
-                None => set.extra().contains(v),
-            },
-            Extension::Finite(set) => set.contains(v),
+            Extension::Finite(set) if Arc::ptr_eq(set.pool(), self.pool()) => {
+                match self.rows.pooled(id) {
+                    Some(id) => set.contains_id(id),
+                    None => set.extra().contains(self.rows.value(id)),
+                }
+            }
+            Extension::Finite(set) => set.contains(self.rows.value(id)),
         }
     }
 
-    /// The answer rows, each beside its cells' ids.
-    fn rows(&self) -> impl Iterator<Item = (&Tuple, &[Option<ValueId>])> + '_ {
-        self.ans
-            .iter()
-            .zip(self.cells.chunks_exact(self.tuple.len()))
+    /// Membership of the tuple's constant at position `k` in `ext`.
+    fn holds(&self, ext: &Extension, k: usize) -> bool {
+        let v = &self.tuple[k];
+        match ext {
+            Extension::Universal => true,
+            Extension::Finite(set) if Arc::ptr_eq(set.pool(), self.pool()) => {
+                match self.tuple_ids[k] {
+                    Some(id) => set.contains_id(id),
+                    None => set.extra().contains(v),
+                }
+            }
+            Extension::Finite(set) => set.contains(v),
+        }
     }
 
     /// Definition 3.2 over `exts`, probing bits wherever an extension
@@ -205,14 +260,14 @@ impl<'q> AnswerIds<'q> {
     fn form_explanation<E: Borrow<Extension>>(&self, exts: &[E]) -> bool {
         let holds_tuple = exts
             .iter()
-            .zip(self.tuple.iter().zip(&self.tuple_ids))
-            .all(|(ext, (v, &id))| self.member(ext.borrow(), id, v));
+            .enumerate()
+            .all(|(k, ext)| self.holds(ext.borrow(), k));
         // Product disjointness: every answer tuple escapes on some position.
         holds_tuple
-            && self.rows().all(|(t, ids)| {
+            && self.rows().all(|row| {
                 exts.iter()
-                    .zip(t.iter().zip(ids))
-                    .any(|(ext, (v, &id))| !self.member(ext.borrow(), id, v))
+                    .zip(row)
+                    .any(|(ext, &id)| !self.member(ext.borrow(), id))
             })
     }
 }
@@ -254,24 +309,23 @@ impl<'q> BlockedSet<'q> {
         let m = q.arity();
         debug_assert!(exts.len() == m && position < m, "position out of range");
         let others = || (0..m).filter(move |&k| k != position);
-        let (others_hold, blocked) = match q.ids {
-            Some(ids) => {
-                let mut blocked = ValueSet::empty_in(Arc::clone(&ids.pool));
-                for (t, cells) in ids.rows() {
-                    if others().all(|k| ids.member(exts[k].borrow(), cells[k], &t[k])) {
-                        match cells[position] {
+        let (others_hold, blocked) = match q.answers {
+            Answers::Ids(ids) => {
+                let mut blocked = ValueSet::empty_in(Arc::clone(ids.pool()));
+                for row in ids.rows() {
+                    if others().all(|k| ids.member(exts[k].borrow(), row[k])) {
+                        let id = row[position];
+                        match ids.rows.pooled(id) {
                             Some(id) => blocked.insert_id(id),
-                            None => blocked.insert_ref(&t[position]),
+                            None => blocked.insert_ref(ids.rows.value(id)),
                         };
                     }
                 }
-                let hold =
-                    others().all(|k| ids.member(exts[k].borrow(), ids.tuple_ids[k], &q.tuple[k]));
+                let hold = others().all(|k| ids.holds(exts[k].borrow(), k));
                 (hold, blocked)
             }
-            None => {
-                let blocked = q
-                    .ans
+            Answers::Values(ans) => {
+                let blocked = ans
                     .iter()
                     .filter(|t| others().all(|k| exts[k].borrow().contains(&t[k])))
                     .map(|t| t[position].clone())
@@ -313,9 +367,9 @@ impl<'q> BlockedSet<'q> {
     /// `a_j`, and `candidate ∩ B_j = ∅`.
     pub fn admits<E: Borrow<Extension>>(&self, exts: &[E], candidate: &Extension) -> bool {
         let j = self.position;
-        let holds_own = match self.q.ids {
-            Some(ids) => ids.member(candidate, ids.tuple_ids[j], &self.q.tuple[j]),
-            None => candidate.contains(&self.q.tuple[j]),
+        let holds_own = match self.q.answers {
+            Answers::Ids(ids) => ids.holds(candidate, j),
+            Answers::Values(_) => candidate.contains(&self.q.tuple[j]),
         };
         let verdict = self.others_hold && holds_own && self.is_disjoint(candidate);
         debug_assert_eq!(
@@ -422,18 +476,17 @@ pub fn exts_form_explanation(exts: &[Extension], wn: &WhyNotInstance) -> bool {
 /// When the view came from [`AnswerIds::question`], membership in
 /// extensions over the ids' pool is a bit probe.
 pub fn exts_form_explanation_q<E: Borrow<Extension>>(exts: &[E], q: QuestionRef<'_>) -> bool {
-    // A nullary question has no cells to chunk answer rows by.
-    if let Some(ids) = q.ids.filter(|_| q.arity() > 0) {
-        return ids.form_explanation(exts);
-    }
+    let ans = match q.answers {
+        Answers::Ids(ids) => return ids.form_explanation(exts),
+        Answers::Values(ans) => ans,
+    };
     for (ext, a_i) in exts.iter().zip(q.tuple) {
         if !ext.borrow().contains(a_i) {
             return false;
         }
     }
     // Product disjointness: every answer tuple escapes on some position.
-    q.ans
-        .iter()
+    ans.iter()
         .all(|t| t.iter().zip(exts).any(|(v, ext)| !ext.borrow().contains(v)))
 }
 

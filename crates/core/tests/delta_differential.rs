@@ -4,12 +4,18 @@
 //! kind — from a fresh session built over an independently materialized
 //! instance.
 //!
+//! After every step, the live session's id-space answer rows must also
+//! map back to exactly `q(I)`, in order, for every query of the stream
+//! and for two queries over a ghost constant that a later delta inserts
+//! (as a head constant, then as an atom constant), so the rows cross pool
+//! generation bumps. The city streams also run at cache budgets 0 and 2.
+//!
 //! On failure the harness shrinks the stream by hand (shortest failing
 //! prefix, then greedy per-step removal to a 1-minimal sequence) before
 //! panicking, since the vendored proptest has no shrinking.
 
-use whynot_core::{LubKind, WhyNotSession};
-use whynot_relation::Instance;
+use whynot_core::{CacheBudget, LubKind, WhyNotSession};
+use whynot_relation::{Atom, Cq, Instance, Term, Tuple, Ucq, Var};
 use whynot_scenarios::generators::{
     modal_mutation_stream, mutation_stream, random_mutation_stream, MutationStep, MutationWorkload,
 };
@@ -31,15 +37,71 @@ fn diff<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Runs `steps` against a delta-maintained session, materializing the
-/// same deltas independently through [`Instance::apply_delta`]; every
-/// `Ask` is answered by both the live session and a fresh session over
-/// the materialized instance, across every question kind. Returns the
-/// first divergence. `exact` additionally runs the exponential
-/// `>card`-maximal reference (only affordable on small ontologies).
-fn run(w: &MutationWorkload, steps: &[MutationStep], exact: bool) -> Result<(), String> {
+/// The queries whose answer rows are checked after every step: every
+/// query the stream asks, plus, for the first constant a delta inserts
+/// outside the initial instance, `q(x̄, g) ← R(x̄)` and
+/// `q(x̄') ← R(g, x̄')` over the first schema relation `R`.
+fn answer_probes(w: &MutationWorkload) -> Vec<Ucq> {
+    let mut queries: Vec<Ucq> = Vec::new();
+    for step in &w.steps {
+        if let MutationStep::Ask(q) = step {
+            if !queries.contains(&q.query) {
+                queries.push(q.query.clone());
+            }
+        }
+    }
+    let adom = w.instance.active_domain();
+    let ghost = w
+        .steps
+        .iter()
+        .filter_map(|step| match step {
+            MutationStep::Mutate(delta) => Some(delta.inserts()),
+            MutationStep::Ask(_) => None,
+        })
+        .flatten()
+        .flat_map(|fact| &fact.tuple)
+        .find(|v| !adom.contains(*v));
+    let rel = w.schema.rel_ids().next();
+    if let (Some(g), Some(rel)) = (ghost, rel) {
+        let vars: Vec<Term> = (0..w.schema.arity(rel) as u32)
+            .map(|v| Term::Var(Var(v)))
+            .collect();
+        let mut head = vars.clone();
+        head.push(Term::Const(g.clone()));
+        queries.push(Ucq::single(Cq::new(
+            head,
+            [Atom::new(rel, vars.clone())],
+            [],
+        )));
+        let mut args = vars;
+        args[0] = Term::Const(g.clone());
+        queries.push(Ucq::single(Cq::new(
+            args[1..].to_vec(),
+            [Atom::new(rel, args)],
+            [],
+        )));
+    }
+    queries
+}
+
+/// Runs `steps` against a delta-maintained session under `budget`,
+/// materializing the same deltas independently through
+/// [`Instance::apply_delta`]; every `Ask` is answered by both the live
+/// session and a fresh session over the materialized instance, across
+/// every question kind, and after every step the live answer rows of
+/// `probes` map back to value-space evaluation. Returns the first
+/// divergence. `exact` additionally runs the exponential `>card`-maximal
+/// reference (only affordable on small ontologies).
+fn run(
+    w: &MutationWorkload,
+    steps: &[MutationStep],
+    exact: bool,
+    budget: CacheBudget,
+) -> Result<(), String> {
+    let probes = answer_probes(w);
     let mut materialized: Instance = w.instance.clone();
     let mut live = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
+    live.set_cache_budget(budget);
     for (i, step) in steps.iter().enumerate() {
         match step {
             MutationStep::Mutate(delta) => match live.apply_delta(delta) {
@@ -148,26 +210,36 @@ fn run(w: &MutationWorkload, steps: &[MutationStep], exact: bool) -> Result<(), 
                 }
             }
         }
+        for q in &probes {
+            let rows: Vec<Tuple> = live.answers(q).tuples().collect();
+            let expected: Vec<Tuple> = q.eval(&materialized).into_iter().collect();
+            diff(i, &format!("answers({q:?})"), &rows, &expected)?;
+        }
     }
     Ok(())
 }
 
 /// Hand-rolled shrinking: shortest failing prefix, then greedy removal of
 /// single steps until the sequence is 1-minimal.
-fn shrink(w: &MutationWorkload, exact: bool, full_err: String) -> (Vec<MutationStep>, String) {
+fn shrink(
+    w: &MutationWorkload,
+    exact: bool,
+    budget: CacheBudget,
+    full_err: String,
+) -> (Vec<MutationStep>, String) {
     let mut steps: Vec<MutationStep> = w.steps.clone();
     for len in 1..=steps.len() {
-        if run(w, &steps[..len], exact).is_err() {
+        if run(w, &steps[..len], exact, budget).is_err() {
             steps.truncate(len);
             break;
         }
     }
-    let mut err = run(w, &steps, exact).err().unwrap_or(full_err);
+    let mut err = run(w, &steps, exact, budget).err().unwrap_or(full_err);
     let mut i = 0;
     while i < steps.len() {
         let mut cand = steps.clone();
         cand.remove(i);
-        if let Err(e) = run(w, &cand, exact) {
+        if let Err(e) = run(w, &cand, exact, budget) {
             steps = cand;
             err = e;
         } else {
@@ -177,9 +249,9 @@ fn shrink(w: &MutationWorkload, exact: bool, full_err: String) -> (Vec<MutationS
     (steps, err)
 }
 
-fn check_workload(name: &str, w: &MutationWorkload, exact: bool) {
-    if let Err(err) = run(w, &w.steps, exact) {
-        let (minimal, min_err) = shrink(w, exact, err);
+fn check_workload(name: &str, w: &MutationWorkload, exact: bool, budget: CacheBudget) {
+    if let Err(err) = run(w, &w.steps, exact, budget) {
+        let (minimal, min_err) = shrink(w, exact, budget, err);
         panic!(
             "{name}: live session diverged from fresh sessions\n{min_err}\n\
              minimal failing sequence ({} of {} steps):\n{minimal:#?}",
@@ -196,7 +268,24 @@ fn city_mutation_streams_match_fresh_sessions() {
             &format!("city(seed {seed})"),
             &mutation_stream(18, 3, 36, seed),
             false,
+            CacheBudget::unlimited(),
         );
+    }
+}
+
+#[test]
+fn city_mutation_streams_match_fresh_sessions_under_cache_budgets() {
+    // Budget 0 caches nothing; budget 2 evicts answer sets (and their
+    // conflict bitsets) on almost every question of the three shapes.
+    for budget in [0, 2] {
+        for seed in 0..3 {
+            check_workload(
+                &format!("city(seed {seed}, budget {budget})"),
+                &mutation_stream(18, 3, 36, seed),
+                false,
+                CacheBudget::uniform(budget),
+            );
+        }
     }
 }
 
@@ -210,6 +299,7 @@ fn modal_mutation_streams_match_fresh_sessions() {
             &format!("modal(seed {seed})"),
             &modal_mutation_stream(16, 3, 4, 40, 36, seed),
             false,
+            CacheBudget::unlimited(),
         );
     }
 }
@@ -221,6 +311,7 @@ fn random_mutation_streams_match_fresh_sessions() {
             &format!("random(seed {seed})"),
             &random_mutation_stream(3, 6, 9, 36, seed),
             true,
+            CacheBudget::unlimited(),
         );
     }
 }

@@ -35,6 +35,7 @@ mod constraints;
 mod delta;
 mod error;
 mod freeze;
+mod image;
 mod instance;
 mod interval;
 pub mod json;
@@ -54,6 +55,7 @@ pub use constraints::{
 pub use delta::{Delta, DeltaOutcome};
 pub use error::RelError;
 pub use freeze::{freeze, freeze_with, fresh_constant, is_fresh_constant, Frozen};
+pub use image::{AnswerRows, IdImage};
 pub use instance::{instance_of, Fact, Instance, Tuple};
 pub use interval::{Bound, Interval};
 pub use parse::{parse_fact, parse_program, parse_query, Loaded};

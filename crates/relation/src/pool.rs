@@ -90,7 +90,7 @@ impl ConstPool {
     }
 
     /// Builds the pool from an already sorted, deduplicated vector.
-    fn from_sorted_vec(values: Vec<Value>) -> Self {
+    pub(crate) fn from_sorted_vec(values: Vec<Value>) -> Self {
         let cap = (values.len() * 2).next_power_of_two().max(4);
         let mut slots = vec![EMPTY_SLOT; cap];
         let mask = cap - 1;

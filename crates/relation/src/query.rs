@@ -6,20 +6,31 @@
 //! `op ∈ {=, <, >, ≤, ≥}` and `c ∈ Const`. Comparisons **between
 //! variables** are deliberately unsupported, exactly as in the paper.
 //!
-//! Evaluation is a backtracking join in id space. Each call builds a
-//! transient [`JoinIndex`] over the relations the query touches (shared
-//! by a union's disjuncts): one pass interns every cell, together with
-//! the query's constants, into a dense id, and the ids are renumbered in
-//! ascending value order, so a sorted row of ids is a sorted tuple.
-//! Relations are stored as flat row-major id arrays, and per attribute
-//! position a CSR bucket array lists the rows carrying each id. Every
-//! search node narrows to the smallest bucket among the picked atom's
-//! bound arguments; only atoms with no bound argument (the enumeration
-//! roots) still scan, which is the output-bounded part of the join. The
-//! search binds the slots of a `u32` assignment and undoes them from one
-//! shared trail, so a node allocates nothing. Matches push their head ids
-//! into one flat buffer that is sorted and deduplicated at the end; each
-//! distinct answer becomes a [`Tuple`] exactly once.
+//! Evaluation is a backtracking join in id space, over one
+//! [`IdImage`] per relation the query reads: row-major `u32` rows plus a
+//! CSR bucket array per attribute (id → the rows carrying it). Ids
+//! ascend with the values they stand for, so a sorted row of ids is a
+//! sorted tuple and a comparison `x op c` is an id range. Every search
+//! node narrows to the smallest bucket among the picked atom's bound
+//! arguments; only atoms with no bound argument (the enumeration roots)
+//! still scan, which is the output-bounded part of the join. The search
+//! binds the slots of a `u32` assignment and undoes them from one shared
+//! trail, so a node allocates nothing. Matches push their head ids into
+//! one flat buffer that is sorted and deduplicated at the end.
+//!
+//! The images index a [`ConstPool`], whose ids ascend with its values:
+//!
+//! * [`Ucq::eval_ids`] reads images over a shared pool, which a caller
+//!   builds once and keeps across evaluations (a live session keeps one
+//!   image per relation), and returns the answers as sorted id rows
+//!   ([`AnswerRows`]) without materializing a tuple. An atom constant
+//!   outside the pool matches nothing, and a head constant outside it
+//!   goes to the answer set's overflow list.
+//! * [`Cq::eval`], [`Ucq::eval`] and the `answers` probes build a
+//!   transient pool per call (shared by a union's disjuncts) over the
+//!   cells of the touched relations and the query's constants, image
+//!   those relations over it and run the same join; each distinct answer
+//!   becomes a [`Tuple`] exactly once.
 //!
 //! The paper's why-not instances carry their answer set `Ans`
 //! pre-computed, so evaluation is never on the critical path of the
@@ -28,124 +39,56 @@
 //! which puts it on the wall-clock path of a mutating question stream.
 
 use crate::error::RelError;
+use crate::image::{AnswerRows, IdImage};
 use crate::instance::{Instance, Tuple};
-use crate::interval::Interval;
+use crate::interval::{Bound, Interval};
+use crate::pool::ConstPool;
 use crate::schema::{RelId, Schema};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
-// lint: allow(deterministic-iteration) — imported for JoinIndex's
-// interning map, which is only ever probed by value, never iterated.
+// lint: allow(deterministic-iteration) — imported for the transient
+// interning map in `Space::transient`, which is only ever probed by value.
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The assignment entry of a slot no atom has bound yet.
 const UNBOUND: u32 = u32::MAX;
 
-/// A transient id-space join index over the relations a query touches.
-///
-/// Built once per evaluation call and shared by a [`Ucq`]'s disjuncts.
-/// Every cell of a touched relation and every constant of the query (and
-/// of a probed answer tuple) gets a dense id; ids ascend with the
-/// values they stand for, so comparing ids compares values. The index
-/// borrows the instance and the query, so it cannot outlive (or observe
-/// mutations of) the data it summarizes.
-struct JoinIndex<'a> {
-    /// The interned values in ascending order: id `i` stands for
-    /// `values[i]`.
-    values: Vec<&'a Value>,
-    /// Value → first-seen id, renumbered to its sorted id through `rank`.
-    // lint: allow(deterministic-iteration) — lookup-only: probed for the
-    // query's constants and answer values, never iterated.
-    local: HashMap<&'a Value, u32>,
-    /// First-seen id → sorted id.
-    rank: Vec<u32>,
-    /// One entry per `(relation, arity)` some atom reads, sorted by that
-    /// key.
-    rels: Vec<RelIndex>,
+/// The id space one evaluation runs in: a pool, and the images over it of
+/// the relations the query reads.
+struct Space {
+    pool: Arc<ConstPool>,
+    /// One image per `(relation, arity)`, sorted by that key.
+    rels: Vec<((RelId, usize), Arc<IdImage>)>,
 }
 
-/// The tuples of one relation with one arity, in id space.
-struct RelIndex {
-    rel: RelId,
-    arity: usize,
-    /// Number of tuples.
-    len: usize,
-    /// Row-major ids, `arity` per tuple, in instance (sorted-set) order.
-    rows: Vec<u32>,
-    /// Per attribute `p`, the CSR offsets `offsets[p·stride + id]` ..
-    /// `offsets[p·stride + id + 1]` into that attribute's block of
-    /// `positions`; `stride` is the number of ids plus one.
-    offsets: Vec<u32>,
-    stride: usize,
-    /// Per attribute `p`, a block of `len` row numbers grouped by the id
-    /// the row carries at `p`, ascending within each group.
-    positions: Vec<u32>,
-}
-
-impl RelIndex {
-    /// The row numbers whose attribute `attr` carries `id`, ascending —
-    /// empty when the id never occurs there.
-    fn bucket(&self, attr: usize, id: u32) -> &[u32] {
-        let at = attr * self.stride + id as usize;
-        let block = &self.positions[attr * self.len..(attr + 1) * self.len];
-        &block[self.offsets[at] as usize..self.offsets[at + 1] as usize]
-    }
-
-    /// Row `r`'s ids.
-    fn row(&self, r: usize) -> &[u32] {
-        &self.rows[r * self.arity..(r + 1) * self.arity]
-    }
-
-    /// Builds the per-attribute CSR buckets by counting sort over ids
-    /// `0..stride - 1`.
-    fn build_buckets(&mut self, stride: usize) {
-        self.stride = stride;
-        self.offsets = vec![0; self.arity * stride];
-        self.positions = vec![0; self.arity * self.len];
-        for p in 0..self.arity {
-            let offsets = &mut self.offsets[p * stride..(p + 1) * stride];
-            let positions = &mut self.positions[p * self.len..(p + 1) * self.len];
-            // offsets[id] := number of rows carrying an id ≤ `id` at `p`.
-            for r in 0..self.len {
-                offsets[self.rows[r * self.arity + p] as usize] += 1;
-            }
-            let mut total = 0;
-            for slot in offsets.iter_mut() {
-                total += *slot;
-                *slot = total;
-            }
-            // Filling from the last row walks each offset down to its
-            // group's start and leaves every group ascending.
-            for r in (0..self.len).rev() {
-                let at = &mut offsets[self.rows[r * self.arity + p] as usize];
-                *at -= 1;
-                positions[*at as usize] = r as u32;
-            }
-        }
-    }
-}
-
-impl<'a> JoinIndex<'a> {
-    /// Indexes every `(relation, arity)` pair the atoms of `cqs` read,
-    /// interning their cells, the constants of `cqs` and the values of
-    /// `extra` (a probed answer tuple).
-    fn build(cqs: &'a [Cq], extra: &'a [Value], inst: &'a Instance) -> Self {
+impl Space {
+    /// A transient space for evaluating `cqs` over `inst`: a pool over
+    /// the cells of every `(relation, arity)` their atoms read, their atom
+    /// and head constants and the values of `extra` (a probed answer
+    /// tuple), and those relations' images over it.
+    ///
+    /// One pass interns every cell through a lookup-only map into
+    /// first-seen ids; only the distinct values are then sorted and
+    /// cloned into the pool, and the rows renumbered in value order.
+    fn transient(cqs: &[Cq], extra: &[Value], inst: &Instance) -> Space {
         let need: BTreeSet<(RelId, usize)> = cqs
             .iter()
             .flat_map(|cq| &cq.atoms)
             .map(|a| (a.rel, a.args.len()))
             .collect();
-        // lint: allow(deterministic-iteration) — see the field doc:
-        // lookup-only.
-        let mut local = HashMap::new();
-        let mut seen: Vec<&'a Value> = Vec::new();
-        let mut intern = |v: &'a Value| -> u32 {
+        // lint: allow(deterministic-iteration) — lookup-only interning
+        // map, probed by value and never iterated.
+        let mut local = HashMap::<&Value, u32>::new();
+        let mut seen: Vec<&Value> = Vec::new();
+        let mut intern = |v| {
             *local.entry(v).or_insert_with(|| {
                 seen.push(v);
                 seen.len() as u32 - 1
             })
         };
-        let mut rels: Vec<RelIndex> = need
+        let rels: Vec<((RelId, usize), usize, Vec<u32>)> = need
             .into_iter()
             .map(|(rel, arity)| {
                 let mut rows = Vec::with_capacity(inst.cardinality(rel) * arity);
@@ -154,15 +97,7 @@ impl<'a> JoinIndex<'a> {
                     rows.extend(t.iter().map(&mut intern));
                     len += 1;
                 }
-                RelIndex {
-                    rel,
-                    arity,
-                    len,
-                    rows,
-                    offsets: Vec::new(),
-                    stride: 0,
-                    positions: Vec::new(),
-                }
+                ((rel, arity), len, rows)
             })
             .collect();
         for cq in cqs {
@@ -183,36 +118,77 @@ impl<'a> JoinIndex<'a> {
         for (sorted, &first) in order.iter().enumerate() {
             rank[first as usize] = sorted as u32;
         }
-        let values: Vec<&Value> = order.iter().map(|&first| seen[first as usize]).collect();
-        let stride = values.len() + 1;
-        for rel in &mut rels {
-            for id in &mut rel.rows {
-                *id = rank[*id as usize];
-            }
-            rel.build_buckets(stride);
-        }
-        JoinIndex {
-            values,
-            local,
-            rank,
-            rels,
-        }
+        let values = order.iter().map(|&first| seen[first as usize].clone());
+        let pool = Arc::new(ConstPool::from_sorted_vec(values.collect()));
+        let rels = rels
+            .into_iter()
+            .map(|(key, len, mut rows)| {
+                for id in rows.iter_mut() {
+                    *id = rank[*id as usize];
+                }
+                (key, Arc::new(IdImage::from_rows(key.1, len, rows)))
+            })
+            .collect();
+        Space { pool, rels }
     }
 
-    /// The sorted id of `v`, if it was interned.
+    /// The image of `rel`'s tuples of length `arity`, if the space holds
+    /// one.
+    fn image(&self, rel: RelId, arity: usize) -> Option<&IdImage> {
+        self.rels
+            .binary_search_by_key(&(rel, arity), |(key, _)| *key)
+            .ok()
+            .map(|at| &*self.rels[at].1)
+    }
+
+    /// The pool id of `v`, if it has one.
     fn id(&self, v: &Value) -> Option<u32> {
-        self.local.get(v).map(|&first| self.rank[first as usize])
+        self.pool.id_of(v).map(|id| id.0)
     }
 
-    /// The answers of the disjuncts in `cqs` (all of head arity `arity`).
-    fn eval<'q>(&self, arity: usize, cqs: impl Iterator<Item = &'q Cq>) -> BTreeSet<Tuple> {
+    /// The ids `lo..hi` whose values lie in `iv`: an interval of the value
+    /// order is a run of the pool's sorted values.
+    fn range(&self, iv: &Interval) -> (u32, u32) {
+        let values = self.pool.values();
+        let lo = values.partition_point(|v| match iv.lo() {
+            Bound::Unbounded => false,
+            Bound::Incl(l) => v < l,
+            Bound::Excl(l) => v <= l,
+        });
+        let hi = values.partition_point(|v| match iv.hi() {
+            Bound::Unbounded => true,
+            Bound::Incl(h) => v <= h,
+            Bound::Excl(h) => v < h,
+        });
+        (lo as u32, hi.max(lo) as u32)
+    }
+
+    /// The answers of the disjuncts in `cqs` (all of head arity `arity`)
+    /// as sorted id rows. Every match pushes its head ids into one flat
+    /// buffer; a head constant outside the pool gets an overflow id, and
+    /// a Boolean query stops at its first witness.
+    fn eval<'q>(&self, arity: usize, cqs: impl Iterator<Item = &'q Cq>) -> AnswerRows {
+        let mut overflow: Vec<Value> = Vec::new();
+        let mut head_id = |v: &Value| -> Option<u32> {
+            let id = match self.pool.id_of(v) {
+                Some(id) => id.0 as usize,
+                None => {
+                    let at = overflow.iter().position(|o| o == v).unwrap_or_else(|| {
+                        overflow.push(v.clone());
+                        overflow.len() - 1
+                    });
+                    self.pool.len() + at
+                }
+            };
+            Some(id as u32)
+        };
         let mut heads: Vec<u32> = Vec::new();
         let mut matched = false;
         for cq in cqs {
-            let Some(plan) = Plan::lower(cq, self) else {
+            let Some(plan) = Plan::lower(cq, self, &mut head_id) else {
                 continue;
             };
-            let mut search = Search::new(self, &plan);
+            let mut search = Search::new(&plan);
             search.run(&mut |assignment| {
                 let start = heads.len();
                 for arg in &plan.head {
@@ -232,37 +208,19 @@ impl<'a> JoinIndex<'a> {
                 break;
             }
         }
-        if arity == 0 {
-            return if matched {
-                BTreeSet::from([Tuple::new()])
-            } else {
-                BTreeSet::new()
-            };
-        }
-        let mut rows: Vec<&[u32]> = heads.chunks_exact(arity).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        // Id order is value order, so `rows` is already in tuple order.
-        rows.into_iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&id| self.values[id as usize].clone())
-                    .collect()
-            })
-            .collect()
+        AnswerRows::from_heads(Arc::clone(&self.pool), arity, matched, &heads, overflow)
     }
 
     /// Whether `tuple` is an answer of `cq`: the head binds its slots
     /// from the tuple, and the body search stops at the first witness.
-    /// `tuple`'s values must have been interned by [`JoinIndex::build`].
     fn answers(&self, cq: &Cq, tuple: &[Value]) -> bool {
         if tuple.len() != cq.head.len() {
             return false;
         }
-        let Some(plan) = Plan::lower(cq, self) else {
+        let Some(plan) = Plan::lower(cq, self, &mut |v| self.id(v)) else {
             return false;
         };
-        let mut search = Search::new(self, &plan);
+        let mut search = Search::new(&plan);
         for (arg, value) in plan.head.iter().zip(tuple) {
             let Some(id) = self.id(value) else {
                 return false;
@@ -284,6 +242,19 @@ impl<'a> JoinIndex<'a> {
     }
 }
 
+/// Evaluates the disjuncts of `cqs` over `inst` in one transient space,
+/// one answer buffer per head arity (a validated union has one).
+fn eval_values(cqs: &[Cq], inst: &Instance) -> BTreeSet<Tuple> {
+    let space = Space::transient(cqs, &[], inst);
+    let arities: BTreeSet<usize> = cqs.iter().map(Cq::arity).collect();
+    let mut out = BTreeSet::new();
+    for arity in arities {
+        let group = cqs.iter().filter(|d| d.arity() == arity);
+        out.append(&mut space.eval(arity, group).to_set());
+    }
+    out
+}
+
 /// A lowered term: a slot of the query's dense variable order, or a
 /// constant's id.
 #[derive(Copy, Clone)]
@@ -303,60 +274,70 @@ impl Arg {
     }
 }
 
-/// A [`Cq`] lowered against one [`JoinIndex`].
-struct Plan {
-    /// Per atom: its `(relation, arity)` entry in the index, and its
-    /// lowered arguments.
-    atoms: Vec<(usize, Vec<Arg>)>,
+/// A [`Cq`] lowered against the images of one [`Space`].
+struct Plan<'s> {
+    /// Per atom: its relation's image, and its lowered arguments.
+    atoms: Vec<(&'s IdImage, Vec<Arg>)>,
     head: Vec<Arg>,
-    /// Per slot, the interval its comparisons allow (if any).
-    intervals: Vec<Option<Interval>>,
+    /// Per slot, the ids `lo..hi` its comparisons allow (if any).
+    ranges: Vec<Option<(u32, u32)>>,
 }
 
-impl Plan {
-    /// Lowers `cq`; `None` when it provably has no match (an empty
-    /// comparison interval) or reads something the index was not built
-    /// for.
-    fn lower(cq: &Cq, index: &JoinIndex<'_>) -> Option<Plan> {
-        let mut vars: BTreeMap<Var, Option<Interval>> =
+impl<'s> Plan<'s> {
+    /// Lowers `cq`, with head constants lowered by `head_id`; `None` when
+    /// it provably has no match: an empty comparison interval, an atom
+    /// over a relation the space has no image of, or an atom constant
+    /// without an id (no row can carry it).
+    fn lower(
+        cq: &Cq,
+        space: &'s Space,
+        head_id: &mut dyn FnMut(&Value) -> Option<u32>,
+    ) -> Option<Plan<'s>> {
+        let mut vars: BTreeMap<Var, Option<(u32, u32)>> =
             cq.vars().into_iter().map(|v| (v, None)).collect();
         for (v, iv) in cq.var_intervals() {
             if iv.is_empty() {
                 return None;
             }
-            vars.insert(v, Some(iv));
+            vars.insert(v, Some(space.range(&iv)));
         }
         let slots: Vec<Var> = vars.keys().copied().collect();
-        let lower = |t: &Term| -> Option<Arg> {
-            match t {
-                Term::Var(v) => slots.binary_search(v).ok().map(Arg::Slot),
-                Term::Const(c) => index.id(c).map(Arg::Id),
-            }
-        };
+        let slot = |v: &Var| slots.binary_search(v).ok().map(Arg::Slot);
         let atoms = cq
             .atoms
             .iter()
             .map(|a| {
-                let rel = index
-                    .rels
-                    .binary_search_by(|r| (r.rel, r.arity).cmp(&(a.rel, a.args.len())))
-                    .ok()?;
-                Some((rel, a.args.iter().map(lower).collect::<Option<_>>()?))
+                let image = space.image(a.rel, a.args.len())?;
+                let args = a
+                    .args
+                    .iter()
+                    .map(|t| match t {
+                        Term::Var(v) => slot(v),
+                        Term::Const(c) => space.id(c).map(Arg::Id),
+                    })
+                    .collect::<Option<_>>()?;
+                Some((image, args))
             })
             .collect::<Option<_>>()?;
-        let head = cq.head.iter().map(lower).collect::<Option<_>>()?;
+        let head = cq
+            .head
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => slot(v),
+                Term::Const(c) => head_id(c).map(Arg::Id),
+            })
+            .collect::<Option<_>>()?;
         Some(Plan {
             atoms,
             head,
-            intervals: vars.into_values().collect(),
+            ranges: vars.into_values().collect(),
         })
     }
 }
 
 /// The state of one backtracking search over a [`Plan`].
-struct Search<'s, 'a> {
-    index: &'s JoinIndex<'a>,
-    plan: &'s Plan,
+struct Search<'p, 's> {
+    plan: &'p Plan<'s>,
     /// Slot → bound id, or [`UNBOUND`].
     assignment: Vec<u32>,
     /// The slots bound so far, in binding order; backtracking pops them.
@@ -365,27 +346,26 @@ struct Search<'s, 'a> {
     remaining: Vec<usize>,
 }
 
-impl<'s, 'a> Search<'s, 'a> {
-    fn new(index: &'s JoinIndex<'a>, plan: &'s Plan) -> Self {
+impl<'p, 's> Search<'p, 's> {
+    fn new(plan: &'p Plan<'s>) -> Self {
         Search {
-            index,
             plan,
-            assignment: vec![UNBOUND; plan.intervals.len()],
-            trail: Vec::with_capacity(plan.intervals.len()),
+            assignment: vec![UNBOUND; plan.ranges.len()],
+            trail: Vec::with_capacity(plan.ranges.len()),
             remaining: (0..plan.atoms.len()).collect(),
         }
     }
 
     /// Binds slot `s` to `id`, or checks it against the current binding.
-    /// A fresh binding must satisfy the slot's comparisons and is pushed
-    /// on the trail.
+    /// A fresh binding must lie in the slot's comparison range and is
+    /// pushed on the trail.
     fn bind(&mut self, s: usize, id: u32) -> bool {
         let cur = self.assignment[s];
         if cur != UNBOUND {
             return cur == id;
         }
-        if let Some(iv) = &self.plan.intervals[s] {
-            if !iv.contains(self.index.values[id as usize]) {
+        if let Some((lo, hi)) = self.plan.ranges[s] {
+            if id < lo || id >= hi {
                 return false;
             }
         }
@@ -404,31 +384,30 @@ impl<'s, 'a> Search<'s, 'a> {
     /// Calls `on_match` for every satisfying assignment of the body;
     /// `on_match` returns `false` to cut the search, and so does `run`.
     ///
-    /// Each node probes the index with every bound argument of the
+    /// Each node probes the image with every bound argument of the
     /// picked atom and iterates the smallest bucket; unification still
     /// checks all positions, so the bucket is a sound overapproximation,
     /// never a filter that could drop matches.
     fn run(&mut self, on_match: &mut dyn FnMut(&[u32]) -> bool) -> bool {
-        let (plan, index) = (self.plan, self.index);
+        let plan = self.plan;
         let Some(pos) = self.pick_atom() else {
             return on_match(&self.assignment);
         };
         let atom = self.remaining.swap_remove(pos);
-        let (rel, args) = &plan.atoms[atom];
-        let rel = &index.rels[*rel];
+        let (image, args) = &plan.atoms[atom];
         let mut bucket: Option<&[u32]> = None;
         for (p, arg) in args.iter().enumerate() {
             let id = arg.resolve(&self.assignment);
             if id != UNBOUND {
-                let b = rel.bucket(p, id);
+                let b = image.bucket(p, id);
                 if bucket.is_none_or(|cur| b.len() < cur.len()) {
                     bucket = Some(b);
                 }
             }
         }
         let mut keep_going = true;
-        for k in 0..bucket.map_or(rel.len, <[u32]>::len) {
-            let row = rel.row(bucket.map_or(k, |b| b[k] as usize));
+        for k in 0..bucket.map_or(image.len(), <[u32]>::len) {
+            let row = image.row(bucket.map_or(k, |b| b[k] as usize));
             let mark = self.trail.len();
             let unified = args.iter().zip(row).all(|(arg, &id)| match *arg {
                 Arg::Id(c) => c == id,
@@ -736,15 +715,14 @@ impl Cq {
 
     /// Evaluates the query over `inst`, returning the answer set `q(I)`.
     pub fn eval(&self, inst: &Instance) -> BTreeSet<Tuple> {
-        let cqs = std::slice::from_ref(self);
-        JoinIndex::build(cqs, &[], inst).eval(self.arity(), cqs.iter())
+        eval_values(std::slice::from_ref(self), inst)
     }
 
     /// Whether `tuple` is an answer of the query over `inst`. Binds the
     /// head variables from the tuple and stops at the first body
     /// witness instead of enumerating every answer.
     pub fn answers(&self, inst: &Instance, tuple: &[Value]) -> bool {
-        JoinIndex::build(std::slice::from_ref(self), tuple, inst).answers(self, tuple)
+        Space::transient(std::slice::from_ref(self), tuple, inst).answers(self, tuple)
     }
 
     /// Applies a substitution to every term (head, atoms) and rewrites
@@ -882,25 +860,45 @@ impl Ucq {
         Ok(())
     }
 
-    /// Evaluates the union over `inst`. The join index is built once
-    /// and shared by every disjunct.
+    /// Evaluates the union over `inst`. The transient pool and images
+    /// are built once and shared by every disjunct.
     pub fn eval(&self, inst: &Instance) -> BTreeSet<Tuple> {
-        let index = JoinIndex::build(&self.disjuncts, &[], inst);
-        // One answer buffer per head arity (a validated union has one).
-        let arities: BTreeSet<usize> = self.disjuncts.iter().map(Cq::arity).collect();
-        let mut out = BTreeSet::new();
-        for arity in arities {
-            let group = self.disjuncts.iter().filter(|d| d.arity() == arity);
-            out.append(&mut index.eval(arity, group));
-        }
-        out
+        eval_values(&self.disjuncts, inst)
     }
 
-    /// Whether `tuple` is an answer over `inst`. The join index is built
-    /// once and shared by every disjunct.
+    /// The answers of the disjuncts with the union's [arity](Ucq::arity)
+    /// (all of them, for a validated union), evaluated over `pool`'s ids
+    /// and returned as sorted id rows — equal to [`Ucq::eval`] once
+    /// mapped back to values, in the same order.
+    ///
+    /// `image` supplies each relation's [`IdImage`] over `pool` (`None`
+    /// for a relation with none: its atoms match nothing). An atom
+    /// constant outside the pool matches nothing; a head constant outside
+    /// it goes to the answer set's overflow list. Comparisons are id
+    /// ranges over the pool's sorted values.
+    pub fn eval_ids(
+        &self,
+        pool: &Arc<ConstPool>,
+        mut image: impl FnMut(RelId) -> Option<Arc<IdImage>>,
+    ) -> AnswerRows {
+        // `rels()` ascends, so the keys do too.
+        let space = Space {
+            pool: Arc::clone(pool),
+            rels: self
+                .rels()
+                .into_iter()
+                .filter_map(|rel| image(rel).map(|image| ((rel, image.arity()), image)))
+                .collect(),
+        };
+        let arity = self.arity();
+        space.eval(arity, self.disjuncts.iter().filter(|d| d.arity() == arity))
+    }
+
+    /// Whether `tuple` is an answer over `inst`. The transient pool and
+    /// images are built once and shared by every disjunct.
     pub fn answers(&self, inst: &Instance, tuple: &[Value]) -> bool {
-        let index = JoinIndex::build(&self.disjuncts, tuple, inst);
-        self.disjuncts.iter().any(|d| index.answers(d, tuple))
+        let space = Space::transient(&self.disjuncts, tuple, inst);
+        self.disjuncts.iter().any(|d| space.answers(d, tuple))
     }
 
     /// The relations any disjunct reads (the union's syntactic

@@ -20,8 +20,10 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use whynot_relation::{
-    Atom, CmpOp, Comparison, Cq, Instance, Interval, RelId, Term, Tuple, Ucq, Value, Var,
+    AnswerRows, Atom, CmpOp, Comparison, ConstPool, Cq, GenPool, IdImage, Instance, Interval,
+    RelId, Term, Tuple, Ucq, Value, Var,
 };
 
 /// Decodes an argument code: 0..4 are variables, 4..6 are constants.
@@ -308,6 +310,96 @@ proptest! {
             prop_assert!(ucq.answers(&inst, t));
         }
         prop_assert_eq!(ucq.answers(&inst, &probe), union_model.contains(&probe));
+    }
+}
+
+/// Values that sort between, before and after the wide universe, so a
+/// pool holding some of them shifts every data id.
+fn shift_value(code: u8) -> Value {
+    match code % 6 {
+        0 => Value::int(-3),
+        1 => Value::int(1),
+        2 => Value::str("aa"),
+        3 => Value::str("abcd"),
+        4 => Value::str("c"),
+        _ => Value::int(5),
+    }
+}
+
+/// `R` and `S` as id images over `pool`.
+fn wide_images(inst: &Instance, pool: &ConstPool) -> [Arc<IdImage>; 2] {
+    [(0, 2), (1, 1)].map(|(rel, arity)| {
+        Arc::new(IdImage::build(inst, RelId(rel), arity, pool).expect("the pool covers adom(I)"))
+    })
+}
+
+/// Evaluates `ucq` over `images` and checks the rows against value-space
+/// evaluation: the same tuples in the same order, and membership by
+/// binary search for every answer and for `probe`.
+fn check_id_space(
+    ucq: &Ucq,
+    inst: &Instance,
+    pool: &Arc<ConstPool>,
+    images: &[Arc<IdImage>; 2],
+    probe: &Tuple,
+) -> AnswerRows {
+    let rows = ucq.eval_ids(pool, |rel| images.get(rel.0 as usize).cloned());
+    let expected = ucq.eval(inst);
+    let got: Vec<Tuple> = rows.tuples().collect();
+    prop_assert_eq!(&got, &expected.iter().cloned().collect::<Vec<_>>());
+    for (r, t) in expected.iter().enumerate() {
+        prop_assert_eq!(rows.position(t), Some(r));
+    }
+    prop_assert_eq!(rows.contains(probe), expected.contains(probe));
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn id_space_eval_matches_value_space(
+        r_raw in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..14),
+        s_raw in proptest::collection::vec(any::<u8>(), 0..6),
+        disjuncts in proptest::collection::vec(wide_disjunct_raw(), 1..4),
+        arity in 0usize..3,
+        (probe_raw, spread) in (proptest::collection::vec(any::<u8>(), 2..3), any::<bool>()),
+        (pooled_raw, grown_raw) in (
+            proptest::collection::vec(any::<u8>(), 0..4),
+            proptest::collection::vec(any::<u8>(), 1..4),
+        ),
+    ) {
+        let inst = wide_instance(&r_raw, &s_raw);
+        let ucq = Ucq::new(
+            disjuncts
+                .iter()
+                .map(|(atoms, head, cmps)| wide_disjunct(atoms, head, cmps, arity)),
+        );
+        let probe: Tuple = (0..arity).map(|i| wide_value(probe_raw[i])).collect();
+        // The pool covers adom(I) plus some shifting values and some of
+        // the query-only constants 8 and 9; the rest stay unpooled. With
+        // `spread`, a thousand numbers between the data's numbers and its
+        // strings leave most columns sparse over the pool.
+        let extra = pooled_raw
+            .iter()
+            .map(|&c| if c % 3 == 0 { wide_value(8 + c / 3 % 2) } else { shift_value(c) })
+            .chain((10..1010).filter(|_| spread).map(Value::int));
+        let mut gen = GenPool::new(inst.const_pool_with(extra));
+        let images = wide_images(&inst, gen.pool());
+        let rows = check_id_space(&ucq, &inst, gen.pool(), &images, &probe);
+
+        // The next generation interns more values, some of them the
+        // query's unpooled constants: remapped images and remapped rows
+        // both still agree with value space.
+        let grown = grown_raw.iter().map(|&c| {
+            if c % 2 == 0 { wide_value(c / 2) } else { shift_value(c / 2) }
+        });
+        if let Some(map) = gen.absorb(grown) {
+            let remapped = images.map(|image| Arc::new(image.remap(&map).expect("total map")));
+            check_id_space(&ucq, &inst, gen.pool(), &remapped, &probe);
+            let moved = rows.remap(gen.pool(), &map).expect("total map");
+            prop_assert_eq!(moved.to_set(), ucq.eval(&inst));
+        }
     }
 }
 

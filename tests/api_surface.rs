@@ -140,22 +140,22 @@ fn degrees_of_generality_order() {
 }
 
 /// Answer types are `Send + Sync`, so a caller can hand session results
-/// to its own threads: answer sets come back behind `Arc` (not `Rc`), and
-/// extensions and the extension table are plain data.
+/// to its own threads: answer sets come back as id rows behind `Arc` (not
+/// `Rc`), and extensions and the extension table are plain data.
 #[test]
 fn answer_types_are_thread_safe() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<whynot::concepts::ExtensionTable>();
     assert_send_sync::<whynot::concepts::Extension>();
     assert_send_sync::<whynot::core::ContrastAnswer>();
-    assert_send_sync::<std::sync::Arc<std::collections::BTreeSet<whynot::relation::Tuple>>>();
+    assert_send_sync::<std::sync::Arc<whynot::relation::AnswerRows>>();
 
     let sc = paper::example_3_4();
     let session =
         whynot::core::WhyNotSession::new(&sc.ontology, &sc.why_not.schema, &sc.why_not.instance);
     // `answers` hands out an `Arc` — the compile-time witness that answer
     // sets can leave the session's thread.
-    let ans: std::sync::Arc<std::collections::BTreeSet<whynot::relation::Tuple>> =
-        session.answers(&sc.why_not.query);
+    let ans: std::sync::Arc<whynot::relation::AnswerRows> = session.answers(&sc.why_not.query);
     assert!(!ans.contains(&sc.why_not.tuple));
+    assert_eq!(ans.to_set(), sc.why_not.ans);
 }

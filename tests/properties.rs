@@ -523,7 +523,7 @@ proptest! {
             .collect();
         let tuple: Tuple = tuple_ints.into_iter().map(Value::int).collect();
         let q = QuestionRef::new(&ans, &tuple);
-        let ids = AnswerIds::new(&pool, q);
+        let ids = AnswerIds::new(&pool, &ans, &tuple);
         prop_assert_eq!(
             exts_form_explanation_q(&exts, ids.question()),
             exts_form_explanation_q(&exts, q),
@@ -572,7 +572,7 @@ proptest! {
             .collect();
         let tuple: Tuple = tuple_ints[..m].iter().map(|&n| Value::int(n)).collect();
         let q = QuestionRef::new(&ans, &tuple);
-        let ids = AnswerIds::new(&pool, q);
+        let ids = AnswerIds::new(&pool, &ans, &tuple);
         for view in [q, ids.question()] {
             for j in 0..m {
                 let blocked = BlockedSet::new(&exts, j, view);
