@@ -1,11 +1,11 @@
-//! Contrastive why-not: the one-shot path vs the session cache, plus the
-//! OBDA certain-answer pipeline.
+//! Contrastive why-not: the one-shot path vs a session, plus the OBDA
+//! certain-answer pipeline.
 //!
 //! Two measurements, all over `scenarios::contrast` workloads:
 //!
 //! 1. **One-shot vs session** — `contrast_instance` per question against
-//!    a fresh `WhyNotSession` answering the same stream (shared lub and
-//!    extension caches across questions).
+//!    a fresh `WhyNotSession` answering the same stream (answer sets,
+//!    extensions and lub columns shared across questions).
 //! 2. **OBDA** — `obda_contrast` per pair (PerfectRef rewriting included)
 //!    against `contrast_instance` per pair over the pre-rewritten UCQ.
 //!

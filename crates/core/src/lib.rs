@@ -42,7 +42,9 @@
 //!   `(ontology, instance)` pair and answers a stream of
 //!   [`WhyNotQuestion`]s one at a time, sharing the extension cache,
 //!   answer sets, candidate lists and conflict bitsets across the whole
-//!   stream (see the [`session`] module docs for the cache inventory).
+//!   stream. The last three are bounded LRU memos under one
+//!   [`CacheBudget`] (see the [`session`] module docs for the cache
+//!   inventory).
 //!   Every algorithm runs sequentially: each question is polynomial for
 //!   bounded arity, and none of them spawns a thread.
 
@@ -56,6 +58,7 @@ mod enumerate;
 mod exhaustive;
 mod explicit;
 mod incremental;
+mod memo;
 mod obda_query;
 mod ontology;
 mod schema_mge;

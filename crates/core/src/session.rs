@@ -12,10 +12,17 @@
 //! |---|---|---|
 //! | concept extensions | concept (via [`EvalContext`]) | every algorithm; ≤ 1 `ext(c, I)` eval per concept **per session**, not per question |
 //! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, `>card` lists, word-parallel membership |
-//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each stamped with a serial |
+//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each tagged with a serial |
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
 //! | conflict bitsets | `(answer serial, position, concept)` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
 //! | the pooled [`LubEngine`]: one id image per relation, plus lub columns | `rel` / `(rel, attr)` (built once) | query evaluation over the images, and Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
+//!
+//! The answer, candidate and conflict caches are each one `Memo` (see
+//! the crate's `memo` module): a hash map under an entry cap from the
+//! session's [`CacheBudget`], evicting its least-recently-used entry.
+//! Evicting an answer set purges the conflict bitsets keyed by its
+//! serial. Contrastive answers are not cached: each
+//! [`contrast`](WhyNotSession::contrast) call recomputes its answer.
 //!
 //! Questions are answered in the session pool's id space: answer sets are
 //! evaluated over the engine's id images ([`Ucq::eval_ids`]) without
@@ -84,14 +91,12 @@ use crate::contrast::{
 };
 use crate::exhaustive;
 use crate::incremental::{check_mge_instance_core, incremental_search_core};
+use crate::memo::Memo;
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
 use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation};
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
-// lint: allow(deterministic-iteration) — session caches are probed by key;
-// the one iteration (delta invalidation) mutates caches, never results.
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use whynot_concepts::{
@@ -231,26 +236,21 @@ pub struct SessionStats {
     /// Algorithm 1 (question-independent: keyed by the query's answers,
     /// not the missing tuple).
     pub cached_conflicts: usize,
-    /// Always 0: lubs are grown per probe from per-position states,
-    /// never memoized. Kept because the wire `stats` line and the wire
-    /// benchmark report it.
+    /// Always 0: lubs are grown per probe, never memoized. Kept, like
+    /// every always-0 field here, because the wire `stats` line and the
+    /// wire benchmark report it.
     pub cached_lubs: usize,
-    /// Always 0: growth states carry their extensions, so no `LS`
-    /// concept extension is memoized. Kept because the wire `stats` line
-    /// and the wire benchmark report it.
+    /// Always 0: growth states carry their `LS` extensions.
     pub cached_ls_extensions: usize,
-    /// Distinct `(query, missing, foil, kind)` contrastive answers
-    /// cached.
+    /// Always 0: contrastive answers are recomputed per call.
     pub cached_contrasts: usize,
     /// `(rel, attr)` column sets interned by the pooled lub engine —
     /// bounded by the schema's total attribute count for the session's
     /// whole lifetime, however many questions were answered.
     pub lub_column_builds: usize,
-    /// Always 0: the session answers one question at a time and has no
-    /// batch entry point. Kept because the wire `stats` line and the wire
-    /// benchmark report it.
+    /// Always 0: the session answers one question at a time.
     pub batches: usize,
-    /// Always 0; see `batches`.
+    /// Always 0: as `batches`.
     pub batch_questions: usize,
     /// [`apply_delta`](WhyNotSession::apply_delta) calls accepted
     /// (including no-ops).
@@ -314,13 +314,6 @@ pub struct DeltaStats {
     pub lub_columns_dropped: usize,
     /// Lub-engine column sets retained (id-remapped across a bump).
     pub lub_columns_retained: usize,
-    /// Cached contrastive answers dropped. A contrast entry certifies
-    /// *maximality* against the full column set, so any effective delta
-    /// can invalidate it (a new covering atom anywhere can admit a more
-    /// general separator) — the classification is all-or-nothing:
-    /// everything drops on an effective delta, everything survives a
-    /// no-op.
-    pub contrast_dropped: usize,
 }
 
 impl DeltaStats {
@@ -333,7 +326,6 @@ impl DeltaStats {
             + self.candidates_dropped
             + self.conflicts_dropped
             + self.lub_columns_dropped
-            + self.contrast_dropped
     }
 
     /// Total cache entries that survived the delta intact (possibly
@@ -351,10 +343,9 @@ impl DeltaStats {
 /// Per-cache entry budgets for a session's memo caches — the knob a
 /// long-running service (see `whynot-server`) turns to bound memory.
 ///
-/// The default is [`unlimited`](CacheBudget::unlimited): every cache is
-/// append-only for the session's lifetime, exactly the pre-budget
-/// behaviour. A finite budget caps the entry count; inserting past the
-/// cap evicts the least-recently-used entry first (recency stamps are
+/// The default is [`unlimited`](CacheBudget::unlimited): no cache ever
+/// evicts. A finite budget caps the entry count; inserting past the cap
+/// evicts the least-recently-used entry first (recency stamps are
 /// unique, so the victim is deterministic). A budget of 0 disables the
 /// cache entirely — every probe recomputes, answers stay correct, the
 /// session just loses its reuse advantage.
@@ -368,13 +359,10 @@ pub struct CacheBudget {
     pub candidates: usize,
     /// Max Algorithm 1 conflict bitsets.
     pub conflicts: usize,
-    /// Max cached contrastive answers (keyed `(query, missing, foil,
-    /// kind)`).
-    pub contrast: usize,
 }
 
 impl CacheBudget {
-    /// No limits — the append-only default.
+    /// No limits: the default.
     pub const fn unlimited() -> Self {
         CacheBudget::uniform(usize::MAX)
     }
@@ -385,7 +373,6 @@ impl CacheBudget {
             answers: n,
             candidates: n,
             conflicts: n,
-            contrast: n,
         }
     }
 }
@@ -406,26 +393,14 @@ pub struct EvictionStats {
     pub answers: usize,
     /// Candidate index lists evicted.
     pub candidates: usize,
-    /// Always 0: answer probes are the cached answer rows' own ids, so
-    /// there is no probe cache to evict from. Kept because the wire
-    /// `stats` line reports it.
-    pub probes: usize,
     /// Conflict bitsets evicted (including cascade purges).
     pub conflicts: usize,
-    /// Always 0: there is no lub memo to evict from. Kept because the
-    /// wire `stats` line reports it.
-    pub lubs: usize,
-    /// Always 0: there is no `LS` extension memo to evict from. Kept like
-    /// `lubs`.
-    pub ls_extensions: usize,
-    /// Contrastive answers evicted.
-    pub contrast: usize,
 }
 
 impl EvictionStats {
     /// Total entries evicted across every cache.
     pub fn total(&self) -> usize {
-        self.answers + self.candidates + self.conflicts + self.contrast
+        self.answers + self.candidates + self.conflicts
     }
 }
 
@@ -433,11 +408,8 @@ impl EvictionStats {
 /// session's conflict cache.
 type ConflictBits = Arc<(Vec<u64>, usize)>;
 
-/// A cache entry carrying its LRU recency stamp.
-type Stamped<T> = (T, Cell<u64>);
-
-/// A cached answer set and the serial the cache stamped on it at insert
-/// (unique for the session's lifetime: a clock tick).
+/// A cached answer set and the serial it was cached under (unique for
+/// the session's lifetime).
 type SerialAnswers = (Arc<AnswerRows>, u64);
 
 /// A why-not service over one pinned `(ontology, instance)` pair.
@@ -454,78 +426,34 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// ontologies only), built on first use.
     finite: OnceCell<(Vec<O::Concept>, ExtensionTable)>,
     /// Candidate concept indices keyed by position constant (`Arc` so a
-    /// hit is a pointer clone), each entry carrying its LRU recency stamp.
-    candidates: RefCell<BTreeMap<Value, Stamped<Arc<Vec<usize>>>>>,
-    /// Answer sets as sorted pool-id rows, keyed by query, each entry
-    /// carrying its serial and its LRU stamp.
-    // lint: allow(deterministic-iteration) — probed by query; the answers
-    // themselves are ordered rows.
-    answers: RefCell<HashMap<Ucq, Stamped<SerialAnswers>>>,
+    /// hit is a pointer clone).
+    candidates: RefCell<Memo<Value, Arc<Vec<usize>>>>,
+    /// Answer sets as sorted pool-id rows, keyed by query, each with its
+    /// serial.
+    answers: RefCell<Memo<Ucq, SerialAnswers>>,
+    /// The last answer serial handed out; serials are never reused.
+    serials: Cell<u64>,
     /// Algorithm 1 conflict bitsets (with their popcounts) keyed by
     /// `(answer serial, position, concept index)`. A candidate's conflict
     /// bits depend on the query's answers and the concept — *not* on
     /// the missing tuple — so questions sharing a query reuse them
     /// wholesale; the per-question work drops to a cache probe and a
-    /// word copy per surviving candidate. Serials are never reused, and
-    /// entries die with their answer set (evicted or dropped by a
-    /// delta).
-    // lint: allow(deterministic-iteration) — serial-keyed conflict cache;
-    // keyed lookups only, never iterated into results.
-    conflicts: RefCell<HashMap<(u64, usize, usize), Stamped<ConflictBits>>>,
+    /// word copy per surviving candidate. Entries die with their answer
+    /// set (evicted or dropped by a delta).
+    conflicts: RefCell<Memo<(u64, usize, usize), ConflictBits>>,
     /// The pooled lub engine: one id image per relation, which answer
     /// sets are evaluated over, and the lub columns read off the images
     /// that every growth probe runs through — each interned once for the
     /// whole session (until a delta changes the relation).
     lub_engine: OnceCell<LubEngine<'a>>,
-    /// Contrastive answers keyed by `(query, missing, foil, kind slot)`,
-    /// each entry carrying its LRU stamp. Dropped wholesale by any
-    /// effective delta (see [`DeltaStats::contrast_dropped`]): the
-    /// stored separators and foil-aligned MGE are certified *maximal*
-    /// against the full lub column set, which any relation change can
-    /// extend.
-    #[allow(clippy::type_complexity)]
-    // lint: allow(deterministic-iteration) — keyed lookups only, never
-    // iterated into results.
-    contrast: RefCell<HashMap<(Ucq, Tuple, Tuple, usize), Stamped<Arc<ContrastAnswer>>>>,
-    /// Entry budgets for every cache above; `CacheBudget::unlimited()`
-    /// (the default) preserves the historical append-only behaviour.
+    /// Entry budgets for the three memos above.
     budget: CacheBudget,
-    /// The LRU clock: bumped on every cache touch, so recency stamps are
-    /// unique and eviction picks a deterministic victim.
-    clock: Cell<u64>,
-    /// Entries evicted per cache under the budget.
-    evicted: Cell<EvictionStats>,
     questions: Cell<usize>,
     /// Delta accounting: calls accepted, entries invalidated, entries
     /// retained (summed over calls; see [`DeltaStats`]).
     deltas: Cell<usize>,
     delta_invalidated: Cell<usize>,
     delta_retained: Cell<usize>,
-}
-
-fn kind_slot(kind: LubKind) -> usize {
-    match kind {
-        LubKind::SelectionFree => 0,
-        LubKind::WithSelections => 1,
-    }
-}
-
-/// The least-recently-used key of a stamped hash cache. Stamps are
-/// unique (the session clock bumps on every touch), so the minimum — and
-/// therefore the victim — is deterministic despite the map's order.
-// lint: allow(deterministic-iteration) — min of unique stamps: the
-// victim is independent of iteration order.
-fn lru_key<K: Clone + Eq + std::hash::Hash, V>(map: &HashMap<K, (V, Cell<u64>)>) -> Option<K> {
-    map.iter()
-        .min_by_key(|(_, (_, stamp))| stamp.get())
-        .map(|(k, _)| k.clone())
-}
-
-/// The least-recently-used key of a stamped ordered cache.
-fn lru_key_btree<K: Clone + Ord, V>(map: &BTreeMap<K, (V, Cell<u64>)>) -> Option<K> {
-    map.iter()
-        .min_by_key(|(_, (_, stamp))| stamp.get())
-        .map(|(k, _)| k.clone())
 }
 
 impl<'a, O: Ontology> WhyNotSession<'a, O> {
@@ -547,19 +475,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             schema,
             ctx: EvalContext::new(ontology, instance),
             finite: OnceCell::new(),
-            candidates: RefCell::new(BTreeMap::new()),
-            // lint: allow(deterministic-iteration) — see the field docs:
-            // all three hash caches are keyed lookups, never iterated
-            // into results.
-            answers: RefCell::new(HashMap::new()),
-            // lint: allow(deterministic-iteration) — as above.
-            conflicts: RefCell::new(HashMap::new()),
+            candidates: RefCell::new(Memo::new()),
+            answers: RefCell::new(Memo::new()),
+            serials: Cell::new(0),
+            conflicts: RefCell::new(Memo::new()),
             lub_engine: OnceCell::new(),
-            // lint: allow(deterministic-iteration) — as above.
-            contrast: RefCell::new(HashMap::new()),
             budget: CacheBudget::unlimited(),
-            clock: Cell::new(0),
-            evicted: Cell::new(EvictionStats::default()),
             questions: Cell::new(0),
             deltas: Cell::new(0),
             delta_invalidated: Cell::new(0),
@@ -574,7 +495,10 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// a cache without affecting answers.
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
         self.budget = budget;
-        self.trim_to_budget();
+        let evicted = self.answers.get_mut().set_budget(budget.answers);
+        self.purge_conflicts_of(evicted);
+        self.candidates.get_mut().set_budget(budget.candidates);
+        self.conflicts.get_mut().set_budget(budget.conflicts);
     }
 
     /// The session's current [`CacheBudget`].
@@ -585,77 +509,19 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// Per-cache counts of LRU evictions under the budget (all zero for
     /// the unlimited default).
     pub fn evictions(&self) -> EvictionStats {
-        self.evicted.get()
+        EvictionStats {
+            answers: self.answers.borrow().evicted(),
+            candidates: self.candidates.borrow().evicted(),
+            conflicts: self.conflicts.borrow().evicted(),
+        }
     }
 
-    /// The next unique recency stamp.
-    fn clock_tick(&self) -> u64 {
-        let t = self.clock.get() + 1;
-        self.clock.set(t);
-        t
-    }
-
-    fn count_evicted(&self, f: impl FnOnce(&mut EvictionStats)) {
-        let mut e = self.evicted.get();
-        f(&mut e);
-        self.evicted.set(e);
-    }
-
-    /// Evicts the LRU answer set and cascades: conflict entries keyed by
-    /// its serial are purged with it.
-    // lint: allow(deterministic-iteration) — the victim comes from
-    // `lru_key` (unique stamps); the cascade purge is key-filtered.
-    fn evict_one_answer(&self, cache: &mut HashMap<Ucq, Stamped<SerialAnswers>>) {
-        let Some(key) = lru_key(cache) else { return };
-        let Some(((_, serial), _)) = cache.remove(&key) else {
-            return;
-        };
+    /// The eviction cascade: purges the conflict bitsets keyed by the
+    /// serials of evicted answer sets.
+    fn purge_conflicts_of(&self, evicted: Vec<SerialAnswers>) {
         let mut conflicts = self.conflicts.borrow_mut();
-        let before = conflicts.len();
-        conflicts.retain(|(s, _, _), _| *s != serial);
-        let purged = before - conflicts.len();
-        drop(conflicts);
-        self.count_evicted(|e| {
-            e.answers += 1;
-            e.conflicts += purged;
-        });
-    }
-
-    /// Trims every cache down to the current budget, LRU-first.
-    fn trim_to_budget(&self) {
-        let budget = self.budget;
-        loop {
-            let mut cache = self.answers.borrow_mut();
-            if cache.len() <= budget.answers {
-                break;
-            }
-            self.evict_one_answer(&mut cache);
-        }
-        {
-            let mut cache = self.candidates.borrow_mut();
-            while cache.len() > budget.candidates {
-                let Some(key) = lru_key_btree(&cache) else {
-                    break;
-                };
-                cache.remove(&key);
-                self.count_evicted(|e| e.candidates += 1);
-            }
-        }
-        {
-            let mut cache = self.conflicts.borrow_mut();
-            while cache.len() > budget.conflicts {
-                let Some(key) = lru_key(&cache) else { break };
-                cache.remove(&key);
-                self.count_evicted(|e| e.conflicts += 1);
-            }
-        }
-        {
-            let mut cache = self.contrast.borrow_mut();
-            while cache.len() > budget.contrast {
-                let Some(key) = lru_key(&cache) else { break };
-                cache.remove(&key);
-                self.count_evicted(|e| e.contrast += 1);
-            }
+        for (_, serial) in evicted {
+            conflicts.evict_where(|&(s, _, _)| s == serial);
         }
     }
 
@@ -704,8 +570,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             cached_conflicts: self.conflicts.borrow().len(),
             cached_lubs: 0,
             cached_ls_extensions: 0,
-            cached_contrasts: self.contrast.borrow().len(),
-            cache_evictions: self.evicted.get().total(),
+            cached_contrasts: 0,
+            cache_evictions: self.evictions().total(),
             lub_column_builds: self.lub_engine.get().map_or(0, LubEngine::column_builds),
             batches: 0,
             batch_questions: 0,
@@ -832,46 +698,39 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
         // 3. Candidate lists: membership of *any* dirty concept can
         // reshuffle every per-constant list.
-        let candidates = self.candidates.get_mut();
-        if any_concept_dirty {
-            stats.candidates_dropped = candidates.len();
-            candidates.clear();
-        } else {
-            stats.candidates_retained = candidates.len();
-        }
+        (stats.candidates_dropped, stats.candidates_retained) =
+            self.candidates.get_mut().retain(|_, _| !any_concept_dirty);
 
         // 4. Answer sets: drop exactly the queries that read a changed
         // relation; a generation bump remaps the survivors' ids (the map
         // keeps value order, so their rows keep theirs, and so do their
         // serials).
-        let answers = self.answers.get_mut();
-        let before = answers.len();
-        answers.retain(|q, _| !q.rels().iter().any(|r| changed.contains(r)));
-        if let Some(map) = &map {
-            for ((rows, _), _) in answers.values_mut() {
-                *rows = Arc::new(
-                    rows.remap(&pool, map)
-                        // lint: allow(no-panic-in-lib) — generations only
-                        // grow, so a PoolMap is total on every old id.
-                        .expect("generation maps are total on old ids"),
-                );
-            }
-        }
-        stats.answers_dropped = before - answers.len();
-        stats.answers_retained = answers.len();
+        let mut live: Vec<u64> = Vec::new();
+        (stats.answers_dropped, stats.answers_retained) =
+            self.answers.get_mut().retain(|q, (rows, serial)| {
+                if q.rels().iter().any(|r| changed.contains(r)) {
+                    return false;
+                }
+                if let Some(map) = &map {
+                    *rows = Arc::new(
+                        rows.remap(&pool, map)
+                            // lint: allow(no-panic-in-lib) — generations only
+                            // grow, so a PoolMap is total on every old id.
+                            .expect("generation maps are total on old ids"),
+                    );
+                }
+                live.push(*serial);
+                true
+            });
 
         // 5. Conflict bitsets are value-semantic (answer index →
         // membership): they survive generation bumps, and die only with
         // their answer set or their concept.
-        let mut live: Vec<u64> = answers.values().map(|((_, serial), _)| *serial).collect();
         live.sort_unstable();
-        let conflicts = self.conflicts.get_mut();
-        let before = conflicts.len();
-        conflicts.retain(|(serial, _, k), _| {
-            live.binary_search(serial).is_ok() && !dirty.get(*k).copied().unwrap_or(true)
-        });
-        stats.conflicts_dropped = before - conflicts.len();
-        stats.conflicts_retained = conflicts.len();
+        (stats.conflicts_dropped, stats.conflicts_retained) =
+            self.conflicts.get_mut().retain(|(serial, _, k), _| {
+                live.binary_search(serial).is_ok() && !dirty.get(*k).copied().unwrap_or(true)
+            });
 
         // 6. The lub engine: changed relations' images and columns drop,
         // retained ones are id-remapped across a bump, and adom(I) is
@@ -879,24 +738,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // holds lubs: growth states never outlive a call.
         if let Some(engine) = self.lub_engine.get_mut() {
             let repool = map.as_ref().map(|m| (&pool, m));
-            let (cols_retained, cols_dropped) =
+            (stats.lub_columns_retained, stats.lub_columns_dropped) =
                 engine.apply_delta(&outcome.instance, &changed, repool);
-            stats.lub_columns_retained = cols_retained;
-            stats.lub_columns_dropped = cols_dropped;
         }
-
-        // 7. Contrastive answers: the cached separators and foil-aligned
-        // MGEs are certified *maximal* against the full lub column set —
-        // a change to any relation can mint a new covering atom that
-        // admits a strictly more general result, so there is no sound
-        // per-entry retention test short of recomputing. Effective
-        // deltas drop the cache wholesale (no-ops returned early above
-        // and retain everything); the per-position *ontology* difference
-        // is not cached here at all — it reuses the candidate and
-        // conflict caches, which are selectively retained in 3/5.
-        let contrast = self.contrast.get_mut();
-        stats.contrast_dropped = contrast.len();
-        contrast.clear();
 
         self.delta_invalidated
             .set(self.delta_invalidated.get() + stats.invalidated());
@@ -926,9 +770,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// [`answers`](Self::answers) with the cache's serial for the set
     /// (`None` when the answers cache is disabled).
     fn answers_entry(&self, query: &Ucq) -> (Arc<AnswerRows>, Option<u64>) {
-        if let Some(((hit, serial), stamp)) = self.answers.borrow().get(query) {
-            stamp.set(self.clock_tick());
-            return (Arc::clone(hit), Some(*serial));
+        if let Some((hit, serial)) = self.answers.borrow_mut().get(query) {
+            return (hit, Some(serial));
         }
         let engine = self.lub_engine();
         let ans = Arc::new(query.eval_ids(engine.pool(), |rel| engine.image(rel)));
@@ -942,15 +785,13 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         if self.budget.answers == 0 {
             return (ans, None);
         }
-        let mut cache = self.answers.borrow_mut();
-        while cache.len() >= self.budget.answers {
-            self.evict_one_answer(&mut cache);
-        }
-        let serial = self.clock_tick();
-        cache.insert(
-            query.clone(),
-            ((Arc::clone(&ans), serial), Cell::new(serial)),
-        );
+        let serial = self.serials.get() + 1;
+        self.serials.set(serial);
+        let evicted = self
+            .answers
+            .borrow_mut()
+            .insert(query.clone(), (Arc::clone(&ans), serial));
+        self.purge_conflicts_of(evicted);
         (ans, Some(serial))
     }
 
@@ -1047,16 +888,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         ))
     }
 
-    /// The contrast cache key of a question under one [`LubKind`].
-    fn contrast_key(q: &ContrastQuestion, kind: LubKind) -> (Ucq, Tuple, Tuple, usize) {
-        (
-            q.query.clone(),
-            q.missing.clone(),
-            q.foil.clone(),
-            kind_slot(kind),
-        )
-    }
-
     /// Validates a contrastive question and resolves its answer set
     /// (cached per query) and the foil's row in it.
     fn bind_contrast(&self, q: &ContrastQuestion) -> Result<BoundContrast, SessionError> {
@@ -1073,39 +904,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         })
     }
 
-    /// Inserts a freshly computed contrastive answer under the budget
-    /// (evicting LRU-first past the cap; budget 0 skips caching).
-    fn store_contrast(&self, key: (Ucq, Tuple, Tuple, usize), answer: &Arc<ContrastAnswer>) {
-        if self.budget.contrast == 0 {
-            return;
-        }
-        let mut cache = self.contrast.borrow_mut();
-        while cache.len() >= self.budget.contrast {
-            let Some(victim) = lru_key(&cache) else { break };
-            cache.remove(&victim);
-            self.count_evicted(|e| e.contrast += 1);
-        }
-        cache.insert(key, (Arc::clone(answer), Cell::new(self.clock_tick())));
-    }
-
     /// The contrastive answer — per-position difference separators plus
     /// the foil-aligned MGE (see [`ContrastAnswer`]) — with growth probes
-    /// through the session's lub engine, memoized by `(query, missing,
-    /// foil, kind)`. A cache
-    /// hit skips binding entirely (the entry can only exist while the
-    /// instance is unchanged — every effective delta drops the cache), so
-    /// hits do not count toward
-    /// [`questions_answered`](Self::questions_answered).
+    /// through the session's lub engine. The answer set comes from the
+    /// session's cache; the answer itself is computed afresh on every
+    /// call.
     pub fn contrast(
         &self,
         q: &ContrastQuestion,
         kind: LubKind,
     ) -> Result<Arc<ContrastAnswer>, SessionError> {
-        let key = Self::contrast_key(q, kind);
-        if let Some((hit, stamp)) = self.contrast.borrow().get(&key) {
-            stamp.set(self.clock_tick());
-            return Ok(Arc::clone(hit));
-        }
         let bound = self.bind_contrast(q)?;
         let engine = self.lub_engine();
         let adom = engine.adom();
@@ -1114,16 +922,14 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             &bound.missing,
         );
         let ids = bound.residual();
-        let answer = Arc::new(contrast_core(
+        Ok(Arc::new(contrast_core(
             &k_vals,
             ids.question(),
             &bound.foil,
             engine,
             kind,
             &mut |c| c.extension_in(self.instance(), self.pool()),
-        ));
-        self.store_contrast(key, &answer);
-        Ok(answer)
+        )))
     }
 }
 
@@ -1144,24 +950,14 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     /// on the query or the rest of the tuple — so the cache carries
     /// across questions.
     fn indices_for(&self, a: &Value) -> Arc<Vec<usize>> {
-        if let Some((hit, stamp)) = self.candidates.borrow().get(a) {
-            stamp.set(self.clock_tick());
-            return Arc::clone(hit);
+        if let Some(hit) = self.candidates.borrow_mut().get(a) {
+            return hit;
         }
         let (all, table) = self.finite_index();
         let idxs = Arc::new(exhaustive::candidate_indices(table, all.len(), a));
-        if self.budget.candidates == 0 {
-            return idxs;
-        }
-        let mut cache = self.candidates.borrow_mut();
-        while cache.len() >= self.budget.candidates {
-            let Some(key) = lru_key_btree(&cache) else {
-                break;
-            };
-            cache.remove(&key);
-            self.count_evicted(|e| e.candidates += 1);
-        }
-        cache.insert(a.clone(), (Arc::clone(&idxs), Cell::new(self.clock_tick())));
+        self.candidates
+            .borrow_mut()
+            .insert(a.clone(), Arc::clone(&idxs));
         idxs
     }
 
@@ -1171,18 +967,10 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     /// value at position `i` lies in the concept's extension. The answer
     /// column's ids are the table probes, since both index the session
     /// pool.
-    fn conflict_bits_for(
-        &self,
-        bound: &BoundQuestion,
-        i: usize,
-        k: usize,
-    ) -> Arc<(Vec<u64>, usize)> {
+    fn conflict_bits_for(&self, bound: &BoundQuestion, i: usize, k: usize) -> ConflictBits {
         let key = bound.serial.map(|serial| (serial, i, k));
-        if let Some(key) = &key {
-            if let Some((hit, stamp)) = self.conflicts.borrow().get(key) {
-                stamp.set(self.clock_tick());
-                return Arc::clone(hit);
-            }
+        if let Some(hit) = key.and_then(|key| self.conflicts.borrow_mut().get(&key)) {
+            return hit;
         }
         let (_, table) = self.finite_index();
         let rows = &bound.ans;
@@ -1196,14 +984,8 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         }
         let count = kernels::count_ones(&bits);
         let entry = Arc::new((bits, count));
-        if let Some(key) = key.filter(|_| self.budget.conflicts > 0) {
-            let mut cache = self.conflicts.borrow_mut();
-            while cache.len() >= self.budget.conflicts {
-                let Some(victim) = lru_key(&cache) else { break };
-                cache.remove(&victim);
-                self.count_evicted(|e| e.conflicts += 1);
-            }
-            cache.insert(key, (Arc::clone(&entry), Cell::new(self.clock_tick())));
+        if let Some(key) = key {
+            self.conflicts.borrow_mut().insert(key, Arc::clone(&entry));
         }
         entry
     }
@@ -2041,8 +1823,6 @@ mod tests {
         );
         let ev = capped.evictions();
         assert!(ev.candidates > 0, "5 distinct constants through budget 2");
-        assert_eq!(ev.lubs, 0);
-        assert_eq!(ev.ls_extensions, 0);
         assert_eq!(stats.cache_evictions, ev.total());
         assert!(stats.cache_evictions > 0);
         // The unlimited reference evicted nothing.
@@ -2124,6 +1904,35 @@ mod tests {
         assert_eq!(fresh.exhaustive(&q), session.exhaustive(&q));
     }
 
+    /// Evicting an answer set purges exactly the conflict bitsets keyed
+    /// by its serial, and counts them as conflict evictions.
+    #[test]
+    fn answer_eviction_purges_its_conflict_bitsets() {
+        let (o, schema, inst, tc) = fixture();
+        let first = WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]);
+        let second = WhyNotQuestion::new(one_hop(tc), [s("Kyoto"), s("Amsterdam")]);
+        // Each query's own conflict entries, counted in a session of its own.
+        let own = |q: &WhyNotQuestion| {
+            let alone = WhyNotSession::new(&o, &schema, &inst);
+            alone.exhaustive(q).unwrap();
+            alone.stats().cached_conflicts
+        };
+        let (first_own, second_own) = (own(&first), own(&second));
+        assert!(first_own > 0 && second_own > 0);
+
+        let mut session = WhyNotSession::new(&o, &schema, &inst);
+        session.set_cache_budget(CacheBudget {
+            answers: 1,
+            ..CacheBudget::unlimited()
+        });
+        session.exhaustive(&first).unwrap();
+        assert_eq!(session.stats().cached_conflicts, first_own);
+        session.exhaustive(&second).unwrap();
+        assert_eq!(session.evictions().answers, 1);
+        assert_eq!(session.stats().cached_conflicts, second_own);
+        assert_eq!(session.evictions().conflicts, first_own);
+    }
+
     /// The paper-style contrast pair over the two-hop query: reachable
     /// `(Amsterdam, Rome)` answers while `(Amsterdam, New York)` does
     /// not.
@@ -2135,8 +1944,7 @@ mod tests {
         )
     }
 
-    /// Session contrast ≡ the one-shot free function for both lub
-    /// kinds; a repeat is a cache hit sharing the same `Arc`.
+    /// Session contrast ≡ the one-shot free function for both lub kinds.
     #[test]
     fn contrast_matches_one_shot() {
         let (o, schema, inst, tc) = fixture();
@@ -2146,10 +1954,7 @@ mod tests {
             let via_session = session.contrast(&q, kind).unwrap();
             let one_shot = crate::contrast::contrast_instance(&schema, &inst, &q, kind).unwrap();
             assert_eq!(*via_session, one_shot, "contrast({kind:?}) disagrees");
-            let hit = session.contrast(&q, kind).unwrap();
-            assert!(Arc::ptr_eq(&via_session, &hit), "cache hit shares the Arc");
         }
-        assert_eq!(session.stats().cached_contrasts, 2);
         // Validation errors surface through the session path too.
         let bad = ContrastQuestion::new(
             two_hop(tc),
@@ -2176,64 +1981,5 @@ mod tests {
         // unique maximal named separator.
         assert_eq!(via_session[1].len(), 1);
         assert_eq!(format!("{}", via_session[1][0]), "European-City");
-    }
-
-    /// Any effective delta drops the whole contrast cache (maximality
-    /// is certified against the full column set); a no-op keeps it.
-    #[test]
-    fn delta_drops_contrast_cache() {
-        let (o, schema, inst, tc) = fixture();
-        let mut session = WhyNotSession::new(&o, &schema, &inst);
-        let q = contrast_pair(tc);
-        let before = session.contrast(&q, LubKind::SelectionFree).unwrap();
-        assert_eq!(session.stats().cached_contrasts, 1);
-
-        // A no-op delta (deleting an absent fact) retains everything.
-        let mut noop = Delta::new();
-        noop.delete(tc, vec![s("Rome"), s("Tokyo")]);
-        let stats = session.apply_delta(&noop).unwrap();
-        assert_eq!(stats.contrast_dropped, 0);
-        let hit = session.contrast(&q, LubKind::SelectionFree).unwrap();
-        assert!(Arc::ptr_eq(&before, &hit), "no-op delta keeps the cache");
-
-        // An effective delta drops the cache and changes the answer:
-        // Rome–Tokyo opens a second Amsterdam two-hop target.
-        let mut delta = Delta::new();
-        delta.insert(tc, vec![s("Rome"), s("Tokyo")]);
-        let stats = session.apply_delta(&delta).unwrap();
-        assert_eq!(stats.contrast_dropped, 1);
-        assert_eq!(session.stats().cached_contrasts, 0);
-        let after = session.contrast(&q, LubKind::SelectionFree).unwrap();
-        let fresh_inst = session.instance().clone();
-        let fresh =
-            crate::contrast::contrast_instance(&schema, &fresh_inst, &q, LubKind::SelectionFree)
-                .unwrap();
-        assert_eq!(*after, fresh, "recompute sees the new instance");
-    }
-
-    /// The contrast cache obeys its budget: LRU eviction past the cap,
-    /// counted, and budget 0 disables caching entirely.
-    #[test]
-    fn contrast_cache_honours_budget() {
-        let (o, schema, inst, tc) = fixture();
-        let mut session = WhyNotSession::new(&o, &schema, &inst);
-        session.set_cache_budget(CacheBudget {
-            contrast: 1,
-            ..CacheBudget::unlimited()
-        });
-        let q = contrast_pair(tc);
-        session.contrast(&q, LubKind::SelectionFree).unwrap();
-        session.contrast(&q, LubKind::WithSelections).unwrap();
-        assert_eq!(session.stats().cached_contrasts, 1);
-        assert_eq!(session.evictions().contrast, 1);
-        session.set_cache_budget(CacheBudget {
-            contrast: 0,
-            ..CacheBudget::unlimited()
-        });
-        assert_eq!(session.stats().cached_contrasts, 0);
-        let a = session.contrast(&q, LubKind::SelectionFree).unwrap();
-        let b = session.contrast(&q, LubKind::SelectionFree).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b), "budget 0 disables the cache");
-        assert_eq!(a, b, "…but answers stay equal");
     }
 }

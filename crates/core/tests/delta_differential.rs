@@ -171,9 +171,9 @@ fn run(
 
                 // Contrast: foil the first current answer (when one
                 // exists) and compare the full contrastive answer plus
-                // the named ontology difference — this is what pins the
-                // drop-all contrast invalidation as *correct*, not just
-                // conservative.
+                // the named ontology difference, both computed over the
+                // live session's retained answer sets, lub columns,
+                // candidate lists and conflict bitsets.
                 let ans = q.query.eval(&materialized);
                 if let Some(foil) = ans.iter().next().cloned() {
                     let cq =

@@ -465,11 +465,7 @@ impl ServerCore {
         let evictions = JsonObj::new()
             .field("answers", ev.answers)
             .field("candidates", ev.candidates)
-            .field("probes", ev.probes)
             .field("conflicts", ev.conflicts)
-            .field("lubs", ev.lubs)
-            .field("ls_extensions", ev.ls_extensions)
-            .field("contrast", ev.contrast)
             .build();
         Ok(ok("stats")
             .field("tenant", name)
