@@ -1,15 +1,16 @@
-//! Raw-speed engine v2 against the pre-v2 engine state: unrolled word
-//! kernels, arena scratch, selectivity-ordered candidates, and
-//! empty-mask subtree bailing vs the previous engine's scalar zips,
-//! per-node mask allocation, and table-order product walk.
+//! Raw-speed engine v2 against the pre-v2 engine state: shared word
+//! kernels with fused emptiness reports, arena scratch,
+//! selectivity-ordered candidates, and empty-mask subtree bailing vs the
+//! previous engine's scalar zips, per-node mask allocation, and
+//! table-order product walk.
 //!
 //! The baseline here is *not* the seed (that comparison lives in
 //! `BENCH_engine_speedup.json`): it is a faithful re-implementation of
 //! the engine as it stood before v2 — memoized evaluation context,
 //! one-pass extension table, pre-interned probes, conflict bitsets —
-//! with exactly the v2 deltas reverted: dense-only word probes, scalar
-//! `zip` ANDs, a fresh `Vec` per product-walk node, candidates in table
-//! order, no empty-mask bail, per-question candidate rebuilds instead
+//! with exactly the v2 deltas reverted: `zip` ANDs that collect into a
+//! fresh `Vec` per product-walk node, candidates in table order, no
+//! empty-mask bail, per-question candidate rebuilds instead
 //! of the session conflict cache, and the un-indexed query evaluator
 //! (every join node rescans its atom's full relation). The warmed
 //! single-question comparison runs both engines over the same warmed
@@ -160,9 +161,9 @@ struct V1Candidates<C> {
     conflicts: Vec<Vec<u64>>,
 }
 
-/// The pre-v2 candidate build: pre-interned probes, *dense-only* word
-/// probes (no sparse containers), a fresh `Vec` per conflict set (no
-/// arena), candidates in table order (no selectivity sort).
+/// The pre-v2 candidate build: pre-interned probes, dense word probes,
+/// a fresh `Vec` per conflict set (no arena), candidates in table order
+/// (no selectivity sort).
 fn v1_build<O: FiniteOntology>(
     all: &[O::Concept],
     table: &whynot_concepts::ExtensionTable,

@@ -204,7 +204,7 @@ impl ValueSet {
         Arc::ptr_eq(&self.pool, &other.pool)
     }
 
-    /// Set inclusion `self ⊆ other`. Word-parallel (unrolled kernel)
+    /// Set inclusion `self ⊆ other`. Word-parallel (shared kernel)
     /// when the pools are shared; falls back to per-value membership
     /// otherwise.
     pub fn is_subset(&self, other: &ValueSet) -> bool {
@@ -216,7 +216,7 @@ impl ValueSet {
         }
     }
 
-    /// Whether the sets share no member. Word-parallel (unrolled
+    /// Whether the sets share no member. Word-parallel (shared
     /// kernel) when the pools are shared; probes `other` with each of
     /// `self`'s members otherwise.
     pub fn is_disjoint(&self, other: &ValueSet) -> bool {
@@ -228,7 +228,7 @@ impl ValueSet {
         }
     }
 
-    /// Set intersection. Word-parallel (unrolled kernel) when the pools
+    /// Set intersection. Word-parallel (shared kernel) when the pools
     /// are shared.
     pub fn intersection(&self, other: &ValueSet) -> ValueSet {
         if self.same_pool(other) {

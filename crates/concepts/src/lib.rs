@@ -29,36 +29,29 @@
 //!   ([`LubState`]; Lemma 5.1's covered flags and Lemma 5.2's minimal
 //!   boxes in [`ValueId`](whynot_relation::ValueId) space); the search
 //!   algorithms are generic over the [`LubProvider`] trait it implements,
-//! * [`kernels`] — the shared unrolled 256-bit-chunk bitset kernels
-//!   every engine crate's hot word loop runs on, and [`IdBits`] —
-//!   two-level (sorted-array / dense-word) id sets selected per column
-//!   by density ([`sparse_threshold`]), and
+//! * [`kernels`] — the shared bitset word ops every engine crate's hot
+//!   word loop runs on (one dense bit per pooled constant), and
 //! * [`irredundant`] / [`simplify`] — polynomial-time irredundant
 //!   equivalents (Proposition 6.2).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod concept;
 mod extension;
-// kernels holds the two SAFETY-commented chunk casts behind the
-// unrolled distinct-count loops; everything else in the crate is safe.
-#[allow(unsafe_code)]
 pub mod kernels;
 mod lub;
 mod lub_engine;
 mod minimize;
 mod parse;
 mod selection;
-mod sparse;
 mod table;
 
 pub use concept::{LsAtom, LsConcept};
 pub use extension::{Extension, ValueSet, ValueSetIter};
-pub use lub::{lub, lub_extension, lub_sigma, selection_free_atom_count, try_lub, try_lub_sigma};
+pub use lub::{lub, lub_sigma, try_lub, try_lub_sigma};
 pub use lub_engine::{LubEngine, LubKind, LubProvider, LubState};
 pub use minimize::{irredundant, simplify, simplify_selections};
 pub use parse::{parse_concept, parse_value, ParseError};
 pub use selection::{SelConstraint, Selection};
-pub use sparse::{sparse_threshold, IdBits};
 pub use table::{ExtensionTable, Probe};

@@ -308,23 +308,6 @@ fn box_contains(outer: &[(Value, Value)], inner: &[(Value, Value)]) -> bool {
             .all(|((olo, ohi), (ilo, ihi))| olo <= ilo && ihi <= ohi)
 }
 
-/// The number of distinct atomic candidates considered by [`lub`], useful
-/// for sizing benchmarks (cf. Proposition 4.2's counting argument).
-pub fn selection_free_atom_count(schema: &Schema) -> usize {
-    schema.rel_ids().map(|r| schema.arity(r)).sum()
-}
-
-/// Support-set closure: the extension of `lub_I(X)` restricted to the
-/// instance's columns. Exposed for property tests — by Lemma 5.1 this is
-/// the intersection of all covering column projections.
-pub fn lub_extension(
-    schema: &Schema,
-    inst: &Instance,
-    x: &BTreeSet<Value>,
-) -> crate::extension::Extension {
-    lub(schema, inst, x).extension(inst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,13 +522,6 @@ mod tests {
         inst.insert(r, vec![Value::int(1)]);
         let x: BTreeSet<Value> = [Value::int(99)].into_iter().collect();
         assert!(minimal_boxes(&inst, r, 0, &x).is_empty());
-    }
-
-    #[test]
-    fn atom_count_matches_schema_shape() {
-        let (schema, _, _, _) = paper_fixture();
-        // Cities has 4 attributes, Train-Connections has 2.
-        assert_eq!(selection_free_atom_count(&schema), 6);
     }
 
     #[test]

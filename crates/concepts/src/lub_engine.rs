@@ -82,7 +82,6 @@ use crate::concept::{LsAtom, LsConcept};
 use crate::extension::{Extension, ValueSet};
 use crate::kernels;
 use crate::selection::Selection;
-use crate::sparse::IdBits;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -108,11 +107,9 @@ struct RelColumns {
     /// index (`id → rows`) and column bounds; shared with query
     /// evaluation.
     image: Arc<IdImage>,
-    /// Per schema attribute, the occurrence set over the pool's id
-    /// space, read off the image on the first lub. The container (sorted
-    /// id array vs dense words) is selected per column by density — see
-    /// [`crate::sparse`].
-    bits: OnceLock<Vec<IdBits>>,
+    /// Per schema attribute, the occurrence bitset over the pool's id
+    /// space (one word per 64 ids), read off the image on the first lub.
+    bits: OnceLock<Vec<Vec<u64>>>,
 }
 
 /// The growth state of one lub: the support set `S`, the lub `lub(S)`
@@ -377,17 +374,22 @@ impl<'a> LubEngine<'a> {
         let mut words = vec![0u64; self.pool.word_len()];
         for (_, rc) in rels.iter() {
             for bits in rc.bits() {
-                bits.union_into(&mut words);
+                kernels::or_assign(&mut words, bits);
             }
         }
+        let adom = words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                (0..64u32)
+                    .filter(move |b| word >> b & 1 != 0)
+                    .map(move |b| ValueId(w as u32 * 64 + b))
+            })
+            .collect();
         let view = LubView {
             pool: Arc::clone(&self.pool),
             rels,
-            adom: IdBits::from_words(words, self.pool.len())
-                .ids()
-                .into_iter()
-                .map(ValueId)
-                .collect(),
+            adom,
         };
         *self.view.borrow_mut() = Some(view.clone());
         view
@@ -489,9 +491,7 @@ impl RelColumns {
                         let id = self.image.row(r)[j] as usize;
                         words[id / 64] |= 1 << (id % 64);
                     }
-                    // Each column picks its container (sparse array vs
-                    // dense words) by density, once, here.
-                    IdBits::from_words(words, pool.len())
+                    words
                 })
                 .collect()
         });
@@ -501,7 +501,7 @@ impl RelColumns {
     /// The per-attribute occurrence bits; empty until
     /// [`RelColumns::read_bits`] (the view reads every relation's before
     /// it is used).
-    fn bits(&self) -> &[IdBits] {
+    fn bits(&self) -> &[Vec<u64>] {
         self.bits.get().map_or(&[], Vec::as_slice)
     }
 }
@@ -543,7 +543,7 @@ impl LubView {
         match kind {
             LubKind::SelectionFree => Columns::Covered(
                 self.columns()
-                    .map(|(_, rc, attr)| id.is_some_and(|id| rc.bits()[attr].contains(id.0)))
+                    .map(|(_, rc, attr)| id.is_some_and(|id| has_id(&rc.bits()[attr], id)))
                     .collect(),
             ),
             LubKind::WithSelections => Columns::Boxes(
@@ -571,7 +571,7 @@ impl LubView {
                 self.columns()
                     .zip(flags)
                     .map(|((_, rc, attr), &covered)| {
-                        covered && id.is_some_and(|id| rc.bits()[attr].contains(id.0))
+                        covered && id.is_some_and(|id| has_id(&rc.bits()[attr], id))
                     })
                     .collect(),
             ),
@@ -648,8 +648,10 @@ impl LubView {
                 {
                     let bits = &rc.bits()[attr];
                     match &mut acc {
-                        None => acc = Some(bits.to_words()),
-                        Some(words) => bits.intersect_words(words),
+                        None => acc = Some(bits.clone()),
+                        Some(words) => {
+                            kernels::and_assign(words, bits);
+                        }
                     }
                 }
             }
@@ -807,6 +809,11 @@ impl LubProvider for LubEngine<'_> {
     fn grow(&self, state: &LubState, v: &Value) -> LubState {
         self.view().grow(state, v)
     }
+}
+
+/// Whether the occurrence bitset `bits` holds `id`.
+fn has_id(bits: &[u64], id: ValueId) -> bool {
+    bits[id.index() / 64] >> (id.index() % 64) & 1 != 0
 }
 
 /// Lemma 5.2's growth step in one column: stretches every minimal box of

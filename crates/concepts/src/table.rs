@@ -12,7 +12,6 @@
 //! [`Extension`].
 
 use crate::extension::Extension;
-use crate::sparse::IdBits;
 use std::sync::Arc;
 use whynot_relation::{ConstPool, PoolMap, Value, ValueId};
 
@@ -21,11 +20,6 @@ use whynot_relation::{ConstPool, PoolMap, Value, ValueId};
 pub struct ExtensionTable {
     pool: Arc<ConstPool>,
     exts: Vec<Extension>,
-    /// Per entry: a sorted-array probe container for the entries sparse
-    /// enough to beat the dense bit probe's cache behavior (`None` =
-    /// probe the extension's words directly). Chosen at build time by
-    /// [`crate::sparse::sparse_threshold`]; semantically invisible.
-    sparse: Vec<Option<IdBits>>,
 }
 
 impl ExtensionTable {
@@ -36,15 +30,8 @@ impl ExtensionTable {
         count: usize,
         mut eval: impl FnMut(usize) -> Extension,
     ) -> Self {
-        let exts: Vec<Extension> = (0..count).map(|i| eval(i).reinterned(&pool)).collect();
-        let sparse = exts
-            .iter()
-            .map(|e| match e {
-                Extension::Finite(set) => IdBits::sparse_from_words(set.words(), pool.len()),
-                Extension::Universal => None,
-            })
-            .collect();
-        ExtensionTable { pool, exts, sparse }
+        let exts = (0..count).map(|i| eval(i).reinterned(&pool)).collect();
+        ExtensionTable { pool, exts }
     }
 
     /// Builds a table by evaluating each item of a slice once.
@@ -81,7 +68,7 @@ impl ExtensionTable {
         debug_assert_eq!(dirty.len(), self.exts.len());
         let mut reevaluated = 0usize;
         let mut retained = 0usize;
-        let exts: Vec<Extension> = self
+        let exts = self
             .exts
             .into_iter()
             .enumerate()
@@ -98,14 +85,7 @@ impl ExtensionTable {
                 }
             })
             .collect();
-        let sparse = exts
-            .iter()
-            .map(|e| match e {
-                Extension::Finite(set) => IdBits::sparse_from_words(set.words(), pool.len()),
-                Extension::Universal => None,
-            })
-            .collect();
-        (ExtensionTable { pool, exts, sparse }, reevaluated, retained)
+        (ExtensionTable { pool, exts }, reevaluated, retained)
     }
 
     /// The extension at `index`.
@@ -147,13 +127,7 @@ impl ExtensionTable {
     pub fn entry_contains(&self, index: usize, probe: &Probe, v: &Value) -> bool {
         match (&self.exts[index], probe.id) {
             (Extension::Universal, _) => true,
-            (Extension::Finite(set), Some(id)) => match &self.sparse[index] {
-                // A sparse entry answers from its sorted id array (a
-                // short binary search instead of touching a mostly-zero
-                // word vector).
-                Some(bits) => bits.contains(id.index() as u32),
-                None => set.words()[id.index() / 64] & (1 << (id.index() % 64)) != 0,
-            },
+            (Extension::Finite(set), Some(id)) => set.contains_id(id),
             // The probe value is outside the pool: only the overflow set
             // can contain it.
             (Extension::Finite(set), None) => set.extra().contains(v),

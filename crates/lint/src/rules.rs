@@ -33,8 +33,7 @@ const DETERMINISTIC_CRATES: [&str; 8] = [
 /// Every `WHYNOT_*` environment variable the workspace is allowed to
 /// read. Adding a knob means adding it here **and** documenting it in
 /// the README — the `env-var-registry` rule cross-checks both.
-pub const ENV_REGISTRY: [&str; 5] = [
-    "WHYNOT_SPARSE_THRESHOLD",
+pub const ENV_REGISTRY: [&str; 4] = [
     "WHYNOT_SERVER_QUEUE_DEPTH",
     "WHYNOT_SERVER_CACHE_BUDGET",
     "WHYNOT_SERVER_SNAPSHOT_DIR",

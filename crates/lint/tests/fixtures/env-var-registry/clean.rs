@@ -1,9 +1,9 @@
 //! Fixture: only registered knobs, plus the bare `"WHYNOT_"` prefix a
 //! matcher might hold — clean.
 
-/// Reads the declared sparse-threshold knob.
-pub fn sparse_threshold() -> Option<String> {
-    std::env::var("WHYNOT_SPARSE_THRESHOLD").ok()
+/// Reads the declared server queue-depth knob.
+pub fn queue_depth() -> Option<String> {
+    std::env::var("WHYNOT_SERVER_QUEUE_DEPTH").ok()
 }
 
 /// A prefix literal is not a variable name.
