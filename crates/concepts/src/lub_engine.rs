@@ -21,24 +21,37 @@
 //!   `B₀` ranges over the minimal boxes of `S` and `w` over the rows with
 //!   `w[attr] = v`; if `S` has no box, neither has `S ∪ {v}`. A singleton
 //!   `{x}` starts from one point box per witness row of `x`. One step
-//!   costs `|boxes(S)| × |witnesses(v)|` box stretches plus the dominance
-//!   filter over them. Boxes live in pool id space (id order is value
-//!   order) and resolve to owned values only when the state's concept is
-//!   assembled.
+//!   costs `|boxes(S)| · |witnesses(v)|` box stretches, each checked
+//!   against the antichain of minimal boxes kept so far (which drops the
+//!   kept boxes the new one lies within), so the filter costs the
+//!   stretch count times the kept antichain's size, not the square of
+//!   the stretch count. Boxes live in pool id space (id order is value
+//!   order) and resolve to owned values only when the state's concept
+//!   is assembled.
 //!
 //! A from-scratch `lub(X)` / `lubσ(X)` is the fold of these steps over
 //! `X`, so a growth loop (Algorithm 2, CHECK-MGE, the contrast searches)
-//! pays one step per probe instead of a full recomputation.
+//! pays one step per probe instead of a full recomputation. A state keeps
+//! no copy of its support — only a singleton's nominal — and a step by a
+//! constant already in the lub's extension leaves every covered flag and
+//! minimal box as it was.
 //!
-//! Every state the engine builds also carries the lub's **extension**,
-//! computed in the pool's id space from the same growth data: the AND of
-//! the covered columns' occurrence bits (Lemma 5.1), or the AND over
-//! boxes of the rows' ids inside each box (Lemma 5.2); a singleton is its
-//! nominal and no atom at all is `⊤`. The growth loops decide each probe
-//! from [`LubState::extension`], and the state's `LsConcept` is
-//! assembled lazily, on the first [`LubState::concept`] or
-//! [`LubState::into_concept`] call — so a rejected probe never builds a
-//! concept or resolves an id to a value.
+//! A state answers three questions from the same growth data, each on
+//! demand:
+//!
+//! * [`LubState::contains`]: whether one constant is in the lub's
+//!   extension — a bit probe per covered column (Lemma 5.1), or a witness
+//!   row of the constant inside every box (Lemma 5.2). A probe that only
+//!   asks whether one value is captured (the contrast difference sweep)
+//!   is decided here and builds nothing.
+//! * [`LubState::extension`]: the lub's extension in the pool's id
+//!   space, built on the first call — the AND of the covered columns'
+//!   occurrence bits, or the AND over boxes of the rows' ids inside each
+//!   box; a singleton is its nominal and no atom at all is `⊤`. The
+//!   Algorithm 2 and CHECK-MGE loops decide each probe from it.
+//! * [`LubState::concept`] / [`LubState::into_concept`]: the `LsConcept`,
+//!   assembled on the first call — so a rejected probe never builds a
+//!   concept or resolves an id to a value.
 //!
 //! Support elements outside the pool (e.g. a why-not question probing a
 //! fresh constant) are handled exactly: no column contains them and no
@@ -112,17 +125,18 @@ struct RelColumns {
     bits: OnceLock<Vec<Vec<u64>>>,
 }
 
-/// The growth state of one lub: the support set `S`, the lub `lub(S)`
-/// (or `lubσ(S)`), and per `(rel, attr)` column what a growth step needs
-/// — a covered flag (Lemma 5.1) or the column's minimal boxes in id space
-/// (Lemma 5.2).
+/// The growth state of one lub: the lub `lub(S)` (or `lubσ(S)`) of a
+/// support set `S`, and per `(rel, attr)` column what a growth step
+/// needs — a covered flag (Lemma 5.1) or the column's minimal boxes in
+/// id space (Lemma 5.2).
 ///
-/// A state built by the pooled engine carries the lub's extension,
-/// computed in the pool's id space from the same column data (see
-/// [`LubState::extension`]), and assembles the lub's concept only when
-/// [`concept`](LubState::concept) or
-/// [`into_concept`](LubState::into_concept) first asks for it: a growth
-/// probe that is decided by its extension never builds a concept.
+/// A state built by the pooled engine keeps no copy of `S`: only the
+/// nominal of a singleton support, which its lub keeps. It builds the
+/// lub's extension in the pool's id space from the same column data on
+/// the first [`extension`](LubState::extension) call, and assembles the
+/// lub's concept on the first [`concept`](LubState::concept) or
+/// [`into_concept`](LubState::into_concept) call, so a probe rejected
+/// by [`contains`](LubState::contains) builds neither.
 ///
 /// Opaque: obtained from [`LubProvider::start`], [`LubProvider::grow`]
 /// or [`LubProvider::state_of`], and only meaningful to the provider
@@ -131,7 +145,6 @@ struct RelColumns {
 #[derive(Clone, Debug)]
 pub struct LubState {
     kind: LubKind,
-    support: BTreeSet<Value>,
     growth: Growth,
 }
 
@@ -139,23 +152,30 @@ pub struct LubState {
 #[derive(Clone, Debug)]
 enum Growth {
     /// Built by a provider's default bodies (no column access): the
-    /// concept is computed up front, and every step recomputes from the
+    /// concept is computed up front, and every step refolds from the
     /// support.
-    Recompute(LsConcept),
+    Recompute {
+        support: BTreeSet<Value>,
+        concept: LsConcept,
+    },
     /// Built by the pooled engine from its interned columns.
     Pooled(Pooled),
 }
 
-/// A pooled state's column data, extension and lazily assembled concept.
+/// A pooled state's column data and its lazily built extension and
+/// concept.
 #[derive(Clone, Debug)]
 struct Pooled {
     /// The columns the data indexes (two `Arc`s; resolves ids to values
     /// when the concept is assembled).
     view: LubView,
+    /// The support's only member when it is a singleton (its lub keeps
+    /// the nominal), `None` for a larger support.
+    nominal: Option<Value>,
     columns: Columns,
-    /// `[[lub(S)]]^I` over the view's pool, shared with the growth loops
-    /// that keep it beside the state.
-    extension: Arc<Extension>,
+    /// `[[lub(S)]]^I` over the view's pool, built on first use and
+    /// shared with the growth loops that keep it beside the state.
+    extension: OnceCell<Arc<Extension>>,
     concept: OnceCell<LsConcept>,
 }
 
@@ -166,7 +186,8 @@ enum Columns {
     /// Lemma 5.1: whether each column still contains the whole support.
     Covered(Vec<bool>),
     /// Lemma 5.2: each column's minimal boxes, `arity` intervals per box
-    /// (empty when the support has no box in that column).
+    /// in ascending order (empty when the support has no box in that
+    /// column).
     Boxes(Vec<Vec<Interval>>),
 }
 
@@ -175,35 +196,61 @@ impl LubState {
     /// the first call.
     pub fn concept(&self) -> &LsConcept {
         match &self.growth {
-            Growth::Recompute(concept) => concept,
+            Growth::Recompute { concept, .. } => concept,
             Growth::Pooled(p) => p
                 .concept
-                .get_or_init(|| p.view.assemble(&self.support, &p.columns)),
+                .get_or_init(|| p.view.assemble(p.nominal.as_ref(), &p.columns)),
         }
     }
 
     /// Consumes the state, keeping only its concept.
     pub fn into_concept(self) -> LsConcept {
         match self.growth {
-            Growth::Recompute(concept) => concept,
+            Growth::Recompute { concept, .. } => concept,
             Growth::Pooled(p) => match p.concept.into_inner() {
                 Some(concept) => concept,
-                None => p.view.assemble(&self.support, &p.columns),
+                None => p.view.assemble(p.nominal.as_ref(), &p.columns),
             },
         }
     }
 
     /// The lub's extension over the provider's pool, when the state
-    /// carries one: always for states built by the pooled engine, never
-    /// for states built by the recomputing default bodies of
-    /// [`LubProvider`] (evaluate their [`concept`](LubState::concept)
-    /// instead). The extension is shared: cloning the `Arc` is a pointer
-    /// copy.
+    /// carries one: always for states built by the pooled engine (built
+    /// on the first call), never for states built by the recomputing
+    /// default bodies of [`LubProvider`] (evaluate their
+    /// [`concept`](LubState::concept) instead). The extension is shared:
+    /// cloning the `Arc` is a pointer copy.
     pub fn extension(&self) -> Option<&Arc<Extension>> {
         match &self.growth {
-            Growth::Recompute(_) => None,
-            Growth::Pooled(p) => Some(&p.extension),
+            Growth::Recompute { .. } => None,
+            Growth::Pooled(p) => Some(
+                p.extension
+                    .get_or_init(|| Arc::new(p.view.extension(p.nominal.as_ref(), &p.columns))),
+            ),
         }
+    }
+
+    /// Whether `v` belongs to the lub's extension, decided from the
+    /// growth data without building the extension: `v` is the singleton's
+    /// nominal, or its id is set in every covered column (Lemma 5.1), or
+    /// every minimal box holds a witness row of `v` (Lemma 5.2). `None`
+    /// for states built by the recomputing default bodies of
+    /// [`LubProvider`], which carry no growth data.
+    pub fn contains(&self, v: &Value) -> Option<bool> {
+        match &self.growth {
+            Growth::Recompute { .. } => None,
+            Growth::Pooled(p) => Some(p.view.contains(p.nominal.as_ref(), &p.columns, v)),
+        }
+    }
+}
+
+impl Pooled {
+    /// Whether growing by `v` can skip the step because `v` is already
+    /// in the extension: `v` is the nominal, or the extension is built
+    /// and holds it. Stepping by an in-extension constant would rebuild
+    /// the same covered flags and minimal boxes.
+    fn absorbs(&self, v: &Value) -> bool {
+        self.nominal.as_ref() == Some(v) || self.extension.get().is_some_and(|e| e.contains(v))
     }
 }
 
@@ -601,28 +648,59 @@ impl LubView {
     /// the from-scratch lub entry points only want the concept).
     fn fold_concept(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LsConcept> {
         let columns = self.fold_columns(kind, x)?;
-        Some(self.assemble(x, &columns))
+        Some(self.assemble(singleton(x), &columns))
     }
 
     /// The full state of `x`.
     fn fold(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
         let columns = self.fold_columns(kind, x)?;
-        Some(self.state(kind, x.clone(), columns))
+        Some(self.state(kind, singleton(x).cloned(), columns))
     }
 
-    /// Wraps growth data into a state, computing its extension now and
-    /// leaving its concept for the first read.
-    fn state(&self, kind: LubKind, support: BTreeSet<Value>, columns: Columns) -> LubState {
-        let extension = Arc::new(self.extension(&support, &columns));
+    /// Wraps growth data into a state whose extension and concept are
+    /// built on first use.
+    fn state(&self, kind: LubKind, nominal: Option<Value>, columns: Columns) -> LubState {
         LubState {
             kind,
-            support,
             growth: Growth::Pooled(Pooled {
                 view: self.clone(),
+                nominal,
                 columns,
-                extension,
+                extension: OnceCell::new(),
                 concept: OnceCell::new(),
             }),
+        }
+    }
+
+    /// Whether `v` is in the extension of the concept
+    /// [`LubView::assemble`] would build (see [`LubState::contains`]).
+    fn contains(&self, nominal: Option<&Value>, columns: &Columns, v: &Value) -> bool {
+        if let Some(x) = nominal {
+            return x == v;
+        }
+        let id = self.pool.id_of(v);
+        match columns {
+            Columns::Covered(flags) => self
+                .columns()
+                .zip(flags)
+                .filter(|(_, covered)| **covered)
+                .all(|((_, rc, attr), _)| id.is_some_and(|id| has_id(&rc.bits()[attr], id))),
+            Columns::Boxes(boxes) => {
+                self.columns()
+                    .zip(boxes)
+                    .all(|((_, rc, attr), boxes)| match id {
+                        _ if boxes.is_empty() => true,
+                        None => false,
+                        Some(id) => {
+                            let witnesses = rc.image.bucket(attr, id.0);
+                            boxes.chunks_exact(rc.image.arity()).all(|bx| {
+                                witnesses
+                                    .iter()
+                                    .any(|&r| inside(rc.image.row(r as usize), bx))
+                            })
+                        }
+                    })
+            }
         }
     }
 
@@ -637,8 +715,8 @@ impl LubView {
     ///   `{row[attr] : row ∈ R, row inside the id box}` — id order is
     ///   value order, so this is the box atom's selection.
     /// * No atom at all is `⊤`: [`Extension::Universal`].
-    fn extension(&self, support: &BTreeSet<Value>, columns: &Columns) -> Extension {
-        if let (Some(x), 1) = (support.first(), support.len()) {
+    fn extension(&self, nominal: Option<&Value>, columns: &Columns) -> Extension {
+        if let Some(x) = nominal {
             return Extension::finite_refs_in(Arc::clone(&self.pool), [x]);
         }
         let mut acc: Option<Vec<u64>> = None;
@@ -658,7 +736,7 @@ impl LubView {
             Columns::Boxes(boxes) => {
                 let mut scratch = vec![0u64; self.pool.word_len()];
                 for ((_, rc, attr), boxes) in self.columns().zip(boxes) {
-                    for bx in boxes.chunks_exact(rc.bits().len()) {
+                    for bx in boxes.chunks_exact(rc.image.arity()) {
                         scratch.fill(0);
                         box_extension_into(rc, attr, bx, &mut scratch);
                         match &mut acc {
@@ -680,11 +758,11 @@ impl LubView {
     /// Resolves growth data into the lub's concept: the nominal of a
     /// singleton support, then per column its covering atom or one
     /// `π_attr(σ_box(R))` per minimal box.
-    fn assemble(&self, support: &BTreeSet<Value>, columns: &Columns) -> LsConcept {
-        let mut atoms: Vec<LsAtom> = Vec::new();
-        if let (Some(x), 1) = (support.first(), support.len()) {
-            atoms.push(LsAtom::Nominal(x.clone()));
-        }
+    fn assemble(&self, nominal: Option<&Value>, columns: &Columns) -> LsConcept {
+        let mut atoms: Vec<LsAtom> = nominal
+            .map(|x| LsAtom::Nominal(x.clone()))
+            .into_iter()
+            .collect();
         match columns {
             Columns::Covered(flags) => {
                 for ((rel, _, attr), _) in
@@ -695,7 +773,7 @@ impl LubView {
             }
             Columns::Boxes(boxes) => {
                 for ((rel, rc, attr), boxes) in self.columns().zip(boxes) {
-                    for bx in boxes.chunks_exact(rc.bits().len()) {
+                    for bx in boxes.chunks_exact(rc.image.arity()) {
                         atoms.push(box_atom(&self.pool, rel, rc, attr, bx));
                     }
                 }
@@ -706,32 +784,36 @@ impl LubView {
 
     /// The state of the singleton support `{x}`.
     fn start(&self, kind: LubKind, x: &Value) -> LubState {
-        let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
-        let columns = self.seed(kind, x);
-        self.state(kind, support, columns)
+        self.state(kind, Some(x.clone()), self.seed(kind, x))
     }
 
-    /// The state of `S ∪ {v}` stepped from the state of `S`.
+    /// The state of `S ∪ {v}` stepped from the state of `S`. A `v` in
+    /// `ext(lub(S))` leaves the lub as it is, so the state is returned
+    /// unchanged when that is cheap to tell ([`Pooled::absorbs`]);
+    /// otherwise the step runs, and rebuilds the same data for such a
+    /// `v`. Past the nominal check `S ∪ {v}` has at least two members,
+    /// so the grown state keeps no nominal.
     fn grow(&self, state: &LubState, v: &Value) -> LubState {
-        if state.support.contains(v) {
-            return state.clone();
-        }
         let columns = match &state.growth {
+            Growth::Pooled(p) if p.absorbs(v) => return state.clone(),
             Growth::Pooled(p) => self.step(&p.columns, v),
+            Growth::Recompute { support, .. } if support.contains(v) => return state.clone(),
             // Built by the recomputing default bodies: no column data to
             // step from, so fold the grown support instead (a lub does
             // not depend on the order its support is folded in).
-            Growth::Recompute(_) => state
-                .support
-                .iter()
-                .fold(self.seed(state.kind, v), |columns, u| {
+            Growth::Recompute { support, .. } => {
+                support.iter().fold(self.seed(state.kind, v), |columns, u| {
                     self.step(&columns, u)
-                }),
+                })
+            }
         };
-        let mut support = state.support.clone();
-        support.insert(v.clone());
-        self.state(state.kind, support, columns)
+        self.state(state.kind, None, columns)
     }
+}
+
+/// The only member of a singleton support, whose lub keeps its nominal.
+fn singleton(x: &BTreeSet<Value>) -> Option<&Value> {
+    x.first().filter(|_| x.len() == 1)
 }
 
 /// The lub interface the search algorithms are generic over: the pooled
@@ -761,8 +843,10 @@ pub trait LubProvider {
         }?;
         Some(LubState {
             kind,
-            support: x.clone(),
-            growth: Growth::Recompute(concept),
+            growth: Growth::Recompute {
+                support: x.clone(),
+                concept,
+            },
         })
     }
 
@@ -777,12 +861,21 @@ pub trait LubProvider {
     }
 
     /// The state of `lub(S ∪ {v})` grown from the state of `lub(S)`. A
-    /// `v` already in `S` returns the state unchanged.
+    /// `v` already in `ext(lub(S))` returns the state unchanged.
+    ///
+    /// The default body recomputes from the grown support. A pooled
+    /// state keeps no support, so it is refolded from the members of its
+    /// extension: `lub(ext(lub(S))) ≡ lub(S)`.
     fn grow(&self, state: &LubState, v: &Value) -> LubState {
-        if state.support.contains(v) {
-            return state.clone();
-        }
-        let mut support = state.support.clone();
+        let mut support = match &state.growth {
+            Growth::Recompute { support, .. } if support.contains(v) => return state.clone(),
+            Growth::Recompute { support, .. } => support.clone(),
+            Growth::Pooled(_) => match state.extension().and_then(|e| e.as_finite()) {
+                Some(members) if !members.contains(v) => members.to_btree_set(),
+                // `⊤` or a member: absorbing `v` changes nothing.
+                _ => return state.clone(),
+            },
+        };
         support.insert(v.clone());
         self.state_of(state.kind, &support)
             // lint: allow(no-panic-in-lib) — the grown support holds `v`.
@@ -820,42 +913,63 @@ fn has_id(bits: &[u64], id: ValueId) -> bool {
 /// `S` to every witness row of `v` and keeps the minimal results. Empty
 /// stays empty (no box of `S` → no box of `S ∪ {v}`), and so does a `v`
 /// without witness rows.
+///
+/// The filter runs online: each stretched box is checked against the
+/// antichain kept so far ([`keep_if_minimal`]), so a step costs
+/// `|boxes(S)| · |witnesses(v)|` stretches times the kept antichain's
+/// size, not the square of the stretch count.
 fn stretch_boxes(rc: &RelColumns, attr: Attr, boxes: &[Interval], v: u32) -> Vec<Interval> {
-    let arity = rc.bits().len();
+    let arity = rc.image.arity();
     let witnesses = rc.image.bucket(attr, v);
     if boxes.is_empty() || witnesses.is_empty() {
         return Vec::new();
     }
-    let mut stretched: Vec<Interval> = Vec::with_capacity(boxes.len() * witnesses.len());
+    let mut kept: Vec<Interval> = Vec::new();
+    let mut stretched: Vec<Interval> = Vec::with_capacity(arity);
     for bx in boxes.chunks_exact(arity) {
         for &r in witnesses {
             let row = rc.image.row(r as usize);
+            stretched.clear();
             stretched.extend(
                 bx.iter()
                     .zip(row)
                     .map(|(&(lo, hi), &c)| (lo.min(c), hi.max(c))),
             );
+            keep_if_minimal(&mut kept, &stretched);
         }
     }
-    keep_minimal(&stretched, arity)
+    sorted_boxes(&kept, arity)
 }
 
-/// The inclusion-minimal boxes among `boxes` (`arity` intervals each),
-/// deduplicated and in ascending order.
-fn keep_minimal(boxes: &[Interval], arity: usize) -> Vec<Interval> {
-    let mut sorted: Vec<&[Interval]> = boxes.chunks_exact(arity).collect();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut out: Vec<Interval> = Vec::with_capacity(boxes.len());
-    for bx in &sorted {
-        if !sorted
-            .iter()
-            .any(|other| other != bx && box_within(other, bx))
-        {
-            out.extend_from_slice(bx);
+/// Adds `bx` to `kept`, an antichain of distinct inclusion-minimal boxes
+/// (`bx.len()` intervals each), unless a kept box lies within `bx` (an
+/// equal one included); otherwise drops the kept boxes `bx` lies within.
+///
+/// One pass does both: when some kept `k ⊆ bx`, no other kept box can
+/// contain `bx` (it would contain `k`), so nothing was dropped before
+/// the early return.
+fn keep_if_minimal(kept: &mut Vec<Interval>, bx: &[Interval]) {
+    let width = bx.len();
+    let mut write = 0;
+    for read in (0..kept.len()).step_by(width) {
+        let k = &kept[read..read + width];
+        if box_within(k, bx) {
+            return;
+        }
+        if !box_within(bx, k) {
+            kept.copy_within(read..read + width, write);
+            write += width;
         }
     }
-    out
+    kept.truncate(write);
+    kept.extend_from_slice(bx);
+}
+
+/// The boxes of `kept` (`width` intervals each) in ascending order.
+fn sorted_boxes(kept: &[Interval], width: usize) -> Vec<Interval> {
+    let mut sorted: Vec<&[Interval]> = kept.chunks_exact(width).collect();
+    sorted.sort_unstable();
+    sorted.concat()
 }
 
 /// Whether `inner ⊆ outer` in every dimension.
@@ -864,6 +978,11 @@ fn box_within(inner: &[Interval], outer: &[Interval]) -> bool {
         .iter()
         .zip(outer)
         .all(|(&(ilo, ihi), &(olo, ohi))| olo <= ilo && ihi <= ohi)
+}
+
+/// Whether the id row `row` lies inside the box `bx`.
+fn inside(row: &[u32], bx: &[Interval]) -> bool {
+    row.iter().zip(bx).all(|(&c, &(lo, hi))| lo <= c && c <= hi)
 }
 
 /// Sets in `words` the bits of `{row[attr] : row ∈ R inside bx}` — the
@@ -881,7 +1000,7 @@ fn box_extension_into(rc: &RelColumns, attr: Attr, bx: &[Interval], words: &mut 
     };
     for &r in rows {
         let row = rc.image.row(r as usize);
-        if row.iter().zip(bx).all(|(&c, &(lo, hi))| lo <= c && c <= hi) {
+        if inside(row, bx) {
             let id = row[attr] as usize;
             words[id / 64] |= 1 << (id % 64);
         }
@@ -1246,6 +1365,180 @@ mod tests {
         );
         assert_eq!(top.extension().map(|e| &**e), Some(&Extension::Universal));
         assert!(top.concept().is_top());
+    }
+
+    #[test]
+    fn contains_decides_membership_like_the_extension() {
+        let (schema, inst) = paper_fixture();
+        let engine = LubEngine::new(&schema, &inst);
+        let mut probes: Vec<Value> = inst.active_domain().into_iter().collect();
+        probes.push(s("nowhere"));
+        let agree = |state: &LubState, what: &str| {
+            for v in &probes {
+                let decided = state.contains(v);
+                let ext = state.extension().expect("pooled states carry one");
+                assert_eq!(decided, Some(ext.contains(v)), "{what}: {v:?}");
+            }
+        };
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            // A singleton holds exactly its nominal, pooled or not.
+            let berlin = engine.start(kind, &s("Berlin"));
+            assert_eq!(berlin.contains(&s("Berlin")), Some(true));
+            assert_eq!(berlin.contains(&s("Rome")), Some(false));
+            agree(&berlin, "{Berlin}");
+            let nowhere = engine.start(kind, &s("nowhere"));
+            assert_eq!(nowhere.contains(&s("nowhere")), Some(true));
+            agree(&nowhere, "{nowhere}");
+            // ⊤ holds everything, a constant outside the pool included.
+            let top = engine.grow(&berlin, &Value::int(59_946));
+            assert_eq!(top.contains(&s("nowhere")), Some(true));
+            agree(&top, "⊤");
+            let mut state = berlin;
+            for v in ["Rome", "Amsterdam", "Tokyo", "nowhere"] {
+                state = engine.grow(&state, &s(v));
+                agree(&state, v);
+            }
+            // States of the recomputing default bodies carry no growth
+            // data to decide from.
+            let foreign = Recomputing(&engine).start(kind, &s("Berlin"));
+            assert_eq!(foreign.contains(&s("Berlin")), None);
+        }
+    }
+
+    #[test]
+    fn default_grow_refolds_a_pooled_state_from_its_extension() {
+        let (schema, inst) = paper_fixture();
+        let engine = LubEngine::new(&schema, &inst);
+        let cases: [(&[Value], Value); 6] = [
+            (&[s("Berlin")], s("Rome")),
+            (&[s("Berlin"), s("Rome")], s("Amsterdam")),
+            (&[s("Santa Cruz"), s("New York")], s("Tokyo")),
+            (&[s("Berlin"), s("Rome")], s("nowhere")),
+            // Absorbed: a member, and anything into ⊤.
+            (&[s("Berlin")], s("Berlin")),
+            (&[s("Berlin"), Value::int(59_946)], s("Tokyo")),
+        ];
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            let legacy = |x: &BTreeSet<Value>| match kind {
+                LubKind::SelectionFree => lub(&schema, &inst, x),
+                LubKind::WithSelections => lub_sigma(&schema, &inst, x),
+            };
+            for (support, v) in &cases {
+                let support: BTreeSet<Value> = support.iter().cloned().collect();
+                let pooled = engine.state_of(kind, &support).unwrap();
+                let grown = Recomputing(&engine).grow(&pooled, v);
+                let mut x = support.clone();
+                x.insert(v.clone());
+                let expect = legacy(&x);
+                assert_eq!(grown.concept(), &expect, "{kind:?} {x:?}");
+                let ext = state_ext(&grown, &inst, engine.pool());
+                assert_eq!(
+                    ext,
+                    expect.extension_in(&inst, engine.pool()),
+                    "{kind:?} {x:?}"
+                );
+            }
+        }
+    }
+
+    /// A state's extension, carried or evaluated from its concept.
+    fn state_ext(state: &LubState, inst: &Instance, pool: &Arc<ConstPool>) -> Extension {
+        match state.extension() {
+            Some(ext) => (**ext).clone(),
+            None => state.concept().extension_in(inst, pool),
+        }
+    }
+
+    /// A small deterministic generator (xorshift64*) for the box filter
+    /// cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as u32 % n
+        }
+    }
+
+    /// The filter by definition: the distinct boxes no other box lies
+    /// within, ascending.
+    fn minimal_by_definition(boxes: &[Vec<Interval>]) -> Vec<Interval> {
+        let mut distinct: Vec<&Vec<Interval>> = boxes.iter().collect();
+        distinct.sort();
+        distinct.dedup();
+        distinct
+            .iter()
+            .filter(|bx| !distinct.iter().any(|o| o != *bx && box_within(o, bx)))
+            .flat_map(|bx| bx.iter().copied())
+            .collect()
+    }
+
+    /// One random box set of the given arity: fresh boxes, duplicates,
+    /// boxes nested in or around earlier ones, and boxes of one total
+    /// width (pairwise equal or incomparable).
+    fn random_boxes(rng: &mut Rng, arity: usize) -> Vec<Vec<Interval>> {
+        let mut boxes: Vec<Vec<Interval>> = Vec::new();
+        for _ in 0..rng.below(24) {
+            let pick =
+                (!boxes.is_empty()).then(|| boxes[rng.below(boxes.len() as u32) as usize].clone());
+            let bx = match (rng.below(5), pick) {
+                (0, Some(old)) => old,
+                (1, Some(old)) => old
+                    .iter()
+                    .map(|&(lo, hi)| (lo.saturating_sub(rng.below(2)), hi + rng.below(2)))
+                    .collect(),
+                (2, Some(old)) => old
+                    .iter()
+                    .map(|&(lo, hi)| {
+                        let lo = lo + rng.below(hi - lo + 1);
+                        (lo, hi - rng.below(hi - lo + 1))
+                    })
+                    .collect(),
+                (3, _) => {
+                    let mut widths = vec![0u32; arity];
+                    for _ in 0..4 {
+                        widths[rng.below(arity as u32) as usize] += 1;
+                    }
+                    widths
+                        .into_iter()
+                        .map(|w| {
+                            let lo = rng.below(6);
+                            (lo, lo + w)
+                        })
+                        .collect()
+                }
+                _ => (0..arity)
+                    .map(|_| {
+                        let lo = rng.below(8);
+                        (lo, lo + rng.below(4))
+                    })
+                    .collect(),
+            };
+            boxes.push(bx);
+        }
+        boxes
+    }
+
+    #[test]
+    fn online_box_filter_matches_the_quadratic_definition() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for case in 0..4000 {
+            let arity = 1 + case % 4;
+            let boxes = random_boxes(&mut rng, arity);
+            let mut kept = Vec::new();
+            for bx in &boxes {
+                keep_if_minimal(&mut kept, bx);
+            }
+            let got = sorted_boxes(&kept, arity);
+            assert_eq!(got, minimal_by_definition(&boxes), "{boxes:?}");
+            let chunks: Vec<&[Interval]> = got.chunks_exact(arity).collect();
+            assert!(
+                chunks.windows(2).all(|w| w[0] < w[1]),
+                "not deduplicated and ascending: {got:?}"
+            );
+        }
     }
 
     #[test]

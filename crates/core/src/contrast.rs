@@ -19,7 +19,9 @@
 //!    (`lub(S ∪ {v}) ≡ lub(S)` whenever `v ∈ ext(lub(S))`). `None` means
 //!    no lub-generated separator exists — `a_i` already sits in
 //!    `ext(lub({b_i}))`, i.e. the two values are indistinguishable to
-//!    `LS` at that position.
+//!    `LS` at that position. Each probe is decided by one membership
+//!    test of `a_i` against the grown state's growth data
+//!    ([`LubState::contains`]), so a rejected probe builds no extension.
 //!
 //! 2. **Foil-aligned MGE** ([`foil_mge_core`]): the most general
 //!    explanation for `a ∉ q(I) \ {b}` whose concepts still *admit* the
@@ -49,15 +51,16 @@
 //! [`session`](crate::session); the `whynot-contrast` crate adds the
 //! brute-force reference and the OBDA variant.
 
-use crate::incremental::state_extension;
+use crate::incremental::{beyond_adom, state_extension};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
 use crate::whynot::{exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, QuestionRef};
 use crate::EvalContext;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::{AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value};
+use whynot_relation::{
+    AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId,
+};
 
 /// A contrastive why-not question: why is `missing` not among the
 /// answers of `query` while `foil` is?
@@ -101,26 +104,39 @@ pub struct ContrastAnswer {
     pub foil_mge: Option<Explanation<LsConcept>>,
 }
 
-/// The growth-constant set of a contrastive search: `adom(I) ∪ ā` in
-/// ascending order — Prop 5.1's restriction `K`, the same set
-/// CHECK-MGE W.R.T. `OI` probes (the foil's constants are answers, hence
-/// already active-domain members).
-pub(crate) fn restriction_values(
-    adom: impl IntoIterator<Item = Value>,
-    missing: &Tuple,
-) -> Vec<Value> {
-    let mut k: BTreeSet<Value> = adom.into_iter().collect();
-    k.extend(missing.iter().cloned());
-    k.into_iter().collect()
+/// The growth-constant set of a contrastive search, borrowed in
+/// ascending value order: `K = adom(I) ∪ ā`, Prop 5.1's restriction and
+/// the same set CHECK-MGE W.R.T. `OI` probes (the foil's constants are
+/// answers, hence already active-domain members). `adom` holds ascending
+/// ids of `pool` (id order is value order); the missing tuple's
+/// constants outside it are merged in, so no value is cloned.
+pub(crate) fn restriction<'a>(
+    pool: &'a ConstPool,
+    adom: &[ValueId],
+    missing: &'a Tuple,
+) -> Vec<&'a Value> {
+    let mut beyond = beyond_adom(pool, adom, missing).into_iter().peekable();
+    let mut k = Vec::with_capacity(adom.len() + missing.len());
+    for &id in adom {
+        let v = pool.value(id);
+        while let Some(b) = beyond.next_if(|&b| b < v) {
+            k.push(b);
+        }
+        k.push(v);
+    }
+    k.extend(beyond);
+    k
 }
 
 /// One position's difference explanation: grows the separator's support
 /// from `{foil_i}`, absorbing each constant of `k_vals` whose lub still
 /// excludes `missing_i`. Returns `None` iff already the seed lub
 /// captures `missing_i` (then every grown lub does too — supports only
-/// grow, lubs only generalize).
+/// grow, lubs only generalize). A probe is decided by
+/// [`LubState::contains`] when the provider's states support it, so a
+/// rejected probe builds no extension.
 pub(crate) fn difference_core<P: LubProvider + ?Sized>(
-    k_vals: &[Value],
+    k_vals: &[&Value],
     missing_i: &Value,
     foil_i: &Value,
     lubs: &P,
@@ -132,17 +148,20 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
     if ext.contains(missing_i) {
         return None;
     }
-    for v in k_vals {
+    for &v in k_vals {
         if v == missing_i || ext.contains(v) {
             // Absorbing `missing_i` puts it in the extension outright;
             // absorbing an in-extension value cannot change the lub.
             continue;
         }
         let candidate = lubs.grow(&state, v);
-        let candidate_ext = state_extension(&candidate, &mut *ext_of);
-        if !candidate_ext.contains(missing_i) {
+        let captures = match candidate.contains(missing_i) {
+            Some(captures) => captures,
+            None => state_extension(&candidate, &mut *ext_of).contains(missing_i),
+        };
+        if !captures {
+            ext = state_extension(&candidate, &mut *ext_of);
             state = candidate;
-            ext = candidate_ext;
         }
     }
     Some(state.into_concept())
@@ -151,7 +170,7 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
 /// One ranked growth candidate of the foil-aligned search: the constant
 /// `b`, the state of `lub(S ∪ {b})` grown from the support `S` at
 /// ranking time, and that lub's extension.
-type Ranked = (Value, LubState, Arc<Extension>);
+type Ranked<'k> = (&'k Value, LubState, Arc<Extension>);
 
 /// Ranks the growth candidates for one position of the foil-aligned
 /// search, set-cover style: constants whose absorption buys the widest
@@ -160,22 +179,22 @@ type Ranked = (Value, LubState, Arc<Extension>);
 /// lub containing one is rejected. Each candidate's state is grown and
 /// its extension evaluated exactly once, here, and handed to the sweep
 /// with it.
-fn rank_candidates<P: LubProvider + ?Sized>(
-    k_vals: &[Value],
+fn rank_candidates<'k, P: LubProvider + ?Sized>(
+    k_vals: &[&'k Value],
     state: &LubState,
     ext: &Extension,
     blocked: &BlockedSet<'_>,
     lubs: &P,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-) -> Vec<Ranked> {
-    let mut scored: Vec<Ranked> = Vec::new();
-    for b in k_vals {
+) -> Vec<Ranked<'k>> {
+    let mut scored: Vec<Ranked<'k>> = Vec::new();
+    for &b in k_vals {
         if ext.contains(b) || blocked.contains(b) {
             continue;
         }
         let candidate = lubs.grow(state, b);
         let candidate_ext = state_extension(&candidate, &mut *ext_of);
-        scored.push((b.clone(), candidate, candidate_ext));
+        scored.push((b, candidate, candidate_ext));
     }
     let coverage = |e: &Extension| e.len().unwrap_or(usize::MAX);
     scored.sort_by(|(va, _, ea), (vb, _, eb)| {
@@ -195,7 +214,7 @@ fn rank_candidates<P: LubProvider + ?Sized>(
 /// not an explanation — they are the least foil-aligned candidate, so
 /// nothing more general can be one either.
 pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
-    k_vals: &[Value],
+    k_vals: &[&Value],
     q: QuestionRef<'_>,
     foil: &Tuple,
     lubs: &P,
@@ -221,11 +240,11 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
         let mut absorbed = false;
         let ranked = rank_candidates(k_vals, &states[j], &exts[j], &blocked, lubs, ext_of);
         for (b, ranked, ranked_ext) in ranked {
-            if exts[j].contains(&b) {
+            if exts[j].contains(b) {
                 continue; // covered by an earlier absorption this sweep
             }
             let (candidate, candidate_ext) = if absorbed {
-                let grown = lubs.grow(&states[j], &b);
+                let grown = lubs.grow(&states[j], b);
                 let grown_ext = state_extension(&grown, &mut *ext_of);
                 (grown, grown_ext)
             } else {
@@ -248,7 +267,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
 /// and a caller-supplied extension function — the seam the session's
 /// engine and the one-shot provider both plug into.
 pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
-    k_vals: &[Value],
+    k_vals: &[&Value],
     q: QuestionRef<'_>,
     foil: &Tuple,
     lubs: &P,
@@ -328,7 +347,12 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     let ans = question.query.eval(instance);
     let rows = AnswerRows::from_tuples(Arc::clone(pool), question.query.arity(), &ans);
     let foil = validate_contrast(&question.query, &question.missing, &question.foil, &rows)?;
-    let k_vals = restriction_values(instance.active_domain(), &question.missing);
+    let adom: Vec<ValueId> = instance
+        .active_domain()
+        .iter()
+        .filter_map(|v| pool.id_of(v))
+        .collect();
+    let k_vals = restriction(pool, &adom, &question.missing);
     let ids = AnswerIds::over(&rows, Some(foil), &question.missing);
     Ok(contrast_core(
         &k_vals,
@@ -508,11 +532,11 @@ mod tests {
         let answer = contrast_instance(&schema, &inst, &question, LubKind::SelectionFree).unwrap();
         let pool = inst.const_pool_with(question.missing.iter().cloned());
         let engine = LubEngine::with_pool(&schema, &inst, Arc::clone(&pool));
-        let k_vals = restriction_values(inst.active_domain(), &question.missing);
+        let k_vals = restriction(&pool, &engine.adom(), &question.missing);
         let sep = answer.difference[1].as_ref().unwrap();
         let ext = sep.extension_in(&inst, &pool);
         let base = ext.as_finite().unwrap().to_btree_set();
-        for v in &k_vals {
+        for &v in &k_vals {
             if ext.contains(v) {
                 continue;
             }

@@ -46,7 +46,7 @@ use crate::whynot::{
 };
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::{Value, ValueId};
+use whynot_relation::{ConstPool, Value, ValueId};
 
 /// Algorithm 2 (INCREMENTAL SEARCH): a most-general explanation for the
 /// why-not instance w.r.t. `OI` in selection-free `LS` (Theorem 5.3).
@@ -145,6 +145,26 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     Explanation::new(states.into_iter().map(LubState::into_concept))
 }
 
+/// The constants of `tuple` outside `adom` (ascending ids of `pool`),
+/// deduplicated in ascending value order: the part of Prop 5.1's
+/// `K = adom(I) ∪ ā` that the active domain does not list.
+pub(crate) fn beyond_adom<'a>(
+    pool: &ConstPool,
+    adom: &[ValueId],
+    tuple: &'a [Value],
+) -> Vec<&'a Value> {
+    let mut beyond: Vec<&Value> = tuple
+        .iter()
+        .filter(|a| {
+            pool.id_of(a)
+                .is_none_or(|id| adom.binary_search(&id).is_err())
+        })
+        .collect();
+    beyond.sort_unstable();
+    beyond.dedup();
+    beyond
+}
+
 /// CHECK-MGE W.R.T. `OI` (Definition 5.7, Proposition 5.2): whether `e`
 /// is a most-general explanation w.r.t. the instance-derived ontology.
 ///
@@ -199,16 +219,7 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
 ) -> bool {
     let pool = lubs.pool();
     // The tuple's constants outside adom(I), the rest of K.
-    let mut beyond_adom: Vec<&Value> = q
-        .tuple
-        .iter()
-        .filter(|a| {
-            pool.id_of(a)
-                .is_none_or(|id| adom.binary_search(&id).is_err())
-        })
-        .collect();
-    beyond_adom.sort_unstable();
-    beyond_adom.dedup();
+    let beyond_adom = beyond_adom(pool, adom, q.tuple);
     for j in 0..exts.len() {
         // The universal extension (⊤) cannot be generalized.
         let Some(current) = exts[j].as_finite() else {

@@ -87,7 +87,7 @@
 
 use crate::context::EvalContext;
 use crate::contrast::{
-    contrast_core, restriction_values, validate_contrast, ContrastAnswer, ContrastQuestion,
+    contrast_core, restriction, validate_contrast, ContrastAnswer, ContrastQuestion,
 };
 use crate::exhaustive;
 use crate::incremental::{check_mge_instance_core, incremental_search_core};
@@ -917,10 +917,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let bound = self.bind_contrast(q)?;
         let engine = self.lub_engine();
         let adom = engine.adom();
-        let k_vals = restriction_values(
-            adom.iter().map(|&id| self.pool().value(id).clone()),
-            &bound.missing,
-        );
+        let k_vals = restriction(self.pool(), &adom, &bound.missing);
         let ids = bound.residual();
         Ok(Arc::new(contrast_core(
             &k_vals,

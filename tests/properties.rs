@@ -424,8 +424,15 @@ proptest! {
 /// and checks, after every prefix, that the extension the state carries
 /// equals its concept's extension evaluated in value space over the
 /// engine's pool. The carried extension is read before the concept is
-/// assembled.
-fn assert_growth_extensions_match(engine: &LubEngine<'_>, inst: &Instance, order: &[Value]) {
+/// assembled. `LubState::contains`, asked first, must decide every probe
+/// as the extension does (both kinds; the first prefix is a singleton,
+/// and probes may lie outside the pool or inside a `⊤` state).
+fn assert_growth_extensions_match(
+    engine: &LubEngine<'_>,
+    inst: &Instance,
+    order: &[Value],
+    probes: &[Value],
+) {
     for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
         let mut state = engine.start(kind, &order[0]);
         let mut prefix: BTreeSet<Value> = BTreeSet::new();
@@ -434,12 +441,17 @@ fn assert_growth_extensions_match(engine: &LubEngine<'_>, inst: &Instance, order
                 state = engine.grow(&state, v);
             }
             prefix.insert(v.clone());
+            // Decided from the growth data before the extension exists.
+            let decided: Vec<Option<bool>> = probes.iter().map(|p| state.contains(p)).collect();
             let carried = state
                 .extension()
                 .cloned()
                 .expect("pooled states carry their extension");
             let evaluated = state.concept().extension_in(inst, engine.pool());
             assert_eq!(*carried, evaluated, "{kind:?} grown to {prefix:?}");
+            let members: Vec<Option<bool>> =
+                probes.iter().map(|p| Some(carried.contains(p))).collect();
+            assert_eq!(decided, members, "{kind:?} contains, grown to {prefix:?}");
         }
     }
 }
@@ -470,7 +482,8 @@ proptest! {
         let pool = inst.const_pool_with([Value::int(12), Value::int(13)]);
         let engine = LubEngine::with_pool(&schema, &inst, pool);
         let order: Vec<Value> = order.into_iter().map(Value::int).collect();
-        assert_growth_extensions_match(&engine, &inst, &order);
+        let probes: Vec<Value> = (-2i64..16).map(Value::int).collect();
+        assert_growth_extensions_match(&engine, &inst, &order, &probes);
     }
 
     #[test]
@@ -482,11 +495,10 @@ proptest! {
         let net = whynot::scenarios::generators::city_network(24, 4, seed);
         let wn = &net.why_not;
         let engine = LubEngine::new(&wn.schema, &wn.instance);
-        let order: Vec<Value> = picks
-            .iter()
-            .map(|&c| Value::str(whynot::scenarios::generators::city_name(c)))
-            .collect();
-        assert_growth_extensions_match(&engine, &wn.instance, &order);
+        let city = |c: usize| Value::str(whynot::scenarios::generators::city_name(c));
+        let order: Vec<Value> = picks.iter().map(|&c| city(c)).collect();
+        let probes: Vec<Value> = (0..26).map(city).collect();
+        assert_growth_extensions_match(&engine, &wn.instance, &order, &probes);
     }
 }
 
