@@ -81,6 +81,17 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
         .sum()
 }
 
+/// The indices of the set bits, ascending (`id`s of a bitset over a
+/// pool).
+#[inline]
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64)
+            .filter(move |b| word >> b & 1 != 0)
+            .map(move |b| w * 64 + b)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,16 +39,22 @@
 //! A state answers three questions from the same growth data, each on
 //! demand:
 //!
-//! * [`LubState::contains`]: whether one constant is in the lub's
-//!   extension — a bit probe per covered column (Lemma 5.1), or a witness
-//!   row of the constant inside every box (Lemma 5.2). A probe that only
-//!   asks whether one value is captured (the contrast difference sweep)
-//!   is decided here and builds nothing.
+//! * [`LubState::contains`] / [`LubState::contains_id`]: whether one
+//!   constant is in the lub's extension — a bit probe per covered column
+//!   (Lemma 5.1), or a witness row of the constant inside every box
+//!   (Lemma 5.2); a bit probe once the extension is built. The growth
+//!   loops decide every probe this way: a candidate is rejected at the
+//!   first member of the position's blocked set it holds, and a constant
+//!   already in the lub is skipped. Over a blocked set the witness rows
+//!   tested per box are at most the relation's rows, so a verdict costs
+//!   at most about one extension build, and usually far less.
 //! * [`LubState::extension`]: the lub's extension in the pool's id
 //!   space, built on the first call — the AND of the covered columns'
 //!   occurrence bits, or the AND over boxes of the rows' ids inside each
 //!   box; a singleton is its nominal and no atom at all is `⊤`. The
-//!   Algorithm 2 and CHECK-MGE loops decide each probe from it.
+//!   loops build it only where something reads it: the final state of a
+//!   position whose extension a later position's blocked set reads, and
+//!   the candidates the foil-aligned contrast search ranks by coverage.
 //! * [`LubState::concept`] / [`LubState::into_concept`]: the `LsConcept`,
 //!   assembled on the first call — so a rejected probe never builds a
 //!   concept or resolves an id to a value.
@@ -135,8 +141,9 @@ struct RelColumns {
 /// lub's extension in the pool's id space from the same column data on
 /// the first [`extension`](LubState::extension) call, and assembles the
 /// lub's concept on the first [`concept`](LubState::concept) or
-/// [`into_concept`](LubState::into_concept) call, so a probe rejected
-/// by [`contains`](LubState::contains) builds neither.
+/// [`into_concept`](LubState::into_concept) call, so a probe decided by
+/// [`contains`](LubState::contains) or
+/// [`contains_id`](LubState::contains_id) builds neither.
 ///
 /// Opaque: obtained from [`LubProvider::start`], [`LubProvider::grow`]
 /// or [`LubProvider::state_of`], and only meaningful to the provider
@@ -240,6 +247,24 @@ impl LubState {
         match &self.growth {
             Growth::Recompute { .. } => None,
             Growth::Pooled(p) => Some(p.view.contains(p.nominal.as_ref(), &p.columns, v)),
+        }
+    }
+
+    /// [`contains`](LubState::contains) for the value with id `id` in the
+    /// pool of the provider that built the state, with no pool lookup: a
+    /// bit probe when the extension is already built, otherwise the same
+    /// growth-data test keyed by the id. `None` for states built by the
+    /// recomputing default bodies of [`LubProvider`].
+    pub fn contains_id(&self, id: ValueId) -> Option<bool> {
+        match &self.growth {
+            Growth::Recompute { .. } => None,
+            Growth::Pooled(p) => Some(match p.extension.get() {
+                Some(ext) => ext.contains_in(&p.view.pool, id),
+                None => match &p.nominal {
+                    Some(x) => p.view.pool.value(id) == x,
+                    None => p.view.holds(&p.columns, id),
+                },
+            }),
         }
     }
 }
@@ -424,15 +449,7 @@ impl<'a> LubEngine<'a> {
                 kernels::or_assign(&mut words, bits);
             }
         }
-        let adom = words
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                (0..64u32)
-                    .filter(move |b| word >> b & 1 != 0)
-                    .map(move |b| ValueId(w as u32 * 64 + b))
-            })
-            .collect();
+        let adom = kernels::ones(&words).map(|i| ValueId(i as u32)).collect();
         let view = LubView {
             pool: Arc::clone(&self.pool),
             rels,
@@ -673,34 +690,45 @@ impl LubView {
     }
 
     /// Whether `v` is in the extension of the concept
-    /// [`LubView::assemble`] would build (see [`LubState::contains`]).
+    /// [`LubView::assemble`] would build (see [`LubState::contains`]);
+    /// [`LubState::contains_id`] shares [`LubView::holds`] with it.
     fn contains(&self, nominal: Option<&Value>, columns: &Columns, v: &Value) -> bool {
         if let Some(x) = nominal {
             return x == v;
         }
-        let id = self.pool.id_of(v);
+        match self.pool.id_of(v) {
+            Some(id) => self.holds(columns, id),
+            // No column holds an unpooled constant: only a lub without
+            // atoms (`⊤`) does.
+            None => match columns {
+                Columns::Covered(flags) => !flags.contains(&true),
+                Columns::Boxes(boxes) => boxes.iter().all(Vec::is_empty),
+            },
+        }
+    }
+
+    /// Whether the pooled value `id` satisfies every atom of a lub of two
+    /// or more constants: its bit is set in every covered column, or a
+    /// witness row of it lies inside every minimal box.
+    fn holds(&self, columns: &Columns, id: ValueId) -> bool {
         match columns {
             Columns::Covered(flags) => self
                 .columns()
                 .zip(flags)
                 .filter(|(_, covered)| **covered)
-                .all(|((_, rc, attr), _)| id.is_some_and(|id| has_id(&rc.bits()[attr], id))),
-            Columns::Boxes(boxes) => {
-                self.columns()
-                    .zip(boxes)
-                    .all(|((_, rc, attr), boxes)| match id {
-                        _ if boxes.is_empty() => true,
-                        None => false,
-                        Some(id) => {
-                            let witnesses = rc.image.bucket(attr, id.0);
-                            boxes.chunks_exact(rc.image.arity()).all(|bx| {
-                                witnesses
-                                    .iter()
-                                    .any(|&r| inside(rc.image.row(r as usize), bx))
-                            })
-                        }
+                .all(|((_, rc, attr), _)| has_id(&rc.bits()[attr], id)),
+            Columns::Boxes(boxes) => self
+                .columns()
+                .zip(boxes)
+                .filter(|(_, boxes)| !boxes.is_empty())
+                .all(|((_, rc, attr), boxes)| {
+                    let witnesses = rc.image.bucket(attr, id.0);
+                    boxes.chunks_exact(rc.image.arity()).all(|bx| {
+                        witnesses
+                            .iter()
+                            .any(|&r| inside(rc.image.row(r as usize), bx))
                     })
-            }
+                }),
         }
     }
 
@@ -1373,11 +1401,21 @@ mod tests {
         let engine = LubEngine::new(&schema, &inst);
         let mut probes: Vec<Value> = inst.active_domain().into_iter().collect();
         probes.push(s("nowhere"));
+        // By value and by id, from the growth data (a fresh copy of the
+        // state, extension unbuilt) and from the built extension.
         let agree = |state: &LubState, what: &str| {
             for v in &probes {
-                let decided = state.contains(v);
+                let id = engine.pool().id_of(v);
+                let fresh = state.clone();
+                let by_id = id.map(|id| fresh.contains_id(id));
+                let decided = fresh.contains(v);
                 let ext = state.extension().expect("pooled states carry one");
-                assert_eq!(decided, Some(ext.contains(v)), "{what}: {v:?}");
+                let expect = Some(ext.contains(v));
+                assert_eq!(decided, expect, "{what}: {v:?}");
+                if let Some(id) = id {
+                    assert_eq!(by_id, Some(expect), "{what}: id of {v:?}");
+                    assert_eq!(state.contains_id(id), expect, "{what}: built, {v:?}");
+                }
             }
         };
         for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
@@ -1402,6 +1440,8 @@ mod tests {
             // data to decide from.
             let foreign = Recomputing(&engine).start(kind, &s("Berlin"));
             assert_eq!(foreign.contains(&s("Berlin")), None);
+            let berlin_id = engine.pool().id_of(&s("Berlin")).unwrap();
+            assert_eq!(foreign.contains_id(berlin_id), None);
         }
     }
 

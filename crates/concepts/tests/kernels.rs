@@ -79,4 +79,12 @@ proptest! {
         let model: usize = a.iter().zip(&b).map(|(x, y)| (x & y).count_ones() as usize).sum();
         prop_assert_eq!(kernels::and_count(&a, &b), model);
     }
+
+    #[test]
+    fn ones_lists_the_set_bits_ascending(a in words()) {
+        let model: Vec<usize> = (0..a.len() * 64)
+            .filter(|&i| a[i / 64] >> (i % 64) & 1 != 0)
+            .collect();
+        prop_assert_eq!(kernels::ones(&a).collect::<Vec<_>>(), model);
+    }
 }

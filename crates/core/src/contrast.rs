@@ -21,7 +21,9 @@
 //!    `ext(lub({b_i}))`, i.e. the two values are indistinguishable to
 //!    `LS` at that position. Each probe is decided by one membership
 //!    test of `a_i` against the grown state's growth data
-//!    ([`LubState::contains`]), so a rejected probe builds no extension.
+//!    ([`LubState::contains_id`](whynot_concepts::LubState::contains_id)),
+//!    and so is the test of whether a constant is already inside the
+//!    lub, so the sweep builds no extension at all.
 //!
 //! 2. **Foil-aligned MGE** ([`foil_mge_core`]): the most general
 //!    explanation for `a ∉ q(I) \ {b}` whose concepts still *admit* the
@@ -34,7 +36,11 @@
 //!    that way). The sweep is set-cover flavoured: candidates are ranked
 //!    once by how much extension coverage their absorption would buy
 //!    (widest first, Algorithm 1's selectivity idea transplanted to
-//!    Algorithm 2), then probed with a live re-check. `None` means no
+//!    Algorithm 2), then probed with a live re-check. Candidates are
+//!    decided by membership in the position's blocked set, as in
+//!    Algorithm 2: only the admitted ones build an extension, to be
+//!    ranked by it, and the re-checks after the first absorption build
+//!    none. `None` means no
 //!    foil-aligned explanation exists at all: the seed lubs are the
 //!    *least* foil-aligned candidate, so if even they hit `Ans \ {b}`,
 //!    every more general candidate does too.
@@ -51,13 +57,14 @@
 //! [`session`](crate::session); the `whynot-contrast` crate adds the
 //! brute-force reference and the OBDA variant.
 
-use crate::incremental::{beyond_adom, state_extension};
+use crate::incremental::{adom_ids, beyond_adom, Constant, Grown, Verdicts};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef};
 use crate::EvalContext;
+use std::borrow::Borrow;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
+use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider};
 use whynot_relation::{
     AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId,
 };
@@ -114,107 +121,101 @@ pub(crate) fn restriction<'a>(
     pool: &'a ConstPool,
     adom: &[ValueId],
     missing: &'a Tuple,
-) -> Vec<&'a Value> {
+) -> Vec<Constant<'a>> {
     let mut beyond = beyond_adom(pool, adom, missing).into_iter().peekable();
     let mut k = Vec::with_capacity(adom.len() + missing.len());
     for &id in adom {
-        let v = pool.value(id);
-        while let Some(b) = beyond.next_if(|&b| b < v) {
-            k.push(b);
+        let c = Constant::pooled(pool, id);
+        while let Some(b) = beyond.next_if(|&b| b < c.value) {
+            k.push(Constant::of(pool, b));
         }
-        k.push(v);
+        k.push(c);
     }
-    k.extend(beyond);
+    k.extend(beyond.map(|b| Constant::of(pool, b)));
     k
 }
 
 /// One position's difference explanation: grows the separator's support
-/// from `{foil_i}`, absorbing each constant of `k_vals` whose lub still
+/// from `{foil_i}`, absorbing each constant of `k` whose lub still
 /// excludes `missing_i`. Returns `None` iff already the seed lub
 /// captures `missing_i` (then every grown lub does too — supports only
-/// grow, lubs only generalize). A probe is decided by
-/// [`LubState::contains`] when the provider's states support it, so a
-/// rejected probe builds no extension.
+/// grow, lubs only generalize). Every probe, and every test of whether a
+/// constant is already inside the lub, is a membership test on the
+/// state's growth data, so a pooled state never builds its extension; a
+/// state without growth data has its extension evaluated once.
 pub(crate) fn difference_core<P: LubProvider + ?Sized>(
-    k_vals: &[&Value],
+    k: &[Constant<'_>],
     missing_i: &Value,
     foil_i: &Value,
     lubs: &P,
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<LsConcept> {
-    let mut state = lubs.start(kind, foil_i);
-    let mut ext = state_extension(&state, &mut *ext_of);
-    if ext.contains(missing_i) {
+    let missing = Constant::of(lubs.pool(), missing_i);
+    let mut current = Grown::new(lubs.start(kind, foil_i));
+    if current.holds(missing, &mut *ext_of) {
         return None;
     }
-    for &v in k_vals {
-        if v == missing_i || ext.contains(v) {
+    for &c in k {
+        if c.value == missing_i || current.holds(c, &mut *ext_of) {
             // Absorbing `missing_i` puts it in the extension outright;
             // absorbing an in-extension value cannot change the lub.
             continue;
         }
-        let candidate = lubs.grow(&state, v);
-        let captures = match candidate.contains(missing_i) {
-            Some(captures) => captures,
-            None => state_extension(&candidate, &mut *ext_of).contains(missing_i),
-        };
-        if !captures {
-            ext = state_extension(&candidate, &mut *ext_of);
-            state = candidate;
+        let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
+        if !candidate.holds(missing, &mut *ext_of) {
+            current = candidate;
         }
     }
-    Some(state.into_concept())
+    Some(current.state.into_concept())
 }
-
-/// One ranked growth candidate of the foil-aligned search: the constant
-/// `b`, the state of `lub(S ∪ {b})` grown from the support `S` at
-/// ranking time, and that lub's extension.
-type Ranked<'k> = (&'k Value, LubState, Arc<Extension>);
 
 /// Ranks the growth candidates for one position of the foil-aligned
 /// search, set-cover style: constants whose absorption buys the widest
 /// extension first (⊤ counts as widest), ties broken by ascending value.
-/// Constants of the position's blocked set are left out ungrown: every
-/// lub containing one is rejected. Each candidate's state is grown and
-/// its extension evaluated exactly once, here, and handed to the sweep
-/// with it.
-fn rank_candidates<'k, P: LubProvider + ?Sized>(
-    k_vals: &[&'k Value],
-    state: &LubState,
-    ext: &Extension,
-    blocked: &BlockedSet<'_>,
+/// Constants of the position's blocked set are left out ungrown, and so
+/// are the grown candidates the verdicts reject: a candidate regrown
+/// from a larger support would hit `B_j` too. Only the admitted
+/// candidates build their extensions, to be ordered by them.
+fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
+    k: &[Constant<'k>],
+    current: &mut Grown,
+    verdicts: &Verdicts<'_, '_, E>,
     lubs: &P,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-) -> Vec<Ranked<'k>> {
-    let mut scored: Vec<Ranked<'k>> = Vec::new();
-    for &b in k_vals {
-        if ext.contains(b) || blocked.contains(b) {
+) -> Vec<(Constant<'k>, Grown)> {
+    let mut scored: Vec<(Constant<'k>, Grown, Option<usize>)> = Vec::new();
+    for &c in k {
+        if verdicts.blocks(c) || current.holds(c, &mut *ext_of) {
             continue;
         }
-        let candidate = lubs.grow(state, b);
-        let candidate_ext = state_extension(&candidate, &mut *ext_of);
-        scored.push((b, candidate, candidate_ext));
+        let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
+        if verdicts.admits(&mut candidate, &mut *ext_of) {
+            let coverage = candidate.extension(&mut *ext_of).len();
+            scored.push((c, candidate, coverage));
+        }
     }
-    let coverage = |e: &Extension| e.len().unwrap_or(usize::MAX);
-    scored.sort_by(|(va, _, ea), (vb, _, eb)| {
-        coverage(eb).cmp(&coverage(ea)).then_with(|| va.cmp(vb))
+    let widest = |coverage: Option<usize>| coverage.unwrap_or(usize::MAX);
+    scored.sort_by(|(ca, _, ea), (cb, _, eb)| {
+        widest(*eb)
+            .cmp(&widest(*ea))
+            .then_with(|| ca.value.cmp(cb.value))
     });
-    scored
+    scored.into_iter().map(|(c, g, _)| (c, g)).collect()
 }
 
 /// The foil-aligned MGE: Algorithm 2's growth loop over the residual
 /// question (`Ans \ {foil}`), seeded at `{missing_j, foil_j}` per
 /// position so the foil stays admitted throughout, with the set-cover
-/// candidate order of [`rank_candidates`]. The sweep takes each ranked
-/// state as is while position `j`'s support is still the one it was
-/// ranked against, and regrows from the current state only after an
-/// absorption changed that support. Each probe is decided against the
-/// position's [`BlockedSet`]. Returns `None` iff the seed lubs are
-/// not an explanation — they are the least foil-aligned candidate, so
-/// nothing more general can be one either.
+/// candidate order of [`rank_candidates`]. The widest admitted candidate
+/// is absorbed as ranked; every later one is regrown from the absorbed
+/// support and decided by the position's [`Verdicts`] without building
+/// its extension. A position's final state builds its extension only
+/// when a later position's blocked set reads it. Returns `None` iff the
+/// seed lubs are not an explanation — they are the least foil-aligned
+/// candidate, so nothing more general can be one either.
 pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
-    k_vals: &[&Value],
+    k: &[Constant<'_>],
     q: QuestionRef<'_>,
     foil: &Tuple,
     lubs: &P,
@@ -222,43 +223,41 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<Explanation<LsConcept>> {
     let m = q.arity();
-    let mut states: Vec<LubState> = q
+    let mut states: Vec<Grown> = q
         .tuple
         .iter()
         .zip(foil)
-        .map(|(a, b)| lubs.grow(&lubs.start(kind, a), b))
+        .map(|(a, b)| Grown::new(lubs.grow(&lubs.start(kind, a), b)))
         .collect();
     let mut exts: Vec<Arc<Extension>> = states
-        .iter()
-        .map(|s| state_extension(s, &mut *ext_of))
+        .iter_mut()
+        .map(|s| s.extension(&mut *ext_of))
         .collect();
     if !exts_form_explanation_q(&exts, q) {
         return None;
     }
     for j in 0..m {
-        let blocked = BlockedSet::new(&exts, j, q);
-        let mut absorbed = false;
-        let ranked = rank_candidates(k_vals, &states[j], &exts[j], &blocked, lubs, ext_of);
-        for (b, ranked, ranked_ext) in ranked {
-            if exts[j].contains(b) {
+        let verdicts = Verdicts::new(&exts, j, q, lubs.pool());
+        let current = &mut states[j];
+        let mut ranked = rank_candidates(k, current, &verdicts, lubs, ext_of).into_iter();
+        if let Some((_, widest)) = ranked.next() {
+            *current = widest;
+        }
+        for (c, _) in ranked {
+            if current.holds(c, &mut *ext_of) {
                 continue; // covered by an earlier absorption this sweep
             }
-            let (candidate, candidate_ext) = if absorbed {
-                let grown = lubs.grow(&states[j], b);
-                let grown_ext = state_extension(&grown, &mut *ext_of);
-                (grown, grown_ext)
-            } else {
-                (ranked, ranked_ext)
-            };
-            if blocked.admits(&exts, &candidate_ext) {
-                states[j] = candidate;
-                exts[j] = candidate_ext;
-                absorbed = true;
+            let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
+            if verdicts.admits(&mut candidate, &mut *ext_of) {
+                *current = candidate;
             }
+        }
+        if j + 1 < m {
+            exts[j] = states[j].extension(ext_of);
         }
     }
     Some(Explanation::new(
-        states.into_iter().map(LubState::into_concept),
+        states.into_iter().map(|s| s.state.into_concept()),
     ))
 }
 
@@ -267,7 +266,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
 /// and a caller-supplied extension function — the seam the session's
 /// engine and the one-shot provider both plug into.
 pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
-    k_vals: &[&Value],
+    k: &[Constant<'_>],
     q: QuestionRef<'_>,
     foil: &Tuple,
     lubs: &P,
@@ -278,9 +277,9 @@ pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
         .tuple
         .iter()
         .zip(foil)
-        .map(|(a, b)| difference_core(k_vals, a, b, lubs, kind, ext_of))
+        .map(|(a, b)| difference_core(k, a, b, lubs, kind, ext_of))
         .collect();
-    let foil_mge = foil_mge_core(k_vals, q, foil, lubs, kind, ext_of);
+    let foil_mge = foil_mge_core(k, q, foil, lubs, kind, ext_of);
     ContrastAnswer {
         difference,
         foil_mge,
@@ -347,15 +346,11 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     let ans = question.query.eval(instance);
     let rows = AnswerRows::from_tuples(Arc::clone(pool), question.query.arity(), &ans);
     let foil = validate_contrast(&question.query, &question.missing, &question.foil, &rows)?;
-    let adom: Vec<ValueId> = instance
-        .active_domain()
-        .iter()
-        .filter_map(|v| pool.id_of(v))
-        .collect();
-    let k_vals = restriction(pool, &adom, &question.missing);
+    let adom = adom_ids(pool, instance);
+    let k = restriction(pool, &adom, &question.missing);
     let ids = AnswerIds::over(&rows, Some(foil), &question.missing);
     Ok(contrast_core(
-        &k_vals,
+        &k,
         ids.question(),
         &question.foil,
         provider,
@@ -532,11 +527,11 @@ mod tests {
         let answer = contrast_instance(&schema, &inst, &question, LubKind::SelectionFree).unwrap();
         let pool = inst.const_pool_with(question.missing.iter().cloned());
         let engine = LubEngine::with_pool(&schema, &inst, Arc::clone(&pool));
-        let k_vals = restriction(&pool, &engine.adom(), &question.missing);
+        let k = restriction(&pool, &engine.adom(), &question.missing);
         let sep = answer.difference[1].as_ref().unwrap();
         let ext = sep.extension_in(&inst, &pool);
         let base = ext.as_finite().unwrap().to_btree_set();
-        for &v in &k_vals {
+        for v in k.iter().map(|c| c.value) {
             if ext.contains(v) {
                 continue;
             }

@@ -16,12 +16,12 @@
 //!   deduplicates by extension tuple, so every returned explanation is a
 //!   checked MGE, but completeness of the enumeration is not guaranteed.
 
-use crate::incremental::state_extension;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, WhyNotInstance};
+use crate::incremental::{adom_ids, position_major, state_extension};
+use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::Value;
+use whynot_relation::ValueId;
 
 /// Algorithm 2 with round-robin growth: positions absorb constants in an
 /// interleaved order, so no position can monopolize the generalization
@@ -29,68 +29,55 @@ use whynot_relation::Value;
 /// guarantee as the paper's order — maximality is order-independent, the
 /// *choice* of MGE is not).
 pub fn incremental_search_balanced(wn: &WhyNotInstance, kind: LubKind) -> Explanation<LsConcept> {
-    let adom: Vec<Value> = wn.instance.active_domain().into_iter().collect();
     let positions: Vec<usize> = (0..wn.arity()).collect();
     let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
-    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, Arc::clone(&pool));
-    grow_with_order(wn, kind, &engine, &adom, &positions, true)
+    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
+    grow_with_order(wn, kind, &engine, &engine.adom(), &positions, true)
 }
 
 /// The shared growth engine: processes `(position, constant)` pairs either
 /// round-robin (`balanced`) or position-major like the paper, visiting
-/// positions in the supplied order. The caller supplies the pooled lub
-/// engine so reruns under permuted orders (the MGE enumeration) share one
-/// set of interned columns. Position-major growth decides each probe
-/// against the position's [`BlockedSet`]; round-robin growth changes the
-/// other positions between probes, so it runs the full Definition 3.2
-/// check.
-fn grow_with_order(
+/// positions in the supplied order and constants (ids of the provider's
+/// pool) in `order`. The caller supplies the lub provider so reruns under
+/// permuted orders (the MGE enumeration) share one set of interned
+/// columns. Position-major growth is Algorithm 2's own loop
+/// ([`position_major`]), each probe decided against the position's
+/// blocked set; round-robin growth changes the other positions between
+/// probes, so it runs the full Definition 3.2 check.
+fn grow_with_order<P: LubProvider + ?Sized>(
     wn: &WhyNotInstance,
     kind: LubKind,
-    engine: &impl LubProvider,
-    adom: &[Value],
+    lubs: &P,
+    order: &[ValueId],
     positions: &[usize],
     balanced: bool,
 ) -> Explanation<LsConcept> {
-    let m = wn.arity();
-    debug_assert_eq!(positions.len(), m);
+    debug_assert_eq!(positions.len(), wn.arity());
     // One interned pool per growth run (see `incremental_search_kind`),
     // shared with the lub engine's column sets.
-    let pool = engine.pool();
+    let pool = lubs.pool();
     let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
     let q = ids.question();
-    let ext_of = |s: &LubState| state_extension(s, &mut |c| c.extension_in(&wn.instance, pool));
-    let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();
-    let mut exts: Vec<Arc<Extension>> = states.iter().map(ext_of).collect();
-
-    if balanced {
-        for b in adom {
-            for &j in positions {
-                if exts[j].contains(b) {
-                    continue;
-                }
-                let candidate = engine.grow(&states[j], b);
-                let saved = std::mem::replace(&mut exts[j], ext_of(&candidate));
-                if exts_form_explanation_q(&exts, q) {
-                    states[j] = candidate;
-                } else {
-                    exts[j] = saved;
-                }
-            }
-        }
-    } else {
+    let mut ext_of = |c: &LsConcept| c.extension_in(&wn.instance, pool);
+    if !balanced {
+        return position_major(order, positions, q, lubs, kind, &mut ext_of);
+    }
+    let mut states: Vec<LubState> = wn.tuple.iter().map(|a| lubs.start(kind, a)).collect();
+    let mut exts: Vec<Arc<Extension>> = states
+        .iter()
+        .map(|s| state_extension(s, &mut ext_of))
+        .collect();
+    for &b in order {
         for &j in positions {
-            let blocked = BlockedSet::new(&exts, j, q);
-            for b in adom {
-                if exts[j].contains(b) || blocked.contains(b) {
-                    continue;
-                }
-                let candidate = engine.grow(&states[j], b);
-                let candidate_ext = ext_of(&candidate);
-                if blocked.admits(&exts, &candidate_ext) {
-                    states[j] = candidate;
-                    exts[j] = candidate_ext;
-                }
+            if exts[j].contains_in(pool, b) {
+                continue;
+            }
+            let candidate = lubs.grow(&states[j], pool.value(b));
+            let saved = std::mem::replace(&mut exts[j], state_extension(&candidate, &mut ext_of));
+            if exts_form_explanation_q(&exts, q) {
+                states[j] = candidate;
+            } else {
+                exts[j] = saved;
             }
         }
     }
@@ -111,12 +98,37 @@ pub fn enumerate_mges_instance(
     let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
     // One lub engine for the whole enumeration: every rerun under a
     // permuted growth order probes the same interned column sets.
-    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, Arc::clone(&pool));
-    let base: Vec<Value> = wn.instance.active_domain().into_iter().collect();
+    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
+    enumerate_core(&engine, &engine.adom(), wn, kind, tries)
+}
+
+/// [`enumerate_mges_instance`] over a caller-built lub provider, whose
+/// pool must intern the instance's constants; the result is the same. A
+/// test seam, like [`incremental_search_with`](crate::incremental_search_with).
+#[doc(hidden)]
+pub fn enumerate_mges_with<P: LubProvider + ?Sized>(
+    lubs: &P,
+    wn: &WhyNotInstance,
+    kind: LubKind,
+    tries: usize,
+) -> Vec<Explanation<LsConcept>> {
+    enumerate_core(lubs, &adom_ids(lubs.pool(), &wn.instance), wn, kind, tries)
+}
+
+/// The enumeration over `lubs`, with `adom(I)` as ascending ids of its
+/// pool in `base`.
+fn enumerate_core<P: LubProvider + ?Sized>(
+    lubs: &P,
+    base: &[ValueId],
+    wn: &WhyNotInstance,
+    kind: LubKind,
+    tries: usize,
+) -> Vec<Explanation<LsConcept>> {
+    let pool = lubs.pool();
     let mut seen: BTreeSet<Vec<Extension>> = BTreeSet::new();
     let mut out: Vec<Explanation<LsConcept>> = Vec::new();
     for t in 0..tries.max(1) {
-        let order = permuted_domain(&base, t);
+        let order = permuted_domain(base, t);
         // Rotate the position-visit order too: which position gets to
         // absorb constants first determines which maximal tuple the
         // greedy converges to.
@@ -124,11 +136,11 @@ pub fn enumerate_mges_instance(
         for rot in 0..m {
             let positions: Vec<usize> = (0..wn.arity()).map(|j| (j + rot) % m).collect();
             for balanced in [true, false] {
-                let e = grow_with_order(wn, kind, &engine, &order, &positions, balanced);
+                let e = grow_with_order(wn, kind, lubs, &order, &positions, balanced);
                 let key: Vec<Extension> = e
                     .concepts
                     .iter()
-                    .map(|c| c.extension_in(&wn.instance, &pool))
+                    .map(|c| c.extension_in(&wn.instance, pool))
                     .collect();
                 if seen.insert(key) {
                     out.push(e);
@@ -143,7 +155,7 @@ pub fn enumerate_mges_instance(
 /// The `t`-th deterministic permutation of the domain: a rotation +
 /// stride walk, falling back to a plain rotation when the stride is not
 /// coprime with the domain size.
-fn permuted_domain(base: &[Value], t: usize) -> Vec<Value> {
+fn permuted_domain<T: Clone + Ord>(base: &[T], t: usize) -> Vec<T> {
     let mut order = base.to_vec();
     if order.is_empty() {
         return order;
@@ -157,7 +169,7 @@ fn permuted_domain(base: &[Value], t: usize) -> Vec<Value> {
         idx = (idx + stride) % n;
     }
     // The stride walk may revisit; fall back to rotation then.
-    let unique: BTreeSet<&Value> = permuted.iter().collect();
+    let unique: BTreeSet<&T> = permuted.iter().collect();
     if unique.len() == n {
         permuted
     } else {
@@ -170,7 +182,7 @@ fn permuted_domain(base: &[Value], t: usize) -> Vec<Value> {
 mod tests {
     use super::*;
     use crate::incremental::check_mge_instance;
-    use whynot_relation::{Atom, Cq, Instance, SchemaBuilder, Term, Ucq, Var};
+    use whynot_relation::{Atom, Cq, Instance, SchemaBuilder, Term, Ucq, Value, Var};
 
     fn s(x: &str) -> Value {
         Value::str(x)

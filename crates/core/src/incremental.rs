@@ -22,12 +22,8 @@
 //!
 //! A probe stays in id space end to end. The growth constants are
 //! `adom(I)` as ascending pool ids, read off the engine's column bits
-//! ([`LubEngine::adom`](whynot_concepts::LubEngine::adom)). The grown
-//! state carries its extension over the pool, and the question's answers
-//! are resolved to pool ids once ([`AnswerIds`]). The state's concept is
-//! assembled lazily, so only the states a search keeps build one. States
-//! from a provider's recomputing default bodies carry no extension; their
-//! concepts are evaluated instead.
+//! ([`LubEngine::adom`](whynot_concepts::LubEngine::adom)), and the
+//! question's answers are resolved to pool ids once ([`AnswerIds`]).
 //!
 //! **The blocked-set check.** While the loop grows position `j`, every
 //! other position stays fixed. So Definition 3.2 for a candidate `E` at
@@ -35,18 +31,34 @@
 //! `B_j = {t[j] : t ∈ Ans, t[k] ∈ ext(C_k) for all k ≠ j}`, built once
 //! per position in `O(|Ans|·m)`. Supports grow monotonically from
 //! `{a_j}`, so `a_j ∈ E` always holds, and the candidate is accepted iff
-//! `E ∩ B_j = ∅` — one word AND over the pool instead of a rescan of
-//! `Ans`. A constant of `B_j` is skipped without a growth step: every
-//! lub containing it is rejected. CHECK-MGE replaces one position at a
-//! time, so it decides its probes the same way. Debug builds cross-check
-//! every verdict against the full [`exts_form_explanation_q`].
+//! `E ∩ B_j = ∅`. A constant of `B_j` is skipped without a growth step:
+//! every lub containing it is rejected. CHECK-MGE replaces one position
+//! at a time, so it decides its probes the same way.
+//!
+//! **Membership, not extensions.** A grown state answers "is `c` in my
+//! lub?" from its growth data ([`LubState::contains_id`]: a bit per
+//! covered column, or a witness row inside every box), so a probe is
+//! rejected at the first member of `B_j` its lub holds, and "is `b`
+//! already in the lub?" is the same test. Neither builds the candidate's
+//! extension. Per box, the witness rows of all of `B_j`'s members are at
+//! most the relation's rows, so a verdict costs at most about one
+//! extension build, and a position's skip tests together about one more;
+//! most verdicts stop at a member far sooner. A position's final state
+//! builds its extension only when a later position's blocked set reads
+//! it, and its concept is assembled only at the end. States from a
+//! provider's recomputing default bodies carry no growth data: their
+//! concepts are evaluated once per state and probed as extensions
+//! ([`Verdicts`] picks the route per candidate). Debug builds
+//! cross-check every verdict, membership ones included, against the full
+//! [`exts_form_explanation_q`] on the built extensions.
 
 use crate::whynot::{
     exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, QuestionRef, WhyNotInstance,
 };
+use std::borrow::Borrow;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::{ConstPool, Value, ValueId};
+use whynot_relation::{ConstPool, Instance, Value, ValueId};
 
 /// Algorithm 2 (INCREMENTAL SEARCH): a most-general explanation for the
 /// why-not instance w.r.t. `OI` in selection-free `LS` (Theorem 5.3).
@@ -80,6 +92,40 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     })
 }
 
+/// [`incremental_search_kind`] over a caller-built lub provider — a
+/// [`LubEngine`] or a wrapper around one — whose pool must intern the
+/// instance's constants (the tuple's may or may not be pooled). Results
+/// are identical to [`incremental_search_kind`]: a provider with only the
+/// three required [`LubProvider`] methods decides every probe from
+/// evaluated extensions, the pooled engine from its growth data.
+///
+/// A test seam for comparing the two routes; not part of the documented
+/// API.
+#[doc(hidden)]
+pub fn incremental_search_with<P: LubProvider + ?Sized>(
+    lubs: &P,
+    wn: &WhyNotInstance,
+    kind: LubKind,
+) -> Explanation<LsConcept> {
+    let pool = lubs.pool();
+    let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
+    incremental_search_core(
+        &adom_ids(pool, &wn.instance),
+        ids.question(),
+        lubs,
+        kind,
+        &mut |c| c.extension_in(&wn.instance, pool),
+    )
+}
+
+/// `adom(I)` as ascending ids of `pool`, which interns it.
+pub(crate) fn adom_ids(pool: &ConstPool, inst: &Instance) -> Vec<ValueId> {
+    inst.active_domain()
+        .iter()
+        .filter_map(|v| pool.id_of(v))
+        .collect()
+}
+
 /// A growth state's extension: the one a pooled state carries (shared,
 /// not copied), or `ext_of` over its concept for a state built by the
 /// recomputing default [`LubProvider`] bodies.
@@ -93,14 +139,168 @@ pub(crate) fn state_extension(
     }
 }
 
+/// One growth constant of a search: its value and its id in the
+/// provider's pool (`None` for a tuple constant the pool does not
+/// intern).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Constant<'a> {
+    pub(crate) value: &'a Value,
+    pub(crate) id: Option<ValueId>,
+}
+
+impl<'a> Constant<'a> {
+    /// The pooled constant `id`.
+    pub(crate) fn pooled(pool: &'a ConstPool, id: ValueId) -> Self {
+        Constant {
+            value: pool.value(id),
+            id: Some(id),
+        }
+    }
+
+    /// The constant `value`, resolved against `pool`.
+    pub(crate) fn of(pool: &ConstPool, value: &'a Value) -> Self {
+        Constant {
+            value,
+            id: pool.id_of(value),
+        }
+    }
+}
+
+/// A growth loop's state at one position. A state built by the pooled
+/// engine decides membership from its growth data and builds its
+/// extension only when asked. A state built by the recomputing default
+/// [`LubProvider`] bodies carries neither; `ext_of` evaluates its concept
+/// once, on the first membership question, and the extension is kept
+/// here.
+pub(crate) struct Grown {
+    pub(crate) state: LubState,
+    ext: Option<Arc<Extension>>,
+}
+
+impl Grown {
+    pub(crate) fn new(state: LubState) -> Self {
+        Grown { state, ext: None }
+    }
+
+    /// The state's extension (see [`state_extension`]), built or
+    /// evaluated at most once.
+    pub(crate) fn extension(
+        &mut self,
+        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+    ) -> Arc<Extension> {
+        let state = &self.state;
+        Arc::clone(
+            self.ext
+                .get_or_insert_with(|| state_extension(state, ext_of)),
+        )
+    }
+
+    /// Whether `c` lies in the state's lub: decided from the growth data
+    /// ([`LubState::contains_id`], or [`LubState::contains`] for an
+    /// unpooled constant), or read off the evaluated extension.
+    pub(crate) fn holds(
+        &mut self,
+        c: Constant<'_>,
+        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+    ) -> bool {
+        let decided = match c.id {
+            Some(id) => self.state.contains_id(id),
+            None => self.state.contains(c.value),
+        };
+        decided.unwrap_or_else(|| self.extension(ext_of).contains(c.value))
+    }
+}
+
+/// The probe verdicts at one position `j` of a growth loop while every
+/// other position stays fixed at `exts`: Definition 3.2 for
+/// `exts[j := ext(E)]`, through the position's [`BlockedSet`].
+///
+/// A candidate grown from a support holding `a_j` holds `a_j`, and the
+/// loops keep the other positions' constants in their extensions, so a
+/// candidate is admitted iff its lub holds no member of `B_j`. For a
+/// pooled candidate that is decided member by member from the growth
+/// data ([`LubState::contains_id`]), rejecting at the first member it
+/// holds, and its extension is never built. A candidate without growth
+/// data, or a `B_j` with a member outside the provider's pool, takes the
+/// extension route: the candidate's extension against
+/// [`BlockedSet::admits`]. Debug builds check every verdict against the
+/// full Definition 3.2 on the built extensions.
+pub(crate) struct Verdicts<'a, 'q, E> {
+    exts: &'a [E],
+    pool: &'a Arc<ConstPool>,
+    blocked: BlockedSet<'q>,
+    /// `B_j`'s members as ids of `pool`; `None` sends every candidate
+    /// down the extension route.
+    members: Option<Vec<ValueId>>,
+}
+
+impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
+    /// The verdicts at position `j` of `q`, the other positions fixed at
+    /// `exts`, for states of a provider over `pool`.
+    pub(crate) fn new(
+        exts: &'a [E],
+        j: usize,
+        q: QuestionRef<'q>,
+        pool: &'a Arc<ConstPool>,
+    ) -> Self {
+        let blocked = BlockedSet::new(exts, j, q);
+        let members = blocked.ids(pool);
+        Verdicts {
+            exts,
+            pool,
+            blocked,
+            members,
+        }
+    }
+
+    /// Whether `c ∈ B_j`: every lub holding it is rejected, so a loop
+    /// skips it without growing.
+    pub(crate) fn blocks(&self, c: Constant<'_>) -> bool {
+        match c.id {
+            Some(id) => self.blocked.contains_in(self.pool, id),
+            None => self.blocked.contains(c.value),
+        }
+    }
+
+    /// The verdict on a grown candidate whose lub holds `a_j`.
+    pub(crate) fn admits(
+        &self,
+        candidate: &mut Grown,
+        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+    ) -> bool {
+        if let Some(verdict) = self.by_membership(&candidate.state) {
+            #[cfg(debug_assertions)]
+            {
+                // On a copy, so the checked state keeps its extension unbuilt.
+                let ext = state_extension(&candidate.state.clone(), ext_of);
+                assert_eq!(
+                    verdict,
+                    self.blocked.full_check(self.exts, &ext),
+                    "membership verdict disagrees with Definition 3.2"
+                );
+            }
+            return verdict;
+        }
+        self.blocked.admits(self.exts, &candidate.extension(ext_of))
+    }
+
+    /// Rejected at the first member of `B_j` the candidate's lub holds;
+    /// `None` without the members as ids or without growth data. An
+    /// empty `B_j` admits every candidate.
+    fn by_membership(&self, state: &LubState) -> Option<bool> {
+        for &c in self.members.as_ref()? {
+            if state.contains_id(c)? {
+                return Some(false);
+            }
+        }
+        Some(self.blocked.others_hold())
+    }
+}
+
 /// Algorithm 2's growth loop over `adom(I)` as ascending ids of the
 /// provider's pool, a borrowed question, a lub provider and a
-/// caller-supplied extension function. Each position carries the
-/// [`LubState`] of its support, and each probe grows it by one constant
-/// and is decided by the grown state's extension against the position's
-/// [`BlockedSet`]; `ext_of` only evaluates the concepts of states that
-/// carry none (see [`state_extension`]). A concept is assembled only for
-/// the states the search keeps.
+/// caller-supplied extension function: [`position_major`] over the
+/// positions in order.
 pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     adom: &[ValueId],
     q: QuestionRef<'_>,
@@ -108,41 +308,80 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Explanation<LsConcept> {
-    let pool = lubs.pool();
+    let positions: Vec<usize> = (0..q.arity()).collect();
+    position_major(adom, &positions, q, lubs, kind, ext_of)
+}
+
+/// Algorithm 2 position by position, in the order `positions` lists
+/// them, each position sweeping `order` (ids of the provider's pool)
+/// with [`grow_position`]. Supports start at the singletons `{a_j}`.
+///
+/// A position's blocked set reads the other positions' extensions: the
+/// starts (nominals) of the positions not yet swept, and the final
+/// states of those already swept. So a final state builds its extension
+/// only when a later position reads it, and the last position's final
+/// state builds none. A concept is assembled only for the final states.
+pub(crate) fn position_major<P: LubProvider + ?Sized>(
+    order: &[ValueId],
+    positions: &[usize],
+    q: QuestionRef<'_>,
+    lubs: &P,
+    kind: LubKind,
+    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+) -> Explanation<LsConcept> {
     // Lines 2–3: support sets start at the singletons {aj}; the first
     // candidate explanation is their lubs.
-    let mut states: Vec<LubState> = q.tuple.iter().map(|a| lubs.start(kind, a)).collect();
-    let mut exts: Vec<Arc<Extension>> = states
+    let mut states: Vec<Grown> = q
+        .tuple
         .iter()
-        .map(|s| state_extension(s, &mut *ext_of))
+        .map(|a| Grown::new(lubs.start(kind, a)))
+        .collect();
+    let mut exts: Vec<Arc<Extension>> = states
+        .iter_mut()
+        .map(|s| s.extension(&mut *ext_of))
         .collect();
     debug_assert!(
         exts_form_explanation_q(&exts, q),
         "the nominal-based start must be an explanation"
     );
-
-    // Lines 4–11: per position, try to absorb each uncovered active-domain
-    // constant into the support set. The other positions stay fixed
-    // while position j grows, so line 9's check is against B_j alone.
-    for j in 0..q.arity() {
-        let blocked = BlockedSet::new(&exts, j, q);
-        for &b in adom {
-            // Line 5's set difference, re-evaluated live; a blocked
-            // constant would put an answer into the product.
-            if exts[j].contains_in(pool, b) || blocked.contains_in(pool, b) {
-                continue;
-            }
-            // Lines 6–8: the more general candidate at position j.
-            let candidate = lubs.grow(&states[j], pool.value(b));
-            let candidate_ext = state_extension(&candidate, &mut *ext_of);
-            // Line 9: keep it only if the tuple stays an explanation.
-            if blocked.admits(&exts, &candidate_ext) {
-                states[j] = candidate;
-                exts[j] = candidate_ext;
-            }
+    // Lines 4–11, one position at a time. The other positions stay
+    // fixed while position j grows, so line 9's check is against B_j
+    // alone.
+    for (i, &j) in positions.iter().enumerate() {
+        let verdicts = Verdicts::new(&exts, j, q, lubs.pool());
+        grow_position(lubs, &mut states[j], &verdicts, order, ext_of);
+        if i + 1 < positions.len() {
+            exts[j] = states[j].extension(ext_of);
         }
     }
-    Explanation::new(states.into_iter().map(LubState::into_concept))
+    Explanation::new(states.into_iter().map(|s| s.state.into_concept()))
+}
+
+/// Algorithm 2's lines 4–11 at one position: sweeps `order` (ids of the
+/// provider's pool), skips each constant in `B_j` or already in the
+/// position's lub, and keeps each grown candidate the verdicts admit.
+fn grow_position<P: LubProvider + ?Sized, E: Borrow<Extension>>(
+    lubs: &P,
+    current: &mut Grown,
+    verdicts: &Verdicts<'_, '_, E>,
+    order: &[ValueId],
+    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+) {
+    let pool = lubs.pool();
+    for &b in order {
+        // Line 5's set difference, re-evaluated live; a blocked
+        // constant would put an answer into the product.
+        let b = Constant::pooled(pool, b);
+        if verdicts.blocks(b) || current.holds(b, &mut *ext_of) {
+            continue;
+        }
+        // Lines 6–9: the more general candidate at position j, kept
+        // only if the tuple stays an explanation.
+        let mut candidate = Grown::new(lubs.grow(&current.state, b.value));
+        if verdicts.admits(&mut candidate, &mut *ext_of) {
+            *current = candidate;
+        }
+    }
 }
 
 /// The constants of `tuple` outside `adom` (ascending ids of `pool`),
@@ -174,29 +413,49 @@ pub(crate) fn beyond_adom<'a>(
 /// selection-free `LS` and (by Lemma 5.2) for bounded schema arity with
 /// selections.
 pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubKind) -> bool {
+    let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
+    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
+    check_mge_with(&engine, &engine.adom(), wn, e, kind)
+}
+
+/// [`check_mge_instance`] over a caller-built lub provider (see
+/// [`incremental_search_with`]); the answer is the same. A test seam,
+/// like [`incremental_search_with`].
+#[doc(hidden)]
+pub fn check_mge_instance_with<P: LubProvider + ?Sized>(
+    lubs: &P,
+    wn: &WhyNotInstance,
+    e: &Explanation<LsConcept>,
+    kind: LubKind,
+) -> bool {
+    check_mge_with(lubs, &adom_ids(lubs.pool(), &wn.instance), wn, e, kind)
+}
+
+/// The one-shot CHECK-MGE over `lubs`, with `adom(I)` as ascending ids of
+/// its pool.
+fn check_mge_with<P: LubProvider + ?Sized>(
+    lubs: &P,
+    adom: &[ValueId],
+    wn: &WhyNotInstance,
+    e: &Explanation<LsConcept>,
+    kind: LubKind,
+) -> bool {
     if e.len() != wn.arity() {
         return false;
     }
-    let inst = &wn.instance;
-    let pool = inst.const_pool_with(wn.tuple.iter().cloned());
-    let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
+    let (inst, pool) = (&wn.instance, lubs.pool());
+    let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
     let exts: Vec<Extension> = e
         .concepts
         .iter()
-        .map(|c| c.extension_in(inst, &pool))
+        .map(|c| c.extension_in(inst, pool))
         .collect();
     if !exts_form_explanation_q(&exts, ids.question()) {
         return false;
     }
-    let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
-    check_mge_instance_core(
-        &engine.adom(),
-        ids.question(),
-        &exts,
-        &engine,
-        kind,
-        &mut |c| c.extension_in(inst, &pool),
-    )
+    check_mge_instance_core(adom, ids.question(), &exts, lubs, kind, &mut |c| {
+        c.extension_in(inst, pool)
+    })
 }
 
 /// The generalization-probe loop of CHECK-MGE W.R.T. `OI`, over `adom(I)`
@@ -206,9 +465,9 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
 /// has already verified that `exts` form an explanation (the probes only
 /// decide maximality). The probed constants are Prop 5.1's
 /// `K = adom(I) ∪ ā`. Each position's state is the fold over `ext(Cj)`,
-/// and every probe grows it by one constant and is decided by the grown
-/// state's extension against the position's [`BlockedSet`]; `ext_of`
-/// evaluates the concepts of states that carry no extension.
+/// and every probe grows it by one constant and is decided by the
+/// position's [`Verdicts`]: a pooled candidate never builds its
+/// extension.
 pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     adom: &[ValueId],
     q: QuestionRef<'_>,
@@ -220,6 +479,11 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     let pool = lubs.pool();
     // The tuple's constants outside adom(I), the rest of K.
     let beyond_adom = beyond_adom(pool, adom, q.tuple);
+    let k = adom
+        .iter()
+        .map(|&id| Constant::pooled(pool, id))
+        .chain(beyond_adom.into_iter().map(|v| Constant::of(pool, v)));
+    let k: Vec<Constant<'_>> = k.collect();
     for j in 0..exts.len() {
         // The universal extension (⊤) cannot be generalized.
         let Some(current) = exts[j].as_finite() else {
@@ -229,22 +493,18 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
         let Some(state) = lubs.state_of(kind, &current.to_btree_set()) else {
             continue;
         };
-        let blocked = BlockedSet::new(exts, j, q);
-        // Strictly more general by construction: ⊇ current ∪ {b}.
-        let mut generalizes = |b: &Value| {
-            let candidate = lubs.grow(&state, b);
-            blocked.admits(exts, &state_extension(&candidate, &mut *ext_of))
-        };
-        for &b in adom {
-            if !current.contains_in(pool, b)
-                && !blocked.contains_in(pool, b)
-                && generalizes(pool.value(b))
-            {
-                return false;
+        let verdicts = Verdicts::new(exts, j, q, pool);
+        for &b in &k {
+            let inside = match b.id {
+                Some(id) => current.contains_in(pool, id),
+                None => current.contains(b.value),
+            };
+            if inside || verdicts.blocks(b) {
+                continue;
             }
-        }
-        for b in &beyond_adom {
-            if !current.contains(b) && !blocked.contains(b) && generalizes(b) {
+            // Strictly more general by construction: ⊇ current ∪ {b}.
+            let mut candidate = Grown::new(lubs.grow(&state, b.value));
+            if verdicts.admits(&mut candidate, &mut *ext_of) {
                 return false;
             }
         }

@@ -79,14 +79,14 @@ pub use session::{
 pub use derived::{
     min_fragment_concepts, InstanceOntology, MaterializedOntology, ObdaOntology, SchemaOntology,
 };
-pub use enumerate::{enumerate_mges_instance, incremental_search_balanced};
+pub use enumerate::{enumerate_mges_instance, enumerate_mges_with, incremental_search_balanced};
 pub use exhaustive::{
     check_mge, exhaustive_search, explanation_exists, find_explanation, retain_most_general,
 };
 pub use explicit::{ConceptName, ExplicitOntology, ExplicitOntologyBuilder};
 pub use incremental::{
-    check_mge_instance, incremental_search, incremental_search_kind,
-    incremental_search_with_selections,
+    check_mge_instance, check_mge_instance_with, incremental_search, incremental_search_kind,
+    incremental_search_with, incremental_search_with_selections,
 };
 pub use obda_query::obda_why_not;
 pub use ontology::{consistent_with, ConceptSignature, FiniteOntology, Ontology};

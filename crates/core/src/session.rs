@@ -29,13 +29,14 @@
 //! building a tuple, and a question borrows the cached rows
 //! ([`AnswerIds`]) — a contrast residual `Ans \ {foil}` skips one row.
 //!
-//! The growth probes need no cache of their own. A grown state carries
-//! its lub's extension, computed in the session pool's id space from the
-//! engine's columns, and assembles its `LS` concept only when the search
-//! keeps it. The explanation check probes that extension with the
-//! answer rows' ids. So no `LS` concept is built, looked up or evaluated
-//! per probe; only `check_mge_instance` evaluates the concepts it is
-//! handed, directly.
+//! The growth probes need no cache of their own. A grown state decides
+//! membership in its lub from the engine's columns, by session-pool id,
+//! so a probe is rejected at the first member of the position's blocked
+//! set (built from the answer rows' ids) its lub holds. A state builds
+//! its extension only when a later position's blocked set reads it, and
+//! assembles its `LS` concept only when the search keeps it. So no `LS`
+//! concept is built, looked up or evaluated per probe; only
+//! `check_mge_instance` evaluates the concepts it is handed, directly.
 //!
 //! Validation happens at the service boundary: a malformed question
 //! (wrong arity, unknown relation, nullary tuple, tuple already answered)
@@ -835,7 +836,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
     /// Algorithm 2 (INCREMENTAL SEARCH) w.r.t. the instance-derived
     /// ontology `OI`: growth probes through the session's lub engine,
-    /// each decided by the grown state's id-space extension.
+    /// each decided by membership of the blocked set's ids in the grown
+    /// state's lub.
     pub fn incremental(
         &self,
         q: &WhyNotQuestion,
@@ -917,10 +919,10 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let bound = self.bind_contrast(q)?;
         let engine = self.lub_engine();
         let adom = engine.adom();
-        let k_vals = restriction(self.pool(), &adom, &bound.missing);
+        let k = restriction(self.pool(), &adom, &bound.missing);
         let ids = bound.residual();
         Ok(Arc::new(contrast_core(
-            &k_vals,
+            &k,
             ids.question(),
             &bound.foil,
             engine,

@@ -5,7 +5,7 @@ use std::borrow::{Borrow, Cow};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use whynot_concepts::{Extension, ValueSet};
+use whynot_concepts::{kernels, Extension, ValueSet};
 use whynot_relation::{
     AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId,
 };
@@ -353,6 +353,49 @@ impl<'q> BlockedSet<'q> {
         self.blocked.contains_in(pool, id)
     }
 
+    /// `B_j`'s members as ascending ids of `pool`, or `None` when the set
+    /// is over another pool or holds a value `pool` does not intern. A
+    /// growth loop rejects a probe at the first member its lub holds
+    /// (see [`LubState::contains_id`](whynot_concepts::LubState::contains_id)).
+    pub(crate) fn ids(&self, pool: &Arc<ConstPool>) -> Option<Vec<ValueId>> {
+        if !Arc::ptr_eq(self.blocked.pool(), pool) || !self.blocked.extra().is_empty() {
+            return None;
+        }
+        Some(
+            kernels::ones(self.blocked.words())
+                .map(|i| ValueId(i as u32))
+                .collect(),
+        )
+    }
+
+    /// Whether every position other than this set's holds its tuple
+    /// constant in the extensions the set was built from.
+    pub(crate) fn others_hold(&self) -> bool {
+        self.others_hold
+    }
+
+    /// Definition 3.2 in full for `exts` with this set's position
+    /// replaced by `candidate`: the reference every verdict is checked
+    /// against in debug builds.
+    pub(crate) fn full_check<E: Borrow<Extension>>(
+        &self,
+        exts: &[E],
+        candidate: &Extension,
+    ) -> bool {
+        let substituted: Vec<&Extension> = exts
+            .iter()
+            .enumerate()
+            .map(|(k, e)| {
+                if k == self.position {
+                    candidate
+                } else {
+                    e.borrow()
+                }
+            })
+            .collect();
+        exts_form_explanation_q(&substituted, self.q)
+    }
+
     /// Whether `ext ∩ B_j = ∅` (`⊤` meets every non-empty `B_j`).
     pub fn is_disjoint(&self, ext: &Extension) -> bool {
         match ext {
@@ -374,14 +417,7 @@ impl<'q> BlockedSet<'q> {
         let verdict = self.others_hold && holds_own && self.is_disjoint(candidate);
         debug_assert_eq!(
             verdict,
-            exts_form_explanation_q(
-                &exts
-                    .iter()
-                    .enumerate()
-                    .map(|(k, e)| if k == j { candidate } else { e.borrow() })
-                    .collect::<Vec<&Extension>>(),
-                self.q
-            ),
+            self.full_check(exts, candidate),
             "blocked-set verdict at position {j} disagrees with Definition 3.2"
         );
         verdict

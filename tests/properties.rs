@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot::concepts::{
-    lub, lub_sigma, simplify, Extension, LsConcept, LubEngine, LubProvider, Selection,
+    lub, lub_sigma, simplify, Extension, LsConcept, LubEngine, LubProvider, LubState, Selection,
 };
 use whynot::core::{
     check_mge_instance, exhaustive_search, exts_form_explanation, exts_form_explanation_q,
@@ -425,14 +425,25 @@ proptest! {
 /// equals its concept's extension evaluated in value space over the
 /// engine's pool. The carried extension is read before the concept is
 /// assembled. `LubState::contains`, asked first, must decide every probe
-/// as the extension does (both kinds; the first prefix is a singleton,
-/// and probes may lie outside the pool or inside a `⊤` state).
+/// as the extension does, and so must `LubState::contains_id` for every
+/// pooled probe: on the grown state before its extension is built, so
+/// the growth data decides; on the same prefix folded afresh; and again
+/// once the extension is built, so its bits decide (both kinds; the
+/// first prefix is a singleton, and probes may lie outside the pool or
+/// inside a `⊤` state).
 fn assert_growth_extensions_match(
     engine: &LubEngine<'_>,
     inst: &Instance,
     order: &[Value],
     probes: &[Value],
 ) {
+    let pool = engine.pool();
+    let by_id = |state: &LubState| -> Vec<Option<Option<bool>>> {
+        probes
+            .iter()
+            .map(|p| pool.id_of(p).map(|id| state.contains_id(id)))
+            .collect()
+    };
     for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
         let mut state = engine.start(kind, &order[0]);
         let mut prefix: BTreeSet<Value> = BTreeSet::new();
@@ -443,15 +454,42 @@ fn assert_growth_extensions_match(
             prefix.insert(v.clone());
             // Decided from the growth data before the extension exists.
             let decided: Vec<Option<bool>> = probes.iter().map(|p| state.contains(p)).collect();
+            let decided_by_id = by_id(&state);
+            let fresh = engine.state_of(kind, &prefix).expect("non-empty prefix");
+            let fresh_decided: Vec<Option<bool>> =
+                probes.iter().map(|p| fresh.contains(p)).collect();
+            let fresh_by_id = by_id(&fresh);
             let carried = state
                 .extension()
                 .cloned()
                 .expect("pooled states carry their extension");
-            let evaluated = state.concept().extension_in(inst, engine.pool());
+            let evaluated = state.concept().extension_in(inst, pool);
             assert_eq!(*carried, evaluated, "{kind:?} grown to {prefix:?}");
             let members: Vec<Option<bool>> =
                 probes.iter().map(|p| Some(carried.contains(p))).collect();
             assert_eq!(decided, members, "{kind:?} contains, grown to {prefix:?}");
+            assert_eq!(
+                fresh_decided, members,
+                "{kind:?} contains, folded afresh to {prefix:?}"
+            );
+            let members_by_id: Vec<Option<Option<bool>>> = probes
+                .iter()
+                .zip(&members)
+                .map(|(p, &member)| pool.id_of(p).map(|_| member))
+                .collect();
+            assert_eq!(
+                decided_by_id, members_by_id,
+                "{kind:?} contains_id, grown to {prefix:?}"
+            );
+            assert_eq!(
+                fresh_by_id, members_by_id,
+                "{kind:?} contains_id, folded afresh to {prefix:?}"
+            );
+            assert_eq!(
+                by_id(&state),
+                members_by_id,
+                "{kind:?} contains_id once built, grown to {prefix:?}"
+            );
         }
     }
 }
@@ -476,8 +514,9 @@ proptest! {
         order in proptest::collection::vec(-2i64..16, 1..7),
     ) {
         // Same constants as the growth ≡ legacy test: 0..12 may occur,
-        // 12..14 are pooled but absent, -2..0 and 14..16 are unpooled;
-        // `order` may repeat constants.
+        // 12..14 are pooled but absent (as a why-not tuple's constants
+        // outside adom(I) are, so their ids are probed too), -2..0 and
+        // 14..16 are unpooled; `order` may repeat constants.
         let (schema, ..) = fixed_schema();
         let pool = inst.const_pool_with([Value::int(12), Value::int(13)]);
         let engine = LubEngine::with_pool(&schema, &inst, pool);
@@ -491,11 +530,16 @@ proptest! {
         seed in 0u64..32,
         picks in proptest::collection::vec(0usize..26, 1..6),
     ) {
-        // Picks 24 and 25 name cities outside the 24-city network.
+        // Picks 24 and 25 name cities outside the 24-city network. The
+        // pool also interns them, as it interns a why-not tuple's
+        // constants outside adom(I), so their ids are probed too.
         let net = whynot::scenarios::generators::city_network(24, 4, seed);
         let wn = &net.why_not;
-        let engine = LubEngine::new(&wn.schema, &wn.instance);
         let city = |c: usize| Value::str(whynot::scenarios::generators::city_name(c));
+        let pool = wn
+            .instance
+            .const_pool_with(wn.tuple.iter().cloned().chain([city(24), city(25)]));
+        let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
         let order: Vec<Value> = picks.iter().map(|&c| city(c)).collect();
         let probes: Vec<Value> = (0..26).map(city).collect();
         assert_growth_extensions_match(&engine, &wn.instance, &order, &probes);
