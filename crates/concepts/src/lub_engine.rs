@@ -104,7 +104,9 @@ use crate::selection::Selection;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
-use whynot_relation::{Attr, ConstPool, IdImage, Instance, PoolMap, RelId, Schema, Value, ValueId};
+use whynot_relation::{
+    Attr, ConstPool, IdImage, Instance, NetChange, PoolMap, RelId, RowDelta, Schema, Value, ValueId,
+};
 
 /// Which `lub` operator drives a search (i.e. which `LS` fragment the
 /// resulting concepts live in).
@@ -129,6 +131,15 @@ struct RelColumns {
     /// Per schema attribute, the occurrence bitset over the pool's id
     /// space (one word per 64 ids), read off the image on the first lub.
     bits: OnceLock<Vec<Vec<u64>>>,
+}
+
+/// A relation's changes since its image was built or last patched.
+struct Pending {
+    /// The pool the image's ids index: an older generation than the
+    /// engine's once a delta bumped it.
+    pool: Arc<ConstPool>,
+    /// The changes, oldest first.
+    changes: Vec<NetChange>,
 }
 
 /// The growth state of one lub: the lub `lub(S)` (or `lubσ(S)`) of a
@@ -323,6 +334,9 @@ pub struct LubEngine<'a> {
     /// Per relation, its id image, built on first use (by a lub or by
     /// [`LubEngine::image`]), and its lub columns, built on the first lub.
     rels: RefCell<BTreeMap<RelId, Arc<RelColumns>>>,
+    /// Per relation whose entry in `rels` predates a delta, the changes
+    /// since: the next use patches the image with them.
+    pending: RefCell<BTreeMap<RelId, Pending>>,
     /// Every relation's columns as one view, with `adom(I)` read off
     /// them, assembled on the first lub or [`LubEngine::adom`] call (a
     /// growth step reads every column) and dropped by
@@ -351,6 +365,7 @@ impl<'a> LubEngine<'a> {
             inst: inst.clone(),
             pool,
             rels: RefCell::new(BTreeMap::new()),
+            pending: RefCell::new(BTreeMap::new()),
             view: RefCell::new(None),
             column_builds: Cell::new(0),
         }
@@ -362,7 +377,9 @@ impl<'a> LubEngine<'a> {
     }
 
     /// The id image of `rel` over the engine's pool, built on first use
-    /// (one pool probe per cell) and shared with the lub columns, so a
+    /// (one pool probe per cell), patched on the first use after a delta
+    /// that changed it (see [`LubEngine::apply_delta`]), and shared with
+    /// the lub columns, so a
     /// relation is interned once for query evaluation
     /// ([`Ucq::eval_ids`](whynot_relation::Ucq::eval_ids)) and lubs
     /// alike. `None` for a relation outside the schema. The image holds
@@ -459,60 +476,136 @@ impl<'a> LubEngine<'a> {
         view
     }
 
-    /// The interned data of one schema relation, its image built on
-    /// first use (one pool probe per cell).
+    /// The interned data of one schema relation: its image built on
+    /// first use (one pool probe per cell), or patched with the relation's
+    /// pending changes (no pool probe per row), its columns then read
+    /// afresh.
     fn rel_columns(&self, rel: RelId) -> Arc<RelColumns> {
-        if let Some(hit) = self.rels.borrow().get(&rel) {
-            return Arc::clone(hit);
-        }
-        let image = IdImage::build(&self.inst, rel, self.schema.arity(rel), &self.pool)
-            // lint: allow(no-panic-in-lib) — the engine pool covers the
-            // instance's active domain (the documented `with_pool`
-            // contract), so every stored value has an id.
-            .expect("LubEngine pool must cover the instance's active domain");
+        let image = match self.pending.borrow_mut().remove(&rel) {
+            Some(pending) => {
+                // lint: allow(no-panic-in-lib) — a relation is pending
+                // only while its entry is in `rels`.
+                let stale = self.rels.borrow_mut().remove(&rel).expect("pending image");
+                self.patched(stale, pending)
+            }
+            None => match self.rels.borrow().get(&rel) {
+                Some(hit) => return Arc::clone(hit),
+                None => Arc::new(
+                    IdImage::build(&self.inst, rel, self.schema.arity(rel), &self.pool)
+                        // lint: allow(no-panic-in-lib) — the engine pool covers
+                        // the instance's active domain (the documented
+                        // `with_pool` contract), so every stored value has an
+                        // id.
+                        .expect("LubEngine pool must cover the instance's active domain"),
+                ),
+            },
+        };
+        debug_assert!(
+            {
+                let rows = |image: &IdImage| {
+                    let mut rows: Vec<&[u32]> = (0..image.len()).map(|r| image.row(r)).collect();
+                    rows.sort_unstable();
+                    rows.concat()
+                };
+                IdImage::build(&self.inst, rel, self.schema.arity(rel), &self.pool)
+                    .is_some_and(|fresh| rows(&fresh) == rows(&image))
+            },
+            "patched image disagrees with the instance"
+        );
         let built = Arc::new(RelColumns {
-            image: Arc::new(image),
+            image,
             bits: OnceLock::new(),
         });
         self.rels.borrow_mut().insert(rel, Arc::clone(&built));
         built
     }
 
+    /// `stale`'s image brought up to date: moved to the engine's pool
+    /// when a generation bump left it behind, then patched with the
+    /// changes — in place when nothing else holds it.
+    fn patched(&self, stale: Arc<RelColumns>, pending: Pending) -> Arc<IdImage> {
+        let mut image = match Arc::try_unwrap(stale) {
+            Ok(columns) => columns.image,
+            Err(shared) => Arc::clone(&shared.image),
+        };
+        if !Arc::ptr_eq(&pending.pool, &self.pool) {
+            image = Arc::new(
+                image
+                    .remap(&PoolMap::between(&pending.pool, &self.pool))
+                    // lint: allow(no-panic-in-lib) — generations only grow,
+                    // so the engine's pool holds every value of an older one.
+                    .expect("generation maps are total on old ids"),
+            );
+        }
+        let change = RowDelta::of_changes(&pending.changes, &self.pool)
+            // lint: allow(no-panic-in-lib) — every changed row is in the
+            // instance before or after the delta, which the pool covers.
+            .expect("LubEngine pool must cover every changed row");
+        Arc::make_mut(&mut image).patch(&change);
+        image
+    }
+
     /// Retargets the engine at a post-delta snapshot, keeping every
     /// interned image and column of an unchanged relation.
     ///
-    /// `changed` is the effective change set from
-    /// [`Instance::apply_delta`]; those relations' images and columns are
-    /// dropped (rebuilt lazily, columns counted by
-    /// [`LubEngine::column_builds`] as usual). When the delta introduced
-    /// new constants the caller passes `repool = (next_pool, map)` from
+    /// `net` holds each effectively changed relation's net change (from
+    /// [`Instance::apply_delta`]). A changed relation keeps its image,
+    /// which its next use patches with the changes since
+    /// ([`IdImage::patch`]); its columns are read afresh then (counted
+    /// by [`LubEngine::column_builds`] as usual). Once a relation's
+    /// pending changes outnumber its rows, the image is dropped and
+    /// rebuilt from the instance instead. When the delta introduced new
+    /// constants the caller passes `repool = (next_pool, map)` from
     /// [`GenPool::absorb`](whynot_relation::GenPool::absorb): retained
     /// images and columns are then *remapped* into the new id space — a
     /// pure id translation, never a re-intern — so columns still count as
-    /// retained.
+    /// retained; an image waiting for a patch is moved to the new pool by
+    /// the patch.
     ///
-    /// Returns `(retained, invalidated)` in column units.
+    /// Returns `(retained, invalidated)` in column units; a relation
+    /// still waiting for its patch has no columns to count.
     pub fn apply_delta(
         &mut self,
         new_inst: &Instance,
-        changed: &BTreeSet<RelId>,
+        net: &BTreeMap<RelId, NetChange>,
         repool: Option<(&Arc<ConstPool>, &PoolMap)>,
     ) -> (usize, usize) {
         let mut retained = 0usize;
         let mut invalidated = 0usize;
         let rels = self.rels.get_mut();
+        let pending = self.pending.get_mut();
         rels.retain(|rel, rc| {
-            let columns = rc.bits().len();
-            if changed.contains(rel) {
-                invalidated += columns;
-                false
+            let columns = if pending.contains_key(rel) {
+                0
             } else {
+                rc.bits().len()
+            };
+            let Some(change) = net.get(rel) else {
                 retained += columns;
-                true
+                return true;
+            };
+            invalidated += columns;
+            let waiting = pending.entry(*rel).or_insert_with(|| Pending {
+                pool: Arc::clone(&self.pool),
+                changes: Vec::new(),
+            });
+            waiting.changes.push(change.clone());
+            let rows: usize = waiting
+                .changes
+                .iter()
+                .map(|c| c.inserted.len() + c.deleted.len())
+                .sum();
+            if rows > new_inst.cardinality(*rel) {
+                pending.remove(rel);
+                return false;
             }
+            true
         });
         if let Some((pool, map)) = repool {
-            for rc in rels.values_mut() {
+            for (_, rc) in rels
+                .iter_mut()
+                .filter(|(rel, _)| !pending.contains_key(rel))
+            {
                 let image = rc
                     .image
                     .remap(map)
@@ -1056,7 +1149,7 @@ fn box_atom(pool: &ConstPool, rel: RelId, rc: &RelColumns, attr: Attr, bx: &[Int
 mod tests {
     use super::*;
     use crate::lub::{lub, lub_sigma, try_lub, try_lub_sigma};
-    use whynot_relation::SchemaBuilder;
+    use whynot_relation::{Delta, SchemaBuilder};
 
     fn s(v: &str) -> Value {
         Value::str(v)
@@ -1178,10 +1271,11 @@ mod tests {
 
         // Delete one train connection; Cities is untouched.
         let tc = RelId(1);
-        let mut next = inst.clone();
-        next.remove(tc, &[s("Tokyo"), s("Kyoto")]);
-        let changed: BTreeSet<RelId> = [tc].into_iter().collect();
-        let (retained, invalidated) = engine.apply_delta(&next, &changed, None);
+        let mut delta = Delta::new();
+        delta.delete(tc, vec![s("Tokyo"), s("Kyoto")]);
+        let out = inst.apply_delta(&delta);
+        let next = out.instance.clone();
+        let (retained, invalidated) = engine.apply_delta(&next, &out.net, None);
         assert_eq!((retained, invalidated), (4, 2));
 
         // Every lub matches a fresh engine over the new instance, and
@@ -1206,11 +1300,12 @@ mod tests {
 
         // Insert a brand-new city constant into TC only.
         let tc = RelId(1);
-        let mut next = inst.clone();
-        next.insert(tc, vec![s("Kyoto"), s("Aomori")]);
+        let mut delta = Delta::new();
+        delta.insert(tc, vec![s("Kyoto"), s("Aomori")]);
+        let out = inst.apply_delta(&delta);
+        let next = out.instance.clone();
         let map = gen.absorb([s("Aomori")]).expect("new constant");
-        let changed: BTreeSet<RelId> = [tc].into_iter().collect();
-        let (retained, invalidated) = engine.apply_delta(&next, &changed, Some((gen.pool(), &map)));
+        let (retained, invalidated) = engine.apply_delta(&next, &out.net, Some((gen.pool(), &map)));
         assert_eq!((retained, invalidated), (4, 2));
         assert!(Arc::ptr_eq(engine.pool(), gen.pool()));
 
@@ -1247,26 +1342,29 @@ mod tests {
 
         // Santa Cruz's population leaves adom(I) but stays pooled.
         let cities = RelId(0);
-        let mut next = inst.clone();
-        next.remove(
+        let mut delta = Delta::new();
+        delta.delete(
             cities,
-            &[
+            vec![
                 s("Santa Cruz"),
                 Value::int(59_946),
                 s("USA"),
                 s("N.America"),
             ],
         );
-        engine.apply_delta(&next, &[cities].into_iter().collect(), None);
+        let out = inst.apply_delta(&delta);
+        let next = out.instance.clone();
+        engine.apply_delta(&next, &out.net, None);
         assert_eq!(listed(&engine), adom(&next));
 
         // A new constant bumps the pool generation.
         let tc = RelId(1);
-        let mut last = next.clone();
-        last.insert(tc, vec![s("Kyoto"), s("Aomori")]);
+        let mut delta = Delta::new();
+        delta.insert(tc, vec![s("Kyoto"), s("Aomori")]);
+        let out = next.apply_delta(&delta);
+        let last = out.instance.clone();
         let map = gen.absorb([s("Aomori")]).expect("new constant");
-        let changed = [tc].into_iter().collect();
-        engine.apply_delta(&last, &changed, Some((gen.pool(), &map)));
+        engine.apply_delta(&last, &out.net, Some((gen.pool(), &map)));
         assert_eq!(listed(&engine), adom(&last));
     }
 
@@ -1286,15 +1384,17 @@ mod tests {
         assert!(Arc::ptr_eq(&engine.image(tc).unwrap(), &tc_image));
 
         // A delta to Cities keeps TC's image; a bump remaps it.
-        let mut next = inst.clone();
-        next.insert(
+        let mut delta = Delta::new();
+        delta.insert(
             cities,
             vec![s("Aomori"), Value::int(1), s("Japan"), s("Asia")],
         );
+        let out = inst.apply_delta(&delta);
+        let next = out.instance.clone();
         let map = gen
             .absorb([s("Aomori"), Value::int(1)])
             .expect("new constants");
-        engine.apply_delta(&next, &[cities].into(), Some((gen.pool(), &map)));
+        engine.apply_delta(&next, &out.net, Some((gen.pool(), &map)));
         let moved = engine.image(tc).unwrap();
         let fresh = IdImage::build(&next, tc, 2, gen.pool()).unwrap();
         assert!((0..6).all(|r| moved.row(r) == fresh.row(r)));

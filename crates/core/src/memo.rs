@@ -50,10 +50,15 @@ impl<K: Clone + Eq + Hash, V: Clone> Memo<K, V> {
 
     /// The value cached under `key`, marked as most recently used.
     pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+        self.get_mut(key).cloned()
+    }
+
+    /// [`get`](Memo::get), for updating the value in place.
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let (value, stamp) = self.map.get_mut(key)?;
         self.clock += 1;
         *stamp = self.clock;
-        Some(value.clone())
+        Some(value)
     }
 
     /// Caches `value` under a key not yet cached, evicting
@@ -121,12 +126,14 @@ mod tests {
             memo.insert(k, k * 10);
         }
         assert_eq!(memo.get(&0), Some(0));
+        *memo.get_mut(&2).unwrap() += 5;
         assert_eq!(memo.insert(3, 30), vec![10], "1 is least recently used");
         let kept = memo.retain(|&k, v| {
             *v += 1;
             k != 2
         });
         assert_eq!(kept, (1, 2), "retain drops 2 without evicting it");
+        assert_eq!(memo.get(&2), None);
         memo.evict_where(|&k| k == 0);
         assert_eq!((memo.len(), memo.evicted()), (1, 2));
         assert_eq!(memo.get(&3), Some(31));

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | concept extensions | concept (via [`EvalContext`]) | every algorithm; ≤ 1 `ext(c, I)` eval per concept **per session**, not per question |
 //! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, `>card` lists, word-parallel membership |
-//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each tagged with a serial |
+//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each tagged with a serial, and patched after a delta ([`Ucq::patch_ids`]) instead of re-evaluated |
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
 //! | conflict bitsets | `(answer serial, position, concept)` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
 //! | the pooled [`LubEngine`]: one id image per relation, plus lub columns | `rel` / `(rel, attr)` (built once) | query evaluation over the images, and Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
@@ -21,7 +21,15 @@
 //! the crate's `memo` module): a hash map under an entry cap from the
 //! session's [`CacheBudget`], evicting its least-recently-used entry.
 //! Evicting an answer set purges the conflict bitsets keyed by its
-//! serial. Contrastive answers are not cached: each
+//! serial.
+//!
+//! A delta keeps the answer sets over the relations it changed. The
+//! session journals each delta's net change per relation, and the next
+//! access to such a set folds the journal's changes since
+//! the set's epoch into it ([`Ucq::patch_ids`]); the set then takes a
+//! new serial, so the conflict bitsets of the old rows stay dead. A set
+//! whose pending changes outgrow its relations' rows is dropped and
+//! re-evaluated instead. Contrastive answers are not cached: each
 //! [`contrast`](WhyNotSession::contrast) call recomputes its answer.
 //!
 //! Questions are answered in the session pool's id space: answer sets are
@@ -97,14 +105,15 @@ use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
 use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation};
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use whynot_concepts::{
     kernels, Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider,
 };
 use whynot_relation::{
-    AnswerRows, ConstPool, Delta, Instance, RelError, Schema, Tuple, Ucq, Value,
+    AnswerRows, ConstPool, Delta, Instance, NetChange, PoolMap, RelError, RelId, RowDelta, Schema,
+    Tuple, Ucq, Value,
 };
 
 /// One question of a batched stream: the query `q` and the missing tuple
@@ -296,9 +305,14 @@ pub struct DeltaStats {
     /// Extension-table entries carried over unchanged (or bit-remapped
     /// across a generation bump).
     pub table_retained: usize,
-    /// Cached answer sets dropped because the query mentions a changed
-    /// relation.
+    /// Cached answer sets dropped because the query reads a changed
+    /// relation and the changes pending for it outnumber its relations'
+    /// rows: the next access re-evaluates the query.
     pub answers_dropped: usize,
+    /// Cached answer sets kept for a patch because the query reads a
+    /// changed relation: the next access folds the pending changes into
+    /// the rows ([`Ucq::patch_ids`]) under a new serial.
+    pub answers_patched: usize,
     /// Cached answer sets that survived.
     pub answers_retained: usize,
     /// Per-constant candidate lists dropped (any dirty concept can
@@ -324,6 +338,7 @@ impl DeltaStats {
         self.extensions_dropped
             + self.table_reevaluated
             + self.answers_dropped
+            + self.answers_patched
             + self.candidates_dropped
             + self.conflicts_dropped
             + self.lub_columns_dropped
@@ -409,9 +424,19 @@ impl EvictionStats {
 /// session's conflict cache.
 type ConflictBits = Arc<(Vec<u64>, usize)>;
 
-/// A cached answer set and the serial it was cached under (unique for
-/// the session's lifetime).
-type SerialAnswers = (Arc<AnswerRows>, u64);
+/// A cached answer set: its rows, the serial they were cached under
+/// (unique for the session's lifetime, renewed by a patch), and how far
+/// they have caught up with the session's deltas. Rows waiting for a
+/// patch stay over the pool they were computed in.
+#[derive(Clone)]
+struct CachedAnswers {
+    rows: Arc<AnswerRows>,
+    serial: u64,
+    /// The epoch the rows reflect: the journal holds the changes since.
+    epoch: u64,
+    /// The journal's rows over the query's relations past `epoch`.
+    pending: usize,
+}
 
 /// A why-not service over one pinned `(ontology, instance)` pair.
 ///
@@ -430,10 +455,17 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// hit is a pointer clone).
     candidates: RefCell<Memo<Value, Arc<Vec<usize>>>>,
     /// Answer sets as sorted pool-id rows, keyed by query, each with its
-    /// serial.
-    answers: RefCell<Memo<Ucq, SerialAnswers>>,
+    /// serial and epoch.
+    answers: RefCell<Memo<Ucq, CachedAnswers>>,
     /// The last answer serial handed out; serials are never reused.
     serials: Cell<u64>,
+    /// Effective (not no-op) deltas applied so far: the epoch of the
+    /// pinned instance.
+    epoch: u64,
+    /// Per relation, each effective delta's net change to it, with the
+    /// delta's epoch — kept while a cached answer set over the relation
+    /// has yet to fold it in.
+    journal: BTreeMap<RelId, Vec<(u64, NetChange)>>,
     /// Algorithm 1 conflict bitsets (with their popcounts) keyed by
     /// `(answer serial, position, concept index)`. A candidate's conflict
     /// bits depend on the query's answers and the concept — *not* on
@@ -479,6 +511,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             candidates: RefCell::new(Memo::new()),
             answers: RefCell::new(Memo::new()),
             serials: Cell::new(0),
+            epoch: 0,
+            journal: BTreeMap::new(),
             conflicts: RefCell::new(Memo::new()),
             lub_engine: OnceCell::new(),
             budget: CacheBudget::unlimited(),
@@ -519,9 +553,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
     /// The eviction cascade: purges the conflict bitsets keyed by the
     /// serials of evicted answer sets.
-    fn purge_conflicts_of(&self, evicted: Vec<SerialAnswers>) {
+    fn purge_conflicts_of(&self, evicted: Vec<CachedAnswers>) {
         let mut conflicts = self.conflicts.borrow_mut();
-        for (_, serial) in evicted {
+        for CachedAnswers { serial, .. } in evicted {
             conflicts.evict_where(|&(s, _, _)| s == serial);
         }
     }
@@ -595,7 +629,11 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// cache entry's relation footprint: the ontology's
     /// [`signature`](Ontology::signature) for concept extensions, the
     /// query's atoms for answer sets, changed relations for the lub
-    /// engine's columns. Constants never seen before trigger a
+    /// engine's columns. Answer sets and id images over a changed
+    /// relation are not dropped but repaired: the delta's net change is
+    /// journaled, and each is patched with it on its next access, so the
+    /// call itself does work in the size of the delta (plus one pass
+    /// over the caches' keys). Constants never seen before trigger a
     /// [`ConstPool`] generation bump; retained interned caches are then
     /// bridged with one bit-remap each, never re-evaluated.
     ///
@@ -636,8 +674,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// delta.insert(tc, vec![Value::str("New York"), Value::str("Amsterdam")]);
     /// let stats = session.apply_delta(&delta)?;
     /// assert_eq!(stats.facts_inserted, 1);
-    /// // The query's answer set was dropped (it reads TC) …
-    /// assert_eq!(stats.answers_dropped, 1);
+    /// // The query's answer set is patched on its next access (it reads
+    /// // TC) …
+    /// assert_eq!(stats.answers_patched, 1);
     /// // … but the explicit ontology's extensions are instance-independent
     /// // and all survived.
     /// assert_eq!(stats.extensions_dropped, 0);
@@ -654,7 +693,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         if outcome.is_noop() {
             return Ok(DeltaStats::default());
         }
-        let changed = outcome.changed;
+        let changed = &outcome.changed;
         let mut stats = DeltaStats {
             changed_relations: changed.len(),
             facts_inserted: outcome.inserted,
@@ -666,7 +705,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // generation, scratch arena (which survives untouched).
         let ctx_delta = self.ctx.apply_delta(
             &outcome.instance,
-            &changed,
+            changed,
             outcome.inserted_constants.iter().cloned(),
         );
         let map = ctx_delta.map;
@@ -681,7 +720,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         if let Some((concepts, table)) = self.finite.take() {
             dirty = concepts
                 .iter()
-                .map(|c| self.ontology().signature(c).intersects(&changed))
+                .map(|c| self.ontology().signature(c).intersects(changed))
                 .collect();
             let (table, reevaluated, retained) =
                 table.refreshed(Arc::clone(&pool), map.as_ref(), &dirty, |i| {
@@ -702,27 +741,61 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         (stats.candidates_dropped, stats.candidates_retained) =
             self.candidates.get_mut().retain(|_, _| !any_concept_dirty);
 
-        // 4. Answer sets: drop exactly the queries that read a changed
-        // relation; a generation bump remaps the survivors' ids (the map
-        // keeps value order, so their rows keep theirs, and so do their
-        // serials).
+        // 4. Answer sets: the queries that read a changed relation keep
+        // their rows for a patch on their next access, unless their
+        // pending changes now outnumber their relations' rows; the others
+        // stay as they are. A generation bump remaps the up-to-date
+        // entries' ids (the map keeps value order, so rows keep theirs);
+        // an entry waiting for a patch moves to the new pool when patched.
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let instance = self.ctx.instance();
         let mut live: Vec<u64> = Vec::new();
+        // Per relation, the oldest epoch an entry still to patch reads it
+        // from: the journal keeps the changes past it.
+        let mut oldest: BTreeMap<RelId, u64> = BTreeMap::new();
+        let mut patched = 0;
         (stats.answers_dropped, stats.answers_retained) =
-            self.answers.get_mut().retain(|q, (rows, serial)| {
-                if q.rels().iter().any(|r| changed.contains(r)) {
-                    return false;
+            self.answers.get_mut().retain(|q, entry| {
+                let rels = q.rels();
+                let touched: usize = rels
+                    .iter()
+                    .filter_map(|r| outcome.net.get(r))
+                    .map(|c| c.inserted.len() + c.deleted.len())
+                    .sum();
+                if touched > 0 {
+                    entry.pending += touched;
+                    let rows: usize = rels.iter().map(|&r| instance.cardinality(r)).sum();
+                    if entry.pending > rows {
+                        return false;
+                    }
+                    patched += 1;
+                } else {
+                    live.push(entry.serial);
                 }
+                if entry.pending > 0 {
+                    for rel in rels {
+                        let since = oldest.entry(rel).or_insert(entry.epoch);
+                        *since = (*since).min(entry.epoch);
+                    }
+                    return true;
+                }
+                entry.epoch = epoch;
                 if let Some(map) = &map {
-                    *rows = Arc::new(
-                        rows.remap(&pool, map)
-                            // lint: allow(no-panic-in-lib) — generations only
-                            // grow, so a PoolMap is total on every old id.
+                    entry.rows = Arc::new(
+                        entry
+                            .rows
+                            .remap(&pool, map)
+                            // lint: allow(no-panic-in-lib) — generations
+                            // only grow, so a PoolMap is total on every
+                            // old id.
                             .expect("generation maps are total on old ids"),
                     );
                 }
-                live.push(*serial);
                 true
             });
+        stats.answers_patched = patched;
+        stats.answers_retained -= patched;
 
         // 5. Conflict bitsets are value-semantic (answer index →
         // membership): they survive generation bumps, and die only with
@@ -733,15 +806,29 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 live.binary_search(serial).is_ok() && !dirty.get(*k).copied().unwrap_or(true)
             });
 
-        // 6. The lub engine: changed relations' images and columns drop,
-        // retained ones are id-remapped across a bump, and adom(I) is
-        // re-read off the columns on the next growth loop. Nothing else
-        // holds lubs: growth states never outlive a call.
+        // 6. The lub engine: changed relations' columns drop and their
+        // images wait for a patch, retained ones are id-remapped across a
+        // bump, and adom(I) is re-read off the columns on the next growth
+        // loop. Nothing else holds lubs: growth states never outlive a
+        // call.
         if let Some(engine) = self.lub_engine.get_mut() {
             let repool = map.as_ref().map(|m| (&pool, m));
             (stats.lub_columns_retained, stats.lub_columns_dropped) =
-                engine.apply_delta(&outcome.instance, &changed, repool);
+                engine.apply_delta(&outcome.instance, &outcome.net, repool);
         }
+
+        // 7. The journal: this delta's changes join it, and each
+        // relation keeps only what an entry still to patch needs.
+        for (rel, change) in outcome.net {
+            self.journal.entry(rel).or_default().push((epoch, change));
+        }
+        self.journal.retain(|rel, items| match oldest.get(rel) {
+            Some(&since) => {
+                items.retain(|(e, _)| *e > since);
+                true
+            }
+            None => false,
+        });
 
         self.delta_invalidated
             .set(self.delta_invalidated.get() + stats.invalidated());
@@ -769,13 +856,84 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     }
 
     /// [`answers`](Self::answers) with the cache's serial for the set
-    /// (`None` when the answers cache is disabled).
+    /// (`None` when the answers cache is disabled). A cached set behind
+    /// the session's deltas is patched first, under a new serial.
     fn answers_entry(&self, query: &Ucq) -> (Arc<AnswerRows>, Option<u64>) {
-        if let Some((hit, serial)) = self.answers.borrow_mut().get(query) {
-            return (hit, Some(serial));
+        if let Some(entry) = self.answers.borrow_mut().get_mut(query) {
+            if entry.epoch < self.epoch {
+                self.patch(query, entry);
+                self.debug_check_answers(query, &entry.rows);
+            }
+            return (Arc::clone(&entry.rows), Some(entry.serial));
         }
         let engine = self.lub_engine();
         let ans = Arc::new(query.eval_ids(engine.pool(), |rel| engine.image(rel)));
+        self.debug_check_answers(query, &ans);
+        if self.budget.answers == 0 {
+            return (ans, None);
+        }
+        let serial = self.next_serial();
+        let evicted = self.answers.borrow_mut().insert(
+            query.clone(),
+            CachedAnswers {
+                rows: Arc::clone(&ans),
+                serial,
+                epoch: self.epoch,
+                pending: 0,
+            },
+        );
+        self.purge_conflicts_of(evicted);
+        (ans, Some(serial))
+    }
+
+    /// Patches `entry`, `query`'s cached answers, with the journal's
+    /// changes since its epoch — in place when nothing else holds the
+    /// rows, after moving them to the session pool when a generation
+    /// bump left them behind — and gives it a new serial.
+    fn patch(&self, query: &Ucq, entry: &mut CachedAnswers) {
+        let engine = self.lub_engine();
+        let pool = engine.pool();
+        if !Arc::ptr_eq(entry.rows.pool(), pool) {
+            entry.rows = Arc::new(
+                entry
+                    .rows
+                    .remap(pool, &PoolMap::between(entry.rows.pool(), pool))
+                    // lint: allow(no-panic-in-lib) — generations only grow,
+                    // so the session pool holds every value of an older one.
+                    .expect("generation maps are total on old ids"),
+            );
+        }
+        let rows = Arc::make_mut(&mut entry.rows);
+        let changes: BTreeMap<RelId, RowDelta> = query
+            .rels()
+            .into_iter()
+            .filter_map(|rel| {
+                let since = self.journal.get(&rel)?;
+                let since = since.iter().filter(|(e, _)| *e > entry.epoch);
+                let change = RowDelta::of_changes(since.map(|(_, c)| c), pool)
+                    // lint: allow(no-panic-in-lib) — every changed row is
+                    // in the instance before or after its delta, and the
+                    // pool covers both.
+                    .expect("the session pool interns every changed row");
+                Some((rel, change))
+            })
+            .collect();
+        query.patch_ids(rows, |rel| engine.image(rel), &changes);
+        entry.serial = self.next_serial();
+        entry.epoch = self.epoch;
+        entry.pending = 0;
+    }
+
+    /// A fresh answer serial.
+    fn next_serial(&self) -> u64 {
+        let serial = self.serials.get() + 1;
+        self.serials.set(serial);
+        serial
+    }
+
+    /// Debug builds check id-space answers against value-space
+    /// evaluation.
+    fn debug_check_answers(&self, query: &Ucq, ans: &AnswerRows) {
         debug_assert!(
             ans.tuples().eq(query
                 .eval(self.instance())
@@ -783,17 +941,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 .filter(|t| t.len() == ans.arity())),
             "id-space answers disagree with Ucq::eval"
         );
-        if self.budget.answers == 0 {
-            return (ans, None);
-        }
-        let serial = self.serials.get() + 1;
-        self.serials.set(serial);
-        let evicted = self
-            .answers
-            .borrow_mut()
-            .insert(query.clone(), (Arc::clone(&ans), serial));
-        self.purge_conflicts_of(evicted);
-        (ans, Some(serial))
     }
 
     /// `lub_I(X)` / `lubσ_I(X)` over the pinned instance, computed by the
@@ -1572,9 +1719,10 @@ mod tests {
             (1, 1)
         );
         assert_eq!((stats.table_reevaluated, stats.table_retained), (1, 1));
-        // Exactly the R query's answers died.
-        assert_eq!((stats.answers_dropped, stats.answers_retained), (1, 1));
-        // Conflict bitsets keyed by the dead answer set or the dirty
+        // Exactly the R query's answers wait for a patch; none died.
+        assert_eq!((stats.answers_patched, stats.answers_retained), (1, 1));
+        assert_eq!(stats.answers_dropped, 0);
+        // Conflict bitsets keyed by the stale answer set or the dirty
         // concept died; the (S answers, S concept) one survived.
         assert_eq!(stats.conflicts_retained, 1);
         // The S answer set is literally the same allocation.
@@ -1652,8 +1800,9 @@ mod tests {
         assert_eq!(stats.table_reevaluated, 1);
         // … the S answer rows were remapped into the new generation, not
         // re-evaluated, and the tagged rows' overflow constant became a
-        // pool id …
-        assert_eq!((stats.answers_dropped, stats.answers_retained), (1, 2));
+        // pool id; the R rows wait for a patch …
+        assert_eq!((stats.answers_patched, stats.answers_retained), (1, 2));
+        assert_eq!(stats.answers_dropped, 0);
         assert!(Arc::ptr_eq(
             session.answers(&q_s.query).pool(),
             session.pool()

@@ -117,6 +117,16 @@ impl Delta {
     }
 }
 
+/// One relation's net change under a delta: the facts it gained and the
+/// facts it lost, each ascending.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct NetChange {
+    /// Tuples present after the delta that were absent before.
+    pub inserted: Vec<Tuple>,
+    /// Tuples absent after the delta that were present before.
+    pub deleted: Vec<Tuple>,
+}
+
 /// The result of [`Instance::apply_delta`]: the new snapshot plus the
 /// *effective* change summary the invalidation layers key on.
 #[derive(Clone, Debug)]
@@ -136,6 +146,11 @@ pub struct DeltaOutcome {
     /// caller decides which of these are new to its `ConstPool` and
     /// whether a pool generation bump is needed.
     pub inserted_constants: BTreeSet<Value>,
+    /// Per changed relation, its net change: what a cache over the
+    /// pre-delta instance folds in to catch up (see
+    /// [`RowDelta::of_changes`](crate::RowDelta::of_changes)). Its keys are
+    /// [`DeltaOutcome::changed`].
+    pub net: BTreeMap<RelId, NetChange>,
 }
 
 impl DeltaOutcome {
@@ -189,16 +204,20 @@ impl Instance {
         let mut inserted = 0usize;
         let mut deleted = 0usize;
         let mut inserted_constants = BTreeSet::new();
+        let mut net = BTreeMap::new();
         for (rel, flips) in &diffs {
             changed.insert(*rel);
+            let change: &mut NetChange = net.entry(*rel).or_default();
             for t in flips {
                 if self.contains(*rel, t) {
                     out.remove(*rel, t);
                     deleted += 1;
+                    change.deleted.push((*t).clone());
                 } else {
                     inserted += 1;
                     inserted_constants.extend(t.iter().cloned());
                     out.insert(*rel, (*t).clone());
+                    change.inserted.push((*t).clone());
                 }
             }
         }
@@ -208,6 +227,7 @@ impl Instance {
             inserted,
             deleted,
             inserted_constants,
+            net,
         }
     }
 }
@@ -326,6 +346,11 @@ mod tests {
         assert_eq!(out.inserted, 2);
         assert_eq!(out.deleted, 1);
         assert_eq!(out.changed.len(), 2);
+        let r0 = &out.net[&RelId(0)];
+        assert_eq!(r0.inserted, [vec![v("c")]]);
+        assert_eq!(r0.deleted, [vec![v("a")]]);
+        assert_eq!(out.net[&RelId(1)].inserted, [vec![v("b"), v("a")]]);
+        assert!(out.net.keys().eq(out.changed.iter()));
         assert!(out.instance.contains(RelId(0), &[v("c")]));
         assert!(!out.instance.contains(RelId(0), &[v("a")]));
         assert!(out.instance.contains(RelId(1), &[v("b"), v("a")]));

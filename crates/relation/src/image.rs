@@ -1,20 +1,24 @@
 //! Id images: a relation's rows over a shared [`ConstPool`], indexed per
 //! attribute, and answer sets kept in the same id space.
 //!
-//! An [`IdImage`] stores one relation's tuples as row-major `u32` ids in
-//! tuple order, plus one CSR bucket array per attribute (id → the
-//! ascending rows carrying it). Because a pool's id order is its value
-//! order, the rows whose attribute lies in a value range form one
-//! contiguous run of a bucket array ([`IdImage::rows_in`]). Images are
-//! built with one pool probe per cell and move to the next pool
-//! generation through a [`PoolMap`] without touching a value.
+//! An [`IdImage`] stores one relation's tuples as row-major `u32` ids,
+//! plus one CSR bucket array per attribute (id → the ascending rows
+//! carrying it). Because a pool's id order is its value order, the rows
+//! whose attribute lies in a value range form one contiguous run of a
+//! bucket array ([`IdImage::rows_in`]). Images are built with one pool
+//! probe per cell, move to the next pool generation through a
+//! [`PoolMap`] without touching a value, and follow a delta
+//! ([`IdImage::patch`] with a [`RowDelta`]) without a pool probe.
 //!
 //! [`Ucq::eval_ids`](crate::Ucq::eval_ids) evaluates a query over images
 //! and returns an [`AnswerRows`]: the answers as sorted id rows, in the
 //! same order as the `BTreeSet<Tuple>` that [`Ucq::eval`](crate::Ucq::eval)
 //! returns. A head constant the pool does not intern gets an id past the
 //! pool's end, resolved through the set's small overflow list.
+//! [`Ucq::patch_ids`](crate::Ucq::patch_ids) carries an answer set across
+//! the [`RowDelta`]s of the relations its query reads.
 
+use crate::delta::NetChange;
 use crate::instance::{Instance, Tuple};
 use crate::pool::{ConstPool, PoolMap, ValueId};
 use crate::schema::RelId;
@@ -29,10 +33,21 @@ use std::sync::Arc;
 pub struct IdImage {
     arity: usize,
     len: usize,
-    /// Row-major ids, `arity` per row, in tuple order.
+    /// Row-major ids, `arity` per row: in tuple order when built, in the
+    /// order [`IdImage::patch`] leaves them in after a delta.
     rows: Vec<u32>,
     /// Per attribute, the rows grouped by the id they carry there.
     cols: Vec<Buckets>,
+}
+
+/// One relation's net change between two states, as id rows over a pool:
+/// the rows the later state gained and the rows it lost. Built from a
+/// run of [`NetChange`]s, it stays net: a row inserted and then deleted
+/// again leaves no trace.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct RowDelta {
+    inserted: BTreeSet<Box<[u32]>>,
+    deleted: BTreeSet<Box<[u32]>>,
 }
 
 /// The CSR index of one attribute over the ids occurring in it.
@@ -105,6 +120,47 @@ impl IdImage {
         Some(IdImage::from_rows(self.arity, self.len, rows))
     }
 
+    /// Brings the image to the state after `delta`, a net change from
+    /// the state it holds: deleted rows are swap-removed and inserted
+    /// rows appended, then the buckets are re-indexed from the id rows,
+    /// with no pool probe. A deleted row the image lacks is skipped.
+    pub fn patch(&mut self, delta: &RowDelta) {
+        let arity = self.arity;
+        let mut gone: Vec<usize> = delta.deleted().filter_map(|d| self.find(d)).collect();
+        // Removing the highest rows first: the last row, moved into the
+        // freed slot, is never one still to go.
+        gone.sort_unstable_by(|a, b| b.cmp(a));
+        debug_assert!(
+            delta.inserted().all(|row| self.find(row).is_none()),
+            "inserted row already present"
+        );
+        let mut rows = std::mem::take(&mut self.rows);
+        let mut len = self.len;
+        for r in gone {
+            len -= 1;
+            rows.copy_within(len * arity..(len + 1) * arity, r * arity);
+        }
+        rows.truncate(len * arity);
+        for row in delta.inserted() {
+            rows.extend_from_slice(row);
+            len += 1;
+        }
+        *self = IdImage::from_rows(arity, len, rows);
+    }
+
+    /// The number of the row holding `ids`, found through the first
+    /// attribute's bucket.
+    fn find(&self, ids: &[u32]) -> Option<usize> {
+        match ids.first() {
+            None => (self.len > 0).then_some(0),
+            Some(&first) => self
+                .bucket(0, first)
+                .iter()
+                .map(|&r| r as usize)
+                .find(|&r| self.row(r) == ids),
+        }
+    }
+
     /// The number of attributes.
     pub fn arity(&self) -> usize {
         self.arity
@@ -152,6 +208,58 @@ impl IdImage {
             None => (b.base, b.base + last as u32),
             Some(keys) => (b.base, keys[last]),
         })
+    }
+}
+
+impl RowDelta {
+    /// The net effect of `changes`, applied in order, as rows of `pool`'s
+    /// ids. `None` when some cell is not interned.
+    pub fn of_changes<'c>(
+        changes: impl IntoIterator<Item = &'c NetChange>,
+        pool: &ConstPool,
+    ) -> Option<RowDelta> {
+        let ids = |tuples: &[Tuple]| {
+            tuples
+                .iter()
+                .map(|t| t.iter().map(|v| pool.id_of(v).map(|id| id.0)).collect())
+                .collect::<Option<Vec<Box<[u32]>>>>()
+        };
+        let mut out = RowDelta::default();
+        for change in changes {
+            // A row inserted now cancels an earlier delete of it, and a
+            // row deleted now an earlier insert.
+            for row in ids(&change.inserted)? {
+                if !out.deleted.remove(&row) {
+                    out.inserted.insert(row);
+                }
+            }
+            for row in ids(&change.deleted)? {
+                if !out.inserted.remove(&row) {
+                    out.deleted.insert(row);
+                }
+            }
+        }
+        Some(out)
+    }
+
+    /// The rows gained, ascending.
+    pub fn inserted(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.inserted.iter().map(|row| &**row)
+    }
+
+    /// The rows lost, ascending.
+    pub fn deleted(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.deleted.iter().map(|row| &**row)
+    }
+
+    /// The number of rows gained or lost.
+    pub fn len(&self) -> usize {
+        self.inserted.len() + self.deleted.len()
+    }
+
+    /// Whether the change is empty.
+    pub fn is_empty(&self) -> bool {
+        self.inserted.is_empty() && self.deleted.is_empty()
     }
 }
 
@@ -292,18 +400,93 @@ impl AnswerRows {
             overflow,
         };
         if arity > 0 {
-            let mut rows: Vec<&[u32]> = heads.chunks_exact(arity).collect();
-            if answers.overflow.is_empty() {
-                // Pool ids compare as their values do.
-                rows.sort_unstable();
-            } else {
-                rows.sort_unstable_by(|a, b| answers.cmp_rows(a, b));
-            }
-            rows.dedup();
+            let rows = answers.sorted_rows(heads);
             answers.len = rows.len();
             answers.ids = rows.concat();
         }
         answers
+    }
+
+    /// Brings these answers to the state after a change, in place:
+    /// drops the rows of `lost` and adds those of `gained` (both
+    /// row-major, unsorted, possibly repeated; a gained row may already
+    /// be present, a lost one absent, and no row is both). `overflow`
+    /// extends the overflow list with the head constants the change's
+    /// evaluation met. Each changed row is placed by binary search; the
+    /// removals then close their gaps front to back and the inserts open
+    /// theirs back to front, so only the rows past the first edit move.
+    /// Positive arity only.
+    pub(crate) fn patch(&mut self, overflow: Vec<Value>, gained: &[u32], lost: &[u32]) {
+        debug_assert!(self.arity > 0 && overflow.starts_with(&self.overflow));
+        self.overflow = overflow;
+        let (arity, len) = (self.arity, self.len);
+        let holds = |at: usize, row: &[u32]| at < len && self.cmp_rows(self.row(at), row).is_eq();
+        let removals: Vec<usize> = self
+            .sorted_rows(lost)
+            .into_iter()
+            .map(|row| (self.lower_bound(row), row))
+            .filter(|&(at, row)| holds(at, row))
+            .map(|(at, _)| at)
+            .collect();
+        // Each insert goes before the old row at `at`, and lands past the
+        // removals before it.
+        let inserts: Vec<(usize, &[u32])> = self
+            .sorted_rows(gained)
+            .into_iter()
+            .map(|row| (self.lower_bound(row), row))
+            .filter(|&(at, row)| !holds(at, row))
+            .map(|(at, row)| (at - removals.partition_point(|&r| r < at), row))
+            .collect();
+        let ids = &mut self.ids;
+        let (mut kept, mut read) = match removals.first() {
+            Some(&first) => (first, first),
+            None => (len, len),
+        };
+        for &at in &removals {
+            ids.copy_within(read * arity..at * arity, kept * arity);
+            kept += at - read;
+            read = at + 1;
+        }
+        ids.copy_within(read * arity..len * arity, kept * arity);
+        kept += len - read;
+        let total = kept + inserts.len();
+        ids.resize(total * arity, 0);
+        let (mut read, mut write) = (kept, total);
+        for &(at, row) in inserts.iter().rev() {
+            let run = read - at;
+            ids.copy_within(at * arity..read * arity, (write - run) * arity);
+            write -= run + 1;
+            read = at;
+            ids[write * arity..(write + 1) * arity].copy_from_slice(row);
+        }
+        self.len = total;
+    }
+
+    /// The first row not ordered before `row`.
+    fn lower_bound(&self, row: &[u32]) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.cmp_rows(self.row(mid), row).is_lt() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The distinct rows of row-major `ids`, in tuple order.
+    fn sorted_rows<'r>(&self, ids: &'r [u32]) -> Vec<&'r [u32]> {
+        let mut rows: Vec<&[u32]> = ids.chunks_exact(self.arity).collect();
+        if self.overflow.is_empty() {
+            // Pool ids compare as their values do.
+            rows.sort_unstable();
+        } else {
+            rows.sort_unstable_by(|a, b| self.cmp_rows(a, b));
+        }
+        rows.dedup();
+        rows
     }
 
     /// Resolves an ascending sequence of distinct tuples of length
@@ -375,6 +558,11 @@ impl AnswerRows {
     /// The pool the ids index.
     pub fn pool(&self) -> &Arc<ConstPool> {
         &self.pool
+    }
+
+    /// The values of the ids past the pool's end.
+    pub(crate) fn overflow(&self) -> &[Value] {
+        &self.overflow
     }
 
     /// The head arity.
@@ -476,16 +664,8 @@ impl AnswerRows {
             .iter()
             .map(|v| self.id_of(v))
             .collect::<Option<Vec<u32>>>()?;
-        let (mut lo, mut hi) = (0, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.cmp_rows(self.row(mid), &ids) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+        let at = self.lower_bound(&ids);
+        (at < self.len && self.row(at) == ids.as_slice()).then_some(at)
     }
 
     /// Whether `t` is an answer.
@@ -602,5 +782,46 @@ mod tests {
         assert_eq!(moved.row(0), &[1, 2]);
         assert!(moved.pooled(2).is_some());
         assert_eq!(moved.to_set(), answers);
+    }
+
+    #[test]
+    fn patched_images_hold_the_changed_rows() {
+        // A random stream of net changes, each deleting present rows and
+        // inserting absent ones, over dense and sparse columns.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for universe in [12, 100_000] {
+            let mut present: BTreeSet<Box<[u32]>> = BTreeSet::new();
+            let mut image = IdImage::from_rows(2, 0, Vec::new());
+            for _ in 0..200 {
+                let mut delta = RowDelta::default();
+                for _ in 0..next(5) {
+                    let row: Box<[u32]> = [next(universe) as u32, next(universe) as u32].into();
+                    if !present.contains(&row) {
+                        delta.inserted.insert(row);
+                    }
+                }
+                for _ in 0..next(4) {
+                    if let Some(row) = present.iter().nth(next(present.len().max(1))) {
+                        delta.deleted.insert(row.clone());
+                    }
+                }
+                image.patch(&delta);
+                present.retain(|row| !delta.deleted.contains(row));
+                present.extend(delta.inserted);
+                let mut rows: Vec<&[u32]> = (0..image.len()).map(|r| image.row(r)).collect();
+                rows.sort_unstable();
+                assert!(rows.iter().copied().eq(present.iter().map(|row| &**row)));
+                for r in 0..image.len() {
+                    let row = image.row(r);
+                    assert!((0..2).all(|p| image.bucket(p, row[p]).contains(&(r as u32))));
+                }
+            }
+        }
     }
 }

@@ -52,10 +52,10 @@ pub use constraints::{
     classify, validate, view_partition, Constraint, ConstraintClass, Fd, Ind, ViewDef,
     ViewPartition,
 };
-pub use delta::{Delta, DeltaOutcome};
+pub use delta::{Delta, DeltaOutcome, NetChange};
 pub use error::RelError;
 pub use freeze::{freeze, freeze_with, fresh_constant, is_fresh_constant, Frozen};
-pub use image::{AnswerRows, IdImage};
+pub use image::{AnswerRows, IdImage, RowDelta};
 pub use instance::{instance_of, Fact, Instance, Tuple};
 pub use interval::{Bound, Interval};
 pub use parse::{parse_fact, parse_program, parse_query, Loaded};

@@ -31,15 +31,18 @@
 //!   cells of the touched relations and the query's constants, image
 //!   those relations over it and run the same join; each distinct answer
 //!   becomes a [`Tuple`] exactly once.
+//! * [`Ucq::patch_ids`] carries [`Ucq::eval_ids`] answers across a
+//!   change to the relations, searching only from the changed rows.
 //!
 //! The paper's why-not instances carry their answer set `Ans`
 //! pre-computed, so evaluation is never on the critical path of the
 //! complexity results (Definition 5.1 discussion) — but a live session
-//! re-evaluates `q(I)` after every delta to a relation the query reads,
-//! which puts it on the wall-clock path of a mutating question stream.
+//! must bring `q(I)` up to date after every delta to a relation the
+//! query reads, which puts it on the wall-clock path of a mutating
+//! question stream; patching makes that cost follow the delta.
 
 use crate::error::RelError;
-use crate::image::{AnswerRows, IdImage};
+use crate::image::{AnswerRows, IdImage, RowDelta};
 use crate::instance::{Instance, Tuple};
 use crate::interval::{Bound, Interval};
 use crate::pool::ConstPool;
@@ -132,6 +135,23 @@ impl Space {
         Space { pool, rels }
     }
 
+    /// A space over `pool` holding the images `image` supplies of `rels`
+    /// (a relation without one matches nothing).
+    fn over(
+        pool: &Arc<ConstPool>,
+        rels: BTreeSet<RelId>,
+        mut image: impl FnMut(RelId) -> Option<Arc<IdImage>>,
+    ) -> Space {
+        Space {
+            pool: Arc::clone(pool),
+            // `rels` ascends, so the keys do too.
+            rels: rels
+                .into_iter()
+                .filter_map(|rel| image(rel).map(|image| ((rel, image.arity()), image)))
+                .collect(),
+        }
+    }
+
     /// The image of `rel`'s tuples of length `arity`, if the space holds
     /// one.
     fn image(&self, rel: RelId, arity: usize) -> Option<&IdImage> {
@@ -169,46 +189,71 @@ impl Space {
     /// a Boolean query stops at its first witness.
     fn eval<'q>(&self, arity: usize, cqs: impl Iterator<Item = &'q Cq>) -> AnswerRows {
         let mut overflow: Vec<Value> = Vec::new();
-        let mut head_id = |v: &Value| -> Option<u32> {
-            let id = match self.pool.id_of(v) {
-                Some(id) => id.0 as usize,
-                None => {
-                    let at = overflow.iter().position(|o| o == v).unwrap_or_else(|| {
-                        overflow.push(v.clone());
-                        overflow.len() - 1
-                    });
-                    self.pool.len() + at
-                }
-            };
-            Some(id as u32)
-        };
         let mut heads: Vec<u32> = Vec::new();
         let mut matched = false;
         for cq in cqs {
-            let Some(plan) = Plan::lower(cq, self, &mut head_id) else {
+            let Some(plan) = Plan::lower(cq, self, &mut |v| {
+                Some(head_id(&self.pool, &mut overflow, v))
+            }) else {
                 continue;
             };
-            let mut search = Search::new(&plan);
-            search.run(&mut |assignment| {
-                let start = heads.len();
-                for arg in &plan.head {
-                    let id = arg.resolve(assignment);
-                    if id == UNBOUND {
-                        // A head variable no atom binds: no answer.
-                        heads.truncate(start);
-                        return true;
-                    }
-                    heads.push(id);
-                }
-                matched = true;
+            Search::new(&plan).run(&mut |assignment| {
+                matched |= push_head(&plan.head, assignment, &mut heads);
                 // A Boolean query needs one witness; others need all.
-                arity > 0
+                !matched || arity > 0
             });
             if matched && arity == 0 {
                 break;
             }
         }
         AnswerRows::from_heads(Arc::clone(&self.pool), arity, matched, &heads, overflow)
+    }
+
+    /// Carries `answers`, the answers of the disjuncts in `cqs` (all of
+    /// positive head arity) over the rows before `changes`, to this
+    /// space's images, which hold the rows after them: the three steps
+    /// of [`Ucq::patch_ids`], each a search with one atom bound to a
+    /// changed row of its relation.
+    fn patch<'q>(
+        &self,
+        answers: &mut AnswerRows,
+        cqs: impl Iterator<Item = &'q Cq>,
+        changes: &BTreeMap<RelId, RowDelta>,
+    ) {
+        let mut overflow = answers.overflow().to_vec();
+        let plans: Vec<(&Cq, Plan)> = cqs
+            .filter_map(|cq| {
+                Plan::lower(cq, self, &mut |v| {
+                    Some(head_id(&self.pool, &mut overflow, v))
+                })
+                .map(|plan| (cq, plan))
+            })
+            .collect();
+        let (mut gained, mut candidates) = (Vec::new(), Vec::new());
+        for (cq, plan) in &plans {
+            let deltas: Vec<Option<&RowDelta>> =
+                cq.atoms.iter().map(|a| changes.get(&a.rel)).collect();
+            let mut new_rows = Search::new(plan);
+            let mut old_rows = Search::with_deleted(plan, deltas.clone());
+            for (atom, delta) in deltas.iter().enumerate() {
+                if let Some(delta) = delta {
+                    new_rows.heads_through(atom, delta.inserted(), &mut gained);
+                    old_rows.heads_through(atom, delta.deleted(), &mut candidates);
+                }
+            }
+        }
+        let arity = answers.arity();
+        let mut candidates: Vec<&[u32]> = candidates.chunks_exact(arity).collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut witnesses: Vec<Search> = plans.iter().map(|(_, plan)| Search::new(plan)).collect();
+        let lost: Vec<u32> = candidates
+            .into_iter()
+            .filter(|row| !witnesses.iter_mut().any(|search| search.witnesses(row)))
+            .flatten()
+            .copied()
+            .collect();
+        answers.patch(overflow, &gained, &lost);
     }
 
     /// Whether `tuple` is an answer of `cq`: the head binds its slots
@@ -220,26 +265,40 @@ impl Space {
         let Some(plan) = Plan::lower(cq, self, &mut |v| self.id(v)) else {
             return false;
         };
-        let mut search = Search::new(&plan);
-        for (arg, value) in plan.head.iter().zip(tuple) {
-            let Some(id) = self.id(value) else {
-                return false;
-            };
-            let bound = match *arg {
-                Arg::Id(c) => c == id,
-                Arg::Slot(s) => search.bind(s, id),
-            };
-            if !bound {
-                return false;
-            }
-        }
-        let mut found = false;
-        search.run(&mut |_| {
-            found = true;
-            false
-        });
-        found
+        let ids: Option<Vec<u32>> = tuple.iter().map(|v| self.id(v)).collect();
+        ids.is_some_and(|ids| Search::new(&plan).witnesses(&ids))
     }
+}
+
+/// The answer id of the head constant `v`: its pool id, or past the
+/// pool's end its index in `overflow`, where it is appended when new.
+fn head_id(pool: &ConstPool, overflow: &mut Vec<Value>, v: &Value) -> u32 {
+    match pool.id_of(v) {
+        Some(id) => id.0,
+        None => {
+            let at = overflow.iter().position(|o| o == v).unwrap_or_else(|| {
+                overflow.push(v.clone());
+                overflow.len() - 1
+            });
+            (pool.len() + at) as u32
+        }
+    }
+}
+
+/// Pushes the head ids `assignment` gives onto `heads`. Returns `false`,
+/// pushing nothing, when a head variable is unbound (no atom binds it:
+/// no answer).
+fn push_head(head: &[Arg], assignment: &[u32], heads: &mut Vec<u32>) -> bool {
+    let start = heads.len();
+    for arg in head {
+        let id = arg.resolve(assignment);
+        if id == UNBOUND {
+            heads.truncate(start);
+            return false;
+        }
+        heads.push(id);
+    }
+    true
 }
 
 /// Evaluates the disjuncts of `cqs` over `inst` in one transient space,
@@ -344,6 +403,9 @@ struct Search<'p, 's> {
     trail: Vec<usize>,
     /// The atoms not yet joined.
     remaining: Vec<usize>,
+    /// Per atom, the change whose deleted rows it matches beyond its
+    /// image's (empty unless set by [`Search::with_deleted`]).
+    deleted: Vec<Option<&'p RowDelta>>,
 }
 
 impl<'p, 's> Search<'p, 's> {
@@ -353,7 +415,61 @@ impl<'p, 's> Search<'p, 's> {
             assignment: vec![UNBOUND; plan.ranges.len()],
             trail: Vec::with_capacity(plan.ranges.len()),
             remaining: (0..plan.atoms.len()).collect(),
+            deleted: Vec::new(),
         }
+    }
+
+    /// A search that also matches each atom against the rows its
+    /// relation's change in `deleted` lost: the body over the pre-change
+    /// rows and more.
+    fn with_deleted(plan: &'p Plan<'s>, deleted: Vec<Option<&'p RowDelta>>) -> Self {
+        Search {
+            deleted,
+            ..Search::new(plan)
+        }
+    }
+
+    /// Binds atom `atom` to `row` and takes it out of the join, or
+    /// returns `false` when the row does not unify.
+    fn seed(&mut self, atom: usize, row: &[u32]) -> bool {
+        let plan = self.plan;
+        self.remaining.retain(|&a| a != atom);
+        self.unify(&plan.atoms[atom].1, row)
+    }
+
+    /// Undoes every binding and puts every atom back in the join.
+    fn reset(&mut self) {
+        self.undo(0);
+        self.remaining.clear();
+        self.remaining.extend(0..self.plan.atoms.len());
+    }
+
+    /// Pushes onto `heads` the head ids of every match with `atom` bound
+    /// to one of `rows`.
+    fn heads_through<'r>(
+        &mut self,
+        atom: usize,
+        rows: impl Iterator<Item = &'r [u32]>,
+        heads: &mut Vec<u32>,
+    ) {
+        let plan = self.plan;
+        for row in rows {
+            if self.seed(atom, row) {
+                self.run(&mut |assignment| {
+                    push_head(&plan.head, assignment, heads);
+                    true
+                });
+            }
+            self.reset();
+        }
+    }
+
+    /// Whether the body has a match with the head bound to `row`.
+    fn witnesses(&mut self, row: &[u32]) -> bool {
+        let plan = self.plan;
+        let found = self.unify(&plan.head, row) && !self.run(&mut |_| false);
+        self.reset();
+        found
     }
 
     /// Binds slot `s` to `id`, or checks it against the current binding.
@@ -374,6 +490,14 @@ impl<'p, 's> Search<'p, 's> {
         true
     }
 
+    /// Binds an atom's arguments to a row's ids.
+    fn unify(&mut self, args: &[Arg], row: &[u32]) -> bool {
+        args.iter().zip(row).all(|(arg, &id)| match *arg {
+            Arg::Id(c) => c == id,
+            Arg::Slot(s) => self.bind(s, id),
+        })
+    }
+
     /// Unbinds every slot bound since the trail had length `mark`.
     fn undo(&mut self, mark: usize) {
         for s in self.trail.drain(mark..) {
@@ -385,9 +509,10 @@ impl<'p, 's> Search<'p, 's> {
     /// `on_match` returns `false` to cut the search, and so does `run`.
     ///
     /// Each node probes the image with every bound argument of the
-    /// picked atom and iterates the smallest bucket; unification still
-    /// checks all positions, so the bucket is a sound overapproximation,
-    /// never a filter that could drop matches.
+    /// picked atom and iterates the smallest bucket, then the atom's
+    /// deleted rows, if any; unification still checks all positions, so the
+    /// bucket is a sound overapproximation, never a filter that could
+    /// drop matches.
     fn run(&mut self, on_match: &mut dyn FnMut(&[u32]) -> bool) -> bool {
         let plan = self.plan;
         let Some(pos) = self.pick_atom() else {
@@ -405,15 +530,13 @@ impl<'p, 's> Search<'p, 's> {
                 }
             }
         }
+        let rows = (0..bucket.map_or(image.len(), <[u32]>::len))
+            .map(|k| image.row(bucket.map_or(k, |b| b[k] as usize)));
+        let deleted = self.deleted.get(atom).copied().flatten();
         let mut keep_going = true;
-        for k in 0..bucket.map_or(image.len(), <[u32]>::len) {
-            let row = image.row(bucket.map_or(k, |b| b[k] as usize));
+        for row in rows.chain(deleted.into_iter().flat_map(RowDelta::deleted)) {
             let mark = self.trail.len();
-            let unified = args.iter().zip(row).all(|(arg, &id)| match *arg {
-                Arg::Id(c) => c == id,
-                Arg::Slot(s) => self.bind(s, id),
-            });
-            if unified {
+            if self.unify(args, row) {
                 keep_going = self.run(on_match);
             }
             self.undo(mark);
@@ -879,19 +1002,49 @@ impl Ucq {
     pub fn eval_ids(
         &self,
         pool: &Arc<ConstPool>,
-        mut image: impl FnMut(RelId) -> Option<Arc<IdImage>>,
+        image: impl FnMut(RelId) -> Option<Arc<IdImage>>,
     ) -> AnswerRows {
-        // `rels()` ascends, so the keys do too.
-        let space = Space {
-            pool: Arc::clone(pool),
-            rels: self
-                .rels()
-                .into_iter()
-                .filter_map(|rel| image(rel).map(|image| ((rel, image.arity()), image)))
-                .collect(),
-        };
+        let space = Space::over(pool, self.rels(), image);
         let arity = self.arity();
         space.eval(arity, self.disjuncts.iter().filter(|d| d.arity() == arity))
+    }
+
+    /// Carries `answers`, this union's [`eval_ids`](Ucq::eval_ids)
+    /// answers over the relations' rows before `changes`, to the rows
+    /// after them, in place: they become the answers `eval_ids` returns
+    /// over the new images, computed from the changed rows alone.
+    ///
+    /// `image` supplies each relation's [`IdImage`] after the change, over
+    /// the answers' pool. `changes` holds, per relation, its net change as
+    /// rows of that pool's ids; relations it omits did not change. The
+    /// patch searches once per changed row and atom of its relation, so
+    /// its cost follows the change, not the answer set; only the rows
+    /// past the first changed answer move. A Boolean union is evaluated
+    /// afresh, which stops at its first witness.
+    ///
+    /// 1. Every match with an atom bound to an inserted row is an answer.
+    /// 2. The matches with an atom bound to a deleted row, the other
+    ///    atoms reading the new rows plus the deleted ones, are the
+    ///    candidate losses.
+    /// 3. A candidate is lost unless some disjunct, its head bound to the
+    ///    candidate, still has a witness over the new images.
+    ///
+    /// No count of derivations is kept: every answer the change creates
+    /// has a derivation through an inserted row, which step 1 finds.
+    pub fn patch_ids(
+        &self,
+        answers: &mut AnswerRows,
+        image: impl FnMut(RelId) -> Option<Arc<IdImage>>,
+        changes: &BTreeMap<RelId, RowDelta>,
+    ) {
+        let space = Space::over(answers.pool(), self.rels(), image);
+        let arity = self.arity();
+        let cqs = self.disjuncts.iter().filter(|d| d.arity() == arity);
+        if arity == 0 {
+            *answers = space.eval(arity, cqs);
+        } else {
+            space.patch(answers, cqs, changes);
+        }
     }
 
     /// Whether `tuple` is an answer over `inst`. The transient pool and
