@@ -1,85 +1,68 @@
-//! `bench-check <baseline-dir> <current-dir> [tolerance]` — compares
-//! every `BENCH_*.json` present in the baseline directory against its
-//! freshly generated counterpart and exits nonzero on any regression
-//! (see `whynot_bench::regression` for the rules). CI snapshots the
-//! committed summaries, re-runs the bench targets, then runs this.
+//! `bench-check <baseline-dir> <current-dir> [tolerance]` — compares the
+//! `BENCH_matrix.json` in the baseline directory against the freshly
+//! generated one in the current directory and exits nonzero when a row's
+//! calibrated ratio regressed (see `whynot_bench::regression` for the
+//! rule; the tolerance defaults to CI's). CI snapshots the committed
+//! summary, re-runs `cargo bench --bench matrix`, then runs this.
 
 use std::path::Path;
 use std::process::ExitCode;
-use whynot_bench::regression::{compare, flatten};
+use whynot_bench::regression::{compare, Matrix, TOLERANCE};
+
+const SUMMARY: &str = "BENCH_matrix.json";
+
+fn read(dir: &str) -> Result<Matrix, String> {
+    let path = Path::new(dir).join(SUMMARY);
+    std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|s| Matrix::parse(&s))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (baseline_dir, current_dir) = match args.as_slice() {
-        [b, c] | [b, c, _] => (Path::new(b), Path::new(c)),
+        [b, c] | [b, c, _] => (b, c),
         _ => {
             eprintln!("usage: bench-check <baseline-dir> <current-dir> [tolerance]");
             return ExitCode::from(2);
         }
     };
     let tolerance: f64 = match args.get(2).map(|t| t.parse()) {
-        None => 2.0,
+        None => TOLERANCE,
         Some(Ok(t)) if t > 1.0 => t,
         Some(_) => {
             eprintln!("tolerance must be a number > 1");
             return ExitCode::from(2);
         }
     };
-
-    let mut names: Vec<String> = match std::fs::read_dir(baseline_dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", baseline_dir.display());
+    let (baseline, current) = match (read(baseline_dir), read(current_dir)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("bench-check: {e}");
             return ExitCode::from(2);
         }
     };
-    names.sort();
-    if names.is_empty() {
-        eprintln!("no BENCH_*.json baselines in {}", baseline_dir.display());
-        return ExitCode::from(2);
-    }
 
-    let mut failed = false;
-    for name in &names {
-        let base_path = baseline_dir.join(name);
-        let cur_path = current_dir.join(name);
-        if !cur_path.exists() {
-            println!("{name}: SKIP (no fresh run at {})", cur_path.display());
-            continue;
-        }
-        let read_flat = |p: &Path| {
-            std::fs::read_to_string(p)
-                .map_err(|e| e.to_string())
-                .and_then(|s| flatten(&s))
-        };
-        match (read_flat(&base_path), read_flat(&cur_path)) {
-            (Ok(baseline), Ok(current)) => {
-                let regressions = compare(&baseline, &current, tolerance);
-                if regressions.is_empty() {
-                    println!("{name}: OK ({} baseline paths)", baseline.numbers.len());
-                } else {
-                    failed = true;
-                    println!("{name}: REGRESSED");
-                    for r in regressions {
-                        println!("  {r}");
-                    }
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                failed = true;
-                println!("{name}: ERROR ({e})");
-            }
+    println!(
+        "calibration_ns: baseline {}, current {}",
+        baseline.calibration_ns, current.calibration_ns
+    );
+    for row in baseline.rows.keys() {
+        match (baseline.ratio(row), current.ratio(row)) {
+            (Some(b), Some(c)) => println!("  {row}: {b:.4} → {c:.4} ({:.2}x)", c / b),
+            _ => println!("  {row}: SKIP (no fresh row)"),
         }
     }
-    if failed {
-        println!("\nbench-check: regressions beyond {tolerance}x tolerance");
-        ExitCode::FAILURE
-    } else {
-        println!("\nbench-check: all within {tolerance}x tolerance");
+    let regressions = compare(&baseline, &current, tolerance);
+    if regressions.is_empty() {
+        println!("\nbench-check: all rows within {tolerance}x tolerance");
         ExitCode::SUCCESS
+    } else {
+        println!("\nbench-check: rows beyond {tolerance}x tolerance:");
+        for r in regressions {
+            println!("  {r}");
+        }
+        ExitCode::FAILURE
     }
 }

@@ -1,362 +1,180 @@
-//! Macro-bench regression checking over the committed `BENCH_*.json`
-//! artifacts.
+//! The bench gate over `BENCH_matrix.json`.
 //!
-//! Every hand-rolled bench target writes a JSON summary at the workspace
-//! root; those files are committed, so they double as the performance
-//! baseline. [`flatten`] parses a summary into dotted-path → number
-//! form, and [`compare`] flags paths that regressed beyond a tolerance
-//! factor:
+//! The `matrix` bench target writes one summary at the workspace root;
+//! the committed copy is the performance baseline. Every row records
+//! its nanoseconds per call, and the summary records `calibration_ns`,
+//! the median time of [`calibrate`](crate::calibrate) measured in the
+//! same process between the row samples (the `matrix` target's docs say
+//! how a row's `ns` is scaled to it). The gate compares
+//! each row's *ratio* `ns / calibration_ns`: a row regresses when its
+//! fresh ratio exceeds the baseline's by more than the tolerance
+//! factor. A box that is uniformly faster or slower than the one that
+//! recorded the baseline moves both sides of every ratio alike, so the
+//! tolerance only has to cover run-to-run noise, not hardware.
 //!
-//! * paths ending in `_ns` regress when `current > baseline × tol`
-//!   (things that should stay fast got slower),
-//! * paths whose last segment contains `speedup` regress when
-//!   `current < baseline ÷ tol` (wins that should persist shrank) —
-//!   skipped entirely when either side reports `"single_core": true`,
-//!   since a 1-core container proves parity but cannot reproduce
-//!   wall-clock speedups,
-//! * every other path (counts, labels, notes) is ignored, as are paths
-//!   present on only one side (new benches are not regressions).
-//!
-//! The `bench-check` binary applies this file-by-file; CI snapshots the
-//! committed baselines before re-running the benches and fails on any
+//! Rows present on only one side are ignored (a new row is not a
+//! regression), and so are the count fields a row carries beside `ns`.
+//! The `bench-check` binary applies [`compare`]; CI snapshots the
+//! committed baseline before re-running the bench and fails on any
 //! finding.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use whynot_relation::json::Json;
 
-/// A parsed JSON value — just enough structure for the bench summaries.
-enum Val {
-    Null,
-    Bool(bool),
-    Num(f64),
-    /// Contents are never compared — strings only matter as object keys.
-    Str,
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
+/// CI's tolerance factor on a row's ratio. It sits above the ratio
+/// spread of repeated clean runs on one box and below the 1.5×
+/// slowdown of a single row that the gate must catch (CHANGES.md
+/// records the measured spread).
+pub const TOLERANCE: f64 = 1.3;
+
+/// A parsed `BENCH_matrix.json`.
+pub struct Matrix {
+    /// Median nanoseconds of one calibration kernel call.
+    pub calibration_ns: i128,
+    /// Nanoseconds per call, keyed by row name.
+    pub rows: BTreeMap<String, i128>,
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.ws();
-        self.s
-            .get(self.i)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek()? == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Val) -> Result<Val, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(val)
-        } else {
-            Err(format!("malformed literal at byte {}", self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .s
-                .get(self.i)
-                .ok_or_else(|| String::from("unterminated string"))?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .s
-                        .get(self.i)
-                        .ok_or_else(|| String::from("unterminated escape"))?;
-                    self.i += 1;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        other => other as char,
-                    });
-                }
-                other => out.push(other as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.i;
-        while self.i < self.s.len()
-            && matches!(
-                self.s[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
+impl Matrix {
+    /// Parses a summary: `{"calibration_ns": n, "rows": [{"row":
+    /// name, "ns": n, ...counts}, ...]}`; other fields are ignored.
+    pub fn parse(json: &str) -> Result<Matrix, String> {
+        let doc = Json::parse(json).map_err(|e| e.to_string())?;
+        let positive = |v: Option<&Json>, what: &str| match v.and_then(Json::as_int) {
+            Some(n) if n > 0 => Ok(n),
+            _ => Err(format!("{what} is not a positive integer")),
+        };
+        let calibration_ns = positive(doc.get("calibration_ns"), "calibration_ns")?;
+        let mut rows = BTreeMap::new();
+        for row in doc
+            .get("rows")
+            .and_then(Json::as_arr)
+            .ok_or("no rows array")?
         {
-            self.i += 1;
+            let name = row.get("row").and_then(Json::as_str).ok_or("unnamed row")?;
+            let ns = positive(row.get("ns"), &format!("{name}: ns"))?;
+            if rows.insert(name.to_string(), ns).is_some() {
+                return Err(format!("duplicate row {name}"));
+            }
         }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("malformed number at byte {start}"))
+        Ok(Matrix {
+            calibration_ns,
+            rows,
+        })
     }
 
-    fn value(&mut self) -> Result<Val, String> {
-        match self.peek()? {
-            b'{' => {
-                self.expect(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek()? == b'}' {
-                    self.i += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek()? {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Ok(Val::Obj(fields));
-                        }
-                        other => {
-                            return Err(format!("expected ',' or '}}', got '{}'", other as char))
-                        }
-                    }
-                }
-            }
-            b'[' => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.i += 1;
-                    return Ok(Val::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Ok(Val::Arr(items));
-                        }
-                        other => {
-                            return Err(format!("expected ',' or ']', got '{}'", other as char))
-                        }
-                    }
-                }
-            }
-            b'"' => {
-                self.string()?;
-                Ok(Val::Str)
-            }
-            b't' => self.literal("true", Val::Bool(true)),
-            b'f' => self.literal("false", Val::Bool(false)),
-            b'n' => self.literal("null", Val::Null),
-            _ => Ok(Val::Num(self.number()?)),
-        }
+    /// A row's time as a multiple of the calibration kernel's.
+    pub fn ratio(&self, row: &str) -> Option<f64> {
+        let ns = self.rows.get(row)?;
+        Some(*ns as f64 / self.calibration_ns as f64)
     }
 }
 
-/// A bench summary flattened to dotted paths.
-pub struct Flat {
-    /// Every numeric leaf, keyed by its dotted path (array elements by
-    /// index, e.g. `results.3.batch_ns`).
-    pub numbers: BTreeMap<String, f64>,
-    /// Whether the summary declares `"single_core": true` at any level.
-    pub single_core: bool,
-}
-
-fn walk(prefix: &str, v: &Val, out: &mut Flat) {
-    match v {
-        Val::Num(n) => {
-            out.numbers.insert(prefix.to_string(), *n);
-        }
-        Val::Bool(b) => {
-            if *b && prefix.rsplit('.').next() == Some("single_core") {
-                out.single_core = true;
-            }
-        }
-        Val::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                walk(&format!("{prefix}.{i}"), item, out);
-            }
-        }
-        Val::Obj(fields) => {
-            for (k, item) in fields {
-                let path = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                walk(&path, item, out);
-            }
-        }
-        Val::Null | Val::Str => {}
-    }
-}
-
-/// Parses one `BENCH_*.json` document into flattened form.
-pub fn flatten(json: &str) -> Result<Flat, String> {
-    let mut p = Parser {
-        s: json.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing content at byte {}", p.i));
-    }
-    let mut out = Flat {
-        numbers: BTreeMap::new(),
-        single_core: false,
-    };
-    walk("", &v, &mut out);
-    Ok(out)
-}
-
-/// One path that moved beyond the tolerance.
+/// One row whose ratio moved beyond the tolerance.
 pub struct Regression {
-    /// The dotted path that regressed.
-    pub path: String,
-    /// The committed baseline value.
+    /// The row name.
+    pub row: String,
+    /// The committed baseline's ratio.
     pub baseline: f64,
-    /// The freshly measured value.
+    /// The fresh run's ratio.
     pub current: f64,
-    /// `"slower"` (an `_ns` path grew) or `"speedup-lost"`.
-    pub kind: &'static str,
 }
 
 impl fmt::Display for Regression {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} (baseline {:.0}, current {:.0}, {:+.0}%)",
-            self.path,
-            self.kind,
+            "{}: ratio {:.4} → {:.4} ({:.2}x)",
+            self.row,
             self.baseline,
             self.current,
-            (self.current / self.baseline - 1.0) * 100.0
+            self.current / self.baseline
         )
     }
 }
 
-/// Compares two flattened summaries under a tolerance factor (`tol > 1`,
-/// e.g. `2.0` = "may be up to twice as slow / half the speedup before
-/// failing"). Only paths present on both sides participate.
-pub fn compare(baseline: &Flat, current: &Flat, tol: f64) -> Vec<Regression> {
-    let skip_speedups = baseline.single_core || current.single_core;
-    let mut out = Vec::new();
-    for (path, base) in &baseline.numbers {
-        let Some(cur) = current.numbers.get(path) else {
-            continue;
-        };
-        let last = path.rsplit('.').next().unwrap_or(path);
-        if last.ends_with("_ns") && *base > 0.0 && *cur > *base * tol {
-            out.push(Regression {
-                path: path.clone(),
-                baseline: *base,
-                current: *cur,
-                kind: "slower",
-            });
-        } else if last.contains("speedup") && !skip_speedups && *base > 0.0 && *cur < *base / tol {
-            out.push(Regression {
-                path: path.clone(),
-                baseline: *base,
-                current: *cur,
-                kind: "speedup-lost",
-            });
-        }
-    }
-    out
+/// The rows present on both sides whose ratio grew beyond `tol`
+/// (`tol > 1`, e.g. `1.3` = "may take up to 1.3× its baseline share of
+/// the calibration kernel before failing").
+pub fn compare(baseline: &Matrix, current: &Matrix, tol: f64) -> Vec<Regression> {
+    baseline
+        .rows
+        .keys()
+        .filter_map(|row| {
+            let (base, cur) = (baseline.ratio(row)?, current.ratio(row)?);
+            (cur > base * tol).then(|| Regression {
+                row: row.clone(),
+                baseline: base,
+                current: cur,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const BASE: &str = r#"{
-      "bench": "demo", "unit": "ns", "available_parallelism": 4,
-      "single_core": false,
-      "results": [
-        {"bench": "a", "threads": 2, "batch_ns": 1000, "speedup": 2.0},
-        {"bench": "a", "threads": 4, "batch_ns": 600, "speedup": 3.3}
-      ],
-      "note": "text is ignored"
-    }"#;
+    /// A summary with calibration `cal` and rows `a`, `b`, `c` at the
+    /// given times.
+    fn matrix(cal: u64, ns: [u64; 3]) -> Matrix {
+        let rows: Vec<String> = ["a", "b", "c"]
+            .iter()
+            .zip(ns)
+            .map(|(name, ns)| format!(r#"{{"row": "{name}", "ns": {ns}, "questions": 200}}"#))
+            .collect();
+        Matrix::parse(&format!(
+            r#"{{"bench": "matrix", "calibration_ns": {cal}, "rows": [{}]}}"#,
+            rows.join(", ")
+        ))
+        .unwrap()
+    }
 
-    fn with(batch_ns: u64, speedup: f64, single: bool) -> String {
-        format!(
-            r#"{{"single_core": {single}, "results": [
-                 {{"bench": "a", "threads": 2, "batch_ns": {batch_ns}, "speedup": {speedup}}},
-                 {{"bench": "a", "threads": 4, "batch_ns": 600, "speedup": 3.3}}
-               ]}}"#
-        )
+    const BASE: [u64; 3] = [1_000, 40_000, 2_000_000];
+
+    #[test]
+    fn parse_reads_rows_and_rejects_malformed_summaries() {
+        let m = matrix(2_000, BASE);
+        assert_eq!(m.calibration_ns, 2_000);
+        assert_eq!(m.rows.get("b"), Some(&40_000));
+        assert_eq!(m.ratio("a"), Some(0.5));
+        assert!(Matrix::parse("{oops").is_err());
+        assert!(Matrix::parse(r#"{"rows": []}"#).is_err(), "no calibration");
+        assert!(Matrix::parse(r#"{"calibration_ns": 0, "rows": []}"#).is_err());
+        let dup =
+            r#"{"calibration_ns": 1, "rows": [{"row": "a", "ns": 1}, {"row": "a", "ns": 2}]}"#;
+        assert!(Matrix::parse(dup).is_err());
     }
 
     #[test]
-    fn flatten_extracts_numeric_leaves_and_single_core() {
-        let flat = flatten(BASE).unwrap();
-        assert_eq!(flat.numbers.get("results.0.batch_ns"), Some(&1000.0));
-        assert_eq!(flat.numbers.get("results.1.speedup"), Some(&3.3));
-        assert_eq!(flat.numbers.get("available_parallelism"), Some(&4.0));
-        assert!(!flat.single_core);
-        assert!(flatten(r#"{"single_core": true}"#).unwrap().single_core);
-        assert!(flatten("{oops").is_err());
-        assert!(flatten("{} trailing").is_err());
+    fn one_row_slower_by_half_fails_at_ci_tolerance() {
+        let baseline = matrix(2_000, BASE);
+        let current = matrix(2_000, [1_000, 60_000, 2_000_000]);
+        let regressions = compare(&baseline, &current, TOLERANCE);
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].row, "b");
     }
 
     #[test]
-    fn within_tolerance_passes() {
-        let baseline = flatten(BASE).unwrap();
-        let current = flatten(&with(1800, 1.2, false)).unwrap();
-        assert!(compare(&baseline, &current, 2.0).is_empty());
-    }
-
-    #[test]
-    fn slowdowns_and_lost_speedups_are_flagged() {
-        let baseline = flatten(BASE).unwrap();
-        let current = flatten(&with(2500, 0.8, false)).unwrap();
-        let regressions = compare(&baseline, &current, 2.0);
-        let kinds: Vec<&str> = regressions.iter().map(|r| r.kind).collect();
-        assert_eq!(kinds, ["slower", "speedup-lost"]);
-        assert_eq!(regressions[0].path, "results.0.batch_ns");
-    }
-
-    #[test]
-    fn single_core_skips_speedup_checks_only() {
-        let baseline = flatten(BASE).unwrap();
-        let current = flatten(&with(2500, 0.1, true)).unwrap();
-        let regressions = compare(&baseline, &current, 2.0);
-        assert_eq!(regressions.len(), 1, "ns check must still fire");
-        assert_eq!(regressions[0].kind, "slower");
+    fn a_uniform_slowdown_of_rows_and_kernel_passes() {
+        let baseline = matrix(2_000, BASE);
+        let current = matrix(3_000, BASE.map(|ns| ns * 3 / 2));
+        assert!(compare(&baseline, &current, TOLERANCE).is_empty());
+        // A faster box passes too, and so does noise inside the
+        // tolerance.
+        let faster = matrix(1_000, [500, 24_000, 1_000_000]);
+        assert!(compare(&baseline, &faster, TOLERANCE).is_empty());
     }
 
     #[test]
     fn paths_on_one_side_are_ignored() {
-        let baseline = flatten(BASE).unwrap();
-        let current = flatten(r#"{"results": [{"other_ns": 1}]}"#).unwrap();
-        assert!(compare(&baseline, &current, 2.0).is_empty());
+        let baseline = matrix(2_000, BASE);
+        let current = Matrix::parse(
+            r#"{"calibration_ns": 2000, "rows": [{"row": "other", "ns": 999999999}]}"#,
+        )
+        .unwrap();
+        assert!(compare(&baseline, &current, TOLERANCE).is_empty());
+        assert!(compare(&current, &baseline, TOLERANCE).is_empty());
     }
 }

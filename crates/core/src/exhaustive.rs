@@ -497,7 +497,7 @@ mod tests {
         // explanation among its listed E1–E4. The full exhaustive search
         // additionally surfaces the incomparable ⟨City, East-Coast-City⟩
         // ("no city at all reaches an east-coast city in two hops"), which
-        // Example 3.4's prose does not enumerate — see EXPERIMENTS.md.
+        // Example 3.4's prose does not enumerate.
         assert_eq!(mges.len(), 2, "{mges:?}");
         assert!(mges.contains(&name_pair(&o, "European-City", "US-City")));
         assert!(mges.contains(&name_pair(&o, "City", "East-Coast-City")));

@@ -8,7 +8,9 @@
 //! map back to exactly `q(I)`, in order, for every query of the stream
 //! and for two queries over a ghost constant that a later delta inserts
 //! (as a head constant, then as an atom constant), so the rows cross pool
-//! generation bumps. The city streams also run at cache budgets 0 and 2.
+//! generation bumps. The city streams also run at cache budgets 0 and 2,
+//! and a dense six-city stream deletes edges whose answers still have a
+//! second derivation.
 //!
 //! On failure the harness shrinks the stream by hand (shortest failing
 //! prefix, then greedy per-step removal to a 1-minimal sequence) before
@@ -286,6 +288,23 @@ fn city_mutation_streams_match_fresh_sessions_under_cache_budgets() {
                 CacheBudget::uniform(budget),
             );
         }
+    }
+}
+
+#[test]
+fn dense_city_mutation_streams_match_fresh_sessions() {
+    // Six cities in two regions: the two-hop and mutual queries have
+    // answers with several derivations, so a deleted edge often leaves
+    // an answer derivable through another middle city. The answer patch
+    // must keep such an answer instead of dropping every candidate its
+    // deleted row touched.
+    for seed in 0..4 {
+        check_workload(
+            &format!("dense city(seed {seed})"),
+            &mutation_stream(6, 2, 48, seed),
+            false,
+            CacheBudget::unlimited(),
+        );
     }
 }
 

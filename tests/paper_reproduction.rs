@@ -1,6 +1,7 @@
 //! End-to-end reproduction of every figure and worked example in the
-//! paper, across all crates. Each test corresponds to one entry of the
-//! experiment index in DESIGN.md; EXPERIMENTS.md records the outcomes.
+//! paper, across all crates. Each test names the figure or example it
+//! reproduces, and its comments record where the computed answer goes
+//! beyond the paper's prose.
 
 use whynot::concepts::LsConcept;
 use whynot::core::{
@@ -162,7 +163,7 @@ fn example_4_9_explanations_and_generality() {
 /// the answer product empty. Our CHECK-MGE w.r.t. OI (Proposition 5.2)
 /// correctly detects this; the tests below pin down both the paper's
 /// intra-example claims (E2/E7 maximal *among E1–E8*) and the formal
-/// refutation. Recorded in EXPERIMENTS.md.
+/// refutation.
 #[test]
 fn example_4_9_mge_checks() {
     let sc = paper::example_4_9();

@@ -14,9 +14,9 @@ use whynot::concepts::{
 };
 use whynot::core::{
     check_mge_instance, exhaustive_search, exts_form_explanation, exts_form_explanation_q,
-    incremental_search, incremental_search_kind, incremental_search_with_selections, AnswerIds,
-    BlockedSet, Explanation, ExplicitOntology, LubKind, QuestionRef, WhyNotInstance,
-    WhyNotQuestion, WhyNotSession,
+    incremental_search, incremental_search_kind, incremental_search_with_selections,
+    retain_most_general, AnswerIds, BlockedSet, Explanation, ExplicitOntology, FiniteOntology,
+    LubKind, QuestionRef, WhyNotInstance, WhyNotQuestion, WhyNotSession,
 };
 use whynot::relation::{
     Atom, CmpOp, ConstPool, Cq, Instance, Interval, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq,
@@ -861,6 +861,22 @@ proptest! {
     }
 }
 
+#[test]
+fn incremental_search_matches_the_literal_algorithm_on_city_workloads() {
+    // The full growth loop over city networks, whose columns hold many
+    // boxes per lub (the arity-two property above draws tiny instances).
+    for (n, seed) in [(24, 42), (32, 7)] {
+        let net = whynot::scenarios::generators::city_network(n, 8, seed);
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            assert_eq!(
+                incremental_search_kind(&net.why_not, kind),
+                literal_incremental(&net.why_not, kind),
+                "{n} cities, {kind:?}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Batched session ≡ fresh contexts, question by question
 // ---------------------------------------------------------------------
@@ -917,6 +933,91 @@ proptest! {
                 Err(_) => prop_assert!(session.exhaustive(&wq).is_err()),
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Algorithm 1 against the seed's product walk
+// ---------------------------------------------------------------------
+
+/// A candidate of one answer position: a concept and its extension as a
+/// tree set (`None` = universal).
+type SeedCandidate<C> = (C, Option<BTreeSet<Value>>);
+
+/// Every product of candidates, kept when no answer tuple lies in it.
+fn seed_walk<C: Clone>(
+    candidates: &[Vec<SeedCandidate<C>>],
+    ans: &BTreeSet<Tuple>,
+    choice: &mut Vec<usize>,
+    found: &mut Vec<Explanation<C>>,
+) {
+    let depth = choice.len();
+    if depth == candidates.len() {
+        let outside = |t: &Tuple| {
+            choice.iter().enumerate().any(|(i, &k)| {
+                candidates[i][k]
+                    .1
+                    .as_ref()
+                    .is_some_and(|ext| !ext.contains(&t[i]))
+            })
+        };
+        if ans.iter().all(outside) {
+            found.push(Explanation::new(
+                choice
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| candidates[i][k].0.clone()),
+            ));
+        }
+        return;
+    }
+    for k in 0..candidates[depth].len() {
+        choice.push(k);
+        seed_walk(candidates, ans, choice, found);
+        choice.pop();
+    }
+}
+
+/// Algorithm 1 with none of the engine: every concept's extension is
+/// evaluated afresh per answer position and kept as a tree set, and the
+/// full product of the candidates containing `aᵢ` is walked.
+fn seed_exhaustive<O: FiniteOntology>(
+    ontology: &O,
+    wn: &WhyNotInstance,
+) -> Vec<Explanation<O::Concept>> {
+    let concepts = ontology.concepts();
+    let candidates: Vec<Vec<SeedCandidate<O::Concept>>> = wn
+        .tuple
+        .iter()
+        .map(|a| {
+            concepts
+                .iter()
+                .filter_map(|c| {
+                    let ext = ontology
+                        .extension(c, &wn.instance)
+                        .as_finite()
+                        .map(|s| s.to_btree_set());
+                    ext.as_ref()
+                        .is_none_or(|s| s.contains(a))
+                        .then(|| (c.clone(), ext))
+                })
+                .collect()
+        })
+        .collect();
+    let mut found = Vec::new();
+    seed_walk(&candidates, &wn.ans, &mut Vec::new(), &mut found);
+    retain_most_general(ontology, found)
+}
+
+#[test]
+fn exhaustive_search_matches_the_seed_product_walk() {
+    for (n, regions, seed) in [(12, 2, 1), (16, 3, 2), (24, 3, 3), (32, 4, 4), (48, 8, 42)] {
+        let net = whynot::scenarios::generators::city_network(n, regions, seed);
+        assert_eq!(
+            exhaustive_search(&net.ontology, &net.why_not),
+            seed_exhaustive(&net.ontology, &net.why_not),
+            "city_network({n}, {regions}, {seed})"
+        );
     }
 }
 
