@@ -27,11 +27,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 use whynot_bench::calibrate;
-use whynot_contrast::obda::obda_contrast;
-use whynot_contrast::{contrast_instance, ContrastAnswer, ContrastQuestion};
 use whynot_core::{
-    exhaustive_search, incremental_search_kind, ConceptName, Explanation, LubKind, SessionError,
-    WhyNotInstance, WhyNotQuestion, WhyNotSession,
+    contrast_instance, exhaustive_search, incremental_search_kind, obda_contrast, ConceptName,
+    ContrastAnswer, ContrastQuestion, Explanation, LubKind, SessionError, WhyNotInstance,
+    WhyNotQuestion, WhyNotSession,
 };
 use whynot_relation::json::Json;
 use whynot_relation::wire::delta_to_json;

@@ -23,7 +23,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use whynot_concepts::{Extension, ExtensionTable};
-use whynot_relation::{ConstPool, GenPool, Instance, PoolMap, RelId, ScratchArena, Value};
+use whynot_relation::{ConstPool, GenPool, Instance, PoolMap, RelId, Value};
 
 /// A memoizing wrapper over an [`Ontology`] and one pinned instance.
 ///
@@ -64,10 +64,6 @@ pub struct EvalContext<'a, O: Ontology> {
     /// the key stays unambiguous.
     pool_maps: RefCell<Vec<(Arc<ConstPool>, PoolMap)>>,
     evaluations: Cell<usize>,
-    /// Recycles the searches' word-buffer scratch (conflict bitsets,
-    /// product-walk mask frames) across the questions this context
-    /// serves.
-    scratch: ScratchArena,
 }
 
 impl<'a, O: Ontology> EvalContext<'a, O> {
@@ -80,7 +76,6 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
             cache: RefCell::new(BTreeMap::new()),
             pool_maps: RefCell::new(Vec::new()),
             evaluations: Cell::new(0),
-            scratch: ScratchArena::new(),
         }
     }
 
@@ -99,7 +94,6 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
             cache: RefCell::new(BTreeMap::new()),
             pool_maps: RefCell::new(Vec::new()),
             evaluations: Cell::new(0),
-            scratch: ScratchArena::new(),
         }
     }
 
@@ -123,14 +117,6 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
     /// [`EvalContext::apply_delta`] that introduced new constants.
     pub fn generation(&self) -> u64 {
         self.pool.generation()
-    }
-
-    /// The context's scratch arena: searches draw their per-question
-    /// word buffers (conflict bitsets, mask frames) from here and
-    /// recycle them, so a long-lived context answers its second and
-    /// later questions without touching the allocator.
-    pub fn scratch(&self) -> &ScratchArena {
-        &self.scratch
     }
 
     /// `ext(c, I)` — memoized; evaluates the wrapped ontology at most
@@ -203,7 +189,7 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
     /// [`DeltaOutcome`](whynot_relation::DeltaOutcome)); any not yet
     /// pooled trigger a generation bump, and retained cache entries are
     /// then bridged into the new generation with one bit remap each.
-    /// The scratch arena and the evaluation counter survive untouched.
+    /// The evaluation counter survives untouched.
     ///
     /// Returns the generation bridge (for sibling caches interned in the
     /// same pool) plus drop/retain counts.

@@ -54,8 +54,9 @@
 //!    function here is the plain reference used to pin it.
 //!
 //! The session front-end (caching keyed by `(query, a, b)`) lives in
-//! [`session`](crate::session); the `whynot-contrast` crate adds the
-//! brute-force reference and the OBDA variant.
+//! [`session`](crate::session); the OBDA variant over certain answers is
+//! [`obda_contrast`](crate::obda_contrast). The brute-force reference the
+//! fast paths are pinned against is test support (`tests/support/`).
 
 use crate::incremental::{adom_ids, beyond_adom, Constant, Grown, Verdicts};
 use crate::ontology::FiniteOntology;

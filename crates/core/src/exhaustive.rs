@@ -15,29 +15,23 @@ use crate::ontology::FiniteOntology;
 use crate::whynot::{
     exts_form_explanation_q, less_general, BlockedSet, Explanation, QuestionRef, WhyNotInstance,
 };
+use std::sync::Arc;
 use whynot_concepts::{kernels, Extension, ExtensionTable, Probe};
-use whynot_relation::{ScratchArena, Tuple, Value};
+use whynot_relation::{Tuple, Value};
 
-/// Per-position candidate concepts with precomputed answer-conflict
-/// bitsets, ordered ascending by conflict popcount (most selective
-/// first) — the product walk's masks empty out as early as possible.
+/// An answer-conflict bitset and its popcount. `Arc` so a session's
+/// conflict memo hands the same words to every question sharing a query.
+pub(crate) type ConflictBits = Arc<(Vec<u64>, usize)>;
+
+/// Per-position candidate concepts with their answer-conflict bitsets,
+/// ordered ascending by conflict popcount (most selective first) — the
+/// product walk's masks empty out as early as possible.
 pub(crate) struct Candidates<C> {
     /// Candidate concepts whose extension contains the position's constant.
     pub(crate) concepts: Vec<C>,
-    /// `conflicts[k][w]`: bit `j` set iff answer tuple `j`'s value at this
-    /// position lies in candidate `k`'s extension.
-    pub(crate) conflicts: Vec<Vec<u64>>,
-}
-
-/// Returns a question's conflict buffers to the arena once the search is
-/// done — the next question on the same context re-takes them instead of
-/// allocating.
-pub(crate) fn recycle_candidates<C>(arena: &ScratchArena, candidates: Vec<Candidates<C>>) {
-    for c in candidates {
-        for bits in c.conflicts {
-            arena.recycle(bits);
-        }
-    }
+    /// `conflicts[k].0[w]`: bit `j` set iff answer tuple `j`'s value at
+    /// this position lies in candidate `k`'s extension.
+    pub(crate) conflicts: Vec<ConflictBits>,
 }
 
 /// The concept indices whose table entry contains `a` — the
@@ -47,60 +41,69 @@ pub(crate) fn candidate_indices(table: &ExtensionTable, count: usize, a: &Value)
     (0..count).filter(|&k| table.get(k).contains(a)).collect()
 }
 
-/// Builds the per-position candidate sets through the memoizing context:
-/// every concept's extension is evaluated exactly once for the whole
-/// search (the seed re-evaluated per position), all extensions share the
-/// context pool. The per-answer conflict bits come from pre-interned
-/// probes — one binary search per (position, answer), then O(1) bit
-/// tests per candidate.
-fn build_candidates<O: FiniteOntology>(
-    ctx: &EvalContext<'_, O>,
-    wn: &WhyNotInstance,
-) -> Option<Vec<Candidates<O::Concept>>> {
-    let all = ctx.concepts();
-    let table = ctx.table(&all);
-    let arena = ctx.scratch();
-    let ans: Vec<&Tuple> = wn.ans.iter().collect();
-    let words = ans.len().div_ceil(64);
-    let mut out = Vec::with_capacity(wn.arity());
-    for (i, a_i) in wn.tuple.iter().enumerate() {
-        let idxs = candidate_indices(&table, all.len(), a_i);
+/// Algorithm 1's per-position candidates for `tuple`: position `i` takes
+/// the concepts `indices_for(tuple[i])` lists (ascending indices into
+/// `all`), each with its conflict bitset `bits_for(i, k)`. Candidates are
+/// sorted by `(popcount, concept index)`, so the product walk visits the
+/// most selective first and every caller sees one order. `None` when no
+/// concept covers some position: no explanation exists.
+pub(crate) fn candidates_with<C: Clone>(
+    all: &[C],
+    tuple: &[Value],
+    mut indices_for: impl FnMut(&Value) -> Arc<Vec<usize>>,
+    mut bits_for: impl FnMut(usize, usize) -> ConflictBits,
+) -> Option<Vec<Candidates<C>>> {
+    let mut out = Vec::with_capacity(tuple.len());
+    for (i, a_i) in tuple.iter().enumerate() {
+        let idxs = indices_for(a_i);
         if idxs.is_empty() {
-            recycle_candidates(arena, out);
-            return None; // no concept covers a_i: no explanation exists
+            return None;
         }
-        // Intern this position's answer values once.
-        let probes: Vec<Probe> = ans.iter().map(|t| table.probe(&t[i])).collect();
-        let mut conflicts: Vec<Vec<u64>> = idxs
-            .iter()
-            .map(|&k| {
-                let mut bits = arena.take(words);
-                for (j, (t, probe)) in ans.iter().zip(&probes).enumerate() {
-                    if table.entry_contains(k, probe, &t[i]) {
-                        bits[j / 64] |= 1 << (j % 64);
-                    }
-                }
-                bits
-            })
-            .collect();
-        // Selectivity ordering: visit the most-selective candidates
-        // (fewest surviving answers) first, so the product walk's running
-        // masks go empty as early as possible. Stable (ties keep table
-        // order); sound because the session path reproduces this order
-        // and `retain_most_general` sorts the final output.
-        let mut order: Vec<usize> = (0..idxs.len()).collect();
-        order.sort_by_key(|&ki| (kernels::count_ones(&conflicts[ki]), ki));
-        let concepts = order.iter().map(|&ki| all[idxs[ki]].clone()).collect();
-        let conflicts = order
-            .iter()
-            .map(|&ki| std::mem::take(&mut conflicts[ki]))
-            .collect();
+        let mut entries: Vec<(usize, ConflictBits)> =
+            idxs.iter().map(|&k| (k, bits_for(i, k))).collect();
+        entries.sort_by_key(|(k, bits)| (bits.1, *k));
+        let (concepts, conflicts) = entries
+            .into_iter()
+            .map(|(k, bits)| (all[k].clone(), bits))
+            .unzip();
         out.push(Candidates {
             concepts,
             conflicts,
         });
     }
     Some(out)
+}
+
+/// The one-shot candidates: every concept's extension is evaluated
+/// exactly once through the memoizing context (the seed re-evaluated per
+/// position), and each position's answer values are interned as probes
+/// once — then a conflict bit is an O(1) table test.
+fn build_candidates<O: FiniteOntology>(
+    ctx: &EvalContext<'_, O>,
+    wn: &WhyNotInstance,
+) -> Option<Vec<Candidates<O::Concept>>> {
+    let all = ctx.concepts();
+    let table = ctx.table(&all);
+    let ans: Vec<&Tuple> = wn.ans.iter().collect();
+    let words = ans.len().div_ceil(64);
+    let probes: Vec<Vec<Probe>> = (0..wn.arity())
+        .map(|i| ans.iter().map(|t| table.probe(&t[i])).collect())
+        .collect();
+    candidates_with(
+        &all,
+        &wn.tuple,
+        |a| Arc::new(candidate_indices(&table, all.len(), a)),
+        |i, k| {
+            let mut bits = vec![0u64; words];
+            for (j, (t, probe)) in ans.iter().zip(&probes[i]).enumerate() {
+                if table.entry_contains(k, probe, &t[i]) {
+                    bits[j / 64] |= 1 << (j % 64);
+                }
+            }
+            let count = kernels::count_ones(&bits);
+            Arc::new((bits, count))
+        },
+    )
 }
 
 /// Algorithm 1: computes the set of all most-general explanations for the
@@ -114,7 +117,7 @@ pub fn exhaustive_search<O: FiniteOntology>(
     let Some(candidates) = build_candidates(&ctx, wn) else {
         return Vec::new();
     };
-    let found = run_exhaustive(&candidates, wn.question(), ctx.scratch());
+    let found = run_exhaustive(&candidates, wn.question());
     // Lines 3–5: drop explanations strictly less general than another.
     retain_most_general(ontology, found)
 }
@@ -126,7 +129,6 @@ pub fn exhaustive_search<O: FiniteOntology>(
 pub(crate) fn run_exhaustive<C: Clone>(
     candidates: &[Candidates<C>],
     q: QuestionRef<'_>,
-    arena: &ScratchArena,
 ) -> Vec<Explanation<C>> {
     if q.arity() == 0 {
         return Vec::new();
@@ -135,10 +137,9 @@ pub(crate) fn run_exhaustive<C: Clone>(
     let mut found: Vec<Explanation<C>> = Vec::new();
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
     // One preallocated mask frame per depth — the walk itself never
-    // touches the allocator (cf. the old per-node `Vec` AND).
-    let mut root = arena.take(words);
-    root.fill(u64::MAX);
-    let mut frames = arena.take(words * candidates.len());
+    // touches the allocator.
+    let root = vec![u64::MAX; words];
+    let mut frames = vec![0u64; words * candidates.len()];
     collect(
         candidates,
         &mut choice,
@@ -147,8 +148,6 @@ pub(crate) fn run_exhaustive<C: Clone>(
         words,
         &mut found,
     );
-    arena.recycle(root);
-    arena.recycle(frames);
     found
 }
 
@@ -174,7 +173,7 @@ fn collect<C: Clone>(
     }
     let (mine, rest) = frames.split_at_mut(words);
     for k in 0..candidates[depth].concepts.len() {
-        let empty = kernels::and_into(mine, live, &candidates[depth].conflicts[k]);
+        let empty = kernels::and_into(mine, live, &candidates[depth].conflicts[k].0);
         choice.push(k);
         if empty {
             // The running mask excludes every answer already: every
@@ -246,39 +245,33 @@ pub fn find_explanation<O: FiniteOntology>(
 ) -> Option<Explanation<O::Concept>> {
     let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
     let candidates = build_candidates(&ctx, wn)?;
-    run_find_one(&candidates, wn.question(), ctx.scratch())
+    run_find_one(&candidates, wn.question())
 }
 
 /// The backtracking existence search over prebuilt candidates.
 pub(crate) fn run_find_one<C: Clone>(
     candidates: &[Candidates<C>],
     q: QuestionRef<'_>,
-    arena: &ScratchArena,
 ) -> Option<Explanation<C>> {
     if q.arity() == 0 {
         return None;
     }
     let words = q.answer_count().div_ceil(64);
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
-    let mut root = arena.take(words);
-    root.fill(u64::MAX);
+    let root = vec![u64::MAX; words];
     // Per-depth mask frames plus one shared pair of pruning buffers
     // (`must_cover` / `excludable` are dead once a node recurses, so one
     // pair serves the whole search).
-    let mut frames = arena.take(words * candidates.len());
-    let mut prune = arena.take(words * 2);
-    let hit = search_one(
+    let mut frames = vec![0u64; words * candidates.len()];
+    let mut prune = vec![0u64; words * 2];
+    if search_one(
         candidates,
         &mut choice,
         &root,
         &mut frames,
         &mut prune,
         words,
-    );
-    arena.recycle(root);
-    arena.recycle(frames);
-    arena.recycle(prune);
-    if hit {
+    ) {
         Some(Explanation::new(
             choice
                 .iter()
@@ -310,7 +303,7 @@ fn search_one<C: Clone>(
     for cands in &candidates[depth..] {
         excludable.fill(0);
         for bits in &cands.conflicts {
-            for (e, b) in excludable.iter_mut().zip(bits) {
+            for (e, b) in excludable.iter_mut().zip(&bits.0) {
                 *e |= !b;
             }
         }
@@ -323,7 +316,7 @@ fn search_one<C: Clone>(
     }
     let (mine, rest) = frames.split_at_mut(words);
     for k in 0..candidates[depth].concepts.len() {
-        let empty = kernels::and_into(mine, live, &candidates[depth].conflicts[k]);
+        let empty = kernels::and_into(mine, live, &candidates[depth].conflicts[k].0);
         choice.push(k);
         if empty {
             // Every completion succeeds; the DFS would land on the

@@ -47,6 +47,21 @@
 //!   inventory).
 //!   Every algorithm runs sequentially: each question is polynomial for
 //!   bounded arity, and none of them spawns a thread.
+//!
+//! # Contrastive explanations
+//!
+//! The paper explains one missing tuple in isolation. Contrastive
+//! explanation (Koopmann et al., arXiv 2511.11281) pairs the missing
+//! tuple `a` with a *foil* `b` that **does** answer; the abduction view
+//! of negative answers in DL-Lite (Calvanese et al., arXiv 1402.0575)
+//! maps the same question onto certain-answer semantics.
+//!
+//! | Item | Machinery | Paper anchor |
+//! |------|-----------|--------------|
+//! | [`ContrastQuestion`], [`contrast_instance`], [`contrast_with`], [`ontology_difference`] | difference separators + foil-aligned MGEs via Algorithm 2's lub growth | §5.2 (Theorem 5.3, Prop 5.2) |
+//! | [`WhyNotSession::contrast`], [`WhyNotSession::contrast_ontology_difference`] | the same answers over a session's cached answer sets, lub columns and conflict bitsets | as above |
+//! | [`obda_contrast`] | contrast over ontology-level queries under certain-answer semantics | §4.2 (Definition 4.4) + the concluding OBDA future-work scenario |
+//! | `tests/support/reference.rs` | brute-force subset-lub enumeration the fast paths are differentially pinned against | Definitions 3.2/3.3 applied literally over `K = adom(I) ∪ ā` (Prop 5.1) |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -88,7 +103,7 @@ pub use incremental::{
     check_mge_instance, check_mge_instance_with, incremental_search, incremental_search_kind,
     incremental_search_with, incremental_search_with_selections,
 };
-pub use obda_query::obda_why_not;
+pub use obda_query::{obda_contrast, obda_why_not, ObdaContrast};
 pub use ontology::{consistent_with, ConceptSignature, FiniteOntology, Ontology};
 pub use schema_mge::{
     all_mges_schema, check_mge_schema, compute_mge_schema, fragment_concepts, fragment_concepts_on,

@@ -10,10 +10,21 @@
 //! ordinary [`WhyNotInstance`], so every algorithm in this crate —
 //! exhaustive, incremental, variations — applies unchanged, with the
 //! OBDA-induced ontology as the natural concept vocabulary.
+//!
+//! [`obda_contrast`] asks the contrastive question over the same
+//! rewriting: "why is `a` not a certain answer while `b` is?". The
+//! rewritten query feeds the ordinary contrast machinery — lub-derived
+//! difference separators and the foil-aligned MGE — while the induced
+//! ontology `O_B` (Theorem 4.2) supplies named separators, so an answer
+//! reads back in the vocabulary the question was asked in.
 
+use crate::contrast::{contrast_instance, ontology_difference, ContrastAnswer, ContrastQuestion};
+use crate::derived::ObdaOntology;
+use crate::session::SessionError;
 use crate::whynot::WhyNotInstance;
-use whynot_dllite::{ObdaSpec, OntCq};
-use whynot_relation::{Instance, RelError, Schema, Tuple};
+use whynot_concepts::LubKind;
+use whynot_dllite::{BasicConcept, ObdaSpec, OntCq};
+use whynot_relation::{Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// Builds a why-not instance for an ontology-level query under
 /// certain-answer semantics: `Ans` is the set of certain answers of `q`
@@ -29,6 +40,53 @@ pub fn obda_why_not(
 ) -> Result<WhyNotInstance, RelError> {
     let relational = spec.rewrite_to_relational(&schema, q)?;
     WhyNotInstance::new(schema, inst, relational, tuple)
+}
+
+/// A contrastive answer over an ontology-level query.
+#[derive(Clone, Debug)]
+pub struct ObdaContrast {
+    /// The relational UCQ the ontology-level query rewrote/unfolded to;
+    /// its evaluation is the certain answer set both tuples were judged
+    /// against.
+    pub rewritten: Ucq,
+    /// The lub-derived halves: per-position difference separators and
+    /// the foil-aligned MGE, over the data instance.
+    pub answer: ContrastAnswer,
+    /// Per position, the subsumption-maximal concepts of the induced
+    /// ontology `O_B` whose certain extension contains the foil's value
+    /// but not the missing one — the named difference.
+    pub ontology_difference: Vec<Vec<BasicConcept>>,
+}
+
+/// Answers "why is `missing` not a certain answer of `q` while `foil`
+/// is?" over an OBDA specification. Rewrites `q` to its relational
+/// certain-answer UCQ, refuses inconsistent instances (every tuple is
+/// vacuously certain there — no contrast exists), and runs both the
+/// lub-level and ontology-level differences.
+pub fn obda_contrast(
+    spec: &ObdaSpec,
+    schema: &Schema,
+    inst: &Instance,
+    q: &OntCq,
+    missing: impl IntoIterator<Item = Value>,
+    foil: impl IntoIterator<Item = Value>,
+    kind: LubKind,
+) -> Result<ObdaContrast, SessionError> {
+    if !spec.is_consistent(inst) {
+        return Err(SessionError::Invalid(RelError::Invalid(
+            "inconsistent OBDA instance: every tuple is vacuously certain".into(),
+        )));
+    }
+    let rewritten = spec.rewrite_to_relational(schema, q)?;
+    let question = ContrastQuestion::new(rewritten.clone(), missing, foil);
+    let answer = contrast_instance(schema, inst, &question, kind)?;
+    let ontology = ObdaOntology::new(spec.clone());
+    let named = ontology_difference(&ontology, inst, &question.missing, &question.foil);
+    Ok(ObdaContrast {
+        rewritten,
+        answer,
+        ontology_difference: named,
+    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, `>card` lists, word-parallel membership |
 //! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each tagged with a serial, and patched after a delta ([`Ucq::patch_ids`]) instead of re-evaluated |
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
-//! | conflict bitsets | `(answer serial, position, concept)` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
+//! | conflict bitsets | `(answer serial, position, concept)` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a pointer clone per candidate |
 //! | the pooled [`LubEngine`]: one id image per relation, plus lub columns | `rel` / `(rel, attr)` (built once) | query evaluation over the images, and Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
 //!
 //! The answer, candidate and conflict caches are each one `Memo` (see
@@ -98,7 +98,7 @@ use crate::context::EvalContext;
 use crate::contrast::{
     contrast_core, restriction, validate_contrast, ContrastAnswer, ContrastQuestion,
 };
-use crate::exhaustive;
+use crate::exhaustive::{self, ConflictBits};
 use crate::incremental::{check_mge_instance_core, incremental_search_core};
 use crate::memo::Memo;
 use crate::ontology::{FiniteOntology, Ontology};
@@ -420,10 +420,6 @@ impl EvictionStats {
     }
 }
 
-/// An interned conflict bitset and its popcount, shared out of the
-/// session's conflict cache.
-type ConflictBits = Arc<(Vec<u64>, usize)>;
-
 /// A cached answer set: its rows, the serial they were cached under
 /// (unique for the session's lifetime, renewed by a patch), and how far
 /// they have caught up with the session's deltas. Rows waiting for a
@@ -471,8 +467,8 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// bits depend on the query's answers and the concept — *not* on
     /// the missing tuple — so questions sharing a query reuse them
     /// wholesale; the per-question work drops to a cache probe and a
-    /// word copy per surviving candidate. Entries die with their answer
-    /// set (evicted or dropped by a delta).
+    /// pointer clone per surviving candidate. Entries die with their
+    /// answer set (evicted or dropped by a delta).
     conflicts: RefCell<Memo<(u64, usize, usize), ConflictBits>>,
     /// The pooled lub engine: one id image per relation, which answer
     /// sets are evaluated over, and the lub columns read off the images
@@ -620,9 +616,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// Applies a tuple-level [`Delta`] to the pinned instance **in
     /// place**, invalidating only the cache entries the changed relations
     /// can actually affect. Everything else — unrelated extensions,
-    /// answer sets, conflict bitsets, interned columns, the scratch
-    /// arena — survives, so a long-lived session absorbs
-    /// mutations without restarting from cold caches.
+    /// answer sets, conflict bitsets, interned columns — survives, so a
+    /// long-lived session absorbs mutations without restarting from cold
+    /// caches.
     ///
     /// Invalidation is keyed on the delta's *effective* change set (a
     /// mutation that cancels out touches nothing) intersected with each
@@ -701,8 +697,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             ..DeltaStats::default()
         };
 
-        // 1. The evaluation context: per-concept extension memo, pool
-        // generation, scratch arena (which survives untouched).
+        // 1. The evaluation context: per-concept extension memo and pool
+        // generation.
         let ctx_delta = self.ctx.apply_delta(
             &outcome.instance,
             changed,
@@ -1136,69 +1132,40 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         entry
     }
 
-    /// Algorithm 1's per-position candidates for a bound question,
-    /// assembled from the session caches: candidate index lists (per
-    /// constant) and conflict bitsets (per answer set, position, and
-    /// concept). Steady state does no probing
-    /// at all — each position costs its cache lookups plus one arena
-    /// word-copy per candidate. Candidates come out ordered ascending by
-    /// conflict popcount, exactly like
-    /// the one-shot build in [`exhaustive`] (whose sort key `(count,
-    /// list position)` this reproduces — `indices_for` lists are
-    /// ascending), so session answers stay bit-for-bit equal to the
-    /// one-shot path.
-    fn cached_candidates_for(
+    /// Algorithm 1's per-position candidates for a bound question, from
+    /// the session caches: candidate index lists (per constant) and
+    /// conflict bitsets (per answer set, position, and concept). Steady
+    /// state does no probing at all — each candidate costs a cache lookup
+    /// and a pointer clone. [`exhaustive::candidates_with`] orders them
+    /// exactly as the one-shot path does, so session answers stay
+    /// bit-for-bit equal to it.
+    fn cached_candidates(
         &self,
         bound: &BoundQuestion,
     ) -> Option<Vec<exhaustive::Candidates<O::Concept>>> {
         let (all, _) = self.finite_index();
-        let words = bound.ans.len().div_ceil(64);
-        let arena = self.ctx.scratch();
-        let mut out = Vec::with_capacity(bound.tuple.len());
-        for (i, a_i) in bound.tuple.iter().enumerate() {
-            let idxs = self.indices_for(a_i);
-            if idxs.is_empty() {
-                exhaustive::recycle_candidates(arena, out);
-                return None;
-            }
-            let mut entries: Vec<(usize, ConflictBits)> = idxs
-                .iter()
-                .map(|&k| (k, self.conflict_bits_for(bound, i, k)))
-                .collect();
-            entries.sort_by_key(|(k, e)| (e.1, *k));
-            let concepts = entries.iter().map(|(k, _)| all[*k].clone()).collect();
-            let conflicts = entries
-                .iter()
-                .map(|(_, e)| {
-                    let mut buf = arena.take(words);
-                    buf.copy_from_slice(&e.0);
-                    buf
-                })
-                .collect();
-            out.push(exhaustive::Candidates {
-                concepts,
-                conflicts,
-            });
-        }
-        Some(out)
+        exhaustive::candidates_with(
+            all,
+            &bound.tuple,
+            |a| self.indices_for(a),
+            |i, k| self.conflict_bits_for(bound, i, k),
+        )
     }
 
     /// Algorithm 1 (EXHAUSTIVE SEARCH): all most-general explanations for
     /// the question w.r.t. the pinned finite ontology. The per-position
     /// candidates come from the session's conflict-bit cache (see
     /// [`stats`](WhyNotSession::stats)'s `cached_conflicts`): questions
-    /// sharing a query rebuild nothing but a word copy per candidate.
+    /// sharing a query rebuild nothing but a pointer clone per candidate.
     pub fn exhaustive(
         &self,
         q: &WhyNotQuestion,
     ) -> Result<Vec<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let arena = self.ctx.scratch();
-        let Some(candidates) = self.cached_candidates_for(&bound) else {
+        let Some(candidates) = self.cached_candidates(&bound) else {
             return Ok(Vec::new());
         };
-        let found = exhaustive::run_exhaustive(&candidates, bound.ids().question(), arena);
-        exhaustive::recycle_candidates(arena, candidates);
+        let found = exhaustive::run_exhaustive(&candidates, bound.ids().question());
         Ok(exhaustive::retain_most_general(self.ontology(), found))
     }
 
@@ -1208,13 +1175,13 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let arena = self.ctx.scratch();
-        let Some(candidates) = self.cached_candidates_for(&bound) else {
+        let Some(candidates) = self.cached_candidates(&bound) else {
             return Ok(None);
         };
-        let found = exhaustive::run_find_one(&candidates, bound.ids().question(), arena);
-        exhaustive::recycle_candidates(arena, candidates);
-        Ok(found)
+        Ok(exhaustive::run_find_one(
+            &candidates,
+            bound.ids().question(),
+        ))
     }
 
     /// Whether any explanation exists for the question.
@@ -1418,8 +1385,12 @@ mod tests {
                 "exhaustive disagrees on {:?}",
                 q.tuple
             );
-            let found = session.find_explanation(q).unwrap();
-            assert_eq!(found.is_some(), find_explanation(&o, &fresh).is_some());
+            assert_eq!(
+                session.find_explanation(q).unwrap(),
+                find_explanation(&o, &fresh),
+                "find_explanation disagrees on {:?}",
+                q.tuple
+            );
             for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
                 let via_session = session.incremental(q, kind).unwrap();
                 let via_fresh = incremental_search_kind(&fresh, kind);
@@ -1430,36 +1401,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scratch_arena_reaches_steady_state_across_questions() {
-        let (o, schema, inst, tc) = fixture();
-        let session = WhyNotSession::new(&o, &schema, &inst);
-        let tuples = [
-            [s("Amsterdam"), s("New York")],
-            [s("Rome"), s("Tokyo")],
-            [s("Kyoto"), s("Amsterdam")],
-            [s("Santa Cruz"), s("Berlin")],
-        ];
-        // Warm up on the first question, then require that later
-        // questions of the same shape draw every word buffer from the
-        // arena's free list instead of the allocator.
-        let warm = WhyNotQuestion::new(two_hop(tc), tuples[0].clone());
-        let _ = session.exhaustive(&warm).unwrap();
-        let _ = session.find_explanation(&warm).unwrap();
-        let after_warmup = session.ctx.scratch().allocations();
-        for t in &tuples[1..] {
-            let q = WhyNotQuestion::new(two_hop(tc), t.clone());
-            let _ = session.exhaustive(&q).unwrap();
-            let _ = session.find_explanation(&q).unwrap();
-        }
-        assert_eq!(
-            session.ctx.scratch().allocations(),
-            after_warmup,
-            "steady-state questions should be allocation-free"
-        );
-        assert!(session.ctx.scratch().reuses() > 0);
     }
 
     #[test]
@@ -1955,6 +1896,14 @@ mod tests {
             let q1 = WhyNotQuestion::new(one_hop(tc), t.clone());
             assert_eq!(reference.exhaustive(&q2), capped.exhaustive(&q2));
             assert_eq!(reference.exhaustive(&q1), capped.exhaustive(&q1));
+            assert_eq!(
+                reference.find_explanation(&q2),
+                capped.find_explanation(&q2)
+            );
+            assert_eq!(
+                reference.find_explanation(&q1),
+                capped.find_explanation(&q1)
+            );
             assert_eq!(
                 reference.incremental(&q2, LubKind::SelectionFree),
                 capped.incremental(&q2, LubKind::SelectionFree)

@@ -1,11 +1,15 @@
 //! Differential tests: the greedy contrast paths against the
-//! brute-force reference enumerations of `whynot_contrast::reference`,
-//! plus the session path against the one-shot.
+//! brute-force reference enumerations of `support/reference.rs`, plus
+//! the session path against the one-shot.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use std::collections::BTreeSet;
-use whynot_contrast::reference;
-use whynot_contrast::{contrast_instance, ContrastQuestion};
-use whynot_core::{check_mge_instance, is_explanation, InstanceOntology, LubKind, WhyNotInstance};
+use whynot_core::{
+    check_mge_instance, contrast_instance, is_explanation, ContrastQuestion, InstanceOntology,
+    LubKind, WhyNotInstance,
+};
 use whynot_relation::{Atom, Cq, Instance, RelId, Schema, SchemaBuilder, Term, Ucq, Value, Var};
 
 fn s(x: &str) -> Value {

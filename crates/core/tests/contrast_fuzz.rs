@@ -6,8 +6,7 @@
 //! has no shrinking.
 
 use proptest::prelude::*;
-use whynot_contrast::{contrast_instance, ContrastQuestion};
-use whynot_core::{LubKind, WhyNotSession};
+use whynot_core::{contrast_instance, ContrastQuestion, LubKind, WhyNotSession};
 use whynot_relation::{RelId, Value};
 use whynot_scenarios::generators::{random_scenario, RandomScenario};
 

@@ -2,8 +2,7 @@
 //! certain-answer semantics via rewriting, lub-level and named
 //! differences, and the consistency guard.
 
-use whynot_contrast::obda::{certain_answers, obda_contrast};
-use whynot_core::LubKind;
+use whynot_core::{obda_contrast, LubKind};
 use whynot_dllite::{AtomicRole, BasicConcept, ObdaSpec, OntAtom, OntCq};
 use whynot_relation::{Term, Value, Var};
 use whynot_scenarios::paper::{data_schema, figure_2_base, figure_4_mappings, figure_4_tbox};
@@ -31,7 +30,7 @@ fn figure_4_contrast_reads_back_in_ontology_vocabulary() {
     let q = connected_query();
 
     // The certain answers are exactly the six mapped train pairs.
-    let ans = certain_answers(&spec, &schema, &inst, &q).unwrap();
+    let ans = spec.certain_answers(&schema, &q, &inst).unwrap();
     assert_eq!(ans.len(), 6);
     assert!(ans.contains(&vec![s("Amsterdam"), s("Berlin")]));
     assert!(!ans.contains(&vec![s("Amsterdam"), s("New York")]));

@@ -12,21 +12,18 @@ use crate::lexer::{Token, TokenKind};
 /// The crates whose library code must stay panic-free: anything
 /// reachable from `WhyNotSession` returns `SessionError` instead, and
 /// a server that dies on bad client input is a denial of service.
-const PANIC_FREE_CRATES: [&str; 6] = [
-    "relation", "concepts", "core", "dllite", "contrast", "server",
-];
+const PANIC_FREE_CRATES: [&str; 5] = ["relation", "concepts", "core", "dllite", "server"];
 
 /// The crates that produce user-visible results (answer sets,
 /// explanations, MGEs, wire responses) and therefore must iterate
 /// deterministically.
-const DETERMINISTIC_CRATES: [&str; 8] = [
+const DETERMINISTIC_CRATES: [&str; 7] = [
     "relation",
     "concepts",
     "core",
     "dllite",
     "subsumption",
     "scenarios",
-    "contrast",
     "server",
 ];
 

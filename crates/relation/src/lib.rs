@@ -22,15 +22,12 @@
 //!   engine in `whynot-concepts`,
 //! * [`Delta`] / [`GenPool`] — tuple-level mutation logs with
 //!   storage-sharing snapshots, and the generational pool growth that
-//!   keeps interned structures valid across mutations,
-//! * [`ScratchArena`] — the recycling free-list arena the search
-//!   engines draw their per-question word-buffer scratch from, and
+//!   keeps interned structures valid across mutations, and
 //! * [`freeze`] — canonical databases for containment tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod arena;
 mod constraints;
 mod delta;
 mod error;
@@ -47,7 +44,6 @@ mod value;
 mod views;
 pub mod wire;
 
-pub use arena::ScratchArena;
 pub use constraints::{
     classify, validate, view_partition, Constraint, ConstraintClass, Fd, Ind, ViewDef,
     ViewPartition,

@@ -28,10 +28,9 @@
 //! * [`core`] — the why-not framework itself: `S`-ontologies, the
 //!   memoizing `EvalContext` extension engine, explanations, most-general
 //!   explanations, the exhaustive and incremental search algorithms
-//!   (paper §3, §5) and the Section 6 variations.
-//! * [`contrast`] — contrastive why-not explanations ("why is `a`
-//!   missing while `b` answers?"): difference separators, foil-aligned
-//!   MGEs, the brute-force reference, and the OBDA variant over
+//!   (paper §3, §5), the Section 6 variations, and contrastive why-not
+//!   explanations ("why is `a` missing while `b` answers?"): difference
+//!   separators, foil-aligned MGEs and the OBDA variant over
 //!   certain-answer semantics.
 //! * [`scenarios`] — the paper's figures and examples as executable
 //!   scenarios, plus seeded workload generators used by the benches.
@@ -58,7 +57,6 @@
 #![forbid(unsafe_code)]
 
 pub use whynot_concepts as concepts;
-pub use whynot_contrast as contrast;
 pub use whynot_core as core;
 pub use whynot_dllite as dllite;
 pub use whynot_relation as relation;
