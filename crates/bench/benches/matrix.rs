@@ -28,9 +28,9 @@ use std::hint::black_box;
 use std::time::Instant;
 use whynot_bench::calibrate;
 use whynot_core::{
-    contrast_instance, exhaustive_search, incremental_search_kind, obda_contrast, ConceptName,
-    ContrastAnswer, ContrastQuestion, Explanation, LubKind, SessionError, WhyNotInstance,
-    WhyNotQuestion, WhyNotSession,
+    card_maximal_greedy, contrast_instance, exhaustive_search, incremental_search_kind,
+    obda_contrast, ConceptName, ContrastAnswer, ContrastQuestion, Explanation, LubKind,
+    SessionError, WhyNotInstance, WhyNotQuestion, WhyNotSession,
 };
 use whynot_relation::json::Json;
 use whynot_relation::wire::delta_to_json;
@@ -53,6 +53,7 @@ const ROUNDS: usize = 15;
 const SAMPLE_NS: u128 = 2_000_000;
 
 type Exhaustive = Result<Vec<Explanation<ConceptName>>, SessionError>;
+type Greedy = Result<Option<Explanation<ConceptName>>, SessionError>;
 
 /// One timed row: its name, the integer counts that describe its
 /// workload, and the call that is timed.
@@ -83,22 +84,35 @@ fn session_stream(w: &BatchedWorkload) -> Vec<Exhaustive> {
     w.questions.iter().map(|q| session.exhaustive(q)).collect()
 }
 
+/// The greedy `>card` search for every question of a batch through one
+/// shared session.
+fn card_greedy_stream(w: &BatchedWorkload) -> Vec<Greedy> {
+    let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
+    w.questions
+        .iter()
+        .map(|q| session.card_maximal_greedy(q))
+        .collect()
+}
+
+/// Builds the one-shot `WhyNotInstance` of a workload question (which
+/// evaluates the query).
+fn one_shot_instance(w: &BatchedWorkload, q: &WhyNotQuestion) -> WhyNotInstance {
+    WhyNotInstance::new(
+        w.schema.clone(),
+        w.instance.clone(),
+        q.query.clone(),
+        q.tuple.clone(),
+    )
+    .expect("workload questions are valid")
+}
+
 /// Answers every question of a batch one-shot: a fresh `WhyNotInstance`
 /// (which evaluates the query) and `exhaustive_search` (which builds a
 /// fresh evaluation context) per question.
 fn fresh_stream(w: &BatchedWorkload) -> Vec<Exhaustive> {
     w.questions
         .iter()
-        .map(|q| {
-            let wn = WhyNotInstance::new(
-                w.schema.clone(),
-                w.instance.clone(),
-                q.query.clone(),
-                q.tuple.clone(),
-            )
-            .expect("workload questions are valid");
-            Ok(exhaustive_search(&w.ontology, &wn))
-        })
+        .map(|q| Ok(exhaustive_search(&w.ontology, &one_shot_instance(w, q))))
         .collect()
 }
 
@@ -401,6 +415,11 @@ fn main() {
         fresh_stream(&batch),
         "batched session vs fresh"
     );
+    let greedy_answers = card_greedy_stream(&batch);
+    for (q, answer) in batch.questions.iter().zip(&greedy_answers) {
+        let one_shot = card_maximal_greedy(&batch.ontology, &one_shot_instance(&batch, q));
+        assert_eq!(answer, &Ok(one_shot), "batched card greedy {:?}", q.tuple);
+    }
     let modal_answers = live_session(&modal);
     assert_eq!(
         modal_answers,
@@ -476,6 +495,23 @@ fn main() {
             &[("cities", 384), ("questions", batch.questions.len())],
             || {
                 black_box(fresh_stream(&batch));
+            },
+        ),
+        Row::new(
+            "batched_city_workload/card_greedy/session",
+            &[
+                ("cities", 384),
+                ("questions", batch.questions.len()),
+                (
+                    "explanations",
+                    greedy_answers
+                        .iter()
+                        .filter(|a| matches!(a, Ok(Some(_))))
+                        .count(),
+                ),
+            ],
+            || {
+                black_box(card_greedy_stream(&batch));
             },
         ),
         Row::new(
@@ -578,7 +614,7 @@ fn main() {
 
     println!("bench matrix: {ROUNDS} interleaved rounds, calibration {calibration_ns} ns");
     println!(
-        "{:<44} {:>12} {:>12} {:>8}",
+        "{:<44} {:>12} {:>12} {:>10}",
         "row", "median (µs)", "scaled (µs)", "ratio"
     );
     let mut lines = Vec::with_capacity(rows.len());
@@ -593,7 +629,7 @@ fn main() {
                 .collect(),
         );
         println!(
-            "{:<44} {:>12.1} {:>12.1} {:>8.4}",
+            "{:<44} {:>12.1} {:>12.1} {:>10.3e}",
             row.name,
             raw as f64 / 1e3,
             ns as f64 / 1e3,

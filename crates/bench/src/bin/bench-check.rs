@@ -50,7 +50,7 @@ fn main() -> ExitCode {
     );
     for row in baseline.rows.keys() {
         match (baseline.ratio(row), current.ratio(row)) {
-            (Some(b), Some(c)) => println!("  {row}: {b:.4} → {c:.4} ({:.2}x)", c / b),
+            (Some(b), Some(c)) => println!("  {row}: {b:.3e} → {c:.3e} ({:.2}x)", c / b),
             _ => println!("  {row}: SKIP (no fresh row)"),
         }
     }

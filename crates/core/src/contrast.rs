@@ -373,15 +373,16 @@ pub(crate) fn ext_subset(a: &Extension, b: &Extension) -> bool {
 /// Filters a separator list down to the extension-maximal ones (ties —
 /// distinct concepts with equal extensions — all survive), preserving
 /// the input order.
-pub(crate) fn retain_ext_maximal<C: Clone>(separators: Vec<(C, Extension)>) -> Vec<C> {
+pub(crate) fn retain_ext_maximal<C, E: Borrow<Extension>>(separators: Vec<(C, E)>) -> Vec<C> {
     let maximal: Vec<bool> = separators
         .iter()
         .enumerate()
         .map(|(i, (_, ext))| {
-            !separators
-                .iter()
-                .enumerate()
-                .any(|(j, (_, other))| i != j && ext_subset(ext, other) && !ext_subset(other, ext))
+            let ext = ext.borrow();
+            !separators.iter().enumerate().any(|(j, (_, other))| {
+                let other = other.borrow();
+                i != j && ext_subset(ext, other) && !ext_subset(other, ext)
+            })
         })
         .collect();
     separators
@@ -398,8 +399,9 @@ pub(crate) fn retain_ext_maximal<C: Clone>(separators: Vec<(C, Extension)>) -> V
 /// pinned instance — the order Definition 3.3 compares explanations by.)
 ///
 /// This is the plain reference; `WhyNotSession::contrast_ontology_difference`
-/// computes the same lists from its cached candidate indices and
-/// Algorithm 1 conflict bitsets, and is pinned against this function.
+/// computes the same lists from its cached candidate indices (the
+/// concepts containing `foil[i]` minus those containing `missing[i]`) and
+/// its extension table, and is pinned against this function.
 pub fn ontology_difference<O: FiniteOntology>(
     ontology: &O,
     instance: &Instance,

@@ -25,10 +25,15 @@ pub(crate) type ConflictBits = Arc<(Vec<u64>, usize)>;
 
 /// Per-position candidate concepts with their answer-conflict bitsets,
 /// ordered ascending by conflict popcount (most selective first) — the
-/// product walk's masks empty out as early as possible.
+/// product walk's masks empty out as early as possible. Every search over
+/// a finite ontology reads this one structure: Algorithm 1, the existence
+/// search and both `>card` searches.
 pub(crate) struct Candidates<C> {
     /// Candidate concepts whose extension contains the position's constant.
     pub(crate) concepts: Vec<C>,
+    /// `indices[k]`: candidate `k`'s index into the concept list (and its
+    /// extension table).
+    pub(crate) indices: Vec<usize>,
     /// `conflicts[k].0[w]`: bit `j` set iff answer tuple `j`'s value at
     /// this position lies in candidate `k`'s extension.
     pub(crate) conflicts: Vec<ConflictBits>,
@@ -62,26 +67,26 @@ pub(crate) fn candidates_with<C: Clone>(
         let mut entries: Vec<(usize, ConflictBits)> =
             idxs.iter().map(|&k| (k, bits_for(i, k))).collect();
         entries.sort_by_key(|(k, bits)| (bits.1, *k));
-        let (concepts, conflicts) = entries
-            .into_iter()
-            .map(|(k, bits)| (all[k].clone(), bits))
-            .unzip();
+        let (indices, conflicts): (Vec<usize>, _) = entries.into_iter().unzip();
         out.push(Candidates {
-            concepts,
+            concepts: indices.iter().map(|&k| all[k].clone()).collect(),
+            indices,
             conflicts,
         });
     }
     Some(out)
 }
 
-/// The one-shot candidates: every concept's extension is evaluated
-/// exactly once through the memoizing context (the seed re-evaluated per
-/// position), and each position's answer values are interned as probes
-/// once — then a conflict bit is an O(1) table test.
-fn build_candidates<O: FiniteOntology>(
-    ctx: &EvalContext<'_, O>,
+/// The one-shot candidates, with the extension table they index: every
+/// concept's extension is evaluated exactly once through a fresh
+/// memoizing context (the seed re-evaluated per position), and each
+/// position's answer values are interned as probes once — then a
+/// conflict bit is an O(1) table test.
+pub(crate) fn build_candidates<O: FiniteOntology>(
+    ontology: &O,
     wn: &WhyNotInstance,
-) -> Option<Vec<Candidates<O::Concept>>> {
+) -> Option<(ExtensionTable, Vec<Candidates<O::Concept>>)> {
+    let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
     let all = ctx.concepts();
     let table = ctx.table(&all);
     let ans: Vec<&Tuple> = wn.ans.iter().collect();
@@ -89,7 +94,7 @@ fn build_candidates<O: FiniteOntology>(
     let probes: Vec<Vec<Probe>> = (0..wn.arity())
         .map(|i| ans.iter().map(|t| table.probe(&t[i])).collect())
         .collect();
-    candidates_with(
+    let candidates = candidates_with(
         &all,
         &wn.tuple,
         |a| Arc::new(candidate_indices(&table, all.len(), a)),
@@ -103,6 +108,20 @@ fn build_candidates<O: FiniteOntology>(
             let count = kernels::count_ones(&bits);
             Arc::new((bits, count))
         },
+    )?;
+    Some((table, candidates))
+}
+
+/// The explanation that picks candidate `choice[i]` at each position `i`.
+pub(crate) fn explanation_at<C: Clone>(
+    candidates: &[Candidates<C>],
+    choice: &[usize],
+) -> Explanation<C> {
+    Explanation::new(
+        choice
+            .iter()
+            .zip(candidates)
+            .map(|(&k, cands)| cands.concepts[k].clone()),
     )
 }
 
@@ -113,8 +132,7 @@ pub fn exhaustive_search<O: FiniteOntology>(
     ontology: &O,
     wn: &WhyNotInstance,
 ) -> Vec<Explanation<O::Concept>> {
-    let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
-    let Some(candidates) = build_candidates(&ctx, wn) else {
+    let Some((_, candidates)) = build_candidates(ontology, wn) else {
         return Vec::new();
     };
     let found = run_exhaustive(&candidates, wn.question());
@@ -162,12 +180,7 @@ fn collect<C: Clone>(
     let depth = choice.len();
     if depth == candidates.len() {
         if kernels::is_zero(live) {
-            found.push(Explanation::new(
-                choice
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &k)| candidates[i].concepts[k].clone()),
-            ));
+            found.push(explanation_at(candidates, choice));
         }
         return;
     }
@@ -196,12 +209,7 @@ fn emit_all<C: Clone>(
 ) {
     let depth = choice.len();
     if depth == candidates.len() {
-        found.push(Explanation::new(
-            choice
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| candidates[i].concepts[k].clone()),
-        ));
+        found.push(explanation_at(candidates, choice));
         return;
     }
     for k in 0..candidates[depth].concepts.len() {
@@ -243,8 +251,7 @@ pub fn find_explanation<O: FiniteOntology>(
     ontology: &O,
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
-    let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
-    let candidates = build_candidates(&ctx, wn)?;
+    let (_, candidates) = build_candidates(ontology, wn)?;
     run_find_one(&candidates, wn.question())
 }
 
@@ -256,42 +263,36 @@ pub(crate) fn run_find_one<C: Clone>(
     if q.arity() == 0 {
         return None;
     }
-    let words = q.answer_count().div_ceil(64);
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
-    let root = vec![u64::MAX; words];
+    let root = vec![u64::MAX; q.answer_count().div_ceil(64)];
+    complete(candidates, &mut choice, &root).then(|| explanation_at(candidates, &choice))
+}
+
+/// Whether the choice prefix `choice`, whose conflict masks AND to
+/// `live`, completes to an explanation. On success `choice` holds the
+/// first completion the search found; otherwise it is left as it was.
+pub(crate) fn complete<C>(
+    candidates: &[Candidates<C>],
+    choice: &mut Vec<usize>,
+    live: &[u64],
+) -> bool {
     // Per-depth mask frames plus one shared pair of pruning buffers
     // (`must_cover` / `excludable` are dead once a node recurses, so one
     // pair serves the whole search).
-    let mut frames = vec![0u64; words * candidates.len()];
-    let mut prune = vec![0u64; words * 2];
-    if search_one(
-        candidates,
-        &mut choice,
-        &root,
-        &mut frames,
-        &mut prune,
-        words,
-    ) {
-        Some(Explanation::new(
-            choice
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| candidates[i].concepts[k].clone()),
-        ))
-    } else {
-        None
-    }
+    let mut frames = vec![0u64; live.len() * (candidates.len() - choice.len())];
+    let mut prune = vec![0u64; live.len() * 2];
+    search_one(candidates, choice, live, &mut frames, &mut prune)
 }
 
-fn search_one<C: Clone>(
+fn search_one<C>(
     candidates: &[Candidates<C>],
     choice: &mut Vec<usize>,
     live: &[u64],
     frames: &mut [u64],
     prune: &mut [u64],
-    words: usize,
 ) -> bool {
     let depth = choice.len();
+    let words = live.len();
     if depth == candidates.len() {
         return kernels::is_zero(live);
     }
@@ -324,7 +325,7 @@ fn search_one<C: Clone>(
             choice.resize(candidates.len(), 0);
             return true;
         }
-        if search_one(candidates, choice, mine, rest, prune, words) {
+        if search_one(candidates, choice, mine, rest, prune) {
             return true;
         }
         choice.pop();

@@ -11,10 +11,10 @@
 //! | cache | keyed by | serves |
 //! |---|---|---|
 //! | concept extensions | concept (via [`EvalContext`]) | every algorithm; ≤ 1 `ext(c, I)` eval per concept **per session**, not per question |
-//! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, `>card` lists, word-parallel membership |
+//! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, the `>card` searches' extension sizes, contrast separators' extensions, word-parallel membership |
 //! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; kept as sorted pool-id rows ([`AnswerRows`]), each tagged with a serial, and patched after a delta ([`Ucq::patch_ids`]) instead of re-evaluated |
-//! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
-//! | conflict bitsets | `(answer serial, position, concept)` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a pointer clone per candidate |
+//! | candidate concept indices | the position constant `aᵢ` | the per-position candidates of Algorithm 1, the existence search and both `>card` searches; a contrast's named separators at position `i` are `indices(foil[i]) ∖ indices(missing[i])` |
+//! | conflict bitsets | `(answer serial, position, concept)` | the per-candidate conflict masks of those same searches — question-independent, so the per-question build is a cache probe and a pointer clone per candidate |
 //! | the pooled [`LubEngine`]: one id image per relation, plus lub columns | `rel` / `(rel, attr)` (built once) | query evaluation over the images, and Algorithm 2's growth probes, MGE checks w.r.t. `OI` and the contrast searches — each probe grows a per-position [`LubState`](whynot_concepts::LubState) by one constant, so lubs are not memoized at all |
 //!
 //! The answer, candidate and conflict caches are each one `Memo` (see
@@ -211,10 +211,8 @@ impl BoundQuestion {
 /// A contrastive question validated and bound: the full answer set is
 /// resolved (from cache when possible) and the foil's row located.
 struct BoundContrast {
-    /// The full answer set — the ontology-difference path indexes the
-    /// foil's conflict bit against it.
+    /// The full answer set, foil included.
     ans: Arc<AnswerRows>,
-    serial: Option<u64>,
     /// The foil's row in `ans`.
     foil_row: usize,
     missing: Tuple,
@@ -243,8 +241,9 @@ pub struct SessionStats {
     /// Distinct position constants whose candidate lists are cached.
     pub cached_candidates: usize,
     /// Distinct `(query, position, concept)` conflict bitsets cached for
-    /// Algorithm 1 (question-independent: keyed by the query's answers,
-    /// not the missing tuple).
+    /// the candidates of Algorithm 1, the existence search and the
+    /// `>card` searches (question-independent: keyed by the query's
+    /// answers, not the missing tuple). Contrast questions add none.
     pub cached_conflicts: usize,
     /// Always 0: lubs are grown per probe, never memoized. Kept, like
     /// every always-0 field here, because the wire `stats` line and the
@@ -1037,12 +1036,11 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// (cached per query) and the foil's row in it.
     fn bind_contrast(&self, q: &ContrastQuestion) -> Result<BoundContrast, SessionError> {
         q.query.validate(self.schema)?;
-        let (ans, serial) = self.answers_entry(&q.query);
+        let (ans, _) = self.answers_entry(&q.query);
         let foil_row = validate_contrast(&q.query, &q.missing, &q.foil, &ans)?;
         self.questions.set(self.questions.get() + 1);
         Ok(BoundContrast {
             ans,
-            serial,
             foil_row,
             missing: q.missing.clone(),
             foil: q.foil.clone(),
@@ -1138,7 +1136,8 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     /// state does no probing at all — each candidate costs a cache lookup
     /// and a pointer clone. [`exhaustive::candidates_with`] orders them
     /// exactly as the one-shot path does, so session answers stay
-    /// bit-for-bit equal to it.
+    /// bit-for-bit equal to it. Algorithm 1, the existence search and
+    /// both `>card` searches all start here.
     fn cached_candidates(
         &self,
         bound: &BoundQuestion,
@@ -1209,76 +1208,75 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     }
 
     /// An exact `>card`-maximal explanation (Proposition 6.4's exponential
-    /// reference algorithm) through the session caches.
+    /// reference algorithm) over the session's cached Algorithm 1
+    /// candidates; `|ext|` is read from the extension table.
     pub fn card_maximal_exact(
         &self,
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let ids = bound.ids();
-        let (all, table) = self.finite_index();
-        let Some(lists) =
-            variations::candidate_lists_with(all, table, |a| self.indices_for(a), ids.question())
-        else {
+        let Some(candidates) = self.cached_candidates(&bound) else {
             return Ok(None);
         };
-        Ok(variations::run_card_maximal_exact(&lists, ids.question()))
+        let (_, table) = self.finite_index();
+        Ok(variations::run_card_maximal_exact(
+            &candidates,
+            table,
+            bound.ids().question(),
+        ))
     }
 
-    /// The greedy `>card` heuristic through the session caches.
+    /// The greedy `>card` heuristic over the session's cached Algorithm 1
+    /// candidates.
     pub fn card_maximal_greedy(
         &self,
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let ids = bound.ids();
-        let (all, table) = self.finite_index();
-        let Some(lists) =
-            variations::candidate_lists_with(all, table, |a| self.indices_for(a), ids.question())
-        else {
+        let Some(candidates) = self.cached_candidates(&bound) else {
             return Ok(None);
         };
-        Ok(variations::run_card_maximal_greedy(&lists, ids.question()))
+        let (_, table) = self.finite_index();
+        Ok(variations::run_card_maximal_greedy(
+            &candidates,
+            table,
+            bound.ids().question(),
+        ))
     }
 
     /// Per-position subsumption-maximal *named* separators: for each
     /// position `i`, every finite-ontology concept `C` with
     /// `foil[i] ∈ ext(C)` and `missing[i] ∉ ext(C)` that no other such
     /// concept strictly extension-subsumes. Equal to the free function
-    /// [`crate::ontology_difference`] but routed through the session's
-    /// conflict bitsets and candidate index: "`foil[i] ∈ ext(C_k)`" is
-    /// bit `j*` of the cached conflict word for `(i, k)` (where `j*` is
-    /// the foil's rank in the ordered answer set), and
-    /// "`missing[i] ∉ ext(C_k)`" is a binary search miss on the cached
-    /// per-value candidate list.
+    /// [`crate::ontology_difference`], but read off the session's cached
+    /// candidate index: position `i`'s separators are
+    /// `indices_for(foil[i]) ∖ indices_for(missing[i])`, a merge of two
+    /// sorted lists, filtered against the extension table's entries.
     pub fn contrast_ontology_difference(
         &self,
         q: &ContrastQuestion,
     ) -> Result<Vec<Vec<O::Concept>>, SessionError> {
         let bound = self.bind_contrast(q)?;
-        let foil_idx = bound.foil_row;
-        // Conflict bitsets describe membership against the full answer
-        // set, whose order determines which bit is the foil's.
-        let legacy = BoundQuestion {
-            ans: Arc::clone(&bound.ans),
-            serial: bound.serial,
-            tuple: bound.missing.clone(),
-        };
-        let (all, _) = self.finite_index();
-        let mut out: Vec<Vec<O::Concept>> = Vec::with_capacity(bound.missing.len());
-        for i in 0..bound.missing.len() {
-            let excluded = self.indices_for(&bound.missing[i]);
-            let mut separators: Vec<(O::Concept, Extension)> = Vec::new();
-            for (k, concept) in all.iter().enumerate() {
-                let bits = self.conflict_bits_for(&legacy, i, k);
-                let foil_in = (bits.0[foil_idx / 64] >> (foil_idx % 64)) & 1 == 1;
-                if foil_in && excluded.binary_search(&k).is_err() {
-                    separators.push((concept.clone(), self.ctx.extension(concept)));
-                }
-            }
-            out.push(crate::contrast::retain_ext_maximal(separators));
-        }
-        Ok(out)
+        let (all, table) = self.finite_index();
+        Ok(bound
+            .missing
+            .iter()
+            .zip(&bound.foil)
+            .map(|(a, b)| {
+                let excluded = self.indices_for(a);
+                let mut excluded = excluded.iter().peekable();
+                let separators: Vec<(O::Concept, &Extension)> = self
+                    .indices_for(b)
+                    .iter()
+                    .filter(|&k| {
+                        while excluded.next_if(|&x| x < k).is_some() {}
+                        excluded.peek() != Some(&k)
+                    })
+                    .map(|&k| (all[k].clone(), table.get(k)))
+                    .collect();
+                crate::contrast::retain_ext_maximal(separators)
+            })
+            .collect())
     }
 }
 

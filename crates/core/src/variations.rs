@@ -2,15 +2,17 @@
 //! irredundant and minimized explanations, cardinality-based preference,
 //! and strong explanations.
 
+use crate::exhaustive::{build_candidates, complete, explanation_at, Candidates};
 use crate::incremental::incremental_search_kind;
 use crate::ontology::{FiniteOntology, Ontology};
-use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef, WhyNotInstance};
+use crate::whynot::{Explanation, QuestionRef, WhyNotInstance};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{
-    simplify, Extension, ExtensionTable, LsAtom, LsConcept, LubEngine, LubKind, LubProvider,
+    kernels, simplify, ExtensionTable, LsAtom, LsConcept, LubEngine, LubKind, LubProvider,
 };
-use whynot_relation::{Cq, Term, Ucq, Value, Var};
+use whynot_relation::{Cq, Term, Ucq, Var};
 use whynot_subsumption::{satisfiable_under, ChaseLimits, Satisfiability};
 
 // ---------------------------------------------------------------------
@@ -171,137 +173,91 @@ pub fn card_maximal_exact<O: FiniteOntology>(
     ontology: &O,
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
-    let per_position = candidate_lists(ontology, wn)?;
-    run_card_maximal_exact(&per_position, wn.question())
+    let (table, candidates) = build_candidates(ontology, wn)?;
+    run_card_maximal_exact(&candidates, &table, wn.question())
 }
 
-/// The branch-and-bound core of [`card_maximal_exact`] over prebuilt
-/// candidate lists (reused by the session layer).
-pub(crate) fn run_card_maximal_exact<C: Clone>(
-    per_position: &[Vec<Candidate<C>>],
-    q: QuestionRef<'_>,
-) -> Option<Explanation<C>> {
-    // Sort candidates by descending cardinality for better bounds.
-    let mut best: Option<(usize, Vec<usize>)> = None;
-    let suffix_max: Vec<usize> = {
-        // Max attainable degree from position i onward.
-        let mut out = vec![0usize; per_position.len() + 1];
-        for i in (0..per_position.len()).rev() {
-            let m = per_position[i]
-                .iter()
-                .map(|(_, ext, _)| ext.len().unwrap_or(usize::MAX / 2))
-                .max()
-                .unwrap_or(0);
-            out[i] = out[i + 1].saturating_add(m);
-        }
-        out
-    };
-    let mut choice: Vec<usize> = Vec::new();
-    branch_card(
-        per_position,
-        q,
-        &suffix_max,
-        0,
-        &mut choice,
-        &mut best,
-        &mut Vec::new(),
-    );
-    let (_, idxs) = best?;
-    Some(Explanation::new(
-        idxs.iter()
-            .enumerate()
-            .map(|(i, &k)| per_position[i][k].0.clone()),
-    ))
-}
-
-pub(crate) type Candidate<C> = (C, Extension, usize);
-
-/// Per-position `(concept, extension, cardinality)` candidate lists from
-/// a prebuilt table and per-constant index provider, sorted by descending
-/// cardinality (the `>card` searches' input; a session memoizes the index
-/// lists by constant).
-pub(crate) fn candidate_lists_with<C: Clone>(
-    all: &[C],
-    table: &ExtensionTable,
-    mut indices_for: impl FnMut(&Value) -> Arc<Vec<usize>>,
-    q: QuestionRef<'_>,
-) -> Option<Vec<Vec<Candidate<C>>>> {
-    let mut out = Vec::with_capacity(q.arity());
-    for a_i in q.tuple {
-        let idxs = indices_for(a_i);
-        if idxs.is_empty() {
-            return None;
-        }
-        let mut list: Vec<Candidate<C>> = idxs
-            .iter()
-            .map(|&k| {
-                let ext = table.get(k);
-                let card = ext.len().unwrap_or(usize::MAX / 2);
-                (all[k].clone(), ext.clone(), card)
-            })
-            .collect();
-        list.sort_by_key(|c| std::cmp::Reverse(c.2));
-        out.push(list);
-    }
-    Some(out)
-}
-
-fn candidate_lists<O: FiniteOntology>(
-    ontology: &O,
-    wn: &WhyNotInstance,
-) -> Option<Vec<Vec<Candidate<O::Concept>>>> {
-    // One evaluation per concept for all positions, via the memoizing
-    // context (the seed re-evaluated per position).
-    let ctx =
-        crate::context::EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
-    let all = ontology.concepts();
-    let table = ctx.table(&all);
-    candidate_lists_with(
-        &all,
-        &table,
-        |a| Arc::new(crate::exhaustive::candidate_indices(&table, all.len(), a)),
-        wn.question(),
-    )
-}
-
-fn branch_card<C: Clone>(
-    per_position: &[Vec<Candidate<C>>],
-    q: QuestionRef<'_>,
-    suffix_max: &[usize],
-    depth: usize,
-    choice: &mut Vec<usize>,
-    best: &mut Option<(usize, Vec<usize>)>,
-    exts: &mut Vec<Extension>,
-) {
-    if depth == per_position.len() {
-        if exts_form_explanation_q(exts, q) {
-            let total: usize = choice
+/// Each position's candidate slots in `>card` visiting order, with their
+/// `|ext|` read from `table`: descending `|ext|`, ties by concept index.
+fn card_order<C>(candidates: &[Candidates<C>], table: &ExtensionTable) -> Vec<Vec<(usize, usize)>> {
+    candidates
+        .iter()
+        .map(|cands| {
+            let mut order: Vec<(usize, usize)> = cands
+                .indices
                 .iter()
                 .enumerate()
-                .map(|(i, &k)| per_position[i][k].2)
-                .sum();
-            if best.as_ref().is_none_or(|(b, _)| total > *b) {
-                *best = Some((total, choice.clone()));
+                .map(|(slot, &k)| (table.get(k).len().unwrap_or(usize::MAX / 2), slot))
+                .collect();
+            order.sort_by_key(|&(card, slot)| (Reverse(card), cands.indices[slot]));
+            order
+        })
+        .collect()
+}
+
+/// The branch-and-bound core of [`card_maximal_exact`] over Algorithm 1's
+/// candidates (built one-shot or read from a session's caches): a leaf is
+/// an explanation iff the AND of its conflict masks is zero.
+pub(crate) fn run_card_maximal_exact<C: Clone>(
+    candidates: &[Candidates<C>],
+    table: &ExtensionTable,
+    q: QuestionRef<'_>,
+) -> Option<Explanation<C>> {
+    let order = card_order(candidates, table);
+    // Max attainable degree from position i onward.
+    let mut suffix_max = vec![0usize; order.len() + 1];
+    for i in (0..order.len()).rev() {
+        let head = order[i].first().map_or(0, |&(card, _)| card);
+        suffix_max[i] = suffix_max[i + 1].saturating_add(head);
+    }
+    let words = q.answer_count().div_ceil(64);
+    let mut search = CardSearch {
+        candidates,
+        order: &order,
+        suffix_max,
+        choice: Vec::with_capacity(order.len()),
+        best: None,
+    };
+    let mut frames = vec![0u64; words * order.len()];
+    search.branch(0, 0, &vec![u64::MAX; words], &mut frames);
+    let (_, choice) = search.best?;
+    Some(explanation_at(candidates, &choice))
+}
+
+/// The state of [`run_card_maximal_exact`]'s walk.
+struct CardSearch<'c, C> {
+    candidates: &'c [Candidates<C>],
+    order: &'c [Vec<(usize, usize)>],
+    suffix_max: Vec<usize>,
+    choice: Vec<usize>,
+    /// The incumbent: its degree and candidate slots.
+    best: Option<(usize, Vec<usize>)>,
+}
+
+impl<C> CardSearch<'_, C> {
+    /// Visits the choices for positions `depth..` under the running
+    /// conflict mask `live`, keeping the first leaf of strictly highest
+    /// degree whose mask is zero.
+    fn branch(&mut self, depth: usize, spent: usize, live: &[u64], frames: &mut [u64]) {
+        if depth == self.order.len() {
+            if kernels::is_zero(live) && self.best.as_ref().is_none_or(|(b, _)| spent > *b) {
+                self.best = Some((spent, self.choice.clone()));
+            }
+            return;
+        }
+        if let Some((b, _)) = self.best {
+            if spent.saturating_add(self.suffix_max[depth]) <= b {
+                return; // bound: cannot beat the incumbent
             }
         }
-        return;
-    }
-    let spent: usize = choice
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| per_position[i][k].2)
-        .sum();
-    if let Some((b, _)) = best {
-        if spent.saturating_add(suffix_max[depth]) <= *b {
-            return; // bound: cannot beat the incumbent
+        let (mine, rest) = frames.split_at_mut(live.len());
+        let (candidates, order) = (self.candidates, self.order);
+        for &(card, slot) in &order[depth] {
+            kernels::and_into(mine, live, &candidates[depth].conflicts[slot].0);
+            self.choice.push(slot);
+            self.branch(depth + 1, spent + card, mine, rest);
+            self.choice.pop();
         }
-    }
-    for k in 0..per_position[depth].len() {
-        choice.push(k);
-        exts.push(per_position[depth][k].1.clone());
-        branch_card(per_position, q, suffix_max, depth + 1, choice, best, exts);
-        exts.pop();
-        choice.pop();
     }
 }
 
@@ -313,59 +269,36 @@ pub fn card_maximal_greedy<O: FiniteOntology>(
     ontology: &O,
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
-    let per_position = candidate_lists(ontology, wn)?;
-    run_card_maximal_greedy(&per_position, wn.question())
+    let (table, candidates) = build_candidates(ontology, wn)?;
+    run_card_maximal_greedy(&candidates, &table, wn.question())
 }
 
-/// The greedy core of [`card_maximal_greedy`] over prebuilt candidate
-/// lists (reused by the session layer).
+/// The greedy core of [`card_maximal_greedy`] over Algorithm 1's
+/// candidates: at each position, in `>card` order, the first candidate
+/// whose running conflict mask the existence search can still complete.
 pub(crate) fn run_card_maximal_greedy<C: Clone>(
-    per_position: &[Vec<Candidate<C>>],
+    candidates: &[Candidates<C>],
+    table: &ExtensionTable,
     q: QuestionRef<'_>,
 ) -> Option<Explanation<C>> {
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut exts: Vec<Extension> = Vec::new();
-    for (i, list) in per_position.iter().enumerate() {
-        let mut picked = None;
-        for (k, (_, ext, _)) in list.iter().enumerate() {
-            exts.push(ext.clone());
-            let feasible = completable(per_position, q, i + 1, &mut exts);
-            exts.pop();
-            if feasible {
-                picked = Some(k);
-                break;
-            }
-        }
-        let k = picked?;
-        chosen.push(k);
-        exts.push(list[k].1.clone());
+    let words = q.answer_count().div_ceil(64);
+    let mut choice: Vec<usize> = Vec::with_capacity(candidates.len());
+    let mut live = vec![u64::MAX; words];
+    let mut next = vec![0u64; words];
+    for (i, order) in card_order(candidates, table).iter().enumerate() {
+        let conflicts = &candidates[i].conflicts;
+        let slot = order.iter().map(|&(_, slot)| slot).find(|&slot| {
+            kernels::and_into(&mut next, &live, &conflicts[slot].0);
+            choice.push(slot);
+            let feasible = complete(candidates, &mut choice, &next);
+            choice.truncate(i);
+            feasible
+        })?;
+        // `next` holds the mask of the slot `find` stopped at.
+        choice.push(slot);
+        std::mem::swap(&mut live, &mut next);
     }
-    Some(Explanation::new(
-        chosen
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| per_position[i][k].0.clone()),
-    ))
-}
-
-fn completable<C: Clone>(
-    per_position: &[Vec<Candidate<C>>],
-    q: QuestionRef<'_>,
-    depth: usize,
-    exts: &mut Vec<Extension>,
-) -> bool {
-    if depth == per_position.len() {
-        return exts_form_explanation_q(exts, q);
-    }
-    for (_, ext, _) in &per_position[depth] {
-        exts.push(ext.clone());
-        let ok = completable(per_position, q, depth + 1, exts);
-        exts.pop();
-        if ok {
-            return true;
-        }
-    }
-    false
+    Some(explanation_at(candidates, &choice))
 }
 
 // ---------------------------------------------------------------------

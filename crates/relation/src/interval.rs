@@ -130,6 +130,26 @@ impl Interval {
         }
     }
 
+    /// `self ∖ other` as at most two non-empty intervals: the part of
+    /// `self` below `other`'s lower bound, then the part above its upper
+    /// bound.
+    pub fn minus(&self, other: &Interval) -> Vec<Interval> {
+        // The complement of a bound, as the facing bound of a piece.
+        let flip = |b: &Bound| match b {
+            Bound::Unbounded => None,
+            Bound::Incl(v) => Some(Bound::Excl(v.clone())),
+            Bound::Excl(v) => Some(Bound::Incl(v.clone())),
+        };
+        let below = flip(&other.lo).map(|hi| Interval::new(self.lo.clone(), hi));
+        let above = flip(&other.hi).map(|lo| Interval::new(lo, self.hi.clone()));
+        [below, above]
+            .into_iter()
+            .flatten()
+            .map(|piece| piece.intersect(self))
+            .filter(|piece| !piece.is_empty())
+            .collect()
+    }
+
     /// Whether the interval is empty **under the density assumption**:
     /// `(a, b)` with `a < b` is considered non-empty.
     pub fn is_empty(&self) -> bool {
@@ -314,6 +334,44 @@ mod tests {
         // (3, 4) is non-empty in a dense order.
         assert!(!iv(CmpOp::Gt, 3).intersect(&iv(CmpOp::Lt, 4)).is_empty());
         assert!(!iv(CmpOp::Eq, 3).is_empty());
+    }
+
+    #[test]
+    fn difference_keeps_the_pieces_outside_the_removed_interval() {
+        let int = Value::int;
+        let a = Interval::closed(int(0), int(10));
+        // Inclusive removed bounds leave exclusive ends behind.
+        assert_eq!(
+            a.minus(&Interval::closed(int(3), int(5))),
+            vec![
+                Interval::new(Bound::Incl(int(0)), Bound::Excl(int(3))),
+                Interval::new(Bound::Excl(int(5)), Bound::Incl(int(10))),
+            ]
+        );
+        // Exclusive removed bounds keep their endpoints.
+        let open = iv(CmpOp::Gt, 3).intersect(&iv(CmpOp::Lt, 5));
+        assert_eq!(
+            a.minus(&open),
+            vec![
+                Interval::closed(int(0), int(3)),
+                Interval::closed(int(5), int(10)),
+            ]
+        );
+        // An unbounded side of the removed interval leaves no piece there.
+        assert_eq!(
+            a.minus(&iv(CmpOp::Ge, 3)),
+            vec![Interval::new(Bound::Incl(int(0)), Bound::Excl(int(3)))]
+        );
+        assert_eq!(
+            Interval::full().minus(&iv(CmpOp::Lt, 3)),
+            vec![iv(CmpOp::Ge, 3)]
+        );
+        // Removing an interval disjoint from `a` leaves `a` whole.
+        assert_eq!(a.minus(&iv(CmpOp::Gt, 10)), vec![a.clone()]);
+        // Removing a superset leaves nothing.
+        assert!(a.minus(&Interval::full()).is_empty());
+        assert!(a.minus(&iv(CmpOp::Ge, 0)).is_empty());
+        assert!(iv(CmpOp::Eq, 4).minus(&iv(CmpOp::Eq, 4)).is_empty());
     }
 
     #[test]

@@ -417,45 +417,13 @@ fn discouraged_overrides(
         }
         let mut pieces = vec![iv.clone()];
         for d in discouraged {
-            pieces = pieces
-                .into_iter()
-                .flat_map(|p| subtract_interval(&p, d))
-                .collect();
+            pieces = pieces.into_iter().flat_map(|p| p.minus(d)).collect();
             if pieces.is_empty() {
                 break;
             }
         }
         if !pieces.is_empty() {
             out.insert(node, pieces);
-        }
-    }
-    out
-}
-
-/// `a ∖ b` as at most two non-empty intervals.
-fn subtract_interval(a: &Interval, b: &Interval) -> Vec<Interval> {
-    use whynot_relation::Bound;
-    let mut out = Vec::new();
-    let left_cap = match b.lo() {
-        Bound::Unbounded => None,
-        Bound::Incl(v) => Some(Bound::Excl(v.clone())),
-        Bound::Excl(v) => Some(Bound::Incl(v.clone())),
-    };
-    if let Some(hi) = left_cap {
-        let piece = Interval::new(a.lo().clone(), hi).intersect(a);
-        if !piece.is_empty() {
-            out.push(piece);
-        }
-    }
-    let right_cap = match b.hi() {
-        Bound::Unbounded => None,
-        Bound::Incl(v) => Some(Bound::Excl(v.clone())),
-        Bound::Excl(v) => Some(Bound::Incl(v.clone())),
-    };
-    if let Some(lo) = right_cap {
-        let piece = Interval::new(lo, a.hi().clone()).intersect(a);
-        if !piece.is_empty() {
-            out.push(piece);
         }
     }
     out

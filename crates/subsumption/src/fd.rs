@@ -176,7 +176,7 @@ fn kill_conjunct(
             if node_iv.subset_of(sigma) {
                 continue; // cannot escape on this attribute
             }
-            let pieces = interval_difference(node_iv, sigma);
+            let pieces = node_iv.minus(sigma);
             if !pieces.is_empty() {
                 atom_options.push((canon.find(nodes[j]), pieces));
             }
@@ -238,39 +238,6 @@ fn search_kills(
         }
     }
     None
-}
-
-/// `a ∖ b` as a list of at most two non-empty intervals.
-fn interval_difference(a: &Interval, b: &Interval) -> Vec<Interval> {
-    use whynot_relation::Bound;
-    let mut out = Vec::new();
-    // Left piece: values of `a` below `b`'s lower bound.
-    let left_cap = match b.lo() {
-        Bound::Unbounded => None,
-        Bound::Incl(v) => Some(Bound::Excl(v.clone())),
-        Bound::Excl(v) => Some(Bound::Incl(v.clone())),
-    };
-    if let Some(hi) = left_cap {
-        let piece = Interval::new(a.lo().clone(), hi);
-        let piece = piece.intersect(a);
-        if !piece.is_empty() {
-            out.push(piece);
-        }
-    }
-    // Right piece: values of `a` above `b`'s upper bound.
-    let right_cap = match b.hi() {
-        Bound::Unbounded => None,
-        Bound::Incl(v) => Some(Bound::Excl(v.clone())),
-        Bound::Excl(v) => Some(Bound::Incl(v.clone())),
-    };
-    if let Some(lo) = right_cap {
-        let piece = Interval::new(lo, a.hi().clone());
-        let piece = piece.intersect(a);
-        if !piece.is_empty() {
-            out.push(piece);
-        }
-    }
-    out
 }
 
 /// Re-exported for the property tests: evaluates both concepts on an
