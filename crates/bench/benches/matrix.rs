@@ -28,9 +28,9 @@ use std::hint::black_box;
 use std::time::Instant;
 use whynot_bench::calibrate;
 use whynot_core::{
-    card_maximal_greedy, contrast_instance, exhaustive_search, incremental_search_kind,
-    obda_contrast, ConceptName, ContrastAnswer, ContrastQuestion, Explanation, LubKind,
-    SessionError, WhyNotInstance, WhyNotQuestion, WhyNotSession,
+    card_maximal_exact, card_maximal_greedy, contrast_instance, exhaustive_search,
+    incremental_search_kind, obda_contrast, ConceptName, ContrastAnswer, ContrastQuestion,
+    Explanation, LubKind, SessionError, WhyNotInstance, WhyNotQuestion, WhyNotSession,
 };
 use whynot_relation::json::Json;
 use whynot_relation::wire::delta_to_json;
@@ -53,7 +53,7 @@ const ROUNDS: usize = 15;
 const SAMPLE_NS: u128 = 2_000_000;
 
 type Exhaustive = Result<Vec<Explanation<ConceptName>>, SessionError>;
-type Greedy = Result<Option<Explanation<ConceptName>>, SessionError>;
+type Card = Result<Option<Explanation<ConceptName>>, SessionError>;
 
 /// One timed row: its name, the integer counts that describe its
 /// workload, and the call that is timed.
@@ -84,13 +84,19 @@ fn session_stream(w: &BatchedWorkload) -> Vec<Exhaustive> {
     w.questions.iter().map(|q| session.exhaustive(q)).collect()
 }
 
-/// The greedy `>card` search for every question of a batch through one
-/// shared session.
-fn card_greedy_stream(w: &BatchedWorkload) -> Vec<Greedy> {
+/// A `>card` search for every question of a batch through one shared
+/// session: the exact branch-and-bound or the greedy heuristic.
+fn card_stream(w: &BatchedWorkload, exact: bool) -> Vec<Card> {
     let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
     w.questions
         .iter()
-        .map(|q| session.card_maximal_greedy(q))
+        .map(|q| {
+            if exact {
+                session.card_maximal_exact(q)
+            } else {
+                session.card_maximal_greedy(q)
+            }
+        })
         .collect()
 }
 
@@ -415,11 +421,20 @@ fn main() {
         fresh_stream(&batch),
         "batched session vs fresh"
     );
-    let greedy_answers = card_greedy_stream(&batch);
-    for (q, answer) in batch.questions.iter().zip(&greedy_answers) {
-        let one_shot = card_maximal_greedy(&batch.ontology, &one_shot_instance(&batch, q));
-        assert_eq!(answer, &Ok(one_shot), "batched card greedy {:?}", q.tuple);
+    let greedy_answers = card_stream(&batch, false);
+    let exact_answers = card_stream(&batch, true);
+    for (i, q) in batch.questions.iter().enumerate() {
+        let wn = one_shot_instance(&batch, q);
+        let one_shot =
+            [card_maximal_greedy, card_maximal_exact].map(|f| Ok(f(&batch.ontology, &wn)));
+        let session = [&greedy_answers[i], &exact_answers[i]].map(Clone::clone);
+        assert_eq!(
+            session, one_shot,
+            "batched card greedy, exact {:?}",
+            q.tuple
+        );
     }
+    let found = |answers: &[Card]| answers.iter().filter(|a| matches!(a, Ok(Some(_)))).count();
     let modal_answers = live_session(&modal);
     assert_eq!(
         modal_answers,
@@ -502,16 +517,21 @@ fn main() {
             &[
                 ("cities", 384),
                 ("questions", batch.questions.len()),
-                (
-                    "explanations",
-                    greedy_answers
-                        .iter()
-                        .filter(|a| matches!(a, Ok(Some(_))))
-                        .count(),
-                ),
+                ("explanations", found(&greedy_answers)),
             ],
             || {
-                black_box(card_greedy_stream(&batch));
+                black_box(card_stream(&batch, false));
+            },
+        ),
+        Row::new(
+            "batched_city_workload/card_exact/session",
+            &[
+                ("cities", 384),
+                ("questions", batch.questions.len()),
+                ("explanations", found(&exact_answers)),
+            ],
+            || {
+                black_box(card_stream(&batch, true));
             },
         ),
         Row::new(

@@ -54,4 +54,4 @@ pub use lub_engine::{LubEngine, LubKind, LubProvider, LubState};
 pub use minimize::{irredundant, simplify, simplify_selections};
 pub use parse::{parse_concept, parse_value, ParseError};
 pub use selection::{SelConstraint, Selection};
-pub use table::{ExtensionTable, Probe};
+pub use table::ExtensionTable;

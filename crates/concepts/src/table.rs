@@ -13,7 +13,7 @@
 
 use crate::extension::Extension;
 use std::sync::Arc;
-use whynot_relation::{ConstPool, PoolMap, Value, ValueId};
+use whynot_relation::{ConstPool, PoolMap};
 
 /// All of a concept list's extensions over one instance, sharing a pool.
 #[derive(Clone, Debug)]
@@ -107,51 +107,6 @@ impl ExtensionTable {
     pub fn iter(&self) -> impl Iterator<Item = &Extension> + '_ {
         self.exts.iter()
     }
-
-    /// Interns a probe value once, so repeated membership tests against
-    /// table entries are single bit probes (see [`ExtensionTable::entry_contains`]).
-    pub fn probe(&self, v: &Value) -> Probe {
-        Probe {
-            id: self.pool.id_of(v),
-        }
-    }
-
-    /// The probe of a value already resolved against this table's pool
-    /// (`None`: the value is outside it), such as a cell of answer rows
-    /// over the same pool.
-    pub fn probe_id(&self, id: Option<ValueId>) -> Probe {
-        Probe { id }
-    }
-
-    /// Membership of a pre-interned probe in entry `index`.
-    pub fn entry_contains(&self, index: usize, probe: &Probe, v: &Value) -> bool {
-        match (&self.exts[index], probe.id) {
-            (Extension::Universal, _) => true,
-            (Extension::Finite(set), Some(id)) => set.contains_id(id),
-            // The probe value is outside the pool: only the overflow set
-            // can contain it.
-            (Extension::Finite(set), None) => set.extra().contains(v),
-        }
-    }
-}
-
-/// A value pre-interned against a table's pool (see
-/// [`ExtensionTable::probe`]).
-#[derive(Clone, Copy, Debug)]
-pub struct Probe {
-    id: Option<ValueId>,
-}
-
-impl Probe {
-    /// The interned id, if the value is pooled.
-    pub fn id(&self) -> Option<ValueId> {
-        self.id
-    }
-
-    /// Whether the probe value is interned in the table's pool.
-    pub fn in_pool(&self) -> bool {
-        self.id.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -193,9 +148,8 @@ mod tests {
         assert_eq!((reevaluated, retained), (1, 2));
         assert_eq!(calls, vec![0, 1, 0]);
         let seven = Value::int(7);
-        let p = table.probe(&seven);
-        assert!(table.entry_contains(1, &p, &seven));
-        assert!(!table.entry_contains(0, &p, &seven));
+        assert!(table.get(1).contains(&seven));
+        assert!(!table.get(0).contains(&seven));
     }
 
     #[test]
@@ -220,31 +174,11 @@ mod tests {
             });
         assert_eq!((reevaluated, retained), (0, 2));
         assert!(Arc::ptr_eq(table.pool(), gen.pool()));
-        let p = table.probe(&ghost);
-        assert!(p.in_pool(), "ghost is interned in the new generation");
-        assert!(table.entry_contains(1, &p, &ghost));
-        assert!(!table.entry_contains(0, &p, &ghost));
-        let three = Value::int(3);
-        let p3 = table.probe(&three);
-        assert!(table.entry_contains(0, &p3, &three));
-    }
-
-    #[test]
-    fn probes_answer_membership() {
-        let pool = Arc::new(ConstPool::from_values((0..8).map(Value::int)));
-        let items = [vec![1i64, 3], vec![2, 4]];
-        let table = ExtensionTable::for_items(Arc::clone(&pool), &items, |vs| {
-            Extension::finite(vs.iter().copied().map(Value::int))
-        });
-        let three = Value::int(3);
-        let p = table.probe(&three);
-        assert!(p.in_pool());
-        assert!(table.entry_contains(0, &p, &three));
-        assert!(!table.entry_contains(1, &p, &three));
-        // Out-of-pool probes fall through to the overflow set.
-        let ghost = Value::str("ghost");
-        let gp = table.probe(&ghost);
-        assert!(!gp.in_pool());
-        assert!(!table.entry_contains(0, &gp, &ghost));
+        let id = table.pool().id_of(&ghost);
+        let id = id.expect("ghost is interned in the new generation");
+        let bit = |k: usize| table.get(k).as_finite().is_some_and(|s| s.contains_id(id));
+        assert!(bit(1), "ghost migrated from the overflow set into bits");
+        assert!(!bit(0));
+        assert!(table.get(0).contains(&Value::int(3)));
     }
 }

@@ -61,7 +61,7 @@
 use crate::incremental::{adom_ids, beyond_adom, Constant, Grown, Verdicts};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation, AnswerIds, Explanation};
 use crate::EvalContext;
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -217,7 +217,7 @@ fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
 /// candidate, so nothing more general can be one either.
 pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
     k: &[Constant<'_>],
-    q: QuestionRef<'_>,
+    q: &AnswerIds<'_>,
     foil: &Tuple,
     lubs: &P,
     kind: LubKind,
@@ -225,7 +225,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
 ) -> Option<Explanation<LsConcept>> {
     let m = q.arity();
     let mut states: Vec<Grown> = q
-        .tuple
+        .tuple()
         .iter()
         .zip(foil)
         .map(|(a, b)| Grown::new(lubs.grow(&lubs.start(kind, a), b)))
@@ -234,7 +234,7 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
         .iter_mut()
         .map(|s| s.extension(&mut *ext_of))
         .collect();
-    if !exts_form_explanation_q(&exts, q) {
+    if !exts_form_explanation(&exts, q) {
         return None;
     }
     for j in 0..m {
@@ -262,20 +262,20 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
     ))
 }
 
-/// Both halves of the lub-derived contrastive answer over a residual
-/// question view (its answers must already exclude the foil), a lub provider
+/// Both halves of the lub-derived contrastive answer over the residual
+/// question's answer ids (they must already exclude the foil), a lub provider
 /// and a caller-supplied extension function — the seam the session's
 /// engine and the one-shot provider both plug into.
 pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
     k: &[Constant<'_>],
-    q: QuestionRef<'_>,
+    q: &AnswerIds<'_>,
     foil: &Tuple,
     lubs: &P,
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> ContrastAnswer {
     let difference = q
-        .tuple
+        .tuple()
         .iter()
         .zip(foil)
         .map(|(a, b)| difference_core(k, a, b, lubs, kind, ext_of))
@@ -352,7 +352,7 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     let ids = AnswerIds::over(&rows, Some(foil), &question.missing);
     Ok(contrast_core(
         &k,
-        ids.question(),
+        &ids,
         &question.foil,
         provider,
         kind,

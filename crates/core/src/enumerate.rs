@@ -17,7 +17,7 @@
 //!   checked MGE, but completeness of the enumeration is not guaranteed.
 
 use crate::incremental::{adom_ids, position_major, state_extension};
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation, WhyNotInstance};
+use crate::whynot::{exts_form_explanation, AnswerIds, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
@@ -56,8 +56,7 @@ fn grow_with_order<P: LubProvider + ?Sized>(
     // One interned pool per growth run (see `incremental_search_kind`),
     // shared with the lub engine's column sets.
     let pool = lubs.pool();
-    let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
-    let q = ids.question();
+    let q = &AnswerIds::new(pool, &wn.ans, &wn.tuple);
     let mut ext_of = |c: &LsConcept| c.extension_in(&wn.instance, pool);
     if !balanced {
         return position_major(order, positions, q, lubs, kind, &mut ext_of);
@@ -74,7 +73,7 @@ fn grow_with_order<P: LubProvider + ?Sized>(
             }
             let candidate = lubs.grow(&states[j], pool.value(b));
             let saved = std::mem::replace(&mut exts[j], state_extension(&candidate, &mut ext_of));
-            if exts_form_explanation_q(&exts, q) {
+            if exts_form_explanation(&exts, q) {
                 states[j] = candidate;
             } else {
                 exts[j] = saved;

@@ -9,15 +9,22 @@
 //!   pruning),
 //! * [`check_mge`] solves CHECK-MGE (Theorem 5.1(1): PTIME via
 //!   single-position replacement).
+//!
+//! Every search here runs on per-position [`Candidates`] whose conflict
+//! bitsets [`conflict_bits`] fills from the answers' id rows over the
+//! extension table's pool. A one-shot question interns its answers into
+//! that pool once; a session borrows its cached rows and memoizes the
+//! bitsets.
 
 use crate::context::EvalContext;
 use crate::ontology::FiniteOntology;
 use crate::whynot::{
-    exts_form_explanation_q, less_general, BlockedSet, Explanation, QuestionRef, WhyNotInstance,
+    answer_member, exts_form_explanation, less_general, AnswerIds, BlockedSet, Explanation,
+    WhyNotInstance,
 };
 use std::sync::Arc;
-use whynot_concepts::{kernels, Extension, ExtensionTable, Probe};
-use whynot_relation::{Tuple, Value};
+use whynot_concepts::{kernels, Extension, ExtensionTable};
+use whynot_relation::{AnswerRows, Value};
 
 /// An answer-conflict bitset and its popcount. `Arc` so a session's
 /// conflict memo hands the same words to every question sharing a query.
@@ -44,6 +51,32 @@ pub(crate) struct Candidates<C> {
 /// on the constant, so a session caches it keyed by `a`).
 pub(crate) fn candidate_indices(table: &ExtensionTable, count: usize, a: &Value) -> Vec<usize> {
     (0..count).filter(|&k| table.get(k).contains(a)).collect()
+}
+
+/// Concept `k`'s conflict bitset at position `i` and its popcount: bit
+/// `j` is set iff answer row `j`'s value at position `i` lies in
+/// `table`'s entry `k`. `rows` index the table's pool.
+pub(crate) fn conflict_bits(
+    table: &ExtensionTable,
+    rows: &AnswerRows,
+    i: usize,
+    k: usize,
+) -> ConflictBits {
+    debug_assert!(Arc::ptr_eq(table.pool(), rows.pool()), "one pool");
+    let ext = table.get(k);
+    let mut bits = vec![0u64; rows.len().div_ceil(64)];
+    for (j, row) in rows.rows().enumerate() {
+        if answer_member(rows, ext, row[i]) {
+            bits[j / 64] |= 1 << (j % 64);
+        }
+    }
+    let count = kernels::count_ones(&bits);
+    Arc::new((bits, count))
+}
+
+/// The number of `u64` words in every conflict mask of `candidates`.
+pub(crate) fn mask_words<C>(candidates: &[Candidates<C>]) -> usize {
+    candidates.first().map_or(0, |c| c.conflicts[0].0.len())
 }
 
 /// Algorithm 1's per-position candidates for `tuple`: position `i` takes
@@ -79,9 +112,8 @@ pub(crate) fn candidates_with<C: Clone>(
 
 /// The one-shot candidates, with the extension table they index: every
 /// concept's extension is evaluated exactly once through a fresh
-/// memoizing context (the seed re-evaluated per position), and each
-/// position's answer values are interned as probes once — then a
-/// conflict bit is an O(1) table test.
+/// memoizing context, and the answers are interned once into id rows
+/// over the context's pool — then a conflict bit is one bit probe.
 pub(crate) fn build_candidates<O: FiniteOntology>(
     ontology: &O,
     wn: &WhyNotInstance,
@@ -89,25 +121,12 @@ pub(crate) fn build_candidates<O: FiniteOntology>(
     let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
     let all = ctx.concepts();
     let table = ctx.table(&all);
-    let ans: Vec<&Tuple> = wn.ans.iter().collect();
-    let words = ans.len().div_ceil(64);
-    let probes: Vec<Vec<Probe>> = (0..wn.arity())
-        .map(|i| ans.iter().map(|t| table.probe(&t[i])).collect())
-        .collect();
+    let rows = AnswerRows::from_tuples(Arc::clone(ctx.pool()), wn.arity(), &wn.ans);
     let candidates = candidates_with(
         &all,
         &wn.tuple,
         |a| Arc::new(candidate_indices(&table, all.len(), a)),
-        |i, k| {
-            let mut bits = vec![0u64; words];
-            for (j, (t, probe)) in ans.iter().zip(&probes[i]).enumerate() {
-                if table.entry_contains(k, probe, &t[i]) {
-                    bits[j / 64] |= 1 << (j % 64);
-                }
-            }
-            let count = kernels::count_ones(&bits);
-            Arc::new((bits, count))
-        },
+        |i, k| conflict_bits(&table, &rows, i, k),
     )?;
     Some((table, candidates))
 }
@@ -135,7 +154,7 @@ pub fn exhaustive_search<O: FiniteOntology>(
     let Some((_, candidates)) = build_candidates(ontology, wn) else {
         return Vec::new();
     };
-    let found = run_exhaustive(&candidates, wn.question());
+    let found = run_exhaustive(&candidates);
     // Lines 3–5: drop explanations strictly less general than another.
     retain_most_general(ontology, found)
 }
@@ -144,16 +163,13 @@ pub fn exhaustive_search<O: FiniteOntology>(
 /// tuple whose extension product avoids `Ans` (an answer tuple survives
 /// the product iff its bit survives the AND of all positions' conflict
 /// masks). Most-general filtering is the caller's job.
-pub(crate) fn run_exhaustive<C: Clone>(
-    candidates: &[Candidates<C>],
-    q: QuestionRef<'_>,
-) -> Vec<Explanation<C>> {
-    if q.arity() == 0 {
+pub(crate) fn run_exhaustive<C: Clone>(candidates: &[Candidates<C>]) -> Vec<Explanation<C>> {
+    if candidates.is_empty() {
         return Vec::new();
     }
-    let words = q.answer_count().div_ceil(64);
+    let words = mask_words(candidates);
     let mut found: Vec<Explanation<C>> = Vec::new();
-    let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
+    let mut choice: Vec<usize> = Vec::with_capacity(candidates.len());
     // One preallocated mask frame per depth — the walk itself never
     // touches the allocator.
     let root = vec![u64::MAX; words];
@@ -252,19 +268,16 @@ pub fn find_explanation<O: FiniteOntology>(
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
     let (_, candidates) = build_candidates(ontology, wn)?;
-    run_find_one(&candidates, wn.question())
+    run_find_one(&candidates)
 }
 
 /// The backtracking existence search over prebuilt candidates.
-pub(crate) fn run_find_one<C: Clone>(
-    candidates: &[Candidates<C>],
-    q: QuestionRef<'_>,
-) -> Option<Explanation<C>> {
-    if q.arity() == 0 {
+pub(crate) fn run_find_one<C: Clone>(candidates: &[Candidates<C>]) -> Option<Explanation<C>> {
+    if candidates.is_empty() {
         return None;
     }
-    let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
-    let root = vec![u64::MAX; q.answer_count().div_ceil(64)];
+    let mut choice: Vec<usize> = Vec::with_capacity(candidates.len());
+    let root = vec![u64::MAX; mask_words(candidates)];
     complete(candidates, &mut choice, &root).then(|| explanation_at(candidates, &choice))
 }
 
@@ -350,7 +363,8 @@ pub fn check_mge<O: FiniteOntology>(
 ) -> bool {
     let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
     let all = ctx.concepts();
-    check_mge_with(&ctx, &all, wn.question(), e)
+    let ids = AnswerIds::new(ctx.pool(), &wn.ans, &wn.tuple);
+    check_mge_with(&ctx, &all, &ids, e)
 }
 
 /// CHECK-MGE over a long-lived context, a prebuilt concept list, and a
@@ -361,21 +375,18 @@ pub fn check_mge<O: FiniteOntology>(
 pub(crate) fn check_mge_with<O: FiniteOntology>(
     ctx: &EvalContext<'_, O>,
     all: &[O::Concept],
-    q: QuestionRef<'_>,
+    ids: &AnswerIds<'_>,
     e: &Explanation<O::Concept>,
 ) -> bool {
-    if e.len() != q.arity() {
-        return false;
-    }
     let exts: Vec<Extension> = e.concepts.iter().map(|c| ctx.extension(c)).collect();
-    if !exts_form_explanation_q(&exts, q) {
+    if !exts_form_explanation(&exts, ids) {
         return false;
     }
     let ontology = ctx.ontology();
     for i in 0..e.len() {
         // Only position i is replaced, so each replacement is decided
         // against its blocked set.
-        let blocked = BlockedSet::new(&exts, i, q);
+        let blocked = BlockedSet::new(&exts, i, ids);
         for c in all {
             if !ontology.subsumed(&e.concepts[i], c) || ontology.subsumed(c, &e.concepts[i]) {
                 continue; // not strictly more general

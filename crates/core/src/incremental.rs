@@ -50,11 +50,9 @@
 //! concepts are evaluated once per state and probed as extensions
 //! ([`Verdicts`] picks the route per candidate). Debug builds
 //! cross-check every verdict, membership ones included, against the full
-//! [`exts_form_explanation_q`] on the built extensions.
+//! [`exts_form_explanation`] on the built extensions.
 
-use crate::whynot::{
-    exts_form_explanation_q, AnswerIds, BlockedSet, Explanation, QuestionRef, WhyNotInstance,
-};
+use crate::whynot::{exts_form_explanation, AnswerIds, BlockedSet, Explanation, WhyNotInstance};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
@@ -87,7 +85,7 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
     let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
-    incremental_search_core(&engine.adom(), ids.question(), &engine, kind, &mut |c| {
+    incremental_search_core(&engine.adom(), &ids, &engine, kind, &mut |c| {
         c.extension_in(inst, &pool)
     })
 }
@@ -109,13 +107,9 @@ pub fn incremental_search_with<P: LubProvider + ?Sized>(
 ) -> Explanation<LsConcept> {
     let pool = lubs.pool();
     let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
-    incremental_search_core(
-        &adom_ids(pool, &wn.instance),
-        ids.question(),
-        lubs,
-        kind,
-        &mut |c| c.extension_in(&wn.instance, pool),
-    )
+    incremental_search_core(&adom_ids(pool, &wn.instance), &ids, lubs, kind, &mut |c| {
+        c.extension_in(&wn.instance, pool)
+    })
 }
 
 /// `adom(I)` as ascending ids of `pool`, which interns it.
@@ -240,7 +234,7 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
     pub(crate) fn new(
         exts: &'a [E],
         j: usize,
-        q: QuestionRef<'q>,
+        q: &'q AnswerIds<'q>,
         pool: &'a Arc<ConstPool>,
     ) -> Self {
         let blocked = BlockedSet::new(exts, j, q);
@@ -303,7 +297,7 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
 /// positions in order.
 pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
     adom: &[ValueId],
-    q: QuestionRef<'_>,
+    q: &AnswerIds<'_>,
     lubs: &P,
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
@@ -324,7 +318,7 @@ pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
 pub(crate) fn position_major<P: LubProvider + ?Sized>(
     order: &[ValueId],
     positions: &[usize],
-    q: QuestionRef<'_>,
+    q: &AnswerIds<'_>,
     lubs: &P,
     kind: LubKind,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
@@ -332,7 +326,7 @@ pub(crate) fn position_major<P: LubProvider + ?Sized>(
     // Lines 2–3: support sets start at the singletons {aj}; the first
     // candidate explanation is their lubs.
     let mut states: Vec<Grown> = q
-        .tuple
+        .tuple()
         .iter()
         .map(|a| Grown::new(lubs.start(kind, a)))
         .collect();
@@ -341,7 +335,7 @@ pub(crate) fn position_major<P: LubProvider + ?Sized>(
         .map(|s| s.extension(&mut *ext_of))
         .collect();
     debug_assert!(
-        exts_form_explanation_q(&exts, q),
+        exts_form_explanation(&exts, q),
         "the nominal-based start must be an explanation"
     );
     // Lines 4–11, one position at a time. The other positions stay
@@ -440,9 +434,6 @@ fn check_mge_with<P: LubProvider + ?Sized>(
     e: &Explanation<LsConcept>,
     kind: LubKind,
 ) -> bool {
-    if e.len() != wn.arity() {
-        return false;
-    }
     let (inst, pool) = (&wn.instance, lubs.pool());
     let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
     let exts: Vec<Extension> = e
@@ -450,10 +441,10 @@ fn check_mge_with<P: LubProvider + ?Sized>(
         .iter()
         .map(|c| c.extension_in(inst, pool))
         .collect();
-    if !exts_form_explanation_q(&exts, ids.question()) {
+    if !exts_form_explanation(&exts, &ids) {
         return false;
     }
-    check_mge_instance_core(adom, ids.question(), &exts, lubs, kind, &mut |c| {
+    check_mge_instance_core(adom, &ids, &exts, lubs, kind, &mut |c| {
         c.extension_in(inst, pool)
     })
 }
@@ -470,7 +461,7 @@ fn check_mge_with<P: LubProvider + ?Sized>(
 /// extension.
 pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     adom: &[ValueId],
-    q: QuestionRef<'_>,
+    q: &AnswerIds<'_>,
     exts: &[Extension],
     lubs: &P,
     kind: LubKind,
@@ -478,7 +469,7 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
 ) -> bool {
     let pool = lubs.pool();
     // The tuple's constants outside adom(I), the rest of K.
-    let beyond_adom = beyond_adom(pool, adom, q.tuple);
+    let beyond_adom = beyond_adom(pool, adom, q.tuple());
     let k = adom
         .iter()
         .map(|&id| Constant::pooled(pool, id))
@@ -659,7 +650,9 @@ mod tests {
             .iter()
             .map(|c| c.extension(&wn.instance))
             .collect();
-        assert!(exts_form_explanation(&exts, &wn));
+        let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
+        let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
+        assert!(exts_form_explanation(&exts, &ids));
     }
 
     #[test]

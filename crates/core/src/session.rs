@@ -103,14 +103,12 @@ use crate::incremental::{check_mge_instance_core, incremental_search_core};
 use crate::memo::Memo;
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
-use crate::whynot::{exts_form_explanation_q, AnswerIds, Explanation};
+use crate::whynot::{exts_form_explanation, AnswerIds, Explanation};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use whynot_concepts::{
-    kernels, Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider,
-};
+use whynot_concepts::{Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider};
 use whynot_relation::{
     AnswerRows, ConstPool, Delta, Instance, NetChange, PoolMap, RelError, RelId, RowDelta, Schema,
     Tuple, Ucq, Value,
@@ -992,7 +990,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let engine = self.lub_engine();
         Ok(incremental_search_core(
             &engine.adom(),
-            ids.question(),
+            &ids,
             engine,
             kind,
             &mut |c| c.extension_in(self.instance(), self.pool()),
@@ -1009,22 +1007,18 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     ) -> Result<bool, SessionError> {
         let bound = self.bind(q)?;
         let ids = bound.ids();
-        let view = ids.question();
-        if e.len() != view.arity() {
-            return Ok(false);
-        }
         let exts: Vec<Extension> = e
             .concepts
             .iter()
             .map(|c| c.extension_in(self.instance(), self.pool()))
             .collect();
-        if !exts_form_explanation_q(&exts, view) {
+        if !exts_form_explanation(&exts, &ids) {
             return Ok(false);
         }
         let engine = self.lub_engine();
         Ok(check_mge_instance_core(
             &engine.adom(),
-            view,
+            &ids,
             &exts,
             engine,
             kind,
@@ -1064,7 +1058,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let ids = bound.residual();
         Ok(Arc::new(contrast_core(
             &k,
-            ids.question(),
+            &ids,
             &bound.foil,
             engine,
             kind,
@@ -1102,28 +1096,16 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     }
 
     /// Concept `k`'s Algorithm 1 conflict bitset (and its popcount) at
-    /// position `i`, cached per `(answer serial, position, concept)` (see
-    /// the `conflicts` field docs): bit `j` is set iff answer `j`'s
-    /// value at position `i` lies in the concept's extension. The answer
-    /// column's ids are the table probes, since both index the session
-    /// pool.
+    /// position `i` ([`exhaustive::conflict_bits`] over the cached answer
+    /// rows, which index the session pool), memoized per `(answer serial,
+    /// position, concept)` (see the `conflicts` field docs).
     fn conflict_bits_for(&self, bound: &BoundQuestion, i: usize, k: usize) -> ConflictBits {
         let key = bound.serial.map(|serial| (serial, i, k));
         if let Some(hit) = key.and_then(|key| self.conflicts.borrow_mut().get(&key)) {
             return hit;
         }
         let (_, table) = self.finite_index();
-        let rows = &bound.ans;
-        debug_assert!(Arc::ptr_eq(table.pool(), rows.pool()), "one session pool");
-        let mut bits = vec![0u64; rows.len().div_ceil(64)];
-        for (j, row) in rows.rows().enumerate() {
-            let probe = table.probe_id(rows.pooled(row[i]));
-            if table.entry_contains(k, &probe, rows.value(row[i])) {
-                bits[j / 64] |= 1 << (j % 64);
-            }
-        }
-        let count = kernels::count_ones(&bits);
-        let entry = Arc::new((bits, count));
+        let entry = exhaustive::conflict_bits(table, &bound.ans, i, k);
         if let Some(key) = key {
             self.conflicts.borrow_mut().insert(key, Arc::clone(&entry));
         }
@@ -1164,7 +1146,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         let Some(candidates) = self.cached_candidates(&bound) else {
             return Ok(Vec::new());
         };
-        let found = exhaustive::run_exhaustive(&candidates, bound.ids().question());
+        let found = exhaustive::run_exhaustive(&candidates);
         Ok(exhaustive::retain_most_general(self.ontology(), found))
     }
 
@@ -1177,10 +1159,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         let Some(candidates) = self.cached_candidates(&bound) else {
             return Ok(None);
         };
-        Ok(exhaustive::run_find_one(
-            &candidates,
-            bound.ids().question(),
-        ))
+        Ok(exhaustive::run_find_one(&candidates))
     }
 
     /// Whether any explanation exists for the question.
@@ -1199,12 +1178,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         // Building the index up front caches every concept's extension —
         // the replacement loop then never evaluates anything fresh.
         let (all, _) = self.finite_index();
-        Ok(exhaustive::check_mge_with(
-            &self.ctx,
-            all,
-            bound.ids().question(),
-            e,
-        ))
+        Ok(exhaustive::check_mge_with(&self.ctx, all, &bound.ids(), e))
     }
 
     /// An exact `>card`-maximal explanation (Proposition 6.4's exponential
@@ -1219,11 +1193,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
             return Ok(None);
         };
         let (_, table) = self.finite_index();
-        Ok(variations::run_card_maximal_exact(
-            &candidates,
-            table,
-            bound.ids().question(),
-        ))
+        Ok(variations::run_card_maximal_exact(&candidates, table))
     }
 
     /// The greedy `>card` heuristic over the session's cached Algorithm 1
@@ -1237,11 +1207,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
             return Ok(None);
         };
         let (_, table) = self.finite_index();
-        Ok(variations::run_card_maximal_greedy(
-            &candidates,
-            table,
-            bound.ids().question(),
-        ))
+        Ok(variations::run_card_maximal_greedy(&candidates, table))
     }
 
     /// Per-position subsumption-maximal *named* separators: for each

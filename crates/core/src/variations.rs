@@ -2,10 +2,10 @@
 //! irredundant and minimized explanations, cardinality-based preference,
 //! and strong explanations.
 
-use crate::exhaustive::{build_candidates, complete, explanation_at, Candidates};
+use crate::exhaustive::{build_candidates, complete, explanation_at, mask_words, Candidates};
 use crate::incremental::incremental_search_kind;
 use crate::ontology::{FiniteOntology, Ontology};
-use crate::whynot::{Explanation, QuestionRef, WhyNotInstance};
+use crate::whynot::{Explanation, WhyNotInstance};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -174,7 +174,7 @@ pub fn card_maximal_exact<O: FiniteOntology>(
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
     let (table, candidates) = build_candidates(ontology, wn)?;
-    run_card_maximal_exact(&candidates, &table, wn.question())
+    run_card_maximal_exact(&candidates, &table)
 }
 
 /// Each position's candidate slots in `>card` visiting order, with their
@@ -201,7 +201,6 @@ fn card_order<C>(candidates: &[Candidates<C>], table: &ExtensionTable) -> Vec<Ve
 pub(crate) fn run_card_maximal_exact<C: Clone>(
     candidates: &[Candidates<C>],
     table: &ExtensionTable,
-    q: QuestionRef<'_>,
 ) -> Option<Explanation<C>> {
     let order = card_order(candidates, table);
     // Max attainable degree from position i onward.
@@ -210,7 +209,7 @@ pub(crate) fn run_card_maximal_exact<C: Clone>(
         let head = order[i].first().map_or(0, |&(card, _)| card);
         suffix_max[i] = suffix_max[i + 1].saturating_add(head);
     }
-    let words = q.answer_count().div_ceil(64);
+    let words = mask_words(candidates);
     let mut search = CardSearch {
         candidates,
         order: &order,
@@ -270,7 +269,7 @@ pub fn card_maximal_greedy<O: FiniteOntology>(
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
     let (table, candidates) = build_candidates(ontology, wn)?;
-    run_card_maximal_greedy(&candidates, &table, wn.question())
+    run_card_maximal_greedy(&candidates, &table)
 }
 
 /// The greedy core of [`card_maximal_greedy`] over Algorithm 1's
@@ -279,9 +278,8 @@ pub fn card_maximal_greedy<O: FiniteOntology>(
 pub(crate) fn run_card_maximal_greedy<C: Clone>(
     candidates: &[Candidates<C>],
     table: &ExtensionTable,
-    q: QuestionRef<'_>,
 ) -> Option<Explanation<C>> {
-    let words = q.answer_count().div_ceil(64);
+    let words = mask_words(candidates);
     let mut choice: Vec<usize> = Vec::with_capacity(candidates.len());
     let mut live = vec![u64::MAX; words];
     let mut next = vec![0u64; words];

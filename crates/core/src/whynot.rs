@@ -1,4 +1,10 @@
 //! Why-not instances and explanations (paper Definitions 3.2, 3.3, 5.1).
+//!
+//! Every algorithm reads a question's answers in one form: id rows over
+//! a [`ConstPool`] ([`AnswerIds`]), interned once for a one-shot question
+//! or borrowed from a session's cache. Definition 3.2 is decided in one
+//! place, [`exts_form_explanation`], and one position at a time by a
+//! [`BlockedSet`].
 
 use crate::ontology::Ontology;
 use std::borrow::{Borrow, Cow};
@@ -95,63 +101,6 @@ impl WhyNotInstance {
         k.extend(self.tuple.iter().cloned());
         k
     }
-
-    /// The question-specific part of this instance as a borrowed
-    /// [`QuestionRef`] (what the search cores actually consume — the
-    /// schema and instance are carried separately by the evaluation
-    /// context or session).
-    pub fn question(&self) -> QuestionRef<'_> {
-        QuestionRef::new(&self.ans, &self.tuple)
-    }
-}
-
-/// The question-dependent slice of a why-not instance: the precomputed
-/// answers `Ans` and the missing tuple `a`.
-///
-/// The search algorithms only ever touch the schema and instance through
-/// an evaluation context (extensions, lubs, candidate lists) — everything
-/// else they need is here. Splitting this view out is what lets a
-/// [`WhyNotSession`](crate::WhyNotSession) pin `(ontology, instance)`
-/// once and stream many questions through the same caches.
-///
-/// The answers are either a value-space set ([`QuestionRef::new`]) or
-/// id rows over a pool ([`AnswerIds::question`]); the explanation check
-/// probes bits in the latter case.
-#[derive(Clone, Copy, Debug)]
-pub struct QuestionRef<'q> {
-    /// The missing tuple `a ∉ Ans`.
-    pub tuple: &'q Tuple,
-    answers: Answers<'q>,
-}
-
-/// Where a [`QuestionRef`]'s answers live.
-#[derive(Clone, Copy, Debug)]
-enum Answers<'q> {
-    Values(&'q BTreeSet<Tuple>),
-    Ids(&'q AnswerIds<'q>),
-}
-
-impl<'q> QuestionRef<'q> {
-    /// A question view over value-space answers only.
-    pub fn new(ans: &'q BTreeSet<Tuple>, tuple: &'q Tuple) -> Self {
-        QuestionRef {
-            tuple,
-            answers: Answers::Values(ans),
-        }
-    }
-
-    /// The arity `m` of the question.
-    pub fn arity(&self) -> usize {
-        self.tuple.len()
-    }
-
-    /// The number of answers `|Ans|`.
-    pub fn answer_count(&self) -> usize {
-        match self.answers {
-            Answers::Values(ans) => ans.len(),
-            Answers::Ids(ids) => ids.len(),
-        }
-    }
 }
 
 /// A question's answers and missing tuple as ids of one [`ConstPool`]:
@@ -160,11 +109,13 @@ impl<'q> QuestionRef<'q> {
 /// one skipped row, and the tuple is resolved once (`None` marks a
 /// constant the pool does not intern).
 ///
-/// [`question`](AnswerIds::question) is the only way to attach the ids to
-/// a view, so they always describe that view's answers and tuple.
-/// [`exts_form_explanation_q`] uses them for every extension over that
-/// same pool — membership becomes one bit probe per cell — and falls
-/// back to [`Extension::contains`] for extensions over other pools.
+/// This is the one form in which the search cores read a question — the
+/// schema and instance are carried separately by the evaluation context
+/// or session, which is what lets a [`WhyNotSession`](crate::WhyNotSession)
+/// pin `(ontology, instance)` once and stream many questions through the
+/// same caches. [`exts_form_explanation`] and [`BlockedSet`] probe one
+/// bit per cell for every extension over the same pool, and fall back to
+/// [`Extension::contains`] for extensions over other pools.
 #[derive(Clone, Debug)]
 pub struct AnswerIds<'q> {
     rows: Cow<'q, AnswerRows>,
@@ -200,12 +151,24 @@ impl<'q> AnswerIds<'q> {
         }
     }
 
-    /// The question these ids describe, checked through them.
-    pub fn question(&self) -> QuestionRef<'_> {
-        QuestionRef {
-            tuple: self.tuple,
-            answers: Answers::Ids(self),
-        }
+    /// The missing tuple `a ∉ Ans`.
+    pub fn tuple(&self) -> &'q Tuple {
+        self.tuple
+    }
+
+    /// The arity `m` of the question.
+    pub fn arity(&self) -> usize {
+        self.tuple.len()
+    }
+
+    /// The number of answers in the view.
+    pub fn len(&self) -> usize {
+        self.rows.len() - usize::from(self.skip.is_some())
+    }
+
+    /// Whether the view holds no answer.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// The pool the ids index.
@@ -213,31 +176,11 @@ impl<'q> AnswerIds<'q> {
         self.rows.pool()
     }
 
-    /// The number of answers in the view.
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len() - usize::from(self.skip.is_some())
-    }
-
     /// The answer rows in the view, in order.
     pub(crate) fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
         (0..self.rows.len())
             .filter(move |&r| Some(r) != self.skip)
             .map(move |r| self.rows.row(r))
-    }
-
-    /// Membership of the value with answer id `id` in `ext`: a bit probe
-    /// wherever `ext` indexes this pool.
-    fn member(&self, ext: &Extension, id: u32) -> bool {
-        match ext {
-            Extension::Universal => true,
-            Extension::Finite(set) if Arc::ptr_eq(set.pool(), self.pool()) => {
-                match self.rows.pooled(id) {
-                    Some(id) => set.contains_id(id),
-                    None => set.extra().contains(self.rows.value(id)),
-                }
-            }
-            Extension::Finite(set) => set.contains(self.rows.value(id)),
-        }
     }
 
     /// Membership of the tuple's constant at position `k` in `ext`.
@@ -254,21 +197,20 @@ impl<'q> AnswerIds<'q> {
             Extension::Finite(set) => set.contains(v),
         }
     }
+}
 
-    /// Definition 3.2 over `exts`, probing bits wherever an extension
-    /// indexes this pool.
-    fn form_explanation<E: Borrow<Extension>>(&self, exts: &[E]) -> bool {
-        let holds_tuple = exts
-            .iter()
-            .enumerate()
-            .all(|(k, ext)| self.holds(ext.borrow(), k));
-        // Product disjointness: every answer tuple escapes on some position.
-        holds_tuple
-            && self.rows().all(|row| {
-                exts.iter()
-                    .zip(row)
-                    .any(|(ext, &id)| !self.member(ext.borrow(), id))
-            })
+/// Membership of the value with answer id `id` of `rows` in `ext`: a bit
+/// probe wherever `ext` indexes the rows' pool, and an overflow-set probe
+/// for an id past the pool's end (a query head constant the pool does
+/// not intern).
+pub(crate) fn answer_member(rows: &AnswerRows, ext: &Extension, id: u32) -> bool {
+    match ext {
+        Extension::Universal => true,
+        Extension::Finite(set) if Arc::ptr_eq(set.pool(), rows.pool()) => match rows.pooled(id) {
+            Some(id) => set.contains_id(id),
+            None => set.extra().contains(rows.value(id)),
+        },
+        Extension::Finite(set) => set.contains(rows.value(id)),
     }
 }
 
@@ -287,13 +229,13 @@ impl<'q> AnswerIds<'q> {
 /// Because lub growth is monotone, a loop can also skip every constant
 /// of `B_j` without growing: any lub containing it is rejected.
 ///
-/// The set is over the pool of the view's [`AnswerIds`], or over a
-/// private pool for a value-space view. In debug builds every verdict of
-/// [`admits`](BlockedSet::admits) is cross-checked against
-/// [`exts_form_explanation_q`] on the substituted extensions.
+/// The set is over the pool of the question's [`AnswerIds`]. In debug
+/// builds every verdict of [`admits`](BlockedSet::admits) is
+/// cross-checked against [`exts_form_explanation`] on the substituted
+/// extensions.
 #[derive(Clone, Debug)]
 pub struct BlockedSet<'q> {
-    q: QuestionRef<'q>,
+    question: &'q AnswerIds<'q>,
     position: usize,
     /// Whether every position other than `position` holds its tuple
     /// constant.
@@ -303,41 +245,27 @@ pub struct BlockedSet<'q> {
 
 impl<'q> BlockedSet<'q> {
     /// `B_j` for `j = position` over the extensions `exts`, one per
-    /// position of `q` (the one at `position` is not read); `position`
-    /// must be below `q`'s arity.
-    pub fn new<E: Borrow<Extension>>(exts: &[E], position: usize, q: QuestionRef<'q>) -> Self {
-        let m = q.arity();
+    /// position of the question `ids` (the one at `position` is not
+    /// read); `position` must be below the question's arity.
+    pub fn new<E: Borrow<Extension>>(exts: &[E], position: usize, ids: &'q AnswerIds<'q>) -> Self {
+        let m = ids.arity();
         debug_assert!(exts.len() == m && position < m, "position out of range");
         let others = || (0..m).filter(move |&k| k != position);
-        let (others_hold, blocked) = match q.answers {
-            Answers::Ids(ids) => {
-                let mut blocked = ValueSet::empty_in(Arc::clone(ids.pool()));
-                for row in ids.rows() {
-                    if others().all(|k| ids.member(exts[k].borrow(), row[k])) {
-                        let id = row[position];
-                        match ids.rows.pooled(id) {
-                            Some(id) => blocked.insert_id(id),
-                            None => blocked.insert_ref(ids.rows.value(id)),
-                        };
-                    }
-                }
-                let hold = others().all(|k| ids.holds(exts[k].borrow(), k));
-                (hold, blocked)
+        let rows: &AnswerRows = &ids.rows;
+        let mut blocked = ValueSet::empty_in(Arc::clone(rows.pool()));
+        for row in ids.rows() {
+            if others().all(|k| answer_member(rows, exts[k].borrow(), row[k])) {
+                let id = row[position];
+                match rows.pooled(id) {
+                    Some(id) => blocked.insert_id(id),
+                    None => blocked.insert_ref(rows.value(id)),
+                };
             }
-            Answers::Values(ans) => {
-                let blocked = ans
-                    .iter()
-                    .filter(|t| others().all(|k| exts[k].borrow().contains(&t[k])))
-                    .map(|t| t[position].clone())
-                    .collect();
-                let hold = others().all(|k| exts[k].borrow().contains(&q.tuple[k]));
-                (hold, blocked)
-            }
-        };
+        }
         BlockedSet {
-            q,
+            question: ids,
             position,
-            others_hold,
+            others_hold: others().all(|k| ids.holds(exts[k].borrow(), k)),
             blocked,
         }
     }
@@ -393,7 +321,7 @@ impl<'q> BlockedSet<'q> {
                 }
             })
             .collect();
-        exts_form_explanation_q(&substituted, self.q)
+        exts_form_explanation(&substituted, self.question)
     }
 
     /// Whether `ext ∩ B_j = ∅` (`⊤` meets every non-empty `B_j`).
@@ -410,11 +338,8 @@ impl<'q> BlockedSet<'q> {
     /// `a_j`, and `candidate ∩ B_j = ∅`.
     pub fn admits<E: Borrow<Extension>>(&self, exts: &[E], candidate: &Extension) -> bool {
         let j = self.position;
-        let holds_own = match self.q.answers {
-            Answers::Ids(ids) => ids.holds(candidate, j),
-            Answers::Values(_) => candidate.contains(&self.q.tuple[j]),
-        };
-        let verdict = self.others_hold && holds_own && self.is_disjoint(candidate);
+        let verdict =
+            self.others_hold && self.question.holds(candidate, j) && self.is_disjoint(candidate);
         debug_assert_eq!(
             verdict,
             self.full_check(exts, candidate),
@@ -494,36 +419,27 @@ pub fn is_explanation<O: Ontology>(
     wn: &WhyNotInstance,
     e: &Explanation<O::Concept>,
 ) -> bool {
-    if e.len() != wn.arity() {
-        return false;
-    }
     let exts = explanation_extensions(ontology, wn, e);
-    exts_form_explanation(&exts, wn)
+    let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
+    exts_form_explanation(&exts, &AnswerIds::new(&pool, &wn.ans, &wn.tuple))
 }
 
-/// The extension-level core of Definition 3.2 (reused by the search
-/// algorithms, which cache extensions).
-pub fn exts_form_explanation(exts: &[Extension], wn: &WhyNotInstance) -> bool {
-    exts_form_explanation_q(exts, wn.question())
-}
-
-/// [`exts_form_explanation`] against a borrowed [`QuestionRef`] (the
-/// session-layer entry point), over owned or shared (`Arc`) extensions.
-/// When the view came from [`AnswerIds::question`], membership in
-/// extensions over the ids' pool is a bit probe.
-pub fn exts_form_explanation_q<E: Borrow<Extension>>(exts: &[E], q: QuestionRef<'_>) -> bool {
-    let ans = match q.answers {
-        Answers::Ids(ids) => return ids.form_explanation(exts),
-        Answers::Values(ans) => ans,
-    };
-    for (ext, a_i) in exts.iter().zip(q.tuple) {
-        if !ext.borrow().contains(a_i) {
-            return false;
-        }
-    }
-    // Product disjointness: every answer tuple escapes on some position.
-    ans.iter()
-        .all(|t| t.iter().zip(exts).any(|(v, ext)| !ext.borrow().contains(v)))
+/// Definition 3.2 over extensions, the one check every search and the
+/// debug cross-checks share: `exts` explain the question iff there is
+/// one extension per position, every `ai` lies in its extension, and
+/// every answer escapes the extension product on some position.
+/// Membership in an extension over the ids' pool is a bit probe.
+pub fn exts_form_explanation<E: Borrow<Extension>>(exts: &[E], ids: &AnswerIds<'_>) -> bool {
+    exts.len() == ids.arity()
+        && exts
+            .iter()
+            .enumerate()
+            .all(|(k, ext)| ids.holds(ext.borrow(), k))
+        && ids.rows().all(|row| {
+            exts.iter()
+                .zip(row)
+                .any(|(ext, &id)| !answer_member(&ids.rows, ext.borrow(), id))
+        })
 }
 
 /// Definition 3.3: `e1 ≤O e2` (componentwise subsumption).
@@ -623,6 +539,30 @@ mod tests {
             [],
         ));
         assert!(WhyNotInstance::new(schema, Instance::new(), q, vec![s("A")]).is_err());
+    }
+
+    #[test]
+    fn explanation_check_rejects_one_extension_too_few_or_too_many() {
+        // The question `(3, 4)` with `Ans = {(1, 2)}`.
+        let pool = Arc::new(ConstPool::from_values((0..8).map(Value::int)));
+        let ans: BTreeSet<Tuple> = [vec![Value::int(1), Value::int(2)]].into();
+        let tuple = vec![Value::int(3), Value::int(4)];
+        let ids = AnswerIds::new(&pool, &ans, &tuple);
+        let (three, four) = (Value::int(3), Value::int(4));
+        let exts = [
+            Extension::finite([three]),
+            Extension::finite([four]),
+            Extension::Universal,
+        ];
+        assert!(exts_form_explanation(&exts[..2], &ids));
+        assert!(!exts_form_explanation(&exts[..1], &ids), "one too few");
+        assert!(!exts_form_explanation(&exts, &ids), "one too many");
+        let top = [
+            Extension::Universal,
+            Extension::Universal,
+            Extension::Universal,
+        ];
+        assert!(!exts_form_explanation(&top, &ids), "one too many, all ⊤");
     }
 
     #[test]

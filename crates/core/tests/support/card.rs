@@ -5,16 +5,18 @@
 //! searches' visiting order. [`extension_greedy`] is a literal port of
 //! the extension-based greedy heuristic: per-position lists of
 //! `(concept, extension, |ext|)` in descending `|ext|` order, and a
-//! completion test that checks every full tuple against Definition 3.2
-//! with [`exts_form_explanation_q`]. Both are exponential by design, so
-//! callers keep their ontologies small.
+//! completion test over full tuples. Both decide Definition 3.2 with the
+//! value-space reference [`definition::explains`], not the library's
+//! check, and both are exponential by design, so callers keep their
+//! ontologies small.
 
+#[path = "definition.rs"]
+pub mod definition;
+
+use definition::explains;
 use std::cmp::Reverse;
 use whynot_concepts::Extension;
-use whynot_core::{
-    exts_form_explanation_q, is_explanation, Explanation, FiniteOntology, QuestionRef,
-    WhyNotInstance,
-};
+use whynot_core::{Explanation, FiniteOntology, WhyNotInstance};
 
 /// A candidate of one position: the concept, its extension and `|ext|`.
 type Candidate<C> = (C, Extension, usize);
@@ -59,7 +61,8 @@ pub fn first_card_maximum<O: FiniteOntology>(
     loop {
         let e = Explanation::new(choice.iter().zip(&lists).map(|(&k, l)| l[k].0.clone()));
         let total: usize = choice.iter().zip(&lists).map(|(&k, l)| l[k].2).sum();
-        if is_explanation(o, wn, &e) && best.as_ref().is_none_or(|(b, _)| total > *b) {
+        let exts: Vec<&Extension> = choice.iter().zip(&lists).map(|(&k, l)| &l[k].1).collect();
+        if explains(&exts, &wn.ans, &wn.tuple) && best.as_ref().is_none_or(|(b, _)| total > *b) {
             best = Some((total, e));
         }
         // Odometer step, the last position fastest.
@@ -82,14 +85,13 @@ pub fn extension_greedy<O: FiniteOntology>(
     wn: &WhyNotInstance,
 ) -> Option<Explanation<O::Concept>> {
     let lists = candidate_lists(o, wn)?;
-    let q = wn.question();
     let mut chosen: Vec<usize> = Vec::new();
     let mut exts: Vec<Extension> = Vec::new();
     for (i, list) in lists.iter().enumerate() {
         let mut picked = None;
         for (k, (_, ext, _)) in list.iter().enumerate() {
             exts.push(ext.clone());
-            let feasible = completable(&lists, q, i + 1, &mut exts);
+            let feasible = completable(&lists, wn, i + 1, &mut exts);
             exts.pop();
             if feasible {
                 picked = Some(k);
@@ -112,16 +114,16 @@ pub fn extension_greedy<O: FiniteOntology>(
 /// `depth..`, to a tuple that forms an explanation.
 fn completable<C>(
     lists: &[Vec<Candidate<C>>],
-    q: QuestionRef<'_>,
+    wn: &WhyNotInstance,
     depth: usize,
     exts: &mut Vec<Extension>,
 ) -> bool {
     if depth == lists.len() {
-        return exts_form_explanation_q(exts, q);
+        return explains(exts, &wn.ans, &wn.tuple);
     }
     for (_, ext, _) in &lists[depth] {
         exts.push(ext.clone());
-        let ok = completable(lists, q, depth + 1, exts);
+        let ok = completable(lists, wn, depth + 1, exts);
         exts.pop();
         if ok {
             return true;

@@ -13,9 +13,13 @@
 //! enumeration beyond [`MAX_SUBSET_BITS`] / [`MAX_PRODUCT`], so callers
 //! must keep their instances small (the differential tests do).
 
+#[path = "definition.rs"]
+mod definition;
+
+use definition::explains;
 use std::collections::BTreeSet;
 use whynot_concepts::{lub, lub_sigma, Extension, LsConcept};
-use whynot_core::{exts_form_explanation_q, Explanation, LubKind, QuestionRef};
+use whynot_core::{Explanation, LubKind};
 use whynot_relation::{ConstPool, Instance, Schema, Tuple, Ucq, Value};
 
 /// Enumeration guard: at most `2^MAX_SUBSET_BITS` subsets per position.
@@ -170,7 +174,6 @@ pub fn foil_aligned_mges(
     }
 
     // Odometer over the product, collecting valid explanations.
-    let q = QuestionRef::new(&residual, missing);
     let mut idx = vec![0usize; candidates.len()];
     let mut valid: Vec<(Explanation<LsConcept>, Vec<Extension>)> = Vec::new();
     loop {
@@ -179,7 +182,7 @@ pub fn foil_aligned_mges(
             .zip(&candidates)
             .map(|(&i, c)| c[i].1.clone())
             .collect();
-        if exts_form_explanation_q(&exts, q) {
+        if explains(&exts, &residual, missing) {
             let concepts: Vec<LsConcept> = idx
                 .iter()
                 .zip(&candidates)

@@ -6,6 +6,10 @@
 //! correctness of Algorithm 2's output (Theorems 5.3/5.4), the interval
 //! algebra, and the backtracking evaluator against a naive one.
 
+#[path = "../crates/core/tests/support/definition.rs"]
+mod definition;
+
+use definition::explains;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -13,10 +17,10 @@ use whynot::concepts::{
     lub, lub_sigma, simplify, Extension, LsConcept, LubEngine, LubProvider, LubState, Selection,
 };
 use whynot::core::{
-    check_mge_instance, exhaustive_search, exts_form_explanation, exts_form_explanation_q,
-    incremental_search, incremental_search_kind, incremental_search_with_selections,
-    retain_most_general, AnswerIds, BlockedSet, Explanation, ExplicitOntology, FiniteOntology,
-    LubKind, QuestionRef, WhyNotInstance, WhyNotQuestion, WhyNotSession,
+    check_mge_instance, exhaustive_search, exts_form_explanation, incremental_search,
+    incremental_search_kind, incremental_search_with_selections, retain_most_general, AnswerIds,
+    BlockedSet, Explanation, ExplicitOntology, FiniteOntology, LubKind, WhyNotInstance,
+    WhyNotQuestion, WhyNotSession,
 };
 use whynot::relation::{
     Atom, CmpOp, ConstPool, Cq, Instance, Interval, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq,
@@ -578,11 +582,10 @@ proptest! {
             .map(|(x, y)| vec![Value::int(x), Value::int(y)])
             .collect();
         let tuple: Tuple = tuple_ints.into_iter().map(Value::int).collect();
-        let q = QuestionRef::new(&ans, &tuple);
         let ids = AnswerIds::new(&pool, &ans, &tuple);
         prop_assert_eq!(
-            exts_form_explanation_q(&exts, ids.question()),
-            exts_form_explanation_q(&exts, q),
+            exts_form_explanation(&exts, &ids),
+            explains(&exts, &ans, &tuple),
             "exts {:?}",
             exts
         );
@@ -627,34 +630,31 @@ proptest! {
             .map(|(x, y, z)| [x, y, z][..m].iter().map(|&n| Value::int(n)).collect())
             .collect();
         let tuple: Tuple = tuple_ints[..m].iter().map(|&n| Value::int(n)).collect();
-        let q = QuestionRef::new(&ans, &tuple);
         let ids = AnswerIds::new(&pool, &ans, &tuple);
-        for view in [q, ids.question()] {
-            for j in 0..m {
-                let blocked = BlockedSet::new(&exts, j, view);
-                let others_hold = (0..m)
-                    .filter(|&k| k != j)
-                    .all(|k| exts[k].contains(&tuple[k]));
-                for (shape, members, admit) in &candidates {
-                    let mut members = members.clone();
-                    if *admit {
-                        members.insert(tuple_ints[j]);
-                    }
-                    let candidate = extension_case(&pool, *shape, members);
-                    let mut substituted = exts.clone();
-                    substituted[j] = candidate.clone();
-                    let full = exts_form_explanation_q(&substituted, view);
-                    prop_assert_eq!(blocked.admits(&exts, &candidate), full);
-                    if others_hold && candidate.contains(&tuple[j]) {
-                        prop_assert_eq!(
-                            blocked.is_disjoint(&candidate),
-                            full,
-                            "position {} of {:?} with {:?}",
-                            j,
-                            substituted,
-                            &ans
-                        );
-                    }
+        for j in 0..m {
+            let blocked = BlockedSet::new(&exts, j, &ids);
+            let others_hold = (0..m)
+                .filter(|&k| k != j)
+                .all(|k| exts[k].contains(&tuple[k]));
+            for (shape, members, admit) in &candidates {
+                let mut members = members.clone();
+                if *admit {
+                    members.insert(tuple_ints[j]);
+                }
+                let candidate = extension_case(&pool, *shape, members);
+                let mut substituted = exts.clone();
+                substituted[j] = candidate.clone();
+                let full = explains(&substituted, &ans, &tuple);
+                prop_assert_eq!(blocked.admits(&exts, &candidate), full);
+                if others_hold && candidate.contains(&tuple[j]) {
+                    prop_assert_eq!(
+                        blocked.is_disjoint(&candidate),
+                        full,
+                        "position {} of {:?} with {:?}",
+                        j,
+                        substituted,
+                        &ans
+                    );
                 }
             }
         }
@@ -720,7 +720,7 @@ proptest! {
     fn incremental_search_returns_verified_mges(wn in random_whynot()) {
         let e = incremental_search(&wn);
         let exts: Vec<_> = e.concepts.iter().map(|c| c.extension(&wn.instance)).collect();
-        prop_assert!(exts_form_explanation(&exts, &wn));
+        prop_assert!(explains(&exts, &wn.ans, &wn.tuple));
         prop_assert!(check_mge_instance(&wn, &e, LubKind::SelectionFree));
     }
 
@@ -728,7 +728,7 @@ proptest! {
     fn incremental_with_selections_returns_verified_mges(wn in random_whynot()) {
         let e = incremental_search_with_selections(&wn);
         let exts: Vec<_> = e.concepts.iter().map(|c| c.extension(&wn.instance)).collect();
-        prop_assert!(exts_form_explanation(&exts, &wn));
+        prop_assert!(explains(&exts, &wn.ans, &wn.tuple));
         prop_assert!(check_mge_instance(&wn, &e, LubKind::WithSelections));
     }
 }
@@ -792,7 +792,7 @@ fn literal_incremental(wn: &WhyNotInstance, kind: LubKind) -> Explanation<LsConc
             let mut trial = concepts.clone();
             trial[j] = candidate.clone();
             let exts: Vec<Extension> = trial.iter().map(|c| c.extension(&wn.instance)).collect();
-            if exts_form_explanation(&exts, wn) {
+            if explains(&exts, &wn.ans, &wn.tuple) {
                 supports[j] = grown;
                 concepts[j] = candidate;
             }
@@ -810,7 +810,7 @@ fn literal_check_mge(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubK
         .iter()
         .map(|c| c.extension(&wn.instance))
         .collect();
-    if exts.len() != wn.arity() || !exts_form_explanation(&exts, wn) {
+    if !explains(&exts, &wn.ans, &wn.tuple) {
         return false;
     }
     for j in 0..exts.len() {
@@ -825,7 +825,7 @@ fn literal_check_mge(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubK
             grown.insert(b);
             let mut trial = exts.clone();
             trial[j] = legacy_lub(wn, kind, &grown).extension(&wn.instance);
-            if exts_form_explanation(&trial, wn) {
+            if explains(&trial, &wn.ans, &wn.tuple) {
                 return false;
             }
         }
