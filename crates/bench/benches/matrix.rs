@@ -306,18 +306,18 @@ fn wire_payloads(lines: &[String]) -> Vec<String> {
 
 const KIND: LubKind = LubKind::WithSelections;
 
-fn contrast_one_shot(w: &ContrastWorkload) -> Vec<ContrastAnswer> {
+fn contrast_one_shot(w: &ContrastWorkload, kind: LubKind) -> Vec<ContrastAnswer> {
     w.questions
         .iter()
-        .map(|q| contrast_instance(&w.schema, &w.instance, q, KIND).expect("valid workload"))
+        .map(|q| contrast_instance(&w.schema, &w.instance, q, kind).expect("valid workload"))
         .collect()
 }
 
-fn contrast_session(w: &ContrastWorkload) -> Vec<ContrastAnswer> {
+fn contrast_session(w: &ContrastWorkload, kind: LubKind) -> Vec<ContrastAnswer> {
     let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
     w.questions
         .iter()
-        .map(|q| (*session.contrast(q, KIND).expect("valid workload")).clone())
+        .map(|q| (*session.contrast(q, kind).expect("valid workload")).clone())
         .collect()
 }
 
@@ -448,7 +448,19 @@ fn main() {
         "wire vs direct"
     );
     for (name, w) in [("city", &city), ("retail", &retail)] {
-        assert_eq!(contrast_session(w), contrast_one_shot(w), "{name} contrast");
+        assert_eq!(
+            contrast_session(w, KIND),
+            contrast_one_shot(w, KIND),
+            "{name} contrast"
+        );
+    }
+    let free = LubKind::SelectionFree;
+    for (i, (session, one_shot)) in contrast_session(&city, free)
+        .into_iter()
+        .zip(contrast_one_shot(&city, free))
+        .enumerate()
+    {
+        assert_eq!(session, one_shot, "city selection-free contrast {i}");
     }
     assert_eq!(
         obda_rewritten(&obda, &obda_questions),
@@ -571,28 +583,35 @@ fn main() {
             "city_contrast/contrast_sigma/one_shot",
             &[("questions", city.questions.len())],
             || {
-                black_box(contrast_one_shot(&city));
+                black_box(contrast_one_shot(&city, KIND));
             },
         ),
         Row::new(
             "city_contrast/contrast_sigma/session",
             &[("questions", city.questions.len())],
             || {
-                black_box(contrast_session(&city));
+                black_box(contrast_session(&city, KIND));
+            },
+        ),
+        Row::new(
+            "city_contrast/contrast/session",
+            &[("questions", city.questions.len())],
+            || {
+                black_box(contrast_session(&city, LubKind::SelectionFree));
             },
         ),
         Row::new(
             "retail_contrast/contrast_sigma/one_shot",
             &[("questions", retail.questions.len())],
             || {
-                black_box(contrast_one_shot(&retail));
+                black_box(contrast_one_shot(&retail, KIND));
             },
         ),
         Row::new(
             "retail_contrast/contrast_sigma/session",
             &[("questions", retail.questions.len())],
             || {
-                black_box(contrast_session(&retail));
+                black_box(contrast_session(&retail, KIND));
             },
         ),
         Row::new(

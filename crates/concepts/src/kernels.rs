@@ -86,9 +86,14 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
 #[inline]
 pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {
-        (0..64)
-            .filter(move |b| word >> b & 1 != 0)
-            .map(move |b| w * 64 + b)
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
     })
 }
 

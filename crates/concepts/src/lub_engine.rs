@@ -14,8 +14,15 @@
 //! `S` again.
 //!
 //! * **Lemma 5.1** (selection-free lub): the covering atoms of `S ∪ {v}`
-//!   are the covering atoms of `S` whose column contains `v` — one bit
-//!   probe per surviving column.
+//!   are the covering atoms of `S` whose column contains `v`. So a
+//!   constant matters to a selection-free lub only through its *column
+//!   signature* `sig(v)`, the set of `(rel, attr)` columns holding it
+//!   (one bit per column, [`LubState::column_signature`]). The view
+//!   builds one signature per pool id beside `adom(I)`, and a state's
+//!   growth data is the covered-column mask `⋂_{x∈S} sig(x)`
+//!   ([`LubState::column_mask`]): a step is a word AND, and a pooled
+//!   value is in the lub of two or more constants iff its signature is
+//!   a superset of the mask.
 //! * **Lemma 5.2** (lub with selections): per `(rel, attr)`, the minimal
 //!   boxes of `S ∪ {v}` are the minimal ones among `bbox(B₀ ∪ w)`, where
 //!   `B₀` ranges over the minimal boxes of `S` and `w` over the rows with
@@ -33,23 +40,25 @@
 //! `X`, so a growth loop (Algorithm 2, CHECK-MGE, the contrast searches)
 //! pays one step per probe instead of a full recomputation. A state keeps
 //! no copy of its support — only a singleton's nominal — and a step by a
-//! constant already in the lub's extension leaves every covered flag and
-//! minimal box as it was.
+//! constant already in the lub's extension leaves the covered mask and
+//! every minimal box as it was.
 //!
 //! A state answers three questions from the same growth data, each on
 //! demand:
 //!
 //! * [`LubState::contains`] / [`LubState::contains_id`]: whether one
-//!   constant is in the lub's extension — a bit probe per covered column
-//!   (Lemma 5.1), or a witness row of the constant inside every box
-//!   (Lemma 5.2); a bit probe once the extension is built. The growth
-//!   loops decide every probe this way: a candidate is rejected at the
-//!   first member of the position's blocked set it holds, and a constant
-//!   already in the lub is skipped. Over a blocked set the witness rows
-//!   tested per box are at most the relation's rows, so a verdict costs
-//!   at most about one extension build, and usually far less.
+//!   constant is in the lub's extension — its signature against the
+//!   covered mask (Lemma 5.1), or a witness row of the constant inside
+//!   every box (Lemma 5.2); a bit probe once the extension is built.
+//!   The growth loops decide every probe this way: a candidate is
+//!   rejected when its lub holds a member of the position's blocked set
+//!   (selection-free, when a member's signature contains its mask), and
+//!   a constant already in the lub is skipped. Over a blocked set the
+//!   witness rows tested per box are at most the relation's rows, so a
+//!   verdict costs at most about one extension build, and usually far
+//!   less.
 //! * [`LubState::extension`]: the lub's extension in the pool's id
-//!   space, built on the first call — the AND of the covered columns'
+//!   space, built on the first call — the AND of the masked columns'
 //!   occurrence bits, or the AND over boxes of the rows' ids inside each
 //!   box; a singleton is its nominal and no atom at all is `⊤`. The
 //!   loops build it only where something reads it: the final state of a
@@ -143,9 +152,9 @@ struct Pending {
 }
 
 /// The growth state of one lub: the lub `lub(S)` (or `lubσ(S)`) of a
-/// support set `S`, and per `(rel, attr)` column what a growth step
-/// needs — a covered flag (Lemma 5.1) or the column's minimal boxes in
-/// id space (Lemma 5.2).
+/// support set `S`, and what a growth step needs — the mask of the
+/// `(rel, attr)` columns covering `S` (Lemma 5.1), or per column its
+/// minimal boxes in id space (Lemma 5.2).
 ///
 /// A state built by the pooled engine keeps no copy of `S`: only the
 /// nominal of a singleton support, which its lub keeps. It builds the
@@ -201,8 +210,14 @@ struct Pooled {
 /// `RelId`, then attributes).
 #[derive(Clone, Debug)]
 enum Columns {
-    /// Lemma 5.1: whether each column still contains the whole support.
-    Covered(Vec<bool>),
+    /// Lemma 5.1: the covered-column mask, one bit per column in schema
+    /// column order (the view's signature width in words): bit `c` is
+    /// set iff column `c` still contains the whole support. It is the AND
+    /// of the support's column signatures, so a singleton `{x}` starts
+    /// at `sig(x)` (zero for an unpooled `x`) and a step by `v` ANDs in
+    /// `sig(v)`; a pooled value lies in the lub of two or more constants
+    /// iff its signature is a superset of the mask.
+    Covered(Vec<u64>),
     /// Lemma 5.2: each column's minimal boxes, `arity` intervals per box
     /// in ascending order (empty when the support has no box in that
     /// column).
@@ -250,7 +265,7 @@ impl LubState {
 
     /// Whether `v` belongs to the lub's extension, decided from the
     /// growth data without building the extension: `v` is the singleton's
-    /// nominal, or its id is set in every covered column (Lemma 5.1), or
+    /// nominal, or its signature contains the covered mask (Lemma 5.1), or
     /// every minimal box holds a witness row of `v` (Lemma 5.2). `None`
     /// for states built by the recomputing default bodies of
     /// [`LubProvider`], which carry no growth data.
@@ -278,13 +293,51 @@ impl LubState {
             }),
         }
     }
+
+    /// The column signature of the value with id `id` in the pool of
+    /// the provider that built the state: one bit per `(rel, attr)`
+    /// column in schema column order, set iff the column holds the
+    /// value, in `⌈columns/64⌉` words (at least one). By Lemma 5.1 a
+    /// constant affects a selection-free growth step only through its
+    /// signature: growing by `v` ANDs `sig(v)` into the
+    /// [`column_mask`](LubState::column_mask), so constants of one
+    /// signature are grown, and judged, alike.
+    ///
+    /// `None` for states with selections (Lemma 5.2 reads witness rows,
+    /// not columns), for states built by the recomputing default bodies
+    /// of [`LubProvider`], and for an id past the pool's end. A pooled
+    /// value that occurs in no column has the zero signature.
+    pub fn column_signature(&self, id: ValueId) -> Option<&[u64]> {
+        match &self.growth {
+            Growth::Pooled(p) if self.kind == LubKind::SelectionFree => p.view.signature(id),
+            _ => None,
+        }
+    }
+
+    /// The covered-column mask of a selection-free state of the pooled
+    /// engine whose support has two or more constants: the AND of the
+    /// support's [`column_signature`](LubState::column_signature)s, and
+    /// the lub is the conjunction of the projections it names (`⊤` when
+    /// it is zero). A pooled value lies in the lub iff its signature is
+    /// a superset of the mask. `None` for a singleton, whose lub keeps
+    /// its nominal, and wherever `column_signature` is `None`.
+    pub fn column_mask(&self) -> Option<&[u64]> {
+        match &self.growth {
+            Growth::Pooled(Pooled {
+                nominal: None,
+                columns: Columns::Covered(mask),
+                ..
+            }) => Some(mask),
+            _ => None,
+        }
+    }
 }
 
 impl Pooled {
     /// Whether growing by `v` can skip the step because `v` is already
     /// in the extension: `v` is the nominal, or the extension is built
     /// and holds it. Stepping by an in-extension constant would rebuild
-    /// the same covered flags and minimal boxes.
+    /// the same covered mask and minimal boxes.
     fn absorbs(&self, v: &Value) -> bool {
         self.nominal.as_ref() == Some(v) || self.extension.get().is_some_and(|e| e.contains(v))
     }
@@ -296,8 +349,9 @@ impl Pooled {
 ///
 /// Lubs are computed by growth: the [`LubProvider`] methods start a
 /// [`LubState`] at a singleton and grow it one constant at a time
-/// (Lemma 5.1's covered flags, Lemma 5.2's minimal boxes stretched to
-/// the new constant's witness rows), and a from-scratch lub is the fold
+/// (Lemma 5.1's covered-column mask ANDed with the new constant's
+/// signature, Lemma 5.2's minimal boxes stretched to the new constant's
+/// witness rows), and a from-scratch lub is the fold
 /// of those steps. Observationally equivalent to the legacy free functions
 /// [`lub`](crate::lub) / [`lub_sigma`](crate::lub_sigma).
 ///
@@ -460,10 +514,14 @@ impl<'a> LubEngine<'a> {
                 (rel, rc)
             })
             .collect();
+        let columns: usize = rels.iter().map(|(_, rc)| rc.bits().len()).sum();
+        let width = columns.div_ceil(64).max(1);
         let mut words = vec![0u64; self.pool.word_len()];
-        for (_, rc) in rels.iter() {
-            for bits in rc.bits() {
-                kernels::or_assign(&mut words, bits);
+        let mut sigs = vec![0u64; self.pool.len() * width];
+        for (c, bits) in rels.iter().flat_map(|(_, rc)| rc.bits()).enumerate() {
+            kernels::or_assign(&mut words, bits);
+            for id in kernels::ones(bits) {
+                sigs[id * width + c / 64] |= 1 << (c % 64);
             }
         }
         let adom = kernels::ones(&words).map(|i| ValueId(i as u32)).collect();
@@ -471,6 +529,8 @@ impl<'a> LubEngine<'a> {
             pool: Arc::clone(&self.pool),
             rels,
             adom,
+            sigs: sigs.into(),
+            width,
         };
         *self.view.borrow_mut() = Some(view.clone());
         view
@@ -673,6 +733,11 @@ struct LubView {
     rels: Arc<[(RelId, Arc<RelColumns>)]>,
     /// `adom(I)`: the ids set in some column, ascending.
     adom: Arc<[ValueId]>,
+    /// Per pool id, its column signature (see
+    /// [`LubState::column_signature`]): `width` words at `id * width`.
+    sigs: Arc<[u64]>,
+    /// Words per signature: `⌈columns/64⌉`, at least one.
+    width: usize,
 }
 
 impl std::fmt::Debug for LubView {
@@ -693,16 +758,36 @@ impl LubView {
             .flat_map(|(rel, rc)| (0..rc.bits().len()).map(move |attr| (*rel, &**rc, attr)))
     }
 
+    /// The columns whose bit is set in `mask`, in schema column order.
+    fn masked<'m>(
+        &'m self,
+        mask: &'m [u64],
+    ) -> impl Iterator<Item = (RelId, &'m RelColumns, Attr)> + 'm {
+        self.columns()
+            .enumerate()
+            .filter(|(c, _)| has_bit(mask, *c))
+            .map(|(_, column)| column)
+    }
+
+    /// The column signature of pool id `id`; `None` past the pool's end.
+    fn signature(&self, id: ValueId) -> Option<&[u64]> {
+        let at = id.index() * self.width;
+        self.sigs.get(at..at + self.width)
+    }
+
+    /// The covered-column mask of the singleton `{v}`: `sig(v)`, or zero
+    /// for a value outside the pool.
+    fn mask_of(&self, id: Option<ValueId>) -> Vec<u64> {
+        id.and_then(|id| self.signature(id))
+            .map_or_else(|| vec![0; self.width], <[u64]>::to_vec)
+    }
+
     /// The growth data of the singleton `{x}`: the columns containing
     /// `x`, or one point box per witness row of `x`.
     fn seed(&self, kind: LubKind, x: &Value) -> Columns {
         let id = self.pool.id_of(x);
         match kind {
-            LubKind::SelectionFree => Columns::Covered(
-                self.columns()
-                    .map(|(_, rc, attr)| id.is_some_and(|id| has_id(&rc.bits()[attr], id)))
-                    .collect(),
-            ),
+            LubKind::SelectionFree => Columns::Covered(self.mask_of(id)),
             LubKind::WithSelections => Columns::Boxes(
                 self.columns()
                     .map(|(_, rc, attr)| match id {
@@ -724,14 +809,11 @@ impl LubView {
     fn step(&self, columns: &Columns, v: &Value) -> Columns {
         let id = self.pool.id_of(v);
         match columns {
-            Columns::Covered(flags) => Columns::Covered(
-                self.columns()
-                    .zip(flags)
-                    .map(|((_, rc, attr), &covered)| {
-                        covered && id.is_some_and(|id| has_id(&rc.bits()[attr], id))
-                    })
-                    .collect(),
-            ),
+            Columns::Covered(mask) => {
+                let mut grown = self.mask_of(id);
+                kernels::and_assign(&mut grown, mask);
+                Columns::Covered(grown)
+            }
             Columns::Boxes(boxes) => Columns::Boxes(
                 self.columns()
                     .zip(boxes)
@@ -794,22 +876,20 @@ impl LubView {
             // No column holds an unpooled constant: only a lub without
             // atoms (`⊤`) does.
             None => match columns {
-                Columns::Covered(flags) => !flags.contains(&true),
+                Columns::Covered(mask) => kernels::is_zero(mask),
                 Columns::Boxes(boxes) => boxes.iter().all(Vec::is_empty),
             },
         }
     }
 
     /// Whether the pooled value `id` satisfies every atom of a lub of two
-    /// or more constants: its bit is set in every covered column, or a
-    /// witness row of it lies inside every minimal box.
+    /// or more constants: its signature is a superset of the covered
+    /// mask, or a witness row of it lies inside every minimal box.
     fn holds(&self, columns: &Columns, id: ValueId) -> bool {
         match columns {
-            Columns::Covered(flags) => self
-                .columns()
-                .zip(flags)
-                .filter(|(_, covered)| **covered)
-                .all(|((_, rc, attr), _)| has_id(&rc.bits()[attr], id)),
+            Columns::Covered(mask) => self
+                .signature(id)
+                .is_some_and(|sig| kernels::subset(mask, sig)),
             Columns::Boxes(boxes) => self
                 .columns()
                 .zip(boxes)
@@ -831,7 +911,8 @@ impl LubView {
     /// * A singleton `{x}` keeps its nominal, and every other atom
     ///   contains `x`, so the extension is `{x}` (an overflow member
     ///   when `x` is unpooled).
-    /// * Lemma 5.1: the AND of the covered columns' occurrence bits.
+    /// * Lemma 5.1: the AND of the occurrence bits of the columns the
+    ///   covered mask names.
     /// * Lemma 5.2: the AND over boxes of
     ///   `{row[attr] : row ∈ R, row inside the id box}` — id order is
     ///   value order, so this is the box atom's selection.
@@ -842,9 +923,8 @@ impl LubView {
         }
         let mut acc: Option<Vec<u64>> = None;
         match columns {
-            Columns::Covered(flags) => {
-                for ((_, rc, attr), _) in self.columns().zip(flags).filter(|(_, covered)| **covered)
-                {
+            Columns::Covered(mask) => {
+                for (_, rc, attr) in self.masked(mask) {
                     let bits = &rc.bits()[attr];
                     match &mut acc {
                         None => acc = Some(bits.clone()),
@@ -885,10 +965,8 @@ impl LubView {
             .into_iter()
             .collect();
         match columns {
-            Columns::Covered(flags) => {
-                for ((rel, _, attr), _) in
-                    self.columns().zip(flags).filter(|(_, covered)| **covered)
-                {
+            Columns::Covered(mask) => {
+                for (rel, _, attr) in self.masked(mask) {
                     atoms.push(LsAtom::proj(rel, attr));
                 }
             }
@@ -1025,9 +1103,9 @@ impl LubProvider for LubEngine<'_> {
     }
 }
 
-/// Whether the occurrence bitset `bits` holds `id`.
-fn has_id(bits: &[u64], id: ValueId) -> bool {
-    bits[id.index() / 64] >> (id.index() % 64) & 1 != 0
+/// Whether bit `i` of `words` is set.
+fn has_bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 != 0
 }
 
 /// Lemma 5.2's growth step in one column: stretches every minimal box of
@@ -1679,6 +1757,88 @@ mod tests {
                 "not deduplicated and ascending: {got:?}"
             );
         }
+    }
+
+    /// The columns holding `v` by definition, in schema column order.
+    fn columns_holding(schema: &Schema, inst: &Instance, v: &Value) -> Vec<usize> {
+        let mut held = Vec::new();
+        let mut c = 0;
+        for rel in schema.rel_ids() {
+            for attr in 0..schema.arity(rel) {
+                if inst.tuples(rel).any(|t| &t[attr] == v) {
+                    held.push(c);
+                }
+                c += 1;
+            }
+        }
+        held
+    }
+
+    /// The bits set in `words`.
+    fn bits(words: &[u64]) -> Vec<usize> {
+        kernels::ones(words).collect()
+    }
+
+    #[test]
+    fn column_signatures_and_masks_follow_lemma_5_1() {
+        // The paper fixture (6 columns, one word) and a relation of 70
+        // columns, whose signatures and masks span two words.
+        let (schema, inst) = paper_fixture();
+        let mut b = SchemaBuilder::new();
+        let names: Vec<String> = (0..70).map(|i| format!("a{i}")).collect();
+        let wide = b.relation("Wide", names.iter().map(String::as_str));
+        let wide_schema = b.finish().unwrap();
+        let mut wide_inst = Instance::new();
+        for row in 0..3i64 {
+            // Value `v` sits in column `i` of row `row` iff `(i + row) % 5 == v`.
+            let tuple: Vec<Value> = (0..70).map(|i| Value::int((i + row) % 5)).collect();
+            wide_inst.insert(wide, tuple);
+        }
+        for (schema, inst, width) in [(&schema, &inst, 1), (&wide_schema, &wide_inst, 2)] {
+            let engine = LubEngine::with_pool(schema, inst, inst.const_pool_with([s("ghost")]));
+            let pool = engine.pool();
+            let ghost = pool.id_of(&s("ghost")).unwrap();
+            let adom: Vec<Value> = inst.active_domain().into_iter().collect();
+            for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+                let state = engine.start(kind, &adom[0]);
+                if kind == LubKind::WithSelections {
+                    assert_eq!(state.column_signature(ghost), None);
+                    assert_eq!(state.column_mask(), None);
+                    continue;
+                }
+                // A singleton keeps its nominal, so it has no mask.
+                assert_eq!(state.column_mask(), None);
+                assert_eq!(state.column_signature(ghost), Some(&[0u64; 2][..width]));
+                for v in &adom {
+                    let sig = state.column_signature(pool.id_of(v).unwrap()).unwrap();
+                    assert_eq!(sig.len(), width);
+                    assert_eq!(bits(sig), columns_holding(schema, inst, v), "{v:?}");
+                }
+                // A mask is the AND of its support's signatures.
+                let mut grown = state;
+                let mut expect: Vec<usize> = columns_holding(schema, inst, &adom[0]);
+                for v in &adom[1..] {
+                    grown = engine.grow(&grown, v);
+                    let held = columns_holding(schema, inst, v);
+                    expect.retain(|c| held.contains(c));
+                    assert_eq!(grown.column_mask().map(bits), Some(expect.clone()));
+                }
+                let unpooled = engine.grow(&engine.start(kind, &adom[0]), &s("nowhere"));
+                assert_eq!(unpooled.column_mask(), Some(&[0u64; 2][..width]));
+                assert!(unpooled.concept().is_top());
+            }
+            // States of the recomputing default bodies carry no signatures.
+            let foreign = Recomputing(&engine).start(LubKind::SelectionFree, &adom[0]);
+            assert_eq!(foreign.column_signature(ghost), None);
+            let grown = Recomputing(&engine).grow(&foreign, &adom[1]);
+            assert_eq!(grown.column_mask(), None);
+        }
+        // The wide relation's lubs still match the legacy free function.
+        let x: BTreeSet<Value> = [Value::int(0), Value::int(1)].into_iter().collect();
+        assert_eq!(
+            LubEngine::new(&wide_schema, &wide_inst).lub(&x),
+            lub(&wide_schema, &wide_inst, &x)
+        );
     }
 
     #[test]

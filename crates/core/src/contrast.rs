@@ -23,7 +23,9 @@
 //!    test of `a_i` against the grown state's growth data
 //!    ([`LubState::contains_id`](whynot_concepts::LubState::contains_id)),
 //!    and so is the test of whether a constant is already inside the
-//!    lub, so the sweep builds no extension at all.
+//!    lub, so the sweep builds no extension at all. Selection-free, a
+//!    rejected probe's column signature also decides every later probe
+//!    whose signature it contains, which is skipped without growing.
 //!
 //! 2. **Foil-aligned MGE** ([`foil_mge_core`]): the most general
 //!    explanation for `a ∉ q(I) \ {b}` whose concepts still *admit* the
@@ -58,7 +60,7 @@
 //! [`obda_contrast`](crate::obda_contrast). The brute-force reference the
 //! fast paths are pinned against is test support (`tests/support/`).
 
-use crate::incremental::{adom_ids, beyond_adom, Constant, Grown, Verdicts};
+use crate::incremental::{adom_ids, beyond_adom, Constant, Grown, Rejected, Verdicts};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
 use crate::whynot::{exts_form_explanation, AnswerIds, Explanation};
@@ -144,6 +146,14 @@ pub(crate) fn restriction<'a>(
 /// constant is already inside the lub, is a membership test on the
 /// state's growth data, so a pooled state never builds its extension; a
 /// state without growth data has its extension evaluated once.
+///
+/// A rejection here means the grown lub holds `missing_i`, which is
+/// monotone in the extension. So for a selection-free state a rejected
+/// probe's column signature decides every later probe whose signature
+/// it contains: the later grown covered-column mask is a subset of the
+/// rejected one, and its lub's extension a superset, holding
+/// `missing_i` too. Such probes are skipped without growing (see
+/// [`Rejected`]).
 pub(crate) fn difference_core<P: LubProvider + ?Sized>(
     k: &[Constant<'_>],
     missing_i: &Value,
@@ -157,14 +167,22 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
     if current.holds(missing, &mut *ext_of) {
         return None;
     }
+    let mut rejected = Rejected::default();
     for &c in k {
         if c.value == missing_i || current.holds(c, &mut *ext_of) {
             // Absorbing `missing_i` puts it in the extension outright;
             // absorbing an in-extension value cannot change the lub.
             continue;
         }
+        if rejected.skips(&current.state, c, || {
+            Grown::new(lubs.grow(&current.state, c.value)).holds(missing, &mut *ext_of)
+        }) {
+            continue;
+        }
         let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
-        if !candidate.holds(missing, &mut *ext_of) {
+        if candidate.holds(missing, &mut *ext_of) {
+            rejected.record(&current.state, c);
+        } else {
             current = candidate;
         }
     }
@@ -176,12 +194,15 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
 /// extension first (⊤ counts as widest), ties broken by ascending value.
 /// Constants of the position's blocked set are left out ungrown, and so
 /// are the grown candidates the verdicts reject: a candidate regrown
-/// from a larger support would hit `B_j` too. Only the admitted
-/// candidates build their extensions, to be ordered by them.
+/// from a larger support would hit `B_j` too. Their signatures go into
+/// `rejected`, which also skips the probes they dominate, and which the
+/// absorb loop keeps using. Only the admitted candidates build their
+/// extensions, to be ordered by them.
 fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
     k: &[Constant<'k>],
     current: &mut Grown,
     verdicts: &Verdicts<'_, '_, E>,
+    rejected: &mut Rejected,
     lubs: &P,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Vec<(Constant<'k>, Grown)> {
@@ -190,10 +211,17 @@ fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
         if verdicts.blocks(c) || current.holds(c, &mut *ext_of) {
             continue;
         }
+        if rejected.skips(&current.state, c, || {
+            !verdicts.full_check(&lubs.grow(&current.state, c.value), &mut *ext_of)
+        }) {
+            continue;
+        }
         let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
         if verdicts.admits(&mut candidate, &mut *ext_of) {
             let coverage = candidate.extension(&mut *ext_of).len();
             scored.push((c, candidate, coverage));
+        } else {
+            rejected.record(&current.state, c);
         }
     }
     let widest = |coverage: Option<usize>| coverage.unwrap_or(usize::MAX);
@@ -240,7 +268,11 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
     for j in 0..m {
         let verdicts = Verdicts::new(&exts, j, q, lubs.pool());
         let current = &mut states[j];
-        let mut ranked = rank_candidates(k, current, &verdicts, lubs, ext_of).into_iter();
+        // The absorbed masks only lose columns from the seed's, so the
+        // ranking's rejections keep deciding the probes they dominate.
+        let mut rejected = Rejected::default();
+        let mut ranked =
+            rank_candidates(k, current, &verdicts, &mut rejected, lubs, ext_of).into_iter();
         if let Some((_, widest)) = ranked.next() {
             *current = widest;
         }
@@ -248,9 +280,16 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
             if current.holds(c, &mut *ext_of) {
                 continue; // covered by an earlier absorption this sweep
             }
+            if rejected.skips(&current.state, c, || {
+                !verdicts.full_check(&lubs.grow(&current.state, c.value), &mut *ext_of)
+            }) {
+                continue;
+            }
             let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
             if verdicts.admits(&mut candidate, &mut *ext_of) {
                 *current = candidate;
+            } else {
+                rejected.record(&current.state, c);
             }
         }
         if j + 1 < m {

@@ -36,26 +36,44 @@
 //! at a time, so it decides its probes the same way.
 //!
 //! **Membership, not extensions.** A grown state answers "is `c` in my
-//! lub?" from its growth data ([`LubState::contains_id`]: a bit per
-//! covered column, or a witness row inside every box), so a probe is
-//! rejected at the first member of `B_j` its lub holds, and "is `b`
+//! lub?" from its growth data ([`LubState::contains_id`]), and "is `b`
 //! already in the lub?" is the same test. Neither builds the candidate's
-//! extension. Per box, the witness rows of all of `B_j`'s members are at
-//! most the relation's rows, so a verdict costs at most about one
-//! extension build, and a position's skip tests together about one more;
-//! most verdicts stop at a member far sooner. A position's final state
-//! builds its extension only when a later position's blocked set reads
-//! it, and its concept is assembled only at the end. States from a
-//! provider's recomputing default bodies carry no growth data: their
-//! concepts are evaluated once per state and probed as extensions
-//! ([`Verdicts`] picks the route per candidate). Debug builds
+//! extension.
+//!
+//! * Selection-free (Lemma 5.1): the growth data is a column mask. The
+//!   lub of two or more constants is the conjunction of the projections
+//!   `π_A(R)` that hold all of them, so the state keeps the mask of those
+//!   columns ([`LubState::column_mask`]), the AND of its support's column
+//!   signatures ([`LubState::column_signature`]). A step is a word AND,
+//!   and `c` is in the lub iff `sig(c) ⊇ mask`. A verdict tests the
+//!   maximal distinct signatures of `B_j`'s members against the grown
+//!   mask, not each member. Because a constant acts only through its
+//!   signature, a per-position memo of rejected signatures ([`Rejected`],
+//!   whose docs give the dominance argument) skips every later probe
+//!   whose signature a rejected one contains: each class of constants is
+//!   grown and judged at most once.
+//! * With selections (Lemma 5.2): a probe is rejected at the first
+//!   member of `B_j` whose witness row lies inside every box of its lub.
+//!   Per box, the witness rows of all of `B_j`'s members are at most the
+//!   relation's rows, so a verdict costs at most about one extension
+//!   build, and a position's skip tests together about one more; most
+//!   verdicts stop at a member far sooner.
+//!
+//! A position's final state builds its extension only when a later
+//! position's blocked set reads it, and its concept is assembled only at
+//! the end. States from a provider's recomputing default bodies carry no
+//! growth data and no signatures: their concepts are evaluated once per
+//! state and probed as extensions ([`Verdicts`] picks the route per
+//! candidate), and their loops probe every constant. Debug builds
 //! cross-check every verdict, membership ones included, against the full
-//! [`exts_form_explanation`] on the built extensions.
+//! [`exts_form_explanation`] on the built extensions, and grow every
+//! probe the memo skips to check that it is rejected.
 
 use crate::whynot::{exts_form_explanation, AnswerIds, BlockedSet, Explanation, WhyNotInstance};
 use std::borrow::Borrow;
+use std::cell::OnceCell;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
+use whynot_concepts::{kernels, Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
 use whynot_relation::{ConstPool, Instance, Value, ValueId};
 
 /// Algorithm 2 (INCREMENTAL SEARCH): a most-general explanation for the
@@ -226,6 +244,9 @@ pub(crate) struct Verdicts<'a, 'q, E> {
     /// `B_j`'s members as ids of `pool`; `None` sends every candidate
     /// down the extension route.
     members: Option<Vec<ValueId>>,
+    /// The maximal distinct column signatures of `B_j`'s members, read
+    /// off the first candidate that carries a covered-column mask.
+    member_signatures: OnceCell<Option<Signatures>>,
 }
 
 impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
@@ -244,6 +265,7 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
             pool,
             blocked,
             members,
+            member_signatures: OnceCell::new(),
         }
     }
 
@@ -263,31 +285,161 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
         ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
     ) -> bool {
         if let Some(verdict) = self.by_membership(&candidate.state) {
-            #[cfg(debug_assertions)]
-            {
-                // On a copy, so the checked state keeps its extension unbuilt.
-                let ext = state_extension(&candidate.state.clone(), ext_of);
-                assert_eq!(
-                    verdict,
-                    self.blocked.full_check(self.exts, &ext),
-                    "membership verdict disagrees with Definition 3.2"
-                );
-            }
+            // On a copy, so the checked state keeps its extension unbuilt.
+            debug_assert_eq!(
+                verdict,
+                self.full_check(&candidate.state.clone(), &mut *ext_of),
+                "membership verdict disagrees with Definition 3.2"
+            );
             return verdict;
         }
         self.blocked.admits(self.exts, &candidate.extension(ext_of))
     }
 
-    /// Rejected at the first member of `B_j` the candidate's lub holds;
-    /// `None` without the members as ids or without growth data. An
-    /// empty `B_j` admits every candidate.
+    /// Definition 3.2 in full with position `j` replaced by `state`'s
+    /// lub, its extension built for the check: the reference that debug
+    /// builds hold every verdict and every memo skip to.
+    pub(crate) fn full_check(
+        &self,
+        state: &LubState,
+        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+    ) -> bool {
+        self.blocked
+            .full_check(self.exts, &state_extension(state, ext_of))
+    }
+
+    /// Rejected iff the candidate's lub holds a member of `B_j`; `None`
+    /// without the members as ids or without growth data. A candidate
+    /// with a covered-column mask `G` holds the member `c` iff
+    /// `sig(c) ⊇ G`, so only the maximal distinct member signatures are
+    /// tested; any other candidate is tested member by member, rejected
+    /// at the first it holds. An empty `B_j` admits every candidate.
     fn by_membership(&self, state: &LubState) -> Option<bool> {
-        for &c in self.members.as_ref()? {
-            if state.contains_id(c)? {
-                return Some(false);
+        let members = self.members.as_ref()?;
+        let by_signature = state.column_mask().and_then(|mask| {
+            let sigs = self.member_signatures.get_or_init(|| {
+                let mut sigs = Signatures::default();
+                for &c in members {
+                    sigs.insert(state.column_signature(c)?);
+                }
+                Some(sigs)
+            });
+            Some(sigs.as_ref()?.covers(mask))
+        });
+        let held = match by_signature {
+            Some(held) => held,
+            None => match members
+                .iter()
+                .map(|&c| state.contains_id(c))
+                .find(|held| *held != Some(false))
+            {
+                Some(held) => held?,
+                None => false,
+            },
+        };
+        Some(!held && self.blocked.others_hold())
+    }
+}
+
+/// A set of column signatures (see
+/// [`LubState::column_signature`]) kept as an antichain under `⊆`: a
+/// signature is [covered](Signatures::covers) iff some kept one contains
+/// it.
+#[derive(Debug, Default)]
+pub(crate) struct Signatures {
+    /// The kept signatures, `width` words each.
+    words: Vec<u64>,
+    width: usize,
+}
+
+impl Signatures {
+    /// Whether some kept signature is a superset of `sig`.
+    pub(crate) fn covers(&self, sig: &[u64]) -> bool {
+        self.width > 0
+            && self
+                .words
+                .chunks_exact(self.width)
+                .any(|kept| kernels::subset(sig, kept))
+    }
+
+    /// Adds `sig` unless a kept signature contains it; otherwise drops
+    /// the kept ones it contains.
+    pub(crate) fn insert(&mut self, sig: &[u64]) {
+        if self.covers(sig) {
+            return;
+        }
+        let width = sig.len();
+        let mut write = 0;
+        for read in (0..self.words.len()).step_by(width.max(1)) {
+            if !kernels::subset(&self.words[read..read + width], sig) {
+                self.words.copy_within(read..read + width, write);
+                write += width;
             }
         }
-        Some(self.blocked.others_hold())
+        self.words.truncate(write);
+        self.words.extend_from_slice(sig);
+        self.width = width;
+    }
+}
+
+/// The column signatures one position's growth probes were rejected
+/// with, so that each class of selection-free constants is probed at
+/// most once.
+///
+/// By Lemma 5.1 a selection-free lub of two or more constants is the
+/// conjunction of the projections its covered-column mask names
+/// ([`LubState::column_mask`]; a singleton's mask is its constant's
+/// signature), a step by `b` ANDs `sig(b)` into the mask
+/// ([`LubState::column_signature`]), and a mask with fewer columns has
+/// the larger extension. Every rejection the loops make is monotone in
+/// the extension: the lub meets the blocked set `B_j` (Algorithm 2,
+/// CHECK-MGE, the foil-aligned contrast), or it holds the missing
+/// constant (the contrast's difference sweep). So:
+///
+/// * a probe `b` rejected from a state with mask `M` leaves a grown mask
+///   `M & sig(b)` whose lub is rejected;
+/// * a position's mask only loses columns while it grows, so every later
+///   state of the position has a mask `M' ⊆ M`;
+/// * for any `b'` with `sig(b') ⊆ sig(b)`, the grown mask
+///   `M' & sig(b') ⊆ M & sig(b)`, so its extension is a superset of the
+///   rejected one, and it is rejected too.
+///
+/// The loops therefore skip, without growing, every probe whose
+/// signature a recorded one contains, and keep only the maximal recorded
+/// signatures. States without signatures (lubσ, the recomputing default
+/// [`LubProvider`] bodies) record nothing and skip nothing, so their
+/// loops probe every constant. A constant outside the provider's pool
+/// has no id and is always probed. Debug builds grow every skipped probe
+/// and check that it is rejected.
+#[derive(Debug, Default)]
+pub(crate) struct Rejected(Signatures);
+
+impl Rejected {
+    /// Whether a recorded rejection already decides the probe of `c`
+    /// from `state` (a state of the position the memo belongs to).
+    /// `rejects` grows the probe and judges it; debug builds call it on
+    /// every skipped probe and check that it is rejected.
+    pub(crate) fn skips(
+        &self,
+        state: &LubState,
+        c: Constant<'_>,
+        rejects: impl FnOnce() -> bool,
+    ) -> bool {
+        let skip =
+            c.id.and_then(|id| state.column_signature(id))
+                .is_some_and(|sig| self.0.covers(sig));
+        debug_assert!(
+            !skip || rejects(),
+            "a probe a rejected signature dominates must be rejected"
+        );
+        skip
+    }
+
+    /// Records that the probe of `c` from `state` was rejected.
+    pub(crate) fn record(&mut self, state: &LubState, c: Constant<'_>) {
+        if let Some(sig) = c.id.and_then(|id| state.column_signature(id)) {
+            self.0.insert(sig);
+        }
     }
 }
 
@@ -352,8 +504,9 @@ pub(crate) fn position_major<P: LubProvider + ?Sized>(
 }
 
 /// Algorithm 2's lines 4–11 at one position: sweeps `order` (ids of the
-/// provider's pool), skips each constant in `B_j` or already in the
-/// position's lub, and keeps each grown candidate the verdicts admit.
+/// provider's pool), skips each constant in `B_j`, already in the
+/// position's lub or dominated by a rejected signature ([`Rejected`]),
+/// and keeps each grown candidate the verdicts admit.
 fn grow_position<P: LubProvider + ?Sized, E: Borrow<Extension>>(
     lubs: &P,
     current: &mut Grown,
@@ -362,6 +515,7 @@ fn grow_position<P: LubProvider + ?Sized, E: Borrow<Extension>>(
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) {
     let pool = lubs.pool();
+    let mut rejected = Rejected::default();
     for &b in order {
         // Line 5's set difference, re-evaluated live; a blocked
         // constant would put an answer into the product.
@@ -369,11 +523,18 @@ fn grow_position<P: LubProvider + ?Sized, E: Borrow<Extension>>(
         if verdicts.blocks(b) || current.holds(b, &mut *ext_of) {
             continue;
         }
+        if rejected.skips(&current.state, b, || {
+            !verdicts.full_check(&lubs.grow(&current.state, b.value), &mut *ext_of)
+        }) {
+            continue;
+        }
         // Lines 6–9: the more general candidate at position j, kept
         // only if the tuple stays an explanation.
         let mut candidate = Grown::new(lubs.grow(&current.state, b.value));
         if verdicts.admits(&mut candidate, &mut *ext_of) {
             *current = candidate;
+        } else {
+            rejected.record(&current.state, b);
         }
     }
 }
@@ -458,7 +619,8 @@ fn check_mge_with<P: LubProvider + ?Sized>(
 /// `K = adom(I) ∪ ā`. Each position's state is the fold over `ext(Cj)`,
 /// and every probe grows it by one constant and is decided by the
 /// position's [`Verdicts`]: a pooled candidate never builds its
-/// extension.
+/// extension, and a selection-free probe whose signature a rejected one
+/// contains is not grown at all ([`Rejected`]).
 pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
     adom: &[ValueId],
     q: &AnswerIds<'_>,
@@ -485,6 +647,9 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
             continue;
         };
         let verdicts = Verdicts::new(exts, j, q, pool);
+        // The state never changes, so a rejected signature decides every
+        // probe it contains (see `Rejected`).
+        let mut rejected = Rejected::default();
         for &b in &k {
             let inside = match b.id {
                 Some(id) => current.contains_in(pool, id),
@@ -493,11 +658,17 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
             if inside || verdicts.blocks(b) {
                 continue;
             }
+            if rejected.skips(&state, b, || {
+                !verdicts.full_check(&lubs.grow(&state, b.value), &mut *ext_of)
+            }) {
+                continue;
+            }
             // Strictly more general by construction: ⊇ current ∪ {b}.
             let mut candidate = Grown::new(lubs.grow(&state, b.value));
             if verdicts.admits(&mut candidate, &mut *ext_of) {
                 return false;
             }
+            rejected.record(&state, b);
         }
     }
     true

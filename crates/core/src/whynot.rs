@@ -420,8 +420,20 @@ pub fn is_explanation<O: Ontology>(
     e: &Explanation<O::Concept>,
 ) -> bool {
     let exts = explanation_extensions(ontology, wn, e);
-    let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
-    exts_form_explanation(&exts, &AnswerIds::new(&pool, &wn.ans, &wn.tuple))
+    // An answer with a constant outside its position's extension lies
+    // outside the product and cannot break Definition 3.2, so only the
+    // answers inside it are interned, into a pool over their constants
+    // and the tuple's alone.
+    let inside: Vec<&Tuple> = wn
+        .ans
+        .iter()
+        .filter(|t| t.iter().zip(&exts).all(|(v, ext)| ext.contains(v)))
+        .collect();
+    let pool = Arc::new(ConstPool::from_refs(
+        inside.iter().copied().flatten().chain(&wn.tuple),
+    ));
+    let rows = AnswerRows::from_tuples(pool, wn.tuple.len(), inside);
+    exts_form_explanation(&exts, &AnswerIds::over(&rows, None, &wn.tuple))
 }
 
 /// Definition 3.2 over extensions, the one check every search and the

@@ -123,8 +123,15 @@ impl ConstPool {
     /// instance's fact list mentions each constant many times).
     pub fn for_instance_with(inst: &Instance, extra: impl IntoIterator<Item = Value>) -> Self {
         let extra: Vec<Value> = extra.into_iter().collect();
-        let mut refs: Vec<&Value> = inst.value_occurrences().collect();
-        refs.extend(extra.iter());
+        ConstPool::from_refs(inst.value_occurrences().chain(&extra))
+    }
+
+    /// A pool over the values `refs` mentions, gathered by reference:
+    /// the references are sorted and deduplicated first, so each distinct
+    /// value is cloned once however often it occurs (a set of answer
+    /// tuples mentions each constant many times).
+    pub fn from_refs<'a>(refs: impl IntoIterator<Item = &'a Value>) -> Self {
+        let mut refs: Vec<&Value> = refs.into_iter().collect();
         refs.sort_unstable();
         refs.dedup();
         ConstPool::from_sorted_vec(refs.into_iter().cloned().collect())

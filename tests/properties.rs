@@ -6,10 +6,11 @@
 //! correctness of Algorithm 2's output (Theorems 5.3/5.4), the interval
 //! algebra, and the backtracking evaluator against a naive one.
 
-#[path = "../crates/core/tests/support/definition.rs"]
-mod definition;
+#[path = "../crates/core/tests/support/literal.rs"]
+mod literal;
 
-use definition::explains;
+use literal::definition::explains;
+use literal::{literal_check_mge, literal_incremental};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -759,78 +760,6 @@ prop_compose! {
         let tuple = vec![constant(a, a_out), constant(b, b_out)];
         WhyNotInstance::new(schema, inst, q, tuple).ok()
     }
-}
-
-/// The legacy from-scratch lub of `kind`.
-fn legacy_lub(wn: &WhyNotInstance, kind: LubKind, support: &BTreeSet<Value>) -> LsConcept {
-    match kind {
-        LubKind::SelectionFree => lub(&wn.schema, &wn.instance, support),
-        LubKind::WithSelections => lub_sigma(&wn.schema, &wn.instance, support),
-    }
-}
-
-/// Algorithm 2 as the paper writes it: supports `X_j` start at `{a_j}`;
-/// per position, every `b ∈ adom(I)` outside `ext(lub(X_j))`, ascending,
-/// joins `X_j` iff the lubs with `lub(X_j ∪ {b})` at `j` still form an
-/// explanation — the legacy lub of the whole support and the full
-/// Definition 3.2 check over `Ans` on every probe.
-fn literal_incremental(wn: &WhyNotInstance, kind: LubKind) -> Explanation<LsConcept> {
-    let mut supports: Vec<BTreeSet<Value>> = wn
-        .tuple
-        .iter()
-        .map(|a| [a.clone()].into_iter().collect())
-        .collect();
-    let mut concepts: Vec<LsConcept> = supports.iter().map(|x| legacy_lub(wn, kind, x)).collect();
-    for j in 0..wn.arity() {
-        for b in wn.instance.active_domain() {
-            if concepts[j].extension(&wn.instance).contains(&b) {
-                continue;
-            }
-            let mut grown = supports[j].clone();
-            grown.insert(b);
-            let candidate = legacy_lub(wn, kind, &grown);
-            let mut trial = concepts.clone();
-            trial[j] = candidate.clone();
-            let exts: Vec<Extension> = trial.iter().map(|c| c.extension(&wn.instance)).collect();
-            if explains(&exts, &wn.ans, &wn.tuple) {
-                supports[j] = grown;
-                concepts[j] = candidate;
-            }
-        }
-    }
-    Explanation::new(concepts)
-}
-
-/// CHECK-MGE w.r.t. `OI` as Proposition 5.2 states it: `e` is an
-/// explanation, and no `lub(ext(C_j) ∪ {b})` with `b ∈ adom(I) ∪ ā`
-/// outside `ext(C_j)` can replace `C_j` in one.
-fn literal_check_mge(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubKind) -> bool {
-    let exts: Vec<Extension> = e
-        .concepts
-        .iter()
-        .map(|c| c.extension(&wn.instance))
-        .collect();
-    if !explains(&exts, &wn.ans, &wn.tuple) {
-        return false;
-    }
-    for j in 0..exts.len() {
-        let Some(current) = exts[j].as_finite() else {
-            continue;
-        };
-        for b in wn.restriction_constants() {
-            if current.contains(&b) {
-                continue;
-            }
-            let mut grown = current.to_btree_set();
-            grown.insert(b);
-            let mut trial = exts.clone();
-            trial[j] = legacy_lub(wn, kind, &grown).extension(&wn.instance);
-            if explains(&trial, &wn.ans, &wn.tuple) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 proptest! {
