@@ -19,8 +19,8 @@
 //!   signature* `sig(v)`, the set of `(rel, attr)` columns holding it
 //!   (one bit per column, [`LubState::column_signature`]). The view
 //!   builds one signature per pool id beside `adom(I)`, and a state's
-//!   growth data is the covered-column mask `⋂_{x∈S} sig(x)`
-//!   ([`LubState::column_mask`]): a step is a word AND, and a pooled
+//!   growth data is the covered-column mask `⋂_{x∈S} sig(x)`: a step
+//!   is a word AND, and a pooled
 //!   value is in the lub of two or more constants iff its signature is
 //!   a superset of the mask.
 //! * **Lemma 5.2** (lub with selections): per `(rel, attr)`, the minimal
@@ -299,9 +299,9 @@ impl LubState {
     /// column in schema column order, set iff the column holds the
     /// value, in `⌈columns/64⌉` words (at least one). By Lemma 5.1 a
     /// constant affects a selection-free growth step only through its
-    /// signature: growing by `v` ANDs `sig(v)` into the
-    /// [`column_mask`](LubState::column_mask), so constants of one
-    /// signature are grown, and judged, alike.
+    /// signature: growing by `v` ANDs `sig(v)` into the state's
+    /// covered-column mask, so constants of one signature are grown, and
+    /// judged, alike.
     ///
     /// `None` for states with selections (Lemma 5.2 reads witness rows,
     /// not columns), for states built by the recomputing default bodies
@@ -310,24 +310,6 @@ impl LubState {
     pub fn column_signature(&self, id: ValueId) -> Option<&[u64]> {
         match &self.growth {
             Growth::Pooled(p) if self.kind == LubKind::SelectionFree => p.view.signature(id),
-            _ => None,
-        }
-    }
-
-    /// The covered-column mask of a selection-free state of the pooled
-    /// engine whose support has two or more constants: the AND of the
-    /// support's [`column_signature`](LubState::column_signature)s, and
-    /// the lub is the conjunction of the projections it names (`⊤` when
-    /// it is zero). A pooled value lies in the lub iff its signature is
-    /// a superset of the mask. `None` for a singleton, whose lub keeps
-    /// its nominal, and wherever `column_signature` is `None`.
-    pub fn column_mask(&self) -> Option<&[u64]> {
-        match &self.growth {
-            Growth::Pooled(Pooled {
-                nominal: None,
-                columns: Columns::Covered(mask),
-                ..
-            }) => Some(mask),
             _ => None,
         }
     }
@@ -1779,6 +1761,19 @@ mod tests {
         kernels::ones(words).collect()
     }
 
+    /// The covered-column mask of a selection-free pooled state whose
+    /// support has two or more constants.
+    fn column_mask(state: &LubState) -> Option<&[u64]> {
+        match &state.growth {
+            Growth::Pooled(Pooled {
+                nominal: None,
+                columns: Columns::Covered(mask),
+                ..
+            }) => Some(mask),
+            _ => None,
+        }
+    }
+
     #[test]
     fn column_signatures_and_masks_follow_lemma_5_1() {
         // The paper fixture (6 columns, one word) and a relation of 70
@@ -1803,11 +1798,11 @@ mod tests {
                 let state = engine.start(kind, &adom[0]);
                 if kind == LubKind::WithSelections {
                     assert_eq!(state.column_signature(ghost), None);
-                    assert_eq!(state.column_mask(), None);
+                    assert_eq!(column_mask(&state), None);
                     continue;
                 }
                 // A singleton keeps its nominal, so it has no mask.
-                assert_eq!(state.column_mask(), None);
+                assert_eq!(column_mask(&state), None);
                 assert_eq!(state.column_signature(ghost), Some(&[0u64; 2][..width]));
                 for v in &adom {
                     let sig = state.column_signature(pool.id_of(v).unwrap()).unwrap();
@@ -1821,17 +1816,17 @@ mod tests {
                     grown = engine.grow(&grown, v);
                     let held = columns_holding(schema, inst, v);
                     expect.retain(|c| held.contains(c));
-                    assert_eq!(grown.column_mask().map(bits), Some(expect.clone()));
+                    assert_eq!(column_mask(&grown).map(bits), Some(expect.clone()));
                 }
                 let unpooled = engine.grow(&engine.start(kind, &adom[0]), &s("nowhere"));
-                assert_eq!(unpooled.column_mask(), Some(&[0u64; 2][..width]));
+                assert_eq!(column_mask(&unpooled), Some(&[0u64; 2][..width]));
                 assert!(unpooled.concept().is_top());
             }
             // States of the recomputing default bodies carry no signatures.
             let foreign = Recomputing(&engine).start(LubKind::SelectionFree, &adom[0]);
             assert_eq!(foreign.column_signature(ghost), None);
             let grown = Recomputing(&engine).grow(&foreign, &adom[1]);
-            assert_eq!(grown.column_mask(), None);
+            assert_eq!(column_mask(&grown), None);
         }
         // The wide relation's lubs still match the legacy free function.
         let x: BTreeSet<Value> = [Value::int(0), Value::int(1)].into_iter().collect();

@@ -211,17 +211,9 @@ fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
         if verdicts.blocks(c) || current.holds(c, &mut *ext_of) {
             continue;
         }
-        if rejected.skips(&current.state, c, || {
-            !verdicts.full_check(&lubs.grow(&current.state, c.value), &mut *ext_of)
-        }) {
-            continue;
-        }
-        let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
-        if verdicts.admits(&mut candidate, &mut *ext_of) {
+        if let Some(mut candidate) = verdicts.probe(rejected, lubs, &current.state, c, ext_of) {
             let coverage = candidate.extension(&mut *ext_of).len();
             scored.push((c, candidate, coverage));
-        } else {
-            rejected.record(&current.state, c);
         }
     }
     let widest = |coverage: Option<usize>| coverage.unwrap_or(usize::MAX);
@@ -280,16 +272,9 @@ pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
             if current.holds(c, &mut *ext_of) {
                 continue; // covered by an earlier absorption this sweep
             }
-            if rejected.skips(&current.state, c, || {
-                !verdicts.full_check(&lubs.grow(&current.state, c.value), &mut *ext_of)
-            }) {
-                continue;
-            }
-            let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
-            if verdicts.admits(&mut candidate, &mut *ext_of) {
+            if let Some(candidate) = verdicts.probe(&mut rejected, lubs, &current.state, c, ext_of)
+            {
                 *current = candidate;
-            } else {
-                rejected.record(&current.state, c);
             }
         }
         if j + 1 < m {

@@ -43,15 +43,13 @@
 //! * Selection-free (Lemma 5.1): the growth data is a column mask. The
 //!   lub of two or more constants is the conjunction of the projections
 //!   `π_A(R)` that hold all of them, so the state keeps the mask of those
-//!   columns ([`LubState::column_mask`]), the AND of its support's column
-//!   signatures ([`LubState::column_signature`]). A step is a word AND,
-//!   and `c` is in the lub iff `sig(c) ⊇ mask`. A verdict tests the
-//!   maximal distinct signatures of `B_j`'s members against the grown
-//!   mask, not each member. Because a constant acts only through its
-//!   signature, a per-position memo of rejected signatures ([`Rejected`],
-//!   whose docs give the dominance argument) skips every later probe
-//!   whose signature a rejected one contains: each class of constants is
-//!   grown and judged at most once.
+//!   columns, the AND of its support's column signatures
+//!   ([`LubState::column_signature`]). A step is a word AND, and `c` is
+//!   in the lub iff `sig(c) ⊇ mask`. Because a constant acts only through
+//!   its signature, a per-position memo of rejected signatures
+//!   ([`Rejected`], whose docs give the dominance argument) skips every
+//!   later probe whose signature a rejected one contains: each class of
+//!   constants is grown and judged at most once.
 //! * With selections (Lemma 5.2): a probe is rejected at the first
 //!   member of `B_j` whose witness row lies inside every box of its lub.
 //!   Per box, the witness rows of all of `B_j`'s members are at most the
@@ -71,7 +69,6 @@
 
 use crate::whynot::{exts_form_explanation, AnswerIds, BlockedSet, Explanation, WhyNotInstance};
 use std::borrow::Borrow;
-use std::cell::OnceCell;
 use std::sync::Arc;
 use whynot_concepts::{kernels, Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
 use whynot_relation::{ConstPool, Instance, Value, ValueId};
@@ -244,9 +241,6 @@ pub(crate) struct Verdicts<'a, 'q, E> {
     /// `B_j`'s members as ids of `pool`; `None` sends every candidate
     /// down the extension route.
     members: Option<Vec<ValueId>>,
-    /// The maximal distinct column signatures of `B_j`'s members, read
-    /// off the first candidate that carries a covered-column mask.
-    member_signatures: OnceCell<Option<Signatures>>,
 }
 
 impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
@@ -265,7 +259,6 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
             pool,
             blocked,
             members,
-            member_signatures: OnceCell::new(),
         }
     }
 
@@ -278,8 +271,33 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
         }
     }
 
+    /// One growth probe: `state` (a state of the position `rejected`
+    /// belongs to) grown by `c`, returned iff the verdicts admit it.
+    /// A probe that `rejected` already decides is not grown; a rejected
+    /// one is recorded there.
+    pub(crate) fn probe<P: LubProvider + ?Sized>(
+        &self,
+        rejected: &mut Rejected,
+        lubs: &P,
+        state: &LubState,
+        c: Constant<'_>,
+        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+    ) -> Option<Grown> {
+        if rejected.skips(state, c, || {
+            !self.full_check(&lubs.grow(state, c.value), &mut *ext_of)
+        }) {
+            return None;
+        }
+        let mut candidate = Grown::new(lubs.grow(state, c.value));
+        if self.admits(&mut candidate, ext_of) {
+            return Some(candidate);
+        }
+        rejected.record(state, c);
+        None
+    }
+
     /// The verdict on a grown candidate whose lub holds `a_j`.
-    pub(crate) fn admits(
+    fn admits(
         &self,
         candidate: &mut Grown,
         ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
@@ -299,7 +317,7 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
     /// Definition 3.2 in full with position `j` replaced by `state`'s
     /// lub, its extension built for the check: the reference that debug
     /// builds hold every verdict and every memo skip to.
-    pub(crate) fn full_check(
+    fn full_check(
         &self,
         state: &LubState,
         ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
@@ -308,77 +326,22 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
             .full_check(self.exts, &state_extension(state, ext_of))
     }
 
-    /// Rejected iff the candidate's lub holds a member of `B_j`; `None`
-    /// without the members as ids or without growth data. A candidate
-    /// with a covered-column mask `G` holds the member `c` iff
-    /// `sig(c) ⊇ G`, so only the maximal distinct member signatures are
-    /// tested; any other candidate is tested member by member, rejected
-    /// at the first it holds. An empty `B_j` admits every candidate.
+    /// Rejected iff the candidate's lub holds a member of `B_j`, tested
+    /// member by member and rejected at the first it holds; `None`
+    /// without the members as ids or without growth data. An empty `B_j`
+    /// admits every candidate.
     fn by_membership(&self, state: &LubState) -> Option<bool> {
-        let members = self.members.as_ref()?;
-        let by_signature = state.column_mask().and_then(|mask| {
-            let sigs = self.member_signatures.get_or_init(|| {
-                let mut sigs = Signatures::default();
-                for &c in members {
-                    sigs.insert(state.column_signature(c)?);
-                }
-                Some(sigs)
-            });
-            Some(sigs.as_ref()?.covers(mask))
-        });
-        let held = match by_signature {
-            Some(held) => held,
-            None => match members
-                .iter()
-                .map(|&c| state.contains_id(c))
-                .find(|held| *held != Some(false))
-            {
-                Some(held) => held?,
-                None => false,
-            },
+        let held = match self
+            .members
+            .as_ref()?
+            .iter()
+            .map(|&c| state.contains_id(c))
+            .find(|held| *held != Some(false))
+        {
+            Some(held) => held?,
+            None => false,
         };
         Some(!held && self.blocked.others_hold())
-    }
-}
-
-/// A set of column signatures (see
-/// [`LubState::column_signature`]) kept as an antichain under `⊆`: a
-/// signature is [covered](Signatures::covers) iff some kept one contains
-/// it.
-#[derive(Debug, Default)]
-pub(crate) struct Signatures {
-    /// The kept signatures, `width` words each.
-    words: Vec<u64>,
-    width: usize,
-}
-
-impl Signatures {
-    /// Whether some kept signature is a superset of `sig`.
-    pub(crate) fn covers(&self, sig: &[u64]) -> bool {
-        self.width > 0
-            && self
-                .words
-                .chunks_exact(self.width)
-                .any(|kept| kernels::subset(sig, kept))
-    }
-
-    /// Adds `sig` unless a kept signature contains it; otherwise drops
-    /// the kept ones it contains.
-    pub(crate) fn insert(&mut self, sig: &[u64]) {
-        if self.covers(sig) {
-            return;
-        }
-        let width = sig.len();
-        let mut write = 0;
-        for read in (0..self.words.len()).step_by(width.max(1)) {
-            if !kernels::subset(&self.words[read..read + width], sig) {
-                self.words.copy_within(read..read + width, write);
-                write += width;
-            }
-        }
-        self.words.truncate(write);
-        self.words.extend_from_slice(sig);
-        self.width = width;
     }
 }
 
@@ -387,14 +350,14 @@ impl Signatures {
 /// most once.
 ///
 /// By Lemma 5.1 a selection-free lub of two or more constants is the
-/// conjunction of the projections its covered-column mask names
-/// ([`LubState::column_mask`]; a singleton's mask is its constant's
-/// signature), a step by `b` ANDs `sig(b)` into the mask
-/// ([`LubState::column_signature`]), and a mask with fewer columns has
-/// the larger extension. Every rejection the loops make is monotone in
-/// the extension: the lub meets the blocked set `B_j` (Algorithm 2,
-/// CHECK-MGE, the foil-aligned contrast), or it holds the missing
-/// constant (the contrast's difference sweep). So:
+/// conjunction of the projections named by its covered-column mask, the
+/// AND of its support's column signatures
+/// ([`LubState::column_signature`]). A step by `b` ANDs `sig(b)` into
+/// the mask, and a mask with fewer columns has the larger extension.
+/// Every rejection the loops make is monotone in the extension: the lub
+/// meets the blocked set `B_j` (Algorithm 2, CHECK-MGE, the foil-aligned
+/// contrast), or it holds the missing constant (the contrast's
+/// difference sweep). So:
 ///
 /// * a probe `b` rejected from a state with mask `M` leaves a grown mask
 ///   `M & sig(b)` whose lub is rejected;
@@ -406,13 +369,17 @@ impl Signatures {
 ///
 /// The loops therefore skip, without growing, every probe whose
 /// signature a recorded one contains, and keep only the maximal recorded
-/// signatures. States without signatures (lubσ, the recomputing default
-/// [`LubProvider`] bodies) record nothing and skip nothing, so their
-/// loops probe every constant. A constant outside the provider's pool
-/// has no id and is always probed. Debug builds grow every skipped probe
-/// and check that it is rejected.
+/// signatures, as an antichain under `⊆`. States without signatures
+/// (lubσ, the recomputing default [`LubProvider`] bodies) record nothing
+/// and skip nothing, so their loops probe every constant. A constant
+/// outside the provider's pool has no id and is always probed. Debug
+/// builds grow every skipped probe and check that it is rejected.
 #[derive(Debug, Default)]
-pub(crate) struct Rejected(Signatures);
+pub(crate) struct Rejected {
+    /// The maximal recorded signatures, `width` words each.
+    words: Vec<u64>,
+    width: usize,
+}
 
 impl Rejected {
     /// Whether a recorded rejection already decides the probe of `c`
@@ -427,7 +394,7 @@ impl Rejected {
     ) -> bool {
         let skip =
             c.id.and_then(|id| state.column_signature(id))
-                .is_some_and(|sig| self.0.covers(sig));
+                .is_some_and(|sig| self.covers(sig));
         debug_assert!(
             !skip || rejects(),
             "a probe a rejected signature dominates must be rejected"
@@ -438,8 +405,36 @@ impl Rejected {
     /// Records that the probe of `c` from `state` was rejected.
     pub(crate) fn record(&mut self, state: &LubState, c: Constant<'_>) {
         if let Some(sig) = c.id.and_then(|id| state.column_signature(id)) {
-            self.0.insert(sig);
+            self.insert(sig);
         }
+    }
+
+    /// Whether some recorded signature is a superset of `sig`.
+    fn covers(&self, sig: &[u64]) -> bool {
+        self.width > 0
+            && self
+                .words
+                .chunks_exact(self.width)
+                .any(|kept| kernels::subset(sig, kept))
+    }
+
+    /// Adds `sig` unless a recorded signature contains it; otherwise
+    /// drops the recorded ones it contains.
+    fn insert(&mut self, sig: &[u64]) {
+        if self.covers(sig) {
+            return;
+        }
+        let width = sig.len();
+        let mut write = 0;
+        for read in (0..self.words.len()).step_by(width.max(1)) {
+            if !kernels::subset(&self.words[read..read + width], sig) {
+                self.words.copy_within(read..read + width, write);
+                write += width;
+            }
+        }
+        self.words.truncate(write);
+        self.words.extend_from_slice(sig);
+        self.width = width;
     }
 }
 
@@ -523,18 +518,10 @@ fn grow_position<P: LubProvider + ?Sized, E: Borrow<Extension>>(
         if verdicts.blocks(b) || current.holds(b, &mut *ext_of) {
             continue;
         }
-        if rejected.skips(&current.state, b, || {
-            !verdicts.full_check(&lubs.grow(&current.state, b.value), &mut *ext_of)
-        }) {
-            continue;
-        }
         // Lines 6–9: the more general candidate at position j, kept
         // only if the tuple stays an explanation.
-        let mut candidate = Grown::new(lubs.grow(&current.state, b.value));
-        if verdicts.admits(&mut candidate, &mut *ext_of) {
+        if let Some(candidate) = verdicts.probe(&mut rejected, lubs, &current.state, b, ext_of) {
             *current = candidate;
-        } else {
-            rejected.record(&current.state, b);
         }
     }
 }
@@ -658,17 +645,13 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
             if inside || verdicts.blocks(b) {
                 continue;
             }
-            if rejected.skips(&state, b, || {
-                !verdicts.full_check(&lubs.grow(&state, b.value), &mut *ext_of)
-            }) {
-                continue;
-            }
             // Strictly more general by construction: ⊇ current ∪ {b}.
-            let mut candidate = Grown::new(lubs.grow(&state, b.value));
-            if verdicts.admits(&mut candidate, &mut *ext_of) {
+            if verdicts
+                .probe(&mut rejected, lubs, &state, b, ext_of)
+                .is_some()
+            {
                 return false;
             }
-            rejected.record(&state, b);
         }
     }
     true
