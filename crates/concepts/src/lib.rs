@@ -27,8 +27,10 @@
 //! * [`LubEngine`] — the pooled lub engine: each `(rel, attr)` column
 //!   interned exactly once, with lubs *grown* one constant at a time
 //!   ([`LubState`]; Lemma 5.1's covered flags and Lemma 5.2's minimal
-//!   boxes in [`ValueId`](whynot_relation::ValueId) space); the search
-//!   algorithms are generic over the [`LubProvider`] trait it implements,
+//!   boxes in [`ValueId`](whynot_relation::ValueId) space), whose states
+//!   every search algorithm grows; the [`LubProvider`] trait it
+//!   implements is its three from-scratch methods, kept for the
+//!   from-scratch contrast reference,
 //! * [`kernels`] — the shared bitset word ops every engine crate's hot
 //!   word loop runs on (one dense bit per pooled constant), and
 //! * [`irredundant`] / [`simplify`] — polynomial-time irredundant

@@ -74,11 +74,20 @@
 //! box — the lub degenerates to the nominal / `⊤`, the same answer the
 //! legacy path gives.
 //!
+//! Every state is built by the engine ([`LubEngine::start`],
+//! [`LubEngine::grow`], [`LubEngine::state_of`]), so every state carries
+//! growth data: membership is always decidable without the extension,
+//! and the extension is always buildable from the columns. The
+//! [`LubProvider`] trait is only the three from-scratch operations
+//! (`pool`, `try_lub`, `try_lub_sigma`); its one consumer is the
+//! from-scratch contrast reference in `whynot-core`, which a timing
+//! wrapper can drive instead of the engine.
+//!
 //! # Examples
 //!
 //! ```
 //! use std::collections::BTreeSet;
-//! use whynot_concepts::{lub, lub_sigma, LubEngine, LubKind, LubProvider};
+//! use whynot_concepts::{lub, lub_sigma, LubEngine, LubKind};
 //! use whynot_relation::{Instance, SchemaBuilder, Value};
 //!
 //! let mut b = SchemaBuilder::new();
@@ -156,43 +165,22 @@ struct Pending {
 /// `(rel, attr)` columns covering `S` (Lemma 5.1), or per column its
 /// minimal boxes in id space (Lemma 5.2).
 ///
-/// A state built by the pooled engine keeps no copy of `S`: only the
-/// nominal of a singleton support, which its lub keeps. It builds the
-/// lub's extension in the pool's id space from the same column data on
-/// the first [`extension`](LubState::extension) call, and assembles the
-/// lub's concept on the first [`concept`](LubState::concept) or
+/// A state keeps no copy of `S`: only the nominal of a singleton
+/// support, which its lub keeps. It builds the lub's extension in the
+/// pool's id space from the same column data on the first
+/// [`extension`](LubState::extension) call, and assembles the lub's
+/// concept on the first [`concept`](LubState::concept) or
 /// [`into_concept`](LubState::into_concept) call, so a probe decided by
 /// [`contains`](LubState::contains) or
 /// [`contains_id`](LubState::contains_id) builds neither.
 ///
-/// Opaque: obtained from [`LubProvider::start`], [`LubProvider::grow`]
-/// or [`LubProvider::state_of`], and only meaningful to the provider
-/// that built it. States are transient — they index the provider's pool
-/// generation and are not meant to outlive an instance mutation.
+/// Opaque: obtained from [`LubEngine::start`], [`LubEngine::grow`] or
+/// [`LubEngine::state_of`], and only meaningful to the engine that built
+/// it. States are transient — they index the engine's pool generation
+/// and are not meant to outlive an instance mutation.
 #[derive(Clone, Debug)]
 pub struct LubState {
     kind: LubKind,
-    growth: Growth,
-}
-
-/// How a state was built, and what it can be stepped from.
-#[derive(Clone, Debug)]
-enum Growth {
-    /// Built by a provider's default bodies (no column access): the
-    /// concept is computed up front, and every step refolds from the
-    /// support.
-    Recompute {
-        support: BTreeSet<Value>,
-        concept: LsConcept,
-    },
-    /// Built by the pooled engine from its interned columns.
-    Pooled(Pooled),
-}
-
-/// A pooled state's column data and its lazily built extension and
-/// concept.
-#[derive(Clone, Debug)]
-struct Pooled {
     /// The columns the data indexes (two `Arc`s; resolves ids to values
     /// when the concept is assembled).
     view: LubView,
@@ -228,74 +216,48 @@ impl LubState {
     /// The lub of the support: `lub_I(S)` or `lubσ_I(S)`, assembled on
     /// the first call.
     pub fn concept(&self) -> &LsConcept {
-        match &self.growth {
-            Growth::Recompute { concept, .. } => concept,
-            Growth::Pooled(p) => p
-                .concept
-                .get_or_init(|| p.view.assemble(p.nominal.as_ref(), &p.columns)),
-        }
+        self.concept
+            .get_or_init(|| self.view.assemble(self.nominal.as_ref(), &self.columns))
     }
 
     /// Consumes the state, keeping only its concept.
     pub fn into_concept(self) -> LsConcept {
-        match self.growth {
-            Growth::Recompute { concept, .. } => concept,
-            Growth::Pooled(p) => match p.concept.into_inner() {
-                Some(concept) => concept,
-                None => p.view.assemble(p.nominal.as_ref(), &p.columns),
-            },
+        match self.concept.into_inner() {
+            Some(concept) => concept,
+            None => self.view.assemble(self.nominal.as_ref(), &self.columns),
         }
     }
 
-    /// The lub's extension over the provider's pool, when the state
-    /// carries one: always for states built by the pooled engine (built
-    /// on the first call), never for states built by the recomputing
-    /// default bodies of [`LubProvider`] (evaluate their
-    /// [`concept`](LubState::concept) instead). The extension is shared:
-    /// cloning the `Arc` is a pointer copy.
-    pub fn extension(&self) -> Option<&Arc<Extension>> {
-        match &self.growth {
-            Growth::Recompute { .. } => None,
-            Growth::Pooled(p) => Some(
-                p.extension
-                    .get_or_init(|| Arc::new(p.view.extension(p.nominal.as_ref(), &p.columns))),
-            ),
-        }
+    /// The lub's extension over the engine's pool, built on the first
+    /// call. The extension is shared: cloning the `Arc` is a pointer
+    /// copy.
+    pub fn extension(&self) -> &Arc<Extension> {
+        self.extension
+            .get_or_init(|| Arc::new(self.view.extension(self.nominal.as_ref(), &self.columns)))
     }
 
     /// Whether `v` belongs to the lub's extension, decided from the
     /// growth data without building the extension: `v` is the singleton's
     /// nominal, or its signature contains the covered mask (Lemma 5.1), or
-    /// every minimal box holds a witness row of `v` (Lemma 5.2). `None`
-    /// for states built by the recomputing default bodies of
-    /// [`LubProvider`], which carry no growth data.
-    pub fn contains(&self, v: &Value) -> Option<bool> {
-        match &self.growth {
-            Growth::Recompute { .. } => None,
-            Growth::Pooled(p) => Some(p.view.contains(p.nominal.as_ref(), &p.columns, v)),
-        }
+    /// every minimal box holds a witness row of `v` (Lemma 5.2).
+    pub fn contains(&self, v: &Value) -> bool {
+        self.view.contains(self.nominal.as_ref(), &self.columns, v)
     }
 
     /// [`contains`](LubState::contains) for the value with id `id` in the
-    /// pool of the provider that built the state, with no pool lookup: a
+    /// pool of the engine that built the state, with no pool lookup: a
     /// bit probe when the extension is already built, otherwise the same
-    /// growth-data test keyed by the id. `None` for states built by the
-    /// recomputing default bodies of [`LubProvider`].
-    pub fn contains_id(&self, id: ValueId) -> Option<bool> {
-        match &self.growth {
-            Growth::Recompute { .. } => None,
-            Growth::Pooled(p) => Some(match p.extension.get() {
-                Some(ext) => ext.contains_in(&p.view.pool, id),
-                None => match &p.nominal {
-                    Some(x) => p.view.pool.value(id) == x,
-                    None => p.view.holds(&p.columns, id),
-                },
-            }),
+    /// growth-data test keyed by the id.
+    pub fn contains_id(&self, id: ValueId) -> bool {
+        match (self.extension.get(), &self.nominal) {
+            (Some(ext), _) => ext.contains_in(&self.view.pool, id),
+            (None, Some(x)) => self.view.pool.value(id) == x,
+            (None, None) => self.view.holds(&self.columns, id),
         }
     }
 
     /// The column signature of the value with id `id` in the pool of
-    /// the provider that built the state: one bit per `(rel, attr)`
+    /// the engine that built the state: one bit per `(rel, attr)`
     /// column in schema column order, set iff the column holds the
     /// value, in `⌈columns/64⌉` words (at least one). By Lemma 5.1 a
     /// constant affects a selection-free growth step only through its
@@ -304,18 +266,15 @@ impl LubState {
     /// judged, alike.
     ///
     /// `None` for states with selections (Lemma 5.2 reads witness rows,
-    /// not columns), for states built by the recomputing default bodies
-    /// of [`LubProvider`], and for an id past the pool's end. A pooled
-    /// value that occurs in no column has the zero signature.
+    /// not columns) and for an id past the pool's end. A pooled value
+    /// that occurs in no column has the zero signature.
     pub fn column_signature(&self, id: ValueId) -> Option<&[u64]> {
-        match &self.growth {
-            Growth::Pooled(p) if self.kind == LubKind::SelectionFree => p.view.signature(id),
-            _ => None,
+        match self.kind {
+            LubKind::SelectionFree => self.view.signature(id),
+            LubKind::WithSelections => None,
         }
     }
-}
 
-impl Pooled {
     /// Whether growing by `v` can skip the step because `v` is already
     /// in the extension: `v` is the nominal, or the extension is built
     /// and holds it. Stepping by an in-extension constant would rebuild
@@ -329,8 +288,9 @@ impl Pooled {
 /// `(schema, instance)` pair, with each `(rel, attr)` column interned
 /// into the shared pool exactly once.
 ///
-/// Lubs are computed by growth: the [`LubProvider`] methods start a
-/// [`LubState`] at a singleton and grow it one constant at a time
+/// Lubs are computed by growth: [`LubEngine::start`] builds a
+/// [`LubState`] at a singleton and [`LubEngine::grow`] grows it one
+/// constant at a time
 /// (Lemma 5.1's covered-column mask ANDed with the new constant's
 /// signature, Lemma 5.2's minimal boxes stretched to the new constant's
 /// witness rows), and a from-scratch lub is the fold
@@ -467,6 +427,25 @@ impl<'a> LubEngine<'a> {
     /// Non-panicking [`LubEngine::lub_sigma`]: `None` iff `x` is empty.
     pub fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
         self.view().fold_concept(LubKind::WithSelections, x)
+    }
+
+    /// The state of `lub(X)` under `kind`, the fold of growth steps over
+    /// `x`; `None` iff `x` is empty.
+    pub fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
+        self.view().fold(kind, x)
+    }
+
+    /// The state of the singleton support `{x}` — where every growth
+    /// loop starts.
+    pub fn start(&self, kind: LubKind, x: &Value) -> LubState {
+        self.view().start(kind, x)
+    }
+
+    /// The state of `lub(S ∪ {v})` grown from the state of `lub(S)` by
+    /// one step (Lemmas 5.1/5.2). A `v` already in `ext(lub(S))` leaves
+    /// the lub as it is.
+    pub fn grow(&self, state: &LubState, v: &Value) -> LubState {
+        self.view().grow(state, v)
     }
 
     /// `adom(I)` as ascending ids of the engine's pool (id order is
@@ -836,13 +815,11 @@ impl LubView {
     fn state(&self, kind: LubKind, nominal: Option<Value>, columns: Columns) -> LubState {
         LubState {
             kind,
-            growth: Growth::Pooled(Pooled {
-                view: self.clone(),
-                nominal,
-                columns,
-                extension: OnceCell::new(),
-                concept: OnceCell::new(),
-            }),
+            view: self.clone(),
+            nominal,
+            columns,
+            extension: OnceCell::new(),
+            concept: OnceCell::new(),
         }
     }
 
@@ -970,25 +947,15 @@ impl LubView {
 
     /// The state of `S ∪ {v}` stepped from the state of `S`. A `v` in
     /// `ext(lub(S))` leaves the lub as it is, so the state is returned
-    /// unchanged when that is cheap to tell ([`Pooled::absorbs`]);
+    /// unchanged when that is cheap to tell ([`LubState::absorbs`]);
     /// otherwise the step runs, and rebuilds the same data for such a
     /// `v`. Past the nominal check `S ∪ {v}` has at least two members,
     /// so the grown state keeps no nominal.
     fn grow(&self, state: &LubState, v: &Value) -> LubState {
-        let columns = match &state.growth {
-            Growth::Pooled(p) if p.absorbs(v) => return state.clone(),
-            Growth::Pooled(p) => self.step(&p.columns, v),
-            Growth::Recompute { support, .. } if support.contains(v) => return state.clone(),
-            // Built by the recomputing default bodies: no column data to
-            // step from, so fold the grown support instead (a lub does
-            // not depend on the order its support is folded in).
-            Growth::Recompute { support, .. } => {
-                support.iter().fold(self.seed(state.kind, v), |columns, u| {
-                    self.step(&columns, u)
-                })
-            }
-        };
-        self.state(state.kind, None, columns)
+        if state.absorbs(v) {
+            return state.clone();
+        }
+        self.state(state.kind, None, self.step(&state.columns, v))
     }
 }
 
@@ -997,71 +964,22 @@ fn singleton(x: &BTreeSet<Value>) -> Option<&Value> {
     x.first().filter(|_| x.len() == 1)
 }
 
-/// The lub interface the search algorithms are generic over: the pooled
-/// [`LubEngine`] implements it with growth steps, and wrappers (a timing
-/// shim, a test double) can implement just the from-scratch methods.
+/// The three from-scratch lub operations, as a trait so a wrapper (a
+/// timing shim) can stand in for the engine.
 ///
-/// Only the three from-scratch methods are required. The growth methods
-/// ([`start`](LubProvider::start), [`grow`](LubProvider::grow),
-/// [`state_of`](LubProvider::state_of)) default to recomputing through
-/// [`try_lub`](LubProvider::try_lub) /
-/// [`try_lub_sigma`](LubProvider::try_lub_sigma) on the grown support;
-/// the pooled engine overrides them with the Lemma 5.1/5.2 growth
-/// steps.
+/// The growth loops (Algorithm 2, CHECK-MGE, the contrast searches) run
+/// on [`LubEngine`]'s own states and do not use this trait. It remains
+/// for one consumer: `whynot_core::contrast_with`, the from-scratch
+/// contrast reference, which computes every lub it probes through these
+/// methods — and through it the benchmark's traced mirror, which times
+/// them.
 pub trait LubProvider {
-    /// The shared pool lub extensions and column bitsets index.
+    /// The shared pool lub extensions index.
     fn pool(&self) -> &Arc<ConstPool>;
     /// Non-panicking `lub_I(X)` (Lemma 5.1): `None` iff `x` is empty.
     fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept>;
     /// Non-panicking `lubσ_I(X)` (Lemma 5.2): `None` iff `x` is empty.
     fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept>;
-
-    /// The state of `lub(X)` under `kind`; `None` iff `x` is empty.
-    fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
-        let concept = match kind {
-            LubKind::SelectionFree => self.try_lub(x),
-            LubKind::WithSelections => self.try_lub_sigma(x),
-        }?;
-        Some(LubState {
-            kind,
-            growth: Growth::Recompute {
-                support: x.clone(),
-                concept,
-            },
-        })
-    }
-
-    /// The state of the singleton support `{x}` — where every growth
-    /// loop starts.
-    fn start(&self, kind: LubKind, x: &Value) -> LubState {
-        let support: BTreeSet<Value> = [x.clone()].into_iter().collect();
-        self.state_of(kind, &support)
-            // lint: allow(no-panic-in-lib) — `state_of` is `None` only for
-            // an empty support, and this one holds `x`.
-            .expect("singleton supports are non-empty")
-    }
-
-    /// The state of `lub(S ∪ {v})` grown from the state of `lub(S)`. A
-    /// `v` already in `ext(lub(S))` returns the state unchanged.
-    ///
-    /// The default body recomputes from the grown support. A pooled
-    /// state keeps no support, so it is refolded from the members of its
-    /// extension: `lub(ext(lub(S))) ≡ lub(S)`.
-    fn grow(&self, state: &LubState, v: &Value) -> LubState {
-        let mut support = match &state.growth {
-            Growth::Recompute { support, .. } if support.contains(v) => return state.clone(),
-            Growth::Recompute { support, .. } => support.clone(),
-            Growth::Pooled(_) => match state.extension().and_then(|e| e.as_finite()) {
-                Some(members) if !members.contains(v) => members.to_btree_set(),
-                // `⊤` or a member: absorbing `v` changes nothing.
-                _ => return state.clone(),
-            },
-        };
-        support.insert(v.clone());
-        self.state_of(state.kind, &support)
-            // lint: allow(no-panic-in-lib) — the grown support holds `v`.
-            .expect("grown supports are non-empty")
-    }
 }
 
 impl LubProvider for LubEngine<'_> {
@@ -1073,15 +991,6 @@ impl LubProvider for LubEngine<'_> {
     }
     fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
         LubEngine::try_lub_sigma(self, x)
-    }
-    fn state_of(&self, kind: LubKind, x: &BTreeSet<Value>) -> Option<LubState> {
-        self.view().fold(kind, x)
-    }
-    fn start(&self, kind: LubKind, x: &Value) -> LubState {
-        self.view().start(kind, x)
-    }
-    fn grow(&self, state: &LubState, v: &Value) -> LubState {
-        self.view().grow(state, v)
     }
 }
 
@@ -1461,26 +1370,10 @@ mod tests {
         assert_eq!(engine.image(cities).unwrap().len(), 9);
     }
 
-    /// A provider with only the three required methods: every growth
-    /// step goes through the recomputing default bodies.
-    struct Recomputing<'e>(&'e LubEngine<'e>);
-
-    impl LubProvider for Recomputing<'_> {
-        fn pool(&self) -> &Arc<ConstPool> {
-            self.0.pool()
-        }
-        fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-            self.0.try_lub(x)
-        }
-        fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-            self.0.try_lub_sigma(x)
-        }
-    }
-
     /// Folds growth over `x` in its own order and checks every prefix
     /// against the legacy free functions.
-    fn assert_growth_matches_legacy<P: LubProvider>(
-        p: &P,
+    fn assert_growth_matches_legacy(
+        engine: &LubEngine<'_>,
         schema: &Schema,
         inst: &Instance,
         x: &[Value],
@@ -1490,25 +1383,27 @@ mod tests {
                 LubKind::SelectionFree => lub(schema, inst, s),
                 LubKind::WithSelections => lub_sigma(schema, inst, s),
             };
-            // A carried extension is the assembled concept's extension.
+            // The built extension is the assembled concept's extension.
             let check_extension = |state: &LubState, prefix: &BTreeSet<Value>| {
-                if let Some(ext) = state.extension() {
-                    let expect = legacy(prefix).extension_in(inst, p.pool());
-                    assert_eq!(**ext, expect, "{kind:?} extension of {prefix:?}");
-                }
+                let expect = legacy(prefix).extension_in(inst, engine.pool());
+                assert_eq!(
+                    **state.extension(),
+                    expect,
+                    "{kind:?} extension of {prefix:?}"
+                );
             };
-            let mut state = p.start(kind, &x[0]);
+            let mut state = engine.start(kind, &x[0]);
             let mut prefix: BTreeSet<Value> = [x[0].clone()].into_iter().collect();
             check_extension(&state, &prefix);
             assert_eq!(state.concept(), &legacy(&prefix), "{kind:?} {prefix:?}");
             for v in &x[1..] {
-                state = p.grow(&state, v);
+                state = engine.grow(&state, v);
                 prefix.insert(v.clone());
                 check_extension(&state, &prefix);
                 assert_eq!(state.concept(), &legacy(&prefix), "{kind:?} {prefix:?}");
             }
             assert_eq!(
-                p.state_of(kind, &prefix).map(LubState::into_concept),
+                engine.state_of(kind, &prefix).map(LubState::into_concept),
                 Some(legacy(&prefix))
             );
         }
@@ -1529,30 +1424,7 @@ mod tests {
         ];
         for x in &orders {
             assert_growth_matches_legacy(&engine, &schema, &inst, x);
-            assert_growth_matches_legacy(&Recomputing(&engine), &schema, &inst, x);
         }
-    }
-
-    #[test]
-    fn engine_states_carry_extensions_and_default_states_do_not() {
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-            let pooled = engine.grow(&engine.start(kind, &s("Berlin")), &s("Rome"));
-            assert!(pooled.extension().is_some());
-            let foreign = Recomputing(&engine).start(kind, &s("Berlin"));
-            assert!(foreign.extension().is_none());
-            // Growing a foreign state through the engine refolds it into
-            // a pooled one.
-            assert!(engine.grow(&foreign, &s("Rome")).extension().is_some());
-        }
-        // Two constants sharing no column: the lub is ⊤.
-        let top = engine.grow(
-            &engine.start(LubKind::SelectionFree, &s("Berlin")),
-            &Value::int(59_946),
-        );
-        assert_eq!(top.extension().map(|e| &**e), Some(&Extension::Universal));
-        assert!(top.concept().is_top());
     }
 
     #[test]
@@ -1569,8 +1441,7 @@ mod tests {
                 let fresh = state.clone();
                 let by_id = id.map(|id| fresh.contains_id(id));
                 let decided = fresh.contains(v);
-                let ext = state.extension().expect("pooled states carry one");
-                let expect = Some(ext.contains(v));
+                let expect = state.extension().contains(v);
                 assert_eq!(decided, expect, "{what}: {v:?}");
                 if let Some(id) = id {
                     assert_eq!(by_id, Some(expect), "{what}: id of {v:?}");
@@ -1581,71 +1452,24 @@ mod tests {
         for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
             // A singleton holds exactly its nominal, pooled or not.
             let berlin = engine.start(kind, &s("Berlin"));
-            assert_eq!(berlin.contains(&s("Berlin")), Some(true));
-            assert_eq!(berlin.contains(&s("Rome")), Some(false));
+            assert!(berlin.contains(&s("Berlin")));
+            assert!(!berlin.contains(&s("Rome")));
             agree(&berlin, "{Berlin}");
             let nowhere = engine.start(kind, &s("nowhere"));
-            assert_eq!(nowhere.contains(&s("nowhere")), Some(true));
+            assert!(nowhere.contains(&s("nowhere")));
             agree(&nowhere, "{nowhere}");
-            // ⊤ holds everything, a constant outside the pool included.
+            // Two constants sharing no column: the lub is ⊤, which holds
+            // everything, a constant outside the pool included.
             let top = engine.grow(&berlin, &Value::int(59_946));
-            assert_eq!(top.contains(&s("nowhere")), Some(true));
+            assert!(top.contains(&s("nowhere")));
             agree(&top, "⊤");
+            assert_eq!(**top.extension(), Extension::Universal);
+            assert!(top.concept().is_top());
             let mut state = berlin;
             for v in ["Rome", "Amsterdam", "Tokyo", "nowhere"] {
                 state = engine.grow(&state, &s(v));
                 agree(&state, v);
             }
-            // States of the recomputing default bodies carry no growth
-            // data to decide from.
-            let foreign = Recomputing(&engine).start(kind, &s("Berlin"));
-            assert_eq!(foreign.contains(&s("Berlin")), None);
-            let berlin_id = engine.pool().id_of(&s("Berlin")).unwrap();
-            assert_eq!(foreign.contains_id(berlin_id), None);
-        }
-    }
-
-    #[test]
-    fn default_grow_refolds_a_pooled_state_from_its_extension() {
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        let cases: [(&[Value], Value); 6] = [
-            (&[s("Berlin")], s("Rome")),
-            (&[s("Berlin"), s("Rome")], s("Amsterdam")),
-            (&[s("Santa Cruz"), s("New York")], s("Tokyo")),
-            (&[s("Berlin"), s("Rome")], s("nowhere")),
-            // Absorbed: a member, and anything into ⊤.
-            (&[s("Berlin")], s("Berlin")),
-            (&[s("Berlin"), Value::int(59_946)], s("Tokyo")),
-        ];
-        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-            let legacy = |x: &BTreeSet<Value>| match kind {
-                LubKind::SelectionFree => lub(&schema, &inst, x),
-                LubKind::WithSelections => lub_sigma(&schema, &inst, x),
-            };
-            for (support, v) in &cases {
-                let support: BTreeSet<Value> = support.iter().cloned().collect();
-                let pooled = engine.state_of(kind, &support).unwrap();
-                let grown = Recomputing(&engine).grow(&pooled, v);
-                let mut x = support.clone();
-                x.insert(v.clone());
-                let expect = legacy(&x);
-                assert_eq!(grown.concept(), &expect, "{kind:?} {x:?}");
-                let ext = state_ext(&grown, &inst, engine.pool());
-                assert_eq!(
-                    ext,
-                    expect.extension_in(&inst, engine.pool()),
-                    "{kind:?} {x:?}"
-                );
-            }
-        }
-    }
-
-    /// A state's extension, carried or evaluated from its concept.
-    fn state_ext(state: &LubState, inst: &Instance, pool: &Arc<ConstPool>) -> Extension {
-        match state.extension() {
-            Some(ext) => (**ext).clone(),
-            None => state.concept().extension_in(inst, pool),
         }
     }
 
@@ -1764,12 +1588,8 @@ mod tests {
     /// The covered-column mask of a selection-free pooled state whose
     /// support has two or more constants.
     fn column_mask(state: &LubState) -> Option<&[u64]> {
-        match &state.growth {
-            Growth::Pooled(Pooled {
-                nominal: None,
-                columns: Columns::Covered(mask),
-                ..
-            }) => Some(mask),
+        match (&state.nominal, &state.columns) {
+            (None, Columns::Covered(mask)) => Some(mask),
             _ => None,
         }
     }
@@ -1822,11 +1642,6 @@ mod tests {
                 assert_eq!(column_mask(&unpooled), Some(&[0u64; 2][..width]));
                 assert!(unpooled.concept().is_top());
             }
-            // States of the recomputing default bodies carry no signatures.
-            let foreign = Recomputing(&engine).start(LubKind::SelectionFree, &adom[0]);
-            assert_eq!(foreign.column_signature(ghost), None);
-            let grown = Recomputing(&engine).grow(&foreign, &adom[1]);
-            assert_eq!(column_mask(&grown), None);
         }
         // The wide relation's lubs still match the legacy free function.
         let x: BTreeSet<Value> = [Value::int(0), Value::int(1)].into_iter().collect();
@@ -1834,17 +1649,5 @@ mod tests {
             LubEngine::new(&wide_schema, &wide_inst).lub(&x),
             lub(&wide_schema, &wide_inst, &x)
         );
-    }
-
-    #[test]
-    fn foreign_states_are_refolded() {
-        // A state built by the recomputing default bodies carries no
-        // column data; the pooled provider refolds it and still agrees.
-        let (schema, inst) = paper_fixture();
-        let engine = LubEngine::new(&schema, &inst);
-        let foreign = Recomputing(&engine).start(LubKind::WithSelections, &s("Berlin"));
-        let grown = engine.grow(&foreign, &s("Rome"));
-        let x: BTreeSet<Value> = [s("Berlin"), s("Rome")].into_iter().collect();
-        assert_eq!(grown.concept(), &lub_sigma(&schema, &inst, &x));
     }
 }

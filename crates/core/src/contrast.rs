@@ -55,22 +55,28 @@
 //!    (see `WhyNotSession::contrast_ontology_difference`); the free
 //!    function here is the plain reference used to pin it.
 //!
-//! The session front-end (caching keyed by `(query, a, b)`) lives in
-//! [`session`](crate::session); the OBDA variant over certain answers is
-//! [`obda_contrast`](crate::obda_contrast). The brute-force reference the
-//! fast paths are pinned against is test support (`tests/support/`).
+//! Both sweeps run on the pooled lub engine's growth states, in the
+//! session ([`session`](crate::session)) and in the one-shot
+//! [`contrast_instance`] alike. `contrast_with` is the same two sweeps
+//! written from scratch — every probed lub computed afresh from its
+//! support through a [`LubProvider`], every extension evaluated, every
+//! foil-aligned verdict the full Definition 3.2 check — and must answer
+//! exactly as the engine does; the tests and the benchmark's traced
+//! mirror compare the two. The OBDA variant over certain answers is
+//! [`obda_contrast`](crate::obda_contrast). The brute-force reference
+//! the fast paths are pinned against is test support (`tests/support/`).
 
-use crate::incremental::{adom_ids, beyond_adom, Constant, Grown, Rejected, Verdicts};
+use crate::incremental::{restriction, Constant, Rejected, Verdicts};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
 use crate::whynot::{exts_form_explanation, AnswerIds, Explanation};
 use crate::EvalContext;
 use std::borrow::Borrow;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider};
-use whynot_relation::{
-    AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value, ValueId,
-};
+use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
+use whynot_relation::{AnswerRows, ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// A contrastive why-not question: why is `missing` not among the
 /// answers of `query` while `foil` is?
@@ -114,38 +120,13 @@ pub struct ContrastAnswer {
     pub foil_mge: Option<Explanation<LsConcept>>,
 }
 
-/// The growth-constant set of a contrastive search, borrowed in
-/// ascending value order: `K = adom(I) ∪ ā`, Prop 5.1's restriction and
-/// the same set CHECK-MGE W.R.T. `OI` probes (the foil's constants are
-/// answers, hence already active-domain members). `adom` holds ascending
-/// ids of `pool` (id order is value order); the missing tuple's
-/// constants outside it are merged in, so no value is cloned.
-pub(crate) fn restriction<'a>(
-    pool: &'a ConstPool,
-    adom: &[ValueId],
-    missing: &'a Tuple,
-) -> Vec<Constant<'a>> {
-    let mut beyond = beyond_adom(pool, adom, missing).into_iter().peekable();
-    let mut k = Vec::with_capacity(adom.len() + missing.len());
-    for &id in adom {
-        let c = Constant::pooled(pool, id);
-        while let Some(b) = beyond.next_if(|&b| b < c.value) {
-            k.push(Constant::of(pool, b));
-        }
-        k.push(c);
-    }
-    k.extend(beyond.map(|b| Constant::of(pool, b)));
-    k
-}
-
 /// One position's difference explanation: grows the separator's support
 /// from `{foil_i}`, absorbing each constant of `k` whose lub still
 /// excludes `missing_i`. Returns `None` iff already the seed lub
 /// captures `missing_i` (then every grown lub does too — supports only
 /// grow, lubs only generalize). Every probe, and every test of whether a
 /// constant is already inside the lub, is a membership test on the
-/// state's growth data, so a pooled state never builds its extension; a
-/// state without growth data has its extension evaluated once.
+/// state's growth data, so no state builds its extension.
 ///
 /// A rejection here means the grown lub holds `missing_i`, which is
 /// monotone in the extension. So for a selection-free state a rejected
@@ -154,39 +135,38 @@ pub(crate) fn restriction<'a>(
 /// rejected one, and its lub's extension a superset, holding
 /// `missing_i` too. Such probes are skipped without growing (see
 /// [`Rejected`]).
-pub(crate) fn difference_core<P: LubProvider + ?Sized>(
+pub(crate) fn difference_core(
     k: &[Constant<'_>],
     missing_i: &Value,
     foil_i: &Value,
-    lubs: &P,
+    engine: &LubEngine<'_>,
     kind: LubKind,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<LsConcept> {
-    let missing = Constant::of(lubs.pool(), missing_i);
-    let mut current = Grown::new(lubs.start(kind, foil_i));
-    if current.holds(missing, &mut *ext_of) {
+    let missing = Constant::of(engine.pool(), missing_i);
+    let mut current = engine.start(kind, foil_i);
+    if missing.in_lub(&current) {
         return None;
     }
     let mut rejected = Rejected::default();
     for &c in k {
-        if c.value == missing_i || current.holds(c, &mut *ext_of) {
+        if c.value == missing_i || c.in_lub(&current) {
             // Absorbing `missing_i` puts it in the extension outright;
             // absorbing an in-extension value cannot change the lub.
             continue;
         }
-        if rejected.skips(&current.state, c, || {
-            Grown::new(lubs.grow(&current.state, c.value)).holds(missing, &mut *ext_of)
+        if rejected.skips(&current, c, || {
+            missing.in_lub(&engine.grow(&current, c.value))
         }) {
             continue;
         }
-        let mut candidate = Grown::new(lubs.grow(&current.state, c.value));
-        if candidate.holds(missing, &mut *ext_of) {
-            rejected.record(&current.state, c);
+        let candidate = engine.grow(&current, c.value);
+        if missing.in_lub(&candidate) {
+            rejected.record(&current, c);
         } else {
             current = candidate;
         }
     }
-    Some(current.state.into_concept())
+    Some(current.into_concept())
 }
 
 /// Ranks the growth candidates for one position of the foil-aligned
@@ -198,31 +178,30 @@ pub(crate) fn difference_core<P: LubProvider + ?Sized>(
 /// `rejected`, which also skips the probes they dominate, and which the
 /// absorb loop keeps using. Only the admitted candidates build their
 /// extensions, to be ordered by them.
-fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
+fn rank_candidates<'k, E: Borrow<Extension>>(
     k: &[Constant<'k>],
-    current: &mut Grown,
+    current: &LubState,
     verdicts: &Verdicts<'_, '_, E>,
     rejected: &mut Rejected,
-    lubs: &P,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-) -> Vec<(Constant<'k>, Grown)> {
-    let mut scored: Vec<(Constant<'k>, Grown, Option<usize>)> = Vec::new();
+    engine: &LubEngine<'_>,
+) -> Vec<(Constant<'k>, LubState)> {
+    let mut scored: Vec<(Constant<'k>, LubState)> = Vec::new();
     for &c in k {
-        if verdicts.blocks(c) || current.holds(c, &mut *ext_of) {
+        if verdicts.blocks(c) || c.in_lub(current) {
             continue;
         }
-        if let Some(mut candidate) = verdicts.probe(rejected, lubs, &current.state, c, ext_of) {
-            let coverage = candidate.extension(&mut *ext_of).len();
-            scored.push((c, candidate, coverage));
+        if let Some(candidate) = verdicts.probe(rejected, engine, current, c) {
+            scored.push((c, candidate));
         }
     }
-    let widest = |coverage: Option<usize>| coverage.unwrap_or(usize::MAX);
-    scored.sort_by(|(ca, _, ea), (cb, _, eb)| {
-        widest(*eb)
-            .cmp(&widest(*ea))
-            .then_with(|| ca.value.cmp(cb.value))
+    // Widest first, ⊤ widest; ties by ascending value.
+    scored.sort_by_cached_key(|(c, candidate)| {
+        (
+            Reverse(candidate.extension().len().unwrap_or(usize::MAX)),
+            c.value,
+        )
     });
-    scored.into_iter().map(|(c, g, _)| (c, g)).collect()
+    scored
 }
 
 /// The foil-aligned MGE: Algorithm 2's growth loop over the residual
@@ -235,76 +214,68 @@ fn rank_candidates<'k, P: LubProvider + ?Sized, E: Borrow<Extension>>(
 /// when a later position's blocked set reads it. Returns `None` iff the
 /// seed lubs are not an explanation — they are the least foil-aligned
 /// candidate, so nothing more general can be one either.
-pub(crate) fn foil_mge_core<P: LubProvider + ?Sized>(
+pub(crate) fn foil_mge_core(
     k: &[Constant<'_>],
     q: &AnswerIds<'_>,
     foil: &Tuple,
-    lubs: &P,
+    engine: &LubEngine<'_>,
     kind: LubKind,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Option<Explanation<LsConcept>> {
     let m = q.arity();
-    let mut states: Vec<Grown> = q
+    let mut states: Vec<LubState> = q
         .tuple()
         .iter()
         .zip(foil)
-        .map(|(a, b)| Grown::new(lubs.grow(&lubs.start(kind, a), b)))
+        .map(|(a, b)| engine.grow(&engine.start(kind, a), b))
         .collect();
-    let mut exts: Vec<Arc<Extension>> = states
-        .iter_mut()
-        .map(|s| s.extension(&mut *ext_of))
-        .collect();
+    let mut exts: Vec<Arc<Extension>> = states.iter().map(|s| Arc::clone(s.extension())).collect();
     if !exts_form_explanation(&exts, q) {
         return None;
     }
     for j in 0..m {
-        let verdicts = Verdicts::new(&exts, j, q, lubs.pool());
+        let verdicts = Verdicts::new(&exts, j, q, engine.pool());
         let current = &mut states[j];
         // The absorbed masks only lose columns from the seed's, so the
         // ranking's rejections keep deciding the probes they dominate.
         let mut rejected = Rejected::default();
-        let mut ranked =
-            rank_candidates(k, current, &verdicts, &mut rejected, lubs, ext_of).into_iter();
+        let mut ranked = rank_candidates(k, current, &verdicts, &mut rejected, engine).into_iter();
         if let Some((_, widest)) = ranked.next() {
             *current = widest;
         }
         for (c, _) in ranked {
-            if current.holds(c, &mut *ext_of) {
+            if c.in_lub(current) {
                 continue; // covered by an earlier absorption this sweep
             }
-            if let Some(candidate) = verdicts.probe(&mut rejected, lubs, &current.state, c, ext_of)
-            {
+            if let Some(candidate) = verdicts.probe(&mut rejected, engine, current, c) {
                 *current = candidate;
             }
         }
         if j + 1 < m {
-            exts[j] = states[j].extension(ext_of);
+            exts[j] = Arc::clone(states[j].extension());
         }
     }
     Some(Explanation::new(
-        states.into_iter().map(|s| s.state.into_concept()),
+        states.into_iter().map(LubState::into_concept),
     ))
 }
 
 /// Both halves of the lub-derived contrastive answer over the residual
-/// question's answer ids (they must already exclude the foil), a lub provider
-/// and a caller-supplied extension function — the seam the session's
-/// engine and the one-shot provider both plug into.
-pub(crate) fn contrast_core<P: LubProvider + ?Sized>(
+/// question's answer ids (they must already exclude the foil) and the
+/// lub engine — the cores the session and [`contrast_instance`] run.
+pub(crate) fn contrast_core(
     k: &[Constant<'_>],
     q: &AnswerIds<'_>,
     foil: &Tuple,
-    lubs: &P,
+    engine: &LubEngine<'_>,
     kind: LubKind,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> ContrastAnswer {
     let difference = q
         .tuple()
         .iter()
         .zip(foil)
-        .map(|(a, b)| difference_core(k, a, b, lubs, kind, ext_of))
+        .map(|(a, b)| difference_core(k, a, b, engine, kind))
         .collect();
-    let foil_mge = foil_mge_core(k, q, foil, lubs, kind, ext_of);
+    let foil_mge = foil_mge_core(k, q, foil, engine, kind);
     ContrastAnswer {
         difference,
         foil_mge,
@@ -339,9 +310,9 @@ pub(crate) fn validate_contrast(
         .ok_or_else(|| SessionError::FoilNotAnswer(foil.clone()))
 }
 
-/// One-shot contrastive answer over a bare `(schema, instance)` pair —
-/// the reference the session path is differentially pinned against. Builds a fresh pooled [`LubEngine`] (columns interned once
-/// for the whole search) and runs both cores.
+/// One-shot contrastive answer over a bare `(schema, instance)` pair.
+/// Builds a fresh pooled [`LubEngine`] (columns interned once for the
+/// whole search) and runs both cores, as the session does.
 pub fn contrast_instance(
     schema: &Schema,
     instance: &Instance,
@@ -349,16 +320,56 @@ pub fn contrast_instance(
     kind: LubKind,
 ) -> Result<ContrastAnswer, SessionError> {
     let pool = instance.const_pool_with(question.missing.iter().cloned());
+    let (rows, foil) = bind(schema, instance, &pool, question)?;
     let engine = LubEngine::with_pool(schema, instance, Arc::clone(&pool));
-    contrast_with(&engine, schema, instance, &pool, question, kind)
+    let k = restriction(&pool, &engine.adom(), &question.missing);
+    let ids = AnswerIds::over(&rows, Some(foil), &question.missing);
+    Ok(contrast_core(&k, &ids, &question.foil, &engine, kind))
 }
 
-/// [`contrast_instance`] over a caller-built lub provider — a
-/// [`LubEngine`] or a wrapper around one, such as a timing shim — and its
-/// constant pool. Results are identical to [`contrast_instance`] by lub
-/// purity (the pool only affects interning, never extensions). The pool
-/// must intern the instance's constants; the question's own constants
-/// may or may not be pooled.
+/// Validates `question` and evaluates its query into answer rows over
+/// `pool`; returns them with the foil's row.
+fn bind(
+    schema: &Schema,
+    instance: &Instance,
+    pool: &Arc<ConstPool>,
+    question: &ContrastQuestion,
+) -> Result<(AnswerRows, usize), SessionError> {
+    question.query.validate(schema)?;
+    let ans = question.query.eval(instance);
+    let rows = AnswerRows::from_tuples(Arc::clone(pool), question.query.arity(), &ans);
+    let foil = validate_contrast(&question.query, &question.missing, &question.foil, &rows)?;
+    Ok((rows, foil))
+}
+
+/// The from-scratch contrast reference: the answer of
+/// [`contrast_instance`], computed with no growth state at all. Every lub
+/// it probes is computed afresh from its support through `provider`'s
+/// [`try_lub`](LubProvider::try_lub) /
+/// [`try_lub_sigma`](LubProvider::try_lub_sigma), every extension is
+/// evaluated with [`LsConcept::extension_in`] over `pool`, and every
+/// foil-aligned verdict is Definition 3.2 in full
+/// ([`exts_form_explanation`]). `K = adom(I) ∪ ā` is swept in ascending
+/// value order.
+///
+/// * Difference separators: the support starts at `{b_i}` (`None` when
+///   its lub holds `a_i`); each `c ∈ K` other than `a_i` and outside the
+///   current lub joins it iff the lub of the grown support excludes
+///   `a_i`.
+/// * Foil-aligned MGE: the supports start at `{a_j, b_j}` (`None` when
+///   their lubs are not an explanation of `Ans \ {b}`); per position, the
+///   constants outside the current lub whose grown lub keeps the tuple
+///   an explanation are ranked by extension size, widest first (`⊤`
+///   widest), ties by ascending value. The widest joins, then the rest
+///   are re-probed in rank order, each joining iff it is outside the
+///   current lub and its grown lub keeps the tuple an explanation.
+///
+/// The pool must intern the instance's constants; the question's own
+/// constants may or may not be pooled. The result equals
+/// [`contrast_instance`]'s exactly; the tests and the benchmark's traced
+/// mirror (a timing [`LubProvider`]) check that. It moves to test
+/// support once the benchmark stops calling it.
+#[doc(hidden)]
 pub fn contrast_with<P: LubProvider + ?Sized>(
     provider: &P,
     schema: &Schema,
@@ -367,21 +378,104 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     question: &ContrastQuestion,
     kind: LubKind,
 ) -> Result<ContrastAnswer, SessionError> {
-    question.query.validate(schema)?;
-    let ans = question.query.eval(instance);
-    let rows = AnswerRows::from_tuples(Arc::clone(pool), question.query.arity(), &ans);
-    let foil = validate_contrast(&question.query, &question.missing, &question.foil, &rows)?;
-    let adom = adom_ids(pool, instance);
-    let k = restriction(pool, &adom, &question.missing);
+    let (rows, foil) = bind(schema, instance, pool, question)?;
     let ids = AnswerIds::over(&rows, Some(foil), &question.missing);
-    Ok(contrast_core(
-        &k,
-        &ids,
-        &question.foil,
-        provider,
-        kind,
-        &mut |c| c.extension_in(instance, pool),
-    ))
+    let mut k = instance.active_domain();
+    k.extend(question.missing.iter().cloned());
+    let lub = |support: BTreeSet<Value>| {
+        let concept = match kind {
+            LubKind::SelectionFree => provider.try_lub(&support),
+            LubKind::WithSelections => provider.try_lub_sigma(&support),
+        }
+        // lint: allow(no-panic-in-lib) — every support probed holds a
+        // seed constant.
+        .expect("non-empty support");
+        let ext = concept.extension_in(instance, pool);
+        Lub {
+            support,
+            concept,
+            ext,
+        }
+    };
+    let grown = |current: &Lub, c: &Value| {
+        let mut support = current.support.clone();
+        support.insert(c.clone());
+        lub(support)
+    };
+    let difference = question
+        .missing
+        .iter()
+        .zip(&question.foil)
+        .map(|(a, b)| {
+            let mut current = lub([b.clone()].into_iter().collect());
+            if current.ext.contains(a) {
+                return None;
+            }
+            for c in &k {
+                if c == a || current.ext.contains(c) {
+                    continue;
+                }
+                let candidate = grown(&current, c);
+                if !candidate.ext.contains(a) {
+                    current = candidate;
+                }
+            }
+            Some(current.concept)
+        })
+        .collect();
+    let mut lubs: Vec<Lub> = question
+        .missing
+        .iter()
+        .zip(&question.foil)
+        .map(|(a, b)| lub([a.clone(), b.clone()].into_iter().collect()))
+        .collect();
+    let explains = |lubs: &[Lub], j: usize, candidate: &Extension| {
+        let exts: Vec<&Extension> = lubs
+            .iter()
+            .enumerate()
+            .map(|(i, l)| if i == j { candidate } else { &l.ext })
+            .collect();
+        exts_form_explanation(&exts, &ids)
+    };
+    let seeds: Vec<&Extension> = lubs.iter().map(|l| &l.ext).collect();
+    let foil_mge = exts_form_explanation(&seeds, &ids).then(|| {
+        for j in 0..lubs.len() {
+            let mut ranked: Vec<(&Value, Lub)> = k
+                .iter()
+                .filter(|c| !lubs[j].ext.contains(c))
+                .map(|c| (c, grown(&lubs[j], c)))
+                .filter(|(_, candidate)| explains(&lubs, j, &candidate.ext))
+                .collect();
+            ranked.sort_by_cached_key(|(c, candidate)| {
+                (Reverse(candidate.ext.len().unwrap_or(usize::MAX)), *c)
+            });
+            let mut ranked = ranked.into_iter();
+            if let Some((_, widest)) = ranked.next() {
+                lubs[j] = widest;
+            }
+            for (c, _) in ranked {
+                if lubs[j].ext.contains(c) {
+                    continue;
+                }
+                let candidate = grown(&lubs[j], c);
+                if explains(&lubs, j, &candidate.ext) {
+                    lubs[j] = candidate;
+                }
+            }
+        }
+        Explanation::new(lubs.into_iter().map(|l| l.concept))
+    });
+    Ok(ContrastAnswer {
+        difference,
+        foil_mge,
+    })
+}
+
+/// One lub of [`contrast_with`]: its support, concept and extension.
+struct Lub {
+    support: BTreeSet<Value>,
+    concept: LsConcept,
+    ext: Extension,
 }
 
 /// Whether `a`'s extension is a subset of `b`'s (⊤ absorbs everything; a

@@ -16,12 +16,11 @@
 //!   deduplicates by extension tuple, so every returned explanation is a
 //!   checked MGE, but completeness of the enumeration is not guaranteed.
 
-use crate::incremental::{adom_ids, position_major, state_extension};
+use crate::incremental::{position_major, restriction, Constant};
 use crate::whynot::{exts_form_explanation, AnswerIds, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::ValueId;
+use whynot_concepts::{Extension, LsConcept, LubEngine, LubKind, LubState};
 
 /// Algorithm 2 with round-robin growth: positions absorb constants in an
 /// interleaved order, so no position can monopolize the generalization
@@ -32,47 +31,43 @@ pub fn incremental_search_balanced(wn: &WhyNotInstance, kind: LubKind) -> Explan
     let positions: Vec<usize> = (0..wn.arity()).collect();
     let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
-    grow_with_order(wn, kind, &engine, &engine.adom(), &positions, true)
+    let k = restriction(engine.pool(), &engine.adom(), &wn.tuple);
+    grow_with_order(wn, kind, &engine, &k, &positions, true)
 }
 
 /// The shared growth engine: processes `(position, constant)` pairs either
 /// round-robin (`balanced`) or position-major like the paper, visiting
-/// positions in the supplied order and constants (ids of the provider's
-/// pool) in `order`. The caller supplies the lub provider so reruns under
-/// permuted orders (the MGE enumeration) share one set of interned
-/// columns. Position-major growth is Algorithm 2's own loop
+/// positions in the supplied order and constants in `order`. The caller
+/// supplies the lub engine so reruns under permuted orders (the MGE
+/// enumeration) share one set of interned columns. Position-major growth is Algorithm 2's own loop
 /// ([`position_major`]), each probe decided against the position's
 /// blocked set; round-robin growth changes the other positions between
 /// probes, so it runs the full Definition 3.2 check.
-fn grow_with_order<P: LubProvider + ?Sized>(
+fn grow_with_order(
     wn: &WhyNotInstance,
     kind: LubKind,
-    lubs: &P,
-    order: &[ValueId],
+    engine: &LubEngine<'_>,
+    order: &[Constant<'_>],
     positions: &[usize],
     balanced: bool,
 ) -> Explanation<LsConcept> {
     debug_assert_eq!(positions.len(), wn.arity());
     // One interned pool per growth run (see `incremental_search_kind`),
     // shared with the lub engine's column sets.
-    let pool = lubs.pool();
+    let pool = engine.pool();
     let q = &AnswerIds::new(pool, &wn.ans, &wn.tuple);
-    let mut ext_of = |c: &LsConcept| c.extension_in(&wn.instance, pool);
     if !balanced {
-        return position_major(order, positions, q, lubs, kind, &mut ext_of);
+        return position_major(order, positions, q, engine, kind);
     }
-    let mut states: Vec<LubState> = wn.tuple.iter().map(|a| lubs.start(kind, a)).collect();
-    let mut exts: Vec<Arc<Extension>> = states
-        .iter()
-        .map(|s| state_extension(s, &mut ext_of))
-        .collect();
+    let mut states: Vec<LubState> = wn.tuple.iter().map(|a| engine.start(kind, a)).collect();
+    let mut exts: Vec<Arc<Extension>> = states.iter().map(|s| Arc::clone(s.extension())).collect();
     for &b in order {
         for &j in positions {
-            if exts[j].contains_in(pool, b) {
+            if exts[j].contains(b.value) {
                 continue;
             }
-            let candidate = lubs.grow(&states[j], pool.value(b));
-            let saved = std::mem::replace(&mut exts[j], state_extension(&candidate, &mut ext_of));
+            let candidate = engine.grow(&states[j], b.value);
+            let saved = std::mem::replace(&mut exts[j], Arc::clone(candidate.extension()));
             if exts_form_explanation(&exts, q) {
                 states[j] = candidate;
             } else {
@@ -98,36 +93,12 @@ pub fn enumerate_mges_instance(
     // One lub engine for the whole enumeration: every rerun under a
     // permuted growth order probes the same interned column sets.
     let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
-    enumerate_core(&engine, &engine.adom(), wn, kind, tries)
-}
-
-/// [`enumerate_mges_instance`] over a caller-built lub provider, whose
-/// pool must intern the instance's constants; the result is the same. A
-/// test seam, like [`incremental_search_with`](crate::incremental_search_with).
-#[doc(hidden)]
-pub fn enumerate_mges_with<P: LubProvider + ?Sized>(
-    lubs: &P,
-    wn: &WhyNotInstance,
-    kind: LubKind,
-    tries: usize,
-) -> Vec<Explanation<LsConcept>> {
-    enumerate_core(lubs, &adom_ids(lubs.pool(), &wn.instance), wn, kind, tries)
-}
-
-/// The enumeration over `lubs`, with `adom(I)` as ascending ids of its
-/// pool in `base`.
-fn enumerate_core<P: LubProvider + ?Sized>(
-    lubs: &P,
-    base: &[ValueId],
-    wn: &WhyNotInstance,
-    kind: LubKind,
-    tries: usize,
-) -> Vec<Explanation<LsConcept>> {
-    let pool = lubs.pool();
+    let pool = engine.pool();
+    let base = restriction(pool, &engine.adom(), &wn.tuple);
     let mut seen: BTreeSet<Vec<Extension>> = BTreeSet::new();
     let mut out: Vec<Explanation<LsConcept>> = Vec::new();
     for t in 0..tries.max(1) {
-        let order = permuted_domain(base, t);
+        let order = permuted_domain(&base, t);
         // Rotate the position-visit order too: which position gets to
         // absorb constants first determines which maximal tuple the
         // greedy converges to.
@@ -135,7 +106,7 @@ fn enumerate_core<P: LubProvider + ?Sized>(
         for rot in 0..m {
             let positions: Vec<usize> = (0..wn.arity()).map(|j| (j + rot) % m).collect();
             for balanced in [true, false] {
-                let e = grow_with_order(wn, kind, lubs, &order, &positions, balanced);
+                let e = grow_with_order(wn, kind, &engine, &order, &positions, balanced);
                 let key: Vec<Extension> = e
                     .concepts
                     .iter()

@@ -3,8 +3,8 @@
 //! without materializing it.
 //!
 //! The algorithm maintains a *support set* `Xj` per position, starting at
-//! the singleton `{aj}`, and repeatedly tries to grow it by one active-
-//! domain constant; the candidate concept is always `lub_I(Xj)` — the
+//! the singleton `{aj}`, and repeatedly tries to grow it by one constant
+//! of `K = adom(I) ∪ ā`; the candidate concept is always `lub_I(Xj)` — the
 //! least concept containing the support set — so accepting a growth step
 //! can only generalize. [`incremental_search`] works in selection-free
 //! `LS` (Theorem 5.3: PTIME); [`incremental_search_with_selections`] uses
@@ -21,8 +21,12 @@
 //! columns behind the steps are interned once per run.
 //!
 //! A probe stays in id space end to end. The growth constants are
-//! `adom(I)` as ascending pool ids, read off the engine's column bits
-//! ([`LubEngine::adom`](whynot_concepts::LubEngine::adom)), and the
+//! Prop 5.1's `K = adom(I) ∪ ā` ([`restriction`]): `adom(I)` as
+//! ascending pool ids, read off the engine's column bits
+//! ([`LubEngine::adom`](whynot_concepts::LubEngine::adom)), with the
+//! missing tuple's other constants merged in. Such a constant occurs in
+//! no column, so growing by it reaches `⊤` — the one generalization left
+//! when a column holds all of `adom(I)`, which CHECK-MGE probes too. The
 //! question's answers are resolved to pool ids once ([`AnswerIds`]).
 //!
 //! **The blocked-set check.** While the loop grows position `j`, every
@@ -35,10 +39,10 @@
 //! every lub containing it is rejected. CHECK-MGE replaces one position
 //! at a time, so it decides its probes the same way.
 //!
-//! **Membership, not extensions.** A grown state answers "is `c` in my
-//! lub?" from its growth data ([`LubState::contains_id`]), and "is `b`
-//! already in the lub?" is the same test. Neither builds the candidate's
-//! extension.
+//! **Membership, not extensions.** Every state is the engine's, so a
+//! grown state answers "is `c` in my lub?" from its growth data
+//! ([`LubState::contains_id`]), and "is `b` already in the lub?" is the
+//! same test. Neither builds the candidate's extension.
 //!
 //! * Selection-free (Lemma 5.1): the growth data is a column mask. The
 //!   lub of two or more constants is the conjunction of the projections
@@ -59,19 +63,19 @@
 //!
 //! A position's final state builds its extension only when a later
 //! position's blocked set reads it, and its concept is assembled only at
-//! the end. States from a provider's recomputing default bodies carry no
-//! growth data and no signatures: their concepts are evaluated once per
-//! state and probed as extensions ([`Verdicts`] picks the route per
-//! candidate), and their loops probe every constant. Debug builds
-//! cross-check every verdict, membership ones included, against the full
-//! [`exts_form_explanation`] on the built extensions, and grow every
-//! probe the memo skips to check that it is rejected.
+//! the end. Every state comes from the pooled engine, so every probe is
+//! decided from growth data; only a blocked set with a member outside
+//! the engine's pool (a query head constant the pool does not intern)
+//! sends its candidates to their built extensions ([`Verdicts`]). Debug
+//! builds cross-check every verdict, membership ones included, against
+//! the full [`exts_form_explanation`] on the built extensions, and grow
+//! every probe the memo skips to check that it is rejected.
 
 use crate::whynot::{exts_form_explanation, AnswerIds, BlockedSet, Explanation, WhyNotInstance};
 use std::borrow::Borrow;
 use std::sync::Arc;
-use whynot_concepts::{kernels, Extension, LsConcept, LubEngine, LubKind, LubProvider, LubState};
-use whynot_relation::{ConstPool, Instance, Value, ValueId};
+use whynot_concepts::{kernels, Extension, LsConcept, LubEngine, LubKind, LubState};
+use whynot_relation::{ConstPool, Value, ValueId};
 
 /// Algorithm 2 (INCREMENTAL SEARCH): a most-general explanation for the
 /// why-not instance w.r.t. `OI` in selection-free `LS` (Theorem 5.3).
@@ -100,58 +104,13 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     let pool = inst.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
     let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
-    incremental_search_core(&engine.adom(), &ids, &engine, kind, &mut |c| {
-        c.extension_in(inst, &pool)
-    })
-}
-
-/// [`incremental_search_kind`] over a caller-built lub provider — a
-/// [`LubEngine`] or a wrapper around one — whose pool must intern the
-/// instance's constants (the tuple's may or may not be pooled). Results
-/// are identical to [`incremental_search_kind`]: a provider with only the
-/// three required [`LubProvider`] methods decides every probe from
-/// evaluated extensions, the pooled engine from its growth data.
-///
-/// A test seam for comparing the two routes; not part of the documented
-/// API.
-#[doc(hidden)]
-pub fn incremental_search_with<P: LubProvider + ?Sized>(
-    lubs: &P,
-    wn: &WhyNotInstance,
-    kind: LubKind,
-) -> Explanation<LsConcept> {
-    let pool = lubs.pool();
-    let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
-    incremental_search_core(&adom_ids(pool, &wn.instance), &ids, lubs, kind, &mut |c| {
-        c.extension_in(&wn.instance, pool)
-    })
-}
-
-/// `adom(I)` as ascending ids of `pool`, which interns it.
-pub(crate) fn adom_ids(pool: &ConstPool, inst: &Instance) -> Vec<ValueId> {
-    inst.active_domain()
-        .iter()
-        .filter_map(|v| pool.id_of(v))
-        .collect()
-}
-
-/// A growth state's extension: the one a pooled state carries (shared,
-/// not copied), or `ext_of` over its concept for a state built by the
-/// recomputing default [`LubProvider`] bodies.
-pub(crate) fn state_extension(
-    state: &LubState,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-) -> Arc<Extension> {
-    match state.extension() {
-        Some(ext) => Arc::clone(ext),
-        None => Arc::new(ext_of(state.concept())),
-    }
+    incremental_search_core(&engine.adom(), &ids, &engine, kind)
 }
 
 /// One growth constant of a search: its value and its id in the
-/// provider's pool (`None` for a tuple constant the pool does not
+/// engine's pool (`None` for a tuple constant the pool does not
 /// intern).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct Constant<'a> {
     pub(crate) value: &'a Value,
     pub(crate) id: Option<ValueId>,
@@ -173,50 +132,15 @@ impl<'a> Constant<'a> {
             id: pool.id_of(value),
         }
     }
-}
 
-/// A growth loop's state at one position. A state built by the pooled
-/// engine decides membership from its growth data and builds its
-/// extension only when asked. A state built by the recomputing default
-/// [`LubProvider`] bodies carries neither; `ext_of` evaluates its concept
-/// once, on the first membership question, and the extension is kept
-/// here.
-pub(crate) struct Grown {
-    pub(crate) state: LubState,
-    ext: Option<Arc<Extension>>,
-}
-
-impl Grown {
-    pub(crate) fn new(state: LubState) -> Self {
-        Grown { state, ext: None }
-    }
-
-    /// The state's extension (see [`state_extension`]), built or
-    /// evaluated at most once.
-    pub(crate) fn extension(
-        &mut self,
-        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-    ) -> Arc<Extension> {
-        let state = &self.state;
-        Arc::clone(
-            self.ext
-                .get_or_insert_with(|| state_extension(state, ext_of)),
-        )
-    }
-
-    /// Whether `c` lies in the state's lub: decided from the growth data
-    /// ([`LubState::contains_id`], or [`LubState::contains`] for an
-    /// unpooled constant), or read off the evaluated extension.
-    pub(crate) fn holds(
-        &mut self,
-        c: Constant<'_>,
-        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-    ) -> bool {
-        let decided = match c.id {
-            Some(id) => self.state.contains_id(id),
-            None => self.state.contains(c.value),
-        };
-        decided.unwrap_or_else(|| self.extension(ext_of).contains(c.value))
+    /// Whether the constant lies in `state`'s lub, decided from the
+    /// growth data ([`LubState::contains_id`], or [`LubState::contains`]
+    /// for an unpooled constant).
+    pub(crate) fn in_lub(self, state: &LubState) -> bool {
+        match self.id {
+            Some(id) => state.contains_id(id),
+            None => state.contains(self.value),
+        }
     }
 }
 
@@ -226,14 +150,13 @@ impl Grown {
 ///
 /// A candidate grown from a support holding `a_j` holds `a_j`, and the
 /// loops keep the other positions' constants in their extensions, so a
-/// candidate is admitted iff its lub holds no member of `B_j`. For a
-/// pooled candidate that is decided member by member from the growth
-/// data ([`LubState::contains_id`]), rejecting at the first member it
-/// holds, and its extension is never built. A candidate without growth
-/// data, or a `B_j` with a member outside the provider's pool, takes the
-/// extension route: the candidate's extension against
-/// [`BlockedSet::admits`]. Debug builds check every verdict against the
-/// full Definition 3.2 on the built extensions.
+/// candidate is admitted iff its lub holds no member of `B_j`. That is
+/// decided member by member from the growth data
+/// ([`LubState::contains_id`]), rejecting at the first member it holds,
+/// and the candidate's extension is never built. A `B_j` with a member
+/// outside the engine's pool takes the extension route: the candidate's
+/// extension against [`BlockedSet::admits`]. Debug builds check every
+/// verdict against the full Definition 3.2 on the built extensions.
 pub(crate) struct Verdicts<'a, 'q, E> {
     exts: &'a [E],
     pool: &'a Arc<ConstPool>,
@@ -245,7 +168,7 @@ pub(crate) struct Verdicts<'a, 'q, E> {
 
 impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
     /// The verdicts at position `j` of `q`, the other positions fixed at
-    /// `exts`, for states of a provider over `pool`.
+    /// `exts`, for states of an engine over `pool`.
     pub(crate) fn new(
         exts: &'a [E],
         j: usize,
@@ -275,21 +198,18 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
     /// belongs to) grown by `c`, returned iff the verdicts admit it.
     /// A probe that `rejected` already decides is not grown; a rejected
     /// one is recorded there.
-    pub(crate) fn probe<P: LubProvider + ?Sized>(
+    pub(crate) fn probe(
         &self,
         rejected: &mut Rejected,
-        lubs: &P,
+        engine: &LubEngine<'_>,
         state: &LubState,
         c: Constant<'_>,
-        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-    ) -> Option<Grown> {
-        if rejected.skips(state, c, || {
-            !self.full_check(&lubs.grow(state, c.value), &mut *ext_of)
-        }) {
+    ) -> Option<LubState> {
+        if rejected.skips(state, c, || !self.full_check(&engine.grow(state, c.value))) {
             return None;
         }
-        let mut candidate = Grown::new(lubs.grow(state, c.value));
-        if self.admits(&mut candidate, ext_of) {
+        let candidate = engine.grow(state, c.value);
+        if self.admits(&candidate) {
             return Some(candidate);
         }
         rejected.record(state, c);
@@ -297,51 +217,31 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
     }
 
     /// The verdict on a grown candidate whose lub holds `a_j`.
-    fn admits(
-        &self,
-        candidate: &mut Grown,
-        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-    ) -> bool {
-        if let Some(verdict) = self.by_membership(&candidate.state) {
-            // On a copy, so the checked state keeps its extension unbuilt.
-            debug_assert_eq!(
-                verdict,
-                self.full_check(&candidate.state.clone(), &mut *ext_of),
-                "membership verdict disagrees with Definition 3.2"
-            );
-            return verdict;
+    fn admits(&self, candidate: &LubState) -> bool {
+        match &self.members {
+            Some(members) => {
+                // Rejected at the first member of `B_j` the lub holds; an
+                // empty `B_j` admits every candidate.
+                let verdict = !members.iter().any(|&c| candidate.contains_id(c))
+                    && self.blocked.others_hold();
+                // On a copy, so the checked state keeps its extension
+                // unbuilt.
+                debug_assert_eq!(
+                    verdict,
+                    self.full_check(&candidate.clone()),
+                    "membership verdict disagrees with Definition 3.2"
+                );
+                verdict
+            }
+            None => self.blocked.admits(self.exts, candidate.extension()),
         }
-        self.blocked.admits(self.exts, &candidate.extension(ext_of))
     }
 
     /// Definition 3.2 in full with position `j` replaced by `state`'s
     /// lub, its extension built for the check: the reference that debug
     /// builds hold every verdict and every memo skip to.
-    fn full_check(
-        &self,
-        state: &LubState,
-        ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
-    ) -> bool {
-        self.blocked
-            .full_check(self.exts, &state_extension(state, ext_of))
-    }
-
-    /// Rejected iff the candidate's lub holds a member of `B_j`, tested
-    /// member by member and rejected at the first it holds; `None`
-    /// without the members as ids or without growth data. An empty `B_j`
-    /// admits every candidate.
-    fn by_membership(&self, state: &LubState) -> Option<bool> {
-        let held = match self
-            .members
-            .as_ref()?
-            .iter()
-            .map(|&c| state.contains_id(c))
-            .find(|held| *held != Some(false))
-        {
-            Some(held) => held?,
-            None => false,
-        };
-        Some(!held && self.blocked.others_hold())
+    fn full_check(&self, state: &LubState) -> bool {
+        self.blocked.full_check(self.exts, state.extension())
     }
 }
 
@@ -370,10 +270,10 @@ impl<'a, 'q, E: Borrow<Extension>> Verdicts<'a, 'q, E> {
 /// The loops therefore skip, without growing, every probe whose
 /// signature a recorded one contains, and keep only the maximal recorded
 /// signatures, as an antichain under `⊆`. States without signatures
-/// (lubσ, the recomputing default [`LubProvider`] bodies) record nothing
-/// and skip nothing, so their loops probe every constant. A constant
-/// outside the provider's pool has no id and is always probed. Debug
-/// builds grow every skipped probe and check that it is rejected.
+/// (lubσ) record nothing and skip nothing, so their loops probe every
+/// constant. A constant outside the engine's pool has no id and is
+/// always probed. Debug builds grow every skipped probe and check that
+/// it is rejected.
 #[derive(Debug, Default)]
 pub(crate) struct Rejected {
     /// The maximal recorded signatures, `width` words each.
@@ -439,48 +339,40 @@ impl Rejected {
 }
 
 /// Algorithm 2's growth loop over `adom(I)` as ascending ids of the
-/// provider's pool, a borrowed question, a lub provider and a
-/// caller-supplied extension function: [`position_major`] over the
-/// positions in order.
-pub(crate) fn incremental_search_core<P: LubProvider + ?Sized>(
+/// engine's pool, a borrowed question and the lub engine:
+/// [`position_major`] over the positions in order, sweeping
+/// [`restriction`]'s `K = adom(I) ∪ ā`.
+pub(crate) fn incremental_search_core(
     adom: &[ValueId],
     q: &AnswerIds<'_>,
-    lubs: &P,
+    engine: &LubEngine<'_>,
     kind: LubKind,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Explanation<LsConcept> {
+    let k = restriction(engine.pool(), adom, q.tuple());
     let positions: Vec<usize> = (0..q.arity()).collect();
-    position_major(adom, &positions, q, lubs, kind, ext_of)
+    position_major(&k, &positions, q, engine, kind)
 }
 
 /// Algorithm 2 position by position, in the order `positions` lists
-/// them, each position sweeping `order` (ids of the provider's pool)
-/// with [`grow_position`]. Supports start at the singletons `{a_j}`.
+/// them, each position sweeping the constants `order` with
+/// [`grow_position`]. Supports start at the singletons `{a_j}`.
 ///
 /// A position's blocked set reads the other positions' extensions: the
 /// starts (nominals) of the positions not yet swept, and the final
 /// states of those already swept. So a final state builds its extension
 /// only when a later position reads it, and the last position's final
 /// state builds none. A concept is assembled only for the final states.
-pub(crate) fn position_major<P: LubProvider + ?Sized>(
-    order: &[ValueId],
+pub(crate) fn position_major(
+    order: &[Constant<'_>],
     positions: &[usize],
     q: &AnswerIds<'_>,
-    lubs: &P,
+    engine: &LubEngine<'_>,
     kind: LubKind,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> Explanation<LsConcept> {
     // Lines 2–3: support sets start at the singletons {aj}; the first
     // candidate explanation is their lubs.
-    let mut states: Vec<Grown> = q
-        .tuple()
-        .iter()
-        .map(|a| Grown::new(lubs.start(kind, a)))
-        .collect();
-    let mut exts: Vec<Arc<Extension>> = states
-        .iter_mut()
-        .map(|s| s.extension(&mut *ext_of))
-        .collect();
+    let mut states: Vec<LubState> = q.tuple().iter().map(|a| engine.start(kind, a)).collect();
+    let mut exts: Vec<Arc<Extension>> = states.iter().map(|s| Arc::clone(s.extension())).collect();
     debug_assert!(
         exts_form_explanation(&exts, q),
         "the nominal-based start must be an explanation"
@@ -489,51 +381,50 @@ pub(crate) fn position_major<P: LubProvider + ?Sized>(
     // fixed while position j grows, so line 9's check is against B_j
     // alone.
     for (i, &j) in positions.iter().enumerate() {
-        let verdicts = Verdicts::new(&exts, j, q, lubs.pool());
-        grow_position(lubs, &mut states[j], &verdicts, order, ext_of);
+        let verdicts = Verdicts::new(&exts, j, q, engine.pool());
+        grow_position(engine, &mut states[j], &verdicts, order);
         if i + 1 < positions.len() {
-            exts[j] = states[j].extension(ext_of);
+            exts[j] = Arc::clone(states[j].extension());
         }
     }
-    Explanation::new(states.into_iter().map(|s| s.state.into_concept()))
+    Explanation::new(states.into_iter().map(LubState::into_concept))
 }
 
-/// Algorithm 2's lines 4–11 at one position: sweeps `order` (ids of the
-/// provider's pool), skips each constant in `B_j`, already in the
+/// Algorithm 2's lines 4–11 at one position: sweeps `order`, skips each constant in `B_j`, already in the
 /// position's lub or dominated by a rejected signature ([`Rejected`]),
 /// and keeps each grown candidate the verdicts admit.
-fn grow_position<P: LubProvider + ?Sized, E: Borrow<Extension>>(
-    lubs: &P,
-    current: &mut Grown,
+fn grow_position<E: Borrow<Extension>>(
+    engine: &LubEngine<'_>,
+    current: &mut LubState,
     verdicts: &Verdicts<'_, '_, E>,
-    order: &[ValueId],
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
+    order: &[Constant<'_>],
 ) {
-    let pool = lubs.pool();
     let mut rejected = Rejected::default();
     for &b in order {
         // Line 5's set difference, re-evaluated live; a blocked
         // constant would put an answer into the product.
-        let b = Constant::pooled(pool, b);
-        if verdicts.blocks(b) || current.holds(b, &mut *ext_of) {
+        if verdicts.blocks(b) || b.in_lub(current) {
             continue;
         }
         // Lines 6–9: the more general candidate at position j, kept
         // only if the tuple stays an explanation.
-        if let Some(candidate) = verdicts.probe(&mut rejected, lubs, &current.state, b, ext_of) {
+        if let Some(candidate) = verdicts.probe(&mut rejected, engine, current, b) {
             *current = candidate;
         }
     }
 }
 
-/// The constants of `tuple` outside `adom` (ascending ids of `pool`),
-/// deduplicated in ascending value order: the part of Prop 5.1's
-/// `K = adom(I) ∪ ā` that the active domain does not list.
-pub(crate) fn beyond_adom<'a>(
-    pool: &ConstPool,
+/// Prop 5.1's `K = adom(I) ∪ ā`, the growth constants of every search,
+/// borrowed in ascending value order. `adom` holds ascending ids of
+/// `pool` (id order is value order); the tuple's constants outside it are
+/// merged in, so no value is cloned. A tuple constant outside `adom(I)`
+/// occurs in no column, so growing a lub by it yields `⊤`: the loops
+/// reach `⊤` through it even where a column holds all of `adom(I)`.
+pub(crate) fn restriction<'a>(
+    pool: &'a ConstPool,
     adom: &[ValueId],
     tuple: &'a [Value],
-) -> Vec<&'a Value> {
+) -> Vec<Constant<'a>> {
     let mut beyond: Vec<&Value> = tuple
         .iter()
         .filter(|a| {
@@ -543,7 +434,17 @@ pub(crate) fn beyond_adom<'a>(
         .collect();
     beyond.sort_unstable();
     beyond.dedup();
-    beyond
+    let mut beyond = beyond.into_iter().peekable();
+    let mut k = Vec::with_capacity(adom.len() + tuple.len());
+    for &id in adom {
+        let c = Constant::pooled(pool, id);
+        while let Some(b) = beyond.next_if(|&b| b < c.value) {
+            k.push(Constant::of(pool, b));
+        }
+        k.push(c);
+    }
+    k.extend(beyond.map(|b| Constant::of(pool, b)));
+    k
 }
 
 /// CHECK-MGE W.R.T. `OI` (Definition 5.7, Proposition 5.2): whether `e`
@@ -555,82 +456,45 @@ pub(crate) fn beyond_adom<'a>(
 /// selection-free `LS` and (by Lemma 5.2) for bounded schema arity with
 /// selections.
 pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind: LubKind) -> bool {
-    let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
-    let engine = LubEngine::with_pool(&wn.schema, &wn.instance, pool);
-    check_mge_with(&engine, &engine.adom(), wn, e, kind)
-}
-
-/// [`check_mge_instance`] over a caller-built lub provider (see
-/// [`incremental_search_with`]); the answer is the same. A test seam,
-/// like [`incremental_search_with`].
-#[doc(hidden)]
-pub fn check_mge_instance_with<P: LubProvider + ?Sized>(
-    lubs: &P,
-    wn: &WhyNotInstance,
-    e: &Explanation<LsConcept>,
-    kind: LubKind,
-) -> bool {
-    check_mge_with(lubs, &adom_ids(lubs.pool(), &wn.instance), wn, e, kind)
-}
-
-/// The one-shot CHECK-MGE over `lubs`, with `adom(I)` as ascending ids of
-/// its pool.
-fn check_mge_with<P: LubProvider + ?Sized>(
-    lubs: &P,
-    adom: &[ValueId],
-    wn: &WhyNotInstance,
-    e: &Explanation<LsConcept>,
-    kind: LubKind,
-) -> bool {
-    let (inst, pool) = (&wn.instance, lubs.pool());
-    let ids = AnswerIds::new(pool, &wn.ans, &wn.tuple);
+    let inst = &wn.instance;
+    let pool = inst.const_pool_with(wn.tuple.iter().cloned());
+    let engine = LubEngine::with_pool(&wn.schema, inst, Arc::clone(&pool));
+    let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
     let exts: Vec<Extension> = e
         .concepts
         .iter()
-        .map(|c| c.extension_in(inst, pool))
+        .map(|c| c.extension_in(inst, &pool))
         .collect();
-    if !exts_form_explanation(&exts, &ids) {
-        return false;
-    }
-    check_mge_instance_core(adom, &ids, &exts, lubs, kind, &mut |c| {
-        c.extension_in(inst, pool)
-    })
+    exts_form_explanation(&exts, &ids)
+        && check_mge_instance_core(&engine.adom(), &ids, &exts, &engine, kind)
 }
 
 /// The generalization-probe loop of CHECK-MGE W.R.T. `OI`, over `adom(I)`
-/// as ascending ids of the provider's pool, a borrowed question, the
-/// extensions `exts` of the checked explanation's concepts, a lub
-/// provider and a caller-supplied extension function. Assumes the caller
-/// has already verified that `exts` form an explanation (the probes only
-/// decide maximality). The probed constants are Prop 5.1's
-/// `K = adom(I) ∪ ā`. Each position's state is the fold over `ext(Cj)`,
+/// as ascending ids of the engine's pool, a borrowed question, the
+/// extensions `exts` of the checked explanation's concepts and the lub
+/// engine. Assumes the caller has already verified that `exts` form an
+/// explanation (the probes only decide maximality). The probed constants
+/// are Prop 5.1's `K = adom(I) ∪ ā` ([`restriction`]). Each position's state is the fold over `ext(Cj)`,
 /// and every probe grows it by one constant and is decided by the
 /// position's [`Verdicts`]: a pooled candidate never builds its
 /// extension, and a selection-free probe whose signature a rejected one
 /// contains is not grown at all ([`Rejected`]).
-pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
+pub(crate) fn check_mge_instance_core(
     adom: &[ValueId],
     q: &AnswerIds<'_>,
     exts: &[Extension],
-    lubs: &P,
+    engine: &LubEngine<'_>,
     kind: LubKind,
-    ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> bool {
-    let pool = lubs.pool();
-    // The tuple's constants outside adom(I), the rest of K.
-    let beyond_adom = beyond_adom(pool, adom, q.tuple());
-    let k = adom
-        .iter()
-        .map(|&id| Constant::pooled(pool, id))
-        .chain(beyond_adom.into_iter().map(|v| Constant::of(pool, v)));
-    let k: Vec<Constant<'_>> = k.collect();
+    let pool = engine.pool();
+    let k = restriction(pool, adom, q.tuple());
     for j in 0..exts.len() {
         // The universal extension (⊤) cannot be generalized.
         let Some(current) = exts[j].as_finite() else {
             continue;
         };
         // Defined: an explanation's extension holds its tuple's constant.
-        let Some(state) = lubs.state_of(kind, &current.to_btree_set()) else {
+        let Some(state) = engine.state_of(kind, &current.to_btree_set()) else {
             continue;
         };
         let verdicts = Verdicts::new(exts, j, q, pool);
@@ -646,10 +510,7 @@ pub(crate) fn check_mge_instance_core<P: LubProvider + ?Sized>(
                 continue;
             }
             // Strictly more general by construction: ⊇ current ∪ {b}.
-            if verdicts
-                .probe(&mut rejected, lubs, &state, b, ext_of)
-                .is_some()
-            {
+            if verdicts.probe(&mut rejected, engine, &state, b).is_some() {
                 return false;
             }
         }
@@ -807,6 +668,38 @@ mod tests {
         let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
         let ids = AnswerIds::new(&pool, &wn.ans, &wn.tuple);
         assert!(exts_form_explanation(&exts, &ids));
+    }
+
+    #[test]
+    fn incremental_reaches_top_through_a_tuple_constant_outside_adom() {
+        // q(X, Y) <- R(X), R(Y) over R = {a, b}: every pair of adom(I)
+        // answers. Why not (ghost, a)? Position 0 stays {ghost}: any
+        // growth is ⊤, which meets the answer (a, a). With it fixed,
+        // position 1's blocked set is empty, so it may reach ⊤. From
+        // adom(I) alone it gets only to π_x(R), whose extension is all
+        // of adom(I); growing by `ghost` (in K = adom(I) ∪ ā, in no
+        // column) is the step to ⊤ that CHECK-MGE finds.
+        let mut b = SchemaBuilder::new();
+        let r = b.relation("R", ["x"]);
+        let schema = b.finish().unwrap();
+        let mut inst = Instance::new();
+        inst.insert(r, vec![s("a")]);
+        inst.insert(r, vec![s("b")]);
+        let (x, y) = (Var(0), Var(1));
+        let q = Ucq::single(Cq::new(
+            [Term::Var(x), Term::Var(y)],
+            [Atom::new(r, [Term::Var(x)]), Atom::new(r, [Term::Var(y)])],
+            [],
+        ));
+        let wn = WhyNotInstance::new(schema, inst, q, vec![s("ghost"), s("a")]).unwrap();
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            let e = incremental_search_kind(&wn, kind);
+            assert_eq!(e.concepts[0], LsConcept::nominal(s("ghost")), "{kind:?}");
+            assert!(e.concepts[1].is_top(), "{kind:?}: {e:?}");
+            assert!(check_mge_instance(&wn, &e, kind), "{kind:?}");
+            let column = Explanation::new([LsConcept::nominal(s("ghost")), LsConcept::proj(r, 0)]);
+            assert!(!check_mge_instance(&wn, &column, kind), "{kind:?}");
+        }
     }
 
     #[test]

@@ -58,9 +58,10 @@
 //!
 //! | Item | Machinery | Paper anchor |
 //! |------|-----------|--------------|
-//! | [`ContrastQuestion`], [`contrast_instance`], [`contrast_with`], [`ontology_difference`] | difference separators + foil-aligned MGEs via Algorithm 2's lub growth | §5.2 (Theorem 5.3, Prop 5.2) |
+//! | [`ContrastQuestion`], [`contrast_instance`], [`ontology_difference`] | difference separators + foil-aligned MGEs via Algorithm 2's lub growth on the lub engine's states | §5.2 (Theorem 5.3, Prop 5.2) |
 //! | [`WhyNotSession::contrast`], [`WhyNotSession::contrast_ontology_difference`] | the same answers over a session's cached answer sets, lub columns and conflict bitsets | as above |
 //! | [`obda_contrast`] | contrast over ontology-level queries under certain-answer semantics | §4.2 (Definition 4.4) + the concluding OBDA future-work scenario |
+//! | `contrast_with` (hidden) | the same greedy sweeps over from-scratch lubs, evaluated extensions and the full Definition 3.2 check, pinned equal to [`contrast_instance`] | as above |
 //! | `tests/support/reference.rs` | brute-force subset-lub enumeration the fast paths are differentially pinned against | Definitions 3.2/3.3 applied literally over `K = adom(I) ∪ ā` (Prop 5.1) |
 
 #![warn(missing_docs)]
@@ -94,14 +95,14 @@ pub use session::{
 pub use derived::{
     min_fragment_concepts, InstanceOntology, MaterializedOntology, ObdaOntology, SchemaOntology,
 };
-pub use enumerate::{enumerate_mges_instance, enumerate_mges_with, incremental_search_balanced};
+pub use enumerate::{enumerate_mges_instance, incremental_search_balanced};
 pub use exhaustive::{
     check_mge, exhaustive_search, explanation_exists, find_explanation, retain_most_general,
 };
 pub use explicit::{ConceptName, ExplicitOntology, ExplicitOntologyBuilder};
 pub use incremental::{
-    check_mge_instance, check_mge_instance_with, incremental_search, incremental_search_kind,
-    incremental_search_with, incremental_search_with_selections,
+    check_mge_instance, incremental_search, incremental_search_kind,
+    incremental_search_with_selections,
 };
 pub use obda_query::{obda_contrast, obda_why_not, ObdaContrast};
 pub use ontology::{consistent_with, ConceptSignature, FiniteOntology, Ontology};

@@ -95,11 +95,9 @@
 //! ```
 
 use crate::context::EvalContext;
-use crate::contrast::{
-    contrast_core, restriction, validate_contrast, ContrastAnswer, ContrastQuestion,
-};
+use crate::contrast::{contrast_core, validate_contrast, ContrastAnswer, ContrastQuestion};
 use crate::exhaustive::{self, ConflictBits};
-use crate::incremental::{check_mge_instance_core, incremental_search_core};
+use crate::incremental::{check_mge_instance_core, incremental_search_core, restriction};
 use crate::memo::Memo;
 use crate::ontology::{FiniteOntology, Ontology};
 use crate::variations;
@@ -108,7 +106,7 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-use whynot_concepts::{Extension, ExtensionTable, LsConcept, LubEngine, LubKind, LubProvider};
+use whynot_concepts::{Extension, ExtensionTable, LsConcept, LubEngine, LubKind};
 use whynot_relation::{
     AnswerRows, ConstPool, Delta, Instance, NetChange, PoolMap, RelError, RelId, RowDelta, Schema,
     Tuple, Ucq, Value,
@@ -988,13 +986,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // the search probes bits.
         let ids = bound.ids();
         let engine = self.lub_engine();
-        Ok(incremental_search_core(
-            &engine.adom(),
-            &ids,
-            engine,
-            kind,
-            &mut |c| c.extension_in(self.instance(), self.pool()),
-        ))
+        Ok(incremental_search_core(&engine.adom(), &ids, engine, kind))
     }
 
     /// CHECK-MGE W.R.T. `OI` (Proposition 5.2) through the session's lub
@@ -1022,7 +1014,6 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             &exts,
             engine,
             kind,
-            &mut |c| c.extension_in(self.instance(), self.pool()),
         ))
     }
 
@@ -1056,14 +1047,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let adom = engine.adom();
         let k = restriction(self.pool(), &adom, &bound.missing);
         let ids = bound.residual();
-        Ok(Arc::new(contrast_core(
-            &k,
-            &ids,
-            &bound.foil,
-            engine,
-            kind,
-            &mut |c| c.extension_in(self.instance(), self.pool()),
-        )))
+        Ok(Arc::new(contrast_core(&k, &ids, &bound.foil, engine, kind)))
     }
 }
 

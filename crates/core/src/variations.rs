@@ -9,9 +9,7 @@ use crate::whynot::{Explanation, WhyNotInstance};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{
-    kernels, simplify, ExtensionTable, LsAtom, LsConcept, LubEngine, LubKind, LubProvider,
-};
+use whynot_concepts::{kernels, simplify, ExtensionTable, LsAtom, LsConcept, LubEngine, LubKind};
 use whynot_relation::{Cq, Term, Ucq, Var};
 use whynot_subsumption::{satisfiable_under, ChaseLimits, Satisfiability};
 

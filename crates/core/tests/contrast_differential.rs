@@ -226,3 +226,39 @@ fn session_contrast_matches_one_shot_on_generated_network() {
         .iter()
         .all(|v| adom_set.contains(v) || questions[0].missing.contains(v)));
 }
+
+/// The from-scratch reference `contrast_with` (every probed lub computed
+/// afresh through the engine's `try_lub`/`try_lub_sigma`, every extension
+/// evaluated, every foil-aligned verdict the full Definition 3.2 check)
+/// equals the session's and the one-shot engine's answers, question by
+/// question and for both lub kinds, on the workload shapes the
+/// `lub_bound` benchmark replays: 48-city networks and 24-product retail
+/// catalogues. The benchmark's traced runs compare the same pair.
+#[test]
+fn from_scratch_reference_matches_the_engine_on_the_lub_bound_shapes() {
+    use std::sync::Arc;
+    use whynot_concepts::LubEngine;
+    use whynot_core::{contrast_with, WhyNotSession};
+    use whynot_scenarios::contrast::{city_contrast_workload, retail_contrast_workload};
+
+    for t in 0..4u64 {
+        let w = if t % 2 == 0 {
+            city_contrast_workload(48, 4, 32, t)
+        } else {
+            retail_contrast_workload(24, 12, 4, 3, 32, t)
+        };
+        let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
+        for question in &w.questions {
+            let pool = w.instance.const_pool_with(question.missing.iter().cloned());
+            let engine = LubEngine::with_pool(&w.schema, &w.instance, Arc::clone(&pool));
+            for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+                let reference =
+                    contrast_with(&engine, &w.schema, &w.instance, &pool, question, kind).unwrap();
+                let one_shot = contrast_instance(&w.schema, &w.instance, question, kind).unwrap();
+                assert_eq!(reference, one_shot, "{kind:?} one-shot, {question:?}");
+                let via_session = session.contrast(question, kind).unwrap();
+                assert_eq!(reference, *via_session, "{kind:?} session, {question:?}");
+            }
+        }
+    }
+}

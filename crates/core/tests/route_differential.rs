@@ -1,23 +1,23 @@
-//! The two probe routes of the growth loops give the same answers.
+//! Every growth loop agrees with the references it is pinned to.
 //!
-//! States of the pooled [`LubEngine`] decide every probe by membership:
-//! a candidate is rejected at the first member of the position's blocked
-//! set `B_j` its lub holds, read off the growth data, and a kept state
-//! builds no extension. Selection-free states decide it by column
-//! signature (Lemma 5.1): the grown covered-column mask against the
-//! signatures of `B_j`'s members, and a per-position memo skips every
-//! probe whose signature a rejected one contains. States of a provider
-//! with only the three required [`LubProvider`] methods carry no growth
-//! data and no signatures, so every probe evaluates the candidate's
-//! extension and the memo stays off. Algorithm 2, CHECK-MGE (both lub
-//! kinds), the contrast searches and the enumeration are run both ways,
-//! and through a session, on random 24-city networks, on random schemas
-//! of two to four relations (whose constants have varied signatures), on
-//! a schema of more than 64 columns (whose signatures span two words),
-//! and on a fixture whose selection lubs keep two minimal boxes in one
-//! column that disagree on a blocked value. On the random and wide
-//! schemas Algorithm 2, CHECK-MGE and the difference separators are also
-//! compared with the literal transcriptions of `support/literal.rs`.
+//! The loops run on the pooled [`LubEngine`]'s states and decide every
+//! probe by membership: a candidate is rejected at the first member of
+//! the position's blocked set `B_j` its lub holds, read off the growth
+//! data, and a kept state builds no extension. Selection-free states
+//! decide it by column signature (Lemma 5.1): the grown covered-column
+//! mask against the signatures of `B_j`'s members, and a per-position
+//! memo skips every probe whose signature a rejected one contains.
+//! Algorithm 2, CHECK-MGE (both lub kinds), the contrast searches and
+//! the enumeration are run one-shot and through a session, and compared
+//! with references that share none of that machinery: the literal
+//! transcriptions of `support/literal.rs` (legacy from-scratch lubs,
+//! value-space Definition 3.2), and the from-scratch contrast reference
+//! `contrast_with` over the same engine's `try_lub`/`try_lub_sigma`.
+//! They run on random 24-city networks, on random schemas of two to four
+//! relations (whose constants have varied signatures), on a schema of
+//! more than 64 columns (whose signatures span two words), and on a
+//! fixture whose selection lubs keep two minimal boxes in one column
+//! that disagree on a blocked value.
 
 #[path = "support/literal.rs"]
 mod literal;
@@ -25,53 +25,34 @@ mod literal;
 use literal::{legacy_lub, literal_check_mge, literal_incremental};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use whynot_concepts::{LsConcept, LubEngine, LubProvider};
+use whynot_concepts::{LsConcept, LubEngine};
 use whynot_core::{
-    check_mge_instance, check_mge_instance_with, contrast_instance, contrast_with,
-    enumerate_mges_instance, enumerate_mges_with, incremental_search_balanced,
-    incremental_search_kind, incremental_search_with, ContrastAnswer, ContrastQuestion,
+    check_mge_instance, contrast_instance, contrast_with, enumerate_mges_instance,
+    incremental_search_balanced, incremental_search_kind, ContrastAnswer, ContrastQuestion,
     Explanation, ExplicitOntology, LubKind, WhyNotInstance, WhyNotQuestion, WhyNotSession,
 };
 use whynot_relation::{
-    Atom, ConstPool, Cq, Instance, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq, Value, Var,
+    Atom, Cq, Instance, RelId, Schema, SchemaBuilder, Term, Tuple, Ucq, Value, Var,
 };
 use whynot_scenarios::generators::{city_name, city_network, city_query_shapes};
 
-/// A provider with only the three required methods: every growth step
-/// goes through the recomputing default bodies, so every probe is decided
-/// from an evaluated extension.
-struct Recomputing<'e>(&'e LubEngine<'e>);
-
-impl LubProvider for Recomputing<'_> {
-    fn pool(&self) -> &Arc<ConstPool> {
-        self.0.pool()
-    }
-    fn try_lub(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.0.try_lub(x)
-    }
-    fn try_lub_sigma(&self, x: &BTreeSet<Value>) -> Option<LsConcept> {
-        self.0.try_lub_sigma(x)
-    }
-}
-
 const KINDS: [LubKind; 2] = [LubKind::SelectionFree, LubKind::WithSelections];
 
-/// Runs every growth loop on `wn` through the membership route (one-shot
-/// pooled engine and session) and the extension route, and asserts the
-/// answers are equal. `foils` are answers of `wn`'s query to contrast
-/// the missing tuple with, and `kinds` the lub kinds to run. With
-/// `literal`, the answers are also compared with the literal
-/// transcriptions of `support/literal.rs` and [`literal_difference`].
+/// Runs every growth loop on `wn` one-shot and through a session, and
+/// asserts that they agree with each other, with the literal
+/// transcriptions of `support/literal.rs` and [`literal_difference`],
+/// and, for the contrast, with the from-scratch `contrast_with`. `foils`
+/// are answers of `wn`'s query to contrast the missing tuple with, and
+/// `kinds` the lub kinds to run. Every explanation the enumeration
+/// returns must pass the literal CHECK-MGE.
 fn assert_routes_agree(
     wn: &WhyNotInstance,
     ontology: &ExplicitOntology,
     foils: &[Tuple],
-    literal: bool,
     kinds: &[LubKind],
 ) {
     let pool = wn.instance.const_pool_with(wn.tuple.iter().cloned());
     let engine = LubEngine::with_pool(&wn.schema, &wn.instance, Arc::clone(&pool));
-    let slow = Recomputing(&engine);
     let session = WhyNotSession::new(ontology, &wn.schema, &wn.instance);
     let wq = WhyNotQuestion::new(wn.query.clone(), wn.tuple.clone());
     let mut checked: Vec<Explanation<LsConcept>> = vec![Explanation::new(
@@ -79,49 +60,36 @@ fn assert_routes_agree(
     )];
     for &kind in kinds {
         let fast = incremental_search_kind(wn, kind);
-        assert_eq!(fast, incremental_search_with(&slow, wn, kind), "{kind:?}");
         assert_eq!(fast, session.incremental(&wq, kind).unwrap(), "{kind:?}");
-        if literal {
-            assert_eq!(fast, literal_incremental(wn, kind), "{kind:?} literal");
-        }
+        assert_eq!(fast, literal_incremental(wn, kind), "{kind:?} literal");
+        assert!(literal_check_mge(wn, &fast, kind), "{kind:?} {fast:?}");
         checked.push(fast);
         checked.push(incremental_search_balanced(wn, kind));
-        assert_eq!(
-            enumerate_mges_instance(wn, kind, 2),
-            enumerate_mges_with(&slow, wn, kind, 2),
-            "{kind:?} enumeration"
-        );
+        for e in enumerate_mges_instance(wn, kind, 2) {
+            assert!(literal_check_mge(wn, &e, kind), "{kind:?} enumerated {e:?}");
+        }
         for foil in foils {
             let cq = ContrastQuestion::new(wn.query.clone(), wn.tuple.clone(), foil.clone());
             let fast = contrast_instance(&wn.schema, &wn.instance, &cq, kind).unwrap();
-            let via_slow = contrast_with(&slow, &wn.schema, &wn.instance, &pool, &cq, kind);
-            assert_eq!(fast, via_slow.unwrap(), "{kind:?} contrast with {foil:?}");
+            let reference = contrast_with(&engine, &wn.schema, &wn.instance, &pool, &cq, kind);
+            assert_eq!(fast, reference.unwrap(), "{kind:?} contrast with {foil:?}");
             assert_eq!(
                 fast,
                 *session.contrast(&cq, kind).unwrap(),
                 "{kind:?} session"
             );
-            if literal {
-                assert_literal_contrast(wn, foil, &fast, kind);
-            }
+            assert_literal_contrast(wn, foil, &fast, kind);
         }
     }
     for e in &checked {
         for &kind in kinds {
             let fast = check_mge_instance(wn, e, kind);
+            assert_eq!(fast, session.check_mge_instance(&wq, e, kind).unwrap());
             assert_eq!(
                 fast,
-                check_mge_instance_with(&slow, wn, e, kind),
-                "{kind:?} {e:?}"
+                literal_check_mge(wn, e, kind),
+                "{kind:?} literal {e:?}"
             );
-            assert_eq!(fast, session.check_mge_instance(&wq, e, kind).unwrap());
-            if literal {
-                assert_eq!(
-                    fast,
-                    literal_check_mge(wn, e, kind),
-                    "{kind:?} literal {e:?}"
-                );
-            }
         }
     }
 }
@@ -211,7 +179,7 @@ impl Rng {
 }
 
 #[test]
-fn membership_and_extension_routes_agree_on_city_networks() {
+fn growth_loops_match_the_references_on_city_networks() {
     for seed in 0..6u64 {
         let net = city_network(24, 4, seed);
         let (schema, instance) = (&net.why_not.schema, &net.why_not.instance);
@@ -234,7 +202,7 @@ fn membership_and_extension_routes_agree_on_city_networks() {
                 .map(|_| ans.iter().nth(rng.below(ans.len())).unwrap().clone())
                 .collect();
             let wn = WhyNotInstance::new(schema.clone(), instance.clone(), query, tuple).unwrap();
-            assert_routes_agree(&wn, &net.ontology, &foils, false, &KINDS);
+            assert_routes_agree(&wn, &net.ontology, &foils, &KINDS);
         }
     }
 }
@@ -249,7 +217,7 @@ fn membership_and_extension_routes_agree_on_city_networks() {
 /// U(y)` answers `{10, 20}`, so contrasting the missing `15` with them
 /// asks whether the grown separator captures `15`.
 #[test]
-fn routes_agree_where_two_boxes_disagree_on_a_blocked_value() {
+fn growth_loops_match_the_references_where_two_boxes_disagree_on_a_blocked_value() {
     let mut b = SchemaBuilder::new();
     let r = b.relation("R", ["x", "y"]);
     let v = b.relation("V", ["y"]);
@@ -282,7 +250,7 @@ fn routes_agree_where_two_boxes_disagree_on_a_blocked_value() {
     let e = incremental_search_kind(&q1, LubKind::WithSelections);
     let ext = e.concepts[0].extension(&inst);
     assert!(ext.contains(&int(20)) && !ext.contains(&int(15)), "{e:?}");
-    assert_routes_agree(&q1, &ontology, &[vec![int(15)]], true, &KINDS);
+    assert_routes_agree(&q1, &ontology, &[vec![int(15)]], &KINDS);
 
     let q2 = WhyNotInstance::new(schema, inst.clone(), query(u), vec![int(15)]).unwrap();
     // The separator of 10 from the missing 15 grows to lubσ({10, 20}).
@@ -295,13 +263,7 @@ fn routes_agree_where_two_boxes_disagree_on_a_blocked_value() {
         separator.extension(&inst).contains(&int(20)),
         "{separator:?}"
     );
-    assert_routes_agree(
-        &q2,
-        &ontology,
-        &[vec![int(10)], vec![int(20)]],
-        true,
-        &KINDS,
-    );
+    assert_routes_agree(&q2, &ontology, &[vec![int(10)], vec![int(20)]], &KINDS);
 }
 
 /// Up to two answers of `ans` to contrast a missing tuple with.
@@ -372,7 +334,7 @@ fn random_query(rng: &mut Rng, schema: &Schema, rels: &[RelId]) -> Ucq {
 }
 
 #[test]
-fn routes_agree_with_the_literal_algorithms_on_random_schemas() {
+fn growth_loops_match_the_references_on_random_schemas() {
     let ontology = ExplicitOntology::builder().build();
     let mut rng = Rng(0x2545_f491_4f6c_dd1d);
     let mut cases = 0;
@@ -385,7 +347,7 @@ fn routes_agree_with_the_literal_algorithms_on_random_schemas() {
         };
         let foils = pick_foils(&mut rng, &ans);
         let wn = WhyNotInstance::new(schema, inst, query, tuple).unwrap();
-        assert_routes_agree(&wn, &ontology, &foils, true, &KINDS);
+        assert_routes_agree(&wn, &ontology, &foils, &KINDS);
         cases += 1;
     }
 }
@@ -398,7 +360,7 @@ fn routes_agree_with_the_literal_algorithms_on_random_schemas() {
 /// lubs are run: signatures are a Lemma 5.1 matter, and the legacy lubσ
 /// over 70-ary rows would make the literal references slow.
 #[test]
-fn routes_agree_with_the_literal_algorithms_beyond_64_columns() {
+fn growth_loops_match_the_references_beyond_64_columns() {
     let mut b = SchemaBuilder::new();
     let names: Vec<String> = (0..70).map(|i| format!("a{i}")).collect();
     let wide = b.relation("Wide", names.iter().map(String::as_str));
@@ -433,7 +395,7 @@ fn routes_agree_with_the_literal_algorithms_beyond_64_columns() {
             let foils = pick_foils(&mut rng, &ans);
             let wn =
                 WhyNotInstance::new(schema.clone(), inst.clone(), query.clone(), tuple).unwrap();
-            assert_routes_agree(&wn, &ontology, &foils, true, &[LubKind::SelectionFree]);
+            assert_routes_agree(&wn, &ontology, &foils, &[LubKind::SelectionFree]);
         }
     }
 }

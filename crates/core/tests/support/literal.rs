@@ -29,10 +29,13 @@ pub fn legacy_lub(
 }
 
 /// Algorithm 2 as the paper writes it: supports `X_j` start at `{a_j}`;
-/// per position, every `b ∈ adom(I)` outside `ext(lub(X_j))`, ascending,
-/// joins `X_j` iff the lubs with `lub(X_j ∪ {b})` at `j` still form an
-/// explanation — the legacy lub of the whole support and the full
-/// Definition 3.2 check over `Ans` on every probe.
+/// per position, every `b` of Prop 5.1's `K = adom(I) ∪ ā` outside
+/// `ext(lub(X_j))`, ascending, joins `X_j` iff the lubs with
+/// `lub(X_j ∪ {b})` at `j` still form an explanation — the legacy lub of
+/// the whole support and the full Definition 3.2 check over `Ans` on
+/// every probe. `K`, not `adom(I)` alone, is the set CHECK-MGE probes: a
+/// constant of `ā` outside `adom(I)` is the only way to `⊤` when a
+/// column holds all of `adom(I)`.
 pub fn literal_incremental(wn: &WhyNotInstance, kind: LubKind) -> Explanation<LsConcept> {
     let lub_of = |x: &BTreeSet<Value>| legacy_lub(&wn.schema, &wn.instance, kind, x);
     let mut supports: Vec<BTreeSet<Value>> = wn
@@ -42,7 +45,7 @@ pub fn literal_incremental(wn: &WhyNotInstance, kind: LubKind) -> Explanation<Ls
         .collect();
     let mut concepts: Vec<LsConcept> = supports.iter().map(lub_of).collect();
     for j in 0..wn.arity() {
-        for b in wn.instance.active_domain() {
+        for b in wn.restriction_constants() {
             if concepts[j].extension(&wn.instance).contains(&b) {
                 continue;
             }

@@ -452,8 +452,6 @@ impl ServerCore {
             .field("inserted", stats.facts_inserted)
             .field("deleted", stats.facts_deleted)
             .field("changed_relations", stats.changed_relations)
-            .field("invalidated", stats.invalidated())
-            .field("retained", stats.retained())
             .build())
     }
 
@@ -475,11 +473,6 @@ impl ServerCore {
             .field("cached_queries", s.cached_queries)
             .field("cached_candidates", s.cached_candidates)
             .field("cached_conflicts", s.cached_conflicts)
-            .field("cached_lubs", s.cached_lubs)
-            .field("cached_ls_extensions", s.cached_ls_extensions)
-            .field("cached_contrasts", s.cached_contrasts)
-            .field("batches", s.batches)
-            .field("batch_questions", s.batch_questions)
             .field("cache_evictions", s.cache_evictions)
             .field("evictions", evictions)
             .field("queue_depth", tenant.queue.len())

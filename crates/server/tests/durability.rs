@@ -272,5 +272,5 @@ fn zero_cache_budget_server_answers_identically() {
     // The pinched server really ran cache-less.
     let stats = pinched.handle_line("stats t");
     assert!(stats[0].contains("\"cached_queries\":0"), "{}", stats[0]);
-    assert!(stats[0].contains("\"cached_lubs\":0"), "{}", stats[0]);
+    assert!(stats[0].contains("\"cached_conflicts\":0"), "{}", stats[0]);
 }

@@ -10,7 +10,9 @@
 //! must never panic, every response line must be one well-formed JSON
 //! object carrying an `ok` flag, a non-blank command other than `run`
 //! must answer with exactly one line, and `ping` must still answer
-//! afterwards.
+//! afterwards. A variant must not reach a tenant its line does not
+//! name: a fixed question to such a tenant answers with the same payload
+//! as on a server that never saw the variant.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use whynot_relation::json::Json;
@@ -123,6 +125,40 @@ fn command_line_variants_never_break_the_protocol() {
         }
     }
     assert!(fed > 5_000, "only {fed} command variants");
+}
+
+/// A fixed question per smoke tenant, asked to check that a variant
+/// addressed elsewhere left the tenant as it was.
+const FIXED_ASKS: [(&str, &str); 2] = [
+    ("alpha", "ask alpha exhaustive | q(X) <- City(X, R) | Kyoto"),
+    ("beta", "ask beta exhaustive | q(X) <- Host(X) | hub2"),
+];
+
+#[test]
+fn command_line_variants_leave_other_tenants_untouched() {
+    let (blocks, commands) = split_script();
+    let untouched: Vec<Vec<String>> = FIXED_ASKS
+        .iter()
+        .map(|(_, ask)| feed(&mut server_with(&blocks), ask))
+        .collect();
+    let mut checked = 0usize;
+    for command in &commands {
+        let named = command.split_whitespace().nth(1);
+        for variant in variants(command) {
+            let mut server = server_with(&blocks);
+            feed(&mut server, &variant);
+            feed(&mut server, "run");
+            for ((tenant, ask), expected) in FIXED_ASKS.iter().zip(&untouched) {
+                if named == Some(*tenant) {
+                    continue;
+                }
+                let answer = feed(&mut server, ask);
+                assert_eq!(&answer, expected, "{ask:?} after {variant:?}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 5_000, "only {checked} isolation checks");
 }
 
 #[test]

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot::concepts::{
-    lub, lub_sigma, simplify, Extension, LsConcept, LubEngine, LubProvider, LubState, Selection,
+    lub, lub_sigma, simplify, Extension, LsConcept, LubEngine, LubState, Selection,
 };
 use whynot::core::{
     check_mge_instance, exhaustive_search, exts_form_explanation, incremental_search,
@@ -359,22 +359,22 @@ proptest! {
 // Lub growth (Lemmas 5.1/5.2 one constant at a time) ≡ legacy lubs
 // ---------------------------------------------------------------------
 
-/// Folds lub growth over `order` on `p` for both lub kinds and checks,
-/// after every prefix, that the grown state equals the legacy free
-/// function on the prefix's support. `order` may repeat constants, so
-/// some steps grow by a member of the support.
-fn assert_growth_matches_legacy<P: LubProvider>(
-    p: &P,
+/// Folds lub growth over `order` on `engine` for both lub kinds and
+/// checks, after every prefix, that the grown state equals the legacy
+/// free function on the prefix's support. `order` may repeat constants,
+/// so some steps grow by a member of the support.
+fn assert_growth_matches_legacy(
+    engine: &LubEngine<'_>,
     schema: &Schema,
     inst: &Instance,
     order: &[Value],
 ) {
     for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
-        let mut state = p.start(kind, &order[0]);
+        let mut state = engine.start(kind, &order[0]);
         let mut prefix: BTreeSet<Value> = BTreeSet::new();
         for (i, v) in order.iter().enumerate() {
             if i > 0 {
-                state = p.grow(&state, v);
+                state = engine.grow(&state, v);
             }
             prefix.insert(v.clone());
             let legacy = match kind {
@@ -443,7 +443,7 @@ fn assert_growth_extensions_match(
     probes: &[Value],
 ) {
     let pool = engine.pool();
-    let by_id = |state: &LubState| -> Vec<Option<Option<bool>>> {
+    let by_id = |state: &LubState| -> Vec<Option<bool>> {
         probes
             .iter()
             .map(|p| pool.id_of(p).map(|id| state.contains_id(id)))
@@ -458,26 +458,21 @@ fn assert_growth_extensions_match(
             }
             prefix.insert(v.clone());
             // Decided from the growth data before the extension exists.
-            let decided: Vec<Option<bool>> = probes.iter().map(|p| state.contains(p)).collect();
+            let decided: Vec<bool> = probes.iter().map(|p| state.contains(p)).collect();
             let decided_by_id = by_id(&state);
             let fresh = engine.state_of(kind, &prefix).expect("non-empty prefix");
-            let fresh_decided: Vec<Option<bool>> =
-                probes.iter().map(|p| fresh.contains(p)).collect();
+            let fresh_decided: Vec<bool> = probes.iter().map(|p| fresh.contains(p)).collect();
             let fresh_by_id = by_id(&fresh);
-            let carried = state
-                .extension()
-                .cloned()
-                .expect("pooled states carry their extension");
+            let carried = Arc::clone(state.extension());
             let evaluated = state.concept().extension_in(inst, pool);
             assert_eq!(*carried, evaluated, "{kind:?} grown to {prefix:?}");
-            let members: Vec<Option<bool>> =
-                probes.iter().map(|p| Some(carried.contains(p))).collect();
+            let members: Vec<bool> = probes.iter().map(|p| carried.contains(p)).collect();
             assert_eq!(decided, members, "{kind:?} contains, grown to {prefix:?}");
             assert_eq!(
                 fresh_decided, members,
                 "{kind:?} contains, folded afresh to {prefix:?}"
             );
-            let members_by_id: Vec<Option<Option<bool>>> = probes
+            let members_by_id: Vec<Option<bool>> = probes
                 .iter()
                 .zip(&members)
                 .map(|(p, &member)| pool.id_of(p).map(|_| member))
