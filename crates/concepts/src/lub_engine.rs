@@ -324,8 +324,10 @@ pub struct LubEngine<'a> {
     schema: &'a Schema,
     /// Owned snapshot (cheap: instances share per-relation storage), so
     /// the engine can be retargeted by [`LubEngine::apply_delta`]
-    /// without lifetime gymnastics at the session layer.
-    inst: Instance,
+    /// without lifetime gymnastics at the session layer. `None` while
+    /// the owner edits the instance in place (see
+    /// [`LubEngine::release_instance`]).
+    inst: Option<Instance>,
     pool: Arc<ConstPool>,
     /// Per relation, its id image, built on first use (by a lub or by
     /// [`LubEngine::image`]), and its lub columns, built on the first lub.
@@ -358,7 +360,7 @@ impl<'a> LubEngine<'a> {
     pub fn with_pool(schema: &'a Schema, inst: &Instance, pool: Arc<ConstPool>) -> Self {
         LubEngine {
             schema,
-            inst: inst.clone(),
+            inst: Some(inst.clone()),
             pool,
             rels: RefCell::new(BTreeMap::new()),
             pending: RefCell::new(BTreeMap::new()),
@@ -497,6 +499,34 @@ impl<'a> LubEngine<'a> {
         view
     }
 
+    /// The snapshot the engine's images are built from and checked
+    /// against.
+    fn inst(&self) -> &Instance {
+        self.inst
+            .as_ref()
+            // lint: allow(no-panic-in-lib) — only an edit in progress
+            // releases the snapshot, and it holds `&mut self` until
+            // `apply_delta` or `restore_instance` hands one back.
+            .expect("LubEngine used while its instance is released")
+    }
+
+    /// Drops the engine's handle on its snapshot, so that the caller can
+    /// hold the only one while it edits the instance in place
+    /// ([`Instance::apply_delta_in_place`]) — a relation no other
+    /// snapshot shares changes without a copy. [`LubEngine::apply_delta`]
+    /// hands the engine the edited snapshot afterwards, or
+    /// [`LubEngine::restore_instance`] the unchanged one after a no-op
+    /// edit; no image may be built or patched in between.
+    pub fn release_instance(&mut self) {
+        self.inst = None;
+    }
+
+    /// Hands the engine back its snapshot after
+    /// [`LubEngine::release_instance`] when the edit changed nothing.
+    pub fn restore_instance(&mut self, inst: &Instance) {
+        self.inst = Some(inst.clone());
+    }
+
     /// The interned data of one schema relation: its image built on
     /// first use (one pool probe per cell), or patched with the relation's
     /// pending changes (no pool probe per row), its columns then read
@@ -512,7 +542,7 @@ impl<'a> LubEngine<'a> {
             None => match self.rels.borrow().get(&rel) {
                 Some(hit) => return Arc::clone(hit),
                 None => Arc::new(
-                    IdImage::build(&self.inst, rel, self.schema.arity(rel), &self.pool)
+                    IdImage::build(self.inst(), rel, self.schema.arity(rel), &self.pool)
                         // lint: allow(no-panic-in-lib) — the engine pool covers
                         // the instance's active domain (the documented
                         // `with_pool` contract), so every stored value has an
@@ -528,7 +558,7 @@ impl<'a> LubEngine<'a> {
                     rows.sort_unstable();
                     rows.concat()
                 };
-                IdImage::build(&self.inst, rel, self.schema.arity(rel), &self.pool)
+                IdImage::build(self.inst(), rel, self.schema.arity(rel), &self.pool)
                     .is_some_and(|fresh| rows(&fresh) == rows(&image))
             },
             "patched image disagrees with the instance"
@@ -567,11 +597,15 @@ impl<'a> LubEngine<'a> {
     }
 
     /// Retargets the engine at a post-delta snapshot, keeping every
-    /// interned image and column of an unchanged relation.
+    /// interned image and column of an unchanged relation. The engine
+    /// keeps a handle on `new_inst` (a clone, sharing its storage); a
+    /// caller that edits its instance in place calls
+    /// [`LubEngine::release_instance`] before the edit, so the edit
+    /// copies no relation, and hands the edited instance in here.
     ///
     /// `net` holds each effectively changed relation's net change (from
-    /// [`Instance::apply_delta`]). A changed relation keeps its image,
-    /// which its next use patches with the changes since
+    /// [`Instance::apply_delta_in_place`]). A changed relation keeps its
+    /// image, which its next use patches with the changes since
     /// ([`IdImage::patch`]); its columns are read afresh then (counted
     /// by [`LubEngine::column_builds`] as usual). Once a relation's
     /// pending changes outnumber its rows, the image is dropped and
@@ -646,7 +680,7 @@ impl<'a> LubEngine<'a> {
             }
         }
         *self.view.get_mut() = None;
-        self.inst = new_inst.clone();
+        self.inst = Some(new_inst.clone());
         if let Some((pool, _)) = repool {
             self.pool = Arc::clone(pool);
         }
@@ -1244,7 +1278,7 @@ mod tests {
         delta.delete(tc, vec![s("Tokyo"), s("Kyoto")]);
         let out = inst.apply_delta(&delta);
         let next = out.instance.clone();
-        let (retained, invalidated) = engine.apply_delta(&next, &out.net, None);
+        let (retained, invalidated) = engine.apply_delta(&next, &out.effect.net, None);
         assert_eq!((retained, invalidated), (4, 2));
 
         // Every lub matches a fresh engine over the new instance, and
@@ -1274,7 +1308,8 @@ mod tests {
         let out = inst.apply_delta(&delta);
         let next = out.instance.clone();
         let map = gen.absorb([s("Aomori")]).expect("new constant");
-        let (retained, invalidated) = engine.apply_delta(&next, &out.net, Some((gen.pool(), &map)));
+        let (retained, invalidated) =
+            engine.apply_delta(&next, &out.effect.net, Some((gen.pool(), &map)));
         assert_eq!((retained, invalidated), (4, 2));
         assert!(Arc::ptr_eq(engine.pool(), gen.pool()));
 
@@ -1323,7 +1358,7 @@ mod tests {
         );
         let out = inst.apply_delta(&delta);
         let next = out.instance.clone();
-        engine.apply_delta(&next, &out.net, None);
+        engine.apply_delta(&next, &out.effect.net, None);
         assert_eq!(listed(&engine), adom(&next));
 
         // A new constant bumps the pool generation.
@@ -1333,7 +1368,7 @@ mod tests {
         let out = next.apply_delta(&delta);
         let last = out.instance.clone();
         let map = gen.absorb([s("Aomori")]).expect("new constant");
-        engine.apply_delta(&last, &out.net, Some((gen.pool(), &map)));
+        engine.apply_delta(&last, &out.effect.net, Some((gen.pool(), &map)));
         assert_eq!(listed(&engine), adom(&last));
     }
 
@@ -1363,7 +1398,7 @@ mod tests {
         let map = gen
             .absorb([s("Aomori"), Value::int(1)])
             .expect("new constants");
-        engine.apply_delta(&next, &out.net, Some((gen.pool(), &map)));
+        engine.apply_delta(&next, &out.effect.net, Some((gen.pool(), &map)));
         let moved = engine.image(tc).unwrap();
         let fresh = IdImage::build(&next, tc, 2, gen.pool()).unwrap();
         assert!((0..6).all(|r| moved.row(r) == fresh.row(r)));

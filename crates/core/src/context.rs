@@ -20,10 +20,10 @@
 
 use crate::ontology::{FiniteOntology, Ontology};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use whynot_concepts::{Extension, ExtensionTable};
-use whynot_relation::{ConstPool, GenPool, Instance, PoolMap, RelId, Value};
+use whynot_relation::{ConstPool, Delta, DeltaEffect, GenPool, Instance, PoolMap, Value};
 
 /// A memoizing wrapper over an [`Ontology`] and one pinned instance.
 ///
@@ -51,10 +51,9 @@ use whynot_relation::{ConstPool, GenPool, Instance, PoolMap, RelId, Value};
 pub struct EvalContext<'a, O: Ontology> {
     ontology: &'a O,
     /// Owned snapshot of the pinned instance (cheap: instances share
-    /// per-relation storage), so [`EvalContext::apply_delta`] can
-    /// retarget the context without lifetime gymnastics. The
-    /// [`Ontology`] impl recognizes callers' handles to the same data
-    /// via [`Instance::shares_storage`].
+    /// per-relation storage), which [`EvalContext::apply_delta`] edits
+    /// in place. The [`Ontology`] impl recognizes callers' handles to
+    /// the same data via [`Instance::shares_storage`].
     instance: Instance,
     pool: GenPool,
     cache: RefCell<BTreeMap<O::Concept, Extension>>,
@@ -181,25 +180,37 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
         })
     }
 
-    /// Retargets the context at a post-delta snapshot, dropping **only**
-    /// the cached extensions whose [`signature`](Ontology::signature)
-    /// intersects the effectively changed relations.
+    /// Applies a delta to the pinned instance in place, then drops
+    /// **only** the cached extensions whose
+    /// [`signature`](Ontology::signature) intersects the effectively
+    /// changed relations.
     ///
-    /// `new_constants` are the constants of net-inserted facts (from
-    /// [`DeltaOutcome`](whynot_relation::DeltaOutcome)); any not yet
-    /// pooled trigger a generation bump, and retained cache entries are
-    /// then bridged into the new generation with one bit remap each.
-    /// The evaluation counter survives untouched.
+    /// The context owns its snapshot. A relation no other handle shares
+    /// changes with O(delta) set edits; one still shared — with the
+    /// instance the context was built from, or with a clone a caller
+    /// holds — is copied on the first delta that changes it, and only
+    /// then. The caller validates the delta against the schema first
+    /// ([`Delta::check`]).
     ///
-    /// Returns the generation bridge (for sibling caches interned in the
-    /// same pool) plus drop/retain counts.
-    pub fn apply_delta(
-        &mut self,
-        snapshot: &Instance,
-        changed: &BTreeSet<RelId>,
-        new_constants: impl IntoIterator<Item = Value>,
-    ) -> ContextDelta {
-        let map = self.pool.absorb(new_constants);
+    /// The constants of net-inserted facts not yet pooled trigger a
+    /// generation bump, and retained cache entries are then bridged into
+    /// the new generation with one bit remap each. A no-op delta touches
+    /// neither the pool nor the cache. The evaluation counter survives
+    /// untouched.
+    ///
+    /// Returns the delta's effect, the generation bridge (for sibling
+    /// caches interned in the same pool) plus drop/retain counts.
+    pub fn apply_delta(&mut self, delta: &Delta) -> ContextDelta {
+        let effect = self.instance.apply_delta_in_place(delta);
+        if effect.is_noop() {
+            return ContextDelta {
+                effect,
+                map: None,
+                extensions_dropped: 0,
+                extensions_retained: 0,
+            };
+        }
+        let map = self.pool.absorb(effect.inserted_constants.iter().cloned());
         let pool = Arc::clone(self.pool.pool());
         if map.is_some() {
             // Cached foreign-pool translations target the old generation.
@@ -210,7 +221,7 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
         let mut dropped = 0usize;
         let mut retained = 0usize;
         for (c, ext) in old {
-            if self.ontology.signature(&c).intersects(changed) {
+            if self.ontology.signature(&c).intersects(&effect.changed) {
                 dropped += 1;
                 continue;
             }
@@ -221,8 +232,8 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
             };
             cache.insert(c, ext);
         }
-        self.instance = snapshot.clone();
         ContextDelta {
+            effect,
             map,
             extensions_dropped: dropped,
             extensions_retained: retained,
@@ -230,10 +241,13 @@ impl<'a, O: Ontology> EvalContext<'a, O> {
     }
 }
 
-/// What [`EvalContext::apply_delta`] did: the generation bridge (if the
-/// pool grew) and the per-concept cache counts.
+/// What [`EvalContext::apply_delta`] did: the delta's effect on the
+/// instance, the generation bridge (if the pool grew) and the
+/// per-concept cache counts.
 #[derive(Debug)]
 pub struct ContextDelta {
+    /// What the delta effectively changed in the pinned instance.
+    pub effect: DeltaEffect,
     /// Old-generation → new-generation id translation; `None` when no
     /// new constant was introduced (the common steady-state case).
     pub map: Option<PoolMap>,

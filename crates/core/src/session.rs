@@ -23,13 +23,17 @@
 //! Evicting an answer set purges the conflict bitsets keyed by its
 //! serial.
 //!
-//! A delta keeps the answer sets over the relations it changed. The
-//! session journals each delta's net change per relation, and the next
-//! access to such a set folds the journal's changes since
-//! the set's epoch into it ([`Ucq::patch_ids`]); the set then takes a
-//! new serial, so the conflict bitsets of the old rows stay dead. A set
-//! whose pending changes outgrow its relations' rows is dropped and
-//! re-evaluated instead. Contrastive answers are not cached: each
+//! A delta edits the pinned instance in place: the session owns it, and
+//! the lub engine lets go of its handle for the edit, so a relation only
+//! the session holds changes with no copy (see
+//! [`apply_delta`](WhyNotSession::apply_delta)). A delta keeps the
+//! answer sets over the relations it changed. The session journals each
+//! delta's net change per relation, and the next access to such a set
+//! folds the journal's changes since the set's epoch into it
+//! ([`Ucq::patch_ids`]); the set then takes a new serial, so the
+//! conflict bitsets of the old rows stay dead. A set whose pending
+//! changes outgrow its relations' rows is dropped and re-evaluated
+//! instead. Contrastive answers are not cached: each
 //! [`contrast`](WhyNotSession::contrast) call recomputes its answer.
 //!
 //! Questions are answered in the session pool's id space: answer sets are
@@ -94,7 +98,7 @@
 //! # Ok::<(), whynot_core::SessionError>(())
 //! ```
 
-use crate::context::EvalContext;
+use crate::context::{ContextDelta, EvalContext};
 use crate::contrast::{contrast_core, validate_contrast, ContrastAnswer, ContrastQuestion};
 use crate::exhaustive::{self, ConflictBits};
 use crate::incremental::{check_mge_instance_core, incremental_search_core, restriction};
@@ -493,7 +497,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     ///
     /// The instance is snapshotted (cheaply — instances share interned
     /// storage), so its borrow ends with this call; only the ontology
-    /// and schema must outlive the session.
+    /// and schema must outlive the session. The snapshot shares the
+    /// caller's storage until a delta changes a relation, which copies
+    /// that relation once (see
+    /// [`apply_delta`](WhyNotSession::apply_delta)); a caller that drops
+    /// its instance after this call leaves the session the only owner,
+    /// and no delta copies at all.
     pub fn new(ontology: &'a O, schema: &'a Schema, instance: &Instance) -> Self {
         WhyNotSession {
             schema,
@@ -610,7 +619,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
     /// Applies a tuple-level [`Delta`] to the pinned instance **in
     /// place**, invalidating only the cache entries the changed relations
-    /// can actually affect. Everything else — unrelated extensions,
+    /// can actually affect.
+    ///
+    /// The session owns its pinned instance: the evaluation context
+    /// holds it, and the lub engine lets go of its own handle while the
+    /// delta edits it. So a changed relation takes one set insert or
+    /// remove per net-changed fact, with no copy. Only a relation still
+    /// shared with the instance the session was opened over (or with a
+    /// clone of [`instance`](WhyNotSession::instance) a caller keeps) is
+    /// copied, once, by the first delta that changes it; the caller's
+    /// instance never changes. Everything else — unrelated extensions,
     /// answer sets, conflict bitsets, interned columns — survives, so a
     /// long-lived session absorbs mutations without restarting from cold
     /// caches.
@@ -679,30 +697,37 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// ```
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<DeltaStats, SessionError> {
         delta.check(self.schema)?;
-        let outcome = self.instance().apply_delta(delta);
+        // The context's snapshot is the session's pinned instance. The
+        // lub engine lets go of its handle for the edit, so a relation
+        // nothing outside the session shares is edited without a copy.
+        if let Some(engine) = self.lub_engine.get_mut() {
+            engine.release_instance();
+        }
+        // 1. The evaluation context: the instance itself, the
+        // per-concept extension memo and the pool generation.
+        let ContextDelta {
+            effect,
+            map,
+            extensions_dropped,
+            extensions_retained,
+        } = self.ctx.apply_delta(delta);
         self.deltas.set(self.deltas.get() + 1);
-        if outcome.is_noop() {
+        if effect.is_noop() {
+            if let Some(engine) = self.lub_engine.get_mut() {
+                engine.restore_instance(self.ctx.instance());
+            }
             return Ok(DeltaStats::default());
         }
-        let changed = &outcome.changed;
+        let changed = &effect.changed;
         let mut stats = DeltaStats {
             changed_relations: changed.len(),
-            facts_inserted: outcome.inserted,
-            facts_deleted: outcome.deleted,
+            facts_inserted: effect.inserted,
+            facts_deleted: effect.deleted,
+            generation_bumped: map.is_some(),
+            extensions_dropped,
+            extensions_retained,
             ..DeltaStats::default()
         };
-
-        // 1. The evaluation context: per-concept extension memo and pool
-        // generation.
-        let ctx_delta = self.ctx.apply_delta(
-            &outcome.instance,
-            changed,
-            outcome.inserted_constants.iter().cloned(),
-        );
-        let map = ctx_delta.map;
-        stats.generation_bumped = map.is_some();
-        stats.extensions_dropped = ctx_delta.extensions_dropped;
-        stats.extensions_retained = ctx_delta.extensions_retained;
         let pool = Arc::clone(self.ctx.pool());
 
         // 2. The finite index: re-evaluate only dirty entries, bridge the
@@ -751,7 +776,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 let rels = q.rels();
                 let touched: usize = rels
                     .iter()
-                    .filter_map(|r| outcome.net.get(r))
+                    .filter_map(|r| effect.net.get(r))
                     .map(|c| c.inserted.len() + c.deleted.len())
                     .sum();
                 if touched > 0 {
@@ -797,20 +822,20 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 live.binary_search(serial).is_ok() && !dirty.get(*k).copied().unwrap_or(true)
             });
 
-        // 6. The lub engine: changed relations' columns drop and their
-        // images wait for a patch, retained ones are id-remapped across a
-        // bump, and adom(I) is re-read off the columns on the next growth
-        // loop. Nothing else holds lubs: growth states never outlive a
-        // call.
+        // 6. The lub engine: it takes a handle on the edited instance
+        // back, changed relations' columns drop and their images wait for
+        // a patch, retained ones are id-remapped across a bump, and
+        // adom(I) is re-read off the columns on the next growth loop.
+        // Nothing else holds lubs: growth states never outlive a call.
         if let Some(engine) = self.lub_engine.get_mut() {
             let repool = map.as_ref().map(|m| (&pool, m));
             (stats.lub_columns_retained, stats.lub_columns_dropped) =
-                engine.apply_delta(&outcome.instance, &outcome.net, repool);
+                engine.apply_delta(self.ctx.instance(), &effect.net, repool);
         }
 
         // 7. The journal: this delta's changes join it, and each
         // relation keeps only what an entry still to patch needs.
-        for (rel, change) in outcome.net {
+        for (rel, change) in effect.net {
             self.journal.entry(rel).or_default().push((epoch, change));
         }
         self.journal.retain(|rel, items| match oldest.get(rel) {
@@ -1237,7 +1262,7 @@ mod tests {
     use crate::explicit::ExplicitOntology;
     use crate::incremental::{check_mge_instance, incremental_search_kind};
     use crate::whynot::WhyNotInstance;
-    use whynot_relation::{Atom, Cq, SchemaBuilder, Term, Var};
+    use whynot_relation::{Atom, Cq, Fact, SchemaBuilder, Term, Var};
 
     fn s(x: &str) -> Value {
         Value::str(x)
@@ -1748,6 +1773,58 @@ mod tests {
                 fresh.lub(kind, &support).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn deltas_edit_the_pinned_instance_in_place() {
+        let (o, schema, inst, tc) = fixture();
+        let before: Vec<Fact> = inst.facts().collect();
+        let mut session = WhyNotSession::new(&o, &schema, &inst);
+        // An incremental question builds the lub engine, which keeps its
+        // own handle on the pinned instance between deltas.
+        let q = WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]);
+        let _ = session.incremental(&q, LubKind::WithSelections).unwrap();
+        let untouched = |session: &WhyNotSession<'_, ExplicitOntology>| {
+            session
+                .instance()
+                .tuples(tc)
+                .find(|t| **t == [s("Tokyo"), s("Kyoto")])
+                .map(|t| t.as_ptr())
+        };
+        let edge = |a: &str, b: &str| vec![s(a), s(b)];
+        let mut deltas = vec![Delta::new(); 5];
+        deltas[0].insert(tc, edge("Kyoto", "Tokyo"));
+        deltas[1]
+            .insert(tc, edge("Rome", "Berlin"))
+            .delete(tc, edge("Berlin", "Amsterdam"));
+        // A no-op: the engine gets its handle back unchanged.
+        deltas[2].insert(tc, edge("Amsterdam", "Berlin"));
+        deltas[3]
+            .delete(tc, edge("Kyoto", "Tokyo"))
+            .delete(tc, edge("Rome", "Paris"));
+        deltas[4]
+            .insert(tc, edge("Rome", "Kyoto"))
+            .delete(tc, edge("New York", "San Francisco"));
+        let mut folded = inst.clone();
+        let mut address = None;
+        for (i, delta) in deltas.iter().enumerate() {
+            session.apply_delta(delta).unwrap();
+            folded = folded.apply_delta(delta).instance;
+            // The engine has its handle back after each delta.
+            let _ = session.incremental(&q, LubKind::WithSelections).unwrap();
+            // The first delta copies the relation the caller still
+            // shares; every later one edits the session's own copy, so a
+            // tuple no delta touches keeps its heap buffer.
+            let now = untouched(&session);
+            assert!(now.is_some());
+            if i > 0 {
+                assert_eq!(now, address, "delta {i} copied the relation");
+            }
+            address = now;
+        }
+        assert!(session.instance().facts().eq(folded.facts()));
+        // The caller's instance is as it was.
+        assert!(inst.facts().eq(before));
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! algorithms to live, evolving instances.
 //!
 //! A [`Delta`] is a batch of fact inserts and deletes.
-//! [`Instance::apply_delta`] applies one to an instance *functionally*:
-//! the original is untouched, and the returned snapshot shares the
+//! [`Instance::apply_delta_in_place`] edits an instance with one: each
+//! relation it effectively changes takes O(delta) set inserts and
+//! removes, copied first only when another snapshot shares its storage.
+//! [`Instance::apply_delta`] is the functional form, a clone plus that
+//! edit: the original is untouched, and the returned snapshot shares the
 //! storage (`Arc`) of every relation the delta did not effectively
-//! change. The accompanying [`DeltaOutcome`] reports exactly which
-//! relations changed and which constants are new — the inputs the cache
-//! layers above (extension tables, lub columns, answer sets) need to
-//! invalidate *selectively* instead of rebuilding the world.
+//! change. Either way the accompanying [`DeltaEffect`] reports exactly
+//! which relations changed and which constants are new — the inputs the
+//! cache layers above (extension tables, lub columns, answer sets) need
+//! to invalidate *selectively* instead of rebuilding the world.
 //!
 //! No-ops are filtered at application time: inserting a fact that is
 //! already present or deleting one that is absent changes nothing, marks
 //! no relation as changed, and (for a delta made only of such no-ops)
-//! yields a snapshot that shares **all** storage with the original.
+//! leaves every relation's storage as it was.
 
 use crate::error::RelError;
 use crate::instance::{Fact, Instance, Tuple};
@@ -127,13 +130,11 @@ pub struct NetChange {
     pub deleted: Vec<Tuple>,
 }
 
-/// The result of [`Instance::apply_delta`]: the new snapshot plus the
-/// *effective* change summary the invalidation layers key on.
-#[derive(Clone, Debug)]
-pub struct DeltaOutcome {
-    /// The post-delta snapshot. Relations not in [`DeltaOutcome::changed`]
-    /// share storage with the pre-delta instance.
-    pub instance: Instance,
+/// What a delta effectively changed: the change summary the
+/// invalidation layers key on, reported by
+/// [`Instance::apply_delta_in_place`] (and inside a [`DeltaOutcome`]).
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+pub struct DeltaEffect {
     /// Relations whose fact set actually differs from the pre-delta
     /// instance. A mutation pair that cancels out (insert a new fact,
     /// then delete it) does **not** mark its relation changed.
@@ -149,28 +150,53 @@ pub struct DeltaOutcome {
     /// Per changed relation, its net change: what a cache over the
     /// pre-delta instance folds in to catch up (see
     /// [`RowDelta::of_changes`](crate::RowDelta::of_changes)). Its keys are
-    /// [`DeltaOutcome::changed`].
+    /// [`DeltaEffect::changed`].
     pub net: BTreeMap<RelId, NetChange>,
 }
 
-impl DeltaOutcome {
+impl DeltaEffect {
     /// Whether the delta changed nothing (every mutation was a no-op).
     pub fn is_noop(&self) -> bool {
         self.changed.is_empty()
     }
 }
 
+/// The result of the functional [`Instance::apply_delta`]: a new
+/// snapshot, owned by the caller, plus the delta's effect. The snapshot
+/// shares the storage of every relation outside
+/// [`DeltaEffect::changed`] with the pre-delta instance; each changed
+/// relation is a copy, edited in place.
+#[derive(Clone, Debug)]
+pub struct DeltaOutcome {
+    /// The post-delta snapshot.
+    pub instance: Instance,
+    /// What the delta effectively changed.
+    pub effect: DeltaEffect,
+}
+
 impl Instance {
     /// Applies a delta functionally: `self` is untouched and the returned
     /// snapshot shares the storage of every relation whose fact set did
-    /// not effectively change.
+    /// not effectively change. A clone of `self` plus
+    /// [`Instance::apply_delta_in_place`], so each changed relation is
+    /// copied once.
+    pub fn apply_delta(&self, delta: &Delta) -> DeltaOutcome {
+        let mut instance = self.clone();
+        let effect = instance.apply_delta_in_place(delta);
+        DeltaOutcome { instance, effect }
+    }
+
+    /// Applies a delta to `self` in place and reports its effect.
     ///
     /// Inserts apply before deletes. No-op mutations (inserting a present
     /// fact, deleting an absent one) are filtered out: they contribute
-    /// nothing to [`DeltaOutcome::changed`], and a relation touched only
-    /// by no-ops — or by mutations that cancel exactly — keeps its
-    /// shared storage.
-    pub fn apply_delta(&self, delta: &Delta) -> DeltaOutcome {
+    /// nothing to [`DeltaEffect::changed`], and a relation touched only
+    /// by no-ops — or by mutations that cancel exactly — is not written
+    /// to at all. A relation the delta does change is edited with one
+    /// set insert or remove per net-changed fact; when another snapshot
+    /// still shares its storage, it is copied first (copy-on-write), so
+    /// that snapshot keeps its facts.
+    pub fn apply_delta_in_place(&mut self, delta: &Delta) -> DeltaEffect {
         // Per-relation set of tuples whose membership flips, maintained
         // by toggling so that insert-then-delete of the same new fact
         // cancels back out of the diff.
@@ -199,36 +225,25 @@ impl Instance {
         }
         diffs.retain(|_, d| !d.is_empty());
 
-        let mut out = self.clone();
-        let mut changed = BTreeSet::new();
-        let mut inserted = 0usize;
-        let mut deleted = 0usize;
-        let mut inserted_constants = BTreeSet::new();
-        let mut net = BTreeMap::new();
-        for (rel, flips) in &diffs {
-            changed.insert(*rel);
-            let change: &mut NetChange = net.entry(*rel).or_default();
+        let mut effect = DeltaEffect::default();
+        for (rel, flips) in diffs {
+            effect.changed.insert(rel);
+            let change: &mut NetChange = effect.net.entry(rel).or_default();
             for t in flips {
-                if self.contains(*rel, t) {
-                    out.remove(*rel, t);
-                    deleted += 1;
-                    change.deleted.push((*t).clone());
+                // Each flipped tuple is distinct, so its presence before
+                // this edit is its presence before the delta.
+                if self.remove(rel, t) {
+                    effect.deleted += 1;
+                    change.deleted.push(t.clone());
                 } else {
-                    inserted += 1;
-                    inserted_constants.extend(t.iter().cloned());
-                    out.insert(*rel, (*t).clone());
-                    change.inserted.push((*t).clone());
+                    effect.inserted += 1;
+                    effect.inserted_constants.extend(t.iter().cloned());
+                    self.insert(rel, t.clone());
+                    change.inserted.push(t.clone());
                 }
             }
         }
-        DeltaOutcome {
-            instance: out,
-            changed,
-            inserted,
-            deleted,
-            inserted_constants,
-            net,
-        }
+        effect
     }
 }
 
@@ -249,15 +264,32 @@ mod tests {
         ])
     }
 
+    /// Applies `delta` to `inst` both ways — functionally, and in place
+    /// on a copy that shares no storage — checks that the two report the
+    /// same effect and end with the same facts, and returns the
+    /// functional outcome.
+    fn apply_both(inst: &Instance, delta: &Delta) -> DeltaOutcome {
+        let out = inst.apply_delta(delta);
+        let mut own = instance_of(inst.facts().map(|f| (f.rel, [f.tuple])));
+        assert!(!own.shares_storage(inst));
+        let effect = own.apply_delta_in_place(delta);
+        assert_eq!(effect, out.effect);
+        assert!(own.facts().eq(out.instance.facts()));
+        out
+    }
+
     #[test]
     fn apply_delta_shares_untouched_relation_storage() {
         let inst = base();
         let mut delta = Delta::new();
         delta.insert(RelId(0), vec![v("c")]);
         let out = inst.apply_delta(&delta);
-        assert_eq!(out.changed.iter().copied().collect::<Vec<_>>(), [RelId(0)]);
-        assert_eq!(out.inserted, 1);
-        assert_eq!(out.deleted, 0);
+        assert_eq!(
+            out.effect.changed.iter().copied().collect::<Vec<_>>(),
+            [RelId(0)]
+        );
+        assert_eq!(out.effect.inserted, 1);
+        assert_eq!(out.effect.deleted, 0);
         // RelId(1) was untouched: its storage is the same allocation.
         assert!(out.instance.shares_relation_storage(&inst, RelId(1)));
         assert!(!out.instance.shares_relation_storage(&inst, RelId(0)));
@@ -272,9 +304,9 @@ mod tests {
         let mut delta = Delta::new();
         delta.insert(RelId(0), vec![v("a")]); // already present
         delta.delete(RelId(1), vec![v("z"), v("z")]); // absent
-        let out = inst.apply_delta(&delta);
-        assert!(out.is_noop());
-        assert_eq!(out.inserted + out.deleted, 0);
+        let out = apply_both(&inst, &delta);
+        assert!(out.effect.is_noop());
+        assert_eq!(out.effect.inserted + out.effect.deleted, 0);
         assert!(out.instance.shares_storage(&inst));
     }
 
@@ -284,8 +316,8 @@ mod tests {
         let mut delta = Delta::new();
         delta.insert(RelId(0), vec![v("new")]);
         delta.delete(RelId(0), vec![v("new")]);
-        let out = inst.apply_delta(&delta);
-        assert!(out.is_noop());
+        let out = apply_both(&inst, &delta);
+        assert!(out.effect.is_noop());
         assert!(out.instance.shares_storage(&inst));
     }
 
@@ -297,11 +329,14 @@ mod tests {
         let mut delta = Delta::new();
         delta.delete(RelId(0), vec![v("a")]);
         delta.insert(RelId(0), vec![v("a")]);
-        let out = inst.apply_delta(&delta);
+        let out = apply_both(&inst, &delta);
         assert!(!out.instance.contains(RelId(0), &[v("a")]));
-        assert_eq!(out.deleted, 1);
-        assert_eq!(out.inserted, 0);
-        assert_eq!(out.changed.iter().copied().collect::<Vec<_>>(), [RelId(0)]);
+        assert_eq!(out.effect.deleted, 1);
+        assert_eq!(out.effect.inserted, 0);
+        assert_eq!(
+            out.effect.changed.iter().copied().collect::<Vec<_>>(),
+            [RelId(0)]
+        );
     }
 
     #[test]
@@ -311,9 +346,13 @@ mod tests {
         delta.insert(RelId(0), vec![v("fresh")]);
         delta.insert(RelId(1), vec![v("gone"), v("gone")]);
         delta.delete(RelId(1), vec![v("gone"), v("gone")]);
-        let out = inst.apply_delta(&delta);
+        let out = apply_both(&inst, &delta);
         assert_eq!(
-            out.inserted_constants.iter().cloned().collect::<Vec<_>>(),
+            out.effect
+                .inserted_constants
+                .iter()
+                .cloned()
+                .collect::<Vec<_>>(),
             vec![v("fresh")]
         );
     }
@@ -342,19 +381,65 @@ mod tests {
         delta.insert(RelId(0), vec![v("c")]); // duplicate: one insert
         delta.delete(RelId(0), vec![v("a")]);
         delta.insert(RelId(1), vec![v("b"), v("a")]);
-        let out = inst.apply_delta(&delta);
-        assert_eq!(out.inserted, 2);
-        assert_eq!(out.deleted, 1);
-        assert_eq!(out.changed.len(), 2);
-        let r0 = &out.net[&RelId(0)];
+        let out = apply_both(&inst, &delta);
+        assert_eq!(out.effect.inserted, 2);
+        assert_eq!(out.effect.deleted, 1);
+        assert_eq!(out.effect.changed.len(), 2);
+        let r0 = &out.effect.net[&RelId(0)];
         assert_eq!(r0.inserted, [vec![v("c")]]);
         assert_eq!(r0.deleted, [vec![v("a")]]);
-        assert_eq!(out.net[&RelId(1)].inserted, [vec![v("b"), v("a")]]);
-        assert!(out.net.keys().eq(out.changed.iter()));
+        assert_eq!(out.effect.net[&RelId(1)].inserted, [vec![v("b"), v("a")]]);
+        assert!(out.effect.net.keys().eq(out.effect.changed.iter()));
         assert!(out.instance.contains(RelId(0), &[v("c")]));
         assert!(!out.instance.contains(RelId(0), &[v("a")]));
         assert!(out.instance.contains(RelId(1), &[v("b"), v("a")]));
         // Net arc count: Arc is not leaked to the original.
         assert!(!inst.contains(RelId(1), &[v("b"), v("a")]));
+    }
+
+    #[test]
+    fn in_place_edit_of_an_unshared_relation_keeps_untouched_tuples() {
+        let mut inst = base();
+        let buffer = |inst: &Instance| {
+            inst.tuples(RelId(0))
+                .find(|t| **t == [v("b")])
+                .map(|t| t.as_ptr())
+        };
+        let before = buffer(&inst);
+        assert!(before.is_some());
+        let mut delta = Delta::new();
+        delta.insert(RelId(0), vec![v("c")]);
+        delta.delete(RelId(0), vec![v("a")]);
+        let effect = inst.apply_delta_in_place(&delta);
+        assert_eq!(
+            effect.changed.iter().copied().collect::<Vec<_>>(),
+            [RelId(0)]
+        );
+        // No copy of the relation: the untouched tuple is the same heap
+        // buffer.
+        assert_eq!(buffer(&inst), before);
+        assert!(inst.contains(RelId(0), &[v("c")]));
+        assert!(!inst.contains(RelId(0), &[v("a")]));
+    }
+
+    #[test]
+    fn in_place_edit_of_a_shared_relation_leaves_the_other_snapshot_alone() {
+        let inst = base();
+        let mut edited = inst.clone();
+        let mut delta = Delta::new();
+        delta.insert(RelId(0), vec![v("c")]);
+        delta.delete(RelId(0), vec![v("a")]);
+        delta.insert(RelId(1), vec![v("b"), v("a")]);
+        let effect = edited.apply_delta_in_place(&delta);
+        assert_eq!(effect.inserted, 2);
+        assert_eq!(effect.deleted, 1);
+        // The shared snapshot keeps its facts; the edited one copied the
+        // relations it changed and nothing else.
+        assert!(inst.facts().eq(base().facts()));
+        assert!(!edited.shares_relation_storage(&inst, RelId(0)));
+        assert!(!edited.shares_relation_storage(&inst, RelId(1)));
+        assert!(edited.contains(RelId(0), &[v("c")]));
+        assert!(!edited.contains(RelId(0), &[v("a")]));
+        assert!(edited.contains(RelId(1), &[v("b"), v("a")]));
     }
 }

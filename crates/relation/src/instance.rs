@@ -35,8 +35,12 @@ pub struct Fact {
 /// delta did not touch. [`Instance::shares_storage`] tests that sharing;
 /// the evaluation layers use it to recognize "same data, different
 /// handle" without comparing tuples. In-place mutation
-/// ([`Instance::insert`] / [`Instance::remove`]) copies-on-write via
-/// [`Arc::make_mut`], so mutating one snapshot never disturbs another.
+/// ([`Instance::insert`] / [`Instance::remove`] /
+/// [`Instance::apply_delta_in_place`]) copies-on-write via
+/// [`Arc::make_mut`], so mutating one snapshot never disturbs another: a
+/// relation this handle alone owns is edited where it is, and a shared
+/// one is copied once, on its first edit, after which this handle owns
+/// the copy.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct Instance {
     relations: BTreeMap<RelId, Arc<BTreeSet<Tuple>>>,

@@ -48,7 +48,7 @@ pub use constraints::{
     classify, validate, view_partition, Constraint, ConstraintClass, Fd, Ind, ViewDef,
     ViewPartition,
 };
-pub use delta::{Delta, DeltaOutcome, NetChange};
+pub use delta::{Delta, DeltaEffect, DeltaOutcome, NetChange};
 pub use error::RelError;
 pub use freeze::{freeze, freeze_with, fresh_constant, is_fresh_constant, Frozen};
 pub use image::{AnswerRows, IdImage, RowDelta};

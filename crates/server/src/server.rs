@@ -36,7 +36,7 @@
 //! the tenant's explicit ontology (`ontology_difference`).
 
 use crate::config::ServerConfig;
-use crate::durable::{valid_tenant_name, Durability};
+use crate::durable::{valid_tenant_name, Durability, LoadedTenant};
 use crate::error::ServerError;
 use crate::tenant::{intern_definition, TenantCore};
 use std::collections::{BTreeMap, VecDeque};
@@ -249,10 +249,13 @@ impl ServerCore {
         let (core, instance) = intern_definition(definition)?;
         let facts = instance.len();
         let mut session = WhyNotSession::new(core.ontology, core.schema, &instance);
+        // The session's snapshot is the only handle on the instance from
+        // here on, so its first delta edits it without a copy.
+        drop(instance);
         session.set_cache_budget(self.config.session_budget());
         let snapshotted = match &self.durability {
             Some(d) => {
-                d.write_snapshot(name, core.stripped, core.schema, &instance, 0)?;
+                d.write_snapshot(name, core.stripped, core.schema, session.instance(), 0)?;
                 true
             }
             None => false,
@@ -529,17 +532,26 @@ impl ServerCore {
             });
         }
         let durability = self.durability.as_ref().ok_or(ServerError::NoDurability)?;
-        let loaded = durability.load(&name)?;
+        let LoadedTenant {
+            definition,
+            instance,
+            snapshot_seq,
+            wal,
+            wal_error,
+        } = durability.load(&name)?;
         // Re-intern through the snapshot's definition text so a reload
         // after restart shares any core the process already leaked.
-        let (core, _) = intern_definition(&loaded.definition.stripped)?;
-        let mut session = WhyNotSession::new(core.ontology, core.schema, &loaded.instance);
+        let (core, _) = intern_definition(&definition.stripped)?;
+        let mut session = WhyNotSession::new(core.ontology, core.schema, &instance);
+        // Hand the session the only handle on the instance, so the replay
+        // edits it in place instead of copying each relation it touches.
+        drop(instance);
         session.set_cache_budget(self.config.session_budget());
         // Replay through apply_delta: the restarted session takes the
         // same selective-invalidation path a live one did.
-        let mut seq = loaded.snapshot_seq;
-        let replayed = loaded.wal.len();
-        for (record_seq, delta) in &loaded.wal {
+        let mut seq = snapshot_seq;
+        let replayed = wal.len();
+        for (record_seq, delta) in &wal {
             session.apply_delta(delta)?;
             seq = *record_seq;
         }
@@ -556,11 +568,11 @@ impl ServerCore {
         );
         let mut obj = ok("load")
             .field("tenant", name)
-            .field("snapshot_seq", loaded.snapshot_seq)
+            .field("snapshot_seq", snapshot_seq)
             .field("replayed", replayed)
             .field("seq", seq)
             .field("facts", facts);
-        if let Some(err) = loaded.wal_error {
+        if let Some(err) = wal_error {
             obj = obj.field("wal_error", err);
         }
         Ok(obj.build())
